@@ -15,7 +15,7 @@ import numpy as np
 from .catalog import TABLE_TEXTS
 from .documents import Document, ParseError, dump_document, load_document
 from .exoticity import (
-    OrderMismatch,
+    ProbeCheckFailed,
     build_probe,
     exotic_certificate,
     exotic_lower_bounds,
@@ -443,7 +443,7 @@ def run(argv):
             FileNotFoundError, ValueError) as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
         return 2
-    except OrderMismatch as err:
+    except ProbeCheckFailed as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
         return 1
     if cfg.out:

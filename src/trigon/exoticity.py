@@ -1,5 +1,10 @@
 """Exoticness certificate: the induced neighborhood group Q0, the twist
-permutation sigma, and the counting lower bounds."""
+permutation sigma, and the counting lower bounds.
+
+Q0 is measured, not taken from the closed formula: an automorphism search on
+the link graph with the base vertex colored apart yields generators of that
+vertex's stabilizer directly, and only their action on the neighborhood
+Lambda (q+1 points) goes through Schreier-Sims."""
 
 from __future__ import annotations
 
@@ -7,12 +12,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import factor_prime_power
-from .linkgraph import LinkGraph, from_F, graph_automorphisms
-from .permgrp import Perm, PermGroup
+from .autosearch import automorphism_generators
+from .linkgraph import LinkGraph, from_F
+from .permgrp import (
+    NotInvariant,
+    Perm,
+    PermGroup,
+    bsgs_build,
+    restricted_generators,
+)
 from .singer import SingerDatum, r_of_q
 
 
-class OrderMismatch(Exception):
+class ProbeCheckFailed(Exception):
+    """A link-graph invariant that the Q0 probe relies on does not hold."""
+
+
+class OrderMismatch(ProbeCheckFailed):
     """Raised when the computed |Q0| disagrees with e(q-1)q(q+1)."""
 
 
@@ -40,7 +56,10 @@ def expected_q0_order(q):
 
 
 def build_probe(d: SingerDatum) -> ExoticProbe:
-    """Compute Q0 from the link graph itself, then check its order."""
+    """Compute Q0 from the link graph itself, then check its order.
+
+    The base vertex gets a color of its own, so the search returns generators
+    of its stabilizer; no chain on all 2n vertices is built."""
     link = from_F(d.F())
     n = link.n
     v1 = 0
@@ -51,13 +70,27 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
         b = mask & -mask
         nbrs.append(b.bit_length() - 1)
         mask ^= b
-    assert tuple(nbrs) == lam_set, "neighbors of the base vertex are not S"
-    full = graph_automorphisms(link)
-    stab = full.stabilizer(v1)
+    if tuple(nbrs) != lam_set:
+        raise ProbeCheckFailed(
+            f"neighbors {nbrs} of the base vertex are not the copies "
+            f"{list(lam_set)} of S"
+        )
+    colors = [0] * (2 * n)
+    colors[v1] = 1
+    stab_gens = automorphism_generators(2 * n, link.adj, link.adj, colors)
     # fixing a one-sided vertex rules out the side swap
-    for g in stab.generators:
-        assert all(g(v) < n for v in range(n)), "side swap fixed the base vertex"
-    q0 = stab.restrict(lam_set)
+    for g in stab_gens:
+        if any(g(v) >= n for v in range(n)):
+            raise ProbeCheckFailed(
+                "an automorphism fixing the base vertex swaps the sides"
+            )
+    try:
+        lam_gens = restricted_generators(stab_gens, lam_set)
+    except NotInvariant as err:
+        raise ProbeCheckFailed(
+            "the stabilizer of the base vertex does not preserve its neighbors"
+        ) from err
+    q0 = bsgs_build(len(lam_set), lam_gens)
     want = expected_q0_order(d.q)
     got = q0.order()
     if got != want:

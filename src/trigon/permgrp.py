@@ -29,8 +29,16 @@ class Perm:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple) -> Perm:
+        """Wrap an image tuple that is a permutation by construction, without
+        the check in __init__; for products, inverses and identities."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> Perm:
-        return cls(range(n))
+        return cls._trusted(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles, one_based: bool = False) -> Perm:
@@ -56,13 +64,13 @@ class Perm:
         if other.degree != self.degree:
             raise InvalidPermutation("degree mismatch in product")
         oth = other.images
-        return Perm(oth[i] for i in self.images)
+        return Perm._trusted(tuple([oth[i] for i in self.images]))
 
     def inverse(self) -> Perm:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> Perm:
         if n < 0:
@@ -205,23 +213,38 @@ class PermGroup:
         return list(walk(0))
 
     def stabilizer(self, point: int) -> PermGroup:
+        """The stabilizer of a point: levels 1 and up of a chain based there.
+
+        The strong generators that fix base[0] generate the first stabilizer,
+        and the later transversals were built from exactly those generators.
+        """
         chain = bsgs_build(self.degree, self.generators, base_hint=(point,))
         sub = [g for g in chain.strong_generators if g.images[point] == point]
-        return bsgs_build(self.degree, sub)
+        return PermGroup(
+            self.degree, sub, sub, chain.base[1:], chain._transversals[1:]
+        )
 
     def restrict(self, points) -> PermGroup:
         """The image of the action on an invariant list of points."""
         points = list(points)
-        pos = {p: i for i, p in enumerate(points)}
-        rgens = []
-        for g in self.generators:
-            if any(g.images[p] not in pos for p in points):
-                raise NotInvariant(f"{g} does not preserve {points}")
-            rgens.append(Perm(pos[g.images[p]] for p in points))
+        rgens = restricted_generators(self.generators, points)
         return bsgs_build(len(points), rgens)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
+
+
+def restricted_generators(generators, points) -> list[Perm]:
+    """The action of each generator on a list of points, as a permutation of
+    positions in that list; raises NotInvariant if a point leaves the list."""
+    points = list(points)
+    pos = {p: i for i, p in enumerate(points)}
+    out = []
+    for g in generators:
+        if any(g.images[p] not in pos for p in points):
+            raise NotInvariant(f"{g} does not preserve {points}")
+        out.append(Perm(pos[g.images[p]] for p in points))
+    return out
 
 
 def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:

@@ -3,13 +3,18 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from trigon import exoticity
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
+from trigon.exoticity import ProbeCheckFailed
+from trigon.permgrp import Perm
+from trigon.singer import singer_datum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,6 +221,40 @@ def test_output_path_flag(capsys, tmp_path):
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = invoke(capsys, argv)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        ("neighbors", "are not the copies"),
+        ("side swap", "swaps the sides"),
+        ("lambda", "does not preserve its neighbors"),
+    ],
+)
+def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
+    n = 7  # points of the Fano plane; link vertices n.. are the lines
+    lam = [n + s for s in singer_datum(2).S]
+    other_line = min(set(range(n, 2 * n)) - set(lam))
+    if broken == "neighbors":
+        real_from_F = exoticity.from_F
+
+        def from_F(F):
+            link = real_from_F(F)
+            adj0 = link.adj[0] ^ (1 << lam[0]) ^ (1 << other_line)
+            return replace(link, adj=(adj0,) + link.adj[1:])
+
+        monkeypatch.setattr(exoticity, "from_F", from_F)
+    else:
+        cycle = (1, other_line) if broken == "side swap" else (lam[0], other_line)
+        monkeypatch.setattr(
+            exoticity, "automorphism_generators",
+            lambda m, outm, inm, colors: [Perm.from_cycles(m, [cycle])],
+        )
+    assert not issubclass(ProbeCheckFailed, ValueError)
+    code, out, err = invoke(capsys, ["exotic", "--q", "2", "--kappa", "+1"])
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_module_invocation_round_trip():

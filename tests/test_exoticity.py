@@ -16,6 +16,7 @@ from trigon.exoticity import (
     expected_q0_order,
     sigma_kappa,
 )
+from trigon.linkgraph import graph_automorphisms
 from trigon.permgrp import Perm
 from trigon.singer import constant_kappa, singer_datum
 
@@ -55,6 +56,17 @@ def test_q0_census(q, probe_for):
         assert probe.q0.order() == factorial(q + 1)
     else:
         assert probe.q0.order() < factorial(q + 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_q0_matches_full_group_stabilizer(q, probe_for):
+    # slow oracle: the whole link group, then the stabilizer, then Lambda
+    probe = probe_for(q)
+    full = graph_automorphisms(probe.link)
+    oracle = full.stabilizer(probe.v1).restrict(probe.lambda_set)
+    assert oracle.order() == probe.q0.order()
+    assert all(probe.q0.contains(g) for g in oracle.generators)
+    assert all(oracle.contains(g) for g in probe.q0.generators)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

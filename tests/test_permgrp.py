@@ -24,6 +24,8 @@ def test_perm_basics():
     assert (p**3).is_identity()
     with pytest.raises(InvalidPermutation):
         Perm((0, 0, 1))
+    with pytest.raises(InvalidPermutation):
+        Perm((0, 0))
 
 
 def test_cycle_roundtrip():
@@ -140,6 +142,27 @@ def test_random_groups_match_closure(gen_images):
     brute = closure_elements(5, gens)
     assert g.order() == len(brute)
     assert all(g.contains(h) for h in brute)
+    # the stabilizer is the tail of one chain based at the point
+    stab = g.stabilizer(0)
+    assert set(stab.elements()) == {h for h in brute if h(0) == 0}
+
+
+@st.composite
+def same_degree_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    return draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_degree_pair())
+def test_unchecked_products_match_checked_constructor(pair):
+    a, b = Perm(pair[0]), Perm(pair[1])
+    n = a.degree
+    assert a * b == Perm(tuple(b.images[i] for i in a.images))
+    assert a.inverse() == Perm(tuple(a.images.index(j) for j in range(n)))
+    assert Perm.identity(n) == Perm(range(n))
+    with pytest.raises(InvalidPermutation):
+        a * Perm.identity(n + 1)
 
 
 @settings(max_examples=30, deadline=None)
