@@ -12,8 +12,8 @@ import argparse
 import math
 import sys
 import time
-from itertools import product
 
+from trigon.cli import kappa_spec_of
 from trigon.exoticity import (
     ProbeCheckFailed,
     build_probe,
@@ -37,15 +37,13 @@ def scan_one(q, max_family=16):
         f"full Sym(Lambda)={'yes' if order == sym else 'no'}  "
         f"({time.time() - t0:.2f}s)"
     )
-    keys = [o[0] for o in d.O]
-    if 2 ** len(keys) > max_family:
-        print(f"        {2 ** len(keys)} sign choices, skipping the verdict table")
+    count = 2 ** len(probe.family.keys)
+    if count > max_family:
+        print(f"        {count} sign choices, skipping the verdict table")
         return
-    for signs in product((1, -1), repeat=len(keys)):
-        kappa = dict(zip(keys, signs))
+    for kappa in probe.family.choices():
         cert = exotic_certificate(probe, kappa)
-        spec = ";".join(f"{k}:{'+' if s > 0 else '-'}1" for k, s in kappa.items())
-        print(f"        kappa {spec:24s} -> {cert.verdict}")
+        print(f"        kappa {kappa_spec_of(kappa):24s} -> {cert.verdict}")
 
 
 def main():

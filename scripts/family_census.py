@@ -2,10 +2,11 @@
 
 Enumerates every compatible presentation, groups them into isomorphism
 classes, and checks the counting identity orbit * stabilizer = |Aut(F)|
-on each class.
+on each class.  A failed check is reported and makes the exit status 1.
 """
 
 import argparse
+import sys
 import time
 
 from trigon.linkgraph import FSet, aut_full
@@ -28,6 +29,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=int, nargs="*", default=[2, 3])
     args = ap.parse_args()
+    status = 0
     for name, f in instances(args.q):
         t0 = time.time()
         found = enumerate_all(f)
@@ -37,11 +39,18 @@ def main():
               f"|Aut(F)| = {full}  ({time.time() - t0:.2f}s)")
         for i, c in enumerate(classes, start=1):
             ok = c.orbit_size * c.aut_order == full
+            if not ok:
+                status = 1
             print(f"    class {i}: orbit {c.orbit_size} x stabilizer "
                   f"{c.aut_order} = {c.orbit_size * c.aut_order}"
                   f"{'' if ok else '  COUNTING IDENTITY FAILED'}")
-        assert sum(c.orbit_size for c in classes) == len(found)
+        total = sum(c.orbit_size for c in classes)
+        if total != len(found):
+            print(f"{name}: class orbits cover {total} presentations, "
+                  f"enumeration found {len(found)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,9 +6,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -23,13 +21,14 @@ from .exoticity import (
 from .ffield import NotPrimitive, factor_prime_power
 from .grouptools import export_presentation
 from .linkgraph import export_edge_list, from_F, metrics, normalized_laplacian
-from .oppmodel import BadCongruence, opp_T_kappa, opp_datum, opp_properties
-from .singer import quad_T_kappa, quad_datum, singer_T_kappa, singer_datum
+from .oppmodel import BadCongruence, opp_datum, opp_properties
+from .singer import quad_datum, singer_datum
 from .tripres import (
+    KappaSpecError,
+    TwistCheckFailed,
     classify,
     enumerate_all,
     format_table,
-    lambda_orbits,
     project_F,
     verify,
 )
@@ -46,7 +45,6 @@ class RunConfig:
     all_kappa: bool = False
     format: str = "table"
     out: str | None = None
-    workers: int = 1
     which: int | None = None
     from_json: str | None = None
     lenient: bool = False
@@ -57,18 +55,14 @@ class RunConfig:
     spectrum: bool = False
 
 
-class KappaSpecError(ValueError):
-    """A sign specification that does not match the datum's orbits."""
-
-
-def parse_kappa_spec(text, keys):
+def parse_kappa_spec(text, family):
     """'+1' or '-1' for a constant choice, else ';'-joined 'key:sign' items;
     a key is an orbit minimum or a 'rep,min' coset pair.  The parsed keys
-    must cover the datum's orbit keys exactly."""
+    must cover the sign family's keys exactly."""
     text = text.strip()
     if text in ("+1", "+", "-1", "-"):
         sign = 1 if text.startswith("+") else -1
-        return {k: sign for k in keys}
+        return {k: sign for k in family.keys}
     kappa = {}
     for item in text.split(";"):
         item = item.strip()
@@ -89,11 +83,7 @@ def parse_kappa_spec(text, keys):
         if key in kappa:
             raise KappaSpecError(f"duplicate key {head!r}")
         kappa[key] = sign
-    if set(kappa) != set(keys):
-        raise KappaSpecError(
-            f"kappa keys {sorted(kappa)} do not match the orbit keys "
-            f"{sorted(keys)}"
-        )
+    family.check(kappa)
     return kappa
 
 
@@ -104,13 +94,6 @@ def kappa_spec_of(kappa):
         head = ",".join(str(x) for x in key) if isinstance(key, tuple) else str(key)
         items.append(f"{head}:{'+1' if kappa[key] == 1 else '-1'}")
     return ";".join(items)
-
-
-def _pool(fn, items, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _document_blob(T, meta):
@@ -141,21 +124,13 @@ def _present_family(model, q, entries, fmt):
     return "\n".join(parts)
 
 
-def _family_output(model, q, keys, build, cfg):
+def _family_output(model, q, family, cfg):
     if cfg.all_kappa:
-        kappas = [
-            dict(zip(keys, signs))
-            for signs in product((1, -1), repeat=len(keys))
-        ]
-        built = _pool(build, kappas, cfg.workers)
-        entries = [(kappa_spec_of(k), T) for k, T in zip(kappas, built)]
+        entries = [(kappa_spec_of(k), family.build(k)) for k in family.choices()]
         return _present_family(model, q, entries, cfg.format)
-    if cfg.kappa:
-        kappa = parse_kappa_spec(cfg.kappa, keys)
-    else:
-        kappa = {k: 1 for k in keys}
+    kappa = parse_kappa_spec(cfg.kappa or "+1", family)
     meta = {"model": model, "q": q, "kappa": kappa_spec_of(kappa)}
-    return _present_one(build(kappa), meta, cfg.format)
+    return _present_one(family.build(kappa), meta, cfg.format)
 
 
 def _cmd_tables(cfg):
@@ -164,18 +139,12 @@ def _cmd_tables(cfg):
 
 def _cmd_singer(cfg):
     d = singer_datum(cfg.q, cfg.modulus)
-    keys = [o[0] for o in d.O]
-    return 0, _family_output(
-        "singer", d.q, keys, lambda k: singer_T_kappa(d, k), cfg
-    )
+    return 0, _family_output("singer", d.q, d.signs(), cfg)
 
 
 def _cmd_quad(cfg):
     d = quad_datum(cfg.q, cfg.modulus)
-    keys = sorted((rep, o[0]) for rep in d.H.reps for o in d.O_in_H)
-    return 0, _family_output(
-        "quad", d.q, keys, lambda k: quad_T_kappa(d, k), cfg
-    )
+    return 0, _family_output("quad", d.q, d.signs(), cfg)
 
 
 def _fmt_value(v):
@@ -196,12 +165,7 @@ def _cmd_opp(cfg):
         lines.append(f"zuk gap > 1/2: {report.zuk}")
         return (0 if report.ok else 1), "\n".join(lines) + "\n"
     d = opp_datum(cfg.q)
-    if d.lam is None:
-        raise BadCongruence(f"q = {cfg.q} is not 1 mod 3, so there is no folding")
-    keys = [o[0] for o in lambda_orbits(d.S, d.lam) if len(o) == 3]
-    return 0, _family_output(
-        "opp", d.q, keys, lambda k: opp_T_kappa(d, k), cfg
-    )
+    return 0, _family_output("opp", d.q, d.signs(), cfg)
 
 
 def _cmd_enumerate(cfg):
@@ -253,16 +217,13 @@ def _cmd_exotic(cfg):
         }
     if cfg.kappa or cfg.all_kappa:
         d = singer_datum(cfg.q, cfg.modulus)
-        keys = [o[0] for o in d.O]
+        family = d.signs()
         if cfg.all_kappa:
-            kappas = [
-                dict(zip(keys, signs))
-                for signs in product((1, -1), repeat=len(keys))
-            ]
+            kappas = family.choices()
         else:
-            kappas = [parse_kappa_spec(cfg.kappa, keys)]
+            kappas = [parse_kappa_spec(cfg.kappa, family)]
         probe = build_probe(d)
-        certs = _pool(lambda k: exotic_certificate(probe, k), kappas, cfg.workers)
+        certs = [exotic_certificate(probe, k) for k in kappas]
         blobs = [
             {
                 "q": c.q,
@@ -361,7 +322,6 @@ def _build_parser():
         group = p.add_mutually_exclusive_group()
         group.add_argument("--kappa", help="sign spec, e.g. '+1' or '9:+1;15:-1'")
         group.add_argument("--all-kappa", action="store_true")
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("singer", help="difference-set presentations on Z/m")
     p.add_argument("--q", type=int, required=True)
@@ -443,7 +403,7 @@ def run(argv):
             FileNotFoundError, ValueError) as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
         return 2
-    except ProbeCheckFailed as err:
+    except (ProbeCheckFailed, TwistCheckFailed) as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
         return 1
     if cfg.out:

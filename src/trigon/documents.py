@@ -32,13 +32,6 @@ class Document:
         return self.T.labels
 
 
-def _closure(triples):
-    closed = set()
-    for i, j, k in triples:
-        closed.update(((i, j, k), (j, k, i), (k, i, j)))
-    return closed
-
-
 def dump_document(doc: Document) -> str:
     """Canonical text: labels explicit, pairs sorted, one triple per orbit."""
     pos = doc.T.position()
@@ -57,11 +50,17 @@ def save_document(doc: Document, path) -> None:
         fh.write(dump_document(doc))
 
 
+def _is_int(x):
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _expect(blob, key, kind, where):
     if key not in blob:
         raise ParseError(f"{where}: missing key {key!r}")
     value = blob[key]
-    if not isinstance(value, kind):
+    ok = _is_int(value) if kind is int else isinstance(value, kind)
+    if not ok:
         raise ParseError(f"{where}.{key}: expected {kind.__name__}")
     return value
 
@@ -85,7 +84,7 @@ def parse_document(text: str, strict: bool = True) -> Document:
         labels = _expect(blob, "labels", list, "document")
         if len(labels) != n:
             raise ParseError(f"document.labels: {len(labels)} entries, n = {n}")
-        if any(not isinstance(l, int) for l in labels):
+        if not all(_is_int(l) for l in labels):
             raise ParseError("document.labels: entries must be integers")
         if len(set(labels)) != n:
             raise ParseError("document.labels: duplicates")
@@ -97,7 +96,7 @@ def parse_document(text: str, strict: bool = True) -> Document:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"F[{i}]: expected a pair")
         for x in entry:
-            if x not in known:
+            if not _is_int(x) or x not in known:
                 raise ParseError(f"F[{i}]: index {x} outside the label set")
         pairs.append(tuple(entry))
     triples = []
@@ -105,7 +104,7 @@ def parse_document(text: str, strict: bool = True) -> Document:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"T[{i}]: expected a triple")
         for x in entry:
-            if x not in known:
+            if not _is_int(x) or x not in known:
                 raise ParseError(f"T[{i}]: index {x} outside the label set")
         triples.append(tuple(entry))
     meta = blob.get("meta", {})

@@ -22,6 +22,7 @@ from .permgrp import (
     restricted_generators,
 )
 from .singer import SingerDatum, r_of_q
+from .tripres import SignFamily
 
 
 class ProbeCheckFailed(Exception):
@@ -35,14 +36,16 @@ class OrderMismatch(ProbeCheckFailed):
 @dataclass(frozen=True, eq=False)
 class ExoticProbe:
     """Link-graph data around the base vertex: the point-side vertex 0, its
-    neighborhood Lambda = line-side copies of S, and the group Q0 induced on
-    Lambda by link automorphisms fixing the base vertex."""
+    neighborhood Lambda = line-side copies of S, the group Q0 induced on
+    Lambda by link automorphisms fixing the base vertex, and the datum's sign
+    family."""
 
     datum: SingerDatum
     link: LinkGraph
     v1: int
     lambda_set: tuple
     q0: PermGroup
+    family: SignFamily
 
     @property
     def q(self):
@@ -95,18 +98,15 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
     got = q0.order()
     if got != want:
         raise OrderMismatch(f"|Q0| = {got}, expected {want} for q = {d.q}")
-    return ExoticProbe(datum=d, link=link, v1=v1, lambda_set=lam_set, q0=q0)
+    return ExoticProbe(datum=d, link=link, v1=v1, lambda_set=lam_set, q0=q0,
+                       family=d.signs())
 
 
 def sigma_kappa(probe: ExoticProbe, kappa) -> Perm:
     """The twist s -> lambda^{kappa(orbit of s)}(s) as a permutation of the
     neighborhood positions; folding fixed points stay put."""
+    probe.family.check(kappa)
     d = probe.datum
-    want = {o[0] for o in d.O}
-    if set(kappa) != want:
-        raise ValueError(
-            f"kappa keys {sorted(kappa)} do not cover orbit minima {sorted(want)}"
-        )
     pos = {s: i for i, s in enumerate(d.S)}
     orbit_of = {s: o for o in d.O for s in o}
     images = [0] * len(d.S)

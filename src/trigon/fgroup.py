@@ -172,11 +172,6 @@ def subgroup(G: FiniteGroup, generators) -> SubgroupDatum:
     return SubgroupDatum(parent=G, members=mem, coset_index=tuple(coset_index))
 
 
-def left_cosets(H: SubgroupDatum) -> dict[int, int]:
-    """Map each parent element to its left-coset id."""
-    return {a: cid for a, cid in enumerate(H.coset_index)}
-
-
 def mu_permutation(G: FiniteGroup) -> Perm:
     """The inversion map x -> x^{-1} as a permutation of element indices.
 

@@ -79,12 +79,6 @@ def parse_presentation(text: str, format: str = "gap-like") -> PresentationDoc:
     raise ValueError(f"unknown format {format!r}")
 
 
-def exponent_sums_mod3(T: TrianglePresentation) -> set:
-    """Relator exponent sums modulo 3; a subset of {0} exactly when sending
-    every generator to 1 defines a homomorphism onto Z/3."""
-    return {len(rep) % 3 for rep in T.canonical_reps()}
-
-
 def _snf_diagonal(mat, m, n):
     # Row and column operations over Z; the minimal pivot strictly shrinks
     # whenever a remainder or a non-dividing entry forces another pass.

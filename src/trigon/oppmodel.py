@@ -17,7 +17,7 @@ from .linkgraph import (
     metrics,
     spectral_gap,
 )
-from .tripres import build_T_kappa, lambda_orbits
+from .tripres import SignFamily
 
 
 class BadCongruence(Exception):
@@ -114,6 +114,13 @@ class OppDatum:
         )
         return FSet(tuple(range(self.G.n)), pairs)
 
+    def signs(self):
+        """One sign per length-3 orbit of the folding, keyed by its minimum;
+        y = 0 always follows the folding branch."""
+        if self.lam is None:
+            raise BadCongruence(f"q = {self.q} is not 1 mod 3, so there is no folding")
+        return SignFamily(self.G, self.S, self.lam, subgroup(self.G, self.S))
+
 
 def _parabola_index(y, q):
     return y.index * q + (y * y).index
@@ -207,32 +214,3 @@ def incidence_model_checks(q):
             if not (meets == formula == member):
                 return False
     return True
-
-
-def _three_orbit_minima(d):
-    if d.lam is None:
-        raise BadCongruence(f"q = {d.q} is not 1 mod 3")
-    return [o[0] for o in lambda_orbits(d.S, d.lam) if len(o) == 3]
-
-
-def opp_T_kappa(d, kappa):
-    """Twisted parabola presentation; kappa maps every length-3 orbit minimum
-    of the folding to a sign, and y = 0 always follows the folding branch."""
-    mins = _three_orbit_minima(d)
-    if set(kappa) != set(mins):
-        raise ValueError(
-            f"kappa keys {sorted(kappa)} do not cover orbit minima {sorted(mins)}"
-        )
-    whole = subgroup(d.G, d.S)
-    lifted = {(0, omin): sign for omin, sign in kappa.items()}
-    return build_T_kappa(d.G, d.S, d.lam, whole, lifted)
-
-
-def opp_family(d):
-    """All 2^((q-1)/3) twisted presentations, the all-plus choice first."""
-    mins = _three_orbit_minima(d)
-    out = []
-    for signs in product((1, -1), repeat=len(mins)):
-        kappa = dict(zip(mins, signs))
-        out.append((kappa, opp_T_kappa(d, kappa)))
-    return out

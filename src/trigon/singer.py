@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .ffield import (
     FieldElement,
@@ -14,7 +13,7 @@ from .ffield import (
 )
 from .fgroup import FiniteGroup, SubgroupDatum, make_cyclic, mu_permutation, subgroup
 from .linkgraph import FSet
-from .tripres import TrianglePresentation, act, build_T_kappa, lambda_orbits
+from .tripres import SignFamily, act, lambda_orbits
 
 
 def r_of_q(q):
@@ -51,6 +50,10 @@ class SingerDatum:
             (x, (x + s) % self.m) for x in range(self.m) for s in self.S
         )
         return FSet(tuple(range(self.m)), pairs)
+
+    def signs(self):
+        """One sign per length-3 orbit, keyed by its minimum."""
+        return SignFamily(self.G, self.S, self.lam, subgroup(self.G, [1 % self.m]))
 
 
 def _trace_zero_exponents(gf, q, m):
@@ -110,35 +113,6 @@ def singer_datum(q, modulus=None):
     )
 
 
-def constant_kappa(d, sign=1):
-    """The sign choice assigning the same sign to every length-3 orbit."""
-    return {o[0]: sign for o in d.O}
-
-
-def singer_T_kappa(d, kappa):
-    """Sign-twisted translation-invariant presentation on Z/m.
-
-    kappa must map the minimum of every length-3 orbit to +1 or -1."""
-    want = {o[0] for o in d.O}
-    if set(kappa) != want:
-        raise ValueError(
-            f"kappa keys {sorted(kappa)} do not cover orbit minima {sorted(want)}"
-        )
-    whole = subgroup(d.G, [1 % d.m])
-    lifted = {(0, omin): sign for omin, sign in kappa.items()}
-    return build_T_kappa(d.G, d.S, d.lam, whole, lifted)
-
-
-def singer_family(d):
-    """All 2^R sign-twisted presentations, the all-plus choice first."""
-    mins = [o[0] for o in d.O]
-    out = []
-    for signs in product((1, -1), repeat=len(mins)):
-        kappa = dict(zip(mins, signs))
-        out.append((kappa, singer_T_kappa(d, kappa)))
-    return out
-
-
 def murho_dual(T, G):
     """Transpose the first two slots of every triple, then relabel each
     index by inversion in G; an involution that flips every kappa sign."""
@@ -169,6 +143,12 @@ class QuadDatum:
     def F(self):
         return self.base.F()
 
+    def signs(self):
+        """One sign per coset of H and length-3 orbit inside H, keyed by
+        (coset representative, orbit minimum)."""
+        b = self.base
+        return SignFamily(b.G, b.S, b.lam, self.H)
+
 
 def quad_datum(q, modulus=None):
     """Mark, inside the order-q^2 datum, the subgroup H of exponents divisible
@@ -181,19 +161,3 @@ def quad_datum(q, modulus=None):
     o_in = tuple(o for o in base.O if all(s in H for s in o))
     assert len(o_in) == r_of_q(q)
     return QuadDatum(q=q, base=base, H=H, S_in_H=s_in, O_in_H=o_in)
-
-
-def quad_T_kappa(dq, kappa):
-    """Coset-twisted presentation; kappa keys are (coset representative,
-    orbit minimum) over the orbits inside H, missing keys default to +1."""
-    return build_T_kappa(dq.base.G, dq.base.S, dq.base.lam, dq.H, kappa)
-
-
-def quad_family(dq):
-    """All 2^([G:H]*R(q)) coset-twisted presentations, all-plus first."""
-    keys = sorted((rep, o[0]) for rep in dq.H.reps for o in dq.O_in_H)
-    out = []
-    for signs in product((1, -1), repeat=len(keys)):
-        kappa = dict(zip(keys, signs))
-        out.append((kappa, quad_T_kappa(dq, kappa)))
-    return out

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
 from .autosearch import find_isomorphism
 from .fgroup import FiniteGroup, SubgroupDatum, subgroup
@@ -24,6 +25,14 @@ class OrbitNotInSubgroup(ValueError):
 
 class SearchTooLarge(ValueError):
     """Raised when an element-by-element search would exceed its bound."""
+
+
+class KappaSpecError(ValueError):
+    """A sign choice whose keys do not match the datum's orbit keys."""
+
+
+class TwistCheckFailed(Exception):
+    """A twisted presentation built from a valid folding fails its axioms."""
 
 
 @dataclass(frozen=True)
@@ -370,7 +379,8 @@ def build_T_kappa(
         o: (len(o) == 3 and all(s in members for s in o)) for o in orbits
     }
     orbit_of = {s: o for o in orbits for s in o}
-    reps = set(H.reps)
+    rep_of = H.reps
+    reps = set(rep_of)
     for (rep, omin), sign in kappa.items():
         hit = [o for o in orbits if min(o) == omin]
         if not hit or not in_h[hit[0]]:
@@ -383,7 +393,7 @@ def build_T_kappa(
             raise ValueError(f"kappa value {sign} is not a sign")
     triples = set()
     for x in range(G.n):
-        rep = H.reps[H.coset_index[x]]
+        rep = rep_of[H.coset_index[x]]
         for s in S:
             o = orbit_of[s]
             step = lam[s]
@@ -393,8 +403,57 @@ def build_T_kappa(
             triples.add((x, xs, G.mul(xs, step)))
     T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
     bad = verify(project_F(T), T)
-    assert not bad, f"twisted presentation broke its axioms: {bad[:3]}"
+    if bad:
+        raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
     return T
+
+
+@dataclass(frozen=True, eq=False)
+class SignFamily:
+    """The sign twists of one folded datum: one sign per length-3 folding
+    orbit inside H, for each coset of H.  A key is the orbit minimum when H
+    has one coset, else the pair (coset representative, orbit minimum)."""
+
+    G: FiniteGroup
+    S: tuple
+    lam: dict
+    H: SubgroupDatum
+    keys: tuple = field(init=False)
+
+    def __post_init__(self):
+        mins = [
+            o[0] for o in lambda_orbits(self.S, self.lam)
+            if len(o) == 3 and all(s in self.H for s in o)
+        ]
+        if self.H.index > 1:
+            mins = sorted((rep, omin) for rep in self.H.reps for omin in mins)
+        object.__setattr__(self, "keys", tuple(mins))
+
+    def check(self, kappa) -> None:
+        """Raise KappaSpecError unless kappa maps exactly the keys to signs."""
+        keys = set(self.keys)
+        if set(kappa) != keys:
+            missing = [k for k in self.keys if k not in kappa]
+            unknown = [k for k in kappa if k not in keys]
+            raise KappaSpecError(
+                f"kappa keys do not match the orbit keys {list(self.keys)}: "
+                f"missing {missing}, unknown {unknown}"
+            )
+        for key, sign in kappa.items():
+            if sign not in (1, -1):
+                raise KappaSpecError(f"kappa value {sign!r} at {key} is not a sign")
+
+    def choices(self):
+        """All 2^len(keys) sign choices, the all-plus choice first."""
+        for signs in product((1, -1), repeat=len(self.keys)):
+            yield dict(zip(self.keys, signs))
+
+    def build(self, kappa) -> TrianglePresentation:
+        """The twisted presentation of one checked sign choice."""
+        self.check(kappa)
+        if self.H.index == 1:
+            kappa = {(0, omin): sign for omin, sign in kappa.items()}
+        return build_T_kappa(self.G, self.S, self.lam, self.H, kappa)
 
 
 def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):

@@ -27,20 +27,11 @@ from trigon.linkgraph import (
 from trigon.oppmodel import (
     incidence_model_checks,
     opp_datum,
-    opp_family,
     opp_graph_building,
     opp_properties,
 )
 from trigon.permgrp import Perm, bsgs_build, closure_elements
-from trigon.singer import (
-    constant_kappa,
-    murho_dual,
-    quad_datum,
-    quad_T_kappa,
-    r_of_q,
-    singer_datum,
-    singer_T_kappa,
-)
+from trigon.singer import murho_dual, quad_datum, r_of_q, singer_datum
 from trigon.tripres import (
     TrianglePresentation,
     act,
@@ -70,10 +61,15 @@ Q5_BASELINES = {
 }
 
 
+def all_plus(datum):
+    signs = datum.signs()
+    return signs.build(next(signs.choices()))
+
+
 def test_01_order2_difference_set_and_reference_table():
     d = singer_datum(2, modulus=(1, 1, 0, 1))
     assert d.S == (1, 2, 4)
-    t = singer_T_kappa(d, constant_kappa(d))
+    t = all_plus(d)
     assert len(t.triples) == 21
     assert format_table(t) == TABLE_TEXTS[3]
 
@@ -91,8 +87,9 @@ def test_02_order4_coset_census_and_twisted_tables():
     assert len(found) == 8
     assert len(classify(f)) == 2
 
-    t_plus = quad_T_kappa(dq, {})
-    t_mix = quad_T_kappa(dq, {(0, 9): 1, (1, 9): 1, (2, 9): -1})
+    signs = dq.signs()
+    t_plus = signs.build({(0, 9): 1, (1, 9): 1, (2, 9): 1})
+    t_mix = signs.build({(0, 9): 1, (1, 9): 1, (2, 9): -1})
     assert t_plus.triples == table(1).triples
     assert t_mix.triples == table(2).triples
     coset2 = {x for x in range(21) if x % 3 == 2}
@@ -143,12 +140,12 @@ def test_06_duality_flips_every_sign():
     rng = random.Random(20260823)
     for q in (2, 3, 4, 5):
         d = singer_datum(q)
-        keys = [o[0] for o in d.O]
+        signs = d.signs()
         for _ in range(3):
-            kappa = {k: rng.choice((1, -1)) for k in keys}
+            kappa = {k: rng.choice((1, -1)) for k in signs.keys}
             neg = {k: -s for k, s in kappa.items()}
-            dual = murho_dual(singer_T_kappa(d, kappa), d.G)
-            assert dual.triples == singer_T_kappa(d, neg).triples
+            dual = murho_dual(signs.build(kappa), d.G)
+            assert dual.triples == signs.build(neg).triples
 
 
 def test_07_opposition_graph_checklist():
@@ -175,12 +172,13 @@ def test_08_coset_model_matches_subspace_model():
 def test_09_opposition_twist_family():
     for q, size in ((4, 2), (7, 4), (13, 16)):
         d = opp_datum(q)
-        fam = opp_family(d)
+        signs = d.signs()
+        fam = [signs.build(k) for k in signs.choices()]
         assert len(fam) == size == 2 ** ((q - 1) // 3)
         f = d.F()
-        seen = {t.triples for _, t in fam}
+        seen = {t.triples for t in fam}
         assert len(seen) == size
-        for _, t in fam:
+        for t in fam:
             assert verify(f, t) == []
 
 
@@ -233,10 +231,10 @@ def test_13_structural_property_suite():
     # fixed productive instances
     constructed = [
         (SQUARE_F, SQUARE_T),
-        (singer_datum(2).F(), singer_T_kappa(singer_datum(2), {1: 1})),
-        (singer_datum(3).F(), singer_T_kappa(singer_datum(3), {1: -1})),
-        (quad_datum(2).F(), quad_T_kappa(quad_datum(2), {})),
-        (opp_datum(4).F(), opp_family(opp_datum(4))[0][1]),
+        (singer_datum(2).F(), all_plus(singer_datum(2))),
+        (singer_datum(3).F(), singer_datum(3).signs().build({1: -1})),
+        (quad_datum(2).F(), all_plus(quad_datum(2))),
+        (opp_datum(4).F(), all_plus(opp_datum(4))),
     ]
     for f, t in constructed:
         assert verify(f, t) == []

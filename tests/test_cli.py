@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from trigon import exoticity
+from trigon import exoticity, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
 from trigon.permgrp import Perm
-from trigon.singer import singer_datum
+from trigon.singer import quad_datum, singer_datum
+from trigon.tripres import TwistCheckFailed, Violation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,17 +41,20 @@ def square_path(tmp_path):
 
 
 def test_kappa_spec_grammar():
-    assert parse_kappa_spec("+1", [9]) == {9: 1}
-    assert parse_kappa_spec("-1", [9, 15]) == {9: -1, 15: -1}
-    assert parse_kappa_spec("9:+1;15:-1", [9, 15]) == {9: 1, 15: -1}
-    assert parse_kappa_spec("0,9:+;2,9:-", [(0, 9), (2, 9)]) == {
-        (0, 9): 1, (2, 9): -1,
+    singer5 = singer_datum(5).signs()
+    assert singer5.keys == (1, 17)
+    assert parse_kappa_spec("+1", singer_datum(4).signs()) == {9: 1}
+    assert parse_kappa_spec("-1", singer5) == {1: -1, 17: -1}
+    assert parse_kappa_spec("1:+1;17:-1", singer5) == {1: 1, 17: -1}
+    quad2 = quad_datum(2).signs()
+    assert parse_kappa_spec("0,9:+;1,9:+;2,9:-", quad2) == {
+        (0, 9): 1, (1, 9): 1, (2, 9): -1,
     }
-    round_trip = {(0, 9): 1, (2, 9): -1}
-    assert parse_kappa_spec(kappa_spec_of(round_trip), list(round_trip)) == round_trip
-    for bad in ("9", "9:+2", "x:+1", "9:+1;9:-1", "9:+1"):
+    round_trip = {(0, 9): 1, (1, 9): -1, (2, 9): -1}
+    assert parse_kappa_spec(kappa_spec_of(round_trip), quad2) == round_trip
+    for bad in ("1", "1:+2", "x:+1", "1:+1;1:-1", "1:+1", "1:+1;0,17:-1"):
         with pytest.raises(KappaSpecError):
-            parse_kappa_spec(bad, [9, 15])
+            parse_kappa_spec(bad, singer5)
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4, 5])
@@ -85,13 +89,6 @@ def test_singer_all_kappa_json_family(capsys):
         parsed = parse_document(json.dumps(doc))
         assert len(parsed.T.triples) == 105
         assert doc["meta"]["model"] == "singer" and doc["meta"]["q"] == 4
-
-
-def test_worker_fanout_keeps_bytes(capsys):
-    base = invoke(capsys, ["singer", "--q", "5", "--all-kappa"])
-    fanned = invoke(capsys, ["singer", "--q", "5", "--all-kappa",
-                             "--workers", "3"])
-    assert base == fanned and base[0] == 0
 
 
 def test_quad_kappa_choices_reproduce_tables(capsys):
@@ -216,6 +213,7 @@ def test_output_path_flag(capsys, tmp_path):
         ["singer"],
         ["tables", "--which", "9"],
         ["singer", "--q", "2", "--kappa", "+1", "--all-kappa"],
+        ["singer", "--q", "2", "--workers", "2"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -255,6 +253,15 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(tripres, "verify", lambda F, T: [Violation(2, (0, 1))])
+    assert not issubclass(TwistCheckFailed, ValueError)
+    code, out, err = invoke(capsys, ["singer", "--q", "2"])
+    assert code == 1
+    assert out == ""
+    assert "broke its axioms" in err
 
 
 def test_module_invocation_round_trip():

@@ -109,3 +109,18 @@ def test_syntax_error_position_reported():
     with pytest.raises(ParseError) as err:
         parse_document("{not json")
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "blob, needle",
+    [
+        ({"n": True, "F": [], "T": []}, "document.n"),
+        ({"n": 2, "labels": [0, True], "F": [], "T": []}, "labels"),
+        ({"n": 3, "labels": [0, 1, 2], "F": [[True, 2]], "T": []}, "F[0]"),
+        ({"n": 3, "labels": [0, 1, 2], "F": [], "T": [[0, False, 2]]}, "T[0]"),
+    ],
+)
+def test_json_booleans_are_not_integers(blob, needle):
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(blob))
+    assert needle in str(err.value)

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 from math import factorial
 
 import pytest
@@ -18,7 +17,8 @@ from trigon.exoticity import (
 )
 from trigon.linkgraph import graph_automorphisms
 from trigon.permgrp import Perm
-from trigon.singer import constant_kappa, singer_datum
+from trigon.singer import singer_datum
+from trigon.tripres import KappaSpecError
 
 
 def orbit_of(start, gens):
@@ -31,11 +31,6 @@ def orbit_of(start, gens):
                 seen.add(w)
                 queue.append(w)
     return seen
-
-
-def all_kappas(d):
-    for signs in product((1, -1), repeat=len(d.O)):
-        yield {o[0]: s for o, s in zip(d.O, signs)}
 
 
 def test_expected_order_formula():
@@ -83,8 +78,8 @@ def test_neighborhood_identification(probe_for):
 
 def test_sigma_fano():
     d = singer_datum(2)
-    plus = sigma_kappa(build_probe(d), constant_kappa(d))
-    minus = sigma_kappa(build_probe(d), constant_kappa(d, -1))
+    plus = sigma_kappa(build_probe(d), {1: 1})
+    minus = sigma_kappa(build_probe(d), {1: -1})
     # S = (1, 2, 4) and the fold doubles, so positions rotate by one
     assert plus == Perm((1, 2, 0))
     assert minus == Perm((2, 0, 1))
@@ -95,8 +90,8 @@ def test_sigma_quartic_fixed_points(probe_for):
     probe = probe_for(4)
     d = probe.datum
     assert d.S == (7, 9, 14, 15, 18)
-    plus = sigma_kappa(probe, constant_kappa(d))
-    minus = sigma_kappa(probe, constant_kappa(d, -1))
+    plus = sigma_kappa(probe, {9: 1})
+    minus = sigma_kappa(probe, {9: -1})
     assert plus == Perm((0, 3, 2, 4, 1))
     for sigma in (plus, minus):
         assert sigma(0) == 0 and sigma(2) == 2
@@ -105,19 +100,19 @@ def test_sigma_quartic_fixed_points(probe_for):
 def test_sigma_kappa_keys_checked(probe_for):
     probe = probe_for(5)
     d = probe.datum
-    with pytest.raises(ValueError):
+    with pytest.raises(KappaSpecError):
         sigma_kappa(probe, {o: 1 for o in d.O})
-    with pytest.raises(ValueError):
+    with pytest.raises(KappaSpecError):
         sigma_kappa(probe, {d.O[0][0]: 1})
-    full = constant_kappa(d)
-    with pytest.raises(ValueError):
+    full = {o[0]: 1 for o in d.O}
+    with pytest.raises(KappaSpecError):
         sigma_kappa(probe, {**full, 99: 1})
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_small_q_always_inconclusive(q, probe_for):
     probe = probe_for(q)
-    for kappa in all_kappas(probe.datum):
+    for kappa in probe.family.choices():
         cert = exotic_certificate(probe, kappa)
         assert cert.member and cert.verdict == "Inconclusive"
 
@@ -143,7 +138,7 @@ def test_q5_regression_baselines(probe_for):
 def test_kappa_negation_pairing(q, probe_for):
     probe = probe_for(q)
     identity = Perm(tuple(range(q + 1)))
-    for kappa in all_kappas(probe.datum):
+    for kappa in probe.family.choices():
         negated = {o: -s for o, s in kappa.items()}
         assert sigma_kappa(probe, kappa) * sigma_kappa(probe, negated) == identity
         a = exotic_certificate(probe, kappa)

@@ -10,14 +10,13 @@ from trigon.grouptools import (
     Exceeded,
     PresentationDoc,
     abelianization,
-    exponent_sums_mod3,
     export_presentation,
     parse_presentation,
     presentation_doc,
     todd_coxeter,
 )
 from trigon.permgrp import Perm
-from trigon.singer import constant_kappa, singer_T_kappa, singer_datum
+from trigon.singer import singer_datum
 from trigon.tripres import TrianglePresentation, act
 
 SQUARE_T = TrianglePresentation((1, 2), frozenset({(1, 1, 2), (2, 2, 2)}))
@@ -98,13 +97,6 @@ def test_parse_rejects_garbage():
         parse_presentation(GAP_SQUARE, "latex")
 
 
-def test_exponent_sums_all_zero_mod_three():
-    assert exponent_sums_mod3(SQUARE_T) == {0}
-    assert exponent_sums_mod3(table(3)) == {0}
-    empty = TrianglePresentation((1,), frozenset())
-    assert exponent_sums_mod3(empty) <= {0}
-
-
 def test_square_abelianization():
     # rows 2a+b and 3b; 2x2 determinant 6 matches the single factor
     ab = abelianization(SQUARE_T)
@@ -131,7 +123,7 @@ def test_fano_abelianization_baseline():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_abelianization_invariant_under_translation(sign):
     d = singer_datum(2)
-    T = singer_T_kappa(d, constant_kappa(d, sign))
+    T = d.signs().build({1: sign})
     base = abelianization(T)
     for g in range(1, d.m):
         shift = Perm(tuple((i + g) % d.m for i in range(d.m)))

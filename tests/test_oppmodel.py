@@ -10,15 +10,13 @@ from trigon.oppmodel import (
     BadCongruence,
     a2_graph,
     incidence_model_checks,
-    opp_T_kappa,
     opp_datum,
-    opp_family,
     opp_graph_building,
     opp_properties,
 )
 from trigon.ffield import multiplicative_order
 from trigon.singer import murho_dual, singer_datum
-from trigon.tripres import lambda_orbits, verify
+from trigon.tripres import KappaSpecError, lambda_orbits, verify
 
 
 def test_a2_graph_small_planes():
@@ -95,11 +93,12 @@ def test_properties_rows_q2():
 def test_twisted_family_counts(q, count):
     d = opp_datum(q)
     assert multiplicative_order(d.alpha3) == 3
-    fam = opp_family(d)
+    signs = d.signs()
+    fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == count
-    assert len({T.triples for _, T in fam}) == count
+    assert len({T.triples for T in fam}) == count
     F = d.F()
-    for _, T in fam[:4]:
+    for T in fam[:4]:
         assert verify(F, T) == []
 
 
@@ -108,21 +107,24 @@ def test_congruence_guard():
         d = opp_datum(q)
         assert d.lam is None and d.alpha3 is None
         with pytest.raises(BadCongruence):
-            opp_family(d)
+            d.signs()
 
 
 def test_kappa_keys_checked():
     d = opp_datum(7)
     mins = [o[0] for o in lambda_orbits(d.S, d.lam) if len(o) == 3]
-    with pytest.raises(ValueError):
-        opp_T_kappa(d, {mins[0]: 1})
-    good = opp_T_kappa(d, {m: 1 for m in mins})
+    signs = d.signs()
+    assert signs.keys == tuple(mins)
+    with pytest.raises(KappaSpecError):
+        signs.build({mins[0]: 1})
+    good = signs.build({m: 1 for m in mins})
     assert len(good.triples) == 7 ** 2 * 7
 
 
 def test_inversion_duality_flips_signs():
     d = opp_datum(4)
-    fam = {tuple(sorted(k.items())): T for k, T in opp_family(d)}
+    signs = d.signs()
+    fam = {tuple(sorted(k.items())): signs.build(k) for k in signs.choices()}
     for key, T in fam.items():
         neg = tuple(sorted((o, -s) for o, s in key))
         assert murho_dual(T, d.G).triples == fam[neg].triples

@@ -9,19 +9,8 @@ from trigon.ffield import NotPrimitive, all_primitive_polynomials
 from trigon.fgroup import FiniteGroup, NonAbelianGroup
 from trigon.linkgraph import f_equivalent, from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
-from trigon.singer import (
-    QuadDatum,
-    constant_kappa,
-    murho_dual,
-    quad_T_kappa,
-    quad_datum,
-    quad_family,
-    r_of_q,
-    singer_T_kappa,
-    singer_datum,
-    singer_family,
-)
-from trigon.tripres import enumerate_all, format_table, verify
+from trigon.singer import QuadDatum, murho_dual, quad_datum, r_of_q, singer_datum
+from trigon.tripres import KappaSpecError, enumerate_all, format_table, verify
 
 
 def test_r_of_q_cases():
@@ -93,35 +82,39 @@ def test_nonprimitive_modulus_rejected():
 
 def test_fano_table_byte_exact():
     d = singer_datum(2)
-    T = singer_T_kappa(d, {1: 1})
+    T = d.signs().build({1: 1})
     assert format_table(T) == TABLE_TEXTS[3]
 
 
 def test_kappa_must_cover_all_orbits():
     d = singer_datum(5)
-    with pytest.raises(ValueError):
-        singer_T_kappa(d, {d.O[0][0]: 1})
-    with pytest.raises(ValueError):
-        singer_T_kappa(d, {0: 1, 1: 1})
+    signs = d.signs()
+    assert signs.keys == tuple(o[0] for o in d.O)
+    for bad in ({d.O[0][0]: 1}, {0: 1, 1: 1}, {k: 0 for k in signs.keys}):
+        with pytest.raises(KappaSpecError):
+            signs.build(bad)
+    assert issubclass(KappaSpecError, ValueError)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_family_valid_and_distinct(q):
     d = singer_datum(q)
-    fam = singer_family(d)
+    signs = d.signs()
+    fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 2 ** r_of_q(q)
-    assert fam[0][0] == constant_kappa(d)
-    seen = {T.triples for _, T in fam}
+    assert next(signs.choices()) == {o[0]: 1 for o in d.O}
+    seen = {T.triples for T in fam}
     assert len(seen) == len(fam)
     F = d.F()
-    for _, T in fam:
+    for T in fam:
         assert verify(F, T) == []
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_murho_flips_every_sign(q):
     d = singer_datum(q)
-    fam = {tuple(sorted(k.items())): T for k, T in singer_family(d)}
+    signs = d.signs()
+    fam = {tuple(sorted(k.items())): signs.build(k) for k in signs.choices()}
     for key, T in fam.items():
         neg = tuple(sorted((omin, -sign) for omin, sign in key))
         dual = murho_dual(T, d.G)
@@ -146,7 +139,7 @@ def test_murho_needs_abelian_group():
     with pytest.raises(NonAbelianGroup):
         murho_dual(T, s3)
     with pytest.raises(ValueError):
-        murho_dual(singer_T_kappa(singer_datum(2), {1: 1}), s3)
+        murho_dual(singer_datum(2).signs().build({1: 1}), s3)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -177,16 +170,19 @@ def test_quad_marking_q2():
 
 
 def test_quad_tables_byte_exact():
-    dq = quad_datum(2)
-    assert format_table(quad_T_kappa(dq, {})) == TABLE_TEXTS[1]
-    assert format_table(quad_T_kappa(dq, {(2, 9): -1})) == TABLE_TEXTS[2]
+    signs = quad_datum(2).signs()
+    assert signs.keys == ((0, 9), (1, 9), (2, 9))
+    plus = {k: 1 for k in signs.keys}
+    assert format_table(signs.build(plus)) == TABLE_TEXTS[1]
+    assert format_table(signs.build({**plus, (2, 9): -1})) == TABLE_TEXTS[2]
 
 
 def test_quad_family_is_the_whole_enumeration():
     dq = quad_datum(2)
-    fam = quad_family(dq)
+    signs = dq.signs()
+    fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 8
-    built = {T.triples for _, T in fam}
+    built = {T.triples for T in fam}
     assert len(built) == 8
     found = {T.triples for T in enumerate_all(dq.F())}
     assert found == built
@@ -202,6 +198,7 @@ def test_quad_marking_q3():
 
 
 def test_quad_family_q3_distinct():
-    fam = quad_family(quad_datum(3))
+    signs = quad_datum(3).signs()
+    fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 2 ** 7
-    assert len({T.triples for _, T in fam}) == 2 ** 7
+    assert len({T.triples for T in fam}) == 2 ** 7
