@@ -24,8 +24,9 @@ from .linkgraph import export_edge_list, from_F, metrics, normalized_laplacian
 from .oppmodel import BadCongruence, opp_datum, opp_properties
 from .singer import quad_datum, singer_datum
 from .tripres import (
+    CheckFailed,
     KappaSpecError,
-    TwistCheckFailed,
+    _classify,
     classify,
     enumerate_all,
     format_table,
@@ -171,7 +172,7 @@ def _cmd_opp(cfg):
 def _cmd_enumerate(cfg):
     doc = load_document(cfg.from_json, strict=not cfg.lenient)
     found = enumerate_all(doc.F, most_constrained=cfg.most_constrained)
-    classes = classify(doc.F)
+    classes = _classify(doc.F, found)
     return 0, f"{len(found)} presentations, {len(classes)} isomorphism classes\n"
 
 
@@ -403,7 +404,7 @@ def run(argv):
             FileNotFoundError, ValueError) as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
         return 2
-    except (ProbeCheckFailed, TwistCheckFailed) as err:
+    except (ProbeCheckFailed, CheckFailed) as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
         return 1
     if cfg.out:

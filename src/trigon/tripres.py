@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -31,7 +32,13 @@ class KappaSpecError(ValueError):
     """A sign choice whose keys do not match the datum's orbit keys."""
 
 
-class TwistCheckFailed(Exception):
+class CheckFailed(Exception):
+    """An identity that a construction or census rests on does not hold.
+
+    Not a ValueError: the input was valid, the result is wrong."""
+
+
+class TwistCheckFailed(CheckFailed):
     """A twisted presentation built from a valid folding fails its axioms."""
 
 
@@ -105,9 +112,9 @@ def verify(F: FSet, T: TrianglePresentation) -> list[Violation]:
             out.append(Violation(1, _labels_of(T, t)))
         if (j, k, i) not in ptrip:
             out.append(Violation(3, _labels_of(T, t)))
+    thirds = Counter((i, j) for i, j, _ in ptrip)
     for i, j in sorted(fpairs):
-        ks = [k for k in range(T.n) if (i, j, k) in ptrip]
-        if len(ks) != 1:
+        if thirds[(i, j)] != 1:
             out.append(Violation(2, (F.labels[i], F.labels[j])))
     return out
 
@@ -144,65 +151,90 @@ def enumerate_all(F: FSet, most_constrained: bool = False):
     (k,i) at once, so each pair is consumed exactly once; the toggle only
     changes the branching order, never the result set.
     """
+    lab = F.labels
+    return [
+        TrianglePresentation(
+            lab, frozenset((lab[i], lab[j], lab[k]) for i, j, k in key)
+        )
+        for key in _exact_covers(F, most_constrained)
+    ]
+
+
+def _exact_covers(F: FSet, most_constrained: bool) -> list[tuple]:
+    """The compatible presentations as sorted tuples of rotation-closed
+    position triples, in sorted order.
+
+    Pair b of the sorted pair list is bit b; a candidate (k, mask) for pair
+    (i,j) ORs the bits of (i,j), (j,k) and (k,i), so a conflict is
+    covered & mask.  In the default order the first free pair only moves
+    forward along a branch, so a cursor finds it without a rescan.
+    """
     n = F.n
     fpairs = F.position_pairs()
     pairlist = sorted(fpairs)
-    cand = {
-        (i, j): [
-            k for k in range(n) if (j, k) in fpairs and (k, i) in fpairs
+    bit = {p: 1 << b for b, p in enumerate(pairlist)}
+    cand = [
+        [
+            (k, bit[(i, j)] | bit[(j, k)] | bit[(k, i)])
+            for k in range(n)
+            if (j, k) in fpairs and (k, i) in fpairs
         ]
         for i, j in pairlist
-    }
+    ]
+    npairs = len(pairlist)
     results = []
-    covered: set = set()
     chosen: list = []
 
-    def next_pair():
-        free = [p for p in pairlist if p not in covered]
+    def most_constrained_free(covered):
+        free = [c for c in range(npairs) if not covered >> c & 1]
         if not free:
-            return None
-        if not most_constrained:
-            return free[0]
+            return npairs
         return min(
-            free,
-            key=lambda p: (
-                sum(1 for k in cand[p] if _orbit_free(p, k)),
-                p,
-            ),
+            free, key=lambda c: (sum(1 for _, m in cand[c] if not covered & m), c)
         )
 
-    def _orbit_free(p, k):
-        i, j = p
-        return (j, k) not in covered and (k, i) not in covered
-
-    def dfs():
-        p = next_pair()
-        if p is None:
-            results.append(frozenset(chosen))
+    def dfs(b, covered):
+        if most_constrained:
+            b = most_constrained_free(covered)
+        else:
+            while covered >> b & 1:
+                b += 1
+        if b == npairs:
+            results.append(chosen[:])
             return
-        i, j = p
-        for k in cand[p]:
-            need = {(i, j), (j, k), (k, i)}
-            if any(q in covered for q in need):
+        i, j = pairlist[b]
+        for k, mask in cand[b]:
+            if covered & mask:
                 continue
-            covered.update(need)
             chosen.append((i, j, k))
-            dfs()
+            dfs(b, covered | mask)
             chosen.pop()
-            covered.difference_update(need)
 
-    dfs()
-    out = [
-        TrianglePresentation(
-            F.labels,
-            frozenset(
-                (F.labels[i], F.labels[j], F.labels[k]) for i, j, k in r
-            ),
-        )
-        for r in set(results)
+    dfs(0, 0)
+    keys = [
+        tuple(sorted({t for i, j, k in r for t in ((i, j, k), (j, k, i), (k, i, j))}))
+        for r in results
     ]
-    out.sort(key=lambda t: sorted(t.position_triples()))
-    return out
+    return sorted(set(keys))
+
+
+def _image(ptrip, im, use_rho: bool = False) -> frozenset:
+    """The position triples ptrip moved by the image tuple im, after the
+    coordinate swap (i,j,k) -> (j,i,k) when use_rho: act on positions."""
+    if use_rho:
+        return frozenset((im[j], im[i], im[k]) for i, j, k in ptrip)
+    return frozenset((im[i], im[j], im[k]) for i, j, k in ptrip)
+
+
+def _carries(ptrip, im, target, use_rho: bool = False) -> bool:
+    """Whether im (after rho when use_rho) carries ptrip onto target.  The
+    image has as many triples as ptrip, so landing inside a target of that
+    size is equality; the scan stops at the first triple that misses."""
+    if len(ptrip) != len(target):
+        return False
+    if use_rho:
+        return all((im[j], im[i], im[k]) in target for i, j, k in ptrip)
+    return all((im[i], im[j], im[k]) in target for i, j, k in ptrip)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,26 +253,40 @@ def stabilizer_of_T(F: FSet, T: TrianglePresentation, limit: int = 10**6):
     """Aut+(T) by filtering Aut+(F), plus a triple-preserving sigma rho."""
     if verify(F, T):
         raise IncompatiblePresentation("T fails its axioms against F")
-    A = aut_plus(F)
+    _, elems, rho_coset = _aut_elements(F, limit)
+    return _stabilizer(T.position_triples(), elems, rho_coset)
+
+
+def _aut_elements(F: FSet, limit: int):
+    """Aut(F), the elements of Aut+(F), and the coordinate-swapping coset of
+    Aut(F) sorted by images (empty without one); guarded by limit."""
+    full = aut_full(F)
+    A = full.plus
     if A.order() > limit:
         raise SearchTooLarge(f"|Aut+(F)| = {A.order()} exceeds {limit}")
-    tref = T.position_triples()
+    elems = A.elements()
+    coset = _sorted_coset(elems, full.witness) if full.has_rho_part else []
+    return full, elems, coset
+
+
+def _sorted_coset(elems, w0) -> list:
+    return sorted((a * w0 for a in elems), key=lambda p: p.images)
+
+
+def _stabilizer(ptrip, elems, rho_coset) -> TStabilizer:
+    """The stabilizer of the position triples ptrip: the elements of Aut+(F)
+    that fix them, and the least element of the sorted rho coset that does."""
     keep = [
-        s
-        for s in A.elements()
-        if act(T, s).position_triples() == tref
+        s for s in elems
+        if not s.is_identity() and _carries(ptrip, s.images, ptrip)
     ]
-    plus = bsgs_build(F.n, [s for s in keep if not s.is_identity()])
-    full = aut_full(F)
-    rho_witness = None
-    if full.has_rho_part:
-        w0 = full.witness
-        cands = sorted((a * w0 for a in A.elements()), key=lambda p: p.images)
-        for s in cands:
-            if act(T, s, use_rho=True).position_triples() == tref:
-                rho_witness = s
-                break
-    return TStabilizer(plus=plus, rho_witness=rho_witness)
+    witness = next(
+        (s for s in rho_coset if _carries(ptrip, s.images, ptrip, use_rho=True)),
+        None,
+    )
+    return TStabilizer(
+        plus=bsgs_build(elems[0].degree, keep), rho_witness=witness
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,17 +302,21 @@ def classify(F: FSet, limit: int = 10**6) -> list[TClass]:
     """Orbits of Aut(F) on all compatible presentations.
 
     The counting identity sum(|Aut(F)| / |Aut(T)|) = #presentations is
-    asserted on every run.
+    checked on every run; a failure raises CheckFailed.
     """
-    allt = enumerate_all(F)
+    return _classify(F, enumerate_all(F), limit)
+
+
+def _classify(F: FSet, allt: list, limit: int = 10**6) -> list[TClass]:
+    """classify on the list enumerate_all(F) already returned."""
     if not allt:
         return []
-    key_of = {i: tuple(sorted(t.position_triples())) for i, t in enumerate(allt)}
-    index = {k: i for i, k in key_of.items()}
-    full = aut_full(F)
-    movers = [(g, False) for g in full.plus.generators]
+    ptrips = [t.position_triples() for t in allt]
+    index = {p: i for i, p in enumerate(ptrips)}
+    full, elems, rho_coset = _aut_elements(F, limit)
+    movers = [(g.images, False) for g in full.plus.generators]
     if full.has_rho_part:
-        movers.append((full.witness, True))
+        movers.append((full.witness.images, True))
     seen = [False] * len(allt)
     classes = []
     for start in range(len(allt)):
@@ -275,22 +325,29 @@ def classify(F: FSet, limit: int = 10**6) -> list[TClass]:
         orbit = {start}
         queue = [start]
         for i in queue:
-            for g, use_rho in movers:
-                moved = act(allt[i], g, use_rho)
-                j = index[tuple(sorted(moved.position_triples()))]
+            for im, use_rho in movers:
+                j = index[_image(ptrips[i], im, use_rho)]
                 if j not in orbit:
                     orbit.add(j)
                     queue.append(j)
         for i in orbit:
             seen[i] = True
-        rep = allt[min(orbit)]
-        st = stabilizer_of_T(F, rep, limit)
-        cls = TClass(
-            representative=rep, orbit_size=len(orbit), aut_order=st.order
+        rep = min(orbit)
+        st = _stabilizer(ptrips[rep], elems, rho_coset)
+        if full.order != len(orbit) * st.order:
+            raise CheckFailed(
+                f"|Aut(F)| = {full.order} is not orbit size {len(orbit)} "
+                f"times stabilizer order {st.order}"
+            )
+        classes.append(
+            TClass(representative=allt[rep], orbit_size=len(orbit),
+                   aut_order=st.order)
         )
-        assert full.order == cls.orbit_size * cls.aut_order
-        classes.append(cls)
-    assert sum(c.orbit_size for c in classes) == len(allt)
+    total = sum(c.orbit_size for c in classes)
+    if total != len(allt):
+        raise CheckFailed(
+            f"orbit sizes sum to {total}, not to {len(allt)} presentations"
+        )
     return classes
 
 
@@ -333,9 +390,10 @@ def build_from_lambda(G: FiniteGroup, S, lam) -> TrianglePresentation:
             xs = G.mul(x, s)
             triples.add((x, xs, G.mul(xs, lam[s])))
     T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
+    ptrip = T.position_triples()
     for g in generating_set(G):
-        tr = Perm(tuple(G.mul(g, a) for a in range(G.n)))
-        assert act(T, tr).triples == T.triples
+        if not _carries(ptrip, [G.mul(g, a) for a in range(G.n)], ptrip):
+            raise CheckFailed(f"left translation by {g} moves T")
     return T
 
 
@@ -465,6 +523,7 @@ def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):
     A = aut_plus(F1)
     if A.order() > limit:
         raise SearchTooLarge(f"|Aut+(F1)| = {A.order()} exceeds {limit}")
+    t1 = T1.position_triples()
     t2 = T2.position_triples()
     o2, i2 = digraph_of(F2)
     for use_rho in (False, True):
@@ -473,9 +532,8 @@ def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):
         w0 = find_isomorphism(F1.n, o1, i1, o2, i2)
         if w0 is None:
             continue
-        cands = sorted((a * w0 for a in A.elements()), key=lambda p: p.images)
-        for s in cands:
-            if act(T1, s, use_rho).position_triples() == t2:
+        for s in _sorted_coset(A.elements(), w0):
+            if _carries(t1, s.images, t2, use_rho):
                 return (s, use_rho)
     return None
 

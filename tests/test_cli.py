@@ -13,7 +13,7 @@ from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
-from trigon.permgrp import Perm
+from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import TwistCheckFailed, Violation
 
@@ -262,6 +262,32 @@ def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "broke its axioms" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, command):
+    doc_path = tmp_path / "exquad.json"
+    assert run(["quad", "--q", "2", "--format", "json", "-o", str(doc_path)]) == 0
+    trivial = tripres.TStabilizer(plus=bsgs_build(21, []), rho_witness=None)
+    monkeypatch.setattr(tripres, "_stabilizer", lambda *args: trivial)
+    code, out, err = invoke(capsys, [command, "--from-json", str(doc_path)])
+    assert code == 1
+    assert out == ""
+    assert "is not orbit size 2 times stabilizer order 1" in err
+
+
+@pytest.mark.parametrize("model", ["singer", "quad"])
+def test_most_constrained_keeps_bytes(capsys, tmp_path, model):
+    q = 3 if model == "singer" else 2
+    doc_path = tmp_path / f"{model}.json"
+    assert run([model, "--q", str(q), "--format", "json", "-o", str(doc_path)]) == 0
+    code, plain, _ = invoke(capsys, ["enumerate", "--from-json", str(doc_path)])
+    assert code == 0
+    code, out, _ = invoke(
+        capsys, ["enumerate", "--from-json", str(doc_path), "--most-constrained"]
+    )
+    assert code == 0
+    assert out == plain
 
 
 def test_module_invocation_round_trip():

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigon import tripres
 from trigon.fgroup import FiniteGroup, make_cyclic, subgroup
 from trigon.linkgraph import FSet, aut_full, aut_plus
-from trigon.permgrp import Perm
+from trigon.oppmodel import opp_datum
+from trigon.permgrp import Perm, bsgs_build
+from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import (
+    CheckFailed,
     IncompatiblePresentation,
     LambdaConditionFailed,
     OrbitNotInSubgroup,
@@ -304,14 +308,14 @@ def brute_presentations(f):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_enumerate_matches_brute_force(data):
-    n = data.draw(st.integers(min_value=1, max_value=2))
+    n = data.draw(st.integers(min_value=1, max_value=3))
     pairs = data.draw(
         st.lists(
             st.tuples(
                 st.integers(min_value=1, max_value=n),
                 st.integers(min_value=1, max_value=n),
             ),
-            max_size=4,
+            max_size=n * n,
             unique=True,
         )
     )
@@ -332,3 +336,162 @@ def test_enumeration_closed_under_aut(data):
         assert act(t, g).triples in keys
     if af.has_rho_part:
         assert act(t, af.witness, use_rho=True).triples in keys
+
+
+def oracle_enumerate(f, most_constrained=False):
+    """The set-based exact-cover DFS that enumerate_all replaced: it rebuilds
+    the list of free pairs at every node and tests conflicts pair by pair."""
+    n = f.n
+    fpairs = f.position_pairs()
+    pairlist = sorted(fpairs)
+    cand = {
+        (i, j): [k for k in range(n) if (j, k) in fpairs and (k, i) in fpairs]
+        for i, j in pairlist
+    }
+    results = []
+    covered = set()
+    chosen = []
+
+    def orbit_free(p, k):
+        i, j = p
+        return (j, k) not in covered and (k, i) not in covered
+
+    def next_pair():
+        free = [p for p in pairlist if p not in covered]
+        if not free:
+            return None
+        if not most_constrained:
+            return free[0]
+        return min(
+            free, key=lambda p: (sum(1 for k in cand[p] if orbit_free(p, k)), p)
+        )
+
+    def dfs():
+        p = next_pair()
+        if p is None:
+            results.append(frozenset(chosen))
+            return
+        i, j = p
+        for k in cand[p]:
+            need = {(i, j), (j, k), (k, i)}
+            if any(q in covered for q in need):
+                continue
+            covered.update(need)
+            chosen.append((i, j, k))
+            dfs()
+            chosen.pop()
+            covered.difference_update(need)
+
+    dfs()
+    lab = f.labels
+    out = [
+        TrianglePresentation(
+            lab, frozenset((lab[i], lab[j], lab[k]) for i, j, k in r)
+        )
+        for r in set(results)
+    ]
+    out.sort(key=lambda t: sorted(t.position_triples()))
+    return out
+
+
+def oracle_stabilizer(f, t):
+    """Aut+(T) and the rho witness by relabeling T through act for every
+    element of Aut+(F) and of its sorted rho coset."""
+    a = aut_plus(f)
+    tref = t.position_triples()
+    keep = [s for s in a.elements() if act(t, s).position_triples() == tref]
+    plus = bsgs_build(f.n, [s for s in keep if not s.is_identity()])
+    full = aut_full(f)
+    witness = None
+    if full.has_rho_part:
+        cands = sorted((g * full.witness for g in a.elements()),
+                       key=lambda p: p.images)
+        for s in cands:
+            if act(t, s, use_rho=True).position_triples() == tref:
+                witness = s
+                break
+    return plus, witness
+
+
+def oracle_classify(f):
+    """Orbits of Aut(F) by act relabelings, over the oracle enumeration:
+    (representative triples, orbit size, Aut+(T) elements, rho witness)."""
+    allt = oracle_enumerate(f)
+    index = {t.triples: i for i, t in enumerate(allt)}
+    full = aut_full(f)
+    movers = [(g, False) for g in full.plus.generators]
+    if full.has_rho_part:
+        movers.append((full.witness, True))
+    seen = set()
+    out = []
+    for start in range(len(allt)):
+        if start in seen:
+            continue
+        orbit = {start}
+        queue = [start]
+        for i in queue:
+            for g, use_rho in movers:
+                j = index[act(allt[i], g, use_rho).triples]
+                if j not in orbit:
+                    orbit.add(j)
+                    queue.append(j)
+        seen |= orbit
+        rep = allt[min(orbit)]
+        plus, witness = oracle_stabilizer(f, rep)
+        out.append((rep.triples, len(orbit), _elements(plus), witness))
+    return out
+
+
+def _elements(group):
+    return sorted(p.images for p in group.elements())
+
+
+DIFFERENTIAL_F = {
+    "singer q=2": lambda: singer_datum(2).F(),
+    "singer q=3": lambda: singer_datum(3).F(),
+    "singer q=4": lambda: singer_datum(4).F(),
+    "quad q=2": lambda: quad_datum(2).F(),
+    "opp q=3": lambda: opp_datum(3).F(),
+    "alt": lambda: ALT_F,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
+def test_enumerate_matches_set_based_dfs(name):
+    f = DIFFERENTIAL_F[name]()
+    want = [t.triples for t in oracle_enumerate(f)]
+    assert want == [t.triples for t in oracle_enumerate(f, True)]
+    for most_constrained in (False, True):
+        got = enumerate_all(f, most_constrained=most_constrained)
+        assert [t.triples for t in got] == want
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
+def test_classify_matches_act_relabelings(name):
+    f = DIFFERENTIAL_F[name]()
+    got = []
+    for c in classify(f):
+        st = stabilizer_of_T(f, c.representative)
+        assert c.aut_order == st.order
+        got.append((c.representative.triples, c.orbit_size,
+                    _elements(st.plus), st.rho_witness))
+    assert got == oracle_classify(f)
+
+
+def test_broken_counting_identity_raises(monkeypatch):
+    trivial = tripres.TStabilizer(plus=bsgs_build(ALT_F.n, []), rho_witness=None)
+    monkeypatch.setattr(tripres, "_stabilizer", lambda *args: trivial)
+    assert not issubclass(CheckFailed, ValueError)
+    with pytest.raises(CheckFailed, match="orbit size 2 times stabilizer order 1"):
+        classify(ALT_F)
+
+
+def test_translation_check_raises(monkeypatch):
+    g = make_cyclic(3)
+    monkeypatch.setattr(tripres, "generating_set", lambda G: [1])
+    monkeypatch.setattr(
+        tripres, "TrianglePresentation",
+        lambda labels, triples: TrianglePresentation(labels, {(0, 0, 1)}),
+    )
+    with pytest.raises(CheckFailed, match="left translation"):
+        build_from_lambda(g, [1, 2], {1: 1, 2: 2})
