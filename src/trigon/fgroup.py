@@ -115,23 +115,27 @@ def make_opp_group(q: int) -> FiniteGroup:
     """The order-q^2 group of matrices [[1,y,z],[0,1,y],[0,0,1]] over GF(q).
 
     Product in coordinates: (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2).  Elements
-    are indexed y.index*q + z.index; the multiplication table is precomputed.
+    are indexed y.index*q + z.index; the multiplication table is precomputed
+    from the field's addition and multiplication tables over element indices.
     """
     p, e = factor_prime_power(q)
     gf = make_field(p, e)
     elems = gf.elements()
+    add = [[(x + y).index for y in elems] for x in elems]
+    mul = [[(x * y).index for y in elems] for x in elems]
     n = q * q
-    table = [[0] * n for _ in range(n)]
+    table = []
     invs = [0] * n
     for a in range(n):
-        y1, z1 = elems[a // q], elems[a % q]
-        for b in range(n):
-            y2, z2 = elems[b // q], elems[b % q]
-            y, z = y1 + y2, z1 + z2 + y1 * y2
-            c = y.index * q + z.index
-            table[a][b] = c
-            if c == 0:
-                invs[a] = b
+        y1, z1 = divmod(a, q)
+        add_y1, add_z1, mul_y1 = add[y1], add[z1], mul[y1]
+        row = [
+            add_y1[y2] * q + add[add_z1[z2]][mul_y1[y2]]
+            for y2 in range(q)
+            for z2 in range(q)
+        ]
+        table.append(row)
+        invs[a] = row.index(0)
     labels = tuple(f"({a // q},{a % q})" for a in range(n))
     return FiniteGroup(
         n=n,

@@ -152,36 +152,39 @@ def _neighbors(mask):
         mask ^= b
 
 
-def _bfs_dist(adj, src):
-    dist = {src: 0}
-    queue = [src]
-    for v in queue:
-        for w in _neighbors(adj[v]):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def _bfs_scan(adj, root, best=math.inf):
+    """One level-synchronous BFS from root over the adjacency bitmasks.
 
-
-def _girth(adj):
-    # min over all roots of the shortest cycle seen from a BFS; exact on
-    # simple graphs
-    best = math.inf
-    for r in range(len(adj)):
-        dist = {r: 0}
-        parent = {r: -1}
-        queue = [r]
-        for v in queue:
-            if dist[v] * 2 >= best:
-                break
-            for w in _neighbors(adj[v]):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif w != parent[v]:
-                    best = min(best, dist[v] + dist[w] + 1)
-    return best
+    Returns (eccentricity, reached mask, shortest cycle seen from root).  A
+    vertex of level k+1 with two neighbors in level k closes a cycle of
+    length 2k+2; an edge inside level k closes one of length 2k+1.  The
+    cycle tests stop once they cannot beat best, so passing best=0 turns
+    them off.  The minimum over all roots is the girth of a simple graph.
+    """
+    frontier = seen = 1 << root
+    k = 0
+    while True:
+        look = 2 * k + 1 < best
+        once = twice = 0
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            m = adj[b.bit_length() - 1]
+            if look:
+                if m & frontier:
+                    best = 2 * k + 1
+                    look = False
+                twice |= once & m
+            once |= m
+        nxt = once & ~seen
+        if not nxt:
+            return k, seen, best
+        if twice & nxt and 2 * k + 2 < best:
+            best = 2 * k + 2
+        seen |= nxt
+        frontier = nxt
+        k += 1
 
 
 @dataclass(frozen=True)
@@ -202,15 +205,17 @@ def metrics(g: LinkGraph) -> GraphMetrics:
     profile = tuple(sorted(hist.items()))
     pt, ln = set(degs[:n]), set(degs[n:])
     bireg = (min(pt), min(ln)) if len(pt) == 1 and len(ln) == 1 else None
-    diam: object = 0
+    full = (1 << (2 * n)) - 1
+    diam = 0
     connected = True
+    girth = math.inf
     for v in range(2 * n):
-        dist = _bfs_dist(g.adj, v)
-        if len(dist) < 2 * n:
-            diam, connected = math.inf, False
-            break
-        diam = max(diam, max(dist.values()))
-    return GraphMetrics(connected, _girth(g.adj), diam, profile, bireg)
+        ecc, seen, girth = _bfs_scan(g.adj, v, girth)
+        connected = connected and seen == full
+        diam = max(diam, ecc)
+    if not connected:
+        diam = math.inf
+    return GraphMetrics(connected, girth, diam, profile, bireg)
 
 
 def normalized_laplacian(g: LinkGraph) -> np.ndarray:
@@ -231,7 +236,7 @@ def normalized_laplacian(g: LinkGraph) -> np.ndarray:
 
 def spectral_gap(g: LinkGraph, tol: float = 1e-9) -> float:
     """Smallest nonzero eigenvalue of the normalized Laplacian."""
-    if len(_bfs_dist(g.adj, 0)) < 2 * g.n:
+    if _bfs_scan(g.adj, 0, 0)[1] != (1 << (2 * g.n)) - 1:
         raise Disconnected("spectral gap needs a connected graph")
     ev = np.linalg.eigvalsh(normalized_laplacian(g))
     for x in ev:

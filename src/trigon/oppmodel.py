@@ -17,7 +17,7 @@ from .linkgraph import (
     metrics,
     spectral_gap,
 )
-from .tripres import SignFamily
+from .tripres import CheckFailed, SignFamily
 
 
 class BadCongruence(Exception):
@@ -58,7 +58,8 @@ def a2_graph(q):
     zero = gf.zero()
     pts = _lead_one_vectors(gf)
     n = len(pts)
-    assert n == q * q + q + 1
+    if n != q * q + q + 1:
+        raise CheckFailed(f"{n} points, not q^2+q+1 = {q * q + q + 1}")
     adj = [0] * (2 * n)
     for i, pt in enumerate(pts):
         for j, ln in enumerate(pts):
@@ -81,7 +82,10 @@ def _building_fset(q):
     v2 = model.lines.index((zero, zero, one))
     keep_p = [i for i in range(n) if not (model.graph.adj[i] >> (n + v2)) & 1]
     keep_l = [j for j in range(n) if not (model.graph.adj[v1] >> (n + j)) & 1]
-    assert len(keep_p) == q * q and len(keep_l) == q * q
+    if len(keep_p) != q * q or len(keep_l) != q * q:
+        raise CheckFailed(
+            f"kept {len(keep_p)} points and {len(keep_l)} lines, not q^2 = {q * q}"
+        )
     pos_p = {v: k for k, v in enumerate(keep_p)}
     pos_l = {v: k for k, v in enumerate(keep_l)}
     pairs = set()
@@ -133,8 +137,10 @@ def opp_datum(q):
     G = make_opp_group(q)
     elems = gf.elements()
     S = tuple(sorted(_parabola_index(y, q) for y in elems))
-    assert len(S) == q
-    assert subgroup(G, S).order == q * q, "parabola must generate the group"
+    if len(S) != q:
+        raise CheckFailed(f"parabola has {len(S)} points, not q = {q}")
+    if subgroup(G, S).order != q * q:
+        raise CheckFailed("parabola must generate the group")
     lam = alpha = None
     if q % 3 == 1:
         alpha = gf.generator() ** ((q - 1) // 3)
@@ -145,7 +151,8 @@ def opp_datum(q):
     datum = OppDatum(q=q, G=G, S=S, lam=lam, alpha3=alpha)
     if q <= 5:
         witness = f_wreath_equivalent(datum.F(), _building_fset(q))
-        assert witness is not None, "coset model disagrees with the subspace model"
+        if witness is None:
+            raise CheckFailed("coset model disagrees with the subspace model")
     return datum
 
 
@@ -168,7 +175,9 @@ def opp_properties(q):
     d = opp_datum(q)
     g = from_F(d.F())
     met = metrics(g)
-    gap = spectral_gap(g)
+    # lambda_2 of a disconnected graph is 0, so both rows fail instead of
+    # spectral_gap raising Disconnected
+    gap = spectral_gap(g) if met.connected else 0.0
     want_gap = 1 - math.sqrt(q) / q
     bipartite = all(v < g.n <= w for v, w in g.edges())
     girth_want = 8 if q == 2 else 6

@@ -13,7 +13,7 @@ from .ffield import (
 )
 from .fgroup import FiniteGroup, SubgroupDatum, make_cyclic, mu_permutation, subgroup
 from .linkgraph import FSet
-from .tripres import SignFamily, act, lambda_orbits
+from .tripres import CheckFailed, SignFamily, act, lambda_orbits
 
 
 def r_of_q(q):
@@ -90,14 +90,18 @@ def singer_datum(q, modulus=None):
         raise NotPrimitive("the cubic extension needs a primitive modulus")
     m = q * q + q + 1
     S = _trace_zero_exponents(gf, q, m)
-    assert len(S) == q + 1, f"difference set size {len(S)} != q+1"
+    if len(S) != q + 1:
+        raise CheckFailed(f"difference set size {len(S)} != q+1")
     lam = {s: (q * s) % m for s in S}
-    assert set(lam.values()) == set(S)
+    if set(lam.values()) != set(S):
+        raise CheckFailed("multiplication by q does not permute the difference set")
     orbits = tuple(lambda_orbits(S, lam))
     threes = tuple(o for o in orbits if len(o) == 3)
     fixed = tuple(o[0] for o in orbits if len(o) == 1)
-    assert len(threes) + len(fixed) == len(orbits)
-    assert len(threes) == r_of_q(q)
+    if len(threes) + len(fixed) != len(orbits):
+        raise CheckFailed("a folding orbit has length other than 1 or 3")
+    if len(threes) != r_of_q(q):
+        raise CheckFailed(f"{len(threes)} length-3 orbits, not r(q) = {r_of_q(q)}")
     return SingerDatum(
         q=q,
         p=p,
@@ -155,9 +159,12 @@ def quad_datum(q, modulus=None):
     by q^2-q+1 and the folding orbits that land in it."""
     base = singer_datum(q * q, modulus)
     H = subgroup(base.G, [q * q - q + 1])
-    assert H.order == q * q + q + 1
+    if H.order != q * q + q + 1:
+        raise CheckFailed(f"|H| = {H.order} != q^2+q+1")
     s_in = tuple(s for s in base.S if s in H)
-    assert len(s_in) == q + 1, f"|S meet H| = {len(s_in)} != q+1"
+    if len(s_in) != q + 1:
+        raise CheckFailed(f"|S meet H| = {len(s_in)} != q+1")
     o_in = tuple(o for o in base.O if all(s in H for s in o))
-    assert len(o_in) == r_of_q(q)
+    if len(o_in) != r_of_q(q):
+        raise CheckFailed(f"{len(o_in)} orbits inside H, not r(q) = {r_of_q(q)}")
     return QuadDatum(q=q, base=base, H=H, S_in_H=s_in, O_in_H=o_in)

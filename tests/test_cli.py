@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from trigon import exoticity, tripres
+from trigon import exoticity, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
+from trigon.linkgraph import FSet
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import TwistCheckFailed, Violation
@@ -262,6 +263,47 @@ def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "broke its axioms" in err
+
+
+def test_disconnected_opposition_graph_fails_its_checklist(capsys, monkeypatch):
+    real_F = oppmodel.OppDatum.F
+
+    def F(self):
+        full = real_F(self)
+        return FSet(full.labels, frozenset(p for p in full.pairs if p[0] != 0))
+
+    monkeypatch.setattr(oppmodel.OppDatum, "F", F)
+    code, out, err = invoke(capsys, ["opp", "--check", "--q", "7"])
+    assert code == 1
+    assert err == ""
+    assert "FAIL  connected: expected True, got False" in out
+    assert "FAIL  spectral gap 1-sqrt(q)/q: expected 0.622036, got 0.000000" in out
+    assert out.rstrip().endswith("zuk gap > 1/2: False")
+
+
+def test_broken_subspace_model_exits_one(capsys, monkeypatch):
+    real = oppmodel._building_fset
+
+    def building_fset(q):
+        F = real(q)
+        return FSet(F.labels, F.pairs - {min(F.pairs)})
+
+    monkeypatch.setattr(oppmodel, "_building_fset", building_fset)
+    code, out, err = invoke(capsys, ["opp", "--check", "--q", "4"])
+    assert code == 1
+    assert out == ""
+    assert "coset model disagrees with the subspace model" in err
+
+
+def test_broken_difference_set_exits_one(capsys, monkeypatch):
+    real = singer._trace_zero_exponents
+    monkeypatch.setattr(
+        singer, "_trace_zero_exponents", lambda gf, q, m: real(gf, q, m)[:-1]
+    )
+    code, out, err = invoke(capsys, ["singer", "--q", "3"])
+    assert code == 1
+    assert out == ""
+    assert "difference set size 3 != q+1" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "enumerate"])

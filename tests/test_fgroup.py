@@ -20,6 +20,7 @@ from trigon.fgroup import (
     mu_permutation,
     subgroup,
 )
+from trigon.ffield import factor_prime_power, make_field
 from trigon.permgrp import Perm, closure_elements
 
 
@@ -95,6 +96,23 @@ def test_opp_group_axioms(q):
     assert g.n == q * q
     assert group_violations(g) == []
     assert g.is_abelian()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_opp_group_matches_field_formula(q):
+    # (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2) and (y,z)^-1 = (-y, y*y-z), in
+    # field elements rather than index tables
+    g = make_opp_group(q)
+    elems = make_field(*factor_prime_power(q)).elements()
+    coords = [(elems[a // q], elems[a % q]) for a in range(q * q)]
+
+    def index(y, z):
+        return y.index * q + z.index
+
+    for a, (y1, z1) in enumerate(coords):
+        assert g.inv(a) == index(-y1, y1 * y1 - z1)
+        for b, (y2, z2) in enumerate(coords):
+            assert g.mul(a, b) == index(y1 + y2, z1 + z2 + y1 * y2)
 
 
 @pytest.mark.parametrize(

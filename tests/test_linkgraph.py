@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigon.linkgraph import (
     Disconnected,
     FSet,
+    LinkGraph,
     apply_diagonal,
     apply_rho,
     apply_wreath,
@@ -26,6 +27,7 @@ from trigon.linkgraph import (
     normalized_laplacian,
     spectral_gap,
 )
+from trigon.oppmodel import a2_graph
 from trigon.permgrp import Perm
 
 
@@ -60,6 +62,73 @@ def a2_subspace_model(p):
         if sum(a * b for a, b in zip(v, f)) % p == 0
     ]
     return FSet.on_range(len(norm), pairs)
+
+
+def _neighbors(mask):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _bfs_dist(adj, src):
+    dist = {src: 0}
+    queue = [src]
+    for v in queue:
+        for w in _neighbors(adj[v]):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _girth(adj):
+    # min over all roots of the shortest cycle seen from a BFS; exact on
+    # simple graphs
+    best = math.inf
+    for r in range(len(adj)):
+        dist = {r: 0}
+        parent = {r: -1}
+        queue = [r]
+        for v in queue:
+            if dist[v] * 2 >= best:
+                break
+            for w in _neighbors(adj[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+                elif w != parent[v]:
+                    best = min(best, dist[v] + dist[w] + 1)
+    return best
+
+
+def oracle_metrics(g):
+    """(connected, girth, diameter) from one dict BFS per root plus a
+    separate girth pass; the reference for metrics."""
+    diam = 0
+    for v in range(len(g.adj)):
+        dist = _bfs_dist(g.adj, v)
+        if len(dist) < len(g.adj):
+            return False, _girth(g.adj), math.inf
+        diam = max(diam, max(dist.values()))
+    return True, _girth(g.adj), diam
+
+
+def graph_of_edges(n_vertices, edges):
+    """A LinkGraph on an even vertex count from an arbitrary simple edge
+    list; the bipartition is ignored, so odd cycles are allowed."""
+    adj = [0] * n_vertices
+    for v, w in edges:
+        adj[v] |= 1 << w
+        adj[w] |= 1 << v
+    return LinkGraph(tuple(range(n_vertices // 2)), tuple(adj))
+
+
+def check_against_oracle(g):
+    met = metrics(g)
+    assert (met.connected, met.girth, met.diameter) == oracle_metrics(g)
+    return met
 
 
 def check_diag_witness(F1, F2, w):
@@ -146,6 +215,8 @@ def test_laplacian_zero_multiplicity_counts_components():
     f = FSet.on_range(2, [(1, 1), (2, 2)])
     ev = np.linalg.eigvalsh(normalized_laplacian(from_F(f)))
     assert sum(1 for x in ev if abs(x) < 1e-9) == 2
+    with pytest.raises(Disconnected):
+        spectral_gap(from_F(f))
 
 
 def test_a2_f3_is_generalized_3gon():
@@ -227,3 +298,38 @@ def test_wreath_equivalence_of_random_relabellings(data):
     w = f_wreath_equivalent(f, target)
     assert w is not None
     assert apply_wreath(f, w) == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    cells=st.sets(st.tuples(st.integers(1, 7), st.integers(1, 7))),
+)
+@example(n=4, cells=set())
+@example(n=4, cells={(1, 1), (1, 2), (2, 3), (3, 4)})  # a tree
+@example(n=4, cells={(1, 1), (2, 2), (3, 3)})  # a disconnected forest
+@example(n=4, cells={(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3)})
+def test_metrics_match_oracle_on_random_pair_sets(n, cells):
+    pairs = {(a, b) for a, b in cells if a <= n and b <= n}
+    check_against_oracle(from_F(FSet.on_range(n, pairs)))
+
+
+@pytest.mark.parametrize(
+    "n_vertices,edges,girth,diameter",
+    [
+        (4, [(0, 1), (1, 2), (2, 0), (2, 3)], 3, 2),  # triangle with a tail
+        (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 3, math.inf),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)], 5, 3),
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3, 1),
+    ],
+    ids=["triangle-pendant", "two-triangles", "pentagon-pendant", "k4"],
+)
+def test_metrics_match_oracle_on_odd_cycles(n_vertices, edges, girth, diameter):
+    met = check_against_oracle(graph_of_edges(n_vertices, edges))
+    assert met.girth == girth and met.diameter == diameter
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_metrics_match_oracle_on_planes(q):
+    met = check_against_oracle(a2_graph(q).graph)
+    assert (met.connected, met.girth, met.diameter) == (True, 6, 3)

@@ -72,7 +72,12 @@ def test_incidence_three_way_equivalence(q):
     assert incidence_model_checks(q)
 
 
-@pytest.mark.parametrize("q,zuk", [(2, False), (3, False), (4, False), (5, True)])
+# 1 - 1/sqrt(q) > 1/2 exactly when q > 4; 16 is a degree-4 extension field
+@pytest.mark.parametrize(
+    "q,zuk",
+    [(2, False), (3, False), (4, False), (5, True), (7, True), (8, True),
+     (9, True), (16, True)],
+)
 def test_properties_checklist(q, zuk):
     r = opp_properties(q)
     assert r.ok
