@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TABLE_TEXTS
-from .documents import Document, ParseError, dump_document, load_document
+from .documents import ParseError, document_blob, load_document
 from .exoticity import (
     ProbeCheckFailed,
     build_probe,
@@ -30,7 +30,6 @@ from .tripres import (
     classify,
     enumerate_all,
     format_table,
-    project_F,
     verify,
 )
 
@@ -98,7 +97,7 @@ def kappa_spec_of(kappa):
 
 
 def _document_blob(T, meta):
-    return json.loads(dump_document(Document(F=project_F(T), T=T, meta=meta)))
+    return document_blob(T, {(i, j) for i, j, _ in T.triples}, meta)
 
 
 def _present_one(T, meta, fmt):

@@ -32,22 +32,23 @@ class Document:
         return self.T.labels
 
 
+def document_blob(T: TrianglePresentation, pairs, meta: dict) -> dict:
+    """The JSON object of a document: labels explicit, the 0-based position
+    pairs sorted, one triple per rotation orbit, both written in labels."""
+    lab = T.labels
+    return {
+        "n": len(lab),
+        "labels": list(lab),
+        "F": [[lab[i], lab[j]] for i, j in sorted(pairs)],
+        "T": [[lab[i], lab[j], lab[k]] for i, j, k in T.canonical_reps()],
+        "meta": meta,
+    }
+
+
 def dump_document(doc: Document) -> str:
     """Canonical text: labels explicit, pairs sorted, one triple per orbit."""
-    pos = doc.T.position()
-    blob = {
-        "n": len(doc.labels),
-        "labels": list(doc.labels),
-        "F": [list(p) for p in sorted(doc.F.pairs, key=lambda p: (pos[p[0]], pos[p[1]]))],
-        "T": [list(t) for t in doc.T.canonical_reps()],
-        "meta": doc.meta,
-    }
+    blob = document_blob(doc.T, doc.F.position_pairs(), doc.meta)
     return json.dumps(blob, sort_keys=True, indent=2) + "\n"
-
-
-def save_document(doc: Document, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_document(doc))
 
 
 def _is_int(x):
@@ -110,10 +111,12 @@ def parse_document(text: str, strict: bool = True) -> Document:
     meta = blob.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError("document.meta: expected an object")
+    T = TrianglePresentation.from_labels(labels, triples)
     listed = set(triples)
-    T = TrianglePresentation(tuple(labels), frozenset(triples))
-    canonical = set(T.canonical_reps())
-    if listed != set(T.triples) and listed != canonical:
+    lab = T.labels
+    canonical = {(lab[i], lab[j], lab[k]) for i, j, k in T.canonical_reps()}
+    # every listed triple lies in the closure, so equal sizes mean equal sets
+    if len(listed) != len(T.triples) and listed != canonical:
         if strict:
             raise ParseError(
                 "T: not rotation-closed and not the canonical representatives"

@@ -28,11 +28,8 @@ class PresentationDoc:
 
 
 def presentation_doc(T: TrianglePresentation) -> PresentationDoc:
-    """One canonical rotation per orbit, labels renamed to positions 1..n."""
-    pos = T.position()
-    relators = tuple(
-        (pos[a] + 1, pos[b] + 1, pos[c] + 1) for a, b, c in T.canonical_reps()
-    )
+    """One canonical rotation per orbit, as 1-based positions."""
+    relators = tuple((i + 1, j + 1, k + 1) for i, j, k in T.canonical_reps())
     return PresentationDoc(n=T.n, relators=relators)
 
 

@@ -13,7 +13,7 @@ from .ffield import (
 )
 from .fgroup import FiniteGroup, SubgroupDatum, make_cyclic, mu_permutation, subgroup
 from .linkgraph import FSet
-from .tripres import CheckFailed, SignFamily, act, lambda_orbits
+from .tripres import CheckFailed, SignFamily, TrianglePresentation, _image, lambda_orbits
 
 
 def r_of_q(q):
@@ -120,9 +120,10 @@ def singer_datum(q, modulus=None):
 def murho_dual(T, G):
     """Transpose the first two slots of every triple, then relabel each
     index by inversion in G; an involution that flips every kappa sign."""
-    if len(T.labels) != G.n:
+    if T.n != G.n:
         raise ValueError("presentation labels do not match the group order")
-    return act(T, mu_permutation(G), use_rho=True)
+    mu = mu_permutation(G).images
+    return TrianglePresentation(T.labels, _image(T.triples, mu, use_rho=True))
 
 
 @dataclass(frozen=True, eq=False)

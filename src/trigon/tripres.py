@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 from .autosearch import find_isomorphism
 from .fgroup import FiniteGroup, SubgroupDatum, subgroup
@@ -12,16 +13,27 @@ from .linkgraph import FSet, apply_rho, aut_full, aut_plus, digraph_of
 from .permgrp import Perm, PermGroup, bsgs_build
 
 
+class CheckFailed(Exception):
+    """An identity that a construction or census rests on does not hold.
+
+    Not a ValueError: the input was valid, the result is wrong."""
+
+
 class IncompatiblePresentation(ValueError):
     """Raised when an operation needs verify(F, T) to pass and it does not."""
 
 
-class LambdaConditionFailed(ValueError):
+class LambdaConditionFailed(CheckFailed):
     """Raised when the folding map breaks its defining identities."""
 
 
-class OrbitNotInSubgroup(ValueError):
+class OrbitNotInSubgroup(CheckFailed):
     """Raised when a sign table references an orbit outside the subgroup."""
+
+
+class BadSignTable(CheckFailed):
+    """Raised when a sign table keys a coset by a non-canonical
+    representative or holds a value other than +1 or -1."""
 
 
 class SearchTooLarge(ValueError):
@@ -32,57 +44,45 @@ class KappaSpecError(ValueError):
     """A sign choice whose keys do not match the datum's orbit keys."""
 
 
-class CheckFailed(Exception):
-    """An identity that a construction or census rests on does not hold.
-
-    Not a ValueError: the input was valid, the result is wrong."""
-
-
 class TwistCheckFailed(CheckFailed):
     """A twisted presentation built from a valid folding fails its axioms."""
 
 
 @dataclass(frozen=True)
 class TrianglePresentation:
-    """A rotation-closed set of triples over a fixed labeled index set."""
+    """A set of triples over a fixed labeled index set, held as 0-based
+    positions into labels; labels appear only in documents, tables and
+    exports.
+
+    The constructor takes the rotation-closed position set as a builder
+    makes it and neither closes nor checks it: verify is the check.
+    from_labels is the one way in from label triples."""
 
     labels: tuple
     triples: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+    @classmethod
+    def from_labels(cls, labels, triples) -> TrianglePresentation:
+        """The presentation of the label triples, closed by rotation."""
+        labels = tuple(labels)
+        pos = {a: i for i, a in enumerate(labels)}
         closed = set()
-        lab = set(self.labels)
-        for i, j, k in self.triples:
-            for t in ((i, j, k), (j, k, i), (k, i, j)):
-                if t[0] not in lab or t[1] not in lab or t[2] not in lab:
-                    raise ValueError(f"triple {t} uses unknown labels")
-                closed.add(t)
-        object.__setattr__(self, "triples", frozenset(closed))
+        for t in triples:
+            if not all(a in pos for a in t):
+                raise ValueError(f"triple {t} uses unknown labels")
+            i, j, k = (pos[a] for a in t)
+            closed.update(((i, j, k), (j, k, i), (k, i, j)))
+        return cls(labels, frozenset(closed))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def position(self) -> dict:
-        return {a: i for i, a in enumerate(self.labels)}
-
-    def position_triples(self) -> frozenset:
-        pos = self.position()
-        return frozenset((pos[a], pos[b], pos[c]) for a, b, c in self.triples)
-
     def canonical_reps(self) -> list:
-        """Lexicographically smallest rotation of each orbit, sorted."""
-        pos = self.position()
-
-        def key(t):
-            return (pos[t[0]], pos[t[1]], pos[t[2]])
-
-        reps = {
-            min(((i, j, k), (j, k, i), (k, i, j)), key=key)
-            for i, j, k in self.triples
-        }
-        return sorted(reps, key=key)
+        """The least rotation of each orbit, sorted."""
+        return sorted(
+            {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in self.triples}
+        )
 
     def __repr__(self):
         return (
@@ -100,48 +100,33 @@ class Violation:
 
 
 def verify(F: FSet, T: TrianglePresentation) -> list[Violation]:
-    """All axiom violations of T against F; empty means compatible."""
+    """All axiom violations of T against F, in labels; empty means
+    compatible."""
     if F.n != T.n:
         raise ValueError("index sets differ in size")
-    fpairs = F.position_pairs()
-    ptrip = T.position_triples()
     out = []
-    for t in sorted(ptrip):
-        i, j, k = t
-        if (i, j) not in fpairs:
-            out.append(Violation(1, _labels_of(T, t)))
-        if (j, k, i) not in ptrip:
-            out.append(Violation(3, _labels_of(T, t)))
-    thirds = Counter((i, j) for i, j, _ in ptrip)
-    for i, j in sorted(fpairs):
-        if thirds[(i, j)] != 1:
-            out.append(Violation(2, (F.labels[i], F.labels[j])))
+    for v in _violations(F.position_pairs(), T.triples):
+        lab = F.labels if v.axiom == 2 else T.labels
+        out.append(Violation(v.axiom, tuple(lab[x] for x in v.data)))
     return out
 
 
-def _labels_of(T, t):
-    return tuple(T.labels[i] for i in t)
-
-
-def project_F(T: TrianglePresentation) -> FSet:
-    """The pair set {(i,j) : (i,j,k) in T}."""
-    return FSet(T.labels, frozenset((i, j) for i, j, _ in T.triples))
-
-
-def act(T: TrianglePresentation, sigma: Perm, use_rho: bool = False):
-    """sigma T = {(si,sj,sk)}; with use_rho apply (i,j,k) -> (j,i,k) first."""
-    pos = T.position()
-    lab = T.labels
-    trip = T.triples
-    if use_rho:
-        trip = {(j, i, k) for i, j, k in trip}
-    return TrianglePresentation(
-        lab,
-        frozenset(
-            (lab[sigma(pos[a])], lab[sigma(pos[b])], lab[sigma(pos[c])])
-            for a, b, c in trip
-        ),
-    )
+def _violations(fpairs, triples) -> list[Violation]:
+    """The axiom violations of position triples against position pairs,
+    with position data: per sorted triple its projection and rotation,
+    then per sorted pair its uniqueness."""
+    out = []
+    for t in sorted(triples):
+        i, j, k = t
+        if (i, j) not in fpairs:
+            out.append(Violation(1, t))
+        if (j, k, i) not in triples:
+            out.append(Violation(3, t))
+    thirds = Counter((i, j) for i, j, _ in triples)
+    for p in sorted(fpairs):
+        if thirds[p] != 1:
+            out.append(Violation(2, p))
+    return out
 
 
 def enumerate_all(F: FSet, most_constrained: bool = False):
@@ -151,11 +136,8 @@ def enumerate_all(F: FSet, most_constrained: bool = False):
     (k,i) at once, so each pair is consumed exactly once; the toggle only
     changes the branching order, never the result set.
     """
-    lab = F.labels
     return [
-        TrianglePresentation(
-            lab, frozenset((lab[i], lab[j], lab[k]) for i, j, k in key)
-        )
+        TrianglePresentation(F.labels, frozenset(key))
         for key in _exact_covers(F, most_constrained)
     ]
 
@@ -254,7 +236,7 @@ def stabilizer_of_T(F: FSet, T: TrianglePresentation, limit: int = 10**6):
     if verify(F, T):
         raise IncompatiblePresentation("T fails its axioms against F")
     _, elems, rho_coset = _aut_elements(F, limit)
-    return _stabilizer(T.position_triples(), elems, rho_coset)
+    return _stabilizer(T.triples, elems, rho_coset)
 
 
 def _aut_elements(F: FSet, limit: int):
@@ -311,7 +293,7 @@ def _classify(F: FSet, allt: list, limit: int = 10**6) -> list[TClass]:
     """classify on the list enumerate_all(F) already returned."""
     if not allt:
         return []
-    ptrips = [t.position_triples() for t in allt]
+    ptrips = [t.triples for t in allt]
     index = {p: i for i, p in enumerate(ptrips)}
     full, elems, rho_coset = _aut_elements(F, limit)
     movers = [(g.images, False) for g in full.plus.generators]
@@ -390,9 +372,8 @@ def build_from_lambda(G: FiniteGroup, S, lam) -> TrianglePresentation:
             xs = G.mul(x, s)
             triples.add((x, xs, G.mul(xs, lam[s])))
     T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
-    ptrip = T.position_triples()
     for g in generating_set(G):
-        if not _carries(ptrip, [G.mul(g, a) for a in range(G.n)], ptrip):
+        if not _carries(T.triples, [G.mul(g, a) for a in range(G.n)], T.triples):
             raise CheckFailed(f"left translation by {g} moves T")
     return T
 
@@ -446,9 +427,9 @@ def build_T_kappa(
                 f"kappa references orbit {omin} outside the subgroup"
             )
         if rep not in reps:
-            raise ValueError(f"{rep} is not a canonical coset representative")
+            raise BadSignTable(f"{rep} is not a canonical coset representative")
         if sign not in (1, -1):
-            raise ValueError(f"kappa value {sign} is not a sign")
+            raise BadSignTable(f"kappa value {sign} is not a sign")
     triples = set()
     for x in range(G.n):
         rep = rep_of[H.coset_index[x]]
@@ -459,11 +440,10 @@ def build_T_kappa(
                 step = lam[lam[s]]
             xs = G.mul(x, s)
             triples.add((x, xs, G.mul(xs, step)))
-    T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
-    bad = verify(project_F(T), T)
+    bad = _violations({(i, j) for i, j, _ in triples}, triples)
     if bad:
         raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
-    return T
+    return TrianglePresentation(tuple(range(G.n)), frozenset(triples))
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,8 +503,8 @@ def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):
     A = aut_plus(F1)
     if A.order() > limit:
         raise SearchTooLarge(f"|Aut+(F1)| = {A.order()} exceeds {limit}")
-    t1 = T1.position_triples()
-    t2 = T2.position_triples()
+    t1 = T1.triples
+    t2 = T2.triples
     o2, i2 = digraph_of(F2)
     for use_rho in (False, True):
         base = apply_rho(F1) if use_rho else F1
@@ -539,13 +519,11 @@ def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):
 
 
 def format_table(T: TrianglePresentation) -> str:
-    """Rows grouped by first coordinate, triples sorted by second."""
-    pos = T.position()
-    rows: dict[int, list] = {}
-    for t in T.triples:
-        rows.setdefault(pos[t[0]], []).append(t)
-    lines = []
-    for i in sorted(rows):
-        row = sorted(rows[i], key=lambda t: (pos[t[1]], pos[t[2]]))
-        lines.append(" ".join(f"({a},{b},{c})" for a, b, c in row))
+    """Rows grouped by first coordinate, triples sorted by second, written
+    in labels."""
+    lab = T.labels
+    lines = [
+        " ".join(f"({lab[i]},{lab[j]},{lab[k]})" for i, j, k in row)
+        for _, row in groupby(sorted(T.triples), key=itemgetter(0))
+    ]
     return "\n".join(lines) + "\n"

@@ -1,0 +1,123 @@
+"""The label-level presentation code that the position-indexed core replaced,
+kept as the oracle for the label boundary.
+
+A presentation here is a set of label triples over a label list; positions
+are looked up through a label -> position dict at every step, as the old
+TrianglePresentation did.  The functions take trigon presentations and map
+them to labels first, so a test can compare both sides on the same input.
+"""
+
+import json
+
+from trigon.linkgraph import FSet
+from trigon.tripres import TrianglePresentation, Violation
+
+
+def label_triples(T):
+    """The triples of T written in labels."""
+    lab = T.labels
+    return frozenset((lab[i], lab[j], lab[k]) for i, j, k in T.triples)
+
+
+def relabel(T, labels):
+    """The same position triples over another label list."""
+    return TrianglePresentation(tuple(labels), T.triples)
+
+
+def project_F(T):
+    """The pair set {(i,j) : (i,j,k) in T}, in labels."""
+    return FSet(T.labels, frozenset((a, b) for a, b, _ in label_triples(T)))
+
+
+def act(T, sigma, use_rho=False):
+    """sigma T = {(si,sj,sk)} on label triples; with use_rho apply
+    (i,j,k) -> (j,i,k) first."""
+    lab = T.labels
+    pos = {a: i for i, a in enumerate(lab)}
+    trip = label_triples(T)
+    if use_rho:
+        trip = {(j, i, k) for i, j, k in trip}
+    return TrianglePresentation.from_labels(
+        lab,
+        [(lab[sigma(pos[a])], lab[sigma(pos[b])], lab[sigma(pos[c])])
+         for a, b, c in trip],
+    )
+
+
+def canonical_reps(labels, trip):
+    """Least rotation of each orbit by position, sorted by position."""
+    pos = {a: i for i, a in enumerate(labels)}
+
+    def key(t):
+        return (pos[t[0]], pos[t[1]], pos[t[2]])
+
+    reps = {min(((i, j, k), (j, k, i), (k, i, j)), key=key) for i, j, k in trip}
+    return sorted(reps, key=key)
+
+
+def dump_document(F, T, meta):
+    """Document text built from label pairs and label triples."""
+    pos = {a: i for i, a in enumerate(T.labels)}
+    blob = {
+        "n": len(T.labels),
+        "labels": list(T.labels),
+        "F": [list(p) for p in sorted(F.pairs, key=lambda p: (pos[p[0]], pos[p[1]]))],
+        "T": [list(t) for t in canonical_reps(T.labels, label_triples(T))],
+        "meta": meta,
+    }
+    return json.dumps(blob, sort_keys=True, indent=2) + "\n"
+
+
+def format_table(T):
+    """Rows grouped by first coordinate, triples sorted by second."""
+    pos = {a: i for i, a in enumerate(T.labels)}
+    rows = {}
+    for t in label_triples(T):
+        rows.setdefault(pos[t[0]], []).append(t)
+    lines = []
+    for i in sorted(rows):
+        row = sorted(rows[i], key=lambda t: (pos[t[1]], pos[t[2]]))
+        lines.append(" ".join(f"({a},{b},{c})" for a, b, c in row))
+    return "\n".join(lines) + "\n"
+
+
+def relators(T):
+    """One canonical rotation per orbit, labels renamed to positions 1..n."""
+    pos = {a: i for i, a in enumerate(T.labels)}
+    return tuple(
+        (pos[a] + 1, pos[b] + 1, pos[c] + 1)
+        for a, b, c in canonical_reps(T.labels, label_triples(T))
+    )
+
+
+def export_presentation(T, format):
+    """The three export texts from label-level relators."""
+    n = len(T.labels)
+    rels = relators(T)
+    if format == "gap-like":
+        words = ", ".join(f"F.{i}*F.{j}*F.{k}" for i, j, k in rels)
+        return f"F := FreeGroup({n});\nG := F / [ {words} ];\n"
+    if format == "magma-like":
+        gens = ",".join(f"a{i}" for i in range(1, n + 1))
+        words = ", ".join(f"a{i}*a{j}*a{k}" for i, j, k in rels)
+        return f"G<{gens}> := Group< {gens} | {words} >;\n"
+    blob = {"n": n, "relators": [list(r) for r in rels]}
+    return json.dumps(blob, sort_keys=True) + "\n"
+
+
+def verify(F, T):
+    """Axiom violations found on label triples through a position dict."""
+    fpairs = F.position_pairs()
+    pos = {a: i for i, a in enumerate(T.labels)}
+    ptrip = {(pos[a], pos[b], pos[c]) for a, b, c in label_triples(T)}
+    out = []
+    for t in sorted(ptrip):
+        i, j, k = t
+        if (i, j) not in fpairs:
+            out.append(Violation(1, tuple(T.labels[x] for x in t)))
+        if (j, k, i) not in ptrip:
+            out.append(Violation(3, tuple(T.labels[x] for x in t)))
+    for i, j in sorted(fpairs):
+        if sum(1 for t in ptrip if t[:2] == (i, j)) != 1:
+            out.append(Violation(2, (F.labels[i], F.labels[j])))
+    return out

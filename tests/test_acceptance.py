@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from label_oracle import act, project_F
 
 from trigon.catalog import TABLE_TEXTS, table
 from trigon.exoticity import (
@@ -34,12 +35,10 @@ from trigon.permgrp import Perm, bsgs_build, closure_elements
 from trigon.singer import murho_dual, quad_datum, r_of_q, singer_datum
 from trigon.tripres import (
     TrianglePresentation,
-    act,
     classify,
     enumerate_all,
     format_table,
     isomorphic_T,
-    project_F,
     stabilizer_of_T,
     verify,
 )
@@ -51,7 +50,7 @@ ALT_F = FSet.on_range(
     4, [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
 )
 SQUARE_F = FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
-SQUARE_T = TrianglePresentation((1, 2), frozenset({(1, 1, 2), (2, 2, 2)}))
+SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 Q5_BASELINES = {
     (1, 1): ("Inconclusive", (1, 5, 4, 2, 3, 0)),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trigon import exoticity, oppmodel, singer, tripres
+from trigon import cli, exoticity, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
@@ -16,7 +16,7 @@ from trigon.exoticity import ProbeCheckFailed
 from trigon.linkgraph import FSet
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import TwistCheckFailed, Violation
+from trigon.tripres import TwistCheckFailed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,12 +257,32 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
 
 
 def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(tripres, "verify", lambda F, T: [Violation(2, (0, 1))])
+    def broken_quad(q, modulus=None):
+        # 20 lies in the coset of 2; file it under the coset of 0
+        d = quad_datum(q, modulus)
+        index = d.H.coset_index[:20] + (0,)
+        return replace(d, H=replace(d.H, coset_index=index))
+
+    monkeypatch.setattr(cli, "quad_datum", broken_quad)
     assert not issubclass(TwistCheckFailed, ValueError)
-    code, out, err = invoke(capsys, ["singer", "--q", "2"])
+    code, out, err = invoke(
+        capsys, ["quad", "--q", "2", "--kappa", "0,9:+1;1,9:+1;2,9:-1"]
+    )
     assert code == 1
     assert out == ""
     assert "broke its axioms" in err
+
+
+def test_broken_folding_map_exits_one(capsys, monkeypatch):
+    def broken_singer(q, modulus=None):
+        d = singer_datum(q, modulus)
+        return replace(d, lam={s: s for s in d.S})
+
+    monkeypatch.setattr(cli, "singer_datum", broken_singer)
+    code, out, err = invoke(capsys, ["singer", "--q", "3"])
+    assert code == 1
+    assert out == ""
+    assert "s*lam(s)*lam^2(s) != 1" in err
 
 
 def test_disconnected_opposition_graph_fails_its_checklist(capsys, monkeypatch):

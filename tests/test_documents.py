@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from label_oracle import project_F
 
 from trigon.catalog import table
 from trigon.documents import (
@@ -11,13 +12,12 @@ from trigon.documents import (
     dump_document,
     load_document,
     parse_document,
-    save_document,
 )
 from trigon.linkgraph import FSet
-from trigon.tripres import TrianglePresentation, project_F
+from trigon.tripres import TrianglePresentation
 
 SQUARE_F = FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
-SQUARE_T = TrianglePresentation((1, 2), frozenset({(1, 1, 2), (2, 2, 2)}))
+SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 
 def square_doc():
@@ -33,7 +33,7 @@ def test_dump_parse_round_trip(which):
 
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "square.json"
-    save_document(square_doc(), path)
+    path.write_text(dump_document(square_doc()))
     assert load_document(path) == square_doc()
 
 

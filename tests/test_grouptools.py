@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from label_oracle import act
 
 from trigon.catalog import table
 from trigon.grouptools import (
@@ -17,9 +18,9 @@ from trigon.grouptools import (
 )
 from trigon.permgrp import Perm
 from trigon.singer import singer_datum
-from trigon.tripres import TrianglePresentation, act
+from trigon.tripres import TrianglePresentation
 
-SQUARE_T = TrianglePresentation((1, 2), frozenset({(1, 1, 2), (2, 2, 2)}))
+SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 GAP_SQUARE = "F := FreeGroup(2);\nG := F / [ F.1*F.1*F.2, F.2*F.2*F.2 ];\n"
 MAGMA_SQUARE = "G<a1,a2> := Group< a1,a2 | a1*a1*a2, a2*a2*a2 >;\n"

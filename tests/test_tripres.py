@@ -1,11 +1,13 @@
 """Triangle presentation axioms, enumeration, stabilizers, constructions."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from label_oracle import act, project_F
 from trigon import tripres
 from trigon.fgroup import FiniteGroup, make_cyclic, subgroup
 from trigon.linkgraph import FSet, aut_full, aut_plus
@@ -13,13 +15,14 @@ from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import (
+    BadSignTable,
     CheckFailed,
     IncompatiblePresentation,
     LambdaConditionFailed,
     OrbitNotInSubgroup,
     TrianglePresentation,
+    TwistCheckFailed,
     Violation,
-    act,
     build_T_kappa,
     build_from_lambda,
     classify,
@@ -28,13 +31,12 @@ from trigon.tripres import (
     generating_set,
     isomorphic_T,
     lambda_orbits,
-    project_F,
     stabilizer_of_T,
     verify,
 )
 
 SQUARE_F = FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
-SQUARE_T = TrianglePresentation((1, 2), frozenset({(1, 1, 2), (2, 2, 2)}))
+SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 ALT_F = FSet.on_range(
     4, [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
 )
@@ -65,23 +67,35 @@ def exquad():
 
 
 def test_rotation_closure_and_reps():
-    t = TrianglePresentation((1, 2, 3), frozenset({(1, 2, 3)}))
-    assert t.triples == {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
-    assert t.canonical_reps() == [(1, 2, 3)]
-    with pytest.raises(ValueError):
-        TrianglePresentation((1, 2), frozenset({(1, 2, 3)}))
+    t = TrianglePresentation.from_labels((1, 2, 3), [(1, 2, 3)])
+    assert t.triples == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    assert t.canonical_reps() == [(0, 1, 2)]
+    with pytest.raises(ValueError, match="unknown labels"):
+        TrianglePresentation.from_labels((1, 2), [(1, 2, 3)])
+    shuffled = TrianglePresentation.from_labels((9, 3, 5), [(5, 9, 3)])
+    assert shuffled.triples == {(2, 0, 1), (0, 1, 2), (1, 2, 0)}
+    assert shuffled.canonical_reps() == [(0, 1, 2)]
+
+
+def test_rotation_open_set_fails_axiom_three():
+    f = FSet.on_range(3, [(1, 2), (2, 3), (3, 1)])
+    t = TrianglePresentation((1, 2, 3), frozenset({(0, 1, 2)}))
+    assert t.triples == {(0, 1, 2)}
+    assert verify(f, t) == [
+        Violation(3, (1, 2, 3)), Violation(2, (2, 3)), Violation(2, (3, 1)),
+    ]
 
 
 def test_verify_square():
     assert verify(SQUARE_F, SQUARE_T) == []
-    broken = TrianglePresentation((1, 2), frozenset({(1, 1, 2)}))
+    broken = TrianglePresentation.from_labels((1, 2), [(1, 1, 2)])
     bad = verify(SQUARE_F, broken)
     assert Violation(2, (2, 2)) in bad
 
 
 def test_verify_projection_axiom():
     f = FSet.on_range(3, [(1, 2), (2, 3), (3, 1)])
-    t = TrianglePresentation((1, 2, 3), frozenset({(1, 3, 2)}))
+    t = TrianglePresentation.from_labels((1, 2, 3), [(1, 3, 2)])
     bad = verify(f, t)
     assert any(v.axiom == 1 for v in bad)
 
@@ -141,7 +155,7 @@ def test_stabilizer_alt():
 
 
 def test_stabilizer_rejects_incompatible():
-    broken = TrianglePresentation((1, 2), frozenset({(1, 1, 2)}))
+    broken = TrianglePresentation.from_labels((1, 2), [(1, 1, 2)])
     with pytest.raises(IncompatiblePresentation):
         stabilizer_of_T(SQUARE_F, broken)
 
@@ -272,10 +286,22 @@ def test_t_kappa_validation():
     small = subgroup(g, [7])
     with pytest.raises(OrbitNotInSubgroup):
         build_T_kappa(g, s, lam, small, {(0, 9): -1})
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSignTable, match="canonical coset representative"):
         build_T_kappa(g, s, lam, h, {(5, 9): -1})
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSignTable, match="not a sign"):
         build_T_kappa(g, s, lam, h, {(2, 9): 0})
+    for err in (LambdaConditionFailed, OrbitNotInSubgroup, BadSignTable):
+        assert issubclass(err, CheckFailed) and not issubclass(err, ValueError)
+
+
+def test_twist_check_reports_open_rotation():
+    """A coset index that puts 20 in the wrong coset untwists the triples
+    that start at 20, so the twisted triples through 20 lose a rotation."""
+    g, s, lam = exquad()
+    h = subgroup(g, [3])
+    wrong = replace(h, coset_index=h.coset_index[:20] + (0,))
+    with pytest.raises(TwistCheckFailed, match="axiom=3"):
+        build_T_kappa(g, s, lam, wrong, {(2, 9): -1})
 
 
 def test_generating_set():
@@ -299,7 +325,7 @@ def brute_presentations(f):
     found = []
     for mask in range(1 << len(orbits)):
         chosen = [orbits[b] for b in range(len(orbits)) if (mask >> b) & 1]
-        t = TrianglePresentation(labels, frozenset(chosen))
+        t = TrianglePresentation.from_labels(labels, chosen)
         if verify(f, t) == []:
             found.append(t.triples)
     return sorted(found, key=sorted)
@@ -385,12 +411,12 @@ def oracle_enumerate(f, most_constrained=False):
     dfs()
     lab = f.labels
     out = [
-        TrianglePresentation(
-            lab, frozenset((lab[i], lab[j], lab[k]) for i, j, k in r)
+        TrianglePresentation.from_labels(
+            lab, [(lab[i], lab[j], lab[k]) for i, j, k in r]
         )
         for r in set(results)
     ]
-    out.sort(key=lambda t: sorted(t.position_triples()))
+    out.sort(key=lambda t: sorted(t.triples))
     return out
 
 
@@ -398,8 +424,8 @@ def oracle_stabilizer(f, t):
     """Aut+(T) and the rho witness by relabeling T through act for every
     element of Aut+(F) and of its sorted rho coset."""
     a = aut_plus(f)
-    tref = t.position_triples()
-    keep = [s for s in a.elements() if act(t, s).position_triples() == tref]
+    tref = t.triples
+    keep = [s for s in a.elements() if act(t, s).triples == tref]
     plus = bsgs_build(f.n, [s for s in keep if not s.is_identity()])
     full = aut_full(f)
     witness = None
@@ -407,7 +433,7 @@ def oracle_stabilizer(f, t):
         cands = sorted((g * full.witness for g in a.elements()),
                        key=lambda p: p.images)
         for s in cands:
-            if act(t, s, use_rho=True).position_triples() == tref:
+            if act(t, s, use_rho=True).triples == tref:
                 witness = s
                 break
     return plus, witness
