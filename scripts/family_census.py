@@ -13,8 +13,8 @@ from trigon.linkgraph import FSet, aut_full
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import classify, enumerate_all
 
-ALT_F = FSet.on_range(
-    4, [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+ALT_F = FSet.from_labels(
+    range(1, 5), [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
 )
 
 

@@ -15,15 +15,6 @@ def arc_masks(n, arcs):
     return outm, inm
 
 
-def edge_masks(n, edges):
-    """Adjacency bitmasks of a simple graph on 0..n-1, symmetric."""
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj, adj
-
-
 def _mask_to_list(m):
     lst = []
     while m:

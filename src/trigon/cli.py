@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,6 +391,18 @@ def _config_of(args):
     return RunConfig(**picked)
 
 
+def _dispatch(cfg):
+    """Run the handler; a warning it raises becomes one 'trigon <cmd>:
+    warning:' line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _HANDLERS[cfg.subcommand](cfg)
+        finally:
+            for w in caught:
+                print(f"trigon {cfg.subcommand}: warning: {w.message}",
+                      file=sys.stderr)
+
+
 def run(argv):
     """Dispatch one invocation; 0 ok, 1 failed check, 2 usage."""
     try:
@@ -398,7 +411,7 @@ def run(argv):
         return int(ex.code or 0)
     cfg = _config_of(args)
     try:
-        code, text = _HANDLERS[cfg.subcommand](cfg)
+        code, text = _dispatch(cfg)
     except (ParseError, KappaSpecError, BadCongruence, NotPrimitive,
             FileNotFoundError, ValueError) as err:
         print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)

@@ -14,6 +14,11 @@ class ParseError(ValueError):
     """Malformed presentation document; the message names the offending key."""
 
 
+# without a label list, n alone names the index set 1..n; the largest n it
+# may name, so a few bytes cannot ask for gigabytes of labels
+MAX_UNLABELED_N = 1 << 16
+
+
 @dataclass(frozen=True)
 class Document:
     """A pair set and a presentation over one explicit label list, plus
@@ -47,7 +52,7 @@ def document_blob(T: TrianglePresentation, pairs, meta: dict) -> dict:
 
 def dump_document(doc: Document) -> str:
     """Canonical text: labels explicit, pairs sorted, one triple per orbit."""
-    blob = document_blob(doc.T, doc.F.position_pairs(), doc.meta)
+    blob = document_blob(doc.T, doc.F.pairs, doc.meta)
     return json.dumps(blob, sort_keys=True, indent=2) + "\n"
 
 
@@ -89,6 +94,10 @@ def parse_document(text: str, strict: bool = True) -> Document:
             raise ParseError("document.labels: entries must be integers")
         if len(set(labels)) != n:
             raise ParseError("document.labels: duplicates")
+    elif n > MAX_UNLABELED_N:
+        raise ParseError(
+            f"document.n: {n} exceeds {MAX_UNLABELED_N} without a label list"
+        )
     else:
         labels = list(range(1, n + 1))
     known = set(labels)
@@ -122,7 +131,7 @@ def parse_document(text: str, strict: bool = True) -> Document:
                 "T: not rotation-closed and not the canonical representatives"
             )
         warnings.warn("triple list was not rotation-closed; closing it")
-    F = FSet(tuple(labels), frozenset(pairs))
+    F = FSet.from_labels(labels, pairs)
     return Document(F=F, T=T, meta=meta)
 
 

@@ -14,10 +14,6 @@ class NonAbelianGroup(ValueError):
     """Raised when an abelian group is required but the group is not."""
 
 
-class UnknownDescriptor(ValueError):
-    """Raised when a group descriptor names an unsupported kind."""
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group on indices 0..n-1 with explicit mul and inv maps."""
@@ -28,7 +24,6 @@ class FiniteGroup:
     id: int
     labels: tuple[str, ...]
     kind: str | None = None
-    params: tuple[tuple[str, int], ...] = ()
     abelian: bool | None = None
 
     def power(self, a: int, k: int) -> int:
@@ -106,7 +101,6 @@ def make_cyclic(m: int) -> FiniteGroup:
         id=0,
         labels=tuple(str(i) for i in range(m)),
         kind="cyclic",
-        params=(("m", m),),
         abelian=True,
     )
 
@@ -144,7 +138,6 @@ def make_opp_group(q: int) -> FiniteGroup:
         id=0,
         labels=labels,
         kind="opp",
-        params=(("q", q),),
         abelian=True,
     )
 
@@ -250,20 +243,3 @@ def group_violations(G: FiniteGroup, seed: int = 0) -> list[str]:
             bad.append(f"associativity fails on ({a},{b},{c})")
             break
     return bad
-
-
-def group_descriptor(G: FiniteGroup) -> dict:
-    """JSON-ready descriptor for the built-in constructions."""
-    if G.kind is None:
-        raise UnknownDescriptor("table-backed group has no descriptor")
-    return {"kind": G.kind, "params": dict(G.params)}
-
-
-def group_from_descriptor(d: dict) -> FiniteGroup:
-    kind = d.get("kind")
-    params = d.get("params", {})
-    if kind == "cyclic":
-        return make_cyclic(int(params["m"]))
-    if kind == "opp":
-        return make_opp_group(int(params["q"]))
-    raise UnknownDescriptor(f"unknown group kind {kind!r}")

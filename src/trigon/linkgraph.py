@@ -17,46 +17,33 @@ class Disconnected(ValueError):
 
 @dataclass(frozen=True)
 class FSet:
-    """Ordered pairs over a fixed labeled index set.
+    """A set of ordered pairs over a fixed labeled index set, held as 0-based
+    positions into labels; labels appear only in documents and in verify's
+    violation data.
 
-    Abstract index sets use labels 1..n; group-indexed sets keep the group's
-    own 0-based element numbering as labels.
-    """
+    The constructor takes the position pairs as a builder makes them and
+    does not check them; from_labels is the one way in from label pairs."""
 
     labels: tuple
     pairs: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(
-            self, "pairs", frozenset((a, b) for a, b in self.pairs)
-        )
-        lab = set(self.labels)
-        if len(lab) != len(self.labels):
-            raise ValueError("duplicate labels")
-        for a, b in self.pairs:
-            if a not in lab or b not in lab:
-                raise ValueError(f"pair ({a},{b}) uses unknown labels")
-
     @classmethod
-    def on_range(cls, n, pairs, start=1):
-        return cls(tuple(range(start, start + n)), frozenset(pairs))
+    def from_labels(cls, labels, pairs) -> FSet:
+        """The pair set of the label pairs, over the label list."""
+        labels = tuple(labels)
+        pos = {a: i for i, a in enumerate(labels)}
+        if len(pos) != len(labels):
+            raise ValueError("duplicate labels")
+        out = set()
+        for a, b in pairs:
+            if a not in pos or b not in pos:
+                raise ValueError(f"pair ({a},{b}) uses unknown labels")
+            out.add((pos[a], pos[b]))
+        return cls(labels, frozenset(out))
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def position(self) -> dict:
-        return {a: i for i, a in enumerate(self.labels)}
-
-    def sorted_pairs(self) -> list:
-        pos = self.position()
-        return sorted(self.pairs, key=lambda p: (pos[p[0]], pos[p[1]]))
-
-    def position_pairs(self) -> frozenset:
-        """The pairs rewritten in 0-based positions; label-independent."""
-        pos = self.position()
-        return frozenset((pos[a], pos[b]) for a, b in self.pairs)
 
     def __repr__(self):
         return f"FSet(n={self.n}, pairs={len(self.pairs)})"
@@ -64,61 +51,30 @@ class FSet:
 
 def apply_rho(F: FSet) -> FSet:
     """The transpose set rho(F) = {(j,i)}."""
-    return FSet(F.labels, frozenset((b, a) for a, b in F.pairs))
-
-
-def apply_diagonal(F: FSet, sigma: Perm) -> FSet:
-    """sigma F = {(sigma i, sigma j)}; sigma permutes label positions."""
-    pos = F.position()
-    lab = F.labels
-    return FSet(
-        lab,
-        frozenset(
-            (lab[sigma(pos[a])], lab[sigma(pos[b])]) for a, b in F.pairs
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class DiagonalWitness:
-    """sigma with F2 = sigma F1, or F2 = sigma rho F1 when used_rho."""
-
-    sigma: Perm
-    used_rho: bool
+    return FSet(F.labels, frozenset((j, i) for i, j in F.pairs))
 
 
 @dataclass(frozen=True)
 class WreathWitness:
     """(alpha, beta, swap) with F2 = {(alpha i, beta j)} over (i,j) in F1,
-    coordinates exchanged first when swapped."""
+    coordinates exchanged first when swapped; opp_datum checks its model
+    with it."""
 
     alpha: Perm
     beta: Perm
     swapped: bool
 
 
-def apply_wreath(F: FSet, w: WreathWitness) -> FSet:
-    pos = F.position()
-    lab = F.labels
-    out = set()
-    for a, b in F.pairs:
-        if w.swapped:
-            out.add((lab[w.alpha(pos[b])], lab[w.beta(pos[a])]))
-        else:
-            out.add((lab[w.alpha(pos[a])], lab[w.beta(pos[b])]))
-    return FSet(lab, frozenset(out))
-
-
 @dataclass(frozen=True, eq=False)
 class LinkGraph:
-    """Bipartite graph on {1..2n}: point i joined to line j+n iff (i,j) in F."""
+    """Bipartite graph on {0..2n-1}: point i joined to line j+n iff (i,j) in
+    F, held as one adjacency bitmask per vertex."""
 
-    labels: tuple
     adj: tuple
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.adj) // 2
 
     def edges(self) -> list:
         out = []
@@ -136,13 +92,11 @@ class LinkGraph:
 
 def from_F(F: FSet) -> LinkGraph:
     n = F.n
-    pos = F.position()
     adj = [0] * (2 * n)
-    for a, b in F.pairs:
-        i, j = pos[a], pos[b] + n
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return LinkGraph(F.labels, tuple(adj))
+    for i, j in F.pairs:
+        adj[i] |= 1 << (j + n)
+        adj[j + n] |= 1 << i
+    return LinkGraph(tuple(adj))
 
 
 def _neighbors(mask):
@@ -246,7 +200,8 @@ def spectral_gap(g: LinkGraph, tol: float = 1e-9) -> float:
 
 
 def is_generalized_mgon(g: LinkGraph, m: int) -> bool:
-    """Connected, biregular, girth 2m, diameter m."""
+    """Connected, biregular, girth 2m, diameter m; backs the claim that
+    each link is a generalized 3-gon (a projective plane)."""
     met = metrics(g)
     return (
         met.connected
@@ -257,8 +212,7 @@ def is_generalized_mgon(g: LinkGraph, m: int) -> bool:
 
 
 def digraph_of(F: FSet):
-    pos = F.position()
-    return arc_masks(F.n, [(pos[a], pos[b]) for a, b in F.pairs])
+    return arc_masks(F.n, F.pairs)
 
 
 def aut_plus(F: FSet) -> PermGroup:
@@ -294,30 +248,16 @@ def aut_full(F: FSet) -> AutFull:
 def graph_automorphisms(g: LinkGraph, colors=None) -> PermGroup:
     """Full automorphism group of the bipartite graph on 2n vertices; maps
     exchanging the sides are allowed.  An optional vertex coloring restricts
-    to the color-preserving subgroup, e.g. to pin down a vertex stabilizer."""
+    to the color-preserving subgroup, e.g. to pin down a vertex stabilizer.
+    Kept as the whole-group oracle for the probe's Q0 in the tests."""
     gens = automorphism_generators(2 * g.n, g.adj, g.adj, colors)
     return bsgs_build(2 * g.n, gens)
 
 
-def f_equivalent(F1: FSet, F2: FSet) -> DiagonalWitness | None:
-    """A diagonal witness sigma with F2 = sigma F1 or F2 = sigma rho F1."""
-    if F1.n != F2.n:
-        return None
-    o2, i2 = digraph_of(F2)
-    o1, i1 = digraph_of(F1)
-    w = find_isomorphism(F1.n, o1, i1, o2, i2)
-    if w is not None:
-        return DiagonalWitness(w, False)
-    o1r, i1r = digraph_of(apply_rho(F1))
-    w = find_isomorphism(F1.n, o1r, i1r, o2, i2)
-    if w is not None:
-        return DiagonalWitness(w, True)
-    return None
-
-
 def f_wreath_equivalent(F1: FSet, F2: FSet) -> WreathWitness | None:
     """A witness in Sym(n) wr Z/2, where the two sides may be permuted
-    independently; weaker than diagonal equivalence."""
+    independently; weaker than diagonal equivalence.  opp_datum checks the
+    coset model against the subspace model with it."""
     if F1.n != F2.n:
         return None
     n = F1.n

@@ -67,7 +67,7 @@ def a2_graph(q):
             if s == zero:
                 adj[i] |= 1 << (n + j)
                 adj[n + j] |= 1 << i
-    graph = LinkGraph(tuple(range(n)), tuple(adj))
+    graph = LinkGraph(tuple(adj))
     return A2Model(q=q, graph=graph, points=pts, lines=pts)
 
 

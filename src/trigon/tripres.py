@@ -105,7 +105,7 @@ def verify(F: FSet, T: TrianglePresentation) -> list[Violation]:
     if F.n != T.n:
         raise ValueError("index sets differ in size")
     out = []
-    for v in _violations(F.position_pairs(), T.triples):
+    for v in _violations(F.pairs, T.triples):
         lab = F.labels if v.axiom == 2 else T.labels
         out.append(Violation(v.axiom, tuple(lab[x] for x in v.data)))
     return out
@@ -152,7 +152,7 @@ def _exact_covers(F: FSet, most_constrained: bool) -> list[tuple]:
     forward along a branch, so a cursor finds it without a rescan.
     """
     n = F.n
-    fpairs = F.position_pairs()
+    fpairs = F.pairs
     pairlist = sorted(fpairs)
     bit = {p: 1 << b for b, p in enumerate(pairlist)}
     cand = [

@@ -1,10 +1,11 @@
 """The label-level presentation code that the position-indexed core replaced,
 kept as the oracle for the label boundary.
 
-A presentation here is a set of label triples over a label list; positions
-are looked up through a label -> position dict at every step, as the old
-TrianglePresentation did.  The functions take trigon presentations and map
-them to labels first, so a test can compare both sides on the same input.
+Here a presentation is a set of label triples and a pair set is a set of
+label pairs, over one label list; positions are looked up through a label ->
+position dict at every step, as the old TrianglePresentation and FSet did.
+The functions take trigon pair sets and presentations and map them to labels
+first, so a test can compare both sides on the same input.
 """
 
 import json
@@ -19,14 +20,20 @@ def label_triples(T):
     return frozenset((lab[i], lab[j], lab[k]) for i, j, k in T.triples)
 
 
+def label_pairs(F):
+    """The pairs of F written in labels."""
+    lab = F.labels
+    return frozenset((lab[i], lab[j]) for i, j in F.pairs)
+
+
 def relabel(T, labels):
     """The same position triples over another label list."""
     return TrianglePresentation(tuple(labels), T.triples)
 
 
 def project_F(T):
-    """The pair set {(i,j) : (i,j,k) in T}, in labels."""
-    return FSet(T.labels, frozenset((a, b) for a, b, _ in label_triples(T)))
+    """The pair set {(i,j) : (i,j,k) in T}, read from label triples."""
+    return FSet.from_labels(T.labels, {(a, b) for a, b, _ in label_triples(T)})
 
 
 def act(T, sigma, use_rho=False):
@@ -61,7 +68,10 @@ def dump_document(F, T, meta):
     blob = {
         "n": len(T.labels),
         "labels": list(T.labels),
-        "F": [list(p) for p in sorted(F.pairs, key=lambda p: (pos[p[0]], pos[p[1]]))],
+        "F": [
+            list(p)
+            for p in sorted(label_pairs(F), key=lambda p: (pos[p[0]], pos[p[1]]))
+        ],
         "T": [list(t) for t in canonical_reps(T.labels, label_triples(T))],
         "meta": meta,
     }
@@ -106,18 +116,22 @@ def export_presentation(T, format):
 
 
 def verify(F, T):
-    """Axiom violations found on label triples through a position dict."""
-    fpairs = F.position_pairs()
+    """Axiom violations found on label pairs and label triples, in position
+    order through a label -> position dict."""
     pos = {a: i for i, a in enumerate(T.labels)}
-    ptrip = {(pos[a], pos[b], pos[c]) for a, b, c in label_triples(T)}
+
+    def key(p):
+        return tuple(pos[a] for a in p)
+
+    lpairs = label_pairs(F)
+    ltrip = label_triples(T)
     out = []
-    for t in sorted(ptrip):
-        i, j, k = t
-        if (i, j) not in fpairs:
-            out.append(Violation(1, tuple(T.labels[x] for x in t)))
-        if (j, k, i) not in ptrip:
-            out.append(Violation(3, tuple(T.labels[x] for x in t)))
-    for i, j in sorted(fpairs):
-        if sum(1 for t in ptrip if t[:2] == (i, j)) != 1:
-            out.append(Violation(2, (F.labels[i], F.labels[j])))
+    for a, b, c in sorted(ltrip, key=key):
+        if (a, b) not in lpairs:
+            out.append(Violation(1, (a, b, c)))
+        if (b, c, a) not in ltrip:
+            out.append(Violation(3, (a, b, c)))
+    for p in sorted(lpairs, key=key):
+        if sum(1 for t in ltrip if t[:2] == p) != 1:
+            out.append(Violation(2, p))
     return out

@@ -46,10 +46,10 @@ from trigon.tripres import (
 GAP_TOL = 1e-6
 EIG_TOL = 1e-8
 
-ALT_F = FSet.on_range(
-    4, [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+ALT_F = FSet.from_labels(
+    range(1, 5), [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
 )
-SQUARE_F = FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 Q5_BASELINES = {
@@ -161,8 +161,7 @@ def test_08_coset_model_matches_subspace_model():
     for q in (2, 3, 4):
         g = opp_graph_building(q)
         building_f = FSet(
-            g.labels,
-            frozenset((g.labels[v], g.labels[w - g.n]) for v, w in g.edges()),
+            tuple(range(g.n)), frozenset((v, w - g.n) for v, w in g.edges())
         )
         assert f_wreath_equivalent(opp_datum(q).F(), building_f) is not None
         assert incidence_model_checks(q) is True
@@ -245,8 +244,8 @@ def test_13_structural_property_suite():
         m = rng.randrange(5, 10)
         s = rng.sample(range(1, m), rng.randrange(2, 4))
         fsets.append(
-            FSet.on_range(
-                m, [(x, (x + a) % m) for x in range(m) for a in s], start=0
+            FSet.from_labels(
+                range(m), [(x, (x + a) % m) for x in range(m) for a in s]
             )
         )
     productive = 0
@@ -268,7 +267,7 @@ def test_13_structural_property_suite():
     sq = [(1, 1), (1, 2), (2, 1), (2, 2)]
     for k in (1, 2, 3):
         pairs = [(i + 2 * c, j + 2 * c) for c in range(k) for i, j in sq]
-        g = from_F(FSet.on_range(2 * k, pairs))
+        g = from_F(FSet.from_labels(range(1, 2 * k + 1), pairs))
         lam = np.linalg.eigvalsh(normalized_laplacian(g))
         assert int(np.sum(np.abs(lam) < EIG_TOL)) == k
         assert metrics(g).connected is (k == 1)

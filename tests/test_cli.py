@@ -129,6 +129,27 @@ def test_verify_paths(capsys, square_path, tmp_path):
     assert "axiom 2 (uniqueness)" in out
 
 
+def test_lenient_warning_is_one_stderr_line(tmp_path):
+    """A lenient parse that closes the triple list says so in one 'trigon
+    <cmd>: warning:' line, free of source paths and line numbers."""
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({**SQUARE_BLOB, "T": [[1, 1, 2], [1, 2, 1], [2, 2, 2]]}))
+    for cmd, out in (
+        ("verify", "ok\n"),
+        ("enumerate", "2 presentations, 1 isomorphism classes\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trigon.cli", cmd, "--from-json", str(path),
+             "--lenient"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, out)
+        assert proc.stderr == (
+            f"trigon {cmd}: warning: triple list was not rotation-closed; "
+            "closing it\n"
+        )
+
+
 def test_opp_checklist(capsys):
     code, out, _ = invoke(capsys, ["opp", "--q", "2"])
     assert code == 0

@@ -1,8 +1,11 @@
 """Document schema round-trips, strict and lenient parse modes."""
 
 import json
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from label_oracle import project_F
 
 from trigon.catalog import table
@@ -16,7 +19,7 @@ from trigon.documents import (
 from trigon.linkgraph import FSet
 from trigon.tripres import TrianglePresentation
 
-SQUARE_F = FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 
@@ -97,6 +100,7 @@ def test_labels_default_to_one_based_range():
         ({"n": 1, "labels": [1], "F": [], "T": [[1, 1]]}, "T[0]"),
         ({"n": 1, "labels": [1], "F": [], "T": [[1, 1, 2]]}, "T[0]"),
         ({"n": 1, "labels": [1], "F": [], "T": [], "meta": 3}, "meta"),
+        ({"n": 10**30, "F": [], "T": []}, "without a label list"),
     ],
 )
 def test_parse_errors_name_the_location(blob, needle):
@@ -124,3 +128,73 @@ def test_json_booleans_are_not_integers(blob, needle):
     with pytest.raises(ParseError) as err:
         parse_document(json.dumps(blob))
     assert needle in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trip_over_shuffled_labels(data):
+    """Random position pairs and rotation-closed position triples over a
+    label list that is not 1..n come back from dump and parse unchanged."""
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    labels = data.draw(
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True)
+    )
+    assume(labels != list(range(1, n + 1)))
+    pos = st.integers(min_value=0, max_value=n - 1)
+    pairs = data.draw(st.frozensets(st.tuples(pos, pos)))
+    seeds = data.draw(st.frozensets(st.tuples(pos, pos, pos), max_size=8))
+    triples = frozenset(
+        r for i, j, k in seeds for r in ((i, j, k), (j, k, i), (k, i, j))
+    )
+    doc = Document(
+        F=FSet(tuple(labels), pairs),
+        T=TrianglePresentation(tuple(labels), triples),
+        meta={"seed": len(seeds)},
+    )
+    back = parse_document(dump_document(doc))
+    assert back.F.pairs == pairs and back.T.triples == triples
+    assert back == doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+DELETE = object()
+# lists of short integer lists, so that pairs and triples with unknown
+# labels, wrong lengths and duplicates come up often
+NEAR_ENTRIES = st.lists(
+    st.lists(st.integers(min_value=-1, max_value=4), max_size=4), max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    replaced=st.dictionaries(
+        st.sampled_from(["n", "labels", "F", "T", "meta"]),
+        st.one_of(st.just(DELETE), JSON_VALUES, NEAR_ENTRIES),
+        min_size=1,
+    ),
+    strict=st.booleans(),
+)
+def test_malformed_documents_raise_parse_error(replaced, strict):
+    """Random JSON values in place of the document's keys, or the keys
+    deleted, either parse or raise ParseError, never another exception."""
+    blob = {
+        "n": 3, "labels": [2, 4, 3],
+        "F": [[2, 4], [4, 3], [3, 2]], "T": [[2, 4, 3]], "meta": {},
+    }
+    for key, value in replaced.items():
+        if value is DELETE:
+            del blob[key]
+        else:
+            blob[key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            parse_document(json.dumps(blob), strict=strict)
+        except ParseError:
+            pass

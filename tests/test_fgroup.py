@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from trigon.fgroup import (
     FiniteGroup,
     NonAbelianGroup,
-    UnknownDescriptor,
     abelian_type,
-    group_descriptor,
-    group_from_descriptor,
     group_violations,
     make_cyclic,
     make_opp_group,
@@ -189,21 +186,6 @@ def test_mu_rejects_nonabelian():
 def test_table_group_axioms():
     s3 = table_group(3, [Perm((1, 0, 2)), Perm((1, 2, 0))])
     assert group_violations(s3) == []
-    with pytest.raises(UnknownDescriptor):
-        group_descriptor(s3)
-
-
-def test_descriptor_roundtrip():
-    for g in [make_cyclic(21), make_opp_group(4)]:
-        d = group_descriptor(g)
-        h = group_from_descriptor(d)
-        assert h.n == g.n and h.labels == g.labels
-    assert group_descriptor(make_opp_group(3)) == {
-        "kind": "opp",
-        "params": {"q": 3},
-    }
-    with pytest.raises(UnknownDescriptor):
-        group_from_descriptor({"kind": "free", "params": {}})
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """The label boundary of the position-indexed core: documents, tables,
-exports and verify's violation data against the label-level oracle, on
-label lists that are not range(n)."""
+exports and verify's violation data against the label-level oracle, and the
+document commands on one label list against another, on label lists that
+are not range(n)."""
 
 import json
 import random
@@ -26,9 +27,11 @@ def first_choice(datum):
 def broken_singer_q2():
     """The all-plus q = 2 presentation with one triple dropped, so one
     rotation loses its successor and one pair its third, plus a triple on
-    a pair outside F."""
+    a pair outside F and a second third for one pair of F, which stays
+    broken when a document closes the set."""
     t = first_choice(singer_datum(2))
-    kept = sorted(t.triples)[1:] + [(0, 0, 0)]
+    i, j, k = sorted(t.triples)[1]
+    kept = sorted(t.triples)[1:] + [(0, 0, 0), (i, j, (k + 1) % 7)]
     return TrianglePresentation(t.labels, frozenset(kept))
 
 
@@ -67,8 +70,8 @@ def case(name, kind):
     labels = label_lists(base.n)[kind]
     T = oracle.relabel(base, labels)
     if name in PAIR_SETS:
-        pairs = PAIR_SETS[name]().position_pairs()
-        F = FSet(T.labels, frozenset((labels[i], labels[j]) for i, j in pairs))
+        pairs = PAIR_SETS[name]().pairs
+        F = FSet.from_labels(labels, [(labels[i], labels[j]) for i, j in pairs])
     else:
         F = oracle.project_F(T)
     return F, T
@@ -105,6 +108,58 @@ def test_documents_parse_back_to_positions(name, kind):
     assert doc.F == F and doc.labels == T.labels
     closed = TrianglePresentation.from_labels(T.labels, oracle.label_triples(T))
     assert doc.T == closed
+
+
+def write_document(tmp_path, name, kind):
+    F, T = case(name, kind)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(dump_document(Document(F=F, T=T, meta={"case": name})))
+    return path
+
+
+LABEL_FREE_COMMANDS = [
+    ["graph"],
+    ["graph", "--metrics"],
+    ["graph", "--format", "json", "--metrics"],
+    ["enumerate"],
+    ["classify"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_label_free_commands_ignore_the_label_list(tmp_path, capsys, name):
+    """Commands that print no label give the same exit code and stdout on
+    the document over labels 1..n and over a shuffled label list."""
+    paths = [
+        write_document(tmp_path, name, kind) for kind in ("one-based", "shuffled")
+    ]
+    for args in LABEL_FREE_COMMANDS:
+        seen = []
+        for path in paths:
+            code = run(args + ["--from-json", str(path)])
+            seen.append((code, capsys.readouterr().out))
+        assert seen[0] == seen[1], args
+
+
+AXIOM_NAMES = {1: "projection", 2: "uniqueness", 3: "rotation"}
+
+
+@pytest.mark.parametrize("name, kind", cases())
+def test_verify_command_prints_the_oracle_violations(tmp_path, capsys, name, kind):
+    """verify --from-json prints the label oracle's violations of the parsed
+    document, in labels."""
+    path = write_document(tmp_path, name, kind)
+    doc = parse_document(path.read_text())
+    want = oracle.verify(doc.F, doc.T)
+    assert bool(want) == (name in PAIR_SETS)
+    if want:
+        assert {v.axiom for v in want} >= {1, 2}
+    text = "".join(
+        f"axiom {v.axiom} ({AXIOM_NAMES[v.axiom]}) violated at {v.data}\n"
+        for v in want
+    )
+    assert run(["verify", "--from-json", str(path)]) == (1 if want else 0)
+    assert capsys.readouterr().out == (text or "ok\n")
 
 
 FAMILIES = [

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trigon.autosearch import find_isomorphism
 from trigon.linkgraph import (
     Disconnected,
     FSet,
     LinkGraph,
-    apply_diagonal,
+    WreathWitness,
     apply_rho,
-    apply_wreath,
     aut_full,
     aut_plus,
+    digraph_of,
     export_edge_list,
-    f_equivalent,
     f_wreath_equivalent,
     from_F,
     graph_automorphisms,
@@ -33,19 +33,19 @@ from trigon.permgrp import Perm
 
 def singer_f_q2():
     """Pairs (x, x+s) mod 7 with s in {1,2,4}; the Heawood graph."""
-    return FSet.on_range(
-        7, [(x, (x + s) % 7) for x in range(7) for s in (1, 2, 4)], start=0
+    return FSet.from_labels(
+        range(7), [(x, (x + s) % 7) for x in range(7) for s in (1, 2, 4)]
     )
 
 
 def square_f():
-    return FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+    return FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 
 
 def cycle8_f():
-    return FSet.on_range(
-        4, [(x, x) for x in range(4)] + [(x, (x + 1) % 4) for x in range(4)],
-        start=0,
+    return FSet.from_labels(
+        range(4),
+        [(x, x) for x in range(4)] + [(x, (x + 1) % 4) for x in range(4)],
     )
 
 
@@ -61,7 +61,7 @@ def a2_subspace_model(p):
         for j, f in enumerate(norm)
         if sum(a * b for a, b in zip(v, f)) % p == 0
     ]
-    return FSet.on_range(len(norm), pairs)
+    return FSet.from_labels(range(1, len(norm) + 1), pairs)
 
 
 def _neighbors(mask):
@@ -122,7 +122,7 @@ def graph_of_edges(n_vertices, edges):
     for v, w in edges:
         adj[v] |= 1 << w
         adj[w] |= 1 << v
-    return LinkGraph(tuple(range(n_vertices // 2)), tuple(adj))
+    return LinkGraph(tuple(adj))
 
 
 def check_against_oracle(g):
@@ -131,19 +131,32 @@ def check_against_oracle(g):
     return met
 
 
-def check_diag_witness(F1, F2, w):
-    base = apply_rho(F1) if w.used_rho else F1
-    assert apply_diagonal(base, w.sigma) == F2
+def diagonal(F, sigma):
+    """sigma F = {(sigma i, sigma j)}, on positions."""
+    return FSet(F.labels, frozenset((sigma(i), sigma(j)) for i, j in F.pairs))
+
+
+def wreath(F, w):
+    """{(alpha i, beta j)} over (i,j) in F, or (j,i) when swapped."""
+    pairs = {(j, i) for i, j in F.pairs} if w.swapped else F.pairs
+    return FSet(F.labels, frozenset((w.alpha(i), w.beta(j)) for i, j in pairs))
+
+
+def isomorphism(F1, F2):
+    """A sigma with sigma F1 = F2, searched on the two pair digraphs."""
+    return find_isomorphism(F1.n, *digraph_of(F1), *digraph_of(F2))
 
 
 def test_fset_validation():
-    with pytest.raises(ValueError):
-        FSet((1, 1, 2), frozenset())
-    with pytest.raises(ValueError):
-        FSet.on_range(2, [(1, 3)])
+    with pytest.raises(ValueError, match="duplicate labels"):
+        FSet.from_labels((1, 1, 2), [])
+    with pytest.raises(ValueError, match="unknown labels"):
+        FSet.from_labels((1, 2), [(1, 3)])
     f = square_f()
     assert f.n == 2
-    assert f.sorted_pairs() == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert f.pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    shuffled = FSet.from_labels((9, 3, 5), [(5, 9), (3, 3)])
+    assert shuffled.pairs == {(2, 0), (1, 1)}
 
 
 def test_square_gives_four_cycle():
@@ -156,7 +169,7 @@ def test_square_gives_four_cycle():
 
 
 def test_empty_f():
-    f = FSet.on_range(3, [])
+    f = FSet.from_labels((1, 2, 3), [])
     g = from_F(f)
     met = metrics(g)
     assert not met.connected
@@ -167,7 +180,7 @@ def test_empty_f():
 
 
 def test_single_edge():
-    g = from_F(FSet.on_range(1, [(1, 1)]))
+    g = from_F(FSet.from_labels((1,), [(1, 1)]))
     met = metrics(g)
     assert met.connected and met.diameter == 1 and met.girth == math.inf
     assert spectral_gap(g) == pytest.approx(2.0, abs=1e-9)
@@ -193,13 +206,13 @@ def test_heawood_rho_part():
     af = aut_full(f)
     assert af.has_rho_part
     assert af.order == 42
-    assert apply_diagonal(apply_rho(f), af.witness) == f
+    assert diagonal(apply_rho(f), af.witness) == f
 
 
 def test_aut_plus_generators_stabilize():
     f = singer_f_q2()
     for g in aut_plus(f).generators:
-        assert apply_diagonal(f, g) == f
+        assert diagonal(f, g) == f
 
 
 def test_cycle8():
@@ -212,7 +225,7 @@ def test_cycle8():
 
 
 def test_laplacian_zero_multiplicity_counts_components():
-    f = FSet.on_range(2, [(1, 1), (2, 2)])
+    f = FSet.from_labels((1, 2), [(1, 1), (2, 2)])
     ev = np.linalg.eigvalsh(normalized_laplacian(from_F(f)))
     assert sum(1 for x in ev if abs(x) < 1e-9) == 2
     with pytest.raises(Disconnected):
@@ -239,26 +252,25 @@ def test_rho_swaps_sides():
 
 def test_f_equivalent_self_is_identity():
     f = singer_f_q2()
-    w = f_equivalent(f, f)
-    assert w is not None and not w.used_rho
-    assert w.sigma.is_identity()
+    w = isomorphism(f, f)
+    assert w is not None and w.is_identity()
 
 
 def test_f_equivalent_after_relabelling():
     f = singer_f_q2()
     sigma = Perm((3, 0, 5, 1, 6, 2, 4))
-    w = f_equivalent(f, apply_diagonal(f, sigma))
-    assert w is not None
-    check_diag_witness(f, apply_diagonal(f, sigma), w)
-    wr = f_equivalent(f, apply_diagonal(apply_rho(f), sigma))
-    assert wr is not None
-    check_diag_witness(f, apply_diagonal(apply_rho(f), sigma), wr)
+    for base in (f, apply_rho(f)):
+        target = diagonal(base, sigma)
+        w = isomorphism(base, target)
+        assert w is not None
+        assert diagonal(base, w) == target
 
 
 def test_f_equivalent_distinguishes():
     f = square_f()
-    other = FSet.on_range(2, [(1, 1), (1, 2), (2, 1)])
-    assert f_equivalent(f, other) is None
+    other = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1)])
+    assert isomorphism(f, other) is None
+    assert isomorphism(apply_rho(f), other) is None
     assert f_wreath_equivalent(f, other) is None
 
 
@@ -267,22 +279,13 @@ def test_singer_vs_subspace_model_wreath():
     m = a2_subspace_model(2)
     w = f_wreath_equivalent(f, m)
     assert w is not None
-    assert apply_wreath(f, w).position_pairs() == m.position_pairs()
+    assert wreath(f, w).pairs == m.pairs
 
 
 def test_export_edge_list():
     text = export_edge_list(from_F(square_f()))
     assert text == "1 3\n1 4\n2 3\n2 4\n"
-    assert export_edge_list(from_F(FSet.on_range(1, []))) == ""
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_diagonal_action_composes(data):
-    f = singer_f_q2()
-    a = Perm(tuple(data.draw(st.permutations(range(7)))))
-    b = Perm(tuple(data.draw(st.permutations(range(7)))))
-    assert apply_diagonal(apply_diagonal(f, a), b) == apply_diagonal(f, a * b)
+    assert export_edge_list(from_F(FSet.from_labels((1,), []))) == ""
 
 
 @settings(max_examples=25, deadline=None)
@@ -292,12 +295,10 @@ def test_wreath_equivalence_of_random_relabellings(data):
     alpha = Perm(tuple(data.draw(st.permutations(range(4)))))
     beta = Perm(tuple(data.draw(st.permutations(range(4)))))
     swapped = data.draw(st.booleans())
-    from trigon.linkgraph import WreathWitness
-
-    target = apply_wreath(f, WreathWitness(alpha, beta, swapped))
+    target = wreath(f, WreathWitness(alpha, beta, swapped))
     w = f_wreath_equivalent(f, target)
     assert w is not None
-    assert apply_wreath(f, w) == target
+    assert wreath(f, w) == target
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,7 +312,7 @@ def test_wreath_equivalence_of_random_relabellings(data):
 @example(n=4, cells={(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3)})
 def test_metrics_match_oracle_on_random_pair_sets(n, cells):
     pairs = {(a, b) for a, b in cells if a <= n and b <= n}
-    check_against_oracle(from_F(FSet.on_range(n, pairs)))
+    check_against_oracle(from_F(FSet.from_labels(range(1, n + 1), pairs)))
 
 
 @pytest.mark.parametrize(

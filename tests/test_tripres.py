@@ -35,16 +35,16 @@ from trigon.tripres import (
     verify,
 )
 
-SQUARE_F = FSet.on_range(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
-ALT_F = FSet.on_range(
-    4, [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+ALT_F = FSet.from_labels(
+    range(1, 5), [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
 )
 
 
 def singer_f_q2():
-    return FSet.on_range(
-        7, [(x, (x + s) % 7) for x in range(7) for s in (1, 2, 4)], start=0
+    return FSet.from_labels(
+        range(7), [(x, (x + s) % 7) for x in range(7) for s in (1, 2, 4)]
     )
 
 
@@ -78,7 +78,7 @@ def test_rotation_closure_and_reps():
 
 
 def test_rotation_open_set_fails_axiom_three():
-    f = FSet.on_range(3, [(1, 2), (2, 3), (3, 1)])
+    f = FSet.from_labels((1, 2, 3), [(1, 2), (2, 3), (3, 1)])
     t = TrianglePresentation((1, 2, 3), frozenset({(0, 1, 2)}))
     assert t.triples == {(0, 1, 2)}
     assert verify(f, t) == [
@@ -94,7 +94,7 @@ def test_verify_square():
 
 
 def test_verify_projection_axiom():
-    f = FSet.on_range(3, [(1, 2), (2, 3), (3, 1)])
+    f = FSet.from_labels((1, 2, 3), [(1, 2), (2, 3), (3, 1)])
     t = TrianglePresentation.from_labels((1, 2, 3), [(1, 3, 2)])
     bad = verify(f, t)
     assert any(v.axiom == 1 for v in bad)
@@ -103,7 +103,7 @@ def test_verify_projection_axiom():
 def test_project_f():
     assert project_F(SQUARE_T) == SQUARE_F
     empty = TrianglePresentation((1, 2), frozenset())
-    assert project_F(empty) == FSet.on_range(2, [])
+    assert project_F(empty) == FSet((1, 2), frozenset())
 
 
 def test_act_rho_fixes_square_t():
@@ -126,7 +126,7 @@ def test_enumerate_alt():
 
 
 def test_enumerate_no_presentation():
-    f = FSet.on_range(2, [(1, 1), (2, 1), (2, 2)])
+    f = FSet.from_labels((1, 2), [(1, 1), (2, 1), (2, 2)])
     assert enumerate_all(f) == []
     assert classify(f) == []
 
@@ -200,7 +200,7 @@ def test_build_from_lambda_klein_matches_alt():
     g = klein_group()
     t = build_from_lambda(g, [1, 2, 3], {1: 2, 2: 3, 3: 1})
     f = project_F(t)
-    assert f.position_pairs() == ALT_F.position_pairs()
+    assert f.pairs == ALT_F.pairs
     t1 = enumerate_all(ALT_F)[0]
     assert isomorphic_T(f, t, ALT_F, t1) is not None
 
@@ -345,7 +345,7 @@ def test_enumerate_matches_brute_force(data):
             unique=True,
         )
     )
-    f = FSet.on_range(n, pairs)
+    f = FSet.from_labels(range(1, n + 1), pairs)
     out = sorted((t.triples for t in enumerate_all(f)), key=sorted)
     assert out == brute_presentations(f)
 
@@ -368,7 +368,7 @@ def oracle_enumerate(f, most_constrained=False):
     """The set-based exact-cover DFS that enumerate_all replaced: it rebuilds
     the list of free pairs at every node and tests conflicts pair by pair."""
     n = f.n
-    fpairs = f.position_pairs()
+    fpairs = f.pairs
     pairlist = sorted(fpairs)
     cand = {
         (i, j): [k for k in range(n) if (j, k) in fpairs and (k, i) in fpairs]
