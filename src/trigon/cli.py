@@ -7,7 +7,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,13 @@ from .exoticity import (
     exotic_certificate,
     exotic_lower_bounds,
 )
-from .ffield import NotPrimitive, factor_prime_power
+from .ffield import (
+    DegreeMismatch,
+    NotPrime,
+    NotPrimitive,
+    ReduciblePolynomial,
+    factor_prime_power,
+)
 from .grouptools import export_presentation
 from .linkgraph import export_edge_list, from_F, metrics, normalized_laplacian
 from .oppmodel import BadCongruence, opp_datum, opp_properties
@@ -27,33 +32,13 @@ from .singer import quad_datum, singer_datum
 from .tripres import (
     CheckFailed,
     KappaSpecError,
+    SearchTooLarge,
     _classify,
     classify,
     enumerate_all,
     format_table,
     verify,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; everything downstream is deterministic."""
-
-    subcommand: str
-    q: int | None = None
-    modulus: tuple | None = None
-    kappa: str | None = None
-    all_kappa: bool = False
-    format: str = "table"
-    out: str | None = None
-    which: int | None = None
-    from_json: str | None = None
-    lenient: bool = False
-    most_constrained: bool = False
-    bounds: bool = False
-    check: bool = False
-    show_metrics: bool = False
-    spectrum: bool = False
 
 
 def parse_kappa_spec(text, family):
@@ -105,7 +90,7 @@ def _present_one(T, meta, fmt):
     if fmt == "table":
         return format_table(T)
     if fmt == "gap":
-        return export_presentation(T, "gap-like")
+        return export_presentation(T, "gap")
     return json.dumps(_document_blob(T, meta), sort_keys=True, indent=2) + "\n"
 
 
@@ -125,27 +110,27 @@ def _present_family(model, q, entries, fmt):
     return "\n".join(parts)
 
 
-def _family_output(model, q, family, cfg):
-    if cfg.all_kappa:
+def _family_output(model, q, family, args):
+    if args.all_kappa:
         entries = [(kappa_spec_of(k), family.build(k)) for k in family.choices()]
-        return _present_family(model, q, entries, cfg.format)
-    kappa = parse_kappa_spec(cfg.kappa or "+1", family)
+        return _present_family(model, q, entries, args.format)
+    kappa = parse_kappa_spec(args.kappa or "+1", family)
     meta = {"model": model, "q": q, "kappa": kappa_spec_of(kappa)}
-    return _present_one(family.build(kappa), meta, cfg.format)
+    return _present_one(family.build(kappa), meta, args.format)
 
 
-def _cmd_tables(cfg):
-    return 0, TABLE_TEXTS[cfg.which]
+def _cmd_tables(args):
+    return 0, TABLE_TEXTS[args.which]
 
 
-def _cmd_singer(cfg):
-    d = singer_datum(cfg.q, cfg.modulus)
-    return 0, _family_output("singer", d.q, d.signs(), cfg)
+def _cmd_singer(args):
+    d = singer_datum(args.q, args.modulus)
+    return 0, _family_output("singer", d.q, d.signs(), args)
 
 
-def _cmd_quad(cfg):
-    d = quad_datum(cfg.q, cfg.modulus)
-    return 0, _family_output("quad", d.q, d.signs(), cfg)
+def _cmd_quad(args):
+    d = quad_datum(args.q, args.modulus)
+    return 0, _family_output("quad", d.q, d.signs(), args)
 
 
 def _fmt_value(v):
@@ -154,9 +139,9 @@ def _fmt_value(v):
     return str(v)
 
 
-def _cmd_opp(cfg):
-    if cfg.check or (cfg.kappa is None and not cfg.all_kappa):
-        report = opp_properties(cfg.q)
+def _cmd_opp(args):
+    if args.check or (args.kappa is None and not args.all_kappa):
+        report = opp_properties(args.q)
         lines = [f"opposition model q = {report.q}"]
         for name, want, got, ok in report.rows:
             lines.append(
@@ -165,19 +150,19 @@ def _cmd_opp(cfg):
             )
         lines.append(f"zuk gap > 1/2: {report.zuk}")
         return (0 if report.ok else 1), "\n".join(lines) + "\n"
-    d = opp_datum(cfg.q)
-    return 0, _family_output("opp", d.q, d.signs(), cfg)
+    d = opp_datum(args.q)
+    return 0, _family_output("opp", d.q, d.signs(), args)
 
 
-def _cmd_enumerate(cfg):
-    doc = load_document(cfg.from_json, strict=not cfg.lenient)
-    found = enumerate_all(doc.F, most_constrained=cfg.most_constrained)
+def _cmd_enumerate(args):
+    doc = load_document(args.from_json, strict=not args.lenient)
+    found = enumerate_all(doc.F)
     classes = _classify(doc.F, found)
     return 0, f"{len(found)} presentations, {len(classes)} isomorphism classes\n"
 
 
-def _cmd_classify(cfg):
-    doc = load_document(cfg.from_json, strict=not cfg.lenient)
+def _cmd_classify(args):
+    doc = load_document(args.from_json, strict=not args.lenient)
     classes = classify(doc.F)
     lines = []
     total = 0
@@ -191,8 +176,8 @@ def _cmd_classify(cfg):
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_verify(cfg):
-    doc = load_document(cfg.from_json, strict=not cfg.lenient)
+def _cmd_verify(args):
+    doc = load_document(args.from_json, strict=not args.lenient)
     violations = verify(doc.F, doc.T)
     if not violations:
         return 0, "ok\n"
@@ -204,25 +189,25 @@ def _cmd_verify(cfg):
     return 1, "\n".join(lines) + "\n"
 
 
-def _cmd_exotic(cfg):
-    if not (cfg.kappa or cfg.all_kappa or cfg.bounds):
+def _cmd_exotic(args):
+    if not (args.kappa or args.all_kappa or args.bounds):
         raise KappaSpecError("pass --kappa, --all-kappa, or --bounds")
     out = {}
-    if cfg.bounds:
-        _, e = factor_prime_power(cfg.q)
-        b = exotic_lower_bounds(cfg.q, e)
+    if args.bounds:
+        _, e = factor_prime_power(args.q)
+        b = exotic_lower_bounds(args.q, e)
         out["bounds"] = {
             "exotic_kappa_lower": b.exotic_kappa_lower,
             "qi_class_lower": str(b.qi_class_lower),
             "vacuous": b.vacuous,
         }
-    if cfg.kappa or cfg.all_kappa:
-        d = singer_datum(cfg.q, cfg.modulus)
+    if args.kappa or args.all_kappa:
+        d = singer_datum(args.q, args.modulus)
         family = d.signs()
-        if cfg.all_kappa:
+        if args.all_kappa:
             kappas = family.choices()
         else:
-            kappas = [parse_kappa_spec(cfg.kappa, family)]
+            kappas = [parse_kappa_spec(args.kappa, family)]
         probe = build_probe(d)
         certs = [exotic_certificate(probe, k) for k in kappas]
         blobs = [
@@ -240,26 +225,25 @@ def _cmd_exotic(cfg):
     return 0, json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_export(cfg):
-    doc = load_document(cfg.from_json, strict=not cfg.lenient)
-    if cfg.format == "table":
+def _cmd_export(args):
+    doc = load_document(args.from_json, strict=not args.lenient)
+    if args.format == "table":
         return 0, format_table(doc.T)
-    target = "gap-like" if cfg.format == "gap" else "json"
-    return 0, export_presentation(doc.T, target)
+    return 0, export_presentation(doc.T, args.format)
 
 
 def _json_extent(v):
     return "inf" if v == math.inf else v
 
 
-def _cmd_graph(cfg):
-    doc = load_document(cfg.from_json, strict=not cfg.lenient)
+def _cmd_graph(args):
+    doc = load_document(args.from_json, strict=not args.lenient)
     g = from_F(doc.F)
-    met = metrics(g) if cfg.show_metrics else None
+    met = metrics(g) if args.show_metrics else None
     eigs = None
-    if cfg.spectrum:
+    if args.spectrum:
         eigs = [round(float(x), 8) for x in np.linalg.eigvalsh(normalized_laplacian(g))]
-    if cfg.format == "json":
+    if args.format == "json":
         blob = {
             "points": g.n,
             "vertices": 2 * g.n,
@@ -345,7 +329,6 @@ def _build_parser():
 
     p = sub.add_parser("enumerate", help="count presentations and classes")
     p.add_argument("--from-json", required=True)
-    p.add_argument("--most-constrained", action="store_true")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("-o", "--out")
 
@@ -385,21 +368,15 @@ def _build_parser():
     return ap
 
 
-def _config_of(args):
-    fields = RunConfig.__dataclass_fields__
-    picked = {k: v for k, v in vars(args).items() if k in fields}
-    return RunConfig(**picked)
-
-
-def _dispatch(cfg):
+def _dispatch(args):
     """Run the handler; a warning it raises becomes one 'trigon <cmd>:
     warning:' line on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _HANDLERS[cfg.subcommand](cfg)
+            return _HANDLERS[args.subcommand](args)
         finally:
             for w in caught:
-                print(f"trigon {cfg.subcommand}: warning: {w.message}",
+                print(f"trigon {args.subcommand}: warning: {w.message}",
                       file=sys.stderr)
 
 
@@ -409,18 +386,18 @@ def run(argv):
         args = _build_parser().parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
-    cfg = _config_of(args)
     try:
-        code, text = _dispatch(cfg)
-    except (ParseError, KappaSpecError, BadCongruence, NotPrimitive,
-            FileNotFoundError, ValueError) as err:
-        print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
+        code, text = _dispatch(args)
+    except (ParseError, KappaSpecError, BadCongruence, NotPrime,
+            ReduciblePolynomial, DegreeMismatch, NotPrimitive, SearchTooLarge,
+            FileNotFoundError) as err:
+        print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
     except (ProbeCheckFailed, CheckFailed) as err:
-        print(f"trigon {cfg.subcommand}: {err}", file=sys.stderr)
+        print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 1
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

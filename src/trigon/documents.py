@@ -51,7 +51,8 @@ def document_blob(T: TrianglePresentation, pairs, meta: dict) -> dict:
 
 
 def dump_document(doc: Document) -> str:
-    """Canonical text: labels explicit, pairs sorted, one triple per orbit."""
+    """Canonical text: labels explicit, pairs sorted, one triple per orbit.
+    Kept as the writer the document round-trip tests read back."""
     blob = document_blob(doc.T, doc.F.pairs, doc.meta)
     return json.dumps(blob, sort_keys=True, indent=2) + "\n"
 
@@ -137,4 +138,8 @@ def parse_document(text: str, strict: bool = True) -> Document:
 
 def load_document(path, strict: bool = True) -> Document:
     with open(path) as fh:
-        return parse_document(fh.read(), strict=strict)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(str(err)) from None
+    return parse_document(text, strict=strict)

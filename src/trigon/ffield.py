@@ -234,16 +234,6 @@ def conway_polynomial(p: int, n: int) -> tuple[int, ...]:
     raise RuntimeError(f"no candidate found for p={p} n={n}")
 
 
-def all_primitive_polynomials(p: int, e: int) -> list[tuple[int, ...]]:
-    """Every monic primitive polynomial of degree e over GF(p)."""
-    out = []
-    for tail in product(range(p), repeat=e):
-        f = tuple(tail) + (1,)
-        if poly_is_primitive(f, p):
-            out.append(f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -401,6 +391,8 @@ def make_field(p: int, e: int, modulus=None) -> FieldSpec:
 
 
 def multiplicative_order(x: FieldElement) -> int:
+    """Order of x in the multiplicative group; kept as the tests' oracle for
+    poly_is_primitive."""
     if x.is_zero():
         raise ZeroElement("zero has no multiplicative order")
     n = x.field.order - 1
@@ -409,13 +401,6 @@ def multiplicative_order(x: FieldElement) -> int:
         while order % r == 0 and (x ** (order // r)) == x.field.one():
             order //= r
     return order
-
-
-def is_primitive(x: FieldElement) -> bool:
-    """Whether x generates the multiplicative group of its field."""
-    if x.is_zero():
-        raise ZeroElement("zero cannot be primitive")
-    return multiplicative_order(x) == x.field.order - 1
 
 
 def trace_to_subfield(x: FieldElement, q: int) -> FieldElement:

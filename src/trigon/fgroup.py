@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Callable
 
-from .ffield import factor_prime_power, make_field, prime_factors
+from .ffield import factor_prime_power, make_field
 from .permgrp import Perm
 
 
@@ -22,27 +21,7 @@ class FiniteGroup:
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]
     id: int
-    labels: tuple[str, ...]
-    kind: str | None = None
     abelian: bool | None = None
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        out = self.id
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
-
-    def element_order(self, a: int) -> int:
-        k, b = 1, a
-        while b != self.id:
-            b = self.mul(b, a)
-            k += 1
-        return k
 
     def is_abelian(self) -> bool:
         if self.abelian is not None:
@@ -54,8 +33,7 @@ class FiniteGroup:
         )
 
     def __repr__(self):
-        tag = self.kind or "table"
-        return f"FiniteGroup({tag}, n={self.n})"
+        return f"FiniteGroup(n={self.n})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +77,6 @@ def make_cyclic(m: int) -> FiniteGroup:
         mul=lambda a, b: (a + b) % m,
         inv=lambda a: (-a) % m,
         id=0,
-        labels=tuple(str(i) for i in range(m)),
-        kind="cyclic",
         abelian=True,
     )
 
@@ -130,14 +106,11 @@ def make_opp_group(q: int) -> FiniteGroup:
         ]
         table.append(row)
         invs[a] = row.index(0)
-    labels = tuple(f"({a // q},{a % q})" for a in range(n))
     return FiniteGroup(
         n=n,
         mul=lambda a, b: table[a][b],
         inv=lambda a: invs[a],
         id=0,
-        labels=labels,
-        kind="opp",
         abelian=True,
     )
 
@@ -178,68 +151,3 @@ def mu_permutation(G: FiniteGroup) -> Perm:
     if not G.is_abelian():
         raise NonAbelianGroup("inversion is only an automorphism when abelian")
     return Perm(tuple(G.inv(a) for a in range(G.n)))
-
-
-def abelian_type(G: FiniteGroup) -> tuple[int, ...]:
-    """Primary decomposition of an abelian group as a sorted tuple of prime
-    powers, e.g. (3, 7) for Z/21."""
-    if not G.is_abelian():
-        raise NonAbelianGroup("primary decomposition needs an abelian group")
-    out = []
-    for p in prime_factors(G.n):
-        # counts[k] = number of elements killed by p^k; log_p of the ratio
-        # counts[k]/counts[k-1] is the number of cyclic p-summands of order
-        # at least p^k
-        counts = [1]
-        while True:
-            pk = p ** len(counts)
-            c = sum(1 for a in range(G.n) if G.power(a, pk) == G.id)
-            if c == counts[-1]:
-                break
-            counts.append(c)
-        ge = [
-            _ilog(counts[k] // counts[k - 1], p)
-            for k in range(1, len(counts))
-        ]
-        ge.append(0)
-        for k in range(1, len(counts)):
-            out.extend([p**k] * (ge[k - 1] - ge[k]))
-    return tuple(sorted(out))
-
-
-def _ilog(m: int, p: int) -> int:
-    k = 0
-    while m > 1:
-        m //= p
-        k += 1
-    return k
-
-
-def group_violations(G: FiniteGroup, seed: int = 0) -> list[str]:
-    """Spot-check the group axioms; associativity is exhaustive for n <= 64
-    and sampled on 500 random triples above."""
-    bad = []
-    if G.mul(G.id, G.id) != G.id:
-        bad.append("identity is not idempotent")
-    for a in range(G.n):
-        if G.mul(G.id, a) != a or G.mul(a, G.id) != a:
-            bad.append(f"identity fails on {a}")
-        if G.mul(a, G.inv(a)) != G.id or G.inv(G.mul(a, G.inv(a))) != G.id:
-            bad.append(f"inverse fails on {a}")
-    if G.n <= 64:
-        triples = (
-            (a, b, c)
-            for a in range(G.n)
-            for b in range(G.n)
-            for c in range(G.n)
-        )
-    else:
-        rng = Random(seed)
-        triples = (
-            tuple(rng.randrange(G.n) for _ in range(3)) for _ in range(500)
-        )
-    for a, b, c in triples:
-        if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
-            bad.append(f"associativity fails on ({a},{b},{c})")
-            break
-    return bad

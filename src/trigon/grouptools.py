@@ -4,75 +4,25 @@ the group presented by a triangle presentation."""
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 from .tripres import TrianglePresentation
 
 
-@dataclass(frozen=True)
-class PresentationDoc:
-    """Generators a1..an with one length-3 relator per rotation-orbit, as
-    1-based index triples in a fixed order."""
-
-    n: int
-    relators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "relators", tuple(tuple(r) for r in self.relators)
-        )
-        for r in self.relators:
-            if len(r) != 3 or any(not 1 <= i <= self.n for i in r):
-                raise ValueError(f"bad relator {r} for n = {self.n}")
-
-
-def presentation_doc(T: TrianglePresentation) -> PresentationDoc:
+def _relators(T: TrianglePresentation) -> list[tuple[int, int, int]]:
     """One canonical rotation per orbit, as 1-based positions."""
-    relators = tuple((i + 1, j + 1, k + 1) for i, j, k in T.canonical_reps())
-    return PresentationDoc(n=T.n, relators=relators)
+    return [(i + 1, j + 1, k + 1) for i, j, k in T.canonical_reps()]
 
 
-def export_presentation(T: TrianglePresentation, format: str = "gap-like") -> str:
+def export_presentation(T: TrianglePresentation, format: str = "gap") -> str:
     """Deterministic presentation text; same relator order in every format."""
-    doc = presentation_doc(T)
-    if format == "gap-like":
-        words = ", ".join(f"F.{i}*F.{j}*F.{k}" for i, j, k in doc.relators)
-        return f"F := FreeGroup({doc.n});\nG := F / [ {words} ];\n"
-    if format == "magma-like":
-        gens = ",".join(f"a{i}" for i in range(1, doc.n + 1))
-        words = ", ".join(f"a{i}*a{j}*a{k}" for i, j, k in doc.relators)
-        return f"G<{gens}> := Group< {gens} | {words} >;\n"
+    relators = _relators(T)
+    if format == "gap":
+        words = ", ".join(f"F.{i}*F.{j}*F.{k}" for i, j, k in relators)
+        return f"F := FreeGroup({T.n});\nG := F / [ {words} ];\n"
     if format == "json":
-        blob = {"n": doc.n, "relators": [list(r) for r in doc.relators]}
+        blob = {"n": T.n, "relators": [list(r) for r in relators]}
         return json.dumps(blob, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {format!r}")
-
-
-_GAP_RE = re.compile(r"F\.(\d+)\*F\.(\d+)\*F\.(\d+)")
-_MAGMA_RE = re.compile(r"a(\d+)\*a(\d+)\*a(\d+)")
-
-
-def parse_presentation(text: str, format: str = "gap-like") -> PresentationDoc:
-    """Inverse of export_presentation for each of the three formats."""
-    if format == "gap-like":
-        head = re.search(r"FreeGroup\((\d+)\)", text)
-        if head is None:
-            raise ValueError("no FreeGroup header")
-        rels = [tuple(int(x) for x in m) for m in _GAP_RE.findall(text)]
-        return PresentationDoc(n=int(head.group(1)), relators=tuple(rels))
-    if format == "magma-like":
-        head = re.search(r"G<([^>]*)>", text)
-        if head is None:
-            raise ValueError("no generator list")
-        n = len(head.group(1).split(","))
-        rels = [tuple(int(x) for x in m) for m in _MAGMA_RE.findall(text)]
-        return PresentationDoc(n=n, relators=tuple(rels))
-    if format == "json":
-        blob = json.loads(text)
-        return PresentationDoc(
-            n=blob["n"], relators=tuple(tuple(r) for r in blob["relators"])
-        )
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -139,16 +89,15 @@ class Abelianization:
 def abelianization(T: TrianglePresentation) -> Abelianization:
     """Smith normal form of the relation matrix, one row e_i + e_j + e_k per
     rotation-orbit; exact integer arithmetic throughout."""
-    doc = presentation_doc(T)
     rows = []
-    for i, j, k in doc.relators:
-        row = [0] * doc.n
+    for i, j, k in _relators(T):
+        row = [0] * T.n
         for x in (i, j, k):
             row[x - 1] += 1
         rows.append(row)
-    diag = _snf_diagonal(rows, len(rows), doc.n)
+    diag = _snf_diagonal(rows, len(rows), T.n)
     factors = tuple(d for d in diag if d != 1)
-    return Abelianization(factors=factors, free_rank=doc.n - len(diag))
+    return Abelianization(factors=factors, free_rank=T.n - len(diag))
 
 
 @dataclass(frozen=True)
@@ -163,10 +112,10 @@ def todd_coxeter(T: TrianglePresentation, subgroup_gens=(), max_cosets=10**6):
 
     Words are tuples over 1..n with negatives for inverses; the trivial
     subgroup gives the group order.  Scan order is fixed, so the outcome is
-    deterministic for a given cap.
+    deterministic for a given cap.  Kept for the octahedron link group claim
+    (test_acceptance test_04).
     """
-    doc = presentation_doc(T)
-    n = doc.n
+    n = T.n
 
     def col(x):
         return 2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
@@ -242,7 +191,7 @@ def todd_coxeter(T: TrianglePresentation, subgroup_gens=(), max_cosets=10**6):
             table[f][cols[i]] = new
             table[new][inv_col(cols[i])] = f
 
-    rel_cols = [tuple(col(x) for x in r) for r in doc.relators]
+    rel_cols = [tuple(col(x) for x in r) for r in _relators(T)]
     for word in subgroup_gens:
         if not scan_and_fill(0, tuple(col(x) for x in word)):
             return Exceeded(max_cosets)

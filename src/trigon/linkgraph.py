@@ -54,17 +54,6 @@ def apply_rho(F: FSet) -> FSet:
     return FSet(F.labels, frozenset((j, i) for i, j in F.pairs))
 
 
-@dataclass(frozen=True)
-class WreathWitness:
-    """(alpha, beta, swap) with F2 = {(alpha i, beta j)} over (i,j) in F1,
-    coordinates exchanged first when swapped; opp_datum checks its model
-    with it."""
-
-    alpha: Perm
-    beta: Perm
-    swapped: bool
-
-
 @dataclass(frozen=True, eq=False)
 class LinkGraph:
     """Bipartite graph on {0..2n-1}: point i joined to line j+n iff (i,j) in
@@ -254,29 +243,21 @@ def graph_automorphisms(g: LinkGraph, colors=None) -> PermGroup:
     return bsgs_build(2 * g.n, gens)
 
 
-def f_wreath_equivalent(F1: FSet, F2: FSet) -> WreathWitness | None:
-    """A witness in Sym(n) wr Z/2, where the two sides may be permuted
-    independently; weaker than diagonal equivalence.  opp_datum checks the
-    coset model against the subspace model with it."""
+def f_wreath_equivalent(F1: FSet, F2: FSet) -> bool:
+    """Whether some (alpha, beta) in Sym(n) wr Z/2 maps F1 onto F2, the two
+    sides permuted independently and possibly exchanged; weaker than
+    diagonal equivalence.  opp_datum checks the coset model against the
+    subspace model with it."""
     if F1.n != F2.n:
-        return None
+        return False
     n = F1.n
     g1, g2 = from_F(F1), from_F(F2)
     side = [0] * n + [1] * n
-    for swapped, side2 in ((False, side), (True, side[n:] + side[:n])):
-        w = find_isomorphism(
-            2 * n, g1.adj, g1.adj, g2.adj, g2.adj, side, side2
-        )
-        if w is None:
-            continue
-        if swapped:
-            alpha = Perm(tuple(w(j + n) for j in range(n)))
-            beta = Perm(tuple(w(i) - n for i in range(n)))
-        else:
-            alpha = Perm(tuple(w(i) for i in range(n)))
-            beta = Perm(tuple(w(j + n) - n for j in range(n)))
-        return WreathWitness(alpha=alpha, beta=beta, swapped=swapped)
-    return None
+    return any(
+        find_isomorphism(2 * n, g1.adj, g1.adj, g2.adj, g2.adj, side, side2)
+        is not None
+        for side2 in (side, side[n:] + side[:n])
+    )
 
 
 def export_edge_list(g: LinkGraph) -> str:

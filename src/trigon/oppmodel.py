@@ -34,11 +34,6 @@ class A2Model:
     points: tuple
     lines: tuple
 
-    def fset(self):
-        n = len(self.points)
-        pairs = frozenset((v, w - n) for v, w in self.graph.edges())
-        return FSet(tuple(range(n)), pairs)
-
 
 def _lead_one_vectors(gf):
     # one representative per projective point, in element enumeration order
@@ -97,7 +92,8 @@ def _building_fset(q):
 
 
 def opp_graph_building(q):
-    """Subgraph of the plane on the vertices opposite the base point-line pair."""
+    """Subgraph of the plane on the vertices opposite the base point-line
+    pair; backs the coset-model-matches-subspace-model claim (test_08)."""
     return from_F(_building_fset(q))
 
 
@@ -150,8 +146,7 @@ def opp_datum(q):
             lam[_parabola_index(y, q)] = _parabola_index(ay, q)
     datum = OppDatum(q=q, G=G, S=S, lam=lam, alpha3=alpha)
     if q <= 5:
-        witness = f_wreath_equivalent(datum.F(), _building_fset(q))
-        if witness is None:
+        if not f_wreath_equivalent(datum.F(), _building_fset(q)):
             raise CheckFailed("coset model disagrees with the subspace model")
     return datum
 
@@ -197,7 +192,8 @@ def opp_properties(q):
 def incidence_model_checks(q):
     """Brute three-way equivalence, over every pair of section representatives:
     the point and line cosets meet, the closed incidence formula vanishes, and
-    g1^{-1} g2 lands in the parabola."""
+    g1^{-1} g2 lands in the parabola.  Backs the coset-model-matches-subspace-
+    model claim (test_08)."""
     p, e = factor_prime_power(q)
     gf = make_field(p, e)
     elems = gf.elements()

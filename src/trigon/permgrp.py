@@ -123,28 +123,6 @@ class Perm:
         return f"Perm{self.images}"
 
 
-def parse_cycle_string(s: str, n: int, one_based: bool = True) -> Perm:
-    """Parse cycle notation like "(1 3)(2 5 4)" into a permutation."""
-    s = s.strip()
-    if s in ("()", "e", ""):
-        return Perm.identity(n)
-    if s.count("(") != s.count(")") or not s.startswith("("):
-        raise InvalidPermutation(f"bad cycle string: {s!r}")
-    cycles = []
-    for chunk in s.replace(")", ")|").split("|"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise InvalidPermutation(f"bad cycle string: {s!r}")
-        body = chunk[1:-1].replace(",", " ").split()
-        try:
-            cycles.append([int(tok) for tok in body])
-        except ValueError as exc:
-            raise InvalidPermutation(f"bad cycle string: {s!r}") from exc
-    return Perm.from_cycles(n, cycles, one_based=one_based)
-
-
 class PermGroup:
     """A permutation group presented by a base and strong generating set."""
 

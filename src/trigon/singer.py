@@ -119,7 +119,8 @@ def singer_datum(q, modulus=None):
 
 def murho_dual(T, G):
     """Transpose the first two slots of every triple, then relabel each
-    index by inversion in G; an involution that flips every kappa sign."""
+    index by inversion in G; an involution that flips every kappa sign.
+    Backs the duality claim (test_06)."""
     if T.n != G.n:
         raise ValueError("presentation labels do not match the group order")
     mu = mu_permutation(G).images

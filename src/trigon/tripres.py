@@ -129,27 +129,26 @@ def _violations(fpairs, triples) -> list[Violation]:
     return out
 
 
-def enumerate_all(F: FSet, most_constrained: bool = False):
+def enumerate_all(F: FSet):
     """Every triangle presentation compatible with F, in a canonical order.
 
     Exact cover: the chosen triple for a pair (i,j) covers (i,j), (j,k) and
-    (k,i) at once, so each pair is consumed exactly once; the toggle only
-    changes the branching order, never the result set.
+    (k,i) at once, so each pair is consumed exactly once.
     """
     return [
         TrianglePresentation(F.labels, frozenset(key))
-        for key in _exact_covers(F, most_constrained)
+        for key in _exact_covers(F)
     ]
 
 
-def _exact_covers(F: FSet, most_constrained: bool) -> list[tuple]:
+def _exact_covers(F: FSet) -> list[tuple]:
     """The compatible presentations as sorted tuples of rotation-closed
     position triples, in sorted order.
 
     Pair b of the sorted pair list is bit b; a candidate (k, mask) for pair
     (i,j) ORs the bits of (i,j), (j,k) and (k,i), so a conflict is
-    covered & mask.  In the default order the first free pair only moves
-    forward along a branch, so a cursor finds it without a rescan.
+    covered & mask.  The search branches on the first free pair, which only
+    moves forward along a branch, so a cursor finds it without a rescan.
     """
     n = F.n
     fpairs = F.pairs
@@ -167,20 +166,9 @@ def _exact_covers(F: FSet, most_constrained: bool) -> list[tuple]:
     results = []
     chosen: list = []
 
-    def most_constrained_free(covered):
-        free = [c for c in range(npairs) if not covered >> c & 1]
-        if not free:
-            return npairs
-        return min(
-            free, key=lambda c: (sum(1 for _, m in cand[c] if not covered & m), c)
-        )
-
     def dfs(b, covered):
-        if most_constrained:
-            b = most_constrained_free(covered)
-        else:
-            while covered >> b & 1:
-                b += 1
+        while covered >> b & 1:
+            b += 1
         if b == npairs:
             results.append(chosen[:])
             return
@@ -232,7 +220,8 @@ class TStabilizer:
 
 
 def stabilizer_of_T(F: FSet, T: TrianglePresentation, limit: int = 10**6):
-    """Aut+(T) by filtering Aut+(F), plus a triple-preserving sigma rho."""
+    """Aut+(T) by filtering Aut+(F), plus a triple-preserving sigma rho.
+    Backs the counting identity on the complete digraph (test_03)."""
     if verify(F, T):
         raise IncompatiblePresentation("T fails its axioms against F")
     _, elems, rho_coset = _aut_elements(F, limit)
@@ -351,7 +340,7 @@ def _check_lambda(G: FiniteGroup, S, lam) -> list:
 
 def generating_set(G: FiniteGroup) -> list[int]:
     """A small generating set, greedily taking the least element not yet
-    generated."""
+    generated; build_from_lambda checks left translation by it."""
     gens: list[int] = []
     have = subgroup(G, gens)
     while have.order < G.n:
@@ -364,7 +353,8 @@ def generating_set(G: FiniteGroup) -> list[int]:
 
 
 def build_from_lambda(G: FiniteGroup, S, lam) -> TrianglePresentation:
-    """T = {(x, xs, xs*lam(s))}; G acts by left translation and fixes T."""
+    """T = {(x, xs, xs*lam(s))}; G acts by left translation and fixes T.
+    Kept as the tests' oracle for build_T_kappa's all-plus choice."""
     S = _check_lambda(G, S, lam)
     triples = set()
     for x in range(G.n):
@@ -497,7 +487,7 @@ class SignFamily:
 def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):
     """The lexicographically least witness (sigma, used_rho) carrying T1 to
     T2, diagonal branch before the coordinate-swapping one; None if neither
-    branch works."""
+    branch works.  Backs the complete-digraph pair claim (test_03)."""
     if F1.n != F2.n:
         return None
     A = aut_plus(F1)

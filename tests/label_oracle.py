@@ -101,16 +101,12 @@ def relators(T):
 
 
 def export_presentation(T, format):
-    """The three export texts from label-level relators."""
+    """The two export texts from label-level relators."""
     n = len(T.labels)
     rels = relators(T)
-    if format == "gap-like":
+    if format == "gap":
         words = ", ".join(f"F.{i}*F.{j}*F.{k}" for i, j, k in rels)
         return f"F := FreeGroup({n});\nG := F / [ {words} ];\n"
-    if format == "magma-like":
-        gens = ",".join(f"a{i}" for i in range(1, n + 1))
-        words = ", ".join(f"a{i}*a{j}*a{k}" for i, j, k in rels)
-        return f"G<{gens}> := Group< {gens} | {words} >;\n"
     blob = {"n": n, "relators": [list(r) for r in rels]}
     return json.dumps(blob, sort_keys=True) + "\n"
 

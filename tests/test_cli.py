@@ -13,10 +13,11 @@ from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
+from trigon.ffield import DegreeMismatch, NotPrime, ReduciblePolynomial
 from trigon.linkgraph import FSet
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import TwistCheckFailed
+from trigon.tripres import SearchTooLarge, TwistCheckFailed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,11 +237,40 @@ def test_output_path_flag(capsys, tmp_path):
         ["tables", "--which", "9"],
         ["singer", "--q", "2", "--kappa", "+1", "--all-kappa"],
         ["singer", "--q", "2", "--workers", "2"],
+        ["enumerate", "--from-json", "{doc}", "--most-constrained"],
+        ["singer", "--q", "2", "--modulus", "1,1"],
+        ["singer", "--q", "2", "--modulus", "1,0,0,1"],
+        ["singer", "--q", "3", "--modulus", "2,0,1,1"],
+        ["verify", "--from-json", "{binary}"],
     ],
 )
-def test_usage_errors_exit_two(capsys, argv):
-    code, _, err = invoke(capsys, argv)
+def test_usage_errors_exit_two(capsys, square_path, tmp_path, argv):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe not utf-8")
+    argv = [a.format(doc=square_path, binary=binary) for a in argv]
+    code, _, _ = invoke(capsys, argv)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "error", [NotPrime, ReduciblePolynomial, DegreeMismatch, SearchTooLarge]
+)
+def test_named_user_errors_exit_two(capsys, monkeypatch, square_path, error):
+    def handler(args):
+        raise error("too big")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", handler)
+    code, out, err = invoke(capsys, ["classify", "--from-json", square_path])
+    assert (code, out, err) == (2, "", "trigon classify: too big\n")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, square_path):
+    def handler(args):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", handler)
+    with pytest.raises(ValueError, match="internal"):
+        run(["classify", "--from-json", square_path])
 
 
 @pytest.mark.parametrize(
@@ -357,20 +387,6 @@ def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, comma
     assert code == 1
     assert out == ""
     assert "is not orbit size 2 times stabilizer order 1" in err
-
-
-@pytest.mark.parametrize("model", ["singer", "quad"])
-def test_most_constrained_keeps_bytes(capsys, tmp_path, model):
-    q = 3 if model == "singer" else 2
-    doc_path = tmp_path / f"{model}.json"
-    assert run([model, "--q", str(q), "--format", "json", "-o", str(doc_path)]) == 0
-    code, plain, _ = invoke(capsys, ["enumerate", "--from-json", str(doc_path)])
-    assert code == 0
-    code, out, _ = invoke(
-        capsys, ["enumerate", "--from-json", str(doc_path), "--most-constrained"]
-    )
-    assert code == 0
-    assert out == plain
 
 
 def test_module_invocation_round_trip():

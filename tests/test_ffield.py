@@ -1,5 +1,7 @@
 """Field arithmetic, canonical moduli and relative traces."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,8 @@ from trigon.ffield import (
     NotPrime,
     ReduciblePolynomial,
     ZeroElement,
-    all_primitive_polynomials,
     conway_polynomial,
     factor_prime_power,
-    is_primitive,
     make_field,
     multiplicative_order,
     poly_is_irreducible,
@@ -132,7 +132,6 @@ def test_gf8_arithmetic_table():
     # x^3 = x + 1 with this modulus
     assert (a**3).coeffs == (1, 1, 0)
     assert multiplicative_order(a) == 7
-    assert is_primitive(a)
     powers = [a**k for k in range(7)]
     assert len(set(powers)) == 7
 
@@ -184,9 +183,23 @@ def test_trace_degree_guard():
         trace_to_subfield(f.one(), 2)
 
 
-def test_all_primitive_polynomials_gf2_deg3():
-    polys = all_primitive_polynomials(2, 3)
-    assert set(polys) == {(1, 1, 0, 1), (1, 0, 1, 1)}
+@pytest.mark.parametrize("p,e", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_poly_is_primitive_matches_multiplicative_order(p, e):
+    """A monic irreducible f is primitive exactly when x has order p^e - 1
+    in GF(p)[x]/f; reducible f are never primitive."""
+    found = set()
+    for tail in itertools.product(range(p), repeat=e):
+        f = tail + (1,)
+        if not poly_is_irreducible(f, p):
+            assert not poly_is_primitive(f, p)
+            continue
+        x = make_field(p, e, modulus=f).from_index(p)
+        primitive = multiplicative_order(x) == p**e - 1
+        assert poly_is_primitive(f, p) == primitive
+        if primitive:
+            found.add(f)
+    if (p, e) == (2, 3):
+        assert found == {(1, 1, 0, 1), (1, 0, 1, 1)}
 
 
 def test_irreducibility_matches_root_counting_deg2():

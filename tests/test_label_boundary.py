@@ -87,7 +87,7 @@ def test_writers_match_label_level_code(name, kind):
         F, T, meta
     )
     assert format_table(T) == oracle.format_table(T)
-    for fmt in ("gap-like", "magma-like", "json"):
+    for fmt in ("gap", "json"):
         assert export_presentation(T, fmt) == oracle.export_presentation(T, fmt)
 
 

@@ -1,5 +1,10 @@
-"""No assert statement in the program or its scripts: python -O strips
-them, so an invariant the results rest on must raise an error instead."""
+"""Source guards, read from the syntax tree of every file:
+
+- no assert statement in the program or its scripts: python -O strips them,
+  so an invariant the results rest on must raise an error instead;
+- no unused import in the program, its scripts or its tests;
+- no public module-level name in the package that nothing in the program or
+  its scripts reads, unless TEST_ONLY names the claim or oracle it serves."""
 
 import ast
 from pathlib import Path
@@ -7,17 +12,107 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "trigon").glob("*.py")) + sorted(
-    (ROOT / "scripts").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "trigon").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# public names only the tests call, each with the paper claim or the oracle
+# role that keeps it
+TEST_ONLY = {
+    "documents.dump_document": "the writer the document round trips read back",
+    "ffield.multiplicative_order": "the oracle for poly_is_primitive",
+    "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
+    "linkgraph.graph_automorphisms": "the whole-group oracle for the probe's Q0",
+    "linkgraph.is_generalized_mgon": "the claim that links are generalized 3-gons",
+    "oppmodel.incidence_model_checks": "the coset = subspace model claim (test_08)",
+    "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
+    "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",
+    "singer.murho_dual": "the claim that duality flips every sign (test_06)",
+    "tripres.build_from_lambda": "the oracle for build_T_kappa's all-plus choice",
+    "tripres.isomorphic_T": "the complete-digraph pair claim (test_03)",
+    "tripres.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
+}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _label(path):
+    return f"{path.parent.name}/{path.name}"
 
 
 def test_sources_found():
-    assert len(SOURCES) > 10
+    assert len(SOURCES) > 10 and len(TESTS) > 10
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SOURCES, ids=_label)
 def test_no_assert_statement(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=_label)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+def _public_definitions(path):
+    names = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _references(path):
+    """(name, enclosing top-level definition) for every read of a name, an
+    attribute or an imported name in the file."""
+    out = set()
+    for top in _tree(path).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.add((node.attr, owner))
+            elif isinstance(node, ast.ImportFrom):
+                out.update((alias.name, owner) for alias in node.names)
+    return out
+
+
+def _unreferenced():
+    """Public package names that no file of the program or its scripts reads,
+    not counting a definition's reads of itself."""
+    refs = {path: _references(path) for path in SOURCES}
+    out = set()
+    for path in PACKAGE:
+        for name in _public_definitions(path):
+            if not any(
+                ref == name and not (where == path and owner == name)
+                for where, names in refs.items()
+                for ref, owner in names
+            ):
+                out.add(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_public_name_has_a_reader():
+    unreferenced = _unreferenced()
+    assert sorted(unreferenced - set(TEST_ONLY)) == []
+    # an entry whose name is gone or has gained a reader must leave the list
+    assert sorted(set(TEST_ONLY) - unreferenced) == []

@@ -54,7 +54,6 @@ def klein_group():
         mul=lambda a, b: a ^ b,
         inv=lambda a: a,
         id=0,
-        labels=("0", "1", "2", "3"),
         abelian=True,
     )
 
@@ -136,13 +135,6 @@ def test_enumerate_singer_q2():
     assert len(out) == 2
     cls = classify(singer_f_q2())
     assert [(c.orbit_size, c.aut_order) for c in cls] == [(2, 21)]
-
-
-def test_most_constrained_toggle_is_invisible():
-    for f in (SQUARE_F, ALT_F, singer_f_q2()):
-        a = enumerate_all(f)
-        b = enumerate_all(f, most_constrained=True)
-        assert [t.triples for t in a] == [t.triples for t in b]
 
 
 def test_stabilizer_alt():
@@ -364,7 +356,7 @@ def test_enumeration_closed_under_aut(data):
         assert act(t, af.witness, use_rho=True).triples in keys
 
 
-def oracle_enumerate(f, most_constrained=False):
+def oracle_enumerate(f):
     """The set-based exact-cover DFS that enumerate_all replaced: it rebuilds
     the list of free pairs at every node and tests conflicts pair by pair."""
     n = f.n
@@ -378,19 +370,9 @@ def oracle_enumerate(f, most_constrained=False):
     covered = set()
     chosen = []
 
-    def orbit_free(p, k):
-        i, j = p
-        return (j, k) not in covered and (k, i) not in covered
-
     def next_pair():
         free = [p for p in pairlist if p not in covered]
-        if not free:
-            return None
-        if not most_constrained:
-            return free[0]
-        return min(
-            free, key=lambda p: (sum(1 for k in cand[p] if orbit_free(p, k)), p)
-        )
+        return free[0] if free else None
 
     def dfs():
         p = next_pair()
@@ -486,10 +468,7 @@ DIFFERENTIAL_F = {
 def test_enumerate_matches_set_based_dfs(name):
     f = DIFFERENTIAL_F[name]()
     want = [t.triples for t in oracle_enumerate(f)]
-    assert want == [t.triples for t in oracle_enumerate(f, True)]
-    for most_constrained in (False, True):
-        got = enumerate_all(f, most_constrained=most_constrained)
-        assert [t.triples for t in got] == want
+    assert [t.triples for t in enumerate_all(f)] == want
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
