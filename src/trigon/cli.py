@@ -33,9 +33,7 @@ from .tripres import (
     CheckFailed,
     KappaSpecError,
     SearchTooLarge,
-    _classify,
     classify,
-    enumerate_all,
     format_table,
     verify,
 )
@@ -156,9 +154,9 @@ def _cmd_opp(args):
 
 def _cmd_enumerate(args):
     doc = load_document(args.from_json, strict=not args.lenient)
-    found = enumerate_all(doc.F)
-    classes = _classify(doc.F, found)
-    return 0, f"{len(found)} presentations, {len(classes)} isomorphism classes\n"
+    classes = classify(doc.F)
+    found = sum(c.orbit_size for c in classes)
+    return 0, f"{found} presentations, {len(classes)} isomorphism classes\n"
 
 
 def _cmd_classify(args):

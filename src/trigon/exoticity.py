@@ -103,20 +103,11 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
 
 
 def sigma_kappa(probe: ExoticProbe, kappa) -> Perm:
-    """The twist s -> lambda^{kappa(orbit of s)}(s) as a permutation of the
-    neighborhood positions; folding fixed points stay put."""
-    probe.family.check(kappa)
-    d = probe.datum
-    pos = {s: i for i, s in enumerate(d.S)}
-    orbit_of = {s: o for o in d.O for s in o}
-    images = [0] * len(d.S)
-    for s in d.S:
-        if s in orbit_of:
-            step = d.lam[s] if kappa[orbit_of[s][0]] == 1 else d.lam[d.lam[s]]
-        else:
-            step = s
-        images[pos[s]] = pos[step]
-    return Perm(tuple(images))
+    """The family's twist of S as a permutation of the neighborhood
+    positions; folding fixed points stay put."""
+    family = probe.family
+    pos = {s: i for i, s in enumerate(family.S)}
+    return Perm(tuple(pos[step] for step in family.twist(kappa)))
 
 
 @dataclass(frozen=True)

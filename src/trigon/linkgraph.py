@@ -214,24 +214,23 @@ def aut_plus(F: FSet) -> PermGroup:
 
 @dataclass(frozen=True, eq=False)
 class AutFull:
-    """Aut(F) inside Sym(n) x Z/2: the diagonal part plus an optional
-    coordinate-swapping coset."""
+    """A group inside Sym(n) x Z/2, such as Aut(F) or the stabilizer of a
+    presentation: the diagonal part plus an optional coordinate-swapping
+    coset, given by one witness in it."""
 
     plus: PermGroup
-    has_rho_part: bool
     witness: Perm | None
 
     @property
     def order(self) -> int:
-        return self.plus.order() * (2 if self.has_rho_part else 1)
+        return self.plus.order() * (2 if self.witness is not None else 1)
 
 
 def aut_full(F: FSet) -> AutFull:
     plus = aut_plus(F)
     o1, i1 = digraph_of(apply_rho(F))
     o2, i2 = digraph_of(F)
-    w = find_isomorphism(F.n, o1, i1, o2, i2)
-    return AutFull(plus=plus, has_rho_part=w is not None, witness=w)
+    return AutFull(plus=plus, witness=find_isomorphism(F.n, o1, i1, o2, i2))
 
 
 def graph_automorphisms(g: LinkGraph, colors=None) -> PermGroup:

@@ -9,8 +9,8 @@ from operator import itemgetter
 
 from .autosearch import find_isomorphism
 from .fgroup import FiniteGroup, SubgroupDatum, subgroup
-from .linkgraph import FSet, apply_rho, aut_full, aut_plus, digraph_of
-from .permgrp import Perm, PermGroup, bsgs_build
+from .linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus, digraph_of
+from .permgrp import bsgs_build
 
 
 class CheckFailed(Exception):
@@ -25,15 +25,6 @@ class IncompatiblePresentation(ValueError):
 
 class LambdaConditionFailed(CheckFailed):
     """Raised when the folding map breaks its defining identities."""
-
-
-class OrbitNotInSubgroup(CheckFailed):
-    """Raised when a sign table references an orbit outside the subgroup."""
-
-
-class BadSignTable(CheckFailed):
-    """Raised when a sign table keys a coset by a non-canonical
-    representative or holds a value other than +1 or -1."""
 
 
 class SearchTooLarge(ValueError):
@@ -207,18 +198,6 @@ def _carries(ptrip, im, target, use_rho: bool = False) -> bool:
     return all((im[i], im[j], im[k]) in target for i, j, k in ptrip)
 
 
-@dataclass(frozen=True, eq=False)
-class TStabilizer:
-    """Stabilizer of T: the diagonal part and an optional rho-coset witness."""
-
-    plus: PermGroup
-    rho_witness: Perm | None
-
-    @property
-    def order(self) -> int:
-        return self.plus.order() * (2 if self.rho_witness is not None else 1)
-
-
 def stabilizer_of_T(F: FSet, T: TrianglePresentation, limit: int = 10**6):
     """Aut+(T) by filtering Aut+(F), plus a triple-preserving sigma rho.
     Backs the counting identity on the complete digraph (test_03)."""
@@ -236,7 +215,7 @@ def _aut_elements(F: FSet, limit: int):
     if A.order() > limit:
         raise SearchTooLarge(f"|Aut+(F)| = {A.order()} exceeds {limit}")
     elems = A.elements()
-    coset = _sorted_coset(elems, full.witness) if full.has_rho_part else []
+    coset = [] if full.witness is None else _sorted_coset(elems, full.witness)
     return full, elems, coset
 
 
@@ -244,7 +223,7 @@ def _sorted_coset(elems, w0) -> list:
     return sorted((a * w0 for a in elems), key=lambda p: p.images)
 
 
-def _stabilizer(ptrip, elems, rho_coset) -> TStabilizer:
+def _stabilizer(ptrip, elems, rho_coset) -> AutFull:
     """The stabilizer of the position triples ptrip: the elements of Aut+(F)
     that fix them, and the least element of the sorted rho coset that does."""
     keep = [
@@ -255,9 +234,7 @@ def _stabilizer(ptrip, elems, rho_coset) -> TStabilizer:
         (s for s in rho_coset if _carries(ptrip, s.images, ptrip, use_rho=True)),
         None,
     )
-    return TStabilizer(
-        plus=bsgs_build(elems[0].degree, keep), rho_witness=witness
-    )
+    return AutFull(plus=bsgs_build(elems[0].degree, keep), witness=witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,21 +249,16 @@ class TClass:
 def classify(F: FSet, limit: int = 10**6) -> list[TClass]:
     """Orbits of Aut(F) on all compatible presentations.
 
-    The counting identity sum(|Aut(F)| / |Aut(T)|) = #presentations is
-    checked on every run; a failure raises CheckFailed.
+    |Aut+(F)| is checked against limit before the enumeration starts.  The
+    counting identity sum(|Aut(F)| / |Aut(T)|) = #presentations is checked
+    on every run; a failure raises CheckFailed.
     """
-    return _classify(F, enumerate_all(F), limit)
-
-
-def _classify(F: FSet, allt: list, limit: int = 10**6) -> list[TClass]:
-    """classify on the list enumerate_all(F) already returned."""
-    if not allt:
-        return []
+    full, elems, rho_coset = _aut_elements(F, limit)
+    allt = enumerate_all(F)
     ptrips = [t.triples for t in allt]
     index = {p: i for i, p in enumerate(ptrips)}
-    full, elems, rho_coset = _aut_elements(F, limit)
     movers = [(g.images, False) for g in full.plus.generators]
-    if full.has_rho_part:
+    if full.witness is not None:
         movers.append((full.witness.images, True))
     seen = [False] * len(allt)
     classes = []
@@ -384,78 +356,41 @@ def lambda_orbits(S, lam) -> list[tuple]:
     return sorted(orbits)
 
 
-def build_T_kappa(
-    G: FiniteGroup, S, lam, H: SubgroupDatum, kappa
-) -> TrianglePresentation:
-    """The sign-twisted presentation: on orbits inside H, a -1 entry of kappa
-    swaps the folding map for its inverse on the listed coset.
-
-    kappa keys are (minimal coset representative, minimal orbit element);
-    missing keys default to +1.
-    """
-    S = _check_lambda(G, S, lam)
-    for s in S:
-        if lam[lam[lam[s]]] != s:
-            raise LambdaConditionFailed("folding map must have order dividing 3")
-        t = lam[s]
-        if G.mul(G.mul(s, lam[t]), t) != G.id:
-            raise LambdaConditionFailed(
-                f"s*lam^2(s)*lam(s) != 1 at s = {s}"
-            )
-    orbits = lambda_orbits(S, lam)
-    members = set(H.members)
-    in_h = {
-        o: (len(o) == 3 and all(s in members for s in o)) for o in orbits
-    }
-    orbit_of = {s: o for o in orbits for s in o}
-    rep_of = H.reps
-    reps = set(rep_of)
-    for (rep, omin), sign in kappa.items():
-        hit = [o for o in orbits if min(o) == omin]
-        if not hit or not in_h[hit[0]]:
-            raise OrbitNotInSubgroup(
-                f"kappa references orbit {omin} outside the subgroup"
-            )
-        if rep not in reps:
-            raise BadSignTable(f"{rep} is not a canonical coset representative")
-        if sign not in (1, -1):
-            raise BadSignTable(f"kappa value {sign} is not a sign")
-    triples = set()
-    for x in range(G.n):
-        rep = rep_of[H.coset_index[x]]
-        for s in S:
-            o = orbit_of[s]
-            step = lam[s]
-            if in_h[o] and kappa.get((rep, min(o)), 1) == -1:
-                step = lam[lam[s]]
-            xs = G.mul(x, s)
-            triples.add((x, xs, G.mul(xs, step)))
-    bad = _violations({(i, j) for i, j, _ in triples}, triples)
-    if bad:
-        raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
-    return TrianglePresentation(tuple(range(G.n)), frozenset(triples))
-
-
 @dataclass(frozen=True, eq=False)
 class SignFamily:
     """The sign twists of one folded datum: one sign per length-3 folding
     orbit inside H, for each coset of H.  A key is the orbit minimum when H
-    has one coset, else the pair (coset representative, orbit minimum)."""
+    has one coset, else the pair (coset representative, orbit minimum).
+
+    The constructor checks the folding identities once; twist holds the
+    only copy of the rule a sign applies."""
 
     G: FiniteGroup
     S: tuple
     lam: dict
     H: SubgroupDatum
     keys: tuple = field(init=False)
+    orbit_min: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        mins = [
-            o[0] for o in lambda_orbits(self.S, self.lam)
+        G, lam = self.G, self.lam
+        for s in _check_lambda(G, self.S, lam):
+            t = lam[s]
+            if lam[lam[t]] != s:
+                raise LambdaConditionFailed("folding map must have order dividing 3")
+            if G.mul(G.mul(s, lam[t]), t) != G.id:
+                raise LambdaConditionFailed(f"s*lam^2(s)*lam(s) != 1 at s = {s}")
+        twisted = [
+            o for o in lambda_orbits(self.S, lam)
             if len(o) == 3 and all(s in self.H for s in o)
         ]
+        keys = [o[0] for o in twisted]
         if self.H.index > 1:
-            mins = sorted((rep, omin) for rep in self.H.reps for omin in mins)
-        object.__setattr__(self, "keys", tuple(mins))
+            keys = sorted((rep, omin) for rep in self.H.reps for omin in keys)
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(
+            self, "orbit_min", {s: o[0] for o in twisted for s in o}
+        )
 
     def check(self, kappa) -> None:
         """Raise KappaSpecError unless kappa maps exactly the keys to signs."""
@@ -476,12 +411,38 @@ class SignFamily:
         for signs in product((1, -1), repeat=len(self.keys)):
             yield dict(zip(self.keys, signs))
 
-    def build(self, kappa) -> TrianglePresentation:
-        """The twisted presentation of one checked sign choice."""
+    def twist(self, kappa, rep=0) -> tuple:
+        """The step of each s of S on the coset of rep, in the order of S:
+        lam(s), or lam^2(s) = lam^-1(s) where kappa puts -1 on the orbit of
+        s on that coset; rep is unused when H has one coset.  Checks kappa
+        first."""
         self.check(kappa)
-        if self.H.index == 1:
-            kappa = {(0, omin): sign for omin, sign in kappa.items()}
-        return build_T_kappa(self.G, self.S, self.lam, self.H, kappa)
+        lam = self.lam
+        flip = {
+            s for s, omin in self.orbit_min.items()
+            if kappa[(rep, omin) if self.H.index > 1 else omin] == -1
+        }
+        return tuple(lam[lam[s]] if s in flip else lam[s] for s in self.S)
+
+    def build(self, kappa) -> TrianglePresentation:
+        """The twisted presentation of one sign choice."""
+        return build_T_kappa(self, kappa)
+
+
+def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
+    """The sign-twisted presentation {(x, xs, xs*step)}, where step is the
+    twist of s on the coset of x; its axioms are checked before it returns."""
+    G, H = family.G, family.H
+    steps = [tuple(zip(family.S, family.twist(kappa, rep))) for rep in H.reps]
+    triples = set()
+    for x in range(G.n):
+        for s, step in steps[H.coset_index[x]]:
+            xs = G.mul(x, s)
+            triples.add((x, xs, G.mul(xs, step)))
+    bad = _violations({(i, j) for i, j, _ in triples}, triples)
+    if bad:
+        raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
+    return TrianglePresentation(tuple(range(G.n)), frozenset(triples))
 
 
 def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):

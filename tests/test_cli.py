@@ -14,7 +14,7 @@ from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
 from trigon.ffield import DegreeMismatch, NotPrime, ReduciblePolynomial
-from trigon.linkgraph import FSet
+from trigon.linkgraph import AutFull, FSet
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import SearchTooLarge, TwistCheckFailed
@@ -264,6 +264,24 @@ def test_named_user_errors_exit_two(capsys, monkeypatch, square_path, error):
     assert (code, out, err) == (2, "", "trigon classify: too big\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+def test_pair_set_over_the_limit_exits_two(capsys, monkeypatch, tmp_path, command):
+    """The complete digraph on 10 points has |Aut+(F)| = 10!; the guard
+    stops it before the enumeration, even with no presentation given."""
+
+    def no_search(F):
+        raise AssertionError("the enumeration started before the size guard")
+
+    monkeypatch.setattr(tripres, "_exact_covers", no_search)
+    n = 10
+    pairs = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    path = tmp_path / "complete10.json"
+    path.write_text(json.dumps({"n": n, "F": pairs, "T": []}))
+    code, out, err = invoke(capsys, [command, "--from-json", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"trigon {command}: |Aut+(F)| = 3628800 exceeds 1000000\n"
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, square_path):
     def handler(args):
         raise ValueError("internal")
@@ -381,7 +399,7 @@ def test_broken_difference_set_exits_one(capsys, monkeypatch):
 def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, command):
     doc_path = tmp_path / "exquad.json"
     assert run(["quad", "--q", "2", "--format", "json", "-o", str(doc_path)]) == 0
-    trivial = tripres.TStabilizer(plus=bsgs_build(21, []), rho_witness=None)
+    trivial = AutFull(plus=bsgs_build(21, []), witness=None)
     monkeypatch.setattr(tripres, "_stabilizer", lambda *args: trivial)
     code, out, err = invoke(capsys, [command, "--from-json", str(doc_path)])
     assert code == 1

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from trigon import cli
 from trigon.exoticity import (
     Bounds,
     OrderMismatch,
@@ -17,8 +18,8 @@ from trigon.exoticity import (
 )
 from trigon.linkgraph import graph_automorphisms
 from trigon.permgrp import Perm
-from trigon.singer import singer_datum
-from trigon.tripres import KappaSpecError
+from trigon.singer import r_of_q, singer_datum
+from trigon.tripres import KappaSpecError, LambdaConditionFailed, lambda_orbits
 
 
 def orbit_of(start, gens):
@@ -107,6 +108,45 @@ def test_sigma_kappa_keys_checked(probe_for):
     full = {o[0]: 1 for o in d.O}
     with pytest.raises(KappaSpecError):
         sigma_kappa(probe, {**full, 99: 1})
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_sigma_matches_the_built_triples(q, probe_for):
+    """The two readers of the twist agree: the triple of the built
+    presentation that starts (0, s) ends at s + S[sigma(pos s)]."""
+    probe = probe_for(q)
+    S, m = probe.datum.S, probe.datum.m
+    for kappa in probe.family.choices():
+        sigma = sigma_kappa(probe, kappa)
+        third = {j: k for i, j, k in probe.family.build(kappa).triples if i == 0}
+        assert third == {s: (s + S[sigma(p)]) % m for p, s in enumerate(S)}
+
+
+def mixed_folding_datum():
+    """The q = 7 datum with its folding replaced by (a1 b1 a2)(b2 a3 b3),
+    built from its two 3-orbits (a1 a2 a3) and (b1 b2 b3): still two
+    3-cycles and two fixed points, but s*lam(s)*lam^2(s) != 1."""
+    d = singer_datum(7)
+    (a1, a2, a3), (b1, b2, b3) = d.O
+    lam = dict(d.lam)
+    for x, y, z in ((a1, b1, a2), (b2, a3, b3)):
+        lam.update({x: y, y: z, z: x})
+    orbits = tuple(lambda_orbits(d.S, lam))
+    threes = tuple(o for o in orbits if len(o) == 3)
+    return replace(d, lam=lam, orbits=orbits, O=threes)
+
+
+def test_mixed_folding_is_rejected(capsys, monkeypatch):
+    bad = mixed_folding_datum()
+    assert bad.O != singer_datum(7).O
+    assert len(bad.O) == r_of_q(7) and len(bad.fixed_points) == 2
+    with pytest.raises(LambdaConditionFailed, match=r"s\*lam\(s\)\*lam\^2\(s\)"):
+        build_probe(bad)
+    monkeypatch.setattr(cli, "singer_datum", lambda q, modulus=None: bad)
+    code = cli.run(["exotic", "--q", "7", "--all-kappa"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("trigon exotic: s*lam(s)*lam^2(s) != 1")
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

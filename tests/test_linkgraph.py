@@ -203,7 +203,7 @@ def test_heawood_metrics_and_groups():
 def test_heawood_rho_part():
     f = singer_f_q2()
     af = aut_full(f)
-    assert af.has_rho_part
+    assert af.witness is not None
     assert af.order == 42
     assert diagonal(apply_rho(f), af.witness) == f
 

@@ -10,20 +10,20 @@ from hypothesis import strategies as st
 from label_oracle import act, project_F
 from trigon import tripres
 from trigon.fgroup import FiniteGroup, make_cyclic, subgroup
-from trigon.linkgraph import FSet, aut_full, aut_plus
+from trigon.linkgraph import AutFull, FSet, aut_full, aut_plus
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import (
-    BadSignTable,
     CheckFailed,
     IncompatiblePresentation,
+    KappaSpecError,
     LambdaConditionFailed,
-    OrbitNotInSubgroup,
+    SearchTooLarge,
+    SignFamily,
     TrianglePresentation,
     TwistCheckFailed,
     Violation,
-    build_T_kappa,
     build_from_lambda,
     classify,
     enumerate_all,
@@ -137,12 +137,30 @@ def test_enumerate_singer_q2():
     assert [(c.orbit_size, c.aut_order) for c in cls] == [(2, 21)]
 
 
+def complete_digraph(n):
+    return FSet.from_labels(
+        range(n), [(i, j) for i in range(n) for j in range(n) if i != j]
+    )
+
+
+def test_size_guard_runs_before_the_enumeration(monkeypatch):
+    """|Aut+(F)| = 10! is over the limit, so classify stops before the exact
+    cover, which on this F runs for minutes."""
+
+    def no_search(F):
+        raise AssertionError("the enumeration started before the size guard")
+
+    monkeypatch.setattr(tripres, "_exact_covers", no_search)
+    with pytest.raises(SearchTooLarge, match="3628800 exceeds 1000000"):
+        classify(complete_digraph(10))
+
+
 def test_stabilizer_alt():
     t1 = enumerate_all(ALT_F)[0]
     st = stabilizer_of_T(ALT_F, t1)
     assert st.plus.order() == 12
-    assert st.rho_witness is not None
-    assert st.rho_witness.images == (0, 1, 3, 2)
+    assert st.witness is not None
+    assert st.witness.images == (0, 1, 3, 2)
     assert st.order == 24
 
 
@@ -212,7 +230,7 @@ def test_exquad_f_invariants():
     assert len(f.pairs) == 105
     assert aut_plus(f).order() == 126
     af = aut_full(f)
-    assert af.has_rho_part and af.order == 252
+    assert af.witness is not None and af.order == 252
 
 
 def test_lambda_orbits_exquad():
@@ -220,24 +238,29 @@ def test_lambda_orbits_exquad():
     assert lambda_orbits(s, lam) == [(7,), (9, 15, 18), (14,)]
 
 
+def exquad_kappa(*minus):
+    """The full sign choice on the three cosets of <3> in exquad's group:
+    -1 on the cosets of the representatives in minus, +1 elsewhere."""
+    return {(c, 9): -1 if c in minus else 1 for c in range(3)}
+
+
 def test_build_t_kappa_all_plus_collapses():
     g, s, lam = exquad()
     h = subgroup(g, [3])
     t1 = build_from_lambda(g, s, lam)
-    assert build_T_kappa(g, s, lam, h, {}).triples == t1.triples
-    assert (
-        build_T_kappa(g, s, lam, h, {(0, 9): 1, (1, 9): 1, (2, 9): 1}).triples
-        == t1.triples
-    )
-    whole = subgroup(g, [1])
-    assert build_T_kappa(g, s, lam, whole, {}).triples == t1.triples
+    family = SignFamily(g, s, lam, h)
+    assert family.keys == ((0, 9), (1, 9), (2, 9))
+    assert family.build(exquad_kappa()).triples == t1.triples
+    whole = SignFamily(g, s, lam, subgroup(g, [1]))
+    assert whole.keys == (9,)
+    assert whole.build({9: 1}).triples == t1.triples
 
 
 def test_build_t_kappa_twist():
     g, s, lam = exquad()
     h = subgroup(g, [3])
     t1 = build_from_lambda(g, s, lam)
-    t2 = build_T_kappa(g, s, lam, h, {(2, 9): -1})
+    t2 = SignFamily(g, s, lam, h).build(exquad_kappa(2))
     assert len(t1.triples ^ t2.triples) == 42
     coset2 = {x for x in range(21) if x % 3 == 2}
     for a, b, c in t1.triples - t2.triples:
@@ -246,8 +269,8 @@ def test_build_t_kappa_twist():
     assert verify(f, t2) == []
     st1 = stabilizer_of_T(f, t1)
     st2 = stabilizer_of_T(f, t2)
-    assert st1.order == 126 and st1.rho_witness is None
-    assert st2.order == 42 and st2.rho_witness is None
+    assert st1.order == 126 and st1.witness is None
+    assert st2.order == 42 and st2.witness is None
     assert isomorphic_T(f, t1, f, t2) is None
 
 
@@ -263,7 +286,7 @@ def test_exquad_classification():
 def test_t_kappa_subgroup_invariance():
     g, s, lam = exquad()
     h = subgroup(g, [3])
-    t2 = build_T_kappa(g, s, lam, h, {(2, 9): -1})
+    t2 = SignFamily(g, s, lam, h).build(exquad_kappa(2))
     shift3 = Perm(tuple((a + 3) % 21 for a in range(21)))
     shift1 = Perm(tuple((a + 1) % 21 for a in range(21)))
     assert act(t2, shift3).triples == t2.triples
@@ -271,19 +294,33 @@ def test_t_kappa_subgroup_invariance():
 
 
 def test_t_kappa_validation():
+    """A sign on a fixed point, on an orbit outside H, on a non-canonical
+    coset representative, or a value other than +1 or -1 is a usage error
+    of the sign family."""
+    g, s, lam = exquad()
+    family = SignFamily(g, s, lam, subgroup(g, [3]))
+    with pytest.raises(KappaSpecError, match=r"unknown \[\(0, 7\)\]"):
+        family.build({**exquad_kappa(), (0, 7): -1})
+    small = SignFamily(g, s, lam, subgroup(g, [7]))
+    assert small.keys == ()
+    with pytest.raises(KappaSpecError, match=r"unknown \[\(0, 9\)\]"):
+        small.build({(0, 9): -1})
+    with pytest.raises(KappaSpecError, match=r"missing \[\(2, 9\)\]"):
+        family.build({(0, 9): 1, (1, 9): 1, (5, 9): -1})
+    with pytest.raises(KappaSpecError, match="not a sign"):
+        family.build({**exquad_kappa(), (2, 9): 0})
+    assert issubclass(KappaSpecError, ValueError)
+    assert issubclass(LambdaConditionFailed, CheckFailed)
+    assert not issubclass(LambdaConditionFailed, ValueError)
+
+
+def test_sign_family_rejects_a_broken_folding():
     g, s, lam = exquad()
     h = subgroup(g, [3])
-    with pytest.raises(OrbitNotInSubgroup):
-        build_T_kappa(g, s, lam, h, {(0, 7): -1})
-    small = subgroup(g, [7])
-    with pytest.raises(OrbitNotInSubgroup):
-        build_T_kappa(g, s, lam, small, {(0, 9): -1})
-    with pytest.raises(BadSignTable, match="canonical coset representative"):
-        build_T_kappa(g, s, lam, h, {(5, 9): -1})
-    with pytest.raises(BadSignTable, match="not a sign"):
-        build_T_kappa(g, s, lam, h, {(2, 9): 0})
-    for err in (LambdaConditionFailed, OrbitNotInSubgroup, BadSignTable):
-        assert issubclass(err, CheckFailed) and not issubclass(err, ValueError)
+    with pytest.raises(LambdaConditionFailed, match=r"s\*lam\(s\)\*lam\^2\(s\)"):
+        SignFamily(g, s, {**lam, 7: 14, 14: 7}, h)
+    with pytest.raises(LambdaConditionFailed, match="domain"):
+        SignFamily(g, s, {x: lam[x] for x in s if x != 7}, h)
 
 
 def test_twist_check_reports_open_rotation():
@@ -293,7 +330,7 @@ def test_twist_check_reports_open_rotation():
     h = subgroup(g, [3])
     wrong = replace(h, coset_index=h.coset_index[:20] + (0,))
     with pytest.raises(TwistCheckFailed, match="axiom=3"):
-        build_T_kappa(g, s, lam, wrong, {(2, 9): -1})
+        SignFamily(g, s, lam, wrong).build(exquad_kappa(2))
 
 
 def test_generating_set():
@@ -352,7 +389,7 @@ def test_enumeration_closed_under_aut(data):
     t = out[data.draw(st.integers(min_value=0, max_value=len(out) - 1))]
     for g in af.plus.generators:
         assert act(t, g).triples in keys
-    if af.has_rho_part:
+    if af.witness is not None:
         assert act(t, af.witness, use_rho=True).triples in keys
 
 
@@ -411,7 +448,7 @@ def oracle_stabilizer(f, t):
     plus = bsgs_build(f.n, [s for s in keep if not s.is_identity()])
     full = aut_full(f)
     witness = None
-    if full.has_rho_part:
+    if full.witness is not None:
         cands = sorted((g * full.witness for g in a.elements()),
                        key=lambda p: p.images)
         for s in cands:
@@ -428,7 +465,7 @@ def oracle_classify(f):
     index = {t.triples: i for i, t in enumerate(allt)}
     full = aut_full(f)
     movers = [(g, False) for g in full.plus.generators]
-    if full.has_rho_part:
+    if full.witness is not None:
         movers.append((full.witness, True))
     seen = set()
     out = []
@@ -479,12 +516,12 @@ def test_classify_matches_act_relabelings(name):
         st = stabilizer_of_T(f, c.representative)
         assert c.aut_order == st.order
         got.append((c.representative.triples, c.orbit_size,
-                    _elements(st.plus), st.rho_witness))
+                    _elements(st.plus), st.witness))
     assert got == oracle_classify(f)
 
 
 def test_broken_counting_identity_raises(monkeypatch):
-    trivial = tripres.TStabilizer(plus=bsgs_build(ALT_F.n, []), rho_witness=None)
+    trivial = AutFull(plus=bsgs_build(ALT_F.n, []), witness=None)
     monkeypatch.setattr(tripres, "_stabilizer", lambda *args: trivial)
     assert not issubclass(CheckFailed, ValueError)
     with pytest.raises(CheckFailed, match="orbit size 2 times stabilizer order 1"):
