@@ -1,4 +1,7 @@
-"""Backtracking search for automorphisms and isomorphisms of colored digraphs."""
+"""Backtracking search for automorphisms and isomorphisms of colored digraphs.
+
+A digraph is one out-neighbor bitmask per vertex; each search derives the
+vertex count and the neighbor lists once, when it starts."""
 
 from __future__ import annotations
 
@@ -6,30 +9,41 @@ from .permgrp import Perm
 
 
 def arc_masks(n, arcs):
-    """Out- and in-neighbor bitmasks of a digraph on 0..n-1."""
-    outm = [0] * n
-    inm = [0] * n
+    """Out-neighbor bitmasks of a digraph on 0..n-1."""
+    adj = [0] * n
     for i, j in arcs:
-        outm[i] |= 1 << j
-        inm[j] |= 1 << i
-    return outm, inm
+        adj[i] |= 1 << j
+    return adj
 
 
-def _mask_to_list(m):
-    lst = []
-    while m:
-        b = m & -m
-        lst.append(b.bit_length() - 1)
-        m ^= b
-    return lst
+def _bits(mask):
+    """The set bits of mask, least first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
 
 
-def refine(n, outm, inm, colors):
+def _neighbor_lists(adj):
+    """(out-lists,) for a symmetric digraph, else (out-lists, in-lists)."""
+    outs = [_bits(m) for m in adj]
+    ins = [[] for _ in adj]
+    for v, ws in enumerate(outs):
+        for w in ws:
+            ins[w].append(v)
+    return (outs,) if ins == outs else (outs, ins)
+
+
+def refine(nbrs, colors):
     """Equitable refinement of a vertex coloring.
 
-    Returns the stable coloring, renumbered 0..k-1 in signature order, and a
-    trace of per-round signature lists; the trace is equal for two colored
-    digraphs exactly when the refinement runs are indistinguishable.
+    nbrs holds the out- and in-neighbor lists, or the out-lists alone when
+    the digraph is symmetric.  Returns the stable coloring, renumbered
+    0..k-1 in signature order, and a trace of per-round signature lists; the
+    trace is equal for two colored digraphs exactly when the refinement runs
+    are indistinguishable.
 
     The signature of a vertex is its color together with the sorted colors of
     its out- and in-neighbors, which carries the same information as counting
@@ -37,24 +51,22 @@ def refine(n, outm, inm, colors):
     """
     colors = list(colors)
     trace = []
-    undirected = outm is inm
-    outs = [_mask_to_list(m) for m in outm]
-    ins = outs if undirected else [_mask_to_list(m) for m in inm]
+    outs, ins = nbrs[0], nbrs[-1]
     k = len(set(colors))
     while True:
-        if undirected:
+        if len(nbrs) == 1:
             sigs = [
-                (colors[v], tuple(sorted(colors[u] for u in outs[v])))
-                for v in range(n)
+                (c, tuple(sorted([colors[u] for u in ws])))
+                for c, ws in zip(colors, outs)
             ]
         else:
             sigs = [
                 (
-                    colors[v],
-                    tuple(sorted(colors[u] for u in outs[v])),
-                    tuple(sorted(colors[u] for u in ins[v])),
+                    c,
+                    tuple(sorted([colors[u] for u in ws])),
+                    tuple(sorted([colors[u] for u in vs])),
                 )
-                for v in range(n)
+                for c, ws, vs in zip(colors, outs, ins)
             ]
         ranked = sorted(set(sigs))
         trace.append(tuple(ranked))
@@ -83,19 +95,17 @@ def _target_class(colors):
     return None if best is None else best[1]
 
 
-def _maps_arcs(n, outm1, outm2, images):
-    for v in range(n):
-        m, t = outm1[v], 0
-        while m:
-            b = m & -m
-            t |= 1 << images[b.bit_length() - 1]
-            m ^= b
-        if t != outm2[images[v]]:
+def _maps_arcs(outs1, adj2, images):
+    for v, ws in enumerate(outs1):
+        t = 0
+        for w in ws:
+            t |= 1 << images[w]
+        if t != adj2[images[v]]:
             return False
     return True
 
 
-def automorphism_generators(n, outm, inm, colors=None):
+def automorphism_generators(adj, colors=None):
     """Generators of the color-preserving automorphism group of a digraph.
 
     Individualization-refinement with the first leaf as reference; subtrees
@@ -103,8 +113,10 @@ def automorphism_generators(n, outm, inm, colors=None):
     target-cell vertices lying in the orbit of an already-expanded vertex
     under the automorphisms found so far.
     """
+    n = len(adj)
     if colors is None:
         colors = [0] * n
+    nbrs = _neighbor_lists(adj)
     gens: list[Perm] = []
     ref_trace: list = []
     ref_base: list[int] = []
@@ -123,7 +135,7 @@ def automorphism_generators(n, outm, inm, colors=None):
         return seen
 
     def dfs(raw, depth, on_ref):
-        cols, tr = refine(n, outm, inm, raw)
+        cols, tr = refine(nbrs, raw)
         if on_ref:
             ref_trace.append(tr)
         elif depth >= len(ref_trace) or tr != ref_trace[depth]:
@@ -139,7 +151,7 @@ def automorphism_generators(n, outm, inm, colors=None):
             images = [0] * n
             for c in range(n):
                 images[ref_leaf[0][c]] = vert[c]
-            if _maps_arcs(n, outm, outm, images):
+            if _maps_arcs(nbrs[0], adj, images):
                 p = Perm(tuple(images))
                 if not p.is_identity():
                     gens.append(p)
@@ -166,28 +178,30 @@ def automorphism_generators(n, outm, inm, colors=None):
                     return True
         return found
 
-    if n > 0:
-        dfs(list(colors), 0, True)
+    dfs(list(colors), 0, True)
     return sorted(set(gens), key=lambda p: p.images)
 
 
-def find_isomorphism(n, outm1, inm1, outm2, inm2, colors1=None, colors2=None):
+def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     """A color-preserving digraph isomorphism as a Perm, or None.
 
     Vertices of the first digraph are individualized in a fixed order and
     matched against every vertex of the corresponding class on the other
     side, so the returned witness is deterministic.
     """
+    n = len(adj1)
     if colors1 is None:
         colors1 = [0] * n
     if colors2 is None:
         colors2 = [0] * n
-    if n == 0:
-        return Perm(())
+    nbrs1, nbrs2 = _neighbor_lists(adj1), _neighbor_lists(adj2)
+    # an isomorphism keeps the vertex count and keeps a digraph symmetric
+    if len(adj2) != n or len(nbrs1) != len(nbrs2):
+        return None
 
     def dfs(raw1, raw2):
-        c1, t1 = refine(n, outm1, inm1, raw1)
-        c2, t2 = refine(n, outm2, inm2, raw2)
+        c1, t1 = refine(nbrs1, raw1)
+        c2, t2 = refine(nbrs2, raw2)
         if t1 != t2:
             return None
         cls = _target_class(c1)
@@ -196,7 +210,7 @@ def find_isomorphism(n, outm1, inm1, outm2, inm2, colors1=None, colors2=None):
             for w, c in enumerate(c2):
                 vert2[c] = w
             images = [vert2[c] for c in c1]
-            if _maps_arcs(n, outm1, outm2, images):
+            if _maps_arcs(nbrs1[0], adj2, images):
                 return tuple(images)
             return None
         v = min(u for u in range(n) if c1[u] == cls)

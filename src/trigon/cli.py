@@ -8,8 +8,6 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .catalog import TABLE_TEXTS
 from .documents import ParseError, document_blob, load_document
 from .exoticity import (
@@ -26,7 +24,7 @@ from .ffield import (
     factor_prime_power,
 )
 from .grouptools import export_presentation
-from .linkgraph import export_edge_list, from_F, metrics, normalized_laplacian
+from .linkgraph import export_edge_list, from_F, metrics, spectrum
 from .oppmodel import BadCongruence, opp_datum, opp_properties
 from .singer import quad_datum, singer_datum
 from .tripres import (
@@ -240,7 +238,7 @@ def _cmd_graph(args):
     met = metrics(g) if args.show_metrics else None
     eigs = None
     if args.spectrum:
-        eigs = [round(float(x), 8) for x in np.linalg.eigvalsh(normalized_laplacian(g))]
+        eigs = [round(x, 8) for x in spectrum(g)]
     if args.format == "json":
         blob = {
             "points": g.n,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import factor_prime_power
-from .autosearch import automorphism_generators
+from .autosearch import _bits, automorphism_generators
 from .linkgraph import LinkGraph, from_F
 from .permgrp import (
     NotInvariant,
@@ -62,17 +62,14 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
     """Compute Q0 from the link graph itself, then check its order.
 
     The base vertex gets a color of its own, so the search returns generators
-    of its stabilizer; no chain on all 2n vertices is built."""
+    of its stabilizer; no chain on all 2n vertices is built.  The folding is
+    checked first, so a broken one fails before the search is paid for."""
+    family = d.signs()
     link = from_F(d.F())
     n = link.n
     v1 = 0
     lam_set = tuple(n + s for s in d.S)
-    mask = link.adj[v1]
-    nbrs = []
-    while mask:
-        b = mask & -mask
-        nbrs.append(b.bit_length() - 1)
-        mask ^= b
+    nbrs = _bits(link.adj[v1])
     if tuple(nbrs) != lam_set:
         raise ProbeCheckFailed(
             f"neighbors {nbrs} of the base vertex are not the copies "
@@ -80,7 +77,7 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
         )
     colors = [0] * (2 * n)
     colors[v1] = 1
-    stab_gens = automorphism_generators(2 * n, link.adj, link.adj, colors)
+    stab_gens = automorphism_generators(link.adj, colors)
     # fixing a one-sided vertex rules out the side swap
     for g in stab_gens:
         if any(g(v) >= n for v in range(n)):
@@ -99,7 +96,7 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
     if got != want:
         raise OrderMismatch(f"|Q0| = {got}, expected {want} for q = {d.q}")
     return ExoticProbe(datum=d, link=link, v1=v1, lambda_set=lam_set, q0=q0,
-                       family=d.signs())
+                       family=family)
 
 
 def sigma_kappa(probe: ExoticProbe, kappa) -> Perm:

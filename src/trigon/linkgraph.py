@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autosearch import arc_masks, automorphism_generators, find_isomorphism
+from .autosearch import (
+    _bits,
+    arc_masks,
+    automorphism_generators,
+    find_isomorphism,
+)
 from .permgrp import Perm, PermGroup, bsgs_build
 
 
@@ -66,14 +71,7 @@ class LinkGraph:
         return len(self.adj) // 2
 
     def edges(self) -> list:
-        out = []
-        for v in range(self.n):
-            m = self.adj[v]
-            while m:
-                b = m & -m
-                out.append((v, b.bit_length() - 1))
-                m ^= b
-        return out
+        return [(v, w) for v in range(self.n) for w in _bits(self.adj[v])]
 
     def __repr__(self):
         return f"LinkGraph(n={self.n}, edges={len(self.edges())})"
@@ -86,13 +84,6 @@ def from_F(F: FSet) -> LinkGraph:
         adj[i] |= 1 << (j + n)
         adj[j + n] |= 1 << i
     return LinkGraph(tuple(adj))
-
-
-def _neighbors(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _bfs_scan(adj, root, best=math.inf):
@@ -161,12 +152,12 @@ def metrics(g: LinkGraph) -> GraphMetrics:
     return GraphMetrics(connected, girth, diam, profile, bireg)
 
 
-def normalized_laplacian(g: LinkGraph) -> np.ndarray:
+def _normalized_laplacian(g: LinkGraph) -> np.ndarray:
     """I - D^{-1/2} A D^{-1/2}, with zero rows at isolated vertices."""
     n2 = 2 * g.n
     a = np.zeros((n2, n2))
     for v in range(n2):
-        for w in _neighbors(g.adj[v]):
+        for w in _bits(g.adj[v]):
             a[v, w] = 1.0
     d = a.sum(axis=1)
     s = np.zeros(n2)
@@ -177,15 +168,17 @@ def normalized_laplacian(g: LinkGraph) -> np.ndarray:
     return lap
 
 
-def spectral_gap(g: LinkGraph, tol: float = 1e-9) -> float:
-    """Smallest nonzero eigenvalue of the normalized Laplacian."""
+def spectrum(g: LinkGraph) -> list[float]:
+    """The eigenvalues of the normalized Laplacian, ascending."""
+    return [float(x) for x in np.linalg.eigvalsh(_normalized_laplacian(g))]
+
+
+def spectral_gap(g: LinkGraph) -> float:
+    """Smallest nonzero eigenvalue of the normalized Laplacian.  A connected
+    graph with an edge has one: the eigenvalues sum to its vertex count."""
     if _bfs_scan(g.adj, 0, 0)[1] != (1 << (2 * g.n)) - 1:
         raise Disconnected("spectral gap needs a connected graph")
-    ev = np.linalg.eigvalsh(normalized_laplacian(g))
-    for x in ev:
-        if x > tol:
-            return float(x)
-    raise Disconnected("no nonzero eigenvalue found")
+    return next(x for x in spectrum(g) if x > 1e-9)
 
 
 def is_generalized_mgon(g: LinkGraph, m: int) -> bool:
@@ -207,9 +200,7 @@ def digraph_of(F: FSet):
 def aut_plus(F: FSet) -> PermGroup:
     """Stabilizer of F in Sym(n) under the diagonal action, as a group of
     position permutations."""
-    outm, inm = digraph_of(F)
-    gens = automorphism_generators(F.n, outm, inm)
-    return bsgs_build(F.n, gens)
+    return bsgs_build(F.n, automorphism_generators(digraph_of(F)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,19 +218,15 @@ class AutFull:
 
 
 def aut_full(F: FSet) -> AutFull:
-    plus = aut_plus(F)
-    o1, i1 = digraph_of(apply_rho(F))
-    o2, i2 = digraph_of(F)
-    return AutFull(plus=plus, witness=find_isomorphism(F.n, o1, i1, o2, i2))
+    witness = find_isomorphism(digraph_of(apply_rho(F)), digraph_of(F))
+    return AutFull(plus=aut_plus(F), witness=witness)
 
 
-def graph_automorphisms(g: LinkGraph, colors=None) -> PermGroup:
+def graph_automorphisms(g: LinkGraph) -> PermGroup:
     """Full automorphism group of the bipartite graph on 2n vertices; maps
-    exchanging the sides are allowed.  An optional vertex coloring restricts
-    to the color-preserving subgroup, e.g. to pin down a vertex stabilizer.
-    Kept as the whole-group oracle for the probe's Q0 in the tests."""
-    gens = automorphism_generators(2 * g.n, g.adj, g.adj, colors)
-    return bsgs_build(2 * g.n, gens)
+    exchanging the sides are allowed.  Kept as the whole-group oracle for the
+    probe's Q0 in the tests."""
+    return bsgs_build(2 * g.n, automorphism_generators(g.adj))
 
 
 def f_wreath_equivalent(F1: FSet, F2: FSet) -> bool:
@@ -247,14 +234,11 @@ def f_wreath_equivalent(F1: FSet, F2: FSet) -> bool:
     sides permuted independently and possibly exchanged; weaker than
     diagonal equivalence.  opp_datum checks the coset model against the
     subspace model with it."""
-    if F1.n != F2.n:
-        return False
     n = F1.n
     g1, g2 = from_F(F1), from_F(F2)
     side = [0] * n + [1] * n
     return any(
-        find_isomorphism(2 * n, g1.adj, g1.adj, g2.adj, g2.adj, side, side2)
-        is not None
+        find_isomorphism(g1.adj, g2.adj, side, side2) is not None
         for side2 in (side, side[n:] + side[:n])
     )
 

@@ -87,7 +87,7 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -100,7 +100,7 @@ class Perm:
                 cyc.append(nxt)
                 seen[nxt] = True
                 nxt = self.images[nxt]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -139,15 +139,9 @@ class PermGroup:
             n *= len(t)
         return n
 
-    def strip(self, g: Perm, start: int = 0):
+    def strip(self, g: Perm):
         """Sift g through the chain, returning (residue, stop level)."""
-        for i in range(start, len(self.base)):
-            b = g.images[self.base[i]]
-            t = self._transversals[i]
-            if b not in t:
-                return g, i
-            g = g * t[b].inverse()
-        return g, len(self.base)
+        return _sift(g, self.base, self._transversals)
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -175,10 +169,8 @@ class PermGroup:
             left -= set(orb)
         return out
 
-    def elements(self, limit: int | None = None):
-        """All group elements, in chain order.  Guarded by an optional cap."""
-        if limit is not None and self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds cap {limit}")
+    def elements(self):
+        """All group elements, in chain order."""
 
         def walk(level):
             if level == len(self.base):
@@ -212,6 +204,17 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
+def _sift(g, base, transversals, start=0):
+    """Sift g through a chain from level start: (residue, stop level)."""
+    for i in range(start, len(base)):
+        b = g.images[base[i]]
+        t = transversals[i]
+        if b not in t:
+            return g, i
+        g = g * t[b].inverse()
+    return g, len(base)
+
+
 def restricted_generators(generators, points) -> list[Perm]:
     """The action of each generator on a list of points, as a permutation of
     positions in that list; raises NotInvariant if a point leaves the list."""
@@ -229,8 +232,6 @@ def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
     """Deterministic Schreier-Sims construction of a stabilizer chain."""
     input_gens = []
     for g in generators:
-        if not isinstance(g, Perm):
-            g = Perm(g)
         if g.degree != degree:
             raise InvalidPermutation(f"degree {g.degree}, expected {degree}")
         if not g.is_identity() and g not in input_gens:
@@ -264,14 +265,6 @@ def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
                     queue.append(c)
         transversals[i] = t
 
-    def strip(g, start=0):
-        for i in range(start, len(base)):
-            b = g.images[base[i]]
-            if b not in transversals[i]:
-                return g, i
-            g = g * transversals[i][b].inverse()
-        return g, len(base)
-
     def insert(h, j):
         # h fixes base[:j]; it becomes a strong generator on levels 0..j
         if j == len(base):
@@ -282,7 +275,7 @@ def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
             rebuild_transversal(k)
 
     for g in input_gens:
-        h, j = strip(g)
+        h, j = _sift(g, base, transversals)
         if not h.is_identity():
             insert(h, j)
 
@@ -297,7 +290,7 @@ def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
                 sg = u * s * transversals[i][s.images[b]].inverse()
                 if sg.is_identity():
                     continue
-                h, j = strip(sg, i + 1)
+                h, j = _sift(sg, base, transversals, i + 1)
                 if not h.is_identity():
                     insert(h, j)
                     i = j
@@ -311,17 +304,16 @@ def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
     return PermGroup(degree, input_gens, strong, base, transversals)
 
 
-def closure_elements(degree: int, generators, cap: int = 10**6) -> list[Perm]:
-    """Brute-force closure, for cross-checks on small groups."""
-    gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
+def closure_elements(degree: int, generators) -> list[Perm]:
+    """Brute-force closure of at most 10^6 elements, for cross-checks."""
     seen = {Perm.identity(degree)}
     queue = list(seen)
     for g in queue:
-        for s in gens:
+        for s in generators:
             h = g * s
             if h not in seen:
-                if len(seen) >= cap:
-                    raise ValueError("closure exceeded cap")
+                if len(seen) >= 10**6:
+                    raise ValueError("closure exceeded 10^6 elements")
                 seen.add(h)
                 queue.append(h)
     return sorted(seen, key=lambda p: p.images)

@@ -12,6 +12,9 @@ from .fgroup import FiniteGroup, SubgroupDatum, subgroup
 from .linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus, digraph_of
 from .permgrp import bsgs_build
 
+# the largest |Aut+(F)| whose elements a search lists one by one
+_AUT_LIMIT = 10**6
+
 
 class CheckFailed(Exception):
     """An identity that a construction or census rests on does not hold.
@@ -198,22 +201,22 @@ def _carries(ptrip, im, target, use_rho: bool = False) -> bool:
     return all((im[i], im[j], im[k]) in target for i, j, k in ptrip)
 
 
-def stabilizer_of_T(F: FSet, T: TrianglePresentation, limit: int = 10**6):
+def stabilizer_of_T(F: FSet, T: TrianglePresentation):
     """Aut+(T) by filtering Aut+(F), plus a triple-preserving sigma rho.
     Backs the counting identity on the complete digraph (test_03)."""
     if verify(F, T):
         raise IncompatiblePresentation("T fails its axioms against F")
-    _, elems, rho_coset = _aut_elements(F, limit)
+    _, elems, rho_coset = _aut_elements(F)
     return _stabilizer(T.triples, elems, rho_coset)
 
 
-def _aut_elements(F: FSet, limit: int):
+def _aut_elements(F: FSet):
     """Aut(F), the elements of Aut+(F), and the coordinate-swapping coset of
-    Aut(F) sorted by images (empty without one); guarded by limit."""
+    Aut(F) sorted by images (empty without one); guarded by _AUT_LIMIT."""
     full = aut_full(F)
     A = full.plus
-    if A.order() > limit:
-        raise SearchTooLarge(f"|Aut+(F)| = {A.order()} exceeds {limit}")
+    if A.order() > _AUT_LIMIT:
+        raise SearchTooLarge(f"|Aut+(F)| = {A.order()} exceeds {_AUT_LIMIT}")
     elems = A.elements()
     coset = [] if full.witness is None else _sorted_coset(elems, full.witness)
     return full, elems, coset
@@ -246,14 +249,14 @@ class TClass:
     aut_order: int
 
 
-def classify(F: FSet, limit: int = 10**6) -> list[TClass]:
+def classify(F: FSet) -> list[TClass]:
     """Orbits of Aut(F) on all compatible presentations.
 
-    |Aut+(F)| is checked against limit before the enumeration starts.  The
-    counting identity sum(|Aut(F)| / |Aut(T)|) = #presentations is checked
-    on every run; a failure raises CheckFailed.
+    |Aut+(F)| is checked against _AUT_LIMIT before the enumeration starts.
+    The counting identity sum(|Aut(F)| / |Aut(T)|) = #presentations is
+    checked on every run; a failure raises CheckFailed.
     """
-    full, elems, rho_coset = _aut_elements(F, limit)
+    full, elems, rho_coset = _aut_elements(F)
     allt = enumerate_all(F)
     ptrips = [t.triples for t in allt]
     index = {p: i for i, p in enumerate(ptrips)}
@@ -376,8 +379,6 @@ class SignFamily:
         G, lam = self.G, self.lam
         for s in _check_lambda(G, self.S, lam):
             t = lam[s]
-            if lam[lam[t]] != s:
-                raise LambdaConditionFailed("folding map must have order dividing 3")
             if G.mul(G.mul(s, lam[t]), t) != G.id:
                 raise LambdaConditionFailed(f"s*lam^2(s)*lam(s) != 1 at s = {s}")
         twisted = [
@@ -445,22 +446,21 @@ def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
     return TrianglePresentation(tuple(range(G.n)), frozenset(triples))
 
 
-def isomorphic_T(F1, T1, F2, T2, limit: int = 10**6):
+def isomorphic_T(F1, T1, F2, T2):
     """The lexicographically least witness (sigma, used_rho) carrying T1 to
     T2, diagonal branch before the coordinate-swapping one; None if neither
     branch works.  Backs the complete-digraph pair claim (test_03)."""
     if F1.n != F2.n:
         return None
     A = aut_plus(F1)
-    if A.order() > limit:
-        raise SearchTooLarge(f"|Aut+(F1)| = {A.order()} exceeds {limit}")
+    if A.order() > _AUT_LIMIT:
+        raise SearchTooLarge(f"|Aut+(F1)| = {A.order()} exceeds {_AUT_LIMIT}")
     t1 = T1.triples
     t2 = T2.triples
-    o2, i2 = digraph_of(F2)
+    adj2 = digraph_of(F2)
     for use_rho in (False, True):
         base = apply_rho(F1) if use_rho else F1
-        o1, i1 = digraph_of(base)
-        w0 = find_isomorphism(F1.n, o1, i1, o2, i2)
+        w0 = find_isomorphism(digraph_of(base), adj2)
         if w0 is None:
             continue
         for s in _sorted_coset(A.elements(), w0):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigon.autosearch import (
+    _neighbor_lists,
     arc_masks,
     automorphism_generators,
     find_isomorphism,
@@ -36,7 +37,7 @@ def group_elements(n, gens):
 def edge_adjacency(n, edges):
     """Symmetric adjacency bitmasks of a simple graph: the out-masks of the
     arcs in both directions."""
-    return arc_masks(n, edges + [(j, i) for i, j in edges])[0]
+    return arc_masks(n, edges + [(j, i) for i, j in edges])
 
 
 PETERSEN = [
@@ -49,21 +50,21 @@ PETERSEN = [
 def test_refine_splits_by_degree():
     # path 0-1-2: endpoints split from the middle vertex
     adj = edge_adjacency(3, [(0, 1), (1, 2)])
-    cols, trace = refine(3, adj, adj, [0, 0, 0])
+    cols, trace = refine(_neighbor_lists(adj), [0, 0, 0])
     assert cols[0] == cols[2] != cols[1]
     assert len(trace) >= 1
 
 
 def test_path_automorphisms():
     adj = edge_adjacency(3, [(0, 1), (1, 2)])
-    gens = automorphism_generators(3, adj, adj)
+    gens = automorphism_generators(adj)
     assert group_elements(3, gens) == [(0, 1, 2), (2, 1, 0)]
 
 
 def test_square_automorphisms():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     adj = edge_adjacency(4, edges)
-    gens = automorphism_generators(4, adj, adj)
+    gens = automorphism_generators(adj)
     assert bsgs_build(4, gens).order() == 8
     assert group_elements(4, gens) == brute_automorphisms(
         4, edges + [(j, i) for i, j in edges]
@@ -72,59 +73,56 @@ def test_square_automorphisms():
 
 def test_directed_cycle_automorphisms():
     arcs = [(i, (i + 1) % 5) for i in range(5)]
-    outm, inm = arc_masks(5, arcs)
-    gens = automorphism_generators(5, outm, inm)
+    gens = automorphism_generators(arc_masks(5, arcs))
     assert bsgs_build(5, gens).order() == 5
     assert group_elements(5, gens) == brute_automorphisms(5, arcs)
 
 
 def test_petersen_automorphism_order():
     adj = edge_adjacency(10, PETERSEN)
-    gens = automorphism_generators(10, adj, adj)
+    gens = automorphism_generators(adj)
     assert bsgs_build(10, gens).order() == 120
 
 
 def test_colors_restrict_automorphisms():
     arcs = [(i, (i + 1) % 6) for i in range(6)]
-    outm, inm = arc_masks(6, arcs)
-    free = automorphism_generators(6, outm, inm)
+    adj = arc_masks(6, arcs)
+    free = automorphism_generators(adj)
     assert bsgs_build(6, free).order() == 6
-    pinned = automorphism_generators(6, outm, inm, colors=[1, 0, 0, 0, 0, 0])
+    pinned = automorphism_generators(adj, colors=[1, 0, 0, 0, 0, 0])
     assert pinned == []
 
 
 def test_determinism():
     adj = edge_adjacency(10, PETERSEN)
-    a = automorphism_generators(10, adj, adj)
-    b = automorphism_generators(10, adj, adj)
+    a = automorphism_generators(adj)
+    b = automorphism_generators(adj)
     assert [p.images for p in a] == [p.images for p in b]
 
 
 def test_loops_matter():
     arcs = [(0, 0), (0, 1), (1, 0)]
-    outm, inm = arc_masks(2, arcs)
-    assert automorphism_generators(2, outm, inm) == []
+    assert automorphism_generators(arc_masks(2, arcs)) == []
 
 
 def test_find_isomorphism_cycles():
     a = [(i, (i + 1) % 6) for i in range(6)]
     b = [((i + 2) % 6, (i + 3) % 6) for i in range(6)]
-    oa, ia = arc_masks(6, a)
-    ob, ib = arc_masks(6, b)
-    w = find_isomorphism(6, oa, ia, ob, ib)
+    w = find_isomorphism(arc_masks(6, a), arc_masks(6, b))
     assert w is not None
     assert {(w(i), w(j)) for i, j in a} == set(b)
     # two triangles are not a hexagon
     two = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    ot, it_ = arc_masks(6, two)
-    assert find_isomorphism(6, oa, ia, ot, it_) is None
+    assert find_isomorphism(arc_masks(6, a), arc_masks(6, two)) is None
+    # a hexagon plus an isolated vertex is not a hexagon either
+    assert find_isomorphism(arc_masks(6, a), arc_masks(7, a)) is None
 
 
 def test_find_isomorphism_respects_colors():
     arcs = [(0, 1)]
-    o, i = arc_masks(2, arcs)
-    assert find_isomorphism(2, o, i, o, i, [0, 1], [0, 1]) is not None
-    assert find_isomorphism(2, o, i, o, i, [0, 1], [1, 0]) is None
+    adj = arc_masks(2, arcs)
+    assert find_isomorphism(adj, adj, [0, 1], [0, 1]) is not None
+    assert find_isomorphism(adj, adj, [0, 1], [1, 0]) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,8 +139,7 @@ def test_automorphisms_match_brute_force(data):
             unique=True,
         )
     )
-    outm, inm = arc_masks(n, arcs)
-    gens = automorphism_generators(n, outm, inm)
+    gens = automorphism_generators(arc_masks(n, arcs))
     assert group_elements(n, gens) == brute_automorphisms(n, arcs)
 
 
@@ -163,8 +160,91 @@ def test_relabelled_digraph_is_found_isomorphic(data):
     images = data.draw(st.permutations(range(n)))
     sigma = Perm(tuple(images))
     relabelled = [(sigma(i), sigma(j)) for i, j in arcs]
-    o1, i1 = arc_masks(n, arcs)
-    o2, i2 = arc_masks(n, relabelled)
-    w = find_isomorphism(n, o1, i1, o2, i2)
+    w = find_isomorphism(arc_masks(n, arcs), arc_masks(n, relabelled))
     assert w is not None
     assert {(w(i), w(j)) for i, j in arcs} == set(relabelled)
+
+
+def brute_isomorphic(n, arcs1, arcs2, colors1, colors2):
+    target = set(arcs2)
+    return any(
+        all(colors1[v] == colors2[p[v]] for v in range(n))
+        and {(p[i], p[j]) for i, j in arcs1} == target
+        for p in itertools.permutations(range(n))
+    )
+
+
+def arc_lists(n):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=n - 1),
+        ),
+        max_size=10,
+        unique=True,
+    )
+
+
+def two_colorings(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_find_isomorphism_matches_brute_force(data):
+    """Loops, two colors and unrelated pairs as well as relabellings."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    arcs1 = data.draw(arc_lists(n))
+    colors1 = data.draw(two_colorings(n))
+    if data.draw(st.booleans()):
+        sigma = data.draw(st.permutations(range(n)))
+        arcs2 = [(sigma[i], sigma[j]) for i, j in arcs1]
+        colors2 = [0] * n
+        for v in range(n):
+            colors2[sigma[v]] = colors1[v]
+    else:
+        arcs2 = data.draw(arc_lists(n))
+        colors2 = data.draw(two_colorings(n))
+    adj1, adj2 = arc_masks(n, arcs1), arc_masks(n, arcs2)
+    w = find_isomorphism(adj1, adj2, colors1, colors2)
+    assert (w is not None) == brute_isomorphic(n, arcs1, arcs2, colors1,
+                                               colors2)
+    if w is not None:
+        assert {(w(i), w(j)) for i, j in arcs1} == set(arcs2)
+        assert all(colors1[v] == colors2[w(v)] for v in range(n))
+
+
+def refine_both_ways(adj, colors):
+    """The stable coloring from out- and in-signatures read off the bitmasks,
+    the reference for refine's symmetric path."""
+    n = len(adj)
+    inm = [sum(1 << v for v in range(n) if adj[v] >> w & 1) for w in range(n)]
+
+    def seen(mask, colors):
+        return tuple(sorted(colors[u] for u in range(n) if mask >> u & 1))
+
+    k = len(set(colors))
+    while True:
+        sigs = [(colors[v], seen(adj[v], colors), seen(inm[v], colors))
+                for v in range(n)]
+        ranked = sorted(set(sigs))
+        colors = [ranked.index(s) for s in sigs]
+        if len(ranked) == k:
+            return colors
+        k = len(ranked)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_symmetric_refinement_matches_both_way_signatures(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    arcs = data.draw(arc_lists(n))
+    adj = arc_masks(n, arcs + [(j, i) for i, j in arcs])
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    nbrs = _neighbor_lists(adj)
+    assert len(nbrs) == 1  # the search takes the symmetric path
+    assert refine(nbrs, colors)[0] == refine_both_ways(adj, colors)
+
+
+def test_asymmetric_digraph_keeps_in_lists():
+    assert _neighbor_lists(arc_masks(2, [(0, 1)])) == ([[1], []], [[], [0]])

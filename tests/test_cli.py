@@ -316,7 +316,7 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
         cycle = (1, other_line) if broken == "side swap" else (lam[0], other_line)
         monkeypatch.setattr(
             exoticity, "automorphism_generators",
-            lambda m, outm, inm, colors: [Perm.from_cycles(m, [cycle])],
+            lambda adj, colors: [Perm.from_cycles(len(adj), [cycle])],
         )
     assert not issubclass(ProbeCheckFailed, ValueError)
     code, out, err = invoke(capsys, ["exotic", "--q", "2", "--kappa", "+1"])

@@ -187,10 +187,9 @@ def test_kappa_negation_pairing(q, probe_for):
 
 
 def test_order_mismatch_on_tampered_datum():
-    d = singer_datum(2)
-    fake = replace(d, S=(1, 2, 3), lam={}, orbits=(), O=(), fixed_points=())
-    with pytest.raises(OrderMismatch):
-        build_probe(fake)
+    # the Fano datum filed under q = 3: a valid folding, |Q0| = 6, not 24
+    with pytest.raises(OrderMismatch, match="6, expected 24"):
+        build_probe(replace(singer_datum(2), q=3))
 
 
 def test_bounds_exact_small():

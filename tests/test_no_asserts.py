@@ -4,7 +4,9 @@
   so an invariant the results rest on must raise an error instead;
 - no unused import in the program, its scripts or its tests;
 - no public module-level name in the package that nothing in the program or
-  its scripts reads, unless TEST_ONLY names the claim or oracle it serves."""
+  its scripts reads, unless TEST_ONLY names the claim or oracle it serves;
+- no parameter default in the package that no call in the program, its
+  scripts or its tests overrides: a value nothing sets is a constant."""
 
 import ast
 from pathlib import Path
@@ -116,3 +118,67 @@ def test_every_public_name_has_a_reader():
     assert sorted(unreferenced - set(TEST_ONLY)) == []
     # an entry whose name is gone or has gained a reader must leave the list
     assert sorted(set(TEST_ONLY) - unreferenced) == []
+
+
+def _defaulted_parameters(path):
+    """(function name, parameter, position or None, is method) for every
+    parameter with a default; a position counts from the first argument a
+    call passes, so a method's self or cls is not counted (the package has
+    no static methods)."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                first = len(a.args) - len(a.defaults)
+                for i in range(first, len(a.args)):
+                    pos = i - in_class
+                    out.append((child.name, a.args[i].arg, pos, in_class))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((child.name, arg.arg, None, in_class))
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(_tree(path), False)
+    return out
+
+
+def _calls():
+    """(called name, whether called as an attribute, positional count or
+    None after a starred argument, keyword names or None after **) for
+    every call in the program, its scripts and its tests."""
+    out = []
+    for path in SOURCES + TESTS:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name, attr = node.func.id, False
+            elif isinstance(node.func, ast.Attribute):
+                name, attr = node.func.attr, True
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            names = {k.arg for k in node.keywords}
+            out.append((name, attr, None if starred else len(node.args),
+                        None if None in names else names))
+    return out
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    calls = _calls()
+    unset = []
+    for path in PACKAGE:
+        for fn, param, pos, method in _defaulted_parameters(path):
+            if not any(
+                name == fn
+                and (attr or not method)
+                and (keys is None or param in keys
+                     or count is None or (pos is not None and count > pos))
+                for name, attr, count, keys in calls
+            ):
+                unset.append(f"{path.stem}.{fn}({param})")
+    assert sorted(unset) == []

@@ -153,7 +153,7 @@ def test_modulus_choice_stays_diagonal_equivalent(q):
     assert len(fsets) == (2 if q == 2 else 4)
     first = fsets[0]
     for other in fsets[1:]:
-        w = find_isomorphism(first.n, *digraph_of(first), *digraph_of(other))
+        w = find_isomorphism(digraph_of(first), digraph_of(other))
         assert w is not None
 
 
