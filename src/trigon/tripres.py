@@ -10,9 +10,10 @@ from operator import itemgetter
 from .autosearch import find_isomorphism
 from .fgroup import FiniteGroup, SubgroupDatum, subgroup
 from .linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus, digraph_of
-from .permgrp import bsgs_build
+from .permgrp import Perm, bsgs_build
 
-# the largest |Aut+(F)| whose elements a search lists one by one
+# the largest |Aut+(F)| a search accepts: isomorphic_T lists Aut+(F1) element
+# by element; an orbit that classify walks has at most 2 |Aut+(F)| triple sets
 _AUT_LIMIT = 10**6
 
 
@@ -31,7 +32,7 @@ class LambdaConditionFailed(CheckFailed):
 
 
 class SearchTooLarge(ValueError):
-    """Raised when an element-by-element search would exceed its bound."""
+    """Raised when |Aut+(F)| exceeds the bound a search accepts."""
 
 
 class KappaSpecError(ValueError):
@@ -202,42 +203,59 @@ def _carries(ptrip, im, target, use_rho: bool = False) -> bool:
 
 
 def stabilizer_of_T(F: FSet, T: TrianglePresentation):
-    """Aut+(T) by filtering Aut+(F), plus a triple-preserving sigma rho.
-    Backs the counting identity on the complete digraph (test_03)."""
+    """Aut+(T) plus a triple-preserving sigma rho, from the Schreier
+    generators of the orbit of T under Aut(F).  Backs the counting identity
+    on the complete digraph (test_03)."""
     if verify(F, T):
         raise IncompatiblePresentation("T fails its axioms against F")
-    _, elems, rho_coset = _aut_elements(F)
-    return _stabilizer(T.triples, elems, rho_coset)
+    return _orbit_stabilizer(T.triples, _bounded_aut_full(F))[1]
 
 
-def _aut_elements(F: FSet):
-    """Aut(F), the elements of Aut+(F), and the coordinate-swapping coset of
-    Aut(F) sorted by images (empty without one); guarded by _AUT_LIMIT."""
+def _bounded_aut_full(F: FSet) -> AutFull:
+    """Aut(F), after checking |Aut+(F)| against _AUT_LIMIT."""
     full = aut_full(F)
-    A = full.plus
-    if A.order() > _AUT_LIMIT:
-        raise SearchTooLarge(f"|Aut+(F)| = {A.order()} exceeds {_AUT_LIMIT}")
-    elems = A.elements()
-    coset = [] if full.witness is None else _sorted_coset(elems, full.witness)
-    return full, elems, coset
+    order = full.plus.order()
+    if order > _AUT_LIMIT:
+        raise SearchTooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
+    return full
 
 
-def _sorted_coset(elems, w0) -> list:
-    return sorted((a * w0 for a in elems), key=lambda p: p.images)
+def _orbit_stabilizer(ptrip, full: AutFull):
+    """The orbit of the position triples ptrip under Aut(F), in walk order,
+    and their stabilizer, from the Schreier generators of that walk.
 
-
-def _stabilizer(ptrip, elems, rho_coset) -> AutFull:
-    """The stabilizer of the position triples ptrip: the elements of Aut+(F)
-    that fix them, and the least element of the sorted rho coset that does."""
-    keep = [
-        s for s in elems
-        if not s.is_identity() and _carries(ptrip, s.images, ptrip)
-    ]
-    witness = next(
-        (s for s in rho_coset if _carries(ptrip, s.images, ptrip, use_rho=True)),
-        None,
-    )
-    return AutFull(plus=bsgs_build(elems[0].degree, keep), witness=witness)
+    (g, 1) is g after the coordinate swap, so (g, a) * (h, b) = (g*h, a ^ b).
+    The walk moves by the generators of Aut+(F) with bit 0 and full.witness
+    with bit 1, and keeps a (u_x, b_x) carrying ptrip to each triple set x;
+    a move x -> y by (g, b) gives the Schreier generator (u_x * g * u_y^-1,
+    b_x ^ b ^ b_y) (Seress, Permutation Group Algorithms, 4.2).  The first
+    bit-1 one, t, is the witness; Aut+(T) is generated by the bit-0 ones e,
+    t*e*t^-1, and t*s and s*t^-1 for each bit-1 s (Reidemeister-Schreier)."""
+    movers = [(g, 0) for g in full.plus.generators]
+    if full.witness is not None:
+        movers.append((full.witness, 1))
+    degree = full.plus.degree
+    walk = {ptrip: (Perm.identity(degree), 0)}
+    orbit = [ptrip]
+    schreier = {}
+    for x in orbit:
+        ux, bx = walk[x]
+        for g, b in movers:
+            y = _image(x, g.images, b)
+            if y not in walk:
+                walk[y] = (ux * g, bx ^ b)
+                orbit.append(y)
+                continue
+            uy, by = walk[y]
+            schreier[ux * g * uy.inverse(), bx ^ b ^ by] = None
+    plus = [s for s, bit in schreier if not bit]
+    swaps = [s for s, bit in schreier if bit]
+    witness = swaps[0] if swaps else None
+    if witness is not None:
+        w_inv = witness.inverse()
+        plus += [witness * e * w_inv for e in plus]
+        plus += [witness * s for s in swaps] + [s * w_inv for s in swaps]
+    return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,45 +268,28 @@ class TClass:
 
 
 def classify(F: FSet) -> list[TClass]:
-    """Orbits of Aut(F) on all compatible presentations.
+    """Orbits of Aut(F) on all compatible presentations, each represented by
+    its first presentation in enumeration order.
 
     |Aut+(F)| is checked against _AUT_LIMIT before the enumeration starts.
-    The counting identity sum(|Aut(F)| / |Aut(T)|) = #presentations is
+    orbit * stabilizer = |Aut(F)| per class and the sum of the orbits are
     checked on every run; a failure raises CheckFailed.
     """
-    full, elems, rho_coset = _aut_elements(F)
+    full = _bounded_aut_full(F)
     allt = enumerate_all(F)
-    ptrips = [t.triples for t in allt]
-    index = {p: i for i, p in enumerate(ptrips)}
-    movers = [(g.images, False) for g in full.plus.generators]
-    if full.witness is not None:
-        movers.append((full.witness.images, True))
-    seen = [False] * len(allt)
+    left = {t.triples for t in allt}
     classes = []
-    for start in range(len(allt)):
-        if seen[start]:
+    for t in allt:
+        if t.triples not in left:
             continue
-        orbit = {start}
-        queue = [start]
-        for i in queue:
-            for im, use_rho in movers:
-                j = index[_image(ptrips[i], im, use_rho)]
-                if j not in orbit:
-                    orbit.add(j)
-                    queue.append(j)
-        for i in orbit:
-            seen[i] = True
-        rep = min(orbit)
-        st = _stabilizer(ptrips[rep], elems, rho_coset)
+        orbit, st = _orbit_stabilizer(t.triples, full)
+        left.difference_update(orbit)
         if full.order != len(orbit) * st.order:
             raise CheckFailed(
                 f"|Aut(F)| = {full.order} is not orbit size {len(orbit)} "
                 f"times stabilizer order {st.order}"
             )
-        classes.append(
-            TClass(representative=allt[rep], orbit_size=len(orbit),
-                   aut_order=st.order)
-        )
+        classes.append(TClass(t, len(orbit), st.order))
     total = sum(c.orbit_size for c in classes)
     if total != len(allt):
         raise CheckFailed(
@@ -463,7 +464,8 @@ def isomorphic_T(F1, T1, F2, T2):
         w0 = find_isomorphism(digraph_of(base), adj2)
         if w0 is None:
             continue
-        for s in _sorted_coset(A.elements(), w0):
+        coset = sorted((a * w0 for a in A.elements()), key=lambda p: p.images)
+        for s in coset:
             if _carries(t1, s.images, t2, use_rho):
                 return (s, use_rho)
     return None

@@ -400,7 +400,11 @@ def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, comma
     doc_path = tmp_path / "exquad.json"
     assert run(["quad", "--q", "2", "--format", "json", "-o", str(doc_path)]) == 0
     trivial = AutFull(plus=bsgs_build(21, []), witness=None)
-    monkeypatch.setattr(tripres, "_stabilizer", lambda *args: trivial)
+    real = tripres._orbit_stabilizer
+    monkeypatch.setattr(
+        tripres, "_orbit_stabilizer",
+        lambda ptrip, full: (real(ptrip, full)[0], trivial),
+    )
     code, out, err = invoke(capsys, [command, "--from-json", str(doc_path)])
     assert code == 1
     assert out == ""

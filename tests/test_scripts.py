@@ -1,11 +1,17 @@
-"""The scripts under scripts/ run to completion at small sizes."""
+"""The scripts under scripts/ run to completion at small sizes, and report a
+failed check with exit status 1."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from trigon import tripres
+from trigon.linkgraph import AutFull
+from trigon.permgrp import bsgs_build
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +33,24 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and proc.stderr == ""
+
+
+def test_family_census_reports_a_broken_counting_identity(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "family_census", ROOT / "scripts" / "family_census.py"
+    )
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    real = tripres._orbit_stabilizer
+
+    def trivial_stabilizer(ptrip, full):
+        trivial = AutFull(plus=bsgs_build(full.plus.degree, []), witness=None)
+        return real(ptrip, full)[0], trivial
+
+    monkeypatch.setattr(tripres, "_orbit_stabilizer", trivial_stabilizer)
+    monkeypatch.setattr(sys, "argv", ["family_census.py", "--q", "2"])
+    assert census.main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "complete digraph on 4: error: |Aut(F)| = 48 is not orbit" in err
+    assert len(err.splitlines()) == 3

@@ -12,7 +12,7 @@ from trigon import tripres
 from trigon.fgroup import FiniteGroup, make_cyclic, subgroup
 from trigon.linkgraph import AutFull, FSet, aut_full, aut_plus
 from trigon.oppmodel import opp_datum
-from trigon.permgrp import Perm, bsgs_build
+from trigon.permgrp import Perm, PermGroup, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import (
     CheckFailed,
@@ -160,7 +160,7 @@ def test_stabilizer_alt():
     st = stabilizer_of_T(ALT_F, t1)
     assert st.plus.order() == 12
     assert st.witness is not None
-    assert st.witness.images == (0, 1, 3, 2)
+    assert act(t1, st.witness, use_rho=True).triples == t1.triples
     assert st.order == 24
 
 
@@ -460,7 +460,8 @@ def oracle_stabilizer(f, t):
 
 def oracle_classify(f):
     """Orbits of Aut(F) by act relabelings, over the oracle enumeration:
-    (representative triples, orbit size, Aut+(T) elements, rho witness)."""
+    (representative triples, orbit size, Aut+(T) elements, whether a rho
+    witness exists)."""
     allt = oracle_enumerate(f)
     index = {t.triples: i for i, t in enumerate(allt)}
     full = aut_full(f)
@@ -483,7 +484,8 @@ def oracle_classify(f):
         seen |= orbit
         rep = allt[min(orbit)]
         plus, witness = oracle_stabilizer(f, rep)
-        out.append((rep.triples, len(orbit), _elements(plus), witness))
+        out.append((rep.triples, len(orbit), _elements(plus),
+                    witness is not None))
     return out
 
 
@@ -508,6 +510,12 @@ def test_enumerate_matches_set_based_dfs(name):
     assert [t.triples for t in enumerate_all(f)] == want
 
 
+def _fixes(t, witness):
+    """Whether the rho witness carries t onto itself; which witness of the
+    coset comes back is not part of the contract."""
+    return act(t, witness, use_rho=True).triples == t.triples
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
 def test_classify_matches_act_relabelings(name):
     f = DIFFERENTIAL_F[name]()
@@ -515,14 +523,109 @@ def test_classify_matches_act_relabelings(name):
     for c in classify(f):
         st = stabilizer_of_T(f, c.representative)
         assert c.aut_order == st.order
+        assert st.witness is None or _fixes(c.representative, st.witness)
         got.append((c.representative.triples, c.orbit_size,
-                    _elements(st.plus), st.witness))
+                    _elements(st.plus), st.witness is not None))
     assert got == oracle_classify(f)
+
+
+CENSUS_F = {
+    "singer q=5": lambda: singer_datum(5).F(),
+    "singer q=7": lambda: singer_datum(7).F(),
+    "opp q=7": lambda: opp_datum(7).F(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_F))
+def test_census_stabilizers_match_act_relabelings(name):
+    """The benchmark's census pair sets, where oracle_enumerate is too slow:
+    each class of enumerate_all against oracle_stabilizer."""
+    f = CENSUS_F[name]()
+    classes = classify(f)
+    assert sum(c.orbit_size for c in classes) == len(enumerate_all(f))
+    for c in classes:
+        st = stabilizer_of_T(f, c.representative)
+        plus, witness = oracle_stabilizer(f, c.representative)
+        assert _elements(st.plus) == _elements(plus)
+        assert (st.witness is None) == (witness is None)
+        assert st.witness is None or _fixes(c.representative, st.witness)
+        assert c.aut_order == st.order
+
+
+def _closure(n, movers):
+    """The subgroup of Sym(n) x Z/2 that the (images, bit) pairs generate."""
+    group = {(tuple(range(n)), 0)}
+    queue = list(group)
+    for g, a in queue:
+        for h, b in movers:
+            x = (tuple(h[i] for i in g), a ^ b)
+            if x not in group:
+                group.add(x)
+                queue.append(x)
+    return group
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_stabilizer_matches_brute_force(data):
+    """The orbit and the stabilizer from Schreier generators against the
+    whole group, listed by closure, on arbitrary triple sets."""
+    n = data.draw(st.integers(min_value=2, max_value=4))
+    movers = data.draw(st.lists(
+        st.tuples(st.permutations(range(n)), st.integers(0, 1)),
+        min_size=1, max_size=3,
+    ))
+    point = st.integers(0, n - 1)
+    ptrip = frozenset(data.draw(
+        st.lists(st.tuples(point, point, point), min_size=1, max_size=4)
+    ))
+    group = _closure(n, movers)
+    plus = []
+    for g, b in sorted(group):
+        if not b and not bsgs_build(n, plus).contains(Perm(g)):
+            plus.append(Perm(g))
+    swaps = sorted(g for g, b in group if b)
+    full = AutFull(plus=bsgs_build(n, plus),
+                   witness=Perm(swaps[-1]) if swaps else None)
+    orbit, stab = tripres._orbit_stabilizer(ptrip, full)
+    images = {tripres._image(ptrip, g, b) for g, b in group}
+    fixing = {(g, b) for g, b in group if tripres._image(ptrip, g, b) == ptrip}
+    assert sorted(orbit, key=sorted) == sorted(images, key=sorted)
+    assert _elements(stab.plus) == sorted(g for g, b in fixing if not b)
+    assert (stab.witness is None) == all(not b for _, b in fixing)
+    assert stab.witness is None or (stab.witness.images, 1) in fixing
+
+
+def test_orbit_stabilizer_takes_products_of_coordinate_swaps():
+    """Every Schreier generator of this orbit swaps the coordinates, so the
+    order-2 Aut+(T) comes only from products of two of them."""
+    full = AutFull(plus=bsgs_build(6, [Perm((2, 5, 4, 3, 0, 1))]),
+                   witness=Perm((0, 5, 4, 3, 2, 1)))
+    ptrip = frozenset({(3, 3, 3), (4, 4, 4)})
+    orbit, stab = tripres._orbit_stabilizer(ptrip, full)
+    assert len(orbit) * stab.order == full.order == 12
+    assert _elements(stab.plus) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
+    assert tripres._image(ptrip, stab.witness.images, True) == ptrip
+
+
+def test_classify_lists_no_group_elements(monkeypatch):
+    def no_elements(self):
+        raise AssertionError("PermGroup.elements was called")
+
+    monkeypatch.setattr(PermGroup, "elements", no_elements)
+    for f in (ALT_F, quad_datum(2).F()):
+        classes = classify(f)
+        for c in classes:
+            assert stabilizer_of_T(f, c.representative).order == c.aut_order
 
 
 def test_broken_counting_identity_raises(monkeypatch):
     trivial = AutFull(plus=bsgs_build(ALT_F.n, []), witness=None)
-    monkeypatch.setattr(tripres, "_stabilizer", lambda *args: trivial)
+    real = tripres._orbit_stabilizer
+    monkeypatch.setattr(
+        tripres, "_orbit_stabilizer",
+        lambda ptrip, full: (real(ptrip, full)[0], trivial),
+    )
     assert not issubclass(CheckFailed, ValueError)
     with pytest.raises(CheckFailed, match="orbit size 2 times stabilizer order 1"):
         classify(ALT_F)
