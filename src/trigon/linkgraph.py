@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .autosearch import (
     _bits,
     arc_masks,
@@ -152,8 +150,12 @@ def metrics(g: LinkGraph) -> GraphMetrics:
     return GraphMetrics(connected, girth, diam, profile, bireg)
 
 
-def _normalized_laplacian(g: LinkGraph) -> np.ndarray:
-    """I - D^{-1/2} A D^{-1/2}, with zero rows at isolated vertices."""
+def _normalized_laplacian(g: LinkGraph):
+    """I - D^{-1/2} A D^{-1/2} as a numpy array, with zero rows at isolated
+    vertices.  numpy is imported here and in spectrum, not at module level,
+    so that a command with no spectrum does not pay for it at start-up."""
+    import numpy as np
+
     n2 = 2 * g.n
     a = np.zeros((n2, n2))
     for v in range(n2):
@@ -170,6 +172,8 @@ def _normalized_laplacian(g: LinkGraph) -> np.ndarray:
 
 def spectrum(g: LinkGraph) -> list[float]:
     """The eigenvalues of the normalized Laplacian, ascending."""
+    import numpy as np
+
     return [float(x) for x in np.linalg.eigvalsh(_normalized_laplacian(g))]
 
 

@@ -140,47 +140,70 @@ def _exact_covers(F: FSet) -> list[tuple]:
     """The compatible presentations as sorted tuples of rotation-closed
     position triples, in sorted order.
 
-    Pair b of the sorted pair list is bit b; a candidate (k, mask) for pair
-    (i,j) ORs the bits of (i,j), (j,k) and (k,i), so a conflict is
-    covered & mask.  The search branches on the first free pair, which only
-    moves forward along a branch, so a cursor finds it without a rescan.
+    Knuth's Algorithm X column rule: each node branches on the free pair
+    with the fewest live thirds, the first in sorted order on a tie, so the
+    search tree depends on F alone.  out[v] holds the heads w of the free
+    pairs (v, w) and inn[v] the tails u of the free pairs (u, v); the live
+    thirds of a free pair (i, j) are out[j] & inn[i], the k with (j, k) and
+    (k, i) both free.  Choosing (i, j, k) clears the bits of its three
+    pairs, one pair when i = j = k, and backtracking sets them again.
+
+    A cover gives each pair one third, so its key is the sorted pairs, each
+    with the third that its branch last wrote.  The stack is a list, not
+    recursion: a branch is |F|/3 choices deep.
     """
     n = F.n
-    fpairs = F.pairs
-    pairlist = sorted(fpairs)
-    bit = {p: 1 << b for b, p in enumerate(pairlist)}
-    cand = [
-        [
-            (k, bit[(i, j)] | bit[(j, k)] | bit[(k, i)])
-            for k in range(n)
-            if (j, k) in fpairs and (k, i) in fpairs
-        ]
-        for i, j in pairlist
-    ]
-    npairs = len(pairlist)
-    results = []
-    chosen: list = []
+    pairlist = sorted(F.pairs)
+    out = [0] * n
+    inn = [0] * n
+    third = {}
+    for i, j in pairlist:
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
 
-    def dfs(b, covered):
-        while covered >> b & 1:
-            b += 1
-        if b == npairs:
-            results.append(chosen[:])
-            return
-        i, j = pairlist[b]
-        for k, mask in cand[b]:
-            if covered & mask:
-                continue
-            chosen.append((i, j, k))
-            dfs(b, covered | mask)
-            chosen.pop()
+    def most_constrained():
+        """(i, j, live thirds) of the pair to branch on; None if none is free."""
+        best = None
+        fewest = n + 1
+        for i in range(n):
+            heads = out[i]
+            tails = inn[i]
+            while heads:
+                low = heads & -heads
+                heads ^= low
+                j = low.bit_length() - 1
+                live = out[j] & tails
+                count = live.bit_count()
+                if count < fewest:
+                    if count <= 1:
+                        return i, j, live
+                    best, fewest = (i, j, live), count
+        return best
 
-    dfs(0, 0)
-    keys = [
-        tuple(sorted({t for i, j, k in r for t in ((i, j, k), (j, k, i), (k, i, j))}))
-        for r in results
-    ]
-    return sorted(set(keys))
+    keys = []
+    chosen: list = []  # per level (i, j, k, live thirds not yet tried)
+    node = most_constrained()
+    while True:
+        if node is None:
+            keys.append(tuple((i, j, third[i, j]) for i, j in pairlist))
+        elif node[2]:
+            i, j, live = node
+            low = live & -live
+            k = low.bit_length() - 1
+            for u, w, x in ((i, j, k), (j, k, i), (k, i, j)):
+                out[u] &= ~(1 << w)
+                inn[w] &= ~(1 << u)
+                third[u, w] = x
+            chosen.append((i, j, k, live ^ low))
+            node = most_constrained()
+            continue
+        if not chosen:
+            return sorted(set(keys))
+        i, j, k, live = chosen.pop()
+        for u, w in ((i, j), (j, k), (k, i)):
+            out[u] |= 1 << w
+            inn[w] |= 1 << u
+        node = (i, j, live)
 
 
 def _image(ptrip, im, use_rho: bool = False) -> frozenset:

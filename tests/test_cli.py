@@ -418,3 +418,13 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == TABLE_TEXTS[4]
+
+
+def test_start_up_leaves_numpy_out():
+    """Only linkgraph's spectrum functions use numpy, and they import it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trigon.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
