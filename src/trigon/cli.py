@@ -9,7 +9,7 @@ import sys
 import warnings
 
 from .catalog import TABLE_TEXTS
-from .documents import ParseError, document_blob, load_document
+from .documents import ParseError, document_text, load_document
 from .exoticity import (
     ProbeCheckFailed,
     build_probe,
@@ -78,8 +78,17 @@ def kappa_spec_of(kappa):
     return ";".join(items)
 
 
-def _document_blob(T, meta):
-    return document_blob(T, {(i, j) for i, j, _ in T.triples}, meta)
+# the most triples --all-kappa builds, over all its presentations together.
+# Families are written as they are built, so this bounds time and output, not
+# memory: opp --q 25 --all-kappa --format json builds exactly this many in
+# about 20 s and writes 247 MB (2-core Xeon, Python 3.11); the largest family
+# the tests and the benchmark build, quad --q 3, has 116,480 and quad --q 4
+# would have 38,019,072.
+_FAMILY_TRIPLE_LIMIT = 4_000_000
+
+
+class FamilyTooLarge(ValueError):
+    """--all-kappa would build more than _FAMILY_TRIPLE_LIMIT triples."""
 
 
 def _present_one(T, meta, fmt):
@@ -87,29 +96,39 @@ def _present_one(T, meta, fmt):
         return format_table(T)
     if fmt == "gap":
         return export_presentation(T, "gap")
-    return json.dumps(_document_blob(T, meta), sort_keys=True, indent=2) + "\n"
+    return document_text(T, [(i, j) for i, j, _ in T.triples], meta, 0) + "\n"
 
 
-def _present_family(model, q, entries, fmt):
-    # buffered, then emitted in sorted kappa order
-    entries = sorted(entries, key=lambda e: e[0])
+def _present_family(model, q, family, fmt):
+    """The text of each sign choice's presentation, made as soon as it is
+    built, so that one presentation is held at a time.  choices() yields the
+    choices in sorted spec order, which is the order they are written in."""
+    for index, kappa in enumerate(family.choices()):
+        spec = kappa_spec_of(kappa)
+        T = family.build(kappa)
+        if fmt == "json":
+            meta = {"model": model, "q": q, "kappa": spec}
+            pairs = [(i, j) for i, j, _ in T.triples]
+            yield ",\n  " if index else "[\n  "
+            yield document_text(T, pairs, meta, 1)
+        else:
+            head = ("# " if fmt == "gap" else "") + f"kappa {spec}\n"
+            yield ("\n" if index else "") + head + _present_one(T, {}, fmt)
     if fmt == "json":
-        blobs = [
-            _document_blob(T, {"model": model, "q": q, "kappa": spec})
-            for spec, T in entries
-        ]
-        return json.dumps(blobs, sort_keys=True, indent=2) + "\n"
-    parts = []
-    for spec, T in entries:
-        head = ("# " if fmt == "gap" else "") + f"kappa {spec}\n"
-        parts.append(head + _present_one(T, {}, fmt))
-    return "\n".join(parts)
+        yield "\n]\n"
 
 
 def _family_output(model, q, family, args):
     if args.all_kappa:
-        entries = [(kappa_spec_of(k), family.build(k)) for k in family.choices()]
-        return _present_family(model, q, entries, args.format)
+        count = 2 ** len(family.keys)
+        size = family.G.n * len(family.S)
+        if count * size > _FAMILY_TRIPLE_LIMIT:
+            raise FamilyTooLarge(
+                f"--all-kappa would build {count} presentations of {size} "
+                f"triples, {count * size} triples in all; the limit is "
+                f"{_FAMILY_TRIPLE_LIMIT}"
+            )
+        return _present_family(model, q, family, args.format)
     kappa = parse_kappa_spec(args.kappa or "+1", family)
     meta = {"model": model, "q": q, "kappa": kappa_spec_of(kappa)}
     return _present_one(family.build(kappa), meta, args.format)
@@ -365,11 +384,19 @@ def _build_parser():
 
 
 def _dispatch(args):
-    """Run the handler; a warning it raises becomes one 'trigon <cmd>:
-    warning:' line on stderr."""
+    """Run the handler and write its output: one text, or an iterator of
+    texts (--all-kappa), each written as soon as it is made.  A warning the
+    handler raises becomes one 'trigon <cmd>: warning:' line on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _HANDLERS[args.subcommand](args)
+            code, text = _HANDLERS[args.subcommand](args)
+            parts = [text] if isinstance(text, str) else text
+            if args.out:
+                with open(args.out, "w") as fh:
+                    fh.writelines(parts)
+            else:
+                sys.stdout.writelines(parts)
+            return code
         finally:
             for w in caught:
                 print(f"trigon {args.subcommand}: warning: {w.message}",
@@ -383,21 +410,15 @@ def run(argv):
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        code, text = _dispatch(args)
-    except (ParseError, KappaSpecError, BadCongruence, NotPrime,
-            ReduciblePolynomial, DegreeMismatch, NotPrimitive, SearchTooLarge,
-            FileNotFoundError) as err:
+        return _dispatch(args)
+    except (ParseError, KappaSpecError, FamilyTooLarge, BadCongruence,
+            NotPrime, ReduciblePolynomial, DegreeMismatch, NotPrimitive,
+            SearchTooLarge, FileNotFoundError) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
     except (ProbeCheckFailed, CheckFailed) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
 
 
 def main():

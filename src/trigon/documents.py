@@ -37,24 +37,40 @@ class Document:
         return self.T.labels
 
 
-def document_blob(T: TrianglePresentation, pairs, meta: dict) -> dict:
-    """The JSON object of a document: labels explicit, the 0-based position
-    pairs sorted, one triple per rotation orbit, both written in labels."""
-    lab = T.labels
-    return {
-        "n": len(lab),
-        "labels": list(lab),
-        "F": [[lab[i], lab[j]] for i, j in sorted(pairs)],
-        "T": [[lab[i], lab[j], lab[k]] for i, j, k in T.canonical_reps()],
-        "meta": meta,
-    }
+def document_text(T: TrianglePresentation, pairs, meta: dict, level: int) -> str:
+    """The document as json.dumps(blob, sort_keys=True, indent=2) writes it
+    at nesting depth level (1 inside a top-level array), with no trailing
+    newline: labels explicit, the 0-based position pairs sorted, one triple
+    per rotation orbit, both written in labels.  Each label is rendered once;
+    meta goes through json.dumps and is indented to its depth."""
+    lab = [json.dumps(a) for a in T.labels]
+    # a newline and the indent of the document's keys, of the entries of its
+    # arrays, and of the labels inside an entry of F or T
+    key, entry, cell = ("\n" + "  " * (level + d) for d in (1, 2, 3))
+    pair_rows = [
+        f"[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in sorted(pairs)
+    ]
+    triple_rows = [
+        f"[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
+        for i, j, k in T.canonical_reps()
+    ]
+    fields = (
+        ("F", _array(pair_rows, entry, key)),
+        ("T", _array(triple_rows, entry, key)),
+        ("labels", _array(lab, entry, key)),
+        ("meta", json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)),
+        ("n", len(lab)),
+    )
+    body = ",".join(f'{key}"{name}": {value}' for name, value in fields)
+    return "{" + body + key[:-2] + "}"
 
 
-def dump_document(doc: Document) -> str:
-    """Canonical text: labels explicit, pairs sorted, one triple per orbit.
-    Kept as the writer the document round-trip tests read back."""
-    blob = document_blob(doc.T, doc.F.pairs, doc.meta)
-    return json.dumps(blob, sort_keys=True, indent=2) + "\n"
+def _array(items, entry, close) -> str:
+    """A JSON array of rendered items, each after entry (a newline and its
+    indent), closed after close."""
+    if not items:
+        return "[]"
+    return "[" + entry + ("," + entry).join(items) + close + "]"
 
 
 def _is_int(x):

@@ -16,12 +16,14 @@ def _relators(T: TrianglePresentation) -> list[tuple[int, int, int]]:
 
 def export_presentation(T: TrianglePresentation, format: str = "gap") -> str:
     """Deterministic presentation text; same relator order in every format."""
-    relators = _relators(T)
     if format == "gap":
-        words = ", ".join(f"F.{i}*F.{j}*F.{k}" for i, j, k in relators)
+        gen = [f"F.{i}" for i in range(1, T.n + 1)]
+        words = ", ".join(
+            f"{gen[i]}*{gen[j]}*{gen[k]}" for i, j, k in T.canonical_reps()
+        )
         return f"F := FreeGroup({T.n});\nG := F / [ {words} ];\n"
     if format == "json":
-        blob = {"n": T.n, "relators": [list(r) for r in relators]}
+        blob = {"n": T.n, "relators": [list(r) for r in _relators(T)]}
         return json.dumps(blob, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {format!r}")
 

@@ -464,10 +464,24 @@ def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
         for s, step in steps[H.coset_index[x]]:
             xs = G.mul(x, s)
             triples.add((x, xs, G.mul(xs, step)))
-    bad = _violations({(i, j) for i, j, _ in triples}, triples)
-    if bad:
+    if not _closed_and_unique(triples):
+        bad = _violations({(i, j) for i, j, _ in triples}, triples)
         raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
     return TrianglePresentation(tuple(range(G.n)), frozenset(triples))
+
+
+def _closed_and_unique(triples) -> bool:
+    """Whether triples pass the axioms against their own pair set: every
+    pair has one third and the rotation (j, k, i) of each (i, j, k) is a
+    triple.  Equals not _violations(pairs of triples, triples), the slow
+    path that names the violations.
+
+    One pair -> third map checks both: third[j, k] == i for every (i, j, k)
+    puts (j, k, i), then (k, i, j) in triples and makes third[i, j] == k, so
+    a pair with a second third k' would need third[i, j] == k' as well."""
+    third = {(i, j): k for i, j, k in triples}
+    get = third.get
+    return all(get((j, k)) == i for i, j, k in triples)
 
 
 def isomorphic_T(F1, T1, F2, T2):
@@ -496,8 +510,8 @@ def isomorphic_T(F1, T1, F2, T2):
 
 def format_table(T: TrianglePresentation) -> str:
     """Rows grouped by first coordinate, triples sorted by second, written
-    in labels."""
-    lab = T.labels
+    in labels, each label rendered once."""
+    lab = [str(a) for a in T.labels]
     lines = [
         " ".join(f"({lab[i]},{lab[j]},{lab[k]})" for i, j, k in row)
         for _, row in groupby(sorted(T.triples), key=itemgetter(0))

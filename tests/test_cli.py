@@ -242,6 +242,7 @@ def test_output_path_flag(capsys, tmp_path):
         ["singer", "--q", "2", "--modulus", "1,0,0,1"],
         ["singer", "--q", "3", "--modulus", "2,0,1,1"],
         ["verify", "--from-json", "{binary}"],
+        ["singer", "--q", "2", "-o", "/no/such/dir/out.txt"],
     ],
 )
 def test_usage_errors_exit_two(capsys, square_path, tmp_path, argv):
@@ -280,6 +281,29 @@ def test_pair_set_over_the_limit_exits_two(capsys, monkeypatch, tmp_path, comman
     code, out, err = invoke(capsys, [command, "--from-json", str(path)])
     assert (code, out) == (2, "")
     assert err == f"trigon {command}: |Aut+(F)| = 3628800 exceeds 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "q, presentations, size", [(4, 2**13, 4641), (5, 2**42, 16926)]
+)
+def test_family_over_the_limit_exits_two(capsys, monkeypatch, q, presentations,
+                                         size):
+    """quad --q 4 --all-kappa asks for 8,192 presentations and quad --q 5
+    for 2^42; the guard refuses both before the first build."""
+
+    def no_build(self, kappa):
+        raise AssertionError("a presentation was built before the size guard")
+
+    monkeypatch.setattr(tripres.SignFamily, "build", no_build)
+    code, out, err = invoke(capsys, ["quad", "--q", str(q), "--all-kappa"])
+    assert (code, out) == (2, "")
+    total = presentations * size
+    assert total > cli._FAMILY_TRIPLE_LIMIT
+    assert err == (
+        f"trigon quad: --all-kappa would build {presentations} presentations "
+        f"of {size} triples, {total} triples in all; the limit is "
+        f"{cli._FAMILY_TRIPLE_LIMIT}\n"
+    )
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, square_path):
@@ -325,13 +349,14 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
     assert message in err
 
 
-def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
-    def broken_quad(q, modulus=None):
-        # 20 lies in the coset of 2; file it under the coset of 0
-        d = quad_datum(q, modulus)
-        index = d.H.coset_index[:20] + (0,)
-        return replace(d, H=replace(d.H, coset_index=index))
+def broken_quad(q, modulus=None):
+    # 20 lies in the coset of 2; file it under the coset of 0
+    d = quad_datum(q, modulus)
+    index = d.H.coset_index[:20] + (0,)
+    return replace(d, H=replace(d.H, coset_index=index))
 
+
+def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "quad_datum", broken_quad)
     assert not issubclass(TwistCheckFailed, ValueError)
     code, out, err = invoke(
@@ -339,6 +364,17 @@ def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
     )
     assert code == 1
     assert out == ""
+    assert "broke its axioms" in err
+
+
+def test_broken_twist_part_way_keeps_the_family_written_so_far(capsys,
+                                                              monkeypatch):
+    """--all-kappa writes each presentation as it is built: the all-plus
+    choice passes its check and is on stdout before the next one fails."""
+    monkeypatch.setattr(cli, "quad_datum", broken_quad)
+    code, out, err = invoke(capsys, ["quad", "--q", "2", "--all-kappa"])
+    assert code == 1
+    assert out == "kappa 0,9:+1;1,9:+1;2,9:+1\n" + TABLE_TEXTS[1]
     assert "broke its axioms" in err
 
 

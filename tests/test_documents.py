@@ -12,7 +12,7 @@ from trigon.catalog import table
 from trigon.documents import (
     Document,
     ParseError,
-    dump_document,
+    document_text,
     load_document,
     parse_document,
 )
@@ -23,6 +23,10 @@ SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 
+def dump(doc):
+    return document_text(doc.T, doc.F.pairs, doc.meta, 0) + "\n"
+
+
 def square_doc():
     return Document(F=SQUARE_F, T=SQUARE_T, meta={"note": "square link"})
 
@@ -31,12 +35,12 @@ def square_doc():
 def test_dump_parse_round_trip(which):
     T = table(which)
     doc = Document(F=project_F(T), T=T, meta={"table": which})
-    assert parse_document(dump_document(doc)) == doc
+    assert parse_document(dump(doc)) == doc
 
 
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "square.json"
-    path.write_text(dump_document(square_doc()))
+    path.write_text(dump(square_doc()))
     assert load_document(path) == square_doc()
 
 
@@ -46,7 +50,7 @@ def test_document_requires_shared_labels():
 
 
 def test_schema_fields_written():
-    blob = json.loads(dump_document(square_doc()))
+    blob = json.loads(dump(square_doc()))
     assert set(blob) == {"n", "labels", "F", "T", "meta"}
     assert blob["n"] == 2 and blob["labels"] == [1, 2]
     # only canonical representatives are serialized
@@ -151,7 +155,7 @@ def test_round_trip_over_shuffled_labels(data):
         T=TrianglePresentation(tuple(labels), triples),
         meta={"seed": len(seeds)},
     )
-    back = parse_document(dump_document(doc))
+    back = parse_document(dump(doc))
     assert back.F.pairs == pairs and back.T.triples == triples
     assert back == doc
 

@@ -11,7 +11,7 @@ import label_oracle as oracle
 
 from trigon.catalog import table
 from trigon.cli import kappa_spec_of, run
-from trigon.documents import Document, dump_document, parse_document
+from trigon.documents import document_text, parse_document
 from trigon.grouptools import export_presentation
 from trigon.linkgraph import FSet
 from trigon.oppmodel import opp_datum
@@ -77,15 +77,41 @@ def case(name, kind):
     return F, T
 
 
-@pytest.mark.parametrize("name, kind", cases())
+# meta values whose JSON text the document writer must leave as json writes
+# it: escaped non-ASCII text, floats, null, booleans, nesting, empty objects
+METAS = [
+    {},
+    {
+        "text": "\u03ba = -1, gr\u00fc\u00dfe \u2603",
+        "float": 0.1,
+        "tiny": -2.5e-07,
+        "none": None,
+        "flags": [True, False],
+        "nested": [1, [2.5, {"k": [None]}], {}, []],
+        "dict": {"b": {"a": {}}, "A": "x"},
+        "empty": {},
+    },
+]
+
+
+@pytest.mark.parametrize(
+    "name, kind", [*cases(), pytest.param("empty", "one-based", id="empty")]
+)
 def test_writers_match_label_level_code(name, kind):
-    F, T = case(name, kind)
+    if name == "empty":
+        T = TrianglePresentation((), frozenset())
+        F = oracle.project_F(T)
+    else:
+        F, T = case(name, kind)
     if kind == "shuffled":
         assert list(T.labels) != sorted(T.labels)
-    meta = {"case": name}
-    assert dump_document(Document(F=F, T=T, meta=meta)) == oracle.dump_document(
-        F, T, meta
-    )
+    # labels are never the positions, so a writer that skips the label
+    # lookup fails
+    assert T.n == 0 or list(T.labels) != list(range(T.n))
+    for meta in [{"case": name}, *METAS]:
+        assert document_text(T, F.pairs, meta, 0) + "\n" == oracle.dump_document(
+            F, T, meta
+        )
     assert format_table(T) == oracle.format_table(T)
     for fmt in ("gap", "json"):
         assert export_presentation(T, fmt) == oracle.export_presentation(T, fmt)
@@ -104,7 +130,7 @@ def test_violation_data_matches_label_level_code(name, kind):
 @pytest.mark.parametrize("name, kind", cases())
 def test_documents_parse_back_to_positions(name, kind):
     F, T = case(name, kind)
-    doc = parse_document(dump_document(Document(F=F, T=T, meta={})))
+    doc = parse_document(document_text(T, F.pairs, {}, 0))
     assert doc.F == F and doc.labels == T.labels
     closed = TrianglePresentation.from_labels(T.labels, oracle.label_triples(T))
     assert doc.T == closed
@@ -113,7 +139,7 @@ def test_documents_parse_back_to_positions(name, kind):
 def write_document(tmp_path, name, kind):
     F, T = case(name, kind)
     path = tmp_path / f"{kind}.json"
-    path.write_text(dump_document(Document(F=F, T=T, meta={"case": name})))
+    path.write_text(document_text(T, F.pairs, {"case": name}, 0) + "\n")
     return path
 
 
@@ -170,6 +196,25 @@ FAMILIES = [
     ("opp", 4, opp_datum),
     ("opp", 7, opp_datum),
 ]
+
+
+BENCHMARK_FAMILIES = [
+    ("singer", 13, singer_datum),
+    ("quad", 3, quad_datum),
+    ("opp", 13, opp_datum),
+]
+
+
+@pytest.mark.parametrize(
+    "model, q, datum",
+    FAMILIES + BENCHMARK_FAMILIES,
+    ids=[f"{m}-q{q}" for m, q, _ in FAMILIES + BENCHMARK_FAMILIES],
+)
+def test_sign_choices_come_in_sorted_spec_order(model, q, datum):
+    """--all-kappa writes each presentation as it is built, in the order of
+    choices(), and promises sorted spec order."""
+    specs = [kappa_spec_of(k) for k in datum(q).signs().choices()]
+    assert specs == sorted(specs)
 
 
 @pytest.mark.parametrize(

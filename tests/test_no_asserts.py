@@ -21,7 +21,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # public names only the tests call, each with the paper claim or the oracle
 # role that keeps it
 TEST_ONLY = {
-    "documents.dump_document": "the writer the document round trips read back",
     "ffield.multiplicative_order": "the oracle for poly_is_primitive",
     "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
     "linkgraph.graph_automorphisms": "the whole-group oracle for the probe's Q0",

@@ -333,6 +333,30 @@ def test_twist_check_reports_open_rotation():
         SignFamily(g, s, lam, wrong).build(exquad_kappa(2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_build_check_matches_violations(data):
+    """The build's one-map check passes exactly when _violations finds
+    nothing against the triples' own pair set: on rotation closures of
+    random and diagonal triples, with rotations dropped and second thirds
+    added."""
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    pos = st.integers(min_value=0, max_value=n - 1)
+    seeds = data.draw(st.lists(st.tuples(pos, pos, pos), max_size=6))
+    seeds += [(i, i, i) for i in data.draw(st.lists(pos, max_size=2))]
+    triples = {r for i, j, k in seeds for r in ((i, j, k), (j, k, i), (k, i, j))}
+    if triples:
+        ordered = sorted(triples)
+        triples -= data.draw(st.sets(st.sampled_from(ordered), max_size=2))
+        for i, j, k in data.draw(st.lists(st.sampled_from(ordered), max_size=1)):
+            other = data.draw(pos)
+            triples |= {(i, j, other), (j, other, i), (other, i, j)}
+    pairs = {(i, j) for i, j, _ in triples}
+    assert tripres._closed_and_unique(triples) == (
+        not tripres._violations(pairs, triples)
+    )
+
+
 def test_generating_set():
     assert generating_set(make_cyclic(21)) == [1]
     assert generating_set(klein_group()) == [1, 2]
