@@ -1,9 +1,20 @@
 """Backtracking search for automorphisms and isomorphisms of colored digraphs.
 
 A digraph is one out-neighbor bitmask per vertex; each search derives the
-vertex count and the neighbor lists once, when it starts."""
+vertex count and the neighbor lists once, when it starts.
+
+Each search node holds an ordered partition of the vertices and refines it
+with a splitter queue (McKay & Piperno, "Practical graph isomorphism, II",
+arXiv:1301.1493): a splitter cell splits every cell it touches by neighbor
+counts, and only the fragments that can split something further are queued.
+A child starts from its parent's equitable partition with one vertex
+individualized, so its refinement works outward from that vertex, and it
+stops as soon as its trace departs from the reference path's."""
 
 from __future__ import annotations
+
+from collections import Counter, defaultdict
+from itertools import chain
 
 from .permgrp import Perm
 
@@ -36,141 +47,268 @@ def _neighbor_lists(adj):
     return (outs,) if ins == outs else (outs, ins)
 
 
-def refine(nbrs, colors):
-    """Equitable refinement of a vertex coloring.
+class _Partition:
+    """An ordered partition of 0..n-1: the vertices in one array, each cell a
+    contiguous range of it named by its start index.
+
+    verts lists the vertices cell by cell, pos[v] is v's index in verts,
+    cell[v] the start of v's cell, and end[s] one past the last index of the
+    cell that starts at s (end is meaningless at other indices)."""
+
+    __slots__ = ("verts", "pos", "cell", "end", "cells")
+
+    def __init__(self, verts, pos, cell, end, cells):
+        self.verts = verts
+        self.pos = pos
+        self.cell = cell
+        self.end = end
+        self.cells = cells
+
+    @classmethod
+    def from_colors(cls, colors):
+        """One cell per color value, in increasing value order."""
+        n = len(colors)
+        verts = sorted(range(n), key=colors.__getitem__)
+        pos = [0] * n
+        cell = [0] * n
+        end = [n] * n
+        s = 0
+        for i, v in enumerate(verts):
+            pos[v] = i
+            if colors[v] != colors[verts[s]]:
+                end[s] = i
+                s = i
+            cell[v] = s
+        return cls(verts, pos, cell, end, len(set(colors)))
+
+    def starts(self):
+        """The cell starts, in order."""
+        out = []
+        s, n = 0, len(self.verts)
+        while s < n:
+            out.append(s)
+            s = self.end[s]
+        return out
+
+    def copy(self):
+        return _Partition(list(self.verts), list(self.pos), list(self.cell),
+                          list(self.end), self.cells)
+
+    def individualize(self, v):
+        """Split v off as a singleton at the end of its cell; returns the
+        singleton's start, the only splitter the child needs."""
+        s = self.cell[v]
+        last = self.end[s] - 1
+        verts, pos = self.verts, self.pos
+        u, pv = verts[last], pos[v]
+        verts[pv], pos[u] = u, pv
+        verts[last], pos[v] = v, last
+        self.end[s] = last
+        self.end[last] = last + 1
+        self.cell[v] = last
+        self.cells += 1
+        return last
+
+    def target(self):
+        """Start of the largest non-singleton cell, the first on a tie; None
+        when the partition is discrete.
+
+        Individualizing in a large cell triggers the longest refinement
+        cascade, which matters on distance-regular graphs where small cells
+        are locally interchangeable and splitting them discriminates almost
+        nothing."""
+        n = len(self.verts)
+        if self.cells == n:
+            return None
+        best, size = None, 1
+        s, end = 0, self.end
+        while s < n:
+            e = end[s]
+            if e - s > size:
+                best, size = s, e - s
+            s = e
+        return best
+
+
+def refine(nbrs, part, queue, ref=None):
+    """Refine part in place to the coarsest equitable partition finer than it.
 
     nbrs holds the out- and in-neighbor lists, or the out-lists alone when
-    the digraph is symmetric.  Returns the stable coloring, renumbered
-    0..k-1 in signature order, and a trace of per-round signature lists; the
-    trace is equal for two colored digraphs exactly when the refinement runs
-    are indistinguishable.
+    the digraph is symmetric; queue holds the starts of the splitter cells to
+    begin with.  Each splitter splits the cells it touches by the numbers of
+    out- and in-neighbors their vertices have in it; the fragments are
+    ordered by count, untouched vertices first, and the first fragment keeps
+    the cell's start.  Fragments are queued by Hopcroft's rule: all of them
+    if the cell was still queued, otherwise all but the largest, whose counts
+    follow from the others'.  The newest splitter is taken first, which
+    carries the refinement away from an individualized vertex soonest and so
+    lets a child that departs from the reference path abort earliest.
+    Refinement stops as soon as part is discrete.
 
-    The signature of a vertex is its color together with the sorted colors of
-    its out- and in-neighbors, which carries the same information as counting
-    neighbors per class but costs one dictionary lookup per edge end.
-    """
-    colors = list(colors)
-    trace = []
+    Returns the trace, one (splitter, cell, ((count, size), ...)) step per
+    split; two colored digraphs related by an isomorphism that maps one
+    partition onto the other give equal traces.  Given the trace ref of
+    another run, returns None as soon as a step differs from it, or when
+    this run ends before or after ref does."""
+    verts, pos, cell, end = part.verts, part.pos, part.cell, part.end
+    n = len(verts)
     outs, ins = nbrs[0], nbrs[-1]
-    k = len(set(colors))
-    while True:
-        if len(nbrs) == 1:
-            sigs = [
-                (c, tuple(sorted([colors[u] for u in ws])))
-                for c, ws in zip(colors, outs)
-            ]
-        else:
-            sigs = [
-                (
-                    c,
-                    tuple(sorted([colors[u] for u in ws])),
-                    tuple(sorted([colors[u] for u in vs])),
-                )
-                for c, ws, vs in zip(colors, outs, ins)
-            ]
-        ranked = sorted(set(sigs))
-        trace.append(tuple(ranked))
-        rank = {s: i for i, s in enumerate(ranked)}
-        new = [rank[s] for s in sigs]
-        if len(ranked) == k:
-            return new, tuple(trace)
-        colors = new
-        k = len(ranked)
+    directed = len(nbrs) == 2
+    queue = list(queue)
+    pending = set(queue)
+    trace = []
+    while queue and part.cells < n:
+        sp = queue.pop()
+        pending.discard(sp)
+        members = verts[sp:end[sp]]
+        # a vertex's out-neighbors in the splitter are the splitter's in-lists
+        cnt = Counter(chain.from_iterable(map(ins.__getitem__, members)))
+        if directed:
+            for w, c in Counter(
+                chain.from_iterable(map(outs.__getitem__, members))
+            ).items():
+                cnt[w] += c * (n + 1)
+        touched = defaultdict(list)
+        for w in cnt:
+            touched[cell[w]].append(w)
+        for c in sorted(touched):
+            e = end[c]
+            size = e - c
+            if size == 1:
+                continue
+            ws = touched[c]
+            ws.sort(key=cnt.__getitem__)
+            k = len(ws)
+            if k == size and cnt[ws[0]] == cnt[ws[-1]]:
+                continue
+            # move the touched vertices to the tail of the cell, by count
+            t = e - k
+            for w in ws:
+                u, pw = verts[t], pos[w]
+                verts[pw], pos[u] = u, pw
+                verts[t], pos[w] = w, t
+                t += 1
+            frags = [(c, 0)] if k < size else []
+            prev = None
+            for i, w in enumerate(ws):
+                x = cnt[w]
+                if x != prev:
+                    frags.append((e - k + i, x))
+                    prev = x
+            profile = []
+            for j, (f, x) in enumerate(frags):
+                fe = frags[j + 1][0] if j + 1 < len(frags) else e
+                end[f] = fe
+                profile.append((x, fe - f))
+                if f != c:
+                    for i in range(f, fe):
+                        cell[verts[i]] = f
+            part.cells += len(frags) - 1
+            step = (sp, c, tuple(profile))
+            if ref is not None and (
+                len(trace) >= len(ref) or ref[len(trace)] != step
+            ):
+                return None
+            trace.append(step)
+            if c in pending:
+                new = [f for f, _ in frags[1:]]
+            else:
+                big = max(range(len(frags)), key=lambda j: profile[j][1])
+                new = [f for j, (f, _) in enumerate(frags) if j != big]
+            queue.extend(new)
+            pending.update(new)
+            if part.cells == n:
+                break
+    if ref is not None and len(trace) != len(ref):
+        return None
+    return trace
 
 
-def _target_class(colors):
-    """Largest non-singleton class, ties broken by class number.
-
-    Individualizing in a large class triggers the longest refinement cascade,
-    which matters on distance-regular graphs where small classes are locally
-    interchangeable and splitting them discriminates almost nothing.
-    """
-    sizes = {}
-    for c in colors:
-        sizes[c] = sizes.get(c, 0) + 1
-    best = None
-    for c, s in sizes.items():
-        if s > 1 and (best is None or (-s, c) < best):
-            best = (-s, c)
-    return None if best is None else best[1]
+def _maps_arcs(outs1, outs2, images):
+    """Whether images carries every out-list of the first digraph onto the
+    out-list of the image vertex; out-lists are sorted, so a bijection that
+    passes is an isomorphism."""
+    get = images.__getitem__
+    return all(
+        sorted(map(get, ws)) == outs2[images[v]] for v, ws in enumerate(outs1)
+    )
 
 
-def _maps_arcs(outs1, adj2, images):
-    for v, ws in enumerate(outs1):
-        t = 0
-        for w in ws:
-            t |= 1 << images[w]
-        if t != adj2[images[v]]:
-            return False
-    return True
+def _extend_orbit(orbit, seeds, gens):
+    """Add to orbit the closure of seeds under gens."""
+    queue = [u for u in seeds if u not in orbit]
+    orbit.update(queue)
+    for u in queue:
+        for g in gens:
+            w = g.images[u]
+            if w not in orbit:
+                orbit.add(w)
+                queue.append(w)
 
 
 def automorphism_generators(adj, colors=None):
     """Generators of the color-preserving automorphism group of a digraph.
 
-    Individualization-refinement with the first leaf as reference; subtrees
-    whose refinement trace departs from the reference path are pruned, as are
-    target-cell vertices lying in the orbit of an already-expanded vertex
-    under the automorphisms found so far.
+    Individualization-refinement with the first leaf as reference; a child
+    whose refinement trace departs from the reference path's at the same
+    depth is pruned as soon as it does, as are target-cell vertices on the
+    reference path lying in the orbit of an already-expanded vertex under
+    the automorphisms found so far.
     """
     n = len(adj)
     if colors is None:
         colors = [0] * n
     nbrs = _neighbor_lists(adj)
     gens: list[Perm] = []
-    ref_trace: list = []
-    ref_base: list[int] = []
+    ref_traces: list = []
     ref_leaf: list = [None]
 
-    def orbit_closure(seeds, fixed):
-        use = [g for g in gens if all(g.images[b] == b for b in fixed)]
-        seen = set(seeds)
-        queue = list(seeds)
-        for u in queue:
-            for g in use:
-                w = g.images[u]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def leaf(part):
+        if ref_leaf[0] is None:
+            ref_leaf[0] = part.verts
+            return False
+        images = [0] * n
+        for a, b in zip(ref_leaf[0], part.verts):
+            images[a] = b
+        if _maps_arcs(nbrs[0], nbrs[0], images):
+            p = Perm(tuple(images))
+            if not p.is_identity():
+                gens.append(p)
+                return True
+        return False
 
-    def dfs(raw, depth, on_ref):
-        cols, tr = refine(nbrs, raw)
-        if on_ref:
-            ref_trace.append(tr)
-        elif depth >= len(ref_trace) or tr != ref_trace[depth]:
-            return False
-        cls = _target_class(cols)
-        if cls is None:
-            vert = [0] * n
-            for v, c in enumerate(cols):
-                vert[c] = v
-            if ref_leaf[0] is None:
-                ref_leaf[0] = vert
-                return False
-            images = [0] * n
-            for c in range(n):
-                images[ref_leaf[0][c]] = vert[c]
-            if _maps_arcs(nbrs[0], adj, images):
-                p = Perm(tuple(images))
-                if not p.is_identity():
-                    gens.append(p)
-                    return True
-            return False
-        cell = sorted(v for v in range(n) if cols[v] == cls)
-        if on_ref:
-            ref_base.append(cell[0])
-        fixed = ref_base[:depth]
+    def dfs(part, depth, on_ref):
+        s = part.target()
+        if s is None:
+            return leaf(part)
+        cell = sorted(part.verts[s:part.end[s]])
         found = False
-        done = []
+        # the closure of the expanded vertices under the generators, rebuilt
+        # only when a new generator is found.  On the reference path every
+        # generator so far comes from a leaf below this node, so it fixes
+        # the vertices individualized on the way here and maps the target
+        # cell onto itself.
+        done, orbit, seen = [], set(), -1
         for idx, v in enumerate(cell):
-            if on_ref and idx > 0 and v in orbit_closure(done, fixed):
-                done.append(v)
-                continue
-            child = list(cols)
-            child[v] = n
-            got = dfs(child, depth + 1, on_ref and idx == 0)
+            if on_ref and idx > 0:
+                if len(gens) != seen:
+                    seen = len(gens)
+                    orbit = set()
+                    _extend_orbit(orbit, done, gens)
+                if v in orbit:
+                    continue
+            child = part.copy()
+            sp = child.individualize(v)
+            if on_ref and idx == 0:
+                ref_traces.append(refine(nbrs, child, [sp]))
+                got = dfs(child, depth + 1, True)
+            elif refine(nbrs, child, [sp], ref_traces[depth]) is None:
+                got = False
+            else:
+                got = dfs(child, depth + 1, False)
             done.append(v)
+            if on_ref and idx > 0 and len(gens) == seen:
+                _extend_orbit(orbit, [v], gens)
             if got:
                 found = True
                 if not on_ref:
@@ -178,7 +316,9 @@ def automorphism_generators(adj, colors=None):
                     return True
         return found
 
-    dfs(list(colors), 0, True)
+    root = _Partition.from_colors(colors)
+    refine(nbrs, root, root.starts())
+    dfs(root, 0, True)
     return sorted(set(gens), key=lambda p: p.images)
 
 
@@ -186,8 +326,9 @@ def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     """A color-preserving digraph isomorphism as a Perm, or None.
 
     Vertices of the first digraph are individualized in a fixed order and
-    matched against every vertex of the corresponding class on the other
-    side, so the returned witness is deterministic.
+    matched against every vertex of the corresponding cell on the other
+    side, whose refinement is checked step by step against the first side's
+    trace; the returned witness is deterministic.
     """
     n = len(adj1)
     if colors1 is None:
@@ -195,34 +336,38 @@ def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     if colors2 is None:
         colors2 = [0] * n
     nbrs1, nbrs2 = _neighbor_lists(adj1), _neighbor_lists(adj2)
-    # an isomorphism keeps the vertex count and keeps a digraph symmetric
-    if len(adj2) != n or len(nbrs1) != len(nbrs2):
+    # an isomorphism keeps the vertex count, keeps a digraph symmetric and
+    # keeps every color's class; the partitions then start cell for cell
+    # with the same color values
+    if (len(adj2) != n or len(nbrs1) != len(nbrs2)
+            or sorted(colors1) != sorted(colors2)):
         return None
 
-    def dfs(raw1, raw2):
-        c1, t1 = refine(nbrs1, raw1)
-        c2, t2 = refine(nbrs2, raw2)
-        if t1 != t2:
-            return None
-        cls = _target_class(c1)
-        if cls is None:
-            vert2 = [0] * n
-            for w, c in enumerate(c2):
-                vert2[c] = w
-            images = [vert2[c] for c in c1]
-            if _maps_arcs(nbrs1[0], adj2, images):
+    def dfs(p1, p2):
+        s = p1.target()
+        if s is None:
+            images = [0] * n
+            for v, w in zip(p1.verts, p2.verts):
+                images[v] = w
+            if _maps_arcs(nbrs1[0], nbrs2[0], images):
                 return tuple(images)
             return None
-        v = min(u for u in range(n) if c1[u] == cls)
-        for w in sorted(u for u in range(n) if c2[u] == cls):
-            a = list(c1)
-            a[v] = n
-            b = list(c2)
-            b[w] = n
-            r = dfs(a, b)
-            if r is not None:
-                return r
+        c1 = p1.copy()
+        sp = c1.individualize(min(p1.verts[s:p1.end[s]]))
+        t1 = refine(nbrs1, c1, [sp])
+        for w in sorted(p2.verts[s:p2.end[s]]):
+            c2 = p2.copy()
+            c2.individualize(w)
+            if refine(nbrs2, c2, [sp], t1) is not None:
+                r = dfs(c1, c2)
+                if r is not None:
+                    return r
         return None
 
-    r = dfs(list(colors1), list(colors2))
+    p1 = _Partition.from_colors(colors1)
+    p2 = _Partition.from_colors(colors2)
+    t1 = refine(nbrs1, p1, p1.starts())
+    if refine(nbrs2, p2, p2.starts(), t1) is None:
+        return None
+    r = dfs(p1, p2)
     return None if r is None else Perm(r)

@@ -86,9 +86,17 @@ def kappa_spec_of(kappa):
 # would have 38,019,072.
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
+# the most sign choices exotic --all-kappa certifies.  The certificates are
+# sorted before they are written, so they are all held at once: at q = 43
+# (16,384 choices) the run takes 3 s and 80 MB and writes 6 MB; q = 47
+# (65,536) took 10 s and 294 MB, and q = 53 would make 262,144 (2-core Xeon,
+# Python 3.11).  Every q <= 43 fits.
+_CERTIFICATE_LIMIT = 16_384
+
 
 class FamilyTooLarge(ValueError):
-    """--all-kappa would build more than _FAMILY_TRIPLE_LIMIT triples."""
+    """--all-kappa would build more than _FAMILY_TRIPLE_LIMIT triples, or
+    certify more than _CERTIFICATE_LIMIT sign choices."""
 
 
 def _present_one(T, meta, fmt):
@@ -220,6 +228,12 @@ def _cmd_exotic(args):
         d = singer_datum(args.q, args.modulus)
         family = d.signs()
         if args.all_kappa:
+            count = 2 ** len(family.keys)
+            if count > _CERTIFICATE_LIMIT:
+                raise FamilyTooLarge(
+                    f"--all-kappa would certify {count} sign choices; the "
+                    f"limit is {_CERTIFICATE_LIMIT}"
+                )
             kappas = family.choices()
         else:
             kappas = [parse_kappa_spec(args.kappa, family)]

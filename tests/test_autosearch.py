@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trigon.autosearch import (
     _neighbor_lists,
+    _Partition,
     arc_masks,
     automorphism_generators,
     find_isomorphism,
@@ -47,12 +48,28 @@ PETERSEN = [
 ]
 
 
+def stable_cells(adj, colors, ref=None):
+    """The cells of refine's stable partition, in order, and its trace (None
+    when it aborts against ref)."""
+    part = _Partition.from_colors(colors)
+    trace = refine(_neighbor_lists(adj), part, part.starts(), ref)
+    return [part.verts[s:part.end[s]] for s in part.starts()], trace
+
+
 def test_refine_splits_by_degree():
     # path 0-1-2: endpoints split from the middle vertex
     adj = edge_adjacency(3, [(0, 1), (1, 2)])
-    cols, trace = refine(_neighbor_lists(adj), [0, 0, 0])
-    assert cols[0] == cols[2] != cols[1]
-    assert len(trace) >= 1
+    cells, trace = stable_cells(adj, [0, 0, 0])
+    assert [sorted(c) for c in cells] == [[0, 2], [1]]
+    assert trace == [(0, 0, ((1, 2), (2, 1)))]
+
+
+def test_refine_stops_when_discrete():
+    # the directed path 0->1->2 is discrete after its first splitter: the
+    # key out + 4 * in is 1 at the source, 4 at the sink, 5 in the middle
+    cells, trace = stable_cells(arc_masks(3, [(0, 1), (1, 2)]), [0, 0, 0])
+    assert cells == [[0], [2], [1]]
+    assert trace == [(0, 0, ((1, 1), (4, 1), (5, 1)))]
 
 
 def test_path_automorphisms():
@@ -234,16 +251,82 @@ def refine_both_ways(adj, colors):
         k = len(ranked)
 
 
+def classes(colors):
+    """The color classes of a coloring, as a set of vertex sets."""
+    out = {}
+    for v, c in enumerate(colors):
+        out.setdefault(c, set()).add(v)
+    return {frozenset(c) for c in out.values()}
+
+
+def colored_digraphs(data, symmetric, max_n=8):
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
+    arcs = data.draw(arc_lists(n))
+    if symmetric:
+        arcs += [(j, i) for i, j in arcs]
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return n, arcs, colors
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_symmetric_refinement_matches_both_way_signatures(data):
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    arcs = data.draw(arc_lists(n))
-    adj = arc_masks(n, arcs + [(j, i) for i, j in arcs])
-    colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    nbrs = _neighbor_lists(adj)
-    assert len(nbrs) == 1  # the search takes the symmetric path
-    assert refine(nbrs, colors)[0] == refine_both_ways(adj, colors)
+    n, arcs, colors = colored_digraphs(data, symmetric=True)
+    adj = arc_masks(n, arcs)
+    assert len(_neighbor_lists(adj)) == 1  # the search takes the symmetric path
+    cells, _ = stable_cells(adj, colors)
+    assert {frozenset(c) for c in cells} == classes(refine_both_ways(adj, colors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_directed_refinement_matches_both_way_signatures(data):
+    n, arcs, colors = colored_digraphs(data, symmetric=False)
+    adj = arc_masks(n, arcs)
+    cells, _ = stable_cells(adj, colors)
+    assert {frozenset(c) for c in cells} == classes(refine_both_ways(adj, colors))
+
+
+def relabelled(data, n, arcs, colors):
+    sigma = data.draw(st.permutations(range(n)))
+    colors2 = [0] * n
+    for v in range(n):
+        colors2[sigma[v]] = colors[v]
+    return sigma, [(sigma[i], sigma[j]) for i, j in arcs], colors2
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_refinement_is_invariant_under_relabelling(data):
+    n, arcs, colors = colored_digraphs(data, symmetric=data.draw(st.booleans()))
+    sigma, arcs2, colors2 = relabelled(data, n, arcs, colors)
+    cells1, trace1 = stable_cells(arc_masks(n, arcs), colors)
+    cells2, trace2 = stable_cells(arc_masks(n, arcs2), colors2)
+    assert trace1 == trace2
+    assert [{sigma[v] for v in c} for c in cells1] == [set(c) for c in cells2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_early_abort_matches_the_full_trace(data):
+    """Given a reference trace, refine aborts exactly when its own full trace
+    differs from it, and otherwise ends at the full run's partition."""
+    n, arcs1, colors1 = colored_digraphs(data, symmetric=data.draw(st.booleans()))
+    if data.draw(st.booleans()):
+        _, arcs2, colors2 = relabelled(data, n, arcs1, colors1)
+        if arcs2 and data.draw(st.booleans()):
+            arcs2 = arcs2[1:]
+    else:
+        arcs2 = data.draw(arc_lists(n))
+        colors2 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    adj2 = arc_masks(n, arcs2)
+    _, ref = stable_cells(arc_masks(n, arcs1), colors1)
+    cells, full = stable_cells(adj2, colors2)
+    cut, aborted = stable_cells(adj2, colors2, ref)
+    assert (aborted is None) == (full != ref)
+    if aborted is not None:
+        assert aborted == full
+        assert cut == cells
 
 
 def test_asymmetric_digraph_keeps_in_lists():

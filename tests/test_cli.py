@@ -306,6 +306,31 @@ def test_family_over_the_limit_exits_two(capsys, monkeypatch, q, presentations,
     )
 
 
+@pytest.mark.parametrize("q, choices", [(47, 2**16), (53, 2**18)])
+def test_exotic_all_kappa_over_the_limit_exits_two(capsys, monkeypatch, q,
+                                                   choices):
+    """The guard refuses before the probe is built."""
+
+    def no_probe(d):
+        raise AssertionError("the probe was built before the size guard")
+
+    monkeypatch.setattr(cli, "build_probe", no_probe)
+    code, out, err = invoke(capsys, ["exotic", "--q", str(q), "--all-kappa"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"trigon exotic: --all-kappa would certify {choices} sign choices; "
+        f"the limit is {cli._CERTIFICATE_LIMIT}\n"
+    )
+
+
+def test_exotic_all_kappa_limit_admits_every_q_up_to_43():
+    powers = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+              37, 41, 43, 47, 49, 53]
+    admitted = [q for q in powers
+                if 2 ** singer.r_of_q(q) <= cli._CERTIFICATE_LIMIT]
+    assert admitted == powers[:powers.index(43) + 1]
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, square_path):
     def handler(args):
         raise ValueError("internal")

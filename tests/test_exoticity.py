@@ -42,7 +42,9 @@ def test_expected_order_formula():
         expected_q0_order(6)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+# q = 16, 27, 32 and 53 (e = 4, 3, 5, 1) are where the orbit pruning and the
+# early abort of the symmetry search matter
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 53])
 def test_q0_census(q, probe_for):
     probe = probe_for(q)
     assert len(probe.lambda_set) == q + 1
