@@ -25,7 +25,7 @@ from .ffield import (
 )
 from .grouptools import export_presentation
 from .linkgraph import export_edge_list, from_F, metrics, spectrum
-from .oppmodel import BadCongruence, opp_datum, opp_properties
+from .oppmodel import BadCongruence, GroupTooLarge, opp_datum, opp_properties
 from .singer import quad_datum, singer_datum
 from .tripres import (
     CheckFailed,
@@ -425,9 +425,9 @@ def run(argv):
         return int(ex.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, KappaSpecError, FamilyTooLarge, BadCongruence,
-            NotPrime, ReduciblePolynomial, DegreeMismatch, NotPrimitive,
-            SearchTooLarge, FileNotFoundError) as err:
+    except (ParseError, KappaSpecError, FamilyTooLarge, GroupTooLarge,
+            BadCongruence, NotPrime, ReduciblePolynomial, DegreeMismatch,
+            NotPrimitive, SearchTooLarge, FileNotFoundError) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
     except (ProbeCheckFailed, CheckFailed) as err:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .autosearch import (
     _bits,
@@ -71,6 +72,15 @@ class LinkGraph:
     def edges(self) -> list:
         return [(v, w) for v in range(self.n) for w in _bits(self.adj[v])]
 
+    @property
+    def bipartite(self) -> bool:
+        """Whether each point mask lies in the line half and each line mask
+        in the point half."""
+        n = self.n
+        low = (1 << n) - 1
+        return (all(not m & low for m in self.adj[:n])
+                and all(not m >> n for m in self.adj[n:]))
+
     def __repr__(self):
         return f"LinkGraph(n={self.n}, edges={len(self.edges())})"
 
@@ -128,7 +138,11 @@ class GraphMetrics:
     biregular: object
 
 
-def metrics(g: LinkGraph) -> GraphMetrics:
+def metrics(g: LinkGraph, roots=None) -> GraphMetrics:
+    """Connectivity, girth, diameter and degrees from one BFS per root, every
+    vertex when roots is None.  One root per orbit of an automorphism group
+    gives the same answer: a root's eccentricity and the shortest cycle its
+    scan sees are the same at every vertex of its orbit."""
     n = g.n
     degs = [m.bit_count() for m in g.adj]
     hist: dict[int, int] = {}
@@ -141,7 +155,7 @@ def metrics(g: LinkGraph) -> GraphMetrics:
     diam = 0
     connected = True
     girth = math.inf
-    for v in range(2 * n):
+    for v in range(2 * n) if roots is None else roots:
         ecc, seen, girth = _bfs_scan(g.adj, v, girth)
         connected = connected and seen == full
         diam = max(diam, ecc)
@@ -175,6 +189,98 @@ def spectrum(g: LinkGraph) -> list[float]:
     import numpy as np
 
     return [float(x) for x in np.linalg.eigvalsh(_normalized_laplacian(g))]
+
+
+def _minimal_polynomial(step, v):
+    """The monic p of least degree with p(M) v = 0, as Fractions, constant
+    term first, where step(u) = M u for an integer matrix M: the first
+    linear dependency of the Krylov sequence v, Mv, M^2 v, ..., found by
+    fraction-free integer elimination.  Each row is kept with its
+    combination of the sequence."""
+    rows = []
+    while True:
+        row, comb = v, [0] * len(rows) + [1]
+        for pivot, r, c in rows:
+            f, p = row[pivot], r[pivot]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, r)]
+                c = c + [0] * (len(comb) - len(c))
+                comb = [p * a - f * b for a, b in zip(comb, c)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            return [Fraction(a, comb[-1]) for a in comb]
+        rows.append((pivot, row, comb))
+        v = step(v)
+
+
+def _poly_at(coeffs, x):
+    """Horner's rule, constant term first."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _largest_root(coeffs, start):
+    """The largest root of a real-rooted polynomial (constant term first)
+    whose roots all lie below start.  Right of its largest root such a
+    polynomial is convex and increasing, so Newton's method from start falls
+    to that root from above; it stops once a step no longer goes down.  An
+    integer root is returned exactly, as Newton may stop an ulp off it."""
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    x = float(start)
+    while True:
+        nxt = x - float(_poly_at(coeffs, x)) / float(_poly_at(slope, x))
+        if not nxt < x:
+            break
+        x = nxt
+    root = round(x)
+    return root if _poly_at(coeffs, root) == 0 else x
+
+
+def point_transitive_gap(g: LinkGraph) -> float:
+    """The spectral gap of a connected biregular (d1, d2) bipartite graph
+    whose automorphism group is transitive on the points, from exact
+    integers; the caller vouches for the transitivity.
+
+    With B the point-line incidence matrix the normalized Laplacian is
+    I - [[0, B], [B^T, 0]] / sqrt(d1 d2), so its eigenvalues are 1 and
+    1 +- sqrt(mu / (d1 d2)) for the eigenvalues mu of M = B B^T.  M commutes
+    with a group transitive on the points, so an eigenprojection that killed
+    e_0 would kill every e_v: the Krylov sequence of e_0 gives the minimal
+    polynomial of M, whose roots are its distinct eigenvalues.  d1 d2 is the
+    largest and, the graph being connected, simple; the largest of the rest,
+    mu_2, gives the gap 1 - sqrt(mu_2 / (d1 d2)).  M is symmetric, so the
+    quotient by x - d1 d2 is real-rooted and _largest_root finds mu_2."""
+    n = g.n
+    d1 = {m.bit_count() for m in g.adj[:n]}
+    d2 = {m.bit_count() for m in g.adj[n:]}
+    if not g.bipartite or len(d1) != 1 or len(d2) != 1:
+        raise ValueError("the exact spectral gap needs a biregular bipartite graph")
+    if _bfs_scan(g.adj, 0, 0)[1] != (1 << (2 * n)) - 1:
+        raise Disconnected("spectral gap needs a connected graph")
+    top = d1.pop() * d2.pop()
+    lines_of = [[w - n for w in _bits(m)] for m in g.adj[:n]]
+    points_of = [[] for _ in range(n)]
+    for v, lines in enumerate(lines_of):
+        for w in lines:
+            points_of[w].append(v)
+
+    def step(v):
+        u = [sum(map(v.__getitem__, pts)) for pts in points_of]
+        return [sum(map(u.__getitem__, lines)) for lines in lines_of]
+
+    poly = _minimal_polynomial(step, [1] + [0] * (n - 1))
+    # divide out x - top, which divides poly as M 1 = top 1 and e_0 meets 1:
+    # synthetic division, highest coefficient first
+    quotient = [poly[-1]]
+    for c in reversed(poly[1:-1]):
+        quotient.append(c + top * quotient[-1])
+    quotient.reverse()
+    if len(quotient) == 1:
+        # M = top I: a single edge, whose spectrum is 0 and 2
+        return 2.0
+    return 1 - math.sqrt(_largest_root(quotient, top) / top)
 
 
 def spectral_gap(g: LinkGraph) -> float:

@@ -15,13 +15,24 @@ from .linkgraph import (
     f_wreath_equivalent,
     from_F,
     metrics,
-    spectral_gap,
+    point_transitive_gap,
 )
 from .tripres import CheckFailed, SignFamily
 
 
 class BadCongruence(Exception):
     """Raised when a construction needs q congruent to 1 mod 3."""
+
+
+class GroupTooLarge(ValueError):
+    """Raised when the group table at q would exceed _GROUP_TABLE_LIMIT."""
+
+
+# the most entries of the q^2 x q^2 multiplication table opp_datum builds,
+# so every q <= 64.  The table's memory grows as q^4: opp --check --q 64
+# takes 3.4 s and peaks at 663 MB RSS (2-core Xeon, Python 3.11), so q = 67
+# would pass 0.8 GB and q = 81 1.6 GB.
+_GROUP_TABLE_LIMIT = 64 ** 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +140,11 @@ def _parabola_index(y, q):
 def opp_datum(q):
     """Group-and-parabola datum whose pair graph is the opposition subgraph."""
     p, e = factor_prime_power(q)
+    if q ** 4 > _GROUP_TABLE_LIMIT:
+        raise GroupTooLarge(
+            f"q = {q} would build a group table of q^4 = {q ** 4} entries; "
+            f"the limit is {_GROUP_TABLE_LIMIT}"
+        )
     gf = make_field(p, e)
     G = make_opp_group(q)
     elems = gf.elements()
@@ -169,18 +185,21 @@ def opp_properties(q):
     """Compute the opposition-graph checklist on the coset model."""
     d = opp_datum(q)
     g = from_F(d.F())
-    met = metrics(g)
+    # point g is joined to line g*s for s in S, so left multiplication by G
+    # is transitive on the points and on the lines: point 0 and line n
+    # stand for every vertex
+    met = metrics(g, (0, g.n))
     # lambda_2 of a disconnected graph is 0, so both rows fail instead of
-    # spectral_gap raising Disconnected
-    gap = spectral_gap(g) if met.connected else 0.0
+    # point_transitive_gap raising Disconnected
+    gap = point_transitive_gap(g) if met.connected else 0.0
     want_gap = 1 - math.sqrt(q) / q
-    bipartite = all(v < g.n <= w for v, w in g.edges())
+    size = (2 * g.n, sum(m.bit_count() for m in g.adj[:g.n]))
     girth_want = 8 if q == 2 else 6
     rows = (
         ("2q^2 vertices, q^3 edges", (2 * q * q, q ** 3),
-         (2 * g.n, len(g.edges())), (2 * g.n, len(g.edges())) == (2 * q * q, q ** 3)),
+         size, size == (2 * q * q, q ** 3)),
         ("regular of degree q", (q, q), met.biregular, met.biregular == (q, q)),
-        ("bipartite", True, bipartite, bipartite),
+        ("bipartite", True, g.bipartite, g.bipartite),
         ("connected", True, met.connected, met.connected is True),
         ("girth", girth_want, met.girth, met.girth == girth_want),
         ("diameter", 4, met.diameter, met.diameter == 4),

@@ -1,6 +1,7 @@
 """Exit codes, byte determinism, golden tables, and subcommand output."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -431,6 +432,41 @@ def test_disconnected_opposition_graph_fails_its_checklist(capsys, monkeypatch):
     assert out.rstrip().endswith("zuk gap > 1/2: False")
 
 
+def test_non_biregular_opposition_graph_is_an_internal_error(monkeypatch):
+    """Without one degree per side the coset group cannot be transitive, so
+    the exact gap raises ValueError, which is not a usage error."""
+    real_F = oppmodel.OppDatum.F
+
+    def F(self):
+        full = real_F(self)
+        return FSet(full.labels, full.pairs - {min(full.pairs)})
+
+    monkeypatch.setattr(oppmodel.OppDatum, "F", F)
+    with pytest.raises(ValueError, match="biregular bipartite"):
+        run(["opp", "--check", "--q", "7"])
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--check"], ["--kappa", "+1"], ["--all-kappa"]],
+    ids=["default", "check", "kappa", "all-kappa"],
+)
+def test_opp_over_the_group_limit_exits_two(capsys, monkeypatch, mode):
+    """q = 67 is the first prime power whose q^2 x q^2 table is refused; the
+    guard comes before the field, so before --all-kappa's family check."""
+
+    def no_field(p, e):
+        raise AssertionError("the field was built before the size guard")
+
+    monkeypatch.setattr(oppmodel, "make_field", no_field)
+    assert 64 ** 4 <= oppmodel._GROUP_TABLE_LIMIT < 67 ** 4
+    code, out, err = invoke(capsys, ["opp", "--q", "67", *mode])
+    assert (code, out) == (2, "")
+    assert err == (
+        "trigon opp: q = 67 would build a group table of q^4 = 20151121 "
+        f"entries; the limit is {oppmodel._GROUP_TABLE_LIMIT}\n"
+    )
+
+
 def test_broken_subspace_model_exits_one(capsys, monkeypatch):
     real = oppmodel._building_fset
 
@@ -489,3 +525,36 @@ def test_start_up_leaves_numpy_out():
         capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["opp", "--check", "--q", "9"], False),
+     (["graph", "--from-json", "{doc}", "--spectrum"], True)],
+    ids=["opp-check", "graph-spectrum"],
+)
+def test_only_the_spectrum_loads_numpy(square_path, argv, loaded):
+    """opp --check takes its gap from exact integers; graph --spectrum is
+    the one command that reads numpy."""
+    argv = [a.format(doc=square_path) for a in argv] + ["-o", os.devnull]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from trigon.cli import run; "
+         f"code = run({argv!r}); print(code, 'numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"0 {loaded}\n")
+
+
+def test_opp_group_limit_in_a_fresh_process():
+    """q = 128 would build a table of 268,435,456 entries; the guard exits
+    before the field is made."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigon.cli", "opp", "--check", "--q", "128"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "trigon opp: q = 128 would build a group table of q^4 = 268435456 "
+        "entries; the limit is 16777216\n"
+    )

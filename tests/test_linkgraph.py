@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from trigon.linkgraph import (
     Disconnected,
     FSet,
     LinkGraph,
+    _largest_root,
     apply_rho,
     aut_full,
     aut_plus,
@@ -22,11 +24,13 @@ from trigon.linkgraph import (
     graph_automorphisms,
     is_generalized_mgon,
     metrics,
+    point_transitive_gap,
     spectral_gap,
     spectrum,
 )
-from trigon.oppmodel import a2_graph
+from trigon.oppmodel import a2_graph, opp_datum
 from trigon.permgrp import Perm
+from trigon.singer import singer_datum
 
 
 def singer_f_q2():
@@ -175,6 +179,8 @@ def test_empty_f():
     assert aut_plus(f).order() == 6
     with pytest.raises(Disconnected):
         spectral_gap(g)
+    with pytest.raises(Disconnected):
+        point_transitive_gap(g)
 
 
 def test_single_edge():
@@ -182,6 +188,7 @@ def test_single_edge():
     met = metrics(g)
     assert met.connected and met.diameter == 1 and met.girth == math.inf
     assert spectral_gap(g) == pytest.approx(2.0, abs=1e-9)
+    assert point_transitive_gap(g) == 2.0
 
 
 def test_heawood_metrics_and_groups():
@@ -227,6 +234,8 @@ def test_laplacian_zero_multiplicity_counts_components():
     assert sum(1 for x in spectrum(from_F(f)) if abs(x) < 1e-9) == 2
     with pytest.raises(Disconnected):
         spectral_gap(from_F(f))
+    with pytest.raises(Disconnected):
+        point_transitive_gap(from_F(f))
 
 
 def test_a2_f3_is_generalized_3gon():
@@ -331,3 +340,67 @@ def test_metrics_match_oracle_on_odd_cycles(n_vertices, edges, girth, diameter):
 def test_metrics_match_oracle_on_planes(q):
     met = check_against_oracle(a2_graph(q).graph)
     assert (met.connected, met.girth, met.diameter) == (True, 6, 3)
+
+
+def opp_graph(q):
+    return from_F(opp_datum(q).F())
+
+
+def singer_graph(q):
+    return from_F(singer_datum(q).F())
+
+
+# link graphs with a group transitive on the points: the opposition graphs
+# and the Singer planes are Cayley-like (point g, line g*s), the square is
+# K_{2,2}, the 8-cycle is dihedral and the plane over GF(3) has PGL(3, 3)
+TRANSITIVE_GRAPHS = (
+    [pytest.param(opp_graph, q, id=f"opp-{q}") for q in (2, 3, 4, 5, 7, 8, 9, 13, 16)]
+    + [pytest.param(singer_graph, q, id=f"singer-{q}") for q in (2, 3, 4, 5, 7, 8)]
+    + [pytest.param(lambda _: from_F(square_f()), None, id="square"),
+       pytest.param(lambda _: from_F(cycle8_f()), None, id="cycle8"),
+       pytest.param(lambda p: from_F(a2_subspace_model(p)), 3, id="plane-3")]
+)
+
+
+@pytest.mark.parametrize("make, q", TRANSITIVE_GRAPHS)
+def test_exact_gap_matches_numpy(make, q):
+    g = make(q)
+    assert point_transitive_gap(g) == pytest.approx(spectral_gap(g), abs=1e-9)
+
+
+@pytest.mark.parametrize("make, q", TRANSITIVE_GRAPHS)
+def test_two_roots_match_every_root_on_transitive_graphs(make, q):
+    g = make(q)
+    met = metrics(g, (0, g.n))
+    assert met == metrics(g)
+    assert (met.connected, met.girth, met.diameter) == oracle_metrics(g)
+
+
+def test_exact_gap_of_known_spectra():
+    # Singer planes: B B^T = qI + J, so mu_2 = q; K_{2,2}: B B^T = 2J, mu_2 = 0
+    assert point_transitive_gap(singer_graph(4)) == 1 - math.sqrt(4 / 25)
+    assert point_transitive_gap(from_F(square_f())) == 1.0
+
+
+def test_largest_root_is_exact_at_an_integer():
+    # x (x - 2) (x - 3): Newton's method from 14 stops at 2.9999999999999996
+    root = _largest_root([Fraction(c) for c in (0, 6, -5, 1)], 14)
+    assert type(root) is int and root == 3
+    # x^2 - 2 has no integer root, so Newton's float stands
+    assert _largest_root([Fraction(-2), 0, Fraction(1)], 4) == pytest.approx(
+        math.sqrt(2), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        from_F(FSet.from_labels(range(3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])),
+        graph_of_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ],
+    ids=["path", "point-to-point"],
+)
+def test_exact_gap_refuses_what_it_cannot_read(graph):
+    """A path has points of degree 2 and 1; a point joined to a point is
+    not bipartite.  Both raise ValueError, not a numeric answer."""
+    with pytest.raises(ValueError, match="biregular bipartite"):
+        point_transitive_gap(graph)

@@ -25,6 +25,7 @@ TEST_ONLY = {
     "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
     "linkgraph.graph_automorphisms": "the whole-group oracle for the probe's Q0",
     "linkgraph.is_generalized_mgon": "the claim that links are generalized 3-gons",
+    "linkgraph.spectral_gap": "the numpy oracle for the exact point-transitive gap",
     "oppmodel.incidence_model_checks": "the coset = subspace model claim (test_08)",
     "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
     "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",

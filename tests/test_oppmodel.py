@@ -89,6 +89,13 @@ def test_properties_checklist(q, zuk):
     assert abs(r.gap - (1 - math.sqrt(q) / q)) <= 1e-6
 
 
+def test_q4_gap_is_exactly_one_half():
+    """1 - sqrt(4)/4 = 1/2, so the Zuk row is False; numpy's eigvalsh gave
+    0.49999999999999867 here."""
+    r = opp_properties(4)
+    assert (r.gap, r.zuk) == (0.5, False)
+
+
 def test_properties_rows_q2():
     r = opp_properties(2)
     by_name = {row[0]: row for row in r.rows}
