@@ -25,7 +25,7 @@ from .ffield import (
 )
 from .grouptools import export_presentation
 from .linkgraph import export_edge_list, from_F, metrics, spectrum
-from .oppmodel import BadCongruence, GroupTooLarge, opp_datum, opp_properties
+from .oppmodel import BadCongruence, GraphTooLarge, opp_datum, opp_properties
 from .singer import quad_datum, singer_datum
 from .tripres import (
     CheckFailed,
@@ -78,12 +78,13 @@ def kappa_spec_of(kappa):
     return ";".join(items)
 
 
-# the most triples --all-kappa builds, over all its presentations together.
-# Families are written as they are built, so this bounds time and output, not
-# memory: opp --q 25 --all-kappa --format json builds exactly this many in
-# about 20 s and writes 247 MB (2-core Xeon, Python 3.11); the largest family
-# the tests and the benchmark build, quad --q 3, has 116,480 and quad --q 4
-# would have 38,019,072.
+# the most triples --all-kappa builds, over all its presentations together,
+# and the most one singer or quad presentation has.  Families are written as
+# they are built, so this bounds time and output, not memory: opp --q 25
+# --all-kappa --format json builds exactly this many in about 20 s and writes
+# 247 MB (2-core Xeon, Python 3.11); the largest family the tests and the
+# benchmark build, quad --q 3, has 116,480 and quad --q 4 would have
+# 38,019,072.  One presentation reaches it at singer --q 163 and quad --q 13.
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
 # the most sign choices exotic --all-kappa certifies.  The certificates are
@@ -95,8 +96,21 @@ _CERTIFICATE_LIMIT = 16_384
 
 
 class FamilyTooLarge(ValueError):
-    """--all-kappa would build more than _FAMILY_TRIPLE_LIMIT triples, or
-    certify more than _CERTIFICATE_LIMIT sign choices."""
+    """A presentation or an --all-kappa family would be over its limit, or
+    --all-kappa would certify more than _CERTIFICATE_LIMIT sign choices."""
+
+
+def _check_presentation_size(q, order):
+    """Refuse q, after checking that it is a prime power and before the
+    field search, if one presentation on the plane of the given order has
+    more than _FAMILY_TRIPLE_LIMIT triples, |G| x |S| = m x (order + 1)."""
+    factor_prime_power(q)
+    m, s = order * order + order + 1, order + 1
+    if m * s > _FAMILY_TRIPLE_LIMIT:
+        raise FamilyTooLarge(
+            f"q = {q} would build presentations of {m} x {s} = {m * s} "
+            f"triples; the limit is {_FAMILY_TRIPLE_LIMIT}"
+        )
 
 
 def _present_one(T, meta, fmt):
@@ -147,11 +161,13 @@ def _cmd_tables(args):
 
 
 def _cmd_singer(args):
+    _check_presentation_size(args.q, args.q)
     d = singer_datum(args.q, args.modulus)
     return 0, _family_output("singer", d.q, d.signs(), args)
 
 
 def _cmd_quad(args):
+    _check_presentation_size(args.q, args.q ** 2)
     d = quad_datum(args.q, args.modulus)
     return 0, _family_output("quad", d.q, d.signs(), args)
 
@@ -425,7 +441,7 @@ def run(argv):
         return int(ex.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, KappaSpecError, FamilyTooLarge, GroupTooLarge,
+    except (ParseError, KappaSpecError, FamilyTooLarge, GraphTooLarge,
             BadCongruence, NotPrime, ReduciblePolynomial, DegreeMismatch,
             NotPrimitive, SearchTooLarge, FileNotFoundError) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)

@@ -196,8 +196,11 @@ def poly_is_primitive(coeffs, p: int) -> bool:
 
 def _conway_candidates(p, n):
     # Candidates in the standard ordering: f(x) = sum_i (-1)^(n-i) c_i x^i with
-    # the word (c_{n-1}, ..., c_0) increasing lexicographically.
-    for word in product(range(p), repeat=n):
+    # the word (c_{n-1}, ..., c_0) increasing lexicographically.  c_0 is the
+    # norm of the root down to GF(p), for a Conway root the root g of x - g,
+    # the degree-1 Conway polynomial; so for n > 1 only c_0 = g is tried.
+    lasts = range(p) if n == 1 else [-conway_polynomial(p, 1)[0] % p]
+    for word in product(*[range(p)] * (n - 1), lasts):
         coeffs = [0] * (n + 1)
         coeffs[n] = 1
         for idx, c in enumerate(word):

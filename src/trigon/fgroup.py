@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .ffield import factor_prime_power, make_field
@@ -22,6 +22,15 @@ class FiniteGroup:
     inv: Callable[[int], int]
     id: int
     abelian: bool | None = None
+    _rights: dict = field(default_factory=dict, init=False, repr=False)
+
+    def right(self, s: int) -> list[int]:
+        """Right translation x -> x*s as a list indexed by x, built on the
+        first request for s and kept."""
+        arr = self._rights.get(s)
+        if arr is None:
+            arr = self._rights[s] = [self.mul(x, s) for x in range(self.n)]
+        return arr
 
     def is_abelian(self) -> bool:
         if self.abelian is not None:
@@ -57,8 +66,7 @@ class SubgroupDatum:
         """Minimum element of each left coset, indexed by coset id."""
         out: dict[int, int] = {}
         for a, cid in enumerate(self.coset_index):
-            if cid not in out:
-                out[cid] = a
+            out.setdefault(cid, a)
         return tuple(out[cid] for cid in range(len(out)))
 
     def __contains__(self, a: int) -> bool:
@@ -84,35 +92,27 @@ def make_cyclic(m: int) -> FiniteGroup:
 def make_opp_group(q: int) -> FiniteGroup:
     """The order-q^2 group of matrices [[1,y,z],[0,1,y],[0,0,1]] over GF(q).
 
-    Product in coordinates: (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2).  Elements
-    are indexed y.index*q + z.index; the multiplication table is precomputed
-    from the field's addition and multiplication tables over element indices.
+    In coordinates (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2) and (y,z)^-1 =
+    (-y, y*y-z).  Elements are indexed y.index*q + z.index, and both maps
+    read the q x q addition and multiplication tables of the field, so the
+    group takes O(q^2) memory.
     """
     p, e = factor_prime_power(q)
-    gf = make_field(p, e)
-    elems = gf.elements()
+    elems = make_field(p, e).elements()
     add = [[(x + y).index for y in elems] for x in elems]
     mul = [[(x * y).index for y in elems] for x in elems]
-    n = q * q
-    table = []
-    invs = [0] * n
-    for a in range(n):
+    neg = [row.index(0) for row in add]
+
+    def product(a, b):
         y1, z1 = divmod(a, q)
-        add_y1, add_z1, mul_y1 = add[y1], add[z1], mul[y1]
-        row = [
-            add_y1[y2] * q + add[add_z1[z2]][mul_y1[y2]]
-            for y2 in range(q)
-            for z2 in range(q)
-        ]
-        table.append(row)
-        invs[a] = row.index(0)
-    return FiniteGroup(
-        n=n,
-        mul=lambda a, b: table[a][b],
-        inv=lambda a: invs[a],
-        id=0,
-        abelian=True,
-    )
+        y2, z2 = divmod(b, q)
+        return add[y1][y2] * q + add[add[z1][z2]][mul[y1][y2]]
+
+    def inverse(a):
+        y, z = divmod(a, q)
+        return neg[y] * q + add[mul[y][y]][neg[z]]
+
+    return FiniteGroup(n=q * q, mul=product, inv=inverse, id=0, abelian=True)
 
 
 def subgroup(G: FiniteGroup, generators) -> SubgroupDatum:
@@ -122,11 +122,12 @@ def subgroup(G: FiniteGroup, generators) -> SubgroupDatum:
     for g in gens:
         if not 0 <= g < G.n:
             raise ValueError(f"generator {g} outside 0..{G.n - 1}")
+    rights = [G.right(g) for g in gens]
     members = {G.id}
     queue = [G.id]
     for a in queue:
-        for g in gens:
-            b = G.mul(a, g)
+        for r in rights:
+            b = r[a]
             if b not in members:
                 members.add(b)
                 queue.append(b)

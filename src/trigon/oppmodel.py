@@ -24,15 +24,15 @@ class BadCongruence(Exception):
     """Raised when a construction needs q congruent to 1 mod 3."""
 
 
-class GroupTooLarge(ValueError):
-    """Raised when the group table at q would exceed _GROUP_TABLE_LIMIT."""
+class GraphTooLarge(ValueError):
+    """Raised when the link graph at q would have more than _EDGE_LIMIT edges."""
 
 
-# the most entries of the q^2 x q^2 multiplication table opp_datum builds,
-# so every q <= 64.  The table's memory grows as q^4: opp --check --q 64
-# takes 3.4 s and peaks at 663 MB RSS (2-core Xeon, Python 3.11), so q = 67
-# would pass 0.8 GB and q = 81 1.6 GB.
-_GROUP_TABLE_LIMIT = 64 ** 4
+# the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
+# The graph's 2 q^2 adjacency masks hold up to 2 q^2 bits each, so memory
+# grows as q^4: opp --check took 1.0 s and 66 MB at q = 64, 2.6 s and 120 MB
+# at q = 81, and 14.8 s and 397 MB at q = 121 (2-core Xeon, Python 3.11).
+_EDGE_LIMIT = 81 ** 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +120,7 @@ class OppDatum:
     alpha3: object
 
     def F(self):
-        pairs = frozenset(
-            (g, self.G.mul(g, s)) for g in range(self.G.n) for s in self.S
-        )
+        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
         return FSet(tuple(range(self.G.n)), pairs)
 
     def signs(self):
@@ -140,10 +138,10 @@ def _parabola_index(y, q):
 def opp_datum(q):
     """Group-and-parabola datum whose pair graph is the opposition subgraph."""
     p, e = factor_prime_power(q)
-    if q ** 4 > _GROUP_TABLE_LIMIT:
-        raise GroupTooLarge(
-            f"q = {q} would build a group table of q^4 = {q ** 4} entries; "
-            f"the limit is {_GROUP_TABLE_LIMIT}"
+    if q ** 3 > _EDGE_LIMIT:
+        raise GraphTooLarge(
+            f"q = {q} would build a link graph of q^3 = {q ** 3} edges; "
+            f"the limit is {_EDGE_LIMIT}"
         )
     gf = make_field(p, e)
     G = make_opp_group(q)

@@ -46,9 +46,7 @@ class SingerDatum:
 
     def F(self):
         """Pair set {(x, x+s)} whose graph is the plane's incidence graph."""
-        pairs = frozenset(
-            (x, (x + s) % self.m) for x in range(self.m) for s in self.S
-        )
+        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
         return FSet(tuple(range(self.m)), pairs)
 
     def signs(self):

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from operator import itemgetter
 
 from .autosearch import find_isomorphism
-from .fgroup import FiniteGroup, SubgroupDatum, subgroup
+from .fgroup import FiniteGroup, SubgroupDatum
 from .linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus, digraph_of
 from .permgrp import Perm, bsgs_build
 
@@ -74,10 +74,21 @@ class TrianglePresentation:
         return len(self.labels)
 
     def canonical_reps(self) -> list:
-        """The least rotation of each orbit, sorted."""
-        return sorted(
-            {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in self.triples}
-        )
+        """The least rotation of each triple, sorted, so the same for a set
+        and its rotation closure: the rotation that starts at the strict
+        minimum entry, the least of the three on a tie."""
+        reps = set()
+        for t in self.triples:
+            i, j, k = t
+            if i < j and i < k:
+                reps.add(t)
+            elif j < k and j < i:
+                reps.add((j, k, i))
+            elif k < i and k < j:
+                reps.add((k, i, j))
+            else:
+                reps.add(min(t, (j, k, i), (k, i, j)))
+        return sorted(reps)
 
     def __repr__(self):
         return (
@@ -337,36 +348,6 @@ def _check_lambda(G: FiniteGroup, S, lam) -> list:
     return S
 
 
-def generating_set(G: FiniteGroup) -> list[int]:
-    """A small generating set, greedily taking the least element not yet
-    generated; build_from_lambda checks left translation by it."""
-    gens: list[int] = []
-    have = subgroup(G, gens)
-    while have.order < G.n:
-        for a in range(G.n):
-            if a not in have:
-                gens.append(a)
-                break
-        have = subgroup(G, gens)
-    return gens
-
-
-def build_from_lambda(G: FiniteGroup, S, lam) -> TrianglePresentation:
-    """T = {(x, xs, xs*lam(s))}; G acts by left translation and fixes T.
-    Kept as the tests' oracle for build_T_kappa's all-plus choice."""
-    S = _check_lambda(G, S, lam)
-    triples = set()
-    for x in range(G.n):
-        for s in S:
-            xs = G.mul(x, s)
-            triples.add((x, xs, G.mul(xs, lam[s])))
-    T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
-    for g in generating_set(G):
-        if not _carries(T.triples, [G.mul(g, a) for a in range(G.n)], T.triples):
-            raise CheckFailed(f"left translation by {g} moves T")
-    return T
-
-
 def lambda_orbits(S, lam) -> list[tuple]:
     """Cycle partition of S under the folding map, each orbit sorted."""
     left = set(S)
@@ -456,32 +437,35 @@ class SignFamily:
 
 def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
     """The sign-twisted presentation {(x, xs, xs*step)}, where step is the
-    twist of s on the coset of x; its axioms are checked before it returns."""
-    G, H = family.G, family.H
-    steps = [tuple(zip(family.S, family.twist(kappa, rep))) for rep in H.reps]
-    triples = set()
-    for x in range(G.n):
-        for s, step in steps[H.coset_index[x]]:
-            xs = G.mul(x, s)
-            triples.add((x, xs, G.mul(xs, step)))
-    if not _closed_and_unique(triples):
-        bad = _violations({(i, j) for i, j, _ in triples}, triples)
-        raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
-    return TrianglePresentation(tuple(range(G.n)), frozenset(triples))
+    twist of s on the coset of x, read from the right translations of G.
 
-
-def _closed_and_unique(triples) -> bool:
-    """Whether triples pass the axioms against their own pair set: every
-    pair has one third and the rotation (j, k, i) of each (i, j, k) is a
-    triple.  Equals not _violations(pairs of triples, triples), the slow
-    path that names the violations.
-
-    One pair -> third map checks both: third[j, k] == i for every (i, j, k)
-    puts (j, k, i), then (k, i, j) in triples and makes third[i, j] == k, so
-    a pair with a second third k' would need third[i, j] == k' as well."""
-    third = {(i, j): k for i, j, k in triples}
-    get = third.get
-    return all(get((j, k)) == i for i, j, k in triples)
+    Each pair (x, xs) is made once, so it has one third; the rotation
+    (xs, xs*step, x) is a triple iff the third of the pair (xs, step) is x.
+    third[a] holds the thirds of the pairs (x, x*S[a]), x in coset order;
+    place(y) is the index of y in that order."""
+    G, S = family.G, family.S
+    steps = [family.twist(kappa, rep) for rep in family.H.reps]
+    cosets = [[] for _ in steps]
+    for x, c in enumerate(family.H.coset_index):
+        cosets[c].append(x)
+    order = [x for xs in cosets for x in xs]
+    place = sorted(range(G.n), key=order.__getitem__).__getitem__
+    where = {s: b for b, s in enumerate(S)}
+    seconds, third, checks = [], [], []
+    for a, s in enumerate(S):
+        col = []
+        for xs, step in zip(cosets, steps):
+            ys = list(map(G.right(s).__getitem__, xs))
+            col += map(G.right(step[a]).__getitem__, ys)
+            seconds += ys
+            checks.append((xs, ys, where.get(step[a])))
+        third.append(col)
+    triples = frozenset(zip(order * len(S), seconds, chain.from_iterable(third)))
+    for xs, ys, b in checks:
+        if b is None or list(map(third[b].__getitem__, map(place, ys))) != xs:
+            bad = _violations({(i, j) for i, j, _ in triples}, triples)
+            raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
+    return TrianglePresentation(tuple(range(G.n)), triples)
 
 
 def isomorphic_T(F1, T1, F2, T2):

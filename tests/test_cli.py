@@ -307,6 +307,51 @@ def test_family_over_the_limit_exits_two(capsys, monkeypatch, q, presentations,
     )
 
 
+@pytest.mark.parametrize(
+    "argv, m, s",
+    [
+        (["singer", "--q", "163"], 26733, 164),
+        (["singer", "--q", "169", "--kappa", "+1"], 28731, 170),
+        (["singer", "--q", "169", "--all-kappa"], 28731, 170),
+        (["quad", "--q", "13", "--format", "json"], 28731, 170),
+    ],
+)
+def test_presentation_over_the_limit_exits_two(capsys, monkeypatch, argv, m,
+                                               s):
+    """singer --q 163 is the first singer q and quad --q 13 the first quad q
+    whose one presentation, |G| x |S| triples, is over the family limit; the
+    guard reads q alone, so it refuses before the datum and its field
+    search, in every mode."""
+
+    def no_datum(q, modulus):
+        raise AssertionError("the datum was built before the size guard")
+
+    monkeypatch.setattr(cli, "singer_datum", no_datum)
+    monkeypatch.setattr(cli, "quad_datum", no_datum)
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert m * s > cli._FAMILY_TRIPLE_LIMIT
+    assert err == (
+        f"trigon {argv[0]}: q = {argv[2]} would build presentations of "
+        f"{m} x {s} = {m * s} triples; the limit is {cli._FAMILY_TRIPLE_LIMIT}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["singer", "--q", "157"], ["quad", "--q", "11"]])
+def test_presentation_limit_admits_the_q_below(capsys, monkeypatch, argv):
+    """singer --q 157 and quad --q 11 are the largest q under the limit: the
+    guard lets them through to the datum."""
+
+    def reached(q, modulus):
+        raise KappaSpecError(f"datum reached at q = {q}")
+
+    monkeypatch.setattr(cli, "singer_datum", reached)
+    monkeypatch.setattr(cli, "quad_datum", reached)
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"trigon {argv[0]}: datum reached at q = {argv[2]}\n"
+
+
 @pytest.mark.parametrize("q, choices", [(47, 2**16), (53, 2**18)])
 def test_exotic_all_kappa_over_the_limit_exits_two(capsys, monkeypatch, q,
                                                    choices):
@@ -451,19 +496,20 @@ def test_non_biregular_opposition_graph_is_an_internal_error(monkeypatch):
     ids=["default", "check", "kappa", "all-kappa"],
 )
 def test_opp_over_the_group_limit_exits_two(capsys, monkeypatch, mode):
-    """q = 67 is the first prime power whose q^2 x q^2 table is refused; the
-    guard comes before the field, so before --all-kappa's family check."""
+    """q = 83 is the first prime power whose link graph, q^3 edges, is
+    refused; the guard comes before the field, so before --all-kappa's
+    family check."""
 
     def no_field(p, e):
         raise AssertionError("the field was built before the size guard")
 
     monkeypatch.setattr(oppmodel, "make_field", no_field)
-    assert 64 ** 4 <= oppmodel._GROUP_TABLE_LIMIT < 67 ** 4
-    code, out, err = invoke(capsys, ["opp", "--q", "67", *mode])
+    assert 81 ** 3 <= oppmodel._EDGE_LIMIT < 83 ** 3
+    code, out, err = invoke(capsys, ["opp", "--q", "83", *mode])
     assert (code, out) == (2, "")
     assert err == (
-        "trigon opp: q = 67 would build a group table of q^4 = 20151121 "
-        f"entries; the limit is {oppmodel._GROUP_TABLE_LIMIT}\n"
+        "trigon opp: q = 83 would build a link graph of q^3 = 571787 "
+        f"edges; the limit is {oppmodel._EDGE_LIMIT}\n"
     )
 
 
@@ -547,7 +593,7 @@ def test_only_the_spectrum_loads_numpy(square_path, argv, loaded):
 
 
 def test_opp_group_limit_in_a_fresh_process():
-    """q = 128 would build a table of 268,435,456 entries; the guard exits
+    """q = 128 would build a link graph of 2,097,152 edges; the guard exits
     before the field is made."""
     proc = subprocess.run(
         [sys.executable, "-m", "trigon.cli", "opp", "--check", "--q", "128"],
@@ -555,6 +601,6 @@ def test_opp_group_limit_in_a_fresh_process():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "trigon opp: q = 128 would build a group table of q^4 = 268435456 "
-        "entries; the limit is 16777216\n"
+        "trigon opp: q = 128 would build a link graph of q^3 = 2097152 "
+        "edges; the limit is 531441\n"
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigon import ffield
 from trigon.ffield import (
     DegreeMismatch,
     DivisionByZero,
@@ -85,6 +86,37 @@ def test_conway_reference_values():
     assert conway_polynomial(3, 1) == (1, 1)
     assert conway_polynomial(3, 2) == (2, 2, 1)
     assert conway_polynomial(5, 1) == (3, 1)
+
+
+def uncut_candidates(p, n):
+    """Every monic degree-n polynomial in the standard ordering, c_0 free:
+    the enumeration before the c_0 = g cut, kept as its oracle."""
+    for word in itertools.product(range(p), repeat=n):
+        coeffs = [0] * (n + 1)
+        coeffs[n] = 1
+        for idx, c in enumerate(word):
+            i = n - 1 - idx
+            coeffs[i] = ((-1) ** (n - i) * c) % p
+        yield tuple(coeffs)
+
+
+# (p, d) for every subfield GF(p^d) of the fields that opp (GF(q)) and
+# singer and exotic (GF(q^3)) build at q <= 16; quad at q <= 4 builds the
+# singer fields of q^2 <= 16
+CONWAY_REACHED = sorted({
+    (p, d)
+    for p, e in map(factor_prime_power, (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+    for n in (e, 3 * e)
+    for d in range(1, n + 1)
+    if n % d == 0
+})
+
+
+@pytest.mark.parametrize("p, n", CONWAY_REACHED)
+def test_conway_cut_matches_the_uncut_search(monkeypatch, p, n):
+    cut = conway_polynomial(p, n)
+    monkeypatch.setattr(ffield, "_conway_candidates", uncut_candidates)
+    assert conway_polynomial.__wrapped__(p, n) == cut
 
 
 def test_conway_polys_are_primitive():

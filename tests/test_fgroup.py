@@ -109,6 +109,41 @@ def test_opp_group_matches_field_formula(q):
             assert g.mul(a, b) == index(y1 + y2, z1 + z2 + y1 * y2)
 
 
+def table_opp_group(q):
+    """The whole q^2 x q^2 multiplication table of the opposition group and
+    its inverses, from the field's addition and multiplication tables; the
+    oracle for the group's table-free products."""
+    elems = make_field(*factor_prime_power(q)).elements()
+    add = [[(x + y).index for y in elems] for x in elems]
+    mul = [[(x * y).index for y in elems] for x in elems]
+    table = []
+    for a in range(q * q):
+        y1, z1 = divmod(a, q)
+        table.append([
+            add[y1][y2] * q + add[add[z1][z2]][mul[y1][y2]]
+            for y2 in range(q)
+            for z2 in range(q)
+        ])
+    return table, [row.index(0) for row in table]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_opp_group_matches_the_table_oracle(q):
+    g = make_opp_group(q)
+    table, invs = table_opp_group(q)
+    assert [g.inv(a) for a in range(g.n)] == invs
+    for s in range(g.n):
+        assert g.right(s) == [row[s] for row in table]
+        assert [g.mul(s, b) for b in range(g.n)] == table[s]
+
+
+def test_right_translation_is_built_once():
+    g = make_cyclic(7)
+    assert g.right(3) == [3, 4, 5, 6, 0, 1, 2]
+    assert g.right(3) is g.right(3)
+    assert g.right(0) == list(range(7))
+
+
 @pytest.mark.parametrize(
     "q,expected",
     [(2, (4,)), (3, (3, 3)), (4, (4, 4)), (5, (5, 5)), (8, (4, 4, 4))],

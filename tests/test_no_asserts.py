@@ -30,7 +30,6 @@ TEST_ONLY = {
     "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
     "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",
     "singer.murho_dual": "the claim that duality flips every sign (test_06)",
-    "tripres.build_from_lambda": "the oracle for build_T_kappa's all-plus choice",
     "tripres.isomorphic_T": "the complete-digraph pair claim (test_03)",
     "tripres.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
 }

@@ -24,11 +24,11 @@ from trigon.tripres import (
     TrianglePresentation,
     TwistCheckFailed,
     Violation,
-    build_from_lambda,
+    _carries,
+    _check_lambda,
     classify,
     enumerate_all,
     format_table,
-    generating_set,
     isomorphic_T,
     lambda_orbits,
     stabilizer_of_T,
@@ -56,6 +56,34 @@ def klein_group():
         id=0,
         abelian=True,
     )
+
+
+def generating_set(G):
+    """A small generating set, greedily taking the least element not yet
+    generated; build_from_lambda checks left translation by it."""
+    gens = []
+    have = subgroup(G, gens)
+    while have.order < G.n:
+        gens.append(next(a for a in range(G.n) if a not in have))
+        have = subgroup(G, gens)
+    return gens
+
+
+def build_from_lambda(G, S, lam):
+    """T = {(x, xs, xs*lam(s))} by a tuple loop, after checking that G's
+    left translations fix it; the oracle for build_T_kappa's all-plus
+    choice."""
+    S = _check_lambda(G, S, lam)
+    triples = set()
+    for x in range(G.n):
+        for s in S:
+            xs = G.mul(x, s)
+            triples.add((x, xs, G.mul(xs, lam[s])))
+    T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
+    for g in generating_set(G):
+        if not _carries(T.triples, [G.mul(g, a) for a in range(G.n)], T.triples):
+            raise CheckFailed(f"left translation by {g} moves T")
+    return T
 
 
 def exquad():
@@ -336,7 +364,7 @@ def test_twist_check_reports_open_rotation():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_build_check_matches_violations(data):
-    """The build's one-map check passes exactly when _violations finds
+    """The oracle's one-map check passes exactly when _violations finds
     nothing against the triples' own pair set: on rotation closures of
     random and diagonal triples, with rotations dropped and second thirds
     added."""
@@ -352,8 +380,77 @@ def test_build_check_matches_violations(data):
             other = data.draw(pos)
             triples |= {(i, j, other), (j, other, i), (other, i, j)}
     pairs = {(i, j) for i, j, _ in triples}
-    assert tripres._closed_and_unique(triples) == (
-        not tripres._violations(pairs, triples)
+    assert closed_and_unique(triples) == (not tripres._violations(pairs, triples))
+
+
+def closed_and_unique(triples):
+    """Whether triples pass the axioms against their own pair set, by one
+    pair -> third map: third[j, k] == i for every (i, j, k) puts (j, k, i),
+    then (k, i, j) in triples and makes third[i, j] == k, so a pair with a
+    second third k' would need third[i, j] == k' as well."""
+    third = {(i, j): k for i, j, k in triples}
+    return all(third.get((j, k)) == i for i, j, k in triples)
+
+
+def oracle_build_T_kappa(family, kappa):
+    """The twisted triples from a tuple loop, two products per triple;
+    None when they fail closed_and_unique."""
+    G, H = family.G, family.H
+    steps = [tuple(zip(family.S, family.twist(kappa, rep))) for rep in H.reps]
+    triples = set()
+    for x in range(G.n):
+        for s, step in steps[H.coset_index[x]]:
+            xs = G.mul(x, s)
+            triples.add((x, xs, G.mul(xs, step)))
+    return frozenset(triples) if closed_and_unique(triples) else None
+
+
+TWISTED_DATA = {
+    **{f"singer q={q}": (singer_datum, q) for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"quad q={q}": (quad_datum, q) for q in (2, 3)},
+    **{f"opp q={q}": (opp_datum, q) for q in (4, 7, 13)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_DATA))
+def test_build_t_kappa_matches_the_tuple_loop(name):
+    make, q = TWISTED_DATA[name]
+    family = make(q).signs()
+    for kappa in family.choices():
+        assert family.build(kappa).triples == oracle_build_T_kappa(family, kappa)
+
+
+@pytest.mark.parametrize("broken", ["one inverse step", "a step outside S"])
+def test_a_twist_that_breaks_closure_names_its_violations(monkeypatch, broken):
+    """A twist that gives one s of a folding orbit lam^2(s) while the rest
+    of its orbit keeps lam, or a step outside S, leaves rotations open; the
+    build raises with the violations _violations names."""
+    family = singer_datum(3).signs()
+    real = SignFamily.twist
+    S, lam = family.S, family.lam
+    a = next(a for a, s in enumerate(S) if lam[s] != s)
+    outside = next(x for x in range(family.G.n) if x not in S)
+
+    def twist(self, kappa, rep=0):
+        steps = list(real(self, kappa, rep))
+        steps[a] = lam[lam[S[a]]] if broken == "one inverse step" else outside
+        return tuple(steps)
+
+    monkeypatch.setattr(SignFamily, "twist", twist)
+    kappa = next(family.choices())
+    assert oracle_build_T_kappa(family, kappa) is None
+    with pytest.raises(TwistCheckFailed, match=r"\[Violation\(axiom=3, data="):
+        family.build(kappa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), max_size=12))
+def test_canonical_reps_match_the_least_rotation(triples):
+    """On random sets over four points, so with repeated entries and ties,
+    closed under rotation or not."""
+    T = TrianglePresentation(tuple(range(4)), frozenset(triples))
+    assert T.canonical_reps() == sorted(
+        {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in triples}
     )
 
 
@@ -698,10 +795,11 @@ def test_broken_counting_identity_raises(monkeypatch):
 
 def test_translation_check_raises(monkeypatch):
     g = make_cyclic(3)
-    monkeypatch.setattr(tripres, "generating_set", lambda G: [1])
-    monkeypatch.setattr(
-        tripres, "TrianglePresentation",
-        lambda labels, triples: TrianglePresentation(labels, {(0, 0, 1)}),
+    real = TrianglePresentation
+    monkeypatch.setitem(globals(), "generating_set", lambda G: [1])
+    monkeypatch.setitem(
+        globals(), "TrianglePresentation",
+        lambda labels, triples: real(labels, {(0, 0, 1)}),
     )
     with pytest.raises(CheckFailed, match="left translation"):
         build_from_lambda(g, [1, 2], {1: 1, 2: 2})
