@@ -1,7 +1,7 @@
 """Backtracking search for automorphisms and isomorphisms of colored digraphs.
 
-A digraph is one out-neighbor bitmask per vertex; each search derives the
-vertex count and the neighbor lists once, when it starts.
+A digraph is one sorted out-neighbor list per vertex; each search derives the
+in-lists once, when it starts.
 
 Each search node holds an ordered partition of the vertices and refines it
 with a splitter queue (McKay & Piperno, "Practical graph isomorphism, II",
@@ -19,28 +19,12 @@ from itertools import chain
 from .permgrp import Perm
 
 
-def arc_masks(n, arcs):
-    """Out-neighbor bitmasks of a digraph on 0..n-1."""
-    adj = [0] * n
-    for i, j in arcs:
-        adj[i] |= 1 << j
-    return adj
-
-
-def _bits(mask):
-    """The set bits of mask, least first."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 def _neighbor_lists(adj):
-    """(out-lists,) for a symmetric digraph, else (out-lists, in-lists)."""
-    outs = [_bits(m) for m in adj]
-    ins = [[] for _ in adj]
+    """(out-lists,) for a symmetric digraph, else (out-lists, in-lists).  The
+    out-lists are sorted lists, the form the in-lists are built in, so the
+    two compare equal exactly when the digraph is symmetric."""
+    outs = list(adj)
+    ins = [[] for _ in outs]
     for v, ws in enumerate(outs):
         for w in ws:
             ins[w].append(v)

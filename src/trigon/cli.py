@@ -94,6 +94,13 @@ _FAMILY_TRIPLE_LIMIT = 4_000_000
 # Python 3.11).  Every q <= 43 fits.
 _CERTIFICATE_LIMIT = 16_384
 
+# the most link-graph vertices graph --metrics or --spectrum measures.  The
+# spectrum takes a dense (2n)^2 float matrix and the metrics one BFS per
+# vertex: singer --q 43 (3,786 vertices) took 4.7 s and 390 MB under
+# --spectrum and 8.0 s and 79 MB under --metrics, and singer --q 47 (4,514)
+# is the first singer document refused (2-core Xeon, Python 3.11).
+_GRAPH_VERTEX_LIMIT = 4_096
+
 
 class FamilyTooLarge(ValueError):
     """A presentation or an --all-kappa family would be over its limit, or
@@ -283,6 +290,11 @@ def _json_extent(v):
 
 def _cmd_graph(args):
     doc = load_document(args.from_json, strict=not args.lenient)
+    if (args.show_metrics or args.spectrum) and 2 * doc.F.n > _GRAPH_VERTEX_LIMIT:
+        raise GraphTooLarge(
+            f"the link graph has {2 * doc.F.n} vertices; --metrics and "
+            f"--spectrum take at most {_GRAPH_VERTEX_LIMIT}"
+        )
     g = from_F(doc.F)
     met = metrics(g) if args.show_metrics else None
     eigs = None

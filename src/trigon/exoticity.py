@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import factor_prime_power
-from .autosearch import _bits, automorphism_generators
+from .autosearch import automorphism_generators
 from .linkgraph import LinkGraph, from_F
 from .permgrp import (
     NotInvariant,
@@ -69,7 +69,7 @@ def build_probe(d: SingerDatum) -> ExoticProbe:
     n = link.n
     v1 = 0
     lam_set = tuple(n + s for s in d.S)
-    nbrs = _bits(link.adj[v1])
+    nbrs = link.adj[v1]
     if tuple(nbrs) != lam_set:
         raise ProbeCheckFailed(
             f"neighbors {nbrs} of the base vertex are not the copies "

@@ -6,12 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .autosearch import (
-    _bits,
-    arc_masks,
-    automorphism_generators,
-    find_isomorphism,
-)
+from .autosearch import automorphism_generators, find_isomorphism
 from .permgrp import Perm, PermGroup, bsgs_build
 
 
@@ -61,7 +56,7 @@ def apply_rho(F: FSet) -> FSet:
 @dataclass(frozen=True, eq=False)
 class LinkGraph:
     """Bipartite graph on {0..2n-1}: point i joined to line j+n iff (i,j) in
-    F, held as one adjacency bitmask per vertex."""
+    F, held as one sorted neighbor list per vertex."""
 
     adj: tuple
 
@@ -70,16 +65,15 @@ class LinkGraph:
         return len(self.adj) // 2
 
     def edges(self) -> list:
-        return [(v, w) for v in range(self.n) for w in _bits(self.adj[v])]
+        return [(v, w) for v in range(self.n) for w in self.adj[v]]
 
     @property
     def bipartite(self) -> bool:
-        """Whether each point mask lies in the line half and each line mask
-        in the point half."""
+        """Whether each point's neighbors are lines and each line's points;
+        the lists are sorted, so their ends decide."""
         n = self.n
-        low = (1 << n) - 1
-        return (all(not m & low for m in self.adj[:n])
-                and all(not m >> n for m in self.adj[n:]))
+        return (all(ws[0] >= n for ws in self.adj[:n] if ws)
+                and all(ws[-1] < n for ws in self.adj[n:] if ws))
 
     def __repr__(self):
         return f"LinkGraph(n={self.n}, edges={len(self.edges())})"
@@ -87,15 +81,30 @@ class LinkGraph:
 
 def from_F(F: FSet) -> LinkGraph:
     n = F.n
-    adj = [0] * (2 * n)
+    # one int object per vertex, however many lists hold it
+    vertex = list(range(2 * n))
+    adj = [[] for _ in vertex]
     for i, j in F.pairs:
-        adj[i] |= 1 << (j + n)
-        adj[j + n] |= 1 << i
+        adj[i].append(vertex[j + n])
+        adj[j + n].append(vertex[i])
+    for ws in adj:
+        ws.sort()
     return LinkGraph(tuple(adj))
 
 
+def _masks(adj):
+    """One neighbor bitmask per vertex, the form _bfs_scan reads."""
+    out = []
+    for ws in adj:
+        m = 0
+        for w in ws:
+            m |= 1 << w
+        out.append(m)
+    return out
+
+
 def _bfs_scan(adj, root, best=math.inf):
-    """One level-synchronous BFS from root over the adjacency bitmasks.
+    """One level-synchronous BFS from root over the neighbor bitmasks.
 
     Returns (eccentricity, reached mask, shortest cycle seen from root).  A
     vertex of level k+1 with two neighbors in level k closes a cycle of
@@ -144,19 +153,20 @@ def metrics(g: LinkGraph, roots=None) -> GraphMetrics:
     gives the same answer: a root's eccentricity and the shortest cycle its
     scan sees are the same at every vertex of its orbit."""
     n = g.n
-    degs = [m.bit_count() for m in g.adj]
+    degs = list(map(len, g.adj))
     hist: dict[int, int] = {}
     for d in degs:
         hist[d] = hist.get(d, 0) + 1
     profile = tuple(sorted(hist.items()))
     pt, ln = set(degs[:n]), set(degs[n:])
     bireg = (min(pt), min(ln)) if len(pt) == 1 and len(ln) == 1 else None
+    masks = _masks(g.adj)
     full = (1 << (2 * n)) - 1
     diam = 0
     connected = True
     girth = math.inf
     for v in range(2 * n) if roots is None else roots:
-        ecc, seen, girth = _bfs_scan(g.adj, v, girth)
+        ecc, seen, girth = _bfs_scan(masks, v, girth)
         connected = connected and seen == full
         diam = max(diam, ecc)
     if not connected:
@@ -172,9 +182,8 @@ def _normalized_laplacian(g: LinkGraph):
 
     n2 = 2 * g.n
     a = np.zeros((n2, n2))
-    for v in range(n2):
-        for w in _bits(g.adj[v]):
-            a[v, w] = 1.0
+    for v, ws in enumerate(g.adj):
+        a[v, ws] = 1.0
     d = a.sum(axis=1)
     s = np.zeros(n2)
     nz = d > 0
@@ -253,18 +262,14 @@ def point_transitive_gap(g: LinkGraph) -> float:
     mu_2, gives the gap 1 - sqrt(mu_2 / (d1 d2)).  M is symmetric, so the
     quotient by x - d1 d2 is real-rooted and _largest_root finds mu_2."""
     n = g.n
-    d1 = {m.bit_count() for m in g.adj[:n]}
-    d2 = {m.bit_count() for m in g.adj[n:]}
+    d1 = set(map(len, g.adj[:n]))
+    d2 = set(map(len, g.adj[n:]))
     if not g.bipartite or len(d1) != 1 or len(d2) != 1:
         raise ValueError("the exact spectral gap needs a biregular bipartite graph")
-    if _bfs_scan(g.adj, 0, 0)[1] != (1 << (2 * n)) - 1:
-        raise Disconnected("spectral gap needs a connected graph")
+    _require_connected(g)
     top = d1.pop() * d2.pop()
-    lines_of = [[w - n for w in _bits(m)] for m in g.adj[:n]]
-    points_of = [[] for _ in range(n)]
-    for v, lines in enumerate(lines_of):
-        for w in lines:
-            points_of[w].append(v)
+    lines_of = [[w - n for w in ws] for ws in g.adj[:n]]
+    points_of = g.adj[n:]
 
     def step(v):
         u = [sum(map(v.__getitem__, pts)) for pts in points_of]
@@ -283,11 +288,16 @@ def point_transitive_gap(g: LinkGraph) -> float:
     return 1 - math.sqrt(_largest_root(quotient, top) / top)
 
 
+def _require_connected(g: LinkGraph):
+    """Raise Disconnected unless one BFS from vertex 0 reaches every vertex."""
+    if _bfs_scan(_masks(g.adj), 0, 0)[1] != (1 << (2 * g.n)) - 1:
+        raise Disconnected("spectral gap needs a connected graph")
+
+
 def spectral_gap(g: LinkGraph) -> float:
     """Smallest nonzero eigenvalue of the normalized Laplacian.  A connected
     graph with an edge has one: the eigenvalues sum to its vertex count."""
-    if _bfs_scan(g.adj, 0, 0)[1] != (1 << (2 * g.n)) - 1:
-        raise Disconnected("spectral gap needs a connected graph")
+    _require_connected(g)
     return next(x for x in spectrum(g) if x > 1e-9)
 
 
@@ -303,8 +313,11 @@ def is_generalized_mgon(g: LinkGraph, m: int) -> bool:
     )
 
 
-def digraph_of(F: FSet):
-    return arc_masks(F.n, F.pairs)
+def digraph_of(F: FSet) -> list:
+    """The sorted out-lists of the pair digraph on the n positions: the
+    point lists of the link graph, the lines renumbered."""
+    n = F.n
+    return [[w - n for w in ws] for ws in from_F(F).adj[:n]]
 
 
 def aut_plus(F: FSet) -> PermGroup:

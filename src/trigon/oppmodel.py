@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .ffield import factor_prime_power, make_field
-from .fgroup import FiniteGroup, make_opp_group, subgroup
+from .fgroup import FiniteGroup, SubgroupDatum, make_opp_group, subgroup
 from .linkgraph import (
     FSet,
     LinkGraph,
@@ -25,13 +25,14 @@ class BadCongruence(Exception):
 
 
 class GraphTooLarge(ValueError):
-    """Raised when the link graph at q would have more than _EDGE_LIMIT edges."""
+    """Raised when a link graph is too large to build (opp above _EDGE_LIMIT
+    edges) or to measure (graph --metrics or --spectrum)."""
 
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
-# The graph's 2 q^2 adjacency masks hold up to 2 q^2 bits each, so memory
-# grows as q^4: opp --check took 1.0 s and 66 MB at q = 64, 2.6 s and 120 MB
-# at q = 81, and 14.8 s and 397 MB at q = 121 (2-core Xeon, Python 3.11).
+# The pair set and the neighbor lists grow as q^3, the bitmasks of the
+# metrics BFS as q^4 bits: opp --check took 0.7 s and 66 MB at q = 64 and
+# 1.7 s and 120 MB at q = 81 (2-core Xeon, Python 3.11).
 _EDGE_LIMIT = 81 ** 3
 
 
@@ -66,14 +67,13 @@ def a2_graph(q):
     n = len(pts)
     if n != q * q + q + 1:
         raise CheckFailed(f"{n} points, not q^2+q+1 = {q * q + q + 1}")
-    adj = [0] * (2 * n)
-    for i, pt in enumerate(pts):
-        for j, ln in enumerate(pts):
-            s = pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2]
-            if s == zero:
-                adj[i] |= 1 << (n + j)
-                adj[n + j] |= 1 << i
-    graph = LinkGraph(tuple(adj))
+    pairs = frozenset(
+        (i, j)
+        for i, pt in enumerate(pts)
+        for j, ln in enumerate(pts)
+        if pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2] == zero
+    )
+    graph = from_F(FSet(tuple(range(n)), pairs))
     return A2Model(q=q, graph=graph, points=pts, lines=pts)
 
 
@@ -83,21 +83,20 @@ def _building_fset(q):
     model = a2_graph(q)
     gf = make_field(*factor_prime_power(q))
     zero, one = gf.zero(), gf.one()
-    n = len(model.points)
+    n, adj = len(model.points), model.graph.adj
     v1 = model.points.index((one, zero, zero))
     v2 = model.lines.index((zero, zero, one))
-    keep_p = [i for i in range(n) if not (model.graph.adj[i] >> (n + v2)) & 1]
-    keep_l = [j for j in range(n) if not (model.graph.adj[v1] >> (n + j)) & 1]
+    keep_p = [i for i in range(n) if n + v2 not in adj[i]]
+    keep_l = [j for j in range(n) if n + j not in adj[v1]]
     if len(keep_p) != q * q or len(keep_l) != q * q:
         raise CheckFailed(
             f"kept {len(keep_p)} points and {len(keep_l)} lines, not q^2 = {q * q}"
         )
-    pos_p = {v: k for k, v in enumerate(keep_p)}
     pos_l = {v: k for k, v in enumerate(keep_l)}
     pairs = set()
     for k, i in enumerate(keep_p):
         for j in keep_l:
-            if (model.graph.adj[i] >> (n + j)) & 1:
+            if n + j in adj[i]:
                 pairs.add((k, pos_l[j]))
     return FSet(tuple(range(q * q)), frozenset(pairs))
 
@@ -111,11 +110,13 @@ def opp_graph_building(q):
 @dataclass(frozen=True, eq=False)
 class OppDatum:
     """Coset model data: the Heisenberg-section group G of order q^2, the
-    parabola subset S, and for q = 1 mod 3 the order-3 folding of S."""
+    parabola subset S, the subgroup H it generates (all of G), and for
+    q = 1 mod 3 the order-3 folding of S."""
 
     q: int
     G: FiniteGroup
     S: tuple
+    H: SubgroupDatum
     lam: object
     alpha3: object
 
@@ -128,7 +129,7 @@ class OppDatum:
         y = 0 always follows the folding branch."""
         if self.lam is None:
             raise BadCongruence(f"q = {self.q} is not 1 mod 3, so there is no folding")
-        return SignFamily(self.G, self.S, self.lam, subgroup(self.G, self.S))
+        return SignFamily(self.G, self.S, self.lam, self.H)
 
 
 def _parabola_index(y, q):
@@ -149,7 +150,8 @@ def opp_datum(q):
     S = tuple(sorted(_parabola_index(y, q) for y in elems))
     if len(S) != q:
         raise CheckFailed(f"parabola has {len(S)} points, not q = {q}")
-    if subgroup(G, S).order != q * q:
+    H = subgroup(G, S)
+    if H.order != q * q:
         raise CheckFailed("parabola must generate the group")
     lam = alpha = None
     if q % 3 == 1:
@@ -158,7 +160,7 @@ def opp_datum(q):
         for y in elems:
             ay = alpha * y
             lam[_parabola_index(y, q)] = _parabola_index(ay, q)
-    datum = OppDatum(q=q, G=G, S=S, lam=lam, alpha3=alpha)
+    datum = OppDatum(q=q, G=G, S=S, H=H, lam=lam, alpha3=alpha)
     if q <= 5:
         if not f_wreath_equivalent(datum.F(), _building_fset(q)):
             raise CheckFailed("coset model disagrees with the subspace model")
@@ -191,7 +193,7 @@ def opp_properties(q):
     # point_transitive_gap raising Disconnected
     gap = point_transitive_gap(g) if met.connected else 0.0
     want_gap = 1 - math.sqrt(q) / q
-    size = (2 * g.n, sum(m.bit_count() for m in g.adj[:g.n]))
+    size = (2 * g.n, sum(map(len, g.adj[:g.n])))
     girth_want = 8 if q == 2 else 6
     rows = (
         ("2q^2 vertices, q^3 edges", (2 * q * q, q ** 3),

@@ -13,7 +13,8 @@ from .ffield import (
 )
 from .fgroup import FiniteGroup, SubgroupDatum, make_cyclic, mu_permutation, subgroup
 from .linkgraph import FSet
-from .tripres import CheckFailed, SignFamily, TrianglePresentation, _image, lambda_orbits
+from .tripres import (CheckFailed, SignFamily, TrianglePresentation,
+                      image_triples, lambda_orbits)
 
 
 def r_of_q(q):
@@ -122,7 +123,7 @@ def murho_dual(T, G):
     if T.n != G.n:
         raise ValueError("presentation labels do not match the group order")
     mu = mu_permutation(G).images
-    return TrianglePresentation(T.labels, _image(T.triples, mu, use_rho=True))
+    return TrianglePresentation(T.labels, image_triples(T.triples, mu, use_rho=True))
 
 
 @dataclass(frozen=True, eq=False)

@@ -217,7 +217,7 @@ def _exact_covers(F: FSet) -> list[tuple]:
         node = (i, j, live)
 
 
-def _image(ptrip, im, use_rho: bool = False) -> frozenset:
+def image_triples(ptrip, im, use_rho: bool = False) -> frozenset:
     """The position triples ptrip moved by the image tuple im, after the
     coordinate swap (i,j,k) -> (j,i,k) when use_rho: act on positions."""
     if use_rho:
@@ -275,7 +275,7 @@ def _orbit_stabilizer(ptrip, full: AutFull):
     for x in orbit:
         ux, bx = walk[x]
         for g, b in movers:
-            y = _image(x, g.images, b)
+            y = image_triples(x, g.images, b)
             if y not in walk:
                 walk[y] = (ux * g, bx ^ b)
                 orbit.append(y)

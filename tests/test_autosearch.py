@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trigon.autosearch import (
     _neighbor_lists,
     _Partition,
-    arc_masks,
     automorphism_generators,
     find_isomorphism,
     refine,
@@ -35,10 +34,19 @@ def group_elements(n, gens):
     return [p.images for p in closure_elements(n, gens)]
 
 
+def out_lists(n, arcs):
+    """Sorted out-neighbor lists of the digraph on 0..n-1 with these arcs,
+    each arc once however often it is listed."""
+    outs = [[] for _ in range(n)]
+    for i, j in sorted(set(arcs)):
+        outs[i].append(j)
+    return outs
+
+
 def edge_adjacency(n, edges):
-    """Symmetric adjacency bitmasks of a simple graph: the out-masks of the
+    """Symmetric adjacency lists of a simple graph: the out-lists of the
     arcs in both directions."""
-    return arc_masks(n, edges + [(j, i) for i, j in edges])
+    return out_lists(n, edges + [(j, i) for i, j in edges])
 
 
 PETERSEN = [
@@ -67,7 +75,7 @@ def test_refine_splits_by_degree():
 def test_refine_stops_when_discrete():
     # the directed path 0->1->2 is discrete after its first splitter: the
     # key out + 4 * in is 1 at the source, 4 at the sink, 5 in the middle
-    cells, trace = stable_cells(arc_masks(3, [(0, 1), (1, 2)]), [0, 0, 0])
+    cells, trace = stable_cells(out_lists(3, [(0, 1), (1, 2)]), [0, 0, 0])
     assert cells == [[0], [2], [1]]
     assert trace == [(0, 0, ((1, 1), (4, 1), (5, 1)))]
 
@@ -90,7 +98,7 @@ def test_square_automorphisms():
 
 def test_directed_cycle_automorphisms():
     arcs = [(i, (i + 1) % 5) for i in range(5)]
-    gens = automorphism_generators(arc_masks(5, arcs))
+    gens = automorphism_generators(out_lists(5, arcs))
     assert bsgs_build(5, gens).order() == 5
     assert group_elements(5, gens) == brute_automorphisms(5, arcs)
 
@@ -103,7 +111,7 @@ def test_petersen_automorphism_order():
 
 def test_colors_restrict_automorphisms():
     arcs = [(i, (i + 1) % 6) for i in range(6)]
-    adj = arc_masks(6, arcs)
+    adj = out_lists(6, arcs)
     free = automorphism_generators(adj)
     assert bsgs_build(6, free).order() == 6
     pinned = automorphism_generators(adj, colors=[1, 0, 0, 0, 0, 0])
@@ -119,25 +127,25 @@ def test_determinism():
 
 def test_loops_matter():
     arcs = [(0, 0), (0, 1), (1, 0)]
-    assert automorphism_generators(arc_masks(2, arcs)) == []
+    assert automorphism_generators(out_lists(2, arcs)) == []
 
 
 def test_find_isomorphism_cycles():
     a = [(i, (i + 1) % 6) for i in range(6)]
     b = [((i + 2) % 6, (i + 3) % 6) for i in range(6)]
-    w = find_isomorphism(arc_masks(6, a), arc_masks(6, b))
+    w = find_isomorphism(out_lists(6, a), out_lists(6, b))
     assert w is not None
     assert {(w(i), w(j)) for i, j in a} == set(b)
     # two triangles are not a hexagon
     two = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    assert find_isomorphism(arc_masks(6, a), arc_masks(6, two)) is None
+    assert find_isomorphism(out_lists(6, a), out_lists(6, two)) is None
     # a hexagon plus an isolated vertex is not a hexagon either
-    assert find_isomorphism(arc_masks(6, a), arc_masks(7, a)) is None
+    assert find_isomorphism(out_lists(6, a), out_lists(7, a)) is None
 
 
 def test_find_isomorphism_respects_colors():
     arcs = [(0, 1)]
-    adj = arc_masks(2, arcs)
+    adj = out_lists(2, arcs)
     assert find_isomorphism(adj, adj, [0, 1], [0, 1]) is not None
     assert find_isomorphism(adj, adj, [0, 1], [1, 0]) is None
 
@@ -156,7 +164,7 @@ def test_automorphisms_match_brute_force(data):
             unique=True,
         )
     )
-    gens = automorphism_generators(arc_masks(n, arcs))
+    gens = automorphism_generators(out_lists(n, arcs))
     assert group_elements(n, gens) == brute_automorphisms(n, arcs)
 
 
@@ -177,7 +185,7 @@ def test_relabelled_digraph_is_found_isomorphic(data):
     images = data.draw(st.permutations(range(n)))
     sigma = Perm(tuple(images))
     relabelled = [(sigma(i), sigma(j)) for i, j in arcs]
-    w = find_isomorphism(arc_masks(n, arcs), arc_masks(n, relabelled))
+    w = find_isomorphism(out_lists(n, arcs), out_lists(n, relabelled))
     assert w is not None
     assert {(w(i), w(j)) for i, j in arcs} == set(relabelled)
 
@@ -222,7 +230,7 @@ def test_find_isomorphism_matches_brute_force(data):
     else:
         arcs2 = data.draw(arc_lists(n))
         colors2 = data.draw(two_colorings(n))
-    adj1, adj2 = arc_masks(n, arcs1), arc_masks(n, arcs2)
+    adj1, adj2 = out_lists(n, arcs1), out_lists(n, arcs2)
     w = find_isomorphism(adj1, adj2, colors1, colors2)
     assert (w is not None) == brute_isomorphic(n, arcs1, arcs2, colors1,
                                                colors2)
@@ -232,17 +240,17 @@ def test_find_isomorphism_matches_brute_force(data):
 
 
 def refine_both_ways(adj, colors):
-    """The stable coloring from out- and in-signatures read off the bitmasks,
-    the reference for refine's symmetric path."""
+    """The stable coloring from out- and in-signatures read off the
+    out-lists, the reference for refine's symmetric path."""
     n = len(adj)
-    inm = [sum(1 << v for v in range(n) if adj[v] >> w & 1) for w in range(n)]
+    ins = [[v for v in range(n) if w in adj[v]] for w in range(n)]
 
-    def seen(mask, colors):
-        return tuple(sorted(colors[u] for u in range(n) if mask >> u & 1))
+    def seen(ws, colors):
+        return tuple(sorted(colors[u] for u in ws))
 
     k = len(set(colors))
     while True:
-        sigs = [(colors[v], seen(adj[v], colors), seen(inm[v], colors))
+        sigs = [(colors[v], seen(adj[v], colors), seen(ins[v], colors))
                 for v in range(n)]
         ranked = sorted(set(sigs))
         colors = [ranked.index(s) for s in sigs]
@@ -272,7 +280,7 @@ def colored_digraphs(data, symmetric, max_n=8):
 @given(data=st.data())
 def test_symmetric_refinement_matches_both_way_signatures(data):
     n, arcs, colors = colored_digraphs(data, symmetric=True)
-    adj = arc_masks(n, arcs)
+    adj = out_lists(n, arcs)
     assert len(_neighbor_lists(adj)) == 1  # the search takes the symmetric path
     cells, _ = stable_cells(adj, colors)
     assert {frozenset(c) for c in cells} == classes(refine_both_ways(adj, colors))
@@ -282,7 +290,7 @@ def test_symmetric_refinement_matches_both_way_signatures(data):
 @given(data=st.data())
 def test_directed_refinement_matches_both_way_signatures(data):
     n, arcs, colors = colored_digraphs(data, symmetric=False)
-    adj = arc_masks(n, arcs)
+    adj = out_lists(n, arcs)
     cells, _ = stable_cells(adj, colors)
     assert {frozenset(c) for c in cells} == classes(refine_both_ways(adj, colors))
 
@@ -300,8 +308,8 @@ def relabelled(data, n, arcs, colors):
 def test_refinement_is_invariant_under_relabelling(data):
     n, arcs, colors = colored_digraphs(data, symmetric=data.draw(st.booleans()))
     sigma, arcs2, colors2 = relabelled(data, n, arcs, colors)
-    cells1, trace1 = stable_cells(arc_masks(n, arcs), colors)
-    cells2, trace2 = stable_cells(arc_masks(n, arcs2), colors2)
+    cells1, trace1 = stable_cells(out_lists(n, arcs), colors)
+    cells2, trace2 = stable_cells(out_lists(n, arcs2), colors2)
     assert trace1 == trace2
     assert [{sigma[v] for v in c} for c in cells1] == [set(c) for c in cells2]
 
@@ -319,8 +327,8 @@ def test_early_abort_matches_the_full_trace(data):
     else:
         arcs2 = data.draw(arc_lists(n))
         colors2 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    adj2 = arc_masks(n, arcs2)
-    _, ref = stable_cells(arc_masks(n, arcs1), colors1)
+    adj2 = out_lists(n, arcs2)
+    _, ref = stable_cells(out_lists(n, arcs1), colors1)
     cells, full = stable_cells(adj2, colors2)
     cut, aborted = stable_cells(adj2, colors2, ref)
     assert (aborted is None) == (full != ref)
@@ -330,4 +338,4 @@ def test_early_abort_matches_the_full_trace(data):
 
 
 def test_asymmetric_digraph_keeps_in_lists():
-    assert _neighbor_lists(arc_masks(2, [(0, 1)])) == ([[1], []], [[], [0]])
+    assert _neighbor_lists(out_lists(2, [(0, 1)])) == ([[1], []], [[], [0]])

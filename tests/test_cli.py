@@ -403,7 +403,7 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
 
         def from_F(F):
             link = real_from_F(F)
-            adj0 = link.adj[0] ^ (1 << lam[0]) ^ (1 << other_line)
+            adj0 = sorted(set(link.adj[0]) - {lam[0]} | {other_line})
             return replace(link, adj=(adj0,) + link.adj[1:])
 
         monkeypatch.setattr(exoticity, "from_F", from_F)
@@ -510,6 +510,42 @@ def test_opp_over_the_group_limit_exits_two(capsys, monkeypatch, mode):
     assert err == (
         "trigon opp: q = 83 would build a link graph of q^3 = 571787 "
         f"edges; the limit is {oppmodel._EDGE_LIMIT}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, flags, refused",
+    [(2049, ["--metrics"], True),
+     (2049, ["--spectrum", "--format", "json"], True),
+     (2049, [], False),
+     (2048, ["--metrics", "--spectrum"], False)],
+    ids=["metrics", "spectrum", "edges-only", "at-the-limit"],
+)
+def test_graph_measures_at_most_the_vertex_limit(capsys, monkeypatch, tmp_path,
+                                                 n, flags, refused):
+    """--metrics and --spectrum refuse a link graph over 4,096 vertices
+    before it is built; the edge list alone is not refused."""
+
+    class Built(Exception):
+        pass
+
+    def from_F(F):
+        raise Built
+
+    monkeypatch.setattr(cli, "from_F", from_F)
+    assert cli._GRAPH_VERTEX_LIMIT == 4096
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"n": n, "F": [], "T": [], "meta": {}}))
+    argv = ["graph", "--from-json", str(path), *flags]
+    if not refused:
+        with pytest.raises(Built):
+            run(argv)
+        return
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"trigon graph: the link graph has {2 * n} vertices; --metrics and "
+        "--spectrum take at most 4096\n"
     )
 
 

@@ -67,6 +67,26 @@ def test_q0_matches_full_group_stabilizer(q, probe_for):
     assert all(oracle.contains(g) for g in probe.q0.generators)
 
 
+# the search reads the link graph's neighbor lists in a fixed order, so its
+# Q0 generators are fixed too; a change of how the graph is stored or read
+# must leave them as they are
+Q0_GENERATORS = {
+    7: [(3, 7, 4, 0, 2, 5, 6, 1), (4, 0, 1, 2, 7, 5, 6, 3),
+        (7, 0, 3, 5, 4, 2, 6, 1), (2, 4, 5, 3, 0, 7, 6, 1),
+        (0, 4, 7, 3, 1, 6, 5, 2)],
+    8: [(3, 1, 2, 5, 7, 0, 4, 6, 8), (3, 5, 2, 6, 4, 7, 0, 1, 8),
+        (4, 6, 2, 8, 3, 0, 1, 5, 7), (4, 1, 8, 7, 3, 6, 0, 5, 2)],
+    9: [(5, 0, 7, 2, 3, 9, 6, 4, 8, 1), (3, 4, 0, 1, 9, 2, 6, 5, 8, 7),
+        (5, 9, 4, 3, 2, 0, 6, 7, 8, 1), (8, 9, 7, 1, 0, 5, 6, 3, 2, 4),
+        (1, 0, 4, 3, 2, 9, 8, 7, 6, 5)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(Q0_GENERATORS))
+def test_q0_generators_are_pinned(q, probe_for):
+    assert [g.images for g in probe_for(q).q0.generators] == Q0_GENERATORS[q]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_q0_transitive_on_neighborhood(q, probe_for):
     probe = probe_for(q)

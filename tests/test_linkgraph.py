@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trigon.autosearch import find_isomorphism
+from trigon.autosearch import _neighbor_lists, find_isomorphism
 from trigon.linkgraph import (
     Disconnected,
     FSet,
@@ -66,18 +66,11 @@ def a2_subspace_model(p):
     return FSet.from_labels(range(1, len(norm) + 1), pairs)
 
 
-def _neighbors(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def _bfs_dist(adj, src):
     dist = {src: 0}
     queue = [src]
     for v in queue:
-        for w in _neighbors(adj[v]):
+        for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -95,7 +88,7 @@ def _girth(adj):
         for v in queue:
             if dist[v] * 2 >= best:
                 break
-            for w in _neighbors(adj[v]):
+            for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     parent[w] = v
@@ -120,11 +113,11 @@ def oracle_metrics(g):
 def graph_of_edges(n_vertices, edges):
     """A LinkGraph on an even vertex count from an arbitrary simple edge
     list; the bipartition is ignored, so odd cycles are allowed."""
-    adj = [0] * n_vertices
+    adj = [[] for _ in range(n_vertices)]
     for v, w in edges:
-        adj[v] |= 1 << w
-        adj[w] |= 1 << v
-    return LinkGraph(tuple(adj))
+        adj[v].append(w)
+        adj[w].append(v)
+    return LinkGraph(tuple(sorted(ws) for ws in adj))
 
 
 def check_against_oracle(g):
@@ -252,7 +245,7 @@ def test_rho_swaps_sides():
     g, gr = from_F(f), from_F(apply_rho(f))
     n = f.n
     for v, w in g.edges():
-        assert (gr.adj[w - n] >> (v + n)) & 1
+        assert v + n in gr.adj[w - n]
     assert spectral_gap(g) == pytest.approx(spectral_gap(gr), abs=1e-9)
 
 
@@ -305,6 +298,37 @@ def test_wreath_equivalence_of_random_relabellings(data):
     assert f_wreath_equivalent(f, target) is True
     short = FSet(f.labels, target.pairs - {min(target.pairs)})
     assert f_wreath_equivalent(f, short) is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    cells=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))),
+)
+def test_neighbor_lists_match_brute_force(n, cells):
+    """from_F and digraph_of hold the sorted neighbor lists, read here off
+    the pair set one vertex at a time, and edges() lists the pairs in order."""
+    pairs = {(i, j) for i, j in cells if i < n and j < n}
+    F = FSet(tuple(range(n)), frozenset(pairs))
+    g = from_F(F)
+    points = [[j + n for j in range(n) if (i, j) in pairs] for i in range(n)]
+    lines = [[i for i in range(n) if (i, j) in pairs] for j in range(n)]
+    assert list(g.adj) == points + lines
+    assert digraph_of(F) == [[j for j in range(n) if (i, j) in pairs]
+                             for i in range(n)]
+    assert g.edges() == sorted((i, j + n) for i, j in pairs)
+
+
+@pytest.mark.parametrize("make, q", [
+    pytest.param(lambda q: from_F(singer_datum(q).F()), 4, id="singer-4"),
+    pytest.param(lambda q: from_F(opp_datum(q).F()), 5, id="opp-5"),
+    pytest.param(lambda q: a2_graph(q).graph, 3, id="a2-3"),
+])
+def test_link_graphs_take_the_symmetric_path(make, q):
+    """A link graph's lists are symmetric, and the search must see it: an
+    in-list that compared unequal only for its type would send the search
+    down the directed path."""
+    assert len(_neighbor_lists(make(q).adj)) == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,8 @@
 - no assert statement in the program or its scripts: python -O strips them,
   so an invariant the results rest on must raise an error instead;
 - no unused import in the program, its scripts or its tests;
+- no import of another trigon module's private name in the program or its
+  scripts;
 - no public module-level name in the package that nothing in the program or
   its scripts reads, unless TEST_ONLY names the claim or oracle it serves;
 - no parameter default in the package that no call in the program, its
@@ -68,6 +70,21 @@ def test_no_unused_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_label)
+def test_no_private_import_from_another_module(path):
+    """A module that needs another's helper gets it under a public name, so
+    a private name can change without a reader elsewhere."""
+    private = sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "trigon")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == [], f"{path.name}: private imports (line, name) {private}"
 
 
 def _public_definitions(path):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from trigon import oppmodel
 from trigon.linkgraph import FSet, f_wreath_equivalent, metrics
 from trigon.oppmodel import (
     BadCongruence,
@@ -68,6 +69,22 @@ def test_datum_parabola_and_group_type():
         # the identity sits on the parabola, so every loop pair is present
         pairs = d.F().pairs
         assert all((g, g) in pairs for g in range(d.G.n))
+
+
+def test_datum_closes_the_parabola_once(monkeypatch):
+    """opp_datum keeps the subgroup it checks, and signs() reuses it."""
+    calls = []
+
+    def subgroup(G, S):
+        calls.append(S)
+        return real(G, S)
+
+    real = oppmodel.subgroup
+    monkeypatch.setattr(oppmodel, "subgroup", subgroup)
+    d = opp_datum(7)
+    assert d.H.order == 49
+    assert d.signs().H is d.H
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -750,8 +750,8 @@ def test_orbit_stabilizer_matches_brute_force(data):
     full = AutFull(plus=bsgs_build(n, plus),
                    witness=Perm(swaps[-1]) if swaps else None)
     orbit, stab = tripres._orbit_stabilizer(ptrip, full)
-    images = {tripres._image(ptrip, g, b) for g, b in group}
-    fixing = {(g, b) for g, b in group if tripres._image(ptrip, g, b) == ptrip}
+    images = {tripres.image_triples(ptrip, g, b) for g, b in group}
+    fixing = {(g, b) for g, b in group if tripres.image_triples(ptrip, g, b) == ptrip}
     assert sorted(orbit, key=sorted) == sorted(images, key=sorted)
     assert _elements(stab.plus) == sorted(g for g, b in fixing if not b)
     assert (stab.witness is None) == all(not b for _, b in fixing)
@@ -767,7 +767,7 @@ def test_orbit_stabilizer_takes_products_of_coordinate_swaps():
     orbit, stab = tripres._orbit_stabilizer(ptrip, full)
     assert len(orbit) * stab.order == full.order == 12
     assert _elements(stab.plus) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
-    assert tripres._image(ptrip, stab.witness.images, True) == ptrip
+    assert tripres.image_triples(ptrip, stab.witness.images, True) == ptrip
 
 
 def test_classify_lists_no_group_elements(monkeypatch):
