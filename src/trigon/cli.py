@@ -25,12 +25,13 @@ from .ffield import (
 )
 from .grouptools import export_presentation
 from .linkgraph import export_edge_list, from_F, metrics, spectrum
-from .oppmodel import BadCongruence, GraphTooLarge, opp_datum, opp_properties
+from .oppmodel import opp_datum, opp_properties
 from .singer import quad_datum, singer_datum
 from .tripres import (
+    BadCongruence,
     CheckFailed,
     KappaSpecError,
-    SearchTooLarge,
+    TooLarge,
     classify,
     format_table,
     verify,
@@ -102,11 +103,6 @@ _CERTIFICATE_LIMIT = 16_384
 _GRAPH_VERTEX_LIMIT = 4_096
 
 
-class FamilyTooLarge(ValueError):
-    """A presentation or an --all-kappa family would be over its limit, or
-    --all-kappa would certify more than _CERTIFICATE_LIMIT sign choices."""
-
-
 def _check_presentation_size(q, order):
     """Refuse q, after checking that it is a prime power and before the
     field search, if one presentation on the plane of the given order has
@@ -114,7 +110,7 @@ def _check_presentation_size(q, order):
     factor_prime_power(q)
     m, s = order * order + order + 1, order + 1
     if m * s > _FAMILY_TRIPLE_LIMIT:
-        raise FamilyTooLarge(
+        raise TooLarge(
             f"q = {q} would build presentations of {m} x {s} = {m * s} "
             f"triples; the limit is {_FAMILY_TRIPLE_LIMIT}"
         )
@@ -152,7 +148,7 @@ def _family_output(model, q, family, args):
         count = 2 ** len(family.keys)
         size = family.G.n * len(family.S)
         if count * size > _FAMILY_TRIPLE_LIMIT:
-            raise FamilyTooLarge(
+            raise TooLarge(
                 f"--all-kappa would build {count} presentations of {size} "
                 f"triples, {count * size} triples in all; the limit is "
                 f"{_FAMILY_TRIPLE_LIMIT}"
@@ -253,7 +249,7 @@ def _cmd_exotic(args):
         if args.all_kappa:
             count = 2 ** len(family.keys)
             if count > _CERTIFICATE_LIMIT:
-                raise FamilyTooLarge(
+                raise TooLarge(
                     f"--all-kappa would certify {count} sign choices; the "
                     f"limit is {_CERTIFICATE_LIMIT}"
                 )
@@ -291,7 +287,7 @@ def _json_extent(v):
 def _cmd_graph(args):
     doc = load_document(args.from_json, strict=not args.lenient)
     if (args.show_metrics or args.spectrum) and 2 * doc.F.n > _GRAPH_VERTEX_LIMIT:
-        raise GraphTooLarge(
+        raise TooLarge(
             f"the link graph has {2 * doc.F.n} vertices; --metrics and "
             f"--spectrum take at most {_GRAPH_VERTEX_LIMIT}"
         )
@@ -453,9 +449,9 @@ def run(argv):
         return int(ex.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, KappaSpecError, FamilyTooLarge, GraphTooLarge,
-            BadCongruence, NotPrime, ReduciblePolynomial, DegreeMismatch,
-            NotPrimitive, SearchTooLarge, FileNotFoundError) as err:
+    except (ParseError, KappaSpecError, TooLarge, BadCongruence, NotPrime,
+            ReduciblePolynomial, DegreeMismatch, NotPrimitive,
+            FileNotFoundError) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
     except (ProbeCheckFailed, CheckFailed) as err:

@@ -21,8 +21,8 @@ from .permgrp import (
     bsgs_build,
     restricted_generators,
 )
-from .singer import SingerDatum, r_of_q
-from .tripres import SignFamily
+from .singer import r_of_q
+from .tripres import Datum, SignFamily
 
 
 class ProbeCheckFailed(Exception):
@@ -40,7 +40,7 @@ class ExoticProbe:
     Lambda by link automorphisms fixing the base vertex, and the datum's sign
     family."""
 
-    datum: SingerDatum
+    datum: Datum
     link: LinkGraph
     v1: int
     lambda_set: tuple
@@ -58,7 +58,7 @@ def expected_q0_order(q):
     return e * (q - 1) * q * (q + 1)
 
 
-def build_probe(d: SingerDatum) -> ExoticProbe:
+def build_probe(d: Datum) -> ExoticProbe:
     """Compute Q0 from the link graph itself, then check its order.
 
     The base vertex gets a color of its own, so the search returns generators

@@ -202,10 +202,10 @@ def spectrum(g: LinkGraph) -> list[float]:
 
 def _minimal_polynomial(step, v):
     """The monic p of least degree with p(M) v = 0, as Fractions, constant
-    term first, where step(u) = M u for an integer matrix M: the first
-    linear dependency of the Krylov sequence v, Mv, M^2 v, ..., found by
-    fraction-free integer elimination.  Each row is kept with its
-    combination of the sequence."""
+    term first, where step(u) = M u for an integer matrix M, and the vector
+    M^deg(p) v: the first linear dependency of the Krylov sequence v, Mv,
+    M^2 v, ..., found by fraction-free integer elimination.  Each row is
+    kept with its combination of the sequence."""
     rows = []
     while True:
         row, comb = v, [0] * len(rows) + [1]
@@ -217,7 +217,7 @@ def _minimal_polynomial(step, v):
                 comb = [p * a - f * b for a, b in zip(comb, c)]
         pivot = next((i for i, x in enumerate(row) if x), None)
         if pivot is None:
-            return [Fraction(a, comb[-1]) for a in comb]
+            return [Fraction(a, comb[-1]) for a in comb], v
         rows.append((pivot, row, comb))
         v = step(v)
 
@@ -260,13 +260,20 @@ def point_transitive_gap(g: LinkGraph) -> float:
     polynomial of M, whose roots are its distinct eigenvalues.  d1 d2 is the
     largest and, the graph being connected, simple; the largest of the rest,
     mu_2, gives the gap 1 - sqrt(mu_2 / (d1 d2)).  M is symmetric, so the
-    quotient by x - d1 d2 is real-rooted and _largest_root finds mu_2."""
+    quotient by x - d1 d2 is real-rooted and _largest_root finds mu_2.
+
+    The sequence also decides connectivity.  M is non-negative with the
+    degree d1 on its diagonal, so for d1 > 0 the support of M^k e_0 grows
+    until it is the component of point 0, and while it grows M^k e_0 is
+    independent of the vectors before it: the first dependent one is
+    non-zero exactly on that component, and for d1 = 0 it is M e_0 = 0.
+    Every line then has a point, as d1 = d2, so the graph is connected iff
+    that vector has no zero entry."""
     n = g.n
     d1 = set(map(len, g.adj[:n]))
     d2 = set(map(len, g.adj[n:]))
     if not g.bipartite or len(d1) != 1 or len(d2) != 1:
         raise ValueError("the exact spectral gap needs a biregular bipartite graph")
-    _require_connected(g)
     top = d1.pop() * d2.pop()
     lines_of = [[w - n for w in ws] for ws in g.adj[:n]]
     points_of = g.adj[n:]
@@ -275,7 +282,9 @@ def point_transitive_gap(g: LinkGraph) -> float:
         u = [sum(map(v.__getitem__, pts)) for pts in points_of]
         return [sum(map(u.__getitem__, lines)) for lines in lines_of]
 
-    poly = _minimal_polynomial(step, [1] + [0] * (n - 1))
+    poly, last = _minimal_polynomial(step, [1] + [0] * (n - 1))
+    if not all(last):
+        raise Disconnected("spectral gap needs a connected graph")
     # divide out x - top, which divides poly as M 1 = top 1 and e_0 meets 1:
     # synthetic division, highest coefficient first
     quotient = [poly[-1]]
@@ -288,16 +297,11 @@ def point_transitive_gap(g: LinkGraph) -> float:
     return 1 - math.sqrt(_largest_root(quotient, top) / top)
 
 
-def _require_connected(g: LinkGraph):
-    """Raise Disconnected unless one BFS from vertex 0 reaches every vertex."""
-    if _bfs_scan(_masks(g.adj), 0, 0)[1] != (1 << (2 * g.n)) - 1:
-        raise Disconnected("spectral gap needs a connected graph")
-
-
 def spectral_gap(g: LinkGraph) -> float:
     """Smallest nonzero eigenvalue of the normalized Laplacian.  A connected
     graph with an edge has one: the eigenvalues sum to its vertex count."""
-    _require_connected(g)
+    if _bfs_scan(_masks(g.adj), 0, 0)[1] != (1 << (2 * g.n)) - 1:
+        raise Disconnected("spectral gap needs a connected graph")
     return next(x for x in spectrum(g) if x > 1e-9)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .ffield import factor_prime_power, make_field
-from .fgroup import FiniteGroup, SubgroupDatum, make_opp_group, subgroup
+from .fgroup import make_opp_group, subgroup
 from .linkgraph import (
     FSet,
     LinkGraph,
@@ -17,17 +17,7 @@ from .linkgraph import (
     metrics,
     point_transitive_gap,
 )
-from .tripres import CheckFailed, SignFamily
-
-
-class BadCongruence(Exception):
-    """Raised when a construction needs q congruent to 1 mod 3."""
-
-
-class GraphTooLarge(ValueError):
-    """Raised when a link graph is too large to build (opp above _EDGE_LIMIT
-    edges) or to measure (graph --metrics or --spectrum)."""
-
+from .tripres import CheckFailed, Datum, TooLarge
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
 # The pair set and the neighbor lists grow as q^3, the bitmasks of the
@@ -107,40 +97,18 @@ def opp_graph_building(q):
     return from_F(_building_fset(q))
 
 
-@dataclass(frozen=True, eq=False)
-class OppDatum:
-    """Coset model data: the Heisenberg-section group G of order q^2, the
-    parabola subset S, the subgroup H it generates (all of G), and for
-    q = 1 mod 3 the order-3 folding of S."""
-
-    q: int
-    G: FiniteGroup
-    S: tuple
-    H: SubgroupDatum
-    lam: object
-    alpha3: object
-
-    def F(self):
-        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
-        return FSet(tuple(range(self.G.n)), pairs)
-
-    def signs(self):
-        """One sign per length-3 orbit of the folding, keyed by its minimum;
-        y = 0 always follows the folding branch."""
-        if self.lam is None:
-            raise BadCongruence(f"q = {self.q} is not 1 mod 3, so there is no folding")
-        return SignFamily(self.G, self.S, self.lam, self.H)
-
-
 def _parabola_index(y, q):
     return y.index * q + (y * y).index
 
 
 def opp_datum(q):
-    """Group-and-parabola datum whose pair graph is the opposition subgraph."""
+    """The Heisenberg-section group G of order q^2 with the parabola S, which
+    generates it, so H = G; for q = 1 mod 3 the folding is multiplication
+    of y by a cube root of unity.  The pair graph is the opposition
+    subgraph."""
     p, e = factor_prime_power(q)
     if q ** 3 > _EDGE_LIMIT:
-        raise GraphTooLarge(
+        raise TooLarge(
             f"q = {q} would build a link graph of q^3 = {q ** 3} edges; "
             f"the limit is {_EDGE_LIMIT}"
         )
@@ -153,14 +121,11 @@ def opp_datum(q):
     H = subgroup(G, S)
     if H.order != q * q:
         raise CheckFailed("parabola must generate the group")
-    lam = alpha = None
+    lam = None
     if q % 3 == 1:
         alpha = gf.generator() ** ((q - 1) // 3)
-        lam = {}
-        for y in elems:
-            ay = alpha * y
-            lam[_parabola_index(y, q)] = _parabola_index(ay, q)
-    datum = OppDatum(q=q, G=G, S=S, H=H, lam=lam, alpha3=alpha)
+        lam = {_parabola_index(y, q): _parabola_index(alpha * y, q) for y in elems}
+    datum = Datum(q=q, G=G, S=S, H=H, lam=lam)
     if q <= 5:
         if not f_wreath_equivalent(datum.F(), _building_fset(q)):
             raise CheckFailed("coset model disagrees with the subspace model")

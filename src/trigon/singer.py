@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
-from .ffield import (
-    FieldElement,
-    NotPrimitive,
-    factor_prime_power,
-    make_field,
-    trace_to_subfield,
-)
-from .fgroup import FiniteGroup, SubgroupDatum, make_cyclic, mu_permutation, subgroup
-from .linkgraph import FSet
-from .tripres import (CheckFailed, SignFamily, TrianglePresentation,
-                      image_triples, lambda_orbits)
+from .ffield import NotPrimitive, factor_prime_power, make_field, trace_to_subfield
+from .fgroup import make_cyclic, mu_permutation, subgroup
+from .tripres import (CheckFailed, Datum, TrianglePresentation, image_triples,
+                      lambda_orbits)
 
 
 def r_of_q(q):
@@ -26,33 +19,6 @@ def r_of_q(q):
     if rem == 0:
         return q // 3
     return (q - 1) // 3
-
-
-@dataclass(frozen=True, eq=False)
-class SingerDatum:
-    """Difference set of the plane of order q inside Z/(q^2+q+1), with the
-    multiplication-by-q folding map and its orbit split."""
-
-    q: int
-    p: int
-    e: int
-    m: int
-    G: FiniteGroup
-    S: tuple
-    alpha: FieldElement
-    lam: dict
-    orbits: tuple
-    O: tuple
-    fixed_points: tuple
-
-    def F(self):
-        """Pair set {(x, x+s)} whose graph is the plane's incidence graph."""
-        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
-        return FSet(tuple(range(self.m)), pairs)
-
-    def signs(self):
-        """One sign per length-3 orbit, keyed by its minimum."""
-        return SignFamily(self.G, self.S, self.lam, subgroup(self.G, [1 % self.m]))
 
 
 def _trace_zero_exponents(gf, q, m):
@@ -82,7 +48,8 @@ def _trace_zero_exponents(gf, q, m):
 
 def singer_datum(q, modulus=None):
     """Difference set S = {l : Tr(alpha^l) = 0} for a primitive alpha of the
-    cubic extension, folded by l -> q*l."""
+    cubic extension inside G = Z/(q^2+q+1), folded by l -> q*l; H is all of
+    G, so each length-3 folding orbit carries one sign."""
     p, e = factor_prime_power(q)
     gf = make_field(p, 3 * e, modulus)
     if not gf.primitive:
@@ -94,26 +61,13 @@ def singer_datum(q, modulus=None):
     lam = {s: (q * s) % m for s in S}
     if set(lam.values()) != set(S):
         raise CheckFailed("multiplication by q does not permute the difference set")
-    orbits = tuple(lambda_orbits(S, lam))
-    threes = tuple(o for o in orbits if len(o) == 3)
-    fixed = tuple(o[0] for o in orbits if len(o) == 1)
-    if len(threes) + len(fixed) != len(orbits):
+    lengths = Counter(map(len, lambda_orbits(S, lam)))
+    if set(lengths) - {1, 3}:
         raise CheckFailed("a folding orbit has length other than 1 or 3")
-    if len(threes) != r_of_q(q):
-        raise CheckFailed(f"{len(threes)} length-3 orbits, not r(q) = {r_of_q(q)}")
-    return SingerDatum(
-        q=q,
-        p=p,
-        e=e,
-        m=m,
-        G=make_cyclic(m),
-        S=S,
-        alpha=gf.generator(),
-        lam=lam,
-        orbits=orbits,
-        O=threes,
-        fixed_points=fixed,
-    )
+    if lengths[3] != r_of_q(q):
+        raise CheckFailed(f"{lengths[3]} length-3 orbits, not r(q) = {r_of_q(q)}")
+    G = make_cyclic(m)
+    return Datum(q=q, G=G, S=S, H=subgroup(G, [1]), lam=lam)
 
 
 def murho_dual(T, G):
@@ -126,46 +80,20 @@ def murho_dual(T, G):
     return TrianglePresentation(T.labels, image_triples(T.triples, mu, use_rho=True))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadDatum:
-    """Order-q^2 difference set together with the norm-image subgroup H of
-    order q^2+q+1 inside Z/(q^4+q^2+1)."""
-
-    q: int
-    base: SingerDatum
-    H: SubgroupDatum
-    S_in_H: tuple
-    O_in_H: tuple
-
-    @property
-    def G(self):
-        return self.base.G
-
-    @property
-    def m(self):
-        return self.base.m
-
-    def F(self):
-        return self.base.F()
-
-    def signs(self):
-        """One sign per coset of H and length-3 orbit inside H, keyed by
-        (coset representative, orbit minimum)."""
-        b = self.base
-        return SignFamily(b.G, b.S, b.lam, self.H)
-
-
 def quad_datum(q, modulus=None):
-    """Mark, inside the order-q^2 datum, the subgroup H of exponents divisible
-    by q^2-q+1 and the folding orbits that land in it."""
+    """The order-q^2 datum with its H replaced by the subgroup of order
+    q^2+q+1 of Z/(q^4+q^2+1), the exponents divisible by q^2-q+1, which
+    holds q+1 points of S and r(q) length-3 folding orbits."""
     base = singer_datum(q * q, modulus)
-    H = subgroup(base.G, [q * q - q + 1])
+    G, S, lam = base.G, base.S, base.lam
+    H = subgroup(G, [q * q - q + 1])
     if H.order != q * q + q + 1:
         raise CheckFailed(f"|H| = {H.order} != q^2+q+1")
-    s_in = tuple(s for s in base.S if s in H)
+    s_in = [s for s in S if s in H]
     if len(s_in) != q + 1:
         raise CheckFailed(f"|S meet H| = {len(s_in)} != q+1")
-    o_in = tuple(o for o in base.O if all(s in H for s in o))
+    o_in = [o for o in lambda_orbits(S, lam)
+            if len(o) == 3 and all(s in H for s in o)]
     if len(o_in) != r_of_q(q):
         raise CheckFailed(f"{len(o_in)} orbits inside H, not r(q) = {r_of_q(q)}")
-    return QuadDatum(q=q, base=base, H=H, S_in_H=s_in, O_in_H=o_in)
+    return Datum(q=q, G=G, S=S, H=H, lam=lam)

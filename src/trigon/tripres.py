@@ -7,13 +7,12 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, product
 from operator import itemgetter
 
-from .autosearch import find_isomorphism
 from .fgroup import FiniteGroup, SubgroupDatum
-from .linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus, digraph_of
+from .linkgraph import AutFull, FSet, aut_full
 from .permgrp import Perm, bsgs_build
 
-# the largest |Aut+(F)| a search accepts: isomorphic_T lists Aut+(F1) element
-# by element; an orbit that classify walks has at most 2 |Aut+(F)| triple sets
+# the largest |Aut+(F)| classify and stabilizer_of_T accept: an orbit they
+# walk has at most 2 |Aut+(F)| triple sets, all held at once
 _AUT_LIMIT = 10**6
 
 
@@ -31,8 +30,14 @@ class LambdaConditionFailed(CheckFailed):
     """Raised when the folding map breaks its defining identities."""
 
 
-class SearchTooLarge(ValueError):
-    """Raised when |Aut+(F)| exceeds the bound a search accepts."""
+class TooLarge(ValueError):
+    """Raised when an input is over a size limit: |Aut+(F)| for a search, a
+    presentation or --all-kappa family, a certificate count, or a link graph
+    to build or measure."""
+
+
+class BadCongruence(ValueError):
+    """Raised when a construction needs q congruent to 1 mod 3."""
 
 
 class KappaSpecError(ValueError):
@@ -225,17 +230,6 @@ def image_triples(ptrip, im, use_rho: bool = False) -> frozenset:
     return frozenset((im[i], im[j], im[k]) for i, j, k in ptrip)
 
 
-def _carries(ptrip, im, target, use_rho: bool = False) -> bool:
-    """Whether im (after rho when use_rho) carries ptrip onto target.  The
-    image has as many triples as ptrip, so landing inside a target of that
-    size is equality; the scan stops at the first triple that misses."""
-    if len(ptrip) != len(target):
-        return False
-    if use_rho:
-        return all((im[j], im[i], im[k]) in target for i, j, k in ptrip)
-    return all((im[i], im[j], im[k]) in target for i, j, k in ptrip)
-
-
 def stabilizer_of_T(F: FSet, T: TrianglePresentation):
     """Aut+(T) plus a triple-preserving sigma rho, from the Schreier
     generators of the orbit of T under Aut(F).  Backs the counting identity
@@ -250,7 +244,7 @@ def _bounded_aut_full(F: FSet) -> AutFull:
     full = aut_full(F)
     order = full.plus.order()
     if order > _AUT_LIMIT:
-        raise SearchTooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
+        raise TooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
     return full
 
 
@@ -435,6 +429,30 @@ class SignFamily:
         return build_T_kappa(self, kappa)
 
 
+@dataclass(frozen=True, eq=False)
+class Datum:
+    """One construction: the group G, the subset S whose pairs {(x, xs)}
+    make the link, the folding lam of S, None when there is none, and the
+    subgroup H on whose cosets the signs sit."""
+
+    q: int
+    G: FiniteGroup
+    S: tuple
+    H: SubgroupDatum
+    lam: dict | None
+
+    def F(self):
+        """The pair set {(x, xs)} for x in G and s in S."""
+        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
+        return FSet(tuple(range(self.G.n)), pairs)
+
+    def signs(self):
+        """The sign family of the folding on the cosets of H."""
+        if self.lam is None:
+            raise BadCongruence(f"q = {self.q} is not 1 mod 3, so there is no folding")
+        return SignFamily(self.G, self.S, self.lam, self.H)
+
+
 def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
     """The sign-twisted presentation {(x, xs, xs*step)}, where step is the
     twist of s on the coset of x, read from the right translations of G.
@@ -466,30 +484,6 @@ def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
             bad = _violations({(i, j) for i, j, _ in triples}, triples)
             raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
     return TrianglePresentation(tuple(range(G.n)), triples)
-
-
-def isomorphic_T(F1, T1, F2, T2):
-    """The lexicographically least witness (sigma, used_rho) carrying T1 to
-    T2, diagonal branch before the coordinate-swapping one; None if neither
-    branch works.  Backs the complete-digraph pair claim (test_03)."""
-    if F1.n != F2.n:
-        return None
-    A = aut_plus(F1)
-    if A.order() > _AUT_LIMIT:
-        raise SearchTooLarge(f"|Aut+(F1)| = {A.order()} exceeds {_AUT_LIMIT}")
-    t1 = T1.triples
-    t2 = T2.triples
-    adj2 = digraph_of(F2)
-    for use_rho in (False, True):
-        base = apply_rho(F1) if use_rho else F1
-        w0 = find_isomorphism(digraph_of(base), adj2)
-        if w0 is None:
-            continue
-        coset = sorted((a * w0 for a in A.elements()), key=lambda p: p.images)
-        for s in coset:
-            if _carries(t1, s.images, t2, use_rho):
-                return (s, use_rho)
-    return None
 
 
 def format_table(T: TrianglePresentation) -> str:

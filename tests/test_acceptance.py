@@ -35,7 +35,7 @@ from trigon.tripres import (
     classify,
     enumerate_all,
     format_table,
-    isomorphic_T,
+    lambda_orbits,
     stabilizer_of_T,
     verify,
 )
@@ -73,9 +73,9 @@ def test_01_order2_difference_set_and_reference_table():
 def test_02_order4_coset_census_and_twisted_tables():
     dq = quad_datum(2)
     assert dq.G.n == 21 and dq.G.abelian
-    assert set(dq.base.S) == {7, 9, 14, 15, 18}
-    assert set(dq.base.fixed_points) == {7, 14}
-    assert dq.base.O == ((9, 15, 18),)
+    assert set(dq.S) == {7, 9, 14, 15, 18}
+    # fixed points 7 and 14, one length-3 orbit
+    assert lambda_orbits(dq.S, dq.lam) == [(7,), (9, 15, 18), (14,)]
     assert sorted(dq.H.members) == [0, 3, 6, 9, 12, 15, 18]
 
     f = dq.F()
@@ -99,15 +99,17 @@ def test_03_complete_digraph_pair_and_counting_identity():
     found = enumerate_all(ALT_F)
     assert len(found) == 2
     t1, t2 = found
-    witness = isomorphic_T(ALT_F, t1, ALT_F, t2)
-    assert witness == (Perm((0, 1, 3, 2)), False)
+    assert t1.triples != t2.triples
     assert aut_plus(ALT_F).order() == 24
     assert aut_full(ALT_F).order == 48
     st = stabilizer_of_T(ALT_F, t1)
     assert st.plus.order() == 12
     assert st.order == 24
     cls = classify(ALT_F)
-    assert [c.orbit_size for c in cls] == [48 // 24]  # == 2 presentations / class
+    # one class holds both presentations: orbit 48 / 24 = 2
+    assert [(c.representative.triples, c.orbit_size) for c in cls] == [
+        (t1.triples, 48 // 24)
+    ]
 
 
 def test_04_octahedron_link_group():
@@ -121,14 +123,15 @@ def test_04_octahedron_link_group():
 def test_05_folding_orbit_census():
     for q in (2, 3, 4, 5, 7, 8, 9, 13):
         d = singer_datum(q)
-        assert len(d.O) == r_of_q(q)
+        orbits = lambda_orbits(d.S, d.lam)
+        assert len([o for o in orbits if len(o) == 3]) == r_of_q(q)
         want_fixed = set()
         if q % 3 == 0:
             want_fixed = {0}
         elif q % 3 == 1:
             third = (q * q + q + 1) // 3
-            want_fixed = {third, d.m - third}
-        assert set(d.fixed_points) == want_fixed
+            want_fixed = {third, d.G.n - third}
+        assert {o[0] for o in orbits if len(o) == 1} == want_fixed
         assert (0 in d.S) == (q % 3 == 0)
 
 
@@ -186,11 +189,13 @@ def test_10_exoticity_pipeline(probe_for):
         probe = probe_for(q)
         assert probe.q0.order() == math.factorial(q + 1)
         d = probe.datum
+        (key,) = (o[0] for o in lambda_orbits(d.S, d.lam) if len(o) == 3)
         for signs in [(s,) for s in (1, -1)]:
-            kappa = {d.O[0][0]: signs[0]}
+            kappa = {key: signs[0]}
             assert exotic_certificate(probe, kappa).verdict == "Inconclusive"
     probe5 = probe_for(5)
-    keys = [o[0] for o in probe5.datum.O]
+    d5 = probe5.datum
+    keys = [o[0] for o in lambda_orbits(d5.S, d5.lam) if len(o) == 3]
     for signs, (verdict, images) in Q5_BASELINES.items():
         kappa = dict(zip(keys, signs))
         cert = exotic_certificate(probe5, kappa)

@@ -18,7 +18,7 @@ from trigon.ffield import DegreeMismatch, NotPrime, ReduciblePolynomial
 from trigon.linkgraph import AutFull, FSet
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import SearchTooLarge, TwistCheckFailed
+from trigon.tripres import BadCongruence, Datum, TooLarge, TwistCheckFailed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -162,6 +162,13 @@ def test_opp_checklist(capsys):
     assert out.rstrip().endswith("zuk gap > 1/2: True")
 
 
+@pytest.mark.parametrize("mode", [["--kappa", "+1"], ["--all-kappa"]])
+def test_opp_family_without_a_folding_exits_two(capsys, mode):
+    code, out, err = invoke(capsys, ["opp", "--q", "5", *mode])
+    assert (code, out) == (2, "")
+    assert err == "trigon opp: q = 5 is not 1 mod 3, so there is no folding\n"
+
+
 def test_exotic_certificates_and_bounds(capsys):
     code, out, _ = invoke(capsys, ["exotic", "--q", "2", "--all-kappa",
                                    "--bounds"])
@@ -255,7 +262,8 @@ def test_usage_errors_exit_two(capsys, square_path, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "error", [NotPrime, ReduciblePolynomial, DegreeMismatch, SearchTooLarge]
+    "error",
+    [NotPrime, ReduciblePolynomial, DegreeMismatch, TooLarge, BadCongruence],
 )
 def test_named_user_errors_exit_two(capsys, monkeypatch, square_path, error):
     def handler(args):
@@ -462,13 +470,13 @@ def test_broken_folding_map_exits_one(capsys, monkeypatch):
 
 
 def test_disconnected_opposition_graph_fails_its_checklist(capsys, monkeypatch):
-    real_F = oppmodel.OppDatum.F
+    real_F = Datum.F
 
     def F(self):
         full = real_F(self)
         return FSet(full.labels, frozenset(p for p in full.pairs if p[0] != 0))
 
-    monkeypatch.setattr(oppmodel.OppDatum, "F", F)
+    monkeypatch.setattr(Datum, "F", F)
     code, out, err = invoke(capsys, ["opp", "--check", "--q", "7"])
     assert code == 1
     assert err == ""
@@ -480,13 +488,13 @@ def test_disconnected_opposition_graph_fails_its_checklist(capsys, monkeypatch):
 def test_non_biregular_opposition_graph_is_an_internal_error(monkeypatch):
     """Without one degree per side the coset group cannot be transitive, so
     the exact gap raises ValueError, which is not a usage error."""
-    real_F = oppmodel.OppDatum.F
+    real_F = Datum.F
 
     def F(self):
         full = real_F(self)
         return FSet(full.labels, full.pairs - {min(full.pairs)})
 
-    monkeypatch.setattr(oppmodel.OppDatum, "F", F)
+    monkeypatch.setattr(Datum, "F", F)
     with pytest.raises(ValueError, match="biregular bipartite"):
         run(["opp", "--check", "--q", "7"])
 

@@ -22,6 +22,11 @@ from trigon.singer import r_of_q, singer_datum
 from trigon.tripres import KappaSpecError, LambdaConditionFailed, lambda_orbits
 
 
+def length_three_orbits(d):
+    """The length-3 orbits of the datum's folding, sorted."""
+    return [o for o in lambda_orbits(d.S, d.lam) if len(o) == 3]
+
+
 def orbit_of(start, gens):
     seen = {start}
     queue = [start]
@@ -122,12 +127,12 @@ def test_sigma_quartic_fixed_points(probe_for):
 
 def test_sigma_kappa_keys_checked(probe_for):
     probe = probe_for(5)
-    d = probe.datum
+    threes = length_three_orbits(probe.datum)
     with pytest.raises(KappaSpecError):
-        sigma_kappa(probe, {o: 1 for o in d.O})
+        sigma_kappa(probe, {o: 1 for o in threes})
     with pytest.raises(KappaSpecError):
-        sigma_kappa(probe, {d.O[0][0]: 1})
-    full = {o[0]: 1 for o in d.O}
+        sigma_kappa(probe, {threes[0][0]: 1})
+    full = {o[0]: 1 for o in threes}
     with pytest.raises(KappaSpecError):
         sigma_kappa(probe, {**full, 99: 1})
 
@@ -137,7 +142,7 @@ def test_sigma_matches_the_built_triples(q, probe_for):
     """The two readers of the twist agree: the triple of the built
     presentation that starts (0, s) ends at s + S[sigma(pos s)]."""
     probe = probe_for(q)
-    S, m = probe.datum.S, probe.datum.m
+    S, m = probe.datum.S, probe.datum.G.n
     for kappa in probe.family.choices():
         sigma = sigma_kappa(probe, kappa)
         third = {j: k for i, j, k in probe.family.build(kappa).triples if i == 0}
@@ -149,19 +154,19 @@ def mixed_folding_datum():
     built from its two 3-orbits (a1 a2 a3) and (b1 b2 b3): still two
     3-cycles and two fixed points, but s*lam(s)*lam^2(s) != 1."""
     d = singer_datum(7)
-    (a1, a2, a3), (b1, b2, b3) = d.O
+    (a1, a2, a3), (b1, b2, b3) = length_three_orbits(d)
     lam = dict(d.lam)
     for x, y, z in ((a1, b1, a2), (b2, a3, b3)):
         lam.update({x: y, y: z, z: x})
-    orbits = tuple(lambda_orbits(d.S, lam))
-    threes = tuple(o for o in orbits if len(o) == 3)
-    return replace(d, lam=lam, orbits=orbits, O=threes)
+    return replace(d, lam=lam)
 
 
 def test_mixed_folding_is_rejected(capsys, monkeypatch):
     bad = mixed_folding_datum()
-    assert bad.O != singer_datum(7).O
-    assert len(bad.O) == r_of_q(7) and len(bad.fixed_points) == 2
+    threes = length_three_orbits(bad)
+    assert threes != length_three_orbits(singer_datum(7))
+    assert len(threes) == r_of_q(7)
+    assert len(lambda_orbits(bad.S, bad.lam)) - len(threes) == 2
     with pytest.raises(LambdaConditionFailed, match=r"s\*lam\(s\)\*lam\^2\(s\)"):
         build_probe(bad)
     monkeypatch.setattr(cli, "singer_datum", lambda q, modulus=None: bad)
@@ -189,7 +194,7 @@ def test_q5_regression_baselines(probe_for):
         (-1, -1): ("Inconclusive", (5, 0, 3, 4, 2, 1)),
     }
     for signs, (verdict, images) in expected.items():
-        kappa = {o[0]: s for o, s in zip(d.O, signs)}
+        kappa = {o[0]: s for o, s in zip(length_three_orbits(d), signs)}
         cert = exotic_certificate(probe, kappa)
         assert cert.verdict == verdict
         assert cert.sigma.images == images

@@ -98,8 +98,9 @@ def test_abelianization_invariant_under_translation(sign):
     d = singer_datum(2)
     T = d.signs().build({1: sign})
     base = abelianization(T)
-    for g in range(1, d.m):
-        shift = Perm(tuple((i + g) % d.m for i in range(d.m)))
+    m = d.G.n
+    for g in range(1, m):
+        shift = Perm(tuple((i + g) % m for i in range(m)))
         assert abelianization(act(T, shift)) == base
 
 

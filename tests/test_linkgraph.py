@@ -428,3 +428,39 @@ def test_exact_gap_refuses_what_it_cannot_read(graph):
     not bipartite.  Both raise ValueError, not a numeric answer."""
     with pytest.raises(ValueError, match="biregular bipartite"):
         point_transitive_gap(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_gap_reads_connectivity_like_the_bfs(data):
+    """On random d-regular bipartite graphs, unions of circulants
+    {(i, i + c)} with degree-preserving edge switches and both sides
+    relabeled, the exact gap raises Disconnected exactly when one BFS from
+    point 0 misses a vertex.  A single circulant with no switch is
+    point-transitive, so there the gap must match numpy's too."""
+    d = data.draw(st.integers(1, 3))
+    sizes = data.draw(st.lists(st.integers(d, 7), min_size=1, max_size=3))
+    pairs, n = set(), 0
+    for size in sizes:
+        offsets = data.draw(
+            st.sets(st.integers(0, size - 1), min_size=d, max_size=d))
+        pairs |= {(n + i, n + (i + c) % size) for i in range(size) for c in offsets}
+        n += size
+    edge = st.integers(0, n * d - 1)
+    switched = False
+    for e, f in data.draw(st.lists(st.tuples(edge, edge), max_size=4)):
+        (a, x), (b, y) = sorted(pairs)[e], sorted(pairs)[f]
+        if (a, y) not in pairs and (b, x) not in pairs:
+            pairs = pairs - {(a, x), (b, y)} | {(a, y), (b, x)}
+            switched = True
+    points = data.draw(st.permutations(range(n)))
+    lines = data.draw(st.permutations(range(n)))
+    g = from_F(FSet(tuple(range(n)),
+                    frozenset((points[i], lines[j]) for i, j in pairs)))
+    if not metrics(g, (0,)).connected:
+        with pytest.raises(Disconnected):
+            point_transitive_gap(g)
+    elif len(sizes) == 1 and not switched:
+        assert point_transitive_gap(g) == pytest.approx(spectral_gap(g), abs=1e-9)
+    else:
+        point_transitive_gap(g)

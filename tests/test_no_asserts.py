@@ -6,7 +6,8 @@
 - no import of another trigon module's private name in the program or its
   scripts;
 - no public module-level name in the package that nothing in the program or
-  its scripts reads, unless TEST_ONLY names the claim or oracle it serves;
+  its scripts reads, in its own module or in a file that imports from that
+  module, unless TEST_ONLY names the claim or oracle it serves;
 - no parameter default in the package that no call in the program, its
   scripts or its tests overrides: a value nothing sets is a constant."""
 
@@ -23,6 +24,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # public names only the tests call, each with the paper claim or the oracle
 # role that keeps it
 TEST_ONLY = {
+    "catalog.table": "the published tables as presentations",
     "ffield.multiplicative_order": "the oracle for poly_is_primitive",
     "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
     "linkgraph.graph_automorphisms": "the whole-group oracle for the probe's Q0",
@@ -32,7 +34,6 @@ TEST_ONLY = {
     "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
     "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",
     "singer.murho_dual": "the claim that duality flips every sign (test_06)",
-    "tripres.isomorphic_T": "the complete-digraph pair claim (test_03)",
     "tripres.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
 }
 
@@ -113,17 +114,31 @@ def _references(path):
     return out
 
 
+def _imported_modules(path):
+    """The trigon modules the file imports from, by stem."""
+    return {
+        node.module.split(".")[-1]
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.module
+        and (node.level > 0 or node.module.split(".")[0] == "trigon")
+    }
+
+
 def _unreferenced():
     """Public package names that no file of the program or its scripts reads,
-    not counting a definition's reads of itself."""
+    not counting a definition's reads of itself.  Only the name's own module
+    and the files that import from it count: a local variable of the same
+    name elsewhere is not a reader."""
     refs = {path: _references(path) for path in SOURCES}
+    imports = {path: _imported_modules(path) for path in SOURCES}
     out = set()
     for path in PACKAGE:
+        readers = [p for p in SOURCES if p == path or path.stem in imports[p]]
         for name in _public_definitions(path):
             if not any(
                 ref == name and not (where == path and owner == name)
-                for where, names in refs.items()
-                for ref, owner in names
+                for where in readers
+                for ref, owner in refs[where]
             ):
                 out.add(f"{path.stem}.{name}")
     return out

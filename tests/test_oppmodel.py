@@ -7,16 +7,14 @@ import pytest
 from trigon import oppmodel
 from trigon.linkgraph import FSet, f_wreath_equivalent, metrics
 from trigon.oppmodel import (
-    BadCongruence,
     a2_graph,
     incidence_model_checks,
     opp_datum,
     opp_graph_building,
     opp_properties,
 )
-from trigon.ffield import multiplicative_order
 from trigon.singer import murho_dual, singer_datum
-from trigon.tripres import KappaSpecError, lambda_orbits, verify
+from trigon.tripres import BadCongruence, KappaSpecError, lambda_orbits, verify
 
 
 def test_a2_graph_small_planes():
@@ -124,7 +122,12 @@ def test_properties_rows_q2():
 @pytest.mark.parametrize("q,count", [(4, 2), (7, 4), (13, 16)])
 def test_twisted_family_counts(q, count):
     d = opp_datum(q)
-    assert multiplicative_order(d.alpha3) == 3
+    # the folding multiplies y by a cube root of unity other than 1: it
+    # fixes the point of y = 0, the identity 0, and moves every other
+    # parabola point in a 3-cycle
+    lengths = [len(o) for o in lambda_orbits(d.S, d.lam)]
+    assert sorted(lengths) == [1] + [3] * ((q - 1) // 3)
+    assert d.lam[0] == 0
     signs = d.signs()
     fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == count
@@ -137,7 +140,7 @@ def test_twisted_family_counts(q, count):
 def test_congruence_guard():
     for q in (2, 3, 5):
         d = opp_datum(q)
-        assert d.lam is None and d.alpha3 is None
+        assert d.lam is None
         with pytest.raises(BadCongruence):
             d.signs()
 

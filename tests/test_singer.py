@@ -7,12 +7,32 @@ import pytest
 
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
-from trigon.ffield import poly_is_primitive
+from trigon.ffield import factor_prime_power, poly_is_primitive
 from trigon.fgroup import FiniteGroup, NonAbelianGroup
 from trigon.linkgraph import digraph_of, from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
 from trigon.singer import murho_dual, quad_datum, r_of_q, singer_datum
-from trigon.tripres import KappaSpecError, enumerate_all, format_table, verify
+from trigon.tripres import (
+    KappaSpecError,
+    enumerate_all,
+    format_table,
+    lambda_orbits,
+    verify,
+)
+
+
+def orbit_split(d):
+    """The length-3 folding orbits of d and its fixed points, sorted."""
+    orbits = lambda_orbits(d.S, d.lam)
+    return ([o for o in orbits if len(o) == 3],
+            [o[0] for o in orbits if len(o) == 1])
+
+
+def inside_H(d):
+    """The points of S in H and the length-3 folding orbits inside H."""
+    threes, _ = orbit_split(d)
+    return ([s for s in d.S if s in d.H],
+            [o for o in threes if all(s in d.H for s in o)])
 
 
 def test_r_of_q_cases():
@@ -25,54 +45,55 @@ def test_r_of_q_cases():
 
 def test_fano_datum():
     d = singer_datum(2)
-    assert (d.p, d.e, d.m) == (2, 1, 7)
+    assert (factor_prime_power(d.q), d.G.n) == ((2, 1), 7)
+    assert d.H.index == 1
     assert d.S == (1, 2, 4)
     assert d.lam == {1: 2, 2: 4, 4: 1}
-    assert d.orbits == ((1, 2, 4),)
-    assert d.O == ((1, 2, 4),)
-    assert d.fixed_points == ()
+    assert lambda_orbits(d.S, d.lam) == [(1, 2, 4)]
+    assert orbit_split(d) == ([(1, 2, 4)], [])
     explicit = singer_datum(2, (1, 1, 0, 1))
     assert explicit.S == d.S
 
 
 def test_quartic_datum():
     d = singer_datum(4)
-    assert d.m == 21
+    assert d.G.n == 21
     assert d.S == (7, 9, 14, 15, 18)
-    assert d.O == ((9, 15, 18),)
-    assert d.fixed_points == (7, 14)
+    assert orbit_split(d) == ([(9, 15, 18)], [7, 14])
     assert d.lam[7] == 7 and d.lam[14] == 14 and d.lam[9] == 15
 
 
 def test_cubic_datum():
     d = singer_datum(3)
-    assert d.m == 13
+    assert d.G.n == 13
     assert d.S == (0, 1, 3, 9)
-    assert d.O == ((1, 3, 9),)
-    assert d.fixed_points == (0,)
+    assert orbit_split(d) == ([(1, 3, 9)], [0])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
 def test_orbit_census(q):
     d = singer_datum(q)
+    threes, fixed = orbit_split(d)
+    m = d.G.n
     assert len(d.S) == q + 1
-    assert len(d.O) == r_of_q(q)
-    assert all(len(o) in (1, 3) for o in d.orbits)
+    assert len(threes) == r_of_q(q)
+    assert all(len(o) in (1, 3) for o in lambda_orbits(d.S, d.lam))
     assert (0 in d.S) == (q % 3 == 0)
     if q % 3 == 0:
-        assert d.fixed_points == (0,)
+        assert fixed == [0]
     elif q % 3 == 1:
-        assert d.fixed_points == (d.m // 3, 2 * d.m // 3)
+        assert fixed == [m // 3, 2 * m // 3]
     else:
-        assert d.fixed_points == ()
+        assert fixed == []
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_perfect_difference_set(q):
     # every nonzero residue is a difference of set members exactly once
     d = singer_datum(q)
-    diffs = Counter((x - y) % d.m for x in d.S for y in d.S if x != y)
-    assert set(diffs) == set(range(1, d.m))
+    m = d.G.n
+    diffs = Counter((x - y) % m for x in d.S for y in d.S if x != y)
+    assert set(diffs) == set(range(1, m))
     assert set(diffs.values()) == {1}
 
 
@@ -90,9 +111,10 @@ def test_fano_table_byte_exact():
 
 def test_kappa_must_cover_all_orbits():
     d = singer_datum(5)
+    threes, _ = orbit_split(d)
     signs = d.signs()
-    assert signs.keys == tuple(o[0] for o in d.O)
-    for bad in ({d.O[0][0]: 1}, {0: 1, 1: 1}, {k: 0 for k in signs.keys}):
+    assert signs.keys == tuple(o[0] for o in threes)
+    for bad in ({threes[0][0]: 1}, {0: 1, 1: 1}, {k: 0 for k in signs.keys}):
         with pytest.raises(KappaSpecError):
             signs.build(bad)
     assert issubclass(KappaSpecError, ValueError)
@@ -104,7 +126,7 @@ def test_family_valid_and_distinct(q):
     signs = d.signs()
     fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 2 ** r_of_q(q)
-    assert next(signs.choices()) == {o[0]: 1 for o in d.O}
+    assert next(signs.choices()) == {o[0]: 1 for o in orbit_split(d)[0]}
     seen = {T.triples for T in fam}
     assert len(seen) == len(fam)
     F = d.F()
@@ -165,12 +187,13 @@ def test_graph_is_generalized_triangle(q):
 
 def test_quad_marking_q2():
     dq = quad_datum(2)
-    assert dq.m == 21
-    assert dq.base.S == (7, 9, 14, 15, 18)
+    base = singer_datum(4)
+    assert (dq.G.n, dq.S, dq.lam) == (base.G.n, base.S, base.lam)
+    assert dq.G.n == 21
+    assert dq.S == (7, 9, 14, 15, 18)
     assert sorted(dq.H.members) == [0, 3, 6, 9, 12, 15, 18]
     assert dq.H.reps == (0, 1, 2)
-    assert dq.S_in_H == (9, 15, 18)
-    assert dq.O_in_H == ((9, 15, 18),)
+    assert inside_H(dq) == ([9, 15, 18], [(9, 15, 18)])
 
 
 def test_quad_tables_byte_exact():
@@ -194,10 +217,11 @@ def test_quad_family_is_the_whole_enumeration():
 
 def test_quad_marking_q3():
     dq = quad_datum(3)
-    assert dq.m == 91
+    base = singer_datum(9)
+    assert (dq.G.n, dq.S, dq.lam) == (base.G.n, base.S, base.lam)
+    assert dq.G.n == 91
     assert dq.H.order == 13
-    assert dq.S_in_H == (0, 28, 70, 84)
-    assert dq.O_in_H == ((28, 70, 84),)
+    assert inside_H(dq) == ([0, 28, 70, 84], [(28, 70, 84)])
     assert len(dq.H.reps) == 7
 
 

@@ -19,17 +19,16 @@ from trigon.tripres import (
     IncompatiblePresentation,
     KappaSpecError,
     LambdaConditionFailed,
-    SearchTooLarge,
     SignFamily,
+    TooLarge,
     TrianglePresentation,
     TwistCheckFailed,
     Violation,
-    _carries,
     _check_lambda,
     classify,
     enumerate_all,
     format_table,
-    isomorphic_T,
+    image_triples,
     lambda_orbits,
     stabilizer_of_T,
     verify,
@@ -81,7 +80,7 @@ def build_from_lambda(G, S, lam):
             triples.add((x, xs, G.mul(xs, lam[s])))
     T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
     for g in generating_set(G):
-        if not _carries(T.triples, [G.mul(g, a) for a in range(G.n)], T.triples):
+        if image_triples(T.triples, [G.mul(g, a) for a in range(G.n)]) != T.triples:
             raise CheckFailed(f"left translation by {g} moves T")
     return T
 
@@ -179,7 +178,7 @@ def test_size_guard_runs_before_the_enumeration(monkeypatch):
         raise AssertionError("the enumeration started before the size guard")
 
     monkeypatch.setattr(tripres, "_exact_covers", no_search)
-    with pytest.raises(SearchTooLarge, match="3628800 exceeds 1000000"):
+    with pytest.raises(TooLarge, match="3628800 exceeds 1000000"):
         classify(complete_digraph(10))
 
 
@@ -210,11 +209,13 @@ def test_classify_square():
 
 
 def test_isomorphic_alt_pair():
+    """The two presentations on ALT_F fill the one orbit classify walks."""
     t1, t2 = enumerate_all(ALT_F)
-    w = isomorphic_T(ALT_F, t1, ALT_F, t2)
-    assert w == (Perm((0, 1, 3, 2)), False)
-    ident = isomorphic_T(ALT_F, t1, ALT_F, t1)
-    assert ident == (Perm((0, 1, 2, 3)), False)
+    cls = classify(ALT_F)
+    assert [(c.representative.triples, c.orbit_size) for c in cls] == [
+        (t1.triples, 2)
+    ]
+    assert t2.triples != t1.triples
 
 
 def test_build_from_lambda_z3():
@@ -239,8 +240,7 @@ def test_build_from_lambda_klein_matches_alt():
     t = build_from_lambda(g, [1, 2, 3], {1: 2, 2: 3, 3: 1})
     f = project_F(t)
     assert f.pairs == ALT_F.pairs
-    t1 = enumerate_all(ALT_F)[0]
-    assert isomorphic_T(f, t, ALT_F, t1) is not None
+    assert t.triples in {T.triples for T in enumerate_all(ALT_F)}
 
 
 def test_build_from_lambda_rejects_bad_map():
@@ -299,7 +299,14 @@ def test_build_t_kappa_twist():
     st2 = stabilizer_of_T(f, t2)
     assert st1.order == 126 and st1.witness is None
     assert st2.order == 42 and st2.witness is None
-    assert isomorphic_T(f, t1, f, t2) is None
+    full = aut_full(f)
+    orbits = [
+        set(tripres._orbit_stabilizer(c.representative.triples, full)[0])
+        for c in classify(f)
+    ]
+    assert [(t1.triples in o, t2.triples in o) for o in orbits] == [
+        (True, False), (False, True)
+    ]
 
 
 def test_exquad_classification():
