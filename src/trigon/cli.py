@@ -1,21 +1,18 @@
-"""Command-line drivers: constructions, verification, certificates, tables."""
+"""Command-line drivers: constructions, verification, certificates, tables.
+
+The module top imports only what builds the parser and the errors run maps
+to exit codes; each handler imports the modules it runs.  Where bytecode is
+not cached, every start compiles each module it imports, so a subcommand
+should not pay for a symmetry search or a construction it never calls."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
 
 from .catalog import TABLE_TEXTS
-from .documents import ParseError, document_text, load_document
-from .exoticity import (
-    ProbeCheckFailed,
-    build_probe,
-    exotic_certificate,
-    exotic_lower_bounds,
-)
 from .ffield import (
     DegreeMismatch,
     NotPrime,
@@ -23,14 +20,11 @@ from .ffield import (
     ReduciblePolynomial,
     factor_prime_power,
 )
-from .grouptools import export_presentation
-from .linkgraph import export_edge_list, from_F, metrics, spectrum
-from .oppmodel import opp_datum, opp_properties
-from .singer import quad_datum, singer_datum
 from .tripres import (
     BadCongruence,
     CheckFailed,
     KappaSpecError,
+    ParseError,
     TooLarge,
     classify,
     format_table,
@@ -86,6 +80,9 @@ def kappa_spec_of(kappa):
 # 247 MB (2-core Xeon, Python 3.11); the largest family the tests and the
 # benchmark build, quad --q 3, has 116,480 and quad --q 4 would have
 # 38,019,072.  One presentation reaches it at singer --q 163 and quad --q 13.
+# One presentation is held whole while its text is made, so for it the
+# limit bounds memory too: the largest admitted, singer --q 157 --kappa +1
+# (3,919,506 triples), peaks at 790 MB RSS, about 200 bytes per triple.
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
 # the most sign choices exotic --all-kappa certifies.  The certificates are
@@ -120,7 +117,11 @@ def _present_one(T, meta, fmt):
     if fmt == "table":
         return format_table(T)
     if fmt == "gap":
+        from .grouptools import export_presentation
+
         return export_presentation(T, "gap")
+    from .documents import document_text
+
     return document_text(T, [(i, j) for i, j, _ in T.triples], meta, 0) + "\n"
 
 
@@ -132,6 +133,8 @@ def _present_family(model, q, family, fmt):
         spec = kappa_spec_of(kappa)
         T = family.build(kappa)
         if fmt == "json":
+            from .documents import document_text
+
             meta = {"model": model, "q": q, "kappa": spec}
             pairs = [(i, j) for i, j, _ in T.triples]
             yield ",\n  " if index else "[\n  "
@@ -164,12 +167,16 @@ def _cmd_tables(args):
 
 
 def _cmd_singer(args):
+    from .singer import singer_datum
+
     _check_presentation_size(args.q, args.q)
     d = singer_datum(args.q, args.modulus)
     return 0, _family_output("singer", d.q, d.signs(), args)
 
 
 def _cmd_quad(args):
+    from .singer import quad_datum
+
     _check_presentation_size(args.q, args.q ** 2)
     d = quad_datum(args.q, args.modulus)
     return 0, _family_output("quad", d.q, d.signs(), args)
@@ -182,6 +189,8 @@ def _fmt_value(v):
 
 
 def _cmd_opp(args):
+    from .oppmodel import opp_datum, opp_properties
+
     if args.check or (args.kappa is None and not args.all_kappa):
         report = opp_properties(args.q)
         lines = [f"opposition model q = {report.q}"]
@@ -196,15 +205,21 @@ def _cmd_opp(args):
     return 0, _family_output("opp", d.q, d.signs(), args)
 
 
+def _document(args):
+    from .documents import load_document
+
+    return load_document(args.from_json, strict=not args.lenient)
+
+
 def _cmd_enumerate(args):
-    doc = load_document(args.from_json, strict=not args.lenient)
+    doc = _document(args)
     classes = classify(doc.F)
     found = sum(c.orbit_size for c in classes)
     return 0, f"{found} presentations, {len(classes)} isomorphism classes\n"
 
 
 def _cmd_classify(args):
-    doc = load_document(args.from_json, strict=not args.lenient)
+    doc = _document(args)
     classes = classify(doc.F)
     lines = []
     total = 0
@@ -219,7 +234,7 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
-    doc = load_document(args.from_json, strict=not args.lenient)
+    doc = _document(args)
     violations = verify(doc.F, doc.T)
     if not violations:
         return 0, "ok\n"
@@ -232,6 +247,11 @@ def _cmd_verify(args):
 
 
 def _cmd_exotic(args):
+    import json
+
+    from .exoticity import build_probe, exotic_certificate, exotic_lower_bounds
+    from .singer import singer_datum
+
     if not (args.kappa or args.all_kappa or args.bounds):
         raise KappaSpecError("pass --kappa, --all-kappa, or --bounds")
     out = {}
@@ -274,9 +294,11 @@ def _cmd_exotic(args):
 
 
 def _cmd_export(args):
-    doc = load_document(args.from_json, strict=not args.lenient)
+    doc = _document(args)
     if args.format == "table":
         return 0, format_table(doc.T)
+    from .grouptools import export_presentation
+
     return 0, export_presentation(doc.T, args.format)
 
 
@@ -285,7 +307,11 @@ def _json_extent(v):
 
 
 def _cmd_graph(args):
-    doc = load_document(args.from_json, strict=not args.lenient)
+    import json
+
+    from .linkgraph import export_edge_list, from_F, metrics, spectrum
+
+    doc = _document(args)
     if (args.show_metrics or args.spectrum) and 2 * doc.F.n > _GRAPH_VERTEX_LIMIT:
         raise TooLarge(
             f"the link graph has {2 * doc.F.n} vertices; --metrics and "
@@ -454,7 +480,7 @@ def run(argv):
             FileNotFoundError) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
-    except (ProbeCheckFailed, CheckFailed) as err:
+    except CheckFailed as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 1
 

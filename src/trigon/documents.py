@@ -7,11 +7,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .linkgraph import FSet
-from .tripres import TrianglePresentation
-
-
-class ParseError(ValueError):
-    """Malformed presentation document; the message names the offending key."""
+from .tripres import ParseError, TrianglePresentation
 
 
 # without a label list, n alone names the index set 1..n; the largest n it

@@ -22,10 +22,10 @@ from .permgrp import (
     restricted_generators,
 )
 from .singer import r_of_q
-from .tripres import Datum, SignFamily
+from .tripres import CheckFailed, Datum, SignFamily
 
 
-class ProbeCheckFailed(Exception):
+class ProbeCheckFailed(CheckFailed):
     """A link-graph invariant that the Q0 probe relies on does not hold."""
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .ffield import factor_prime_power, make_field
-from .permgrp import Perm
+
+if TYPE_CHECKING:
+    from .permgrp import Perm
 
 
 class NonAbelianGroup(ValueError):
@@ -15,13 +17,17 @@ class NonAbelianGroup(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group on indices 0..n-1 with explicit mul and inv maps."""
+    """A finite group on indices 0..n-1 with explicit mul and inv maps.
+
+    translation, when given, builds the whole list x -> x*s for an s faster
+    than one mul call per x; right uses it in place of mul."""
 
     n: int
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]
     id: int
     abelian: bool | None = None
+    translation: Callable[[int], list[int]] | None = field(default=None, repr=False)
     _rights: dict = field(default_factory=dict, init=False, repr=False)
 
     def right(self, s: int) -> list[int]:
@@ -29,7 +35,11 @@ class FiniteGroup:
         first request for s and kept."""
         arr = self._rights.get(s)
         if arr is None:
-            arr = self._rights[s] = [self.mul(x, s) for x in range(self.n)]
+            if self.translation is not None:
+                arr = self.translation(s)
+            else:
+                arr = [self.mul(x, s) for x in range(self.n)]
+            self._rights[s] = arr
         return arr
 
     def is_abelian(self) -> bool:
@@ -96,6 +106,10 @@ def make_opp_group(q: int) -> FiniteGroup:
     (-y, y*y-z).  Elements are indexed y.index*q + z.index, and both maps
     read the q x q addition and multiplication tables of the field, so the
     group takes O(q^2) memory.
+
+    A right translation x -> x*s is built a block of q at a time: for fixed
+    y1 the z1 entry of (y1,z1)*(y2,z2) is z1 + (z2 + y1*y2), so the block is
+    one row of the addition table shifted by the block's y index.
     """
     p, e = factor_prime_power(q)
     elems = make_field(p, e).elements()
@@ -112,7 +126,16 @@ def make_opp_group(q: int) -> FiniteGroup:
         y, z = divmod(a, q)
         return neg[y] * q + add[mul[y][y]][neg[z]]
 
-    return FiniteGroup(n=q * q, mul=product, inv=inverse, id=0, abelian=True)
+    def translation(s):
+        y2, z2 = divmod(s, q)
+        out = []
+        for y1 in range(q):
+            base = add[y1][y2] * q
+            out += [base + v for v in add[add[z2][mul[y1][y2]]]]
+        return out
+
+    return FiniteGroup(n=q * q, mul=product, inv=inverse, id=0, abelian=True,
+                       translation=translation)
 
 
 def subgroup(G: FiniteGroup, generators) -> SubgroupDatum:
@@ -149,6 +172,8 @@ def mu_permutation(G: FiniteGroup) -> Perm:
     Only an automorphism when G is abelian, and that is how callers use it,
     so nonabelian groups are rejected.
     """
+    from .permgrp import Perm
+
     if not G.is_abelian():
         raise NonAbelianGroup("inversion is only an automorphism when abelian")
     return Perm(tuple(G.inv(a) for a in range(G.n)))

@@ -1,13 +1,17 @@
-"""The bipartite link graph of a pair set F and its symmetry machinery."""
+"""The bipartite link graph of a pair set F and its symmetry machinery.
+
+The symmetry search (autosearch, permgrp) and fractions are imported inside
+the functions that use them, so that a command which only builds or measures
+a graph does not compile them at start-up."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .autosearch import automorphism_generators, find_isomorphism
-from .permgrp import Perm, PermGroup, bsgs_build
+if TYPE_CHECKING:
+    from .permgrp import Perm, PermGroup
 
 
 class Disconnected(ValueError):
@@ -206,6 +210,8 @@ def _minimal_polynomial(step, v):
     M^deg(p) v: the first linear dependency of the Krylov sequence v, Mv,
     M^2 v, ..., found by fraction-free integer elimination.  Each row is
     kept with its combination of the sequence."""
+    from fractions import Fraction
+
     rows = []
     while True:
         row, comb = v, [0] * len(rows) + [1]
@@ -327,6 +333,9 @@ def digraph_of(F: FSet) -> list:
 def aut_plus(F: FSet) -> PermGroup:
     """Stabilizer of F in Sym(n) under the diagonal action, as a group of
     position permutations."""
+    from .autosearch import automorphism_generators
+    from .permgrp import bsgs_build
+
     return bsgs_build(F.n, automorphism_generators(digraph_of(F)))
 
 
@@ -345,6 +354,8 @@ class AutFull:
 
 
 def aut_full(F: FSet) -> AutFull:
+    from .autosearch import find_isomorphism
+
     witness = find_isomorphism(digraph_of(apply_rho(F)), digraph_of(F))
     return AutFull(plus=aut_plus(F), witness=witness)
 
@@ -353,6 +364,9 @@ def graph_automorphisms(g: LinkGraph) -> PermGroup:
     """Full automorphism group of the bipartite graph on 2n vertices; maps
     exchanging the sides are allowed.  Kept as the whole-group oracle for the
     probe's Q0 in the tests."""
+    from .autosearch import automorphism_generators
+    from .permgrp import bsgs_build
+
     return bsgs_build(2 * g.n, automorphism_generators(g.adj))
 
 
@@ -361,6 +375,8 @@ def f_wreath_equivalent(F1: FSet, F2: FSet) -> bool:
     sides permuted independently and possibly exchanged; weaker than
     diagonal equivalence.  opp_datum checks the coset model against the
     subspace model with it."""
+    from .autosearch import find_isomorphism
+
     n = F1.n
     g1, g2 = from_F(F1), from_F(F2)
     side = [0] * n + [1] * n

@@ -6,10 +6,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby, product
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .fgroup import FiniteGroup, SubgroupDatum
 from .linkgraph import AutFull, FSet, aut_full
-from .permgrp import Perm, bsgs_build
+
+if TYPE_CHECKING:
+    from .fgroup import FiniteGroup, SubgroupDatum
 
 # the largest |Aut+(F)| classify and stabilizer_of_T accept: an orbit they
 # walk has at most 2 |Aut+(F)| triple sets, all held at once
@@ -42,6 +44,10 @@ class BadCongruence(ValueError):
 
 class KappaSpecError(ValueError):
     """A sign choice whose keys do not match the datum's orbit keys."""
+
+
+class ParseError(ValueError):
+    """Malformed presentation document; the message names the offending key."""
 
 
 class TwistCheckFailed(CheckFailed):
@@ -259,6 +265,8 @@ def _orbit_stabilizer(ptrip, full: AutFull):
     b_x ^ b ^ b_y) (Seress, Permutation Group Algorithms, 4.2).  The first
     bit-1 one, t, is the witness; Aut+(T) is generated by the bit-0 ones e,
     t*e*t^-1, and t*s and s*t^-1 for each bit-1 s (Reidemeister-Schreier)."""
+    from .permgrp import Perm, bsgs_build
+
     movers = [(g, 0) for g in full.plus.generators]
     if full.witness is not None:
         movers.append((full.witness, 1))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trigon import cli, exoticity, oppmodel, singer, tripres
+from trigon import cli, exoticity, linkgraph, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
@@ -334,8 +334,8 @@ def test_presentation_over_the_limit_exits_two(capsys, monkeypatch, argv, m,
     def no_datum(q, modulus):
         raise AssertionError("the datum was built before the size guard")
 
-    monkeypatch.setattr(cli, "singer_datum", no_datum)
-    monkeypatch.setattr(cli, "quad_datum", no_datum)
+    monkeypatch.setattr(singer, "singer_datum", no_datum)
+    monkeypatch.setattr(singer, "quad_datum", no_datum)
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (2, "")
     assert m * s > cli._FAMILY_TRIPLE_LIMIT
@@ -353,8 +353,8 @@ def test_presentation_limit_admits_the_q_below(capsys, monkeypatch, argv):
     def reached(q, modulus):
         raise KappaSpecError(f"datum reached at q = {q}")
 
-    monkeypatch.setattr(cli, "singer_datum", reached)
-    monkeypatch.setattr(cli, "quad_datum", reached)
+    monkeypatch.setattr(singer, "singer_datum", reached)
+    monkeypatch.setattr(singer, "quad_datum", reached)
     code, out, err = invoke(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"trigon {argv[0]}: datum reached at q = {argv[2]}\n"
@@ -368,7 +368,7 @@ def test_exotic_all_kappa_over_the_limit_exits_two(capsys, monkeypatch, q,
     def no_probe(d):
         raise AssertionError("the probe was built before the size guard")
 
-    monkeypatch.setattr(cli, "build_probe", no_probe)
+    monkeypatch.setattr(exoticity, "build_probe", no_probe)
     code, out, err = invoke(capsys, ["exotic", "--q", str(q), "--all-kappa"])
     assert (code, out) == (2, "")
     assert err == (
@@ -436,7 +436,7 @@ def broken_quad(q, modulus=None):
 
 
 def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "quad_datum", broken_quad)
+    monkeypatch.setattr(singer, "quad_datum", broken_quad)
     assert not issubclass(TwistCheckFailed, ValueError)
     code, out, err = invoke(
         capsys, ["quad", "--q", "2", "--kappa", "0,9:+1;1,9:+1;2,9:-1"]
@@ -450,7 +450,7 @@ def test_broken_twist_part_way_keeps_the_family_written_so_far(capsys,
                                                               monkeypatch):
     """--all-kappa writes each presentation as it is built: the all-plus
     choice passes its check and is on stdout before the next one fails."""
-    monkeypatch.setattr(cli, "quad_datum", broken_quad)
+    monkeypatch.setattr(singer, "quad_datum", broken_quad)
     code, out, err = invoke(capsys, ["quad", "--q", "2", "--all-kappa"])
     assert code == 1
     assert out == "kappa 0,9:+1;1,9:+1;2,9:+1\n" + TABLE_TEXTS[1]
@@ -462,7 +462,7 @@ def test_broken_folding_map_exits_one(capsys, monkeypatch):
         d = singer_datum(q, modulus)
         return replace(d, lam={s: s for s in d.S})
 
-    monkeypatch.setattr(cli, "singer_datum", broken_singer)
+    monkeypatch.setattr(singer, "singer_datum", broken_singer)
     code, out, err = invoke(capsys, ["singer", "--q", "3"])
     assert code == 1
     assert out == ""
@@ -540,7 +540,7 @@ def test_graph_measures_at_most_the_vertex_limit(capsys, monkeypatch, tmp_path,
     def from_F(F):
         raise Built
 
-    monkeypatch.setattr(cli, "from_F", from_F)
+    monkeypatch.setattr(linkgraph, "from_F", from_F)
     assert cli._GRAPH_VERTEX_LIMIT == 4096
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"n": n, "F": [], "T": [], "meta": {}}))
@@ -634,6 +634,46 @@ def test_only_the_spectrum_loads_numpy(square_path, argv, loaded):
         capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, f"0 {loaded}\n")
+
+
+SYMMETRY = {"trigon.autosearch", "trigon.permgrp"}
+CONSTRUCTIONS = {"trigon.exoticity", "trigon.oppmodel", "trigon.singer"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [(None, SYMMETRY | CONSTRUCTIONS | {"trigon.documents", "trigon.fgroup",
+                                        "trigon.grouptools"}),
+     (["opp", "--check", "--q", "9"],
+      SYMMETRY | {"trigon.exoticity", "trigon.grouptools", "trigon.singer"}),
+     (["singer", "--q", "7", "--all-kappa"],
+      SYMMETRY | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
+                  "trigon.documents"}),
+     (["classify", "--from-json", "{doc}"],
+      CONSTRUCTIONS | {"trigon.grouptools", "trigon.fgroup"}),
+     (["exotic", "--q", "7", "--kappa", "+1"],
+      {"trigon.documents", "trigon.grouptools", "trigon.oppmodel"})],
+    ids=["import", "opp-check", "singer-all-kappa", "classify", "exotic"],
+)
+def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
+    """The cli handlers and linkgraph import the modules they run, so a
+    command does not compile the symmetry search or a construction it never
+    calls; this is what a fresh process holds after the command."""
+    run_code = "0"
+    if argv is not None:
+        argv = [a.format(doc=square_path) for a in argv] + ["-o", os.devnull]
+        run_code = f"trigon.cli.run({argv!r})"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, trigon.cli; code = {run_code}; "
+         "print(code, *sorted(m for m in sys.modules if m.startswith('trigon.')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert "trigon.cli" in loaded
+    assert sorted(absent & set(loaded)) == []
 
 
 def test_opp_group_limit_in_a_fresh_process():

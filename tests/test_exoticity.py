@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from trigon import cli
+from trigon import cli, singer
 from trigon.exoticity import (
     Bounds,
     OrderMismatch,
@@ -169,7 +169,7 @@ def test_mixed_folding_is_rejected(capsys, monkeypatch):
     assert len(lambda_orbits(bad.S, bad.lam)) - len(threes) == 2
     with pytest.raises(LambdaConditionFailed, match=r"s\*lam\(s\)\*lam\^2\(s\)"):
         build_probe(bad)
-    monkeypatch.setattr(cli, "singer_datum", lambda q, modulus=None: bad)
+    monkeypatch.setattr(singer, "singer_datum", lambda q, modulus=None: bad)
     code = cli.run(["exotic", "--q", "7", "--all-kappa"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
