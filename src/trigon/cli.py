@@ -456,7 +456,12 @@ def _dispatch(args):
             code, text = _HANDLERS[args.subcommand](args)
             parts = [text] if isinstance(text, str) else text
             if args.out:
-                with open(args.out, "w") as fh:
+                try:
+                    fh = open(args.out, "w")
+                except OSError as err:
+                    print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
+                    return 2
+                with fh:
                     fh.writelines(parts)
             else:
                 sys.stdout.writelines(parts)
@@ -476,8 +481,7 @@ def run(argv):
     try:
         return _dispatch(args)
     except (ParseError, KappaSpecError, TooLarge, BadCongruence, NotPrime,
-            ReduciblePolynomial, DegreeMismatch, NotPrimitive,
-            FileNotFoundError) as err:
+            ReduciblePolynomial, DegreeMismatch, NotPrimitive) as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
     except CheckFailed as err:

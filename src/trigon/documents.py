@@ -149,7 +149,13 @@ def parse_document(text: str, strict: bool = True) -> Document:
 
 
 def load_document(path, strict: bool = True) -> Document:
-    with open(path) as fh:
+    """Read and parse the document at path; a path that cannot be opened (a
+    missing file, a directory, a path through a file) is a ParseError."""
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ParseError(str(err)) from None
+    with fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as err:

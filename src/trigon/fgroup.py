@@ -17,34 +17,31 @@ class NonAbelianGroup(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group on indices 0..n-1 with explicit mul and inv maps.
-
-    translation, when given, builds the whole list x -> x*s for an s faster
-    than one mul call per x; right uses it in place of mul."""
+    """A finite group on indices 0..n-1, given by its right translations:
+    translation(s) is the list x -> x*s indexed by x, and 0 is the
+    identity.  Products, inverses and cosets are all read from these lists."""
 
     n: int
-    mul: Callable[[int, int], int]
-    inv: Callable[[int], int]
-    id: int
-    abelian: bool | None = None
-    translation: Callable[[int], list[int]] | None = field(default=None, repr=False)
+    translation: Callable[[int], list[int]] = field(repr=False)
     _rights: dict = field(default_factory=dict, init=False, repr=False)
 
     def right(self, s: int) -> list[int]:
-        """Right translation x -> x*s as a list indexed by x, built on the
-        first request for s and kept."""
+        """Right translation x -> x*s, built on the first request for s and
+        kept."""
         arr = self._rights.get(s)
         if arr is None:
-            if self.translation is not None:
-                arr = self.translation(s)
-            else:
-                arr = [self.mul(x, s) for x in range(self.n)]
-            self._rights[s] = arr
+            arr = self._rights[s] = self.translation(s)
         return arr
 
+    def mul(self, a: int, b: int) -> int:
+        """a*b, read from the right translation by b."""
+        return self.right(b)[a]
+
+    def inv(self, a: int) -> int:
+        """The x with x*a = 0."""
+        return self.right(a).index(0)
+
     def is_abelian(self) -> bool:
-        if self.abelian is not None:
-            return self.abelian
         return all(
             self.mul(a, b) == self.mul(b, a)
             for a in range(self.n)
@@ -80,7 +77,7 @@ class SubgroupDatum:
         return tuple(out[cid] for cid in range(len(out)))
 
     def __contains__(self, a: int) -> bool:
-        return self.coset_index[a] == self.coset_index[self.parent.id]
+        return self.coset_index[a] == self.coset_index[0]
 
     def __repr__(self):
         return f"SubgroupDatum(order={self.order}, index={self.index})"
@@ -90,22 +87,21 @@ def make_cyclic(m: int) -> FiniteGroup:
     """The additive cyclic group Z/m on {0..m-1}."""
     if m < 1:
         raise ValueError("order must be positive")
-    return FiniteGroup(
-        n=m,
-        mul=lambda a, b: (a + b) % m,
-        inv=lambda a: (-a) % m,
-        id=0,
-        abelian=True,
-    )
+
+    def translation(s):
+        s %= m
+        return [*range(s, m), *range(s)]
+
+    return FiniteGroup(n=m, translation=translation)
 
 
 def make_opp_group(q: int) -> FiniteGroup:
     """The order-q^2 group of matrices [[1,y,z],[0,1,y],[0,0,1]] over GF(q).
 
-    In coordinates (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2) and (y,z)^-1 =
-    (-y, y*y-z).  Elements are indexed y.index*q + z.index, and both maps
-    read the q x q addition and multiplication tables of the field, so the
-    group takes O(q^2) memory.
+    In coordinates (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2).  Elements are
+    indexed y.index*q + z.index, and the product reads the q x q addition
+    and multiplication tables of the field, so the group takes O(q^2)
+    memory.
 
     A right translation x -> x*s is built a block of q at a time: for fixed
     y1 the z1 entry of (y1,z1)*(y2,z2) is z1 + (z2 + y1*y2), so the block is
@@ -115,16 +111,6 @@ def make_opp_group(q: int) -> FiniteGroup:
     elems = make_field(p, e).elements()
     add = [[(x + y).index for y in elems] for x in elems]
     mul = [[(x * y).index for y in elems] for x in elems]
-    neg = [row.index(0) for row in add]
-
-    def product(a, b):
-        y1, z1 = divmod(a, q)
-        y2, z2 = divmod(b, q)
-        return add[y1][y2] * q + add[add[z1][z2]][mul[y1][y2]]
-
-    def inverse(a):
-        y, z = divmod(a, q)
-        return neg[y] * q + add[mul[y][y]][neg[z]]
 
     def translation(s):
         y2, z2 = divmod(s, q)
@@ -134,36 +120,37 @@ def make_opp_group(q: int) -> FiniteGroup:
             out += [base + v for v in add[add[z2][mul[y1][y2]]]]
         return out
 
-    return FiniteGroup(n=q * q, mul=product, inv=inverse, id=0, abelian=True,
-                       translation=translation)
+    return FiniteGroup(n=q * q, translation=translation)
 
 
 def subgroup(G: FiniteGroup, generators) -> SubgroupDatum:
     """Closure of the generators in G, with left cosets xH indexed by rank
-    of their minimum element."""
+    of their minimum element.  The coset xH is the orbit of x under the
+    generators' right translations, so H is the coset of 0; a search stops
+    once its coset holds all of G."""
     gens = list(generators)
     for g in gens:
         if not 0 <= g < G.n:
             raise ValueError(f"generator {g} outside 0..{G.n - 1}")
     rights = [G.right(g) for g in gens]
-    members = {G.id}
-    queue = [G.id]
-    for a in queue:
-        for r in rights:
-            b = r[a]
-            if b not in members:
-                members.add(b)
-                queue.append(b)
-    mem = tuple(sorted(members))
     coset_index = [-1] * G.n
-    next_id = 0
+    cid = 0
     for x in range(G.n):
         if coset_index[x] >= 0:
             continue
-        for h in mem:
-            coset_index[G.mul(x, h)] = next_id
-        next_id += 1
-    return SubgroupDatum(parent=G, members=mem, coset_index=tuple(coset_index))
+        coset_index[x] = cid
+        orbit = [x]
+        for a in orbit:
+            if len(orbit) == G.n:
+                break
+            for r in rights:
+                b = r[a]
+                if coset_index[b] < 0:
+                    coset_index[b] = cid
+                    orbit.append(b)
+        cid += 1
+    members = tuple(x for x, c in enumerate(coset_index) if c == 0)
+    return SubgroupDatum(parent=G, members=members, coset_index=tuple(coset_index))
 
 
 def mu_permutation(G: FiniteGroup) -> Perm:

@@ -29,12 +29,12 @@ _EDGE_LIMIT = 81 ** 3
 @dataclass(frozen=True, eq=False)
 class A2Model:
     """Subspace model of the plane: points are lead-1 vectors, lines are
-    lead-1 dual vectors, incidence is a vanishing dot product."""
+    lead-1 dual vectors, which are the same tuples, so points lists both;
+    incidence is a vanishing dot product."""
 
     q: int
     graph: LinkGraph
     points: tuple
-    lines: tuple
 
 
 def _lead_one_vectors(gf):
@@ -64,7 +64,7 @@ def a2_graph(q):
         if pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2] == zero
     )
     graph = from_F(FSet(tuple(range(n)), pairs))
-    return A2Model(q=q, graph=graph, points=pts, lines=pts)
+    return A2Model(q=q, graph=graph, points=pts)
 
 
 def _building_fset(q):
@@ -75,7 +75,7 @@ def _building_fset(q):
     zero, one = gf.zero(), gf.one()
     n, adj = len(model.points), model.graph.adj
     v1 = model.points.index((one, zero, zero))
-    v2 = model.lines.index((zero, zero, one))
+    v2 = model.points.index((zero, zero, one))
     keep_p = [i for i in range(n) if n + v2 not in adj[i]]
     keep_l = [j for j in range(n) if n + j not in adj[v1]]
     if len(keep_p) != q * q or len(keep_l) != q * q:
@@ -176,14 +176,15 @@ def opp_properties(q):
 def incidence_model_checks(q):
     """Brute three-way equivalence, over every pair of section representatives:
     the point and line cosets meet, the closed incidence formula vanishes, and
-    g1^{-1} g2 lands in the parabola.  Backs the coset-model-matches-subspace-
-    model claim (test_08)."""
+    g2 lies in g1 times the parabola, read from the parabola's right
+    translations.  Backs the coset-model-matches-subspace-model claim
+    (test_08)."""
     p, e = factor_prime_power(q)
     gf = make_field(p, e)
     elems = gf.elements()
     zero = gf.zero()
     G = make_opp_group(q)
-    parabola = {_parabola_index(y, q) for y in elems}
+    rights = [G.right(_parabola_index(y, q)) for y in elems]
 
     def mul(u, v):
         return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
@@ -195,11 +196,12 @@ def incidence_model_checks(q):
     right = [frozenset(mul(g, u) for u in u2) for g in reps]
     for a in range(q * q):
         y1, z1 = reps[a][1], reps[a][2]
+        joined = {r[a] for r in rights}
         for b in range(q * q):
             y2, z2 = reps[b][1], reps[b][2]
             meets = not left[a].isdisjoint(right[b])
             formula = (-z1 + z2 - y2 * (-y1 + y2)) == zero
-            member = G.mul(G.inv(a), b) in parabola
+            member = b in joined
             if not (meets == formula == member):
                 return False
     return True

@@ -343,7 +343,7 @@ def _check_lambda(G: FiniteGroup, S, lam) -> list:
             raise LambdaConditionFailed(f"image of {s} leaves S")
     for s in S:
         t = lam[s]
-        if G.mul(G.mul(s, t), lam[t]) != G.id:
+        if G.mul(G.mul(s, t), lam[t]) != 0:
             raise LambdaConditionFailed(
                 f"s*lam(s)*lam^2(s) != 1 at s = {s}"
             )
@@ -386,7 +386,7 @@ class SignFamily:
         G, lam = self.G, self.lam
         for s in _check_lambda(G, self.S, lam):
             t = lam[s]
-            if G.mul(G.mul(s, lam[t]), t) != G.id:
+            if G.mul(G.mul(s, lam[t]), t) != 0:
                 raise LambdaConditionFailed(f"s*lam^2(s)*lam(s) != 1 at s = {s}")
         twisted = [
             o for o in lambda_orbits(self.S, lam)

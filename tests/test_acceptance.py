@@ -72,7 +72,7 @@ def test_01_order2_difference_set_and_reference_table():
 
 def test_02_order4_coset_census_and_twisted_tables():
     dq = quad_datum(2)
-    assert dq.G.n == 21 and dq.G.abelian
+    assert dq.G.n == 21 and dq.G.is_abelian()
     assert set(dq.S) == {7, 9, 14, 15, 18}
     # fixed points 7 and 14, one length-3 orbit
     assert lambda_orbits(dq.S, dq.lam) == [(7,), (9, 15, 18), (14,)]

@@ -251,14 +251,38 @@ def test_output_path_flag(capsys, tmp_path):
         ["singer", "--q", "3", "--modulus", "2,0,1,1"],
         ["verify", "--from-json", "{binary}"],
         ["singer", "--q", "2", "-o", "/no/such/dir/out.txt"],
+        ["singer", "--q", "2", "-o", "{dir}"],
+        ["verify", "--from-json", "{dir}"],
+        ["verify", "--from-json", "{binary}/doc.json"],
     ],
 )
 def test_usage_errors_exit_two(capsys, square_path, tmp_path, argv):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe not utf-8")
-    argv = [a.format(doc=square_path, binary=binary) for a in argv]
+    argv = [a.format(doc=square_path, binary=binary, dir=tmp_path) for a in argv]
     code, _, _ = invoke(capsys, argv)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["singer", "--q", "2", "-o", "{dir}"], "Is a directory"),
+        (["verify", "--from-json", "{dir}"], "Is a directory"),
+        (["verify", "--from-json", "{file}/doc.json"], "Not a directory"),
+        (["verify", "--from-json", "{dir}/missing.json"], "No such file"),
+    ],
+)
+def test_unopenable_paths_exit_two_with_one_line(capsys, tmp_path, argv, reason):
+    """An -o or --from-json path that cannot be opened is a usage error
+    reported in one line, not a traceback."""
+    file = tmp_path / "file.json"
+    file.write_text("{}")
+    argv = [a.format(dir=tmp_path, file=file) for a in argv]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"trigon {argv[0]}: ") and err.count("\n") == 1
+    assert reason in err
 
 
 @pytest.mark.parametrize(

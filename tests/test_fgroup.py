@@ -16,30 +16,54 @@ from trigon.fgroup import (
     subgroup,
 )
 from trigon.ffield import factor_prime_power, make_field
+from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, closure_elements
+from trigon.singer import quad_datum, singer_datum
 
 
 def table_group(degree, gens):
-    """Independent table-backed group from explicit permutations."""
+    """Independent table-backed group from explicit permutations; the
+    identity has the least images, so closure_elements puts it at 0."""
     perms = closure_elements(degree, gens)
+    assert perms[0].is_identity()
     idx = {p.images: i for i, p in enumerate(perms)}
     table = [
         [idx[(a * b).images] for b in perms] for a in perms
     ]
-    invs = [idx[a.inverse().images] for a in perms]
     return FiniteGroup(
-        n=len(perms),
-        mul=lambda a, b: table[a][b],
-        inv=lambda a: invs[a],
-        id=idx[Perm.identity(degree).images],
+        n=len(perms), translation=lambda s: [row[s] for row in table]
     )
+
+
+def brute_cosets(n, product, gens):
+    """The subgroup H the generators make, closed under products until it
+    stops growing; its left cosets {x*h : h in H}, numbered by rank of their
+    minimum element; and those minima.  The oracle for subgroup."""
+    members = {0}
+    while True:
+        grown = members | {product(h, g) for h in members for g in gens}
+        if grown == members:
+            break
+        members = grown
+    cosets = sorted(
+        {frozenset(product(x, h) for h in members) for x in range(n)}, key=min
+    )
+    index = [None] * n
+    for cid, coset in enumerate(cosets):
+        for x in coset:
+            index[x] = cid
+    return tuple(sorted(members)), tuple(index), tuple(map(min, cosets))
+
+
+def coset_data(h):
+    return h.members, h.coset_index, h.reps
 
 
 def order_census(G):
     counts = {}
     for a in range(G.n):
         k, b = 1, a
-        while b != G.id:
+        while b != 0:
             b = G.mul(b, a)
             k += 1
         counts[k] = counts.get(k, 0) + 1
@@ -61,7 +85,7 @@ def test_cyclic_basics():
     g = make_cyclic(7)
     assert g.mul(3, 5) == 1
     assert g.inv(2) == 5
-    assert g.id == 0
+    assert g.right(0) == list(range(7))
     assert make_cyclic(1).n == 1
 
 
@@ -70,7 +94,7 @@ def test_opp_group_examples():
     # (1,0)*(1,0) = (0, 0+0+1*1) = (0,1), and (0,1)^2 = (0,0): order 4
     assert g2.mul(2, 2) == 1
     assert g2.mul(1, 1) == 0
-    assert g2.id == 0
+    assert g2.right(0) == list(range(4))
     g3 = make_opp_group(3)
     # (1,0)*(2,0) = (0, 1*2) = (0,2)
     assert g3.mul(3, 6) == 2
@@ -83,8 +107,8 @@ def test_opp_group_axioms(q):
     assert g.is_abelian()
     elems = range(g.n)
     for a in elems:
-        assert g.mul(g.id, a) == a == g.mul(a, g.id)
-        assert g.mul(a, g.inv(a)) == g.id
+        assert g.mul(0, a) == a == g.mul(a, 0)
+        assert g.mul(a, g.inv(a)) == 0
         for b in elems:
             assert g.mul(a, b) == g.mul(b, a)
     # every triple up to q = 5; the first 25 elements above
@@ -170,6 +194,59 @@ def test_subgroup_of_z21():
     assert k.index == 7
 
 
+def test_cosets_of_a_non_normal_subgroup_are_left_cosets():
+    # closure_elements sorts by images: element 2 is the transposition
+    # (1, 0, 2), whose subgroup is not normal in S3
+    s3 = table_group(3, [Perm((1, 0, 2)), Perm((1, 2, 0))])
+    h = subgroup(s3, [2])
+    assert h.members == (0, 2)
+    assert coset_data(h) == brute_cosets(6, s3.mul, [2])
+    right_cosets = {frozenset(s3.mul(a, x) for a in h.members) for x in range(6)}
+    left_cosets = {frozenset(s3.mul(x, a) for a in h.members) for x in range(6)}
+    assert right_cosets != left_cosets
+
+
+@pytest.mark.parametrize("gens", [[], [1], [2], [3], [1, 2], [1, 2, 3]])
+def test_cosets_of_the_klein_group(gens):
+    klein = table_group(4, [Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))])
+    assert klein.n == 4 and klein.is_abelian()
+    assert coset_data(subgroup(klein, gens)) == brute_cosets(4, klein.mul, gens)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_opp_group_cosets_match_the_table_oracle(q):
+    g = make_opp_group(q)
+    table, _ = table_opp_group(q)
+
+    def product(a, b):
+        return table[a][b]
+
+    elems = make_field(*factor_prime_power(q)).elements()
+    parabola = [y.index * q + (y * y).index for y in elems]
+    h = subgroup(g, parabola)
+    assert h.order == g.n
+    assert coset_data(h) == brute_cosets(g.n, product, parabola)
+    for a in range(g.n):
+        assert coset_data(subgroup(g, [a])) == brute_cosets(g.n, product, [a])
+
+
+@pytest.mark.parametrize(
+    "make, q, gens",
+    [(singer_datum, 5, {1}), (quad_datum, 2, {1, 3}), (opp_datum, 7, set())],
+    ids=["singer", "quad", "opp"],
+)
+def test_only_S_and_the_subgroup_generators_are_translated(make, q, gens):
+    """Building the sign family, one twisted presentation and the pair set
+    reads right translations by S and by the subgroup generators only, so
+    no path multiplies over all of G.  quad_datum builds its H after the
+    order-q^2 Singer datum's H = <1>."""
+    d = make(q)
+    signs = d.signs()
+    signs.build(next(signs.choices()))
+    d.F()
+    assert set(d.G._rights) == set(d.S) | gens
+
+
 def test_trivial_subgroup():
     g = make_cyclic(7)
     h = subgroup(g, [0])
@@ -219,6 +296,7 @@ def test_lagrange_on_cyclic(m, data):
     )
     h = subgroup(g, gens)
     assert m % h.order == 0
+    assert coset_data(h) == brute_cosets(m, lambda a, b: (a + b) % m, gens)
     sizes = {}
     for cid in h.coset_index:
         sizes[cid] = sizes.get(cid, 0) + 1

@@ -150,11 +150,9 @@ def test_murho_needs_abelian_group():
     elems = closure_elements(3, [Perm((1, 0, 2)), Perm((1, 2, 0))])
     elems = sorted(elems, key=lambda g: g.images)
     idx = {g: i for i, g in enumerate(elems)}
+    # the identity has the least images, so it is element 0
     s3 = FiniteGroup(
-        n=6,
-        mul=lambda a, b: idx[elems[a] * elems[b]],
-        inv=lambda a: idx[elems[a].inverse()],
-        id=idx[Perm.identity(3)],
+        n=6, translation=lambda s: [idx[g * elems[s]] for g in elems]
     )
     from trigon.tripres import TrianglePresentation
 

@@ -48,13 +48,7 @@ def singer_f_q2():
 
 
 def klein_group():
-    return FiniteGroup(
-        n=4,
-        mul=lambda a, b: a ^ b,
-        inv=lambda a: a,
-        id=0,
-        abelian=True,
-    )
+    return FiniteGroup(n=4, translation=lambda s: [x ^ s for x in range(4)])
 
 
 def generating_set(G):
