@@ -28,6 +28,7 @@ from .tripres import (
     TooLarge,
     classify,
     format_table,
+    table_writer,
     verify,
 )
 
@@ -74,11 +75,11 @@ def kappa_spec_of(kappa):
 
 
 # the most triples --all-kappa builds, over all its presentations together,
-# and the most one singer or quad presentation has.  Families are written as
-# they are built, so this bounds time and output, not memory: opp --q 25
-# --all-kappa --format json builds exactly this many in about 20 s and writes
-# 247 MB (2-core Xeon, Python 3.11); the largest family the tests and the
-# benchmark build, quad --q 3, has 116,480 and quad --q 4 would have
+# and the most one singer or quad presentation has.  Families are written a
+# choice at a time, so this bounds time and output, not memory: opp --q 25
+# --all-kappa --format json writes exactly this many, 247 MB, in 1.3 s and
+# 29 MB RSS (2-core Xeon, Python 3.11); the largest family the tests and
+# the benchmark build, quad --q 3, has 116,480 and quad --q 4 would have
 # 38,019,072.  One presentation reaches it at singer --q 163 and quad --q 13.
 # One presentation is held whole while its text is made, so for it the
 # limit bounds memory too: the largest admitted, singer --q 157 --kappa +1
@@ -126,22 +127,37 @@ def _present_one(T, meta, fmt):
 
 
 def _present_family(model, q, family, fmt):
-    """The text of each sign choice's presentation, made as soon as it is
-    built, so that one presentation is held at a time.  choices() yields the
-    choices in sorted spec order, which is the order they are written in."""
-    for index, kappa in enumerate(family.choices()):
-        spec = kappa_spec_of(kappa)
-        T = family.build(kappa)
-        if fmt == "json":
-            from .documents import document_text
+    """The text of each sign choice's presentation, made once its choice
+    passes its check.  The entry of each slot of the family is rendered once
+    per sign, so a choice is one pick per slot and one join.  choices()
+    yields the choices in sorted spec order, which is the order they are
+    written in."""
+    labels = tuple(range(family.G.n))
+    if fmt == "table":
+        entries, assemble = table_writer(labels)
+    elif fmt == "gap":
+        from .grouptools import gap_writer
 
-            meta = {"model": model, "q": q, "kappa": spec}
-            pairs = [(i, j) for i, j, _ in T.triples]
-            yield ",\n  " if index else "[\n  "
-            yield document_text(T, pairs, meta, 1)
+        entries, assemble = gap_writer(len(labels))
+    else:
+        from .documents import json_writer
+
+        pairs = [(x, y) for x, y, _ in family.slots]
+        entries, assemble = json_writer(labels, pairs, 1)
+    rendered = {}
+    for index, kappa in enumerate(family.choices()):
+        signs = family.slot_signs(kappa)
+        for sign in set(signs) - rendered.keys():
+            rendered[sign] = entries(family.slot_triples(sign))
+        # slot r's entry under its sign: rendered[signs[r]][r]
+        picks = map(list.__getitem__, map(rendered.get, signs), range(len(signs)))
+        spec = kappa_spec_of(kappa)
+        text = assemble("".join(picks), {"model": model, "q": q, "kappa": spec})
+        if fmt == "json":
+            yield (",\n  " if index else "[\n  ") + text
         else:
             head = ("# " if fmt == "gap" else "") + f"kappa {spec}\n"
-            yield ("\n" if index else "") + head + _present_one(T, {}, fmt)
+            yield ("\n" if index else "") + head + text
     if fmt == "json":
         yield "\n]\n"
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 from .linkgraph import FSet
-from .tripres import ParseError, TrianglePresentation
+from .tripres import ParseError, TrianglePresentation, rep_entries
 
 
 # without a label list, n alone names the index set 1..n; the largest n it
@@ -34,39 +35,52 @@ class Document:
 
 
 def document_text(T: TrianglePresentation, pairs, meta: dict, level: int) -> str:
-    """The document as json.dumps(blob, sort_keys=True, indent=2) writes it
-    at nesting depth level (1 inside a top-level array), with no trailing
-    newline: labels explicit, the 0-based position pairs sorted, one triple
-    per rotation orbit, both written in labels.  Each label is rendered once;
-    meta goes through json.dumps and is indented to its depth."""
-    lab = [json.dumps(a) for a in T.labels]
+    """The document of T with the position pairs and meta, as
+    json.dumps(blob, sort_keys=True, indent=2) writes it at nesting depth
+    level (1 inside a top-level array), with no trailing newline."""
+    entries, assemble = json_writer(T.labels, sorted(pairs), level)
+    return assemble("".join(entries(T.canonical_reps())), meta)
+
+
+def json_writer(labels, pairs, level):
+    """The document's entry renderer and assembler over labels and the
+    sorted position pairs of its F, at nesting depth level: the entry of a
+    canonical triple is its entry of the T array, and the document holds
+    labels explicit, the pairs, the joined entries and meta, all in labels.
+    Each label is rendered once, and the F and labels arrays once per
+    writer; meta goes through json.dumps and is indented to its depth."""
+    lab = [json.dumps(a) for a in labels]
     # a newline and the indent of the document's keys, of the entries of its
     # arrays, and of the labels inside an entry of F or T
     key, entry, cell = ("\n" + "  " * (level + d) for d in (1, 2, 3))
-    pair_rows = [
-        f"[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in sorted(pairs)
-    ]
-    triple_rows = [
-        f"[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
-        for i, j, k in T.canonical_reps()
-    ]
-    fields = (
-        ("F", _array(pair_rows, entry, key)),
-        ("T", _array(triple_rows, entry, key)),
-        ("labels", _array(lab, entry, key)),
-        ("meta", json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)),
-        ("n", len(lab)),
-    )
-    body = ",".join(f'{key}"{name}": {value}' for name, value in fields)
-    return "{" + body + key[:-2] + "}"
+    f_array = _array("".join([
+        f",{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in pairs
+    ]), key)
+    labels_array = _array("".join(["," + entry + a for a in lab]), key)
+
+    def triple(i, j, k):
+        return f",{entry}[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
+
+    def assemble(body, meta):
+        fields = (
+            ("F", f_array),
+            ("T", _array(body, key)),
+            ("labels", labels_array),
+            ("meta", json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)),
+            ("n", len(lab)),
+        )
+        text = ",".join(f'{key}"{name}": {value}' for name, value in fields)
+        return "{" + text + key[:-2] + "}"
+
+    return partial(rep_entries, triple), assemble
 
 
-def _array(items, entry, close) -> str:
-    """A JSON array of rendered items, each after entry (a newline and its
-    indent), closed after close."""
-    if not items:
+def _array(entries, close) -> str:
+    """A JSON array of joined entries, each after a comma, a newline and its
+    indent, closed after close."""
+    if not entries:
         return "[]"
-    return "[" + entry + ("," + entry).join(items) + close + "]"
+    return "[" + entries[1:] + close + "]"
 
 
 def _is_int(x):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import factor_prime_power
+from .fgroup import Datum, SignFamily
 from .autosearch import automorphism_generators
 from .linkgraph import LinkGraph, from_F
 from .permgrp import (
@@ -22,7 +23,7 @@ from .permgrp import (
     restricted_generators,
 )
 from .singer import r_of_q
-from .tripres import CheckFailed, Datum, SignFamily
+from .tripres import CheckFailed
 
 
 class ProbeCheckFailed(CheckFailed):

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
-from .tripres import TrianglePresentation
+from .tripres import TrianglePresentation, rep_entries
 
 
 def _relators(T: TrianglePresentation) -> list[tuple[int, int, int]]:
@@ -17,15 +18,27 @@ def _relators(T: TrianglePresentation) -> list[tuple[int, int, int]]:
 def export_presentation(T: TrianglePresentation, format: str = "gap") -> str:
     """Deterministic presentation text; same relator order in every format."""
     if format == "gap":
-        gen = [f"F.{i}" for i in range(1, T.n + 1)]
-        words = ", ".join(
-            f"{gen[i]}*{gen[j]}*{gen[k]}" for i, j, k in T.canonical_reps()
-        )
-        return f"F := FreeGroup({T.n});\nG := F / [ {words} ];\n"
+        entries, assemble = gap_writer(T.n)
+        return assemble("".join(entries(T.canonical_reps())), None)
     if format == "json":
         blob = {"n": T.n, "relators": [list(r) for r in _relators(T)]}
         return json.dumps(blob, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {format!r}")
+
+
+def gap_writer(n):
+    """GAP's entry renderer and assembler: the entry of a canonical triple
+    is ", " and its relator word, and the text is the free group on n
+    generators over the relators of the joined entries."""
+    gen = [f"F.{i}" for i in range(1, n + 1)]
+
+    def relator(i, j, k):
+        return f", {gen[i]}*{gen[j]}*{gen[k]}"
+
+    def assemble(body, meta):
+        return f"F := FreeGroup({n});\nG := F / [ {body[2:]} ];\n"
+
+    return partial(rep_entries, relator), assemble
 
 
 def _snf_diagonal(mat, m, n):

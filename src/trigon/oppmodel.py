@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .ffield import factor_prime_power, make_field
-from .fgroup import make_opp_group, subgroup
+from .fgroup import Datum, make_opp_group, subgroup
 from .linkgraph import (
     FSet,
     LinkGraph,
@@ -17,7 +17,7 @@ from .linkgraph import (
     metrics,
     point_transitive_gap,
 )
-from .tripres import CheckFailed, Datum, TooLarge
+from .tripres import CheckFailed, TooLarge
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
 # The pair set and the neighbor lists grow as q^3, the bitmasks of the

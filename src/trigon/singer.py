@@ -5,9 +5,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .ffield import NotPrimitive, factor_prime_power, make_field, trace_to_subfield
-from .fgroup import make_cyclic, mu_permutation, subgroup
-from .tripres import (CheckFailed, Datum, TrianglePresentation, image_triples,
-                      lambda_orbits)
+from .fgroup import Datum, lambda_orbits, make_cyclic, subgroup
+from .tripres import CheckFailed
 
 
 def r_of_q(q):
@@ -68,16 +67,6 @@ def singer_datum(q, modulus=None):
         raise CheckFailed(f"{lengths[3]} length-3 orbits, not r(q) = {r_of_q(q)}")
     G = make_cyclic(m)
     return Datum(q=q, G=G, S=S, H=subgroup(G, [1]), lam=lam)
-
-
-def murho_dual(T, G):
-    """Transpose the first two slots of every triple, then relabel each
-    index by inversion in G; an involution that flips every kappa sign.
-    Backs the duality claim (test_06)."""
-    if T.n != G.n:
-        raise ValueError("presentation labels do not match the group order")
-    mu = mu_permutation(G).images
-    return TrianglePresentation(T.labels, image_triples(T.triples, mu, use_rho=True))
 
 
 def quad_datum(q, modulus=None):

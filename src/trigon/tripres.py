@@ -1,17 +1,14 @@
-"""Triangle presentations: axioms, actions, enumeration, and classification."""
+"""Triangle presentations: axioms, actions, enumeration, classification, and
+the table writer."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain, groupby, product
+from dataclasses import dataclass
+from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .linkgraph import AutFull, FSet, aut_full
-
-if TYPE_CHECKING:
-    from .fgroup import FiniteGroup, SubgroupDatum
 
 # the largest |Aut+(F)| classify and stabilizer_of_T accept: an orbit they
 # walk has at most 2 |Aut+(F)| triple sets, all held at once
@@ -334,172 +331,37 @@ def classify(F: FSet) -> list[TClass]:
     return classes
 
 
-def _check_lambda(G: FiniteGroup, S, lam) -> list:
-    S = sorted(S)
-    if sorted(lam) != S:
-        raise LambdaConditionFailed("domain of the folding map is not S")
-    for s in S:
-        if lam[s] not in set(S):
-            raise LambdaConditionFailed(f"image of {s} leaves S")
-    for s in S:
-        t = lam[s]
-        if G.mul(G.mul(s, t), lam[t]) != 0:
-            raise LambdaConditionFailed(
-                f"s*lam(s)*lam^2(s) != 1 at s = {s}"
-            )
-    return S
+def table_writer(labels):
+    """The table's entry renderer and assembler: the entry of each of a
+    sorted run of triples is its cell in labels, then a space, or a newline
+    where the next triple starts another row; the table is their join, one
+    empty line when there are none."""
+    lab = [str(a) for a in labels]
+
+    def entries(triples):
+        cells = [f"({lab[i]},{lab[j]},{lab[k]}) " for i, j, k in triples]
+        for end in accumulate(Counter(map(itemgetter(0), triples)).values()):
+            cells[end - 1] = cells[end - 1][:-1] + "\n"
+        return cells
+
+    return entries, lambda body, meta: body or "\n"
 
 
-def lambda_orbits(S, lam) -> list[tuple]:
-    """Cycle partition of S under the folding map, each orbit sorted."""
-    left = set(S)
-    orbits = []
-    while left:
-        s = min(left)
-        orb = [s]
-        t = lam[s]
-        while t != s:
-            orb.append(t)
-            t = lam[t]
-        left.difference_update(orb)
-        orbits.append(tuple(sorted(orb)))
-    return sorted(orbits)
-
-
-@dataclass(frozen=True, eq=False)
-class SignFamily:
-    """The sign twists of one folded datum: one sign per length-3 folding
-    orbit inside H, for each coset of H.  A key is the orbit minimum when H
-    has one coset, else the pair (coset representative, orbit minimum).
-
-    The constructor checks the folding identities once; twist holds the
-    only copy of the rule a sign applies."""
-
-    G: FiniteGroup
-    S: tuple
-    lam: dict
-    H: SubgroupDatum
-    keys: tuple = field(init=False)
-    orbit_min: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        G, lam = self.G, self.lam
-        for s in _check_lambda(G, self.S, lam):
-            t = lam[s]
-            if G.mul(G.mul(s, lam[t]), t) != 0:
-                raise LambdaConditionFailed(f"s*lam^2(s)*lam(s) != 1 at s = {s}")
-        twisted = [
-            o for o in lambda_orbits(self.S, lam)
-            if len(o) == 3 and all(s in self.H for s in o)
-        ]
-        keys = [o[0] for o in twisted]
-        if self.H.index > 1:
-            keys = sorted((rep, omin) for rep in self.H.reps for omin in keys)
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(
-            self, "orbit_min", {s: o[0] for o in twisted for s in o}
-        )
-
-    def check(self, kappa) -> None:
-        """Raise KappaSpecError unless kappa maps exactly the keys to signs."""
-        keys = set(self.keys)
-        if set(kappa) != keys:
-            missing = [k for k in self.keys if k not in kappa]
-            unknown = [k for k in kappa if k not in keys]
-            raise KappaSpecError(
-                f"kappa keys do not match the orbit keys {list(self.keys)}: "
-                f"missing {missing}, unknown {unknown}"
-            )
-        for key, sign in kappa.items():
-            if sign not in (1, -1):
-                raise KappaSpecError(f"kappa value {sign!r} at {key} is not a sign")
-
-    def choices(self):
-        """All 2^len(keys) sign choices, the all-plus choice first."""
-        for signs in product((1, -1), repeat=len(self.keys)):
-            yield dict(zip(self.keys, signs))
-
-    def twist(self, kappa, rep=0) -> tuple:
-        """The step of each s of S on the coset of rep, in the order of S:
-        lam(s), or lam^2(s) = lam^-1(s) where kappa puts -1 on the orbit of
-        s on that coset; rep is unused when H has one coset.  Checks kappa
-        first."""
-        self.check(kappa)
-        lam = self.lam
-        flip = {
-            s for s, omin in self.orbit_min.items()
-            if kappa[(rep, omin) if self.H.index > 1 else omin] == -1
-        }
-        return tuple(lam[lam[s]] if s in flip else lam[s] for s in self.S)
-
-    def build(self, kappa) -> TrianglePresentation:
-        """The twisted presentation of one sign choice."""
-        return build_T_kappa(self, kappa)
-
-
-@dataclass(frozen=True, eq=False)
-class Datum:
-    """One construction: the group G, the subset S whose pairs {(x, xs)}
-    make the link, the folding lam of S, None when there is none, and the
-    subgroup H on whose cosets the signs sit."""
-
-    q: int
-    G: FiniteGroup
-    S: tuple
-    H: SubgroupDatum
-    lam: dict | None
-
-    def F(self):
-        """The pair set {(x, xs)} for x in G and s in S."""
-        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
-        return FSet(tuple(range(self.G.n)), pairs)
-
-    def signs(self):
-        """The sign family of the folding on the cosets of H."""
-        if self.lam is None:
-            raise BadCongruence(f"q = {self.q} is not 1 mod 3, so there is no folding")
-        return SignFamily(self.G, self.S, self.lam, self.H)
-
-
-def build_T_kappa(family: SignFamily, kappa) -> TrianglePresentation:
-    """The sign-twisted presentation {(x, xs, xs*step)}, where step is the
-    twist of s on the coset of x, read from the right translations of G.
-
-    Each pair (x, xs) is made once, so it has one third; the rotation
-    (xs, xs*step, x) is a triple iff the third of the pair (xs, step) is x.
-    third[a] holds the thirds of the pairs (x, x*S[a]), x in coset order;
-    place(y) is the index of y in that order."""
-    G, S = family.G, family.S
-    steps = [family.twist(kappa, rep) for rep in family.H.reps]
-    cosets = [[] for _ in steps]
-    for x, c in enumerate(family.H.coset_index):
-        cosets[c].append(x)
-    order = [x for xs in cosets for x in xs]
-    place = sorted(range(G.n), key=order.__getitem__).__getitem__
-    where = {s: b for b, s in enumerate(S)}
-    seconds, third, checks = [], [], []
-    for a, s in enumerate(S):
-        col = []
-        for xs, step in zip(cosets, steps):
-            ys = list(map(G.right(s).__getitem__, xs))
-            col += map(G.right(step[a]).__getitem__, ys)
-            seconds += ys
-            checks.append((xs, ys, where.get(step[a])))
-        third.append(col)
-    triples = frozenset(zip(order * len(S), seconds, chain.from_iterable(third)))
-    for xs, ys, b in checks:
-        if b is None or list(map(third[b].__getitem__, map(place, ys))) != xs:
-            bad = _violations({(i, j) for i, j, _ in triples}, triples)
-            raise TwistCheckFailed(f"twisted presentation broke its axioms: {bad[:3]}")
-    return TrianglePresentation(tuple(range(G.n)), triples)
+def rep_entries(render, triples) -> list:
+    """render(i, j, k) for each of the triples that is the least of its
+    rotations, "" for any other: the entries of the canonical reps, in the
+    order of the triples, from the slots of a choice or canonical_reps().
+    A strict minimum first decides most triples without a tuple."""
+    return [
+        render(i, j, k)
+        if i < j and i < k or (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j)
+        else "" for i, j, k in triples
+    ]
 
 
 def format_table(T: TrianglePresentation) -> str:
     """Rows grouped by first coordinate, triples sorted by second, written
     in labels, each label rendered once."""
-    lab = [str(a) for a in T.labels]
-    lines = [
-        " ".join(f"({lab[i]},{lab[j]},{lab[k]})" for i, j, k in row)
-        for _, row in groupby(sorted(T.triples), key=itemgetter(0))
-    ]
-    return "\n".join(lines) + "\n"
+    entries, assemble = table_writer(T.labels)
+    rows = groupby(sorted(T.triples), key=itemgetter(0))
+    return assemble("".join("".join(entries(list(r))) for _, r in rows), None)

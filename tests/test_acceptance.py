@@ -3,6 +3,7 @@
 import math
 import random
 
+from duality import is_abelian, murho_dual
 from label_oracle import act, project_F
 
 from trigon.catalog import TABLE_TEXTS, table
@@ -13,6 +14,7 @@ from trigon.exoticity import (
     sigma_kappa,
 )
 from trigon.ffield import factor_prime_power, make_field, trace_to_subfield
+from trigon.fgroup import lambda_orbits
 from trigon.grouptools import abelianization, todd_coxeter
 from trigon.linkgraph import (
     FSet,
@@ -29,13 +31,12 @@ from trigon.oppmodel import (
     opp_properties,
 )
 from trigon.permgrp import Perm, bsgs_build, closure_elements
-from trigon.singer import murho_dual, quad_datum, r_of_q, singer_datum
+from trigon.singer import quad_datum, r_of_q, singer_datum
 from trigon.tripres import (
     TrianglePresentation,
     classify,
     enumerate_all,
     format_table,
-    lambda_orbits,
     stabilizer_of_T,
     verify,
 )
@@ -72,7 +73,7 @@ def test_01_order2_difference_set_and_reference_table():
 
 def test_02_order4_coset_census_and_twisted_tables():
     dq = quad_datum(2)
-    assert dq.G.n == 21 and dq.G.is_abelian()
+    assert dq.G.n == 21 and is_abelian(dq.G)
     assert set(dq.S) == {7, 9, 14, 15, 18}
     # fixed points 7 and 14, one length-3 orbit
     assert lambda_orbits(dq.S, dq.lam) == [(7,), (9, 15, 18), (14,)]

@@ -9,16 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from trigon import cli, exoticity, linkgraph, oppmodel, singer, tripres
+from trigon import cli, exoticity, fgroup, linkgraph, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
 from trigon.ffield import DegreeMismatch, NotPrime, ReduciblePolynomial
+from trigon.fgroup import Datum
 from trigon.linkgraph import AutFull, FSet
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import BadCongruence, Datum, TooLarge, TwistCheckFailed
+from trigon.tripres import BadCongruence, TooLarge, TwistCheckFailed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -327,7 +328,7 @@ def test_family_over_the_limit_exits_two(capsys, monkeypatch, q, presentations,
     def no_build(self, kappa):
         raise AssertionError("a presentation was built before the size guard")
 
-    monkeypatch.setattr(tripres.SignFamily, "build", no_build)
+    monkeypatch.setattr(fgroup.SignFamily, "build", no_build)
     code, out, err = invoke(capsys, ["quad", "--q", str(q), "--all-kappa"])
     assert (code, out) == (2, "")
     total = presentations * size
@@ -662,6 +663,18 @@ def test_only_the_spectrum_loads_numpy(square_path, argv, loaded):
 
 SYMMETRY = {"trigon.autosearch", "trigon.permgrp"}
 CONSTRUCTIONS = {"trigon.exoticity", "trigon.oppmodel", "trigon.singer"}
+MODULES = {
+    f"trigon.{path.stem}"
+    for path in Path(cli.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+}
+# the modules a family writer loads, pinned: a writer pulls in no other
+JSON_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.documents", "trigon.ffield",
+               "trigon.fgroup", "trigon.linkgraph", "trigon.singer",
+               "trigon.tripres"}
+GAP_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.ffield", "trigon.fgroup",
+              "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
+              "trigon.tripres"}
 
 
 @pytest.mark.parametrize(
@@ -676,8 +689,13 @@ CONSTRUCTIONS = {"trigon.exoticity", "trigon.oppmodel", "trigon.singer"}
      (["classify", "--from-json", "{doc}"],
       CONSTRUCTIONS | {"trigon.grouptools", "trigon.fgroup"}),
      (["exotic", "--q", "7", "--kappa", "+1"],
-      {"trigon.documents", "trigon.grouptools", "trigon.oppmodel"})],
-    ids=["import", "opp-check", "singer-all-kappa", "classify", "exotic"],
+      {"trigon.documents", "trigon.grouptools", "trigon.oppmodel"}),
+     (["quad", "--q", "2", "--all-kappa", "--format", "json"],
+      MODULES - JSON_FAMILY),
+     (["opp", "--q", "7", "--all-kappa", "--format", "gap"],
+      MODULES - GAP_FAMILY)],
+    ids=["import", "opp-check", "singer-all-kappa", "classify", "exotic",
+         "quad-all-kappa-json", "opp-all-kappa-gap"],
 )
 def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
     """The cli handlers and linkgraph import the modules they run, so a

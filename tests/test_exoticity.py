@@ -16,10 +16,11 @@ from trigon.exoticity import (
     expected_q0_order,
     sigma_kappa,
 )
+from trigon.fgroup import lambda_orbits
 from trigon.linkgraph import graph_automorphisms
 from trigon.permgrp import Perm
 from trigon.singer import r_of_q, singer_datum
-from trigon.tripres import KappaSpecError, LambdaConditionFailed, lambda_orbits
+from trigon.tripres import KappaSpecError, LambdaConditionFailed
 
 
 def length_three_orbits(d):

@@ -33,7 +33,6 @@ TEST_ONLY = {
     "oppmodel.incidence_model_checks": "the coset = subspace model claim (test_08)",
     "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
     "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",
-    "singer.murho_dual": "the claim that duality flips every sign (test_06)",
     "tripres.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
 }
 

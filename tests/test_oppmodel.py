@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from duality import murho_dual
 from trigon import oppmodel
 from trigon.linkgraph import FSet, f_wreath_equivalent, metrics
 from trigon.oppmodel import (
@@ -13,8 +14,9 @@ from trigon.oppmodel import (
     opp_graph_building,
     opp_properties,
 )
-from trigon.singer import murho_dual, singer_datum
-from trigon.tripres import BadCongruence, KappaSpecError, lambda_orbits, verify
+from trigon.singer import singer_datum
+from trigon.fgroup import lambda_orbits
+from trigon.tripres import BadCongruence, KappaSpecError, verify
 
 
 def test_a2_graph_small_planes():

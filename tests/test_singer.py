@@ -5,20 +5,15 @@ from itertools import product
 
 import pytest
 
+from duality import NonAbelianGroup, murho_dual
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
 from trigon.ffield import factor_prime_power, poly_is_primitive
-from trigon.fgroup import FiniteGroup, NonAbelianGroup
+from trigon.fgroup import FiniteGroup, lambda_orbits
 from trigon.linkgraph import digraph_of, from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
-from trigon.singer import murho_dual, quad_datum, r_of_q, singer_datum
-from trigon.tripres import (
-    KappaSpecError,
-    enumerate_all,
-    format_table,
-    lambda_orbits,
-    verify,
-)
+from trigon.singer import quad_datum, r_of_q, singer_datum
+from trigon.tripres import KappaSpecError, enumerate_all, format_table, verify
 
 
 def orbit_split(d):

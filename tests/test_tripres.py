@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from label_oracle import act, project_F
 from trigon import tripres
-from trigon.fgroup import FiniteGroup, make_cyclic, subgroup
+from trigon.fgroup import (
+    FiniteGroup,
+    SignFamily,
+    _check_lambda,
+    lambda_orbits,
+    make_cyclic,
+    subgroup,
+)
 from trigon.linkgraph import AutFull, FSet, aut_full, aut_plus
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, PermGroup, bsgs_build
@@ -19,17 +26,14 @@ from trigon.tripres import (
     IncompatiblePresentation,
     KappaSpecError,
     LambdaConditionFailed,
-    SignFamily,
     TooLarge,
     TrianglePresentation,
     TwistCheckFailed,
     Violation,
-    _check_lambda,
     classify,
     enumerate_all,
     format_table,
     image_triples,
-    lambda_orbits,
     stabilizer_of_T,
     verify,
 )
@@ -64,7 +68,7 @@ def generating_set(G):
 
 def build_from_lambda(G, S, lam):
     """T = {(x, xs, xs*lam(s))} by a tuple loop, after checking that G's
-    left translations fix it; the oracle for build_T_kappa's all-plus
+    left translations fix it; the oracle for SignFamily.build's all-plus
     choice."""
     S = _check_lambda(G, S, lam)
     triples = set()
