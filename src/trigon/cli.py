@@ -337,7 +337,8 @@ def _cmd_graph(args):
     met = metrics(g) if args.show_metrics else None
     eigs = None
     if args.spectrum:
-        eigs = [round(x, 8) for x in spectrum(g)]
+        # + 0.0 turns the -0.0 of a tiny negative eigenvalue into 0.0
+        eigs = [round(x, 8) + 0.0 for x in spectrum(g)]
     if args.format == "json":
         blob = {
             "points": g.n,

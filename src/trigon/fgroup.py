@@ -178,6 +178,11 @@ def lambda_orbits(S, lam) -> list[tuple]:
     return sorted(orbits)
 
 
+def _pair_set(G: FiniteGroup, S) -> FSet:
+    """F = {(x, xs)} from the translations: out[x] is the sorted x*s, s in S."""
+    return FSet(tuple(range(G.n)), tuple(map(sorted, zip(*map(G.right, S)))))
+
+
 class SignFamily:
     """The sign twists of one folded datum: one sign per length-3 folding
     orbit inside H, for each coset of H.  A key is the orbit minimum when H
@@ -348,7 +353,7 @@ class SignFamily:
                     for k, b, y, x in cross
                 ):
                     triples = self._triples(signs)
-                    F = FSet(tuple(range(self.G.n)), {(i, j) for i, j, _ in triples})
+                    F = _pair_set(self.G, self.S)
                     found = verify(F, TrianglePresentation(F.labels, triples))
                     raise TwistCheckFailed(
                         f"twisted presentation broke its axioms: {found[:3]}"
@@ -384,8 +389,7 @@ class Datum:
 
     def F(self):
         """The pair set {(x, xs)} for x in G and s in S."""
-        pairs = frozenset(p for s in self.S for p in enumerate(self.G.right(s)))
-        return FSet(tuple(range(self.G.n)), pairs)
+        return _pair_set(self.G, self.S)
 
     def signs(self):
         """The sign family of the folding on the cosets of H."""

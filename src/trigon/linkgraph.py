@@ -20,41 +20,48 @@ class Disconnected(ValueError):
 
 @dataclass(frozen=True)
 class FSet:
-    """A set of ordered pairs over a fixed labeled index set, held as 0-based
-    positions into labels; labels appear only in documents and in verify's
+    """A set of ordered pairs over a fixed labeled index set, held as one
+    sorted out-list per 0-based position: out[i] lists, with no repeats, the
+    j with (i, j) in F.  Labels appear only in documents and in verify's
     violation data.
 
-    The constructor takes the position pairs as a builder makes them and
-    does not check them; from_labels is the one way in from label pairs."""
+    The constructor takes the out-lists as a builder makes them and does
+    not check them; from_labels is the one way in from label pairs."""
 
     labels: tuple
-    pairs: frozenset
+    out: tuple
 
     @classmethod
     def from_labels(cls, labels, pairs) -> FSet:
-        """The pair set of the label pairs, over the label list."""
+        """The pair set of the label pairs, over the label list; a repeated
+        pair is held once."""
         labels = tuple(labels)
         pos = {a: i for i, a in enumerate(labels)}
         if len(pos) != len(labels):
             raise ValueError("duplicate labels")
-        out = set()
+        out = [set() for _ in labels]
         for a, b in pairs:
             if a not in pos or b not in pos:
                 raise ValueError(f"pair ({a},{b}) uses unknown labels")
-            out.add((pos[a], pos[b]))
-        return cls(labels, frozenset(out))
+            out[pos[a]].add(pos[b])
+        return cls(labels, tuple(map(sorted, out)))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def __repr__(self):
-        return f"FSet(n={self.n}, pairs={len(self.pairs)})"
+        return f"FSet(n={self.n}, pairs={sum(map(len, self.out))})"
 
 
 def apply_rho(F: FSet) -> FSet:
-    """The transpose set rho(F) = {(j,i)}."""
-    return FSet(F.labels, frozenset((j, i) for i, j in F.pairs))
+    """The transpose set rho(F) = {(j,i)}.  Filled in i order, its lists
+    come out sorted."""
+    inn = [[] for _ in F.out]
+    for i, js in enumerate(F.out):
+        for j in js:
+            inn[j].append(i)
+    return FSet(F.labels, tuple(inn))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +91,14 @@ class LinkGraph:
 
 
 def from_F(F: FSet) -> LinkGraph:
-    n = F.n
-    # one int object per vertex, however many lists hold it
-    vertex = list(range(2 * n))
-    adj = [[] for _ in vertex]
-    for i, j in F.pairs:
-        adj[i].append(vertex[j + n])
-        adj[j + n].append(vertex[i])
-    for ws in adj:
-        ws.sort()
-    return LinkGraph(tuple(adj))
+    """The link graph of F: the point lists are F's out-lists shifted by n,
+    the line lists its transpose."""
+    # one int object per vertex, however many lists hold it, as in apply_rho
+    lines = list(range(F.n, 2 * F.n))
+    return LinkGraph(
+        tuple(list(map(lines.__getitem__, js)) for js in F.out)
+        + apply_rho(F).out
+    )
 
 
 def _masks(adj):
@@ -323,20 +328,13 @@ def is_generalized_mgon(g: LinkGraph, m: int) -> bool:
     )
 
 
-def digraph_of(F: FSet) -> list:
-    """The sorted out-lists of the pair digraph on the n positions: the
-    point lists of the link graph, the lines renumbered."""
-    n = F.n
-    return [[w - n for w in ws] for ws in from_F(F).adj[:n]]
-
-
 def aut_plus(F: FSet) -> PermGroup:
     """Stabilizer of F in Sym(n) under the diagonal action, as a group of
     position permutations."""
     from .autosearch import automorphism_generators
     from .permgrp import bsgs_build
 
-    return bsgs_build(F.n, automorphism_generators(digraph_of(F)))
+    return bsgs_build(F.n, automorphism_generators(F.out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +354,7 @@ class AutFull:
 def aut_full(F: FSet) -> AutFull:
     from .autosearch import find_isomorphism
 
-    witness = find_isomorphism(digraph_of(apply_rho(F)), digraph_of(F))
+    witness = find_isomorphism(apply_rho(F).out, F.out)
     return AutFull(plus=aut_plus(F), witness=witness)
 
 

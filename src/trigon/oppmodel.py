@@ -57,13 +57,12 @@ def a2_graph(q):
     n = len(pts)
     if n != q * q + q + 1:
         raise CheckFailed(f"{n} points, not q^2+q+1 = {q * q + q + 1}")
-    pairs = frozenset(
-        (i, j)
-        for i, pt in enumerate(pts)
-        for j, ln in enumerate(pts)
-        if pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2] == zero
+    out = tuple(
+        [j for j, ln in enumerate(pts)
+         if pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2] == zero]
+        for pt in pts
     )
-    graph = from_F(FSet(tuple(range(n)), pairs))
+    graph = from_F(FSet(tuple(range(n)), out))
     return A2Model(q=q, graph=graph, points=pts)
 
 
@@ -82,13 +81,10 @@ def _building_fset(q):
         raise CheckFailed(
             f"kept {len(keep_p)} points and {len(keep_l)} lines, not q^2 = {q * q}"
         )
-    pos_l = {v: k for k, v in enumerate(keep_l)}
-    pairs = set()
-    for k, i in enumerate(keep_p):
-        for j in keep_l:
-            if n + j in adj[i]:
-                pairs.add((k, pos_l[j]))
-    return FSet(tuple(range(q * q)), frozenset(pairs))
+    pos_l = {n + v: k for k, v in enumerate(keep_l)}
+    # adj[i] is sorted and pos_l increasing, so each list comes out sorted
+    out = tuple([pos_l[w] for w in adj[i] if w in pos_l] for i in keep_p)
+    return FSet(tuple(range(q * q)), out)
 
 
 def opp_graph_building(q):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import itemgetter
 
-from .linkgraph import AutFull, FSet, aut_full
+from .linkgraph import AutFull, FSet, apply_rho, aut_full
 
 # the largest |Aut+(F)| classify and stabilizer_of_T accept: an orbit they
 # walk has at most 2 |Aut+(F)| triple sets, all held at once
@@ -119,25 +119,26 @@ def verify(F: FSet, T: TrianglePresentation) -> list[Violation]:
     if F.n != T.n:
         raise ValueError("index sets differ in size")
     out = []
-    for v in _violations(F.pairs, T.triples):
+    for v in _violations(F.out, T.triples):
         lab = F.labels if v.axiom == 2 else T.labels
         out.append(Violation(v.axiom, tuple(lab[x] for x in v.data)))
     return out
 
 
-def _violations(fpairs, triples) -> list[Violation]:
-    """The axiom violations of position triples against position pairs,
-    with position data: per sorted triple its projection and rotation,
-    then per sorted pair its uniqueness."""
+def _violations(fout, triples) -> list[Violation]:
+    """The axiom violations of position triples against the out-lists of
+    position pairs, with position data: per sorted triple its projection
+    and rotation, then per pair in sorted order its uniqueness."""
+    heads = list(map(set, fout))
     out = []
     for t in sorted(triples):
         i, j, k = t
-        if (i, j) not in fpairs:
+        if j not in heads[i]:
             out.append(Violation(1, t))
         if (j, k, i) not in triples:
             out.append(Violation(3, t))
     thirds = Counter((i, j) for i, j, _ in triples)
-    for p in sorted(fpairs):
+    for p in ((i, j) for i, js in enumerate(fout) for j in js):
         if thirds[p] != 1:
             out.append(Violation(2, p))
     return out
@@ -161,24 +162,22 @@ def _exact_covers(F: FSet) -> list[tuple]:
 
     Knuth's Algorithm X column rule: each node branches on the free pair
     with the fewest live thirds, the first in sorted order on a tie, so the
-    search tree depends on F alone.  out[v] holds the heads w of the free
-    pairs (v, w) and inn[v] the tails u of the free pairs (u, v); the live
-    thirds of a free pair (i, j) are out[j] & inn[i], the k with (j, k) and
-    (k, i) both free.  Choosing (i, j, k) clears the bits of its three
-    pairs, one pair when i = j = k, and backtracking sets them again.
+    search tree depends on F alone.  out[v] is the bitmask of the heads w
+    of the free pairs (v, w), at first F.out[v], and inn[v] that of the
+    tails u of the free pairs (u, v), at first the transpose's list; the
+    live thirds of a free pair (i, j) are out[j] & inn[i], the k with
+    (j, k) and (k, i) both free.  Choosing (i, j, k) clears the bits of its
+    three pairs, one pair when i = j = k, and backtracking sets them again.
 
-    A cover gives each pair one third, so its key is the sorted pairs, each
-    with the third that its branch last wrote.  The stack is a list, not
-    recursion: a branch is |F|/3 choices deep.
+    A cover gives each pair one third, so its key is the pairs in out-list
+    order, which is sorted, each with the third that its branch last wrote.
+    The stack is a list, not recursion: a branch is |F|/3 choices deep.
     """
     n = F.n
-    pairlist = sorted(F.pairs)
-    out = [0] * n
-    inn = [0] * n
+    pairlist = [(i, j) for i, js in enumerate(F.out) for j in js]
+    out = [sum(1 << j for j in js) for js in F.out]
+    inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
     third = {}
-    for i, j in pairlist:
-        out[i] |= 1 << j
-        inn[j] |= 1 << i
 
     def most_constrained():
         """(i, j, live thirds) of the pair to branch on; None if none is free."""

@@ -6,11 +6,16 @@ label pairs, over one label list; positions are looked up through a label ->
 position dict at every step, as the old TrianglePresentation and FSet did.
 The functions take trigon pair sets and presentations and map them to labels
 first, so a test can compare both sides on the same input.
+
+The pair-set half holds F as a set of position pairs, the form FSet had
+before its out-lists: pairs_of and fset_of convert between the two, and
+from_F, transpose and exact_covers are the pair-set oracles of the link
+graph, rho and the enumeration.
 """
 
 import json
 
-from trigon.linkgraph import FSet
+from trigon.linkgraph import FSet, LinkGraph
 from trigon.tripres import TrianglePresentation, Violation
 
 
@@ -20,10 +25,75 @@ def label_triples(T):
     return frozenset((lab[i], lab[j], lab[k]) for i, j, k in T.triples)
 
 
+def pairs_of(F):
+    """The position pairs of F."""
+    return frozenset((i, j) for i, js in enumerate(F.out) for j in js)
+
+
+def fset_of(labels, pairs):
+    """The FSet of a set of position pairs over labels."""
+    labels = tuple(labels)
+    return FSet.from_labels(labels, [(labels[i], labels[j]) for i, j in pairs])
+
+
 def label_pairs(F):
     """The pairs of F written in labels."""
     lab = F.labels
-    return frozenset((lab[i], lab[j]) for i, j in F.pairs)
+    return frozenset((lab[i], lab[j]) for i, j in pairs_of(F))
+
+
+def from_F(F):
+    """The link graph built from the pair set: both ends of each pair
+    appended, then every list sorted."""
+    n = F.n
+    adj = [[] for _ in range(2 * n)]
+    for i, j in pairs_of(F):
+        adj[i].append(j + n)
+        adj[j + n].append(i)
+    for ws in adj:
+        ws.sort()
+    return LinkGraph(tuple(adj))
+
+
+def transpose(F):
+    """rho(F) = {(j, i)}, from the pair set."""
+    return fset_of(F.labels, {(j, i) for i, j in pairs_of(F)})
+
+
+def exact_covers(F):
+    """Every presentation compatible with F, in enumerate_all's order, by
+    the set-based exact-cover DFS that enumerate_all replaced: it rebuilds
+    the list of free pairs at every node and tests conflicts pair by pair."""
+    fpairs = pairs_of(F)
+    pairlist = sorted(fpairs)
+    cand = {
+        (i, j): [k for k in range(F.n) if (j, k) in fpairs and (k, i) in fpairs]
+        for i, j in pairlist
+    }
+    results = set()
+    covered = set()
+    chosen = []
+
+    def dfs():
+        free = [p for p in pairlist if p not in covered]
+        if not free:
+            results.add(frozenset(
+                r for i, j, k in chosen for r in ((i, j, k), (j, k, i), (k, i, j))
+            ))
+            return
+        i, j = free[0]
+        for k in cand[i, j]:
+            need = {(i, j), (j, k), (k, i)}
+            if any(q in covered for q in need):
+                continue
+            covered.update(need)
+            chosen.append((i, j, k))
+            dfs()
+            chosen.pop()
+            covered.difference_update(need)
+
+    dfs()
+    return [TrianglePresentation(F.labels, r) for r in sorted(results, key=sorted)]
 
 
 def relabel(T, labels):

@@ -4,7 +4,7 @@ import math
 import random
 
 from duality import is_abelian, murho_dual
-from label_oracle import act, project_F
+from label_oracle import act, fset_of, project_F
 
 from trigon.catalog import TABLE_TEXTS, table
 from trigon.exoticity import (
@@ -161,9 +161,7 @@ def test_08_coset_model_matches_subspace_model():
 
     for q in (2, 3, 4):
         g = opp_graph_building(q)
-        building_f = FSet(
-            tuple(range(g.n)), frozenset((v, w - g.n) for v, w in g.edges())
-        )
+        building_f = fset_of(range(g.n), {(v, w - g.n) for v, w in g.edges()})
         assert f_wreath_equivalent(opp_datum(q).F(), building_f)
         assert incidence_model_checks(q) is True
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from label_oracle import fset_of, pairs_of
 from trigon import cli, exoticity, fgroup, linkgraph, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
@@ -16,7 +17,7 @@ from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
 from trigon.ffield import DegreeMismatch, NotPrime, ReduciblePolynomial
 from trigon.fgroup import Datum
-from trigon.linkgraph import AutFull, FSet
+from trigon.linkgraph import AutFull
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import BadCongruence, TooLarge, TwistCheckFailed
@@ -213,6 +214,45 @@ def test_graph_outputs(capsys, square_path):
     blob = json.loads(out)
     assert blob["vertices"] == 4 and len(blob["edges"]) == 4
     assert blob["metrics"]["girth"] == 4 and blob["metrics"]["biregular"] == [2, 2]
+
+
+def test_graph_spectrum_prints_no_negative_zero(capsys, tmp_path):
+    """The Fano link graph's least eigenvalue is a LAPACK value within about
+    1e-16 of 0, of either sign; it prints as 0.0 in text and in JSON."""
+    code, doc, _ = invoke(capsys, ["singer", "--q", "2", "--format", "json"])
+    path = tmp_path / "fano.json"
+    path.write_text(doc)
+    argv = ["graph", "--from-json", str(path), "--spectrum"]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("spectrum: 0.0 0.52859548 ")
+    code, out, _ = invoke(capsys, argv + ["--format", "json"])
+    assert code == 0 and "-0.0" not in out
+    assert '"spectrum": [\n    0.0,\n    0.52859548,' in out
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [SQUARE_BLOB, {**SQUARE_BLOB, "T": [[1, 1, 2]]}],
+    ids=["square", "square-missing-a-third"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["enumerate"], ["classify"],
+     ["graph", "--metrics", "--spectrum"], ["graph", "--format", "json"]],
+    ids=["verify", "enumerate", "classify", "graph", "graph-json"],
+)
+def test_a_repeated_pair_is_read_once(capsys, tmp_path, blob, command):
+    """A document whose F lists the pair (2, 2) twice reads as the same
+    document without the repeat: same stdout, same exit code.  Without the
+    third T gives (2, 2), verify names the pair once."""
+    outputs = []
+    for pairs in (blob["F"], blob["F"] + [[2, 2]]):
+        path = tmp_path / f"{len(pairs)}.json"
+        path.write_text(json.dumps({**blob, "F": pairs}))
+        outputs.append(invoke(capsys, [command[0], "--from-json", str(path),
+                                       *command[1:]])[:2])
+    assert outputs[0] == outputs[1]
 
 
 def test_export_formats(capsys, square_path):
@@ -499,7 +539,7 @@ def test_disconnected_opposition_graph_fails_its_checklist(capsys, monkeypatch):
 
     def F(self):
         full = real_F(self)
-        return FSet(full.labels, frozenset(p for p in full.pairs if p[0] != 0))
+        return fset_of(full.labels, {p for p in pairs_of(full) if p[0] != 0})
 
     monkeypatch.setattr(Datum, "F", F)
     code, out, err = invoke(capsys, ["opp", "--check", "--q", "7"])
@@ -517,7 +557,7 @@ def test_non_biregular_opposition_graph_is_an_internal_error(monkeypatch):
 
     def F(self):
         full = real_F(self)
-        return FSet(full.labels, full.pairs - {min(full.pairs)})
+        return fset_of(full.labels, pairs_of(full) - {min(pairs_of(full))})
 
     monkeypatch.setattr(Datum, "F", F)
     with pytest.raises(ValueError, match="biregular bipartite"):
@@ -587,7 +627,7 @@ def test_broken_subspace_model_exits_one(capsys, monkeypatch):
 
     def building_fset(q):
         F = real(q)
-        return FSet(F.labels, F.pairs - {min(F.pairs)})
+        return fset_of(F.labels, pairs_of(F) - {min(pairs_of(F))})
 
     monkeypatch.setattr(oppmodel, "_building_fset", building_fset)
     code, out, err = invoke(capsys, ["opp", "--check", "--q", "4"])

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from label_oracle import project_F
+from label_oracle import fset_of, pairs_of, project_F
 
 from trigon.catalog import table
 from trigon.documents import (
@@ -24,7 +24,7 @@ SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 
 def dump(doc):
-    return document_text(doc.T, doc.F.pairs, doc.meta, 0) + "\n"
+    return document_text(doc.T, pairs_of(doc.F), doc.meta, 0) + "\n"
 
 
 def square_doc():
@@ -151,12 +151,12 @@ def test_round_trip_over_shuffled_labels(data):
         r for i, j, k in seeds for r in ((i, j, k), (j, k, i), (k, i, j))
     )
     doc = Document(
-        F=FSet(tuple(labels), pairs),
+        F=fset_of(labels, pairs),
         T=TrianglePresentation(tuple(labels), triples),
         meta={"seed": len(seeds)},
     )
     back = parse_document(dump(doc))
-    assert back.F.pairs == pairs and back.T.triples == triples
+    assert pairs_of(back.F) == pairs and back.T.triples == triples
     assert back == doc
 
 

@@ -10,6 +10,7 @@ from operator import itemgetter
 
 import pytest
 
+from label_oracle import fset_of, pairs_of
 from trigon.cli import kappa_spec_of, run
 from trigon.fgroup import SignFamily, make_cyclic, subgroup
 from trigon.oppmodel import opp_datum
@@ -145,7 +146,8 @@ def test_broken_data_fail_exactly_where_violations_say(monkeypatch, name, order)
     failed = 0
     for kappa in kappas:
         triples = walk_triples(family, kappa)
-        found = _violations({(i, j) for i, j, _ in triples}, triples)
+        fout = fset_of(range(family.G.n), {(i, j) for i, j, _ in triples}).out
+        found = _violations(fout, triples)
         if not found:
             assert family.build(kappa).triples == triples
             assert len(family.slot_signs(kappa)) == len(triples)
@@ -163,7 +165,7 @@ def test_slots_are_the_sorted_pairs_of_F():
     d = opp_datum(7)
     family = d.signs()
     pairs = [(x, y) for x, y, _ in family.slots]
-    assert pairs == sorted(d.F().pairs)
+    assert pairs == sorted(pairs_of(d.F()))
     assert all(family.G.right(family.S[a])[x] == y for x, y, a in family.slots)
     kappa = dict(zip(family.keys, chain([-1], [1] * len(family.keys))))
     signs = family.slot_signs(kappa)

@@ -1,22 +1,27 @@
 """The label boundary of the position-indexed core: documents, tables,
 exports and verify's violation data against the label-level oracle, and the
 document commands on one label list against another, on label lists that
-are not range(n)."""
+are not range(n).  Also FSet's out-lists against the pair-set oracle: the
+link graph, rho, the enumeration and verify on random pair sets, and the
+pair sets the constructions build."""
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import label_oracle as oracle
 
 from trigon.catalog import table
 from trigon.cli import kappa_spec_of, run
 from trigon.documents import document_text, parse_document
 from trigon.grouptools import export_presentation
-from trigon.linkgraph import FSet
-from trigon.oppmodel import opp_datum
+from trigon.linkgraph import apply_rho, from_F
+from trigon.oppmodel import _building_fset, opp_datum
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import TrianglePresentation, format_table, verify
+from trigon.tripres import TrianglePresentation, enumerate_all, format_table, verify
 
 
 def first_choice(datum):
@@ -70,8 +75,7 @@ def case(name, kind):
     labels = label_lists(base.n)[kind]
     T = oracle.relabel(base, labels)
     if name in PAIR_SETS:
-        pairs = PAIR_SETS[name]().pairs
-        F = FSet.from_labels(labels, [(labels[i], labels[j]) for i, j in pairs])
+        F = oracle.fset_of(labels, oracle.pairs_of(PAIR_SETS[name]()))
     else:
         F = oracle.project_F(T)
     return F, T
@@ -109,7 +113,7 @@ def test_writers_match_label_level_code(name, kind):
     # lookup fails
     assert T.n == 0 or list(T.labels) != list(range(T.n))
     for meta in [{"case": name}, *METAS]:
-        assert document_text(T, F.pairs, meta, 0) + "\n" == oracle.dump_document(
+        assert document_text(T, oracle.pairs_of(F), meta, 0) + "\n" == oracle.dump_document(
             F, T, meta
         )
     assert format_table(T) == oracle.format_table(T)
@@ -130,7 +134,7 @@ def test_violation_data_matches_label_level_code(name, kind):
 @pytest.mark.parametrize("name, kind", cases())
 def test_documents_parse_back_to_positions(name, kind):
     F, T = case(name, kind)
-    doc = parse_document(document_text(T, F.pairs, {}, 0))
+    doc = parse_document(document_text(T, oracle.pairs_of(F), {}, 0))
     assert doc.F == F and doc.labels == T.labels
     closed = TrianglePresentation.from_labels(T.labels, oracle.label_triples(T))
     assert doc.T == closed
@@ -139,7 +143,7 @@ def test_documents_parse_back_to_positions(name, kind):
 def write_document(tmp_path, name, kind):
     F, T = case(name, kind)
     path = tmp_path / f"{kind}.json"
-    path.write_text(document_text(T, F.pairs, {"case": name}, 0) + "\n")
+    path.write_text(document_text(T, oracle.pairs_of(F), {"case": name}, 0) + "\n")
     return path
 
 
@@ -237,3 +241,47 @@ def test_family_json_matches_document_round_trip(capsys, model, q, datum):
     assert run([model, "--q", str(q), "--kappa", spec, "--format", "json"]) == 0
     one = json.dumps(blobs[-1], sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == one
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_out_lists_match_the_pair_set_oracle(data):
+    """from_F, apply_rho, enumerate_all and verify against the pair-set
+    oracle on up to 6 points.  F is the pairs of random triples plus random
+    pairs, so that it often admits presentations; T is those triples'
+    rotations with some dropped, plus stray triples."""
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    point = st.integers(min_value=0, max_value=n - 1)
+    seeds = data.draw(st.lists(st.tuples(point, point, point), max_size=8))
+    closed = {r for i, j, k in seeds for r in ((i, j, k), (j, k, i), (k, i, j))}
+    extra = data.draw(st.sets(st.tuples(point, point), max_size=2 * n))
+    pairs = {(i, j) for i, j, _ in closed} | extra
+    F = oracle.fset_of(range(10, 10 + n), pairs)
+    assert oracle.pairs_of(F) == pairs
+    assert all(js == sorted(set(js)) for js in F.out)
+    assert from_F(F).adj == oracle.from_F(F).adj
+    assert apply_rho(F) == oracle.transpose(F)
+    assert [t.triples for t in enumerate_all(F)] == [
+        t.triples for t in oracle.exact_covers(F)
+    ]
+    dropped = data.draw(st.sets(st.sampled_from(sorted(closed)), max_size=2)
+                        if closed else st.just(set()))
+    stray = data.draw(st.sets(st.tuples(point, point, point), max_size=2))
+    T = TrianglePresentation(F.labels, frozenset(closed - dropped | stray))
+    assert verify(F, T) == oracle.verify(F, T)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: singer_datum(3).F(), lambda: quad_datum(2).F(),
+     lambda: opp_datum(5).F(), lambda: _building_fset(3)],
+    ids=["singer q=3", "quad q=2", "opp q=5", "building q=3"],
+)
+def test_built_out_lists_match_the_pair_set_oracle(make):
+    """The out-lists the builders emit are sorted with no repeats, and give
+    the link graph and rho of their pair sets."""
+    F = make()
+    assert all(js == sorted(set(js)) for js in F.out)
+    assert F == oracle.fset_of(F.labels, oracle.pairs_of(F))
+    assert from_F(F).adj == oracle.from_F(F).adj
+    assert apply_rho(F) == oracle.transpose(F)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from label_oracle import fset_of, pairs_of
 from trigon.autosearch import _neighbor_lists, find_isomorphism
 from trigon.linkgraph import (
     Disconnected,
@@ -17,7 +18,6 @@ from trigon.linkgraph import (
     apply_rho,
     aut_full,
     aut_plus,
-    digraph_of,
     export_edge_list,
     f_wreath_equivalent,
     from_F,
@@ -128,18 +128,20 @@ def check_against_oracle(g):
 
 def diagonal(F, sigma):
     """sigma F = {(sigma i, sigma j)}, on positions."""
-    return FSet(F.labels, frozenset((sigma(i), sigma(j)) for i, j in F.pairs))
+    return fset_of(F.labels, {(sigma(i), sigma(j)) for i, j in pairs_of(F)})
 
 
 def wreath(F, alpha, beta, swapped):
     """{(alpha i, beta j)} over (i,j) in F, or (j,i) when swapped."""
-    pairs = {(j, i) for i, j in F.pairs} if swapped else F.pairs
-    return FSet(F.labels, frozenset((alpha(i), beta(j)) for i, j in pairs))
+    pairs = pairs_of(F)
+    if swapped:
+        pairs = {(j, i) for i, j in pairs}
+    return fset_of(F.labels, {(alpha(i), beta(j)) for i, j in pairs})
 
 
 def isomorphism(F1, F2):
     """A sigma with sigma F1 = F2, searched on the two pair digraphs."""
-    return find_isomorphism(digraph_of(F1), digraph_of(F2))
+    return find_isomorphism(F1.out, F2.out)
 
 
 def test_fset_validation():
@@ -149,9 +151,9 @@ def test_fset_validation():
         FSet.from_labels((1, 2), [(1, 3)])
     f = square_f()
     assert f.n == 2
-    assert f.pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert f.out == ([0, 1], [0, 1])
     shuffled = FSet.from_labels((9, 3, 5), [(5, 9), (3, 3)])
-    assert shuffled.pairs == {(2, 0), (1, 1)}
+    assert shuffled.out == ([], [1], [0])
 
 
 def test_square_gives_four_cycle():
@@ -277,7 +279,7 @@ def test_singer_vs_subspace_model_wreath():
     f = singer_f_q2()
     m = a2_subspace_model(2)
     assert f_wreath_equivalent(f, m) is True
-    short = FSet(m.labels, m.pairs - {min(m.pairs)})
+    short = fset_of(m.labels, pairs_of(m) - {min(pairs_of(m))})
     assert f_wreath_equivalent(f, short) is False
 
 
@@ -296,7 +298,7 @@ def test_wreath_equivalence_of_random_relabellings(data):
     swapped = data.draw(st.booleans())
     target = wreath(f, alpha, beta, swapped)
     assert f_wreath_equivalent(f, target) is True
-    short = FSet(f.labels, target.pairs - {min(target.pairs)})
+    short = fset_of(f.labels, pairs_of(target) - {min(pairs_of(target))})
     assert f_wreath_equivalent(f, short) is False
 
 
@@ -306,16 +308,16 @@ def test_wreath_equivalence_of_random_relabellings(data):
     cells=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))),
 )
 def test_neighbor_lists_match_brute_force(n, cells):
-    """from_F and digraph_of hold the sorted neighbor lists, read here off
-    the pair set one vertex at a time, and edges() lists the pairs in order."""
+    """F.out and from_F hold the sorted neighbor lists, read here off the
+    pair set one vertex at a time, and edges() lists the pairs in order."""
     pairs = {(i, j) for i, j in cells if i < n and j < n}
-    F = FSet(tuple(range(n)), frozenset(pairs))
+    F = fset_of(range(n), pairs)
     g = from_F(F)
     points = [[j + n for j in range(n) if (i, j) in pairs] for i in range(n)]
     lines = [[i for i in range(n) if (i, j) in pairs] for j in range(n)]
     assert list(g.adj) == points + lines
-    assert digraph_of(F) == [[j for j in range(n) if (i, j) in pairs]
-                             for i in range(n)]
+    assert list(F.out) == [[j for j in range(n) if (i, j) in pairs]
+                           for i in range(n)]
     assert g.edges() == sorted((i, j + n) for i, j in pairs)
 
 
@@ -455,8 +457,7 @@ def test_exact_gap_reads_connectivity_like_the_bfs(data):
             switched = True
     points = data.draw(st.permutations(range(n)))
     lines = data.draw(st.permutations(range(n)))
-    g = from_F(FSet(tuple(range(n)),
-                    frozenset((points[i], lines[j]) for i, j in pairs)))
+    g = from_F(fset_of(range(n), {(points[i], lines[j]) for i, j in pairs}))
     if not metrics(g, (0,)).connected:
         with pytest.raises(Disconnected):
             point_transitive_gap(g)

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from duality import murho_dual
+from label_oracle import fset_of, pairs_of
 from trigon import oppmodel
-from trigon.linkgraph import FSet, f_wreath_equivalent, metrics
+from trigon.linkgraph import f_wreath_equivalent, metrics
 from trigon.oppmodel import (
     a2_graph,
     incidence_model_checks,
@@ -37,8 +38,8 @@ def test_a2_graph_small_planes():
 def test_a2_graph_matches_difference_set_plane():
     model = a2_graph(2)
     n = model.graph.n
-    pairs = frozenset((v, w - n) for v, w in model.graph.edges())
-    assert f_wreath_equivalent(FSet(tuple(range(n)), pairs), singer_datum(2).F())
+    pairs = {(v, w - n) for v, w in model.graph.edges()}
+    assert f_wreath_equivalent(fset_of(range(n), pairs), singer_datum(2).F())
 
 
 def test_building_opposition_subgraph():
@@ -67,7 +68,7 @@ def test_datum_parabola_and_group_type():
         assert d.S == S
         assert d.G.n == q * q
         # the identity sits on the parabola, so every loop pair is present
-        pairs = d.F().pairs
+        pairs = pairs_of(d.F())
         assert all((g, g) in pairs for g in range(d.G.n))
 
 

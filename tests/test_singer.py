@@ -10,7 +10,7 @@ from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
 from trigon.ffield import factor_prime_power, poly_is_primitive
 from trigon.fgroup import FiniteGroup, lambda_orbits
-from trigon.linkgraph import digraph_of, from_F, is_generalized_mgon
+from trigon.linkgraph import from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
 from trigon.singer import quad_datum, r_of_q, singer_datum
 from trigon.tripres import KappaSpecError, enumerate_all, format_table, verify
@@ -168,7 +168,7 @@ def test_modulus_choice_stays_diagonal_equivalent(q):
     assert len(fsets) == (2 if q == 2 else 4)
     first = fsets[0]
     for other in fsets[1:]:
-        w = find_isomorphism(digraph_of(first), digraph_of(other))
+        w = find_isomorphism(first.out, other.out)
         assert w is not None
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from label_oracle import act, project_F
+from label_oracle import act, exact_covers, fset_of, pairs_of, project_F
 from trigon import tripres
 from trigon.fgroup import (
     FiniteGroup,
@@ -127,7 +127,7 @@ def test_verify_projection_axiom():
 def test_project_f():
     assert project_F(SQUARE_T) == SQUARE_F
     empty = TrianglePresentation((1, 2), frozenset())
-    assert project_F(empty) == FSet((1, 2), frozenset())
+    assert project_F(empty) == FSet((1, 2), ([], []))
 
 
 def test_act_rho_fixes_square_t():
@@ -230,14 +230,14 @@ def test_build_from_lambda_empty():
     g = make_cyclic(3)
     t = build_from_lambda(g, [], {})
     assert t.triples == frozenset()
-    assert project_F(t).pairs == frozenset()
+    assert project_F(t).out == ([], [], [])
 
 
 def test_build_from_lambda_klein_matches_alt():
     g = klein_group()
     t = build_from_lambda(g, [1, 2, 3], {1: 2, 2: 3, 3: 1})
     f = project_F(t)
-    assert f.pairs == ALT_F.pairs
+    assert f.out == ALT_F.out
     assert t.triples in {T.triples for T in enumerate_all(ALT_F)}
 
 
@@ -253,7 +253,7 @@ def test_exquad_f_invariants():
     g, s, lam = exquad()
     t1 = build_from_lambda(g, s, lam)
     f = project_F(t1)
-    assert len(f.pairs) == 105
+    assert len(pairs_of(f)) == 105
     assert aut_plus(f).order() == 126
     af = aut_full(f)
     assert af.witness is not None and af.order == 252
@@ -384,8 +384,8 @@ def test_build_check_matches_violations(data):
         for i, j, k in data.draw(st.lists(st.sampled_from(ordered), max_size=1)):
             other = data.draw(pos)
             triples |= {(i, j, other), (j, other, i), (other, i, j)}
-    pairs = {(i, j) for i, j, _ in triples}
-    assert closed_and_unique(triples) == (not tripres._violations(pairs, triples))
+    fout = fset_of(range(n), {(i, j) for i, j, _ in triples}).out
+    assert closed_and_unique(triples) == (not tripres._violations(fout, triples))
 
 
 def closed_and_unique(triples):
@@ -519,52 +519,6 @@ def test_enumeration_closed_under_aut(data):
         assert act(t, af.witness, use_rho=True).triples in keys
 
 
-def oracle_enumerate(f):
-    """The set-based exact-cover DFS that enumerate_all replaced: it rebuilds
-    the list of free pairs at every node and tests conflicts pair by pair."""
-    n = f.n
-    fpairs = f.pairs
-    pairlist = sorted(fpairs)
-    cand = {
-        (i, j): [k for k in range(n) if (j, k) in fpairs and (k, i) in fpairs]
-        for i, j in pairlist
-    }
-    results = []
-    covered = set()
-    chosen = []
-
-    def next_pair():
-        free = [p for p in pairlist if p not in covered]
-        return free[0] if free else None
-
-    def dfs():
-        p = next_pair()
-        if p is None:
-            results.append(frozenset(chosen))
-            return
-        i, j = p
-        for k in cand[p]:
-            need = {(i, j), (j, k), (k, i)}
-            if any(q in covered for q in need):
-                continue
-            covered.update(need)
-            chosen.append((i, j, k))
-            dfs()
-            chosen.pop()
-            covered.difference_update(need)
-
-    dfs()
-    lab = f.labels
-    out = [
-        TrianglePresentation.from_labels(
-            lab, [(lab[i], lab[j], lab[k]) for i, j, k in r]
-        )
-        for r in set(results)
-    ]
-    out.sort(key=lambda t: sorted(t.triples))
-    return out
-
-
 def oracle_stabilizer(f, t):
     """Aut+(T) and the rho witness by relabeling T through act for every
     element of Aut+(F) and of its sorted rho coset."""
@@ -588,7 +542,7 @@ def oracle_classify(f):
     """Orbits of Aut(F) by act relabelings, over the oracle enumeration:
     (representative triples, orbit size, Aut+(T) elements, whether a rho
     witness exists)."""
-    allt = oracle_enumerate(f)
+    allt = exact_covers(f)
     index = {t.triples: i for i, t in enumerate(allt)}
     full = aut_full(f)
     movers = [(g, False) for g in full.plus.generators]
@@ -632,7 +586,7 @@ DIFFERENTIAL_F = {
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
 def test_enumerate_matches_set_based_dfs(name):
     f = DIFFERENTIAL_F[name]()
-    want = [t.triples for t in oracle_enumerate(f)]
+    want = [t.triples for t in exact_covers(f)]
     assert [t.triples for t in enumerate_all(f)] == want
 
 
@@ -648,14 +602,14 @@ def test_enumerate_matches_set_based_dfs_on_random_pair_sets(data):
     extra = data.draw(st.sets(st.tuples(point, point), max_size=n))
     pairs = {p for i, j, k in triples for p in ((i, j), (j, k), (k, i))}
     f = FSet.from_labels(range(n), pairs | extra)
-    want = [t.triples for t in oracle_enumerate(f)]
+    want = [t.triples for t in exact_covers(f)]
     assert [t.triples for t in enumerate_all(f)] == want
 
 
 # pair sets where the branching order matters most, with their presentation
 # counts: the first-free-pair order visits 312,822 nodes on opp q=7 against
 # 344 most-constrained, and takes about 10 s on singer q=8 and over 290 s on
-# opp q=13, where oracle_enumerate cannot follow
+# opp q=13, where exact_covers cannot follow
 LARGE_F = {
     "opp q=7": (lambda: opp_datum(7).F(), 4),
     "singer q=8": (lambda: singer_datum(8).F(), 8),
@@ -705,7 +659,7 @@ CENSUS_F = {
 
 @pytest.mark.parametrize("name", sorted(CENSUS_F))
 def test_census_stabilizers_match_act_relabelings(name):
-    """The benchmark's census pair sets, where oracle_enumerate is too slow:
+    """The benchmark's census pair sets, where exact_covers is too slow:
     each class of enumerate_all against oracle_stabilizer."""
     f = CENSUS_F[name]()
     classes = classify(f)
