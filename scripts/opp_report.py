@@ -38,7 +38,7 @@ def family(q):
         if verify(f, t):
             print(f"q={q}: verification failed at kappa {spec}", file=sys.stderr)
             ok = False
-        seen.add(t.triples)
+        seen.add(tuple(map(tuple, t.third)))
         ab = abelianization(t)
         print(f"    kappa {spec:24s} abelianization {list(ab.factors)}"
               + (f" + Z^{ab.free_rank}" if ab.free_rank else ""))

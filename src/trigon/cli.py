@@ -75,15 +75,13 @@ def kappa_spec_of(kappa):
 
 
 # the most triples --all-kappa builds, over all its presentations together,
-# and the most one singer or quad presentation has.  Families are written a
-# choice at a time, so this bounds time and output, not memory: opp --q 25
-# --all-kappa --format json writes exactly this many, 247 MB, in 1.3 s and
-# 29 MB RSS (2-core Xeon, Python 3.11); the largest family the tests and
-# the benchmark build, quad --q 3, has 116,480 and quad --q 4 would have
-# 38,019,072.  One presentation reaches it at singer --q 163 and quad --q 13.
-# One presentation is held whole while its text is made, so for it the
-# limit bounds memory too: the largest admitted, singer --q 157 --kappa +1
-# (3,919,506 triples), peaks at 790 MB RSS, about 200 bytes per triple.
+# and the most one singer or quad presentation has.  A family is written a
+# choice at a time: opp --q 25 --all-kappa --format json writes exactly this
+# many, 247 MB, in 1.0 s and 25 MB.  One presentation is held whole while
+# its text is made, so for it this bounds memory, at 110-220 bytes a triple:
+# singer --q 157 --kappa +1 (3,919,506 triples; q = 163 is refused) peaks
+# at 440 MB as a table, 488 MB as gap and 870 MB as json, and singer --q 67
+# (309,876) at 48, 54 and 91 MB (peak RSS, 2-core Xeon, Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
 # the most sign choices exotic --all-kappa certifies.  The certificates are
@@ -123,7 +121,7 @@ def _present_one(T, meta, fmt):
         return export_presentation(T, "gap")
     from .documents import document_text
 
-    return document_text(T, [(i, j) for i, j, _ in T.triples], meta, 0) + "\n"
+    return document_text(T, meta, 0) + "\n"
 
 
 def _present_family(model, q, family, fmt):
@@ -152,7 +150,7 @@ def _present_family(model, q, family, fmt):
         # slot r's entry under its sign: rendered[signs[r]][r]
         picks = map(list.__getitem__, map(rendered.get, signs), range(len(signs)))
         spec = kappa_spec_of(kappa)
-        text = assemble("".join(picks), {"model": model, "q": q, "kappa": spec})
+        text = assemble(picks, {"model": model, "q": q, "kappa": spec})
         if fmt == "json":
             yield (",\n  " if index else "[\n  ") + text
         else:

@@ -6,6 +6,8 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 from .linkgraph import FSet
 from .tripres import ParseError, TrianglePresentation, rep_entries
@@ -34,53 +36,60 @@ class Document:
         return self.T.labels
 
 
-def document_text(T: TrianglePresentation, pairs, meta: dict, level: int) -> str:
-    """The document of T with the position pairs and meta, as
+def document_text(T: TrianglePresentation, meta: dict, level: int) -> str:
+    """The document of T, whose F is the pairs of its rows, with meta, as
     json.dumps(blob, sort_keys=True, indent=2) writes it at nesting depth
-    level (1 inside a top-level array), with no trailing newline."""
-    entries, assemble = json_writer(T.labels, sorted(pairs), level)
-    return assemble("".join(entries(T.canonical_reps())), meta)
+    level (1 inside a top-level array), with no trailing newline.  A pair
+    with two thirds is written once."""
+    pairs = ((i, j) for i, js in enumerate(T.out) for j in dict.fromkeys(js))
+    entries, assemble = json_writer(T.labels, pairs, level)
+    return assemble(entries(T.walk()), meta)
 
 
 def json_writer(labels, pairs, level):
     """The document's entry renderer and assembler over labels and the
     sorted position pairs of its F, at nesting depth level: the entry of a
     canonical triple is its entry of the T array, and the document holds
-    labels explicit, the pairs, the joined entries and meta, all in labels.
+    labels explicit, the pairs, the entries and meta, all in labels.
     Each label is rendered once, and the F and labels arrays once per
-    writer; meta goes through json.dumps and is indented to its depth."""
+    writer, F a row of pairs at a time; meta goes through json.dumps and is
+    indented to its depth."""
     lab = [json.dumps(a) for a in labels]
     # a newline and the indent of the document's keys, of the entries of its
     # arrays, and of the labels inside an entry of F or T
     key, entry, cell = ("\n" + "  " * (level + d) for d in (1, 2, 3))
-    f_array = _array("".join([
-        f",{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in pairs
-    ]), key)
-    labels_array = _array("".join(["," + entry + a for a in lab]), key)
+    f_array = _array((
+        ",".join([f"{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in row])
+        for _, row in groupby(pairs, itemgetter(0))
+    ), key)
+    labels_array = _array([entry + a for a in lab], key)
 
     def triple(i, j, k):
-        return f",{entry}[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
+        return f"{entry}[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
 
-    def assemble(body, meta):
+    def assemble(entries, meta):
         fields = (
             ("F", f_array),
-            ("T", _array(body, key)),
+            ("T", _array(entries, key)),
             ("labels", labels_array),
             ("meta", json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)),
             ("n", len(lab)),
         )
-        text = ",".join(f'{key}"{name}": {value}' for name, value in fields)
-        return "{" + text + key[:-2] + "}"
+        # one join, so no array is copied into an intermediate text
+        parts = ["{"]
+        for name, value in fields:
+            parts += (key, f'"{name}": ', str(value), ",")
+        parts[-1] = key[:-2] + "}"
+        return "".join(parts)
 
     return partial(rep_entries, triple), assemble
 
 
 def _array(entries, close) -> str:
-    """A JSON array of joined entries, each after a comma, a newline and its
-    indent, closed after close."""
-    if not entries:
-        return "[]"
-    return "[" + entries[1:] + close + "]"
+    """A JSON array of the entries, each a newline, its indent and its
+    value, "" for none, joined once and closed after close."""
+    body = ",".join(filter(None, entries))
+    return "[" + body + close + "]" if body else "[]"
 
 
 def _is_int(x):
@@ -150,9 +159,9 @@ def parse_document(text: str, strict: bool = True) -> Document:
     T = TrianglePresentation.from_labels(labels, triples)
     listed = set(triples)
     lab = T.labels
-    canonical = {(lab[i], lab[j], lab[k]) for i, j, k in T.canonical_reps()}
+    canonical = set(rep_entries(lambda *t: tuple(lab[x] for x in t), T.walk())) - {""}
     # every listed triple lies in the closure, so equal sizes mean equal sets
-    if len(listed) != len(T.triples) and listed != canonical:
+    if len(listed) != sum(map(len, T.out)) and listed != canonical:
         if strict:
             raise ParseError(
                 "T: not rotation-closed and not the canonical representatives"

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from typing import Callable
 
 from .ffield import factor_prime_power, make_field
@@ -257,8 +257,7 @@ class SignFamily:
     def build(self, kappa) -> TrianglePresentation:
         """The twisted presentation {(x, xs, xs*step)} of one sign choice,
         where step is the twist of s on the coset of x."""
-        triples = self._triples(self._signs(kappa))
-        return TrianglePresentation(tuple(range(self.G.n)), triples)
+        return self._presentation(self._signs(kappa))
 
     @cached_property
     def slots(self) -> list:
@@ -352,27 +351,29 @@ class SignFamily:
                     signs[k] == sign and self._thirds(b, signs[kid[b][y]])[y] != x
                     for k, b, y, x in cross
                 ):
-                    triples = self._triples(signs)
-                    F = _pair_set(self.G, self.S)
-                    found = verify(F, TrianglePresentation(F.labels, triples))
+                    found = verify(_pair_set(self.G, self.S), self._presentation(signs))
                     raise TwistCheckFailed(
                         f"twisted presentation broke its axioms: {found[:3]}"
                     )
         return signs
 
-    def _triples(self, signs) -> frozenset:
-        """The triples of the choice whose key indices have these signs."""
-        G, S = self.G, self.S
-        xs = range(G.n)
-        thirds = []
+    def _presentation(self, signs) -> TrianglePresentation:
+        """The presentation of the choice whose key indices have these
+        signs: per x, its heads x*s sorted, each with its third."""
+        G = self.G
+        columns = []
         for a, kid in enumerate(self._slot_keys):
             if kid.count(kid[0]) == len(kid):
-                thirds += self._thirds(a, signs[kid[0]])
+                columns.append(self._thirds(a, signs[kid[0]]))
             else:
-                by_key = [self._thirds(a, sign) for sign in signs]
-                thirds += map(list.__getitem__, map(by_key.__getitem__, kid), xs)
-        seconds = chain.from_iterable(map(G.right, S))
-        return frozenset(zip(list(xs) * len(S), seconds, thirds))
+                picks = map([self._thirds(a, sign) for sign in signs].__getitem__, kid)
+                columns.append(list(map(list.__getitem__, picks, range(G.n))))
+        heads, out, third = list(map(G.right, self.S)), [], []
+        for x in range(G.n):
+            row = sorted((h[x], c[x]) for h, c in zip(heads, columns))
+            out.append([j for j, _ in row])
+            third.append([k for _, k in row])
+        return TrianglePresentation(tuple(range(G.n)), tuple(out), tuple(third))
 
 
 @dataclass(frozen=True, eq=False)

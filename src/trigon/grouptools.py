@@ -11,15 +11,15 @@ from .tripres import TrianglePresentation, rep_entries
 
 
 def _relators(T: TrianglePresentation) -> list[tuple[int, int, int]]:
-    """One canonical rotation per orbit, as 1-based positions."""
-    return [(i + 1, j + 1, k + 1) for i, j, k in T.canonical_reps()]
+    """One canonical rotation per orbit, as 1-based positions, in walk order."""
+    return list(filter(None, rep_entries(lambda *t: tuple(x + 1 for x in t), T.walk())))
 
 
 def export_presentation(T: TrianglePresentation, format: str = "gap") -> str:
     """Deterministic presentation text; same relator order in every format."""
     if format == "gap":
         entries, assemble = gap_writer(T.n)
-        return assemble("".join(entries(T.canonical_reps())), None)
+        return assemble(entries(T.walk()), None)
     if format == "json":
         blob = {"n": T.n, "relators": [list(r) for r in _relators(T)]}
         return json.dumps(blob, sort_keys=True) + "\n"
@@ -28,15 +28,16 @@ def export_presentation(T: TrianglePresentation, format: str = "gap") -> str:
 
 def gap_writer(n):
     """GAP's entry renderer and assembler: the entry of a canonical triple
-    is ", " and its relator word, and the text is the free group on n
-    generators over the relators of the joined entries."""
+    is its relator word, and the text is the free group on n generators
+    over the relators of the entries, "" for none, joined once."""
     gen = [f"F.{i}" for i in range(1, n + 1)]
 
     def relator(i, j, k):
-        return f", {gen[i]}*{gen[j]}*{gen[k]}"
+        return f"{gen[i]}*{gen[j]}*{gen[k]}"
 
-    def assemble(body, meta):
-        return f"F := FreeGroup({n});\nG := F / [ {body[2:]} ];\n"
+    def assemble(entries, meta):
+        relators = ", ".join(filter(None, entries))
+        return f"F := FreeGroup({n});\nG := F / [ {relators} ];\n"
 
     return partial(rep_entries, relator), assemble
 

@@ -40,19 +40,6 @@ class Perm:
     def identity(cls, n: int) -> Perm:
         return cls._trusted(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles, one_based: bool = False) -> Perm:
-        images = list(range(n))
-        off = 1 if one_based else 0
-        for cyc in cycles:
-            pts = [c - off for c in cyc]
-            for pt in pts:
-                if not 0 <= pt < n:
-                    raise InvalidPermutation(f"point {pt + off} out of range")
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                images[a] = b
-        return cls(images)
-
     @property
     def degree(self) -> int:
         return len(self.images)

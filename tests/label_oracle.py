@@ -11,18 +11,43 @@ The pair-set half holds F as a set of position pairs, the form FSet had
 before its out-lists: pairs_of and fset_of convert between the two, and
 from_F, transpose and exact_covers are the pair-set oracles of the link
 graph, rho and the enumeration.
+
+The triple-set half holds a presentation as a set of position triples, the
+form TrianglePresentation had before its rows: triples_of and
+presentation_of convert between the two, and image_triples and
+orbit_stabilizer are the triple-set oracles of the action of Aut(F) and of
+the orbit walk.
 """
 
 import json
 
-from trigon.linkgraph import FSet, LinkGraph
+from trigon.linkgraph import AutFull, FSet, LinkGraph
+from trigon.permgrp import Perm, bsgs_build
 from trigon.tripres import TrianglePresentation, Violation
+
+
+def triples_of(T):
+    """The position triples of T."""
+    return frozenset(T.walk())
+
+
+def presentation_of(labels, triples):
+    """The presentation of a set of position triples over labels, as given:
+    neither closed by rotation nor checked."""
+    rows = [[] for _ in labels]
+    for i, j, k in sorted(triples):
+        rows[i].append((j, k))
+    return TrianglePresentation(
+        tuple(labels),
+        tuple([j for j, _ in row] for row in rows),
+        tuple([k for _, k in row] for row in rows),
+    )
 
 
 def label_triples(T):
     """The triples of T written in labels."""
     lab = T.labels
-    return frozenset((lab[i], lab[j], lab[k]) for i, j, k in T.triples)
+    return frozenset((lab[i], lab[j], lab[k]) for i, j, k in triples_of(T))
 
 
 def pairs_of(F):
@@ -93,12 +118,51 @@ def exact_covers(F):
             covered.difference_update(need)
 
     dfs()
-    return [TrianglePresentation(F.labels, r) for r in sorted(results, key=sorted)]
+    return [presentation_of(F.labels, r) for r in sorted(results, key=sorted)]
+
+
+def image_triples(ptrip, im, use_rho=False):
+    """The position triples ptrip moved by the image tuple im, after the
+    coordinate swap (i,j,k) -> (j,i,k) when use_rho: act on positions."""
+    if use_rho:
+        return frozenset((im[j], im[i], im[k]) for i, j, k in ptrip)
+    return frozenset((im[i], im[j], im[k]) for i, j, k in ptrip)
+
+
+def orbit_stabilizer(ptrip, full):
+    """The orbit of the position triples ptrip under Aut(F), in walk order,
+    and their stabilizer, by the triple-set walk that the thirds-key walk
+    replaced: each move rebuilds the moved set through image_triples."""
+    movers = [(g, 0) for g in full.plus.generators]
+    if full.witness is not None:
+        movers.append((full.witness, 1))
+    degree = full.plus.degree
+    walk = {ptrip: (Perm.identity(degree), 0)}
+    orbit = [ptrip]
+    schreier = {}
+    for x in orbit:
+        ux, bx = walk[x]
+        for g, b in movers:
+            y = image_triples(x, g.images, b)
+            if y not in walk:
+                walk[y] = (ux * g, bx ^ b)
+                orbit.append(y)
+                continue
+            uy, by = walk[y]
+            schreier[ux * g * uy.inverse(), bx ^ b ^ by] = None
+    plus = [s for s, bit in schreier if not bit]
+    swaps = [s for s, bit in schreier if bit]
+    witness = swaps[0] if swaps else None
+    if witness is not None:
+        w_inv = witness.inverse()
+        plus += [witness * e * w_inv for e in plus]
+        plus += [witness * s for s in swaps] + [s * w_inv for s in swaps]
+    return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
 
 
 def relabel(T, labels):
     """The same position triples over another label list."""
-    return TrianglePresentation(tuple(labels), T.triples)
+    return TrianglePresentation(tuple(labels), T.out, T.third)
 
 
 def project_F(T):

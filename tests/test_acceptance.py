@@ -4,7 +4,7 @@ import math
 import random
 
 from duality import is_abelian, murho_dual
-from label_oracle import act, fset_of, project_F
+from label_oracle import act, fset_of, project_F, triples_of
 
 from trigon.catalog import TABLE_TEXTS, table
 from trigon.exoticity import (
@@ -67,7 +67,7 @@ def test_01_order2_difference_set_and_reference_table():
     d = singer_datum(2, modulus=(1, 1, 0, 1))
     assert d.S == (1, 2, 4)
     t = all_plus(d)
-    assert len(t.triples) == 21
+    assert len(triples_of(t)) == 21
     assert format_table(t) == TABLE_TEXTS[3]
 
 
@@ -87,20 +87,20 @@ def test_02_order4_coset_census_and_twisted_tables():
     signs = dq.signs()
     t_plus = signs.build({(0, 9): 1, (1, 9): 1, (2, 9): 1})
     t_mix = signs.build({(0, 9): 1, (1, 9): 1, (2, 9): -1})
-    assert t_plus.triples == table(1).triples
-    assert t_mix.triples == table(2).triples
+    assert triples_of(t_plus) == triples_of(table(1))
+    assert triples_of(t_mix) == triples_of(table(2))
     coset2 = {x for x in range(21) if x % 3 == 2}
     on_coset = {
-        t for t in t_plus.triples | t_mix.triples if set(t) <= coset2
+        t for t in triples_of(t_plus) | triples_of(t_mix) if set(t) <= coset2
     }
-    assert t_plus.triples ^ t_mix.triples == on_coset
+    assert triples_of(t_plus) ^ triples_of(t_mix) == on_coset
 
 
 def test_03_complete_digraph_pair_and_counting_identity():
     found = enumerate_all(ALT_F)
     assert len(found) == 2
     t1, t2 = found
-    assert t1.triples != t2.triples
+    assert triples_of(t1) != triples_of(t2)
     assert aut_plus(ALT_F).order() == 24
     assert aut_full(ALT_F).order == 48
     st = stabilizer_of_T(ALT_F, t1)
@@ -108,8 +108,8 @@ def test_03_complete_digraph_pair_and_counting_identity():
     assert st.order == 24
     cls = classify(ALT_F)
     # one class holds both presentations: orbit 48 / 24 = 2
-    assert [(c.representative.triples, c.orbit_size) for c in cls] == [
-        (t1.triples, 48 // 24)
+    assert [(triples_of(c.representative), c.orbit_size) for c in cls] == [
+        (triples_of(t1), 48 // 24)
     ]
 
 
@@ -145,7 +145,7 @@ def test_06_duality_flips_every_sign():
             kappa = {k: rng.choice((1, -1)) for k in signs.keys}
             neg = {k: -s for k, s in kappa.items()}
             dual = murho_dual(signs.build(kappa), d.G)
-            assert dual.triples == signs.build(neg).triples
+            assert triples_of(dual) == triples_of(signs.build(neg))
 
 
 def test_07_opposition_graph_checklist():
@@ -173,7 +173,7 @@ def test_09_opposition_twist_family():
         fam = [signs.build(k) for k in signs.choices()]
         assert len(fam) == size == 2 ** ((q - 1) // 3)
         f = d.F()
-        seen = {t.triples for t in fam}
+        seen = {triples_of(t) for t in fam}
         assert len(seen) == size
         for t in fam:
             assert verify(f, t) == []
@@ -253,10 +253,10 @@ def test_13_structural_property_suite():
     for f in fsets:
         found = enumerate_all(f)
         productive += bool(found)
-        pool = {t.triples for t in found}
+        pool = {triples_of(t) for t in found}
         for t in found:
             for pi in aut_plus(f).generators:
-                assert act(t, pi).triples in pool
+                assert triples_of(act(t, pi)) in pool
         cls = classify(f)
         assert sum(c.orbit_size for c in cls) == len(found)
         full = aut_full(f).order

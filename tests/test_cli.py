@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from label_oracle import fset_of, pairs_of
+from label_oracle import fset_of, pairs_of, triples_of
 from trigon import cli, exoticity, fgroup, linkgraph, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
@@ -36,6 +36,13 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def transposition(n, a, b):
+    """The permutation of range(n) that swaps a and b."""
+    images = list(range(n))
+    images[a], images[b] = b, a
+    return Perm(images)
 
 
 @pytest.fixture
@@ -92,7 +99,7 @@ def test_singer_all_kappa_json_family(capsys):
     assert [doc["meta"]["kappa"] for doc in family] == ["9:+1", "9:-1"]
     for doc in family:
         parsed = parse_document(json.dumps(doc))
-        assert len(parsed.T.triples) == 105
+        assert len(triples_of(parsed.T)) == 105
         assert doc["meta"]["model"] == "singer" and doc["meta"]["q"] == 4
 
 
@@ -265,6 +272,45 @@ def test_export_formats(capsys, square_path):
     code, out, _ = invoke(capsys, ["export", "--from-json", square_path,
                                    "--format", "table"])
     assert out == "(1,1,2) (1,2,1)\n(2,1,1) (2,2,2)\n"
+
+
+# documents whose T is not one third per pair of F: (1, 1) with two thirds,
+# and triples on pairs outside F, which close to give (2, 1) two thirds
+BAD_DOCUMENTS = {
+    "two-thirds": (
+        {"n": 2, "F": [[1, 1], [1, 2], [2, 1], [2, 2]], "T": [[1, 1, 2], [1, 1, 1]]},
+        "axiom 2 (uniqueness) violated at (1, 1)\n"
+        "axiom 2 (uniqueness) violated at (2, 2)\n",
+        "F := FreeGroup(2);\nG := F / [ F.1*F.1*F.1, F.1*F.1*F.2 ];\n",
+        '{"n": 2, "relators": [[1, 1, 1], [1, 1, 2]]}\n',
+        "(1,1,1) (1,1,2) (1,2,1)\n(2,1,1)\n",
+    ),
+    "outside-F": (
+        {"n": 3, "F": [[1, 1], [1, 2], [2, 1]],
+         "T": [[1, 1, 2], [3, 3, 3], [1, 3, 2]]},
+        "axiom 1 (projection) violated at (1, 3, 2)\n"
+        "axiom 1 (projection) violated at (3, 2, 1)\n"
+        "axiom 1 (projection) violated at (3, 3, 3)\n"
+        "axiom 2 (uniqueness) violated at (2, 1)\n",
+        "F := FreeGroup(3);\nG := F / [ F.1*F.1*F.2, F.1*F.3*F.2, F.3*F.3*F.3 ];\n",
+        '{"n": 3, "relators": [[1, 1, 2], [1, 3, 2], [3, 3, 3]]}\n',
+        "(1,1,2) (1,2,1) (1,3,2)\n(2,1,1) (2,1,3)\n(3,2,1) (3,3,3)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_documents_with_a_pair_of_two_thirds(capsys, tmp_path, name):
+    """verify names the violations and export writes every triple of a
+    document whose T gives a pair two thirds, with exact bytes."""
+    blob, violations, gap, relators, table = BAD_DOCUMENTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    doc = ["--from-json", str(path)]
+    assert invoke(capsys, ["verify", *doc]) == (1, violations, "")
+    assert invoke(capsys, ["export", *doc]) == (0, gap, "")
+    assert invoke(capsys, ["export", *doc, "--format", "json"]) == (0, relators, "")
+    assert invoke(capsys, ["export", *doc, "--format", "table"]) == (0, table, "")
 
 
 def test_output_path_flag(capsys, tmp_path):
@@ -484,7 +530,7 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
         cycle = (1, other_line) if broken == "side swap" else (lam[0], other_line)
         monkeypatch.setattr(
             exoticity, "automorphism_generators",
-            lambda adj, colors: [Perm.from_cycles(len(adj), [cycle])],
+            lambda adj, colors: [transposition(len(adj), *cycle)],
         )
     assert not issubclass(ProbeCheckFailed, ValueError)
     code, out, err = invoke(capsys, ["exotic", "--q", "2", "--kappa", "+1"])
@@ -655,7 +701,7 @@ def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, comma
     real = tripres._orbit_stabilizer
     monkeypatch.setattr(
         tripres, "_orbit_stabilizer",
-        lambda ptrip, full: (real(ptrip, full)[0], trivial),
+        lambda T, full: (real(T, full)[0], trivial),
     )
     code, out, err = invoke(capsys, [command, "--from-json", str(doc_path)])
     assert code == 1

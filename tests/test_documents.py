@@ -6,7 +6,14 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from label_oracle import fset_of, pairs_of, project_F
+from label_oracle import (
+    dump_document,
+    fset_of,
+    pairs_of,
+    presentation_of,
+    project_F,
+    triples_of,
+)
 
 from trigon.catalog import table
 from trigon.documents import (
@@ -24,7 +31,10 @@ SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
 
 
 def dump(doc):
-    return document_text(doc.T, pairs_of(doc.F), doc.meta, 0) + "\n"
+    """The program's text of a document whose F is the pairs of its T."""
+    if doc.F != project_F(doc.T):
+        raise ValueError("document_text writes the pairs of T as F")
+    return document_text(doc.T, doc.meta, 0) + "\n"
 
 
 def square_doc():
@@ -138,7 +148,8 @@ def test_json_booleans_are_not_integers(blob, needle):
 @given(data=st.data())
 def test_round_trip_over_shuffled_labels(data):
     """Random position pairs and rotation-closed position triples over a
-    label list that is not 1..n come back from dump and parse unchanged."""
+    label list that is not 1..n come back from the label-level writer and
+    parse unchanged, and the triples with their own pairs from dump."""
     n = data.draw(st.integers(min_value=1, max_value=6))
     labels = data.draw(
         st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True)
@@ -150,14 +161,13 @@ def test_round_trip_over_shuffled_labels(data):
     triples = frozenset(
         r for i, j, k in seeds for r in ((i, j, k), (j, k, i), (k, i, j))
     )
-    doc = Document(
-        F=fset_of(labels, pairs),
-        T=TrianglePresentation(tuple(labels), triples),
-        meta={"seed": len(seeds)},
-    )
-    back = parse_document(dump(doc))
-    assert pairs_of(back.F) == pairs and back.T.triples == triples
+    T = presentation_of(labels, triples)
+    doc = Document(F=fset_of(labels, pairs), T=T, meta={"seed": len(seeds)})
+    back = parse_document(dump_document(doc.F, T, doc.meta))
+    assert pairs_of(back.F) == pairs and triples_of(back.T) == triples
     assert back == doc
+    own = Document(F=project_F(T), T=T, meta=doc.meta)
+    assert parse_document(dump(own)) == own
 
 
 JSON_VALUES = st.recursive(

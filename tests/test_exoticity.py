@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from label_oracle import triples_of
 from trigon import cli, singer
 from trigon.exoticity import (
     Bounds,
@@ -146,7 +147,7 @@ def test_sigma_matches_the_built_triples(q, probe_for):
     S, m = probe.datum.S, probe.datum.G.n
     for kappa in probe.family.choices():
         sigma = sigma_kappa(probe, kappa)
-        third = {j: k for i, j, k in probe.family.build(kappa).triples if i == 0}
+        third = {j: k for i, j, k in triples_of(probe.family.build(kappa)) if i == 0}
         assert third == {s: (s + S[sigma(p)]) % m for p, s in enumerate(S)}
 
 

@@ -10,7 +10,7 @@ from operator import itemgetter
 
 import pytest
 
-from label_oracle import fset_of, pairs_of
+from label_oracle import fset_of, pairs_of, presentation_of, triples_of
 from trigon.cli import kappa_spec_of, run
 from trigon.fgroup import SignFamily, make_cyclic, subgroup
 from trigon.oppmodel import opp_datum
@@ -85,7 +85,7 @@ def test_all_kappa_matches_the_per_choice_oracle(capsys, name):
     model, make, q = TWISTED_DATA[name]
     family = make(q).signs()
     for kappa in family.choices():
-        assert family.build(kappa).triples == walk_triples(family, kappa)
+        assert triples_of(family.build(kappa)) == walk_triples(family, kappa)
     for fmt in ("table", "json", "gap"):
         code = run([model, "--q", str(q), "--all-kappa", "--format", fmt])
         out = capsys.readouterr().out
@@ -147,9 +147,9 @@ def test_broken_data_fail_exactly_where_violations_say(monkeypatch, name, order)
     for kappa in kappas:
         triples = walk_triples(family, kappa)
         fout = fset_of(range(family.G.n), {(i, j) for i, j, _ in triples}).out
-        found = _violations(fout, triples)
+        found = _violations(fout, presentation_of(range(family.G.n), triples))
         if not found:
-            assert family.build(kappa).triples == triples
+            assert triples_of(family.build(kappa)) == triples
             assert len(family.slot_signs(kappa)) == len(triples)
             continue
         failed += 1
@@ -169,7 +169,7 @@ def test_slots_are_the_sorted_pairs_of_F():
     assert all(family.G.right(family.S[a])[x] == y for x, y, a in family.slots)
     kappa = dict(zip(family.keys, chain([-1], [1] * len(family.keys))))
     signs = family.slot_signs(kappa)
-    built = family.build(kappa).triples
+    built = triples_of(family.build(kappa))
     picked = {
         t for sign in (1, -1)
         for t, s in zip(family.slot_triples(sign), signs) if s == sign

@@ -35,9 +35,9 @@ def broken_singer_q2():
     a pair outside F and a second third for one pair of F, which stays
     broken when a document closes the set."""
     t = first_choice(singer_datum(2))
-    i, j, k = sorted(t.triples)[1]
-    kept = sorted(t.triples)[1:] + [(0, 0, 0), (i, j, (k + 1) % 7)]
-    return TrianglePresentation(t.labels, frozenset(kept))
+    i, j, k = sorted(oracle.triples_of(t))[1]
+    kept = sorted(oracle.triples_of(t))[1:] + [(0, 0, 0), (i, j, (k + 1) % 7)]
+    return oracle.presentation_of(t.labels, kept)
 
 
 PRESENTATIONS = {
@@ -70,7 +70,8 @@ def cases():
 
 def case(name, kind):
     """(F, T) over the chosen label list; F is the presentation's own pair
-    set unless the presentation is broken on purpose."""
+    set and T is rotation-closed unless the presentation is broken on
+    purpose."""
     base = PRESENTATIONS[name]()
     labels = label_lists(base.n)[kind]
     T = oracle.relabel(base, labels)
@@ -98,24 +99,31 @@ METAS = [
 ]
 
 
+def closure(T):
+    """T closed by rotation, as a document holds it."""
+    return TrianglePresentation.from_labels(T.labels, oracle.label_triples(T))
+
+
 @pytest.mark.parametrize(
     "name, kind", [*cases(), pytest.param("empty", "one-based", id="empty")]
 )
 def test_writers_match_label_level_code(name, kind):
+    """The writers on rotation-closed presentations, the only ones a
+    document or a construction gives them, against the label-level code."""
     if name == "empty":
-        T = TrianglePresentation((), frozenset())
-        F = oracle.project_F(T)
+        T = oracle.presentation_of((), ())
     else:
-        F, T = case(name, kind)
+        T = case(name, kind)[1]
+        if name in PAIR_SETS:
+            T = closure(T)
+    F = oracle.project_F(T)
     if kind == "shuffled":
         assert list(T.labels) != sorted(T.labels)
     # labels are never the positions, so a writer that skips the label
     # lookup fails
     assert T.n == 0 or list(T.labels) != list(range(T.n))
     for meta in [{"case": name}, *METAS]:
-        assert document_text(T, oracle.pairs_of(F), meta, 0) + "\n" == oracle.dump_document(
-            F, T, meta
-        )
+        assert document_text(T, meta, 0) + "\n" == oracle.dump_document(F, T, meta)
     assert format_table(T) == oracle.format_table(T)
     for fmt in ("gap", "json"):
         assert export_presentation(T, fmt) == oracle.export_presentation(T, fmt)
@@ -134,16 +142,18 @@ def test_violation_data_matches_label_level_code(name, kind):
 @pytest.mark.parametrize("name, kind", cases())
 def test_documents_parse_back_to_positions(name, kind):
     F, T = case(name, kind)
-    doc = parse_document(document_text(T, oracle.pairs_of(F), {}, 0))
+    doc = parse_document(oracle.dump_document(F, T, {}))
     assert doc.F == F and doc.labels == T.labels
-    closed = TrianglePresentation.from_labels(T.labels, oracle.label_triples(T))
+    closed = closure(T)
     assert doc.T == closed
+    own = parse_document(document_text(closed, {}, 0))
+    assert own.F == oracle.project_F(closed) and own.T == closed
 
 
 def write_document(tmp_path, name, kind):
     F, T = case(name, kind)
     path = tmp_path / f"{kind}.json"
-    path.write_text(document_text(T, oracle.pairs_of(F), {"case": name}, 0) + "\n")
+    path.write_text(oracle.dump_document(F, T, {"case": name}))
     return path
 
 
@@ -261,13 +271,13 @@ def test_out_lists_match_the_pair_set_oracle(data):
     assert all(js == sorted(set(js)) for js in F.out)
     assert from_F(F).adj == oracle.from_F(F).adj
     assert apply_rho(F) == oracle.transpose(F)
-    assert [t.triples for t in enumerate_all(F)] == [
-        t.triples for t in oracle.exact_covers(F)
+    assert [oracle.triples_of(t) for t in enumerate_all(F)] == [
+        oracle.triples_of(t) for t in oracle.exact_covers(F)
     ]
     dropped = data.draw(st.sets(st.sampled_from(sorted(closed)), max_size=2)
                         if closed else st.just(set()))
     stray = data.draw(st.sets(st.tuples(point, point, point), max_size=2))
-    T = TrianglePresentation(F.labels, frozenset(closed - dropped | stray))
+    T = oracle.presentation_of(F.labels, closed - dropped | stray)
     assert verify(F, T) == oracle.verify(F, T)
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from duality import murho_dual
-from label_oracle import fset_of, pairs_of
+from label_oracle import fset_of, pairs_of, triples_of
 from trigon import oppmodel
 from trigon.linkgraph import f_wreath_equivalent, metrics
 from trigon.oppmodel import (
@@ -134,7 +134,7 @@ def test_twisted_family_counts(q, count):
     signs = d.signs()
     fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == count
-    assert len({T.triples for T in fam}) == count
+    assert len({triples_of(T) for T in fam}) == count
     F = d.F()
     for T in fam[:4]:
         assert verify(F, T) == []
@@ -156,7 +156,7 @@ def test_kappa_keys_checked():
     with pytest.raises(KappaSpecError):
         signs.build({mins[0]: 1})
     good = signs.build({m: 1 for m in mins})
-    assert len(good.triples) == 7 ** 2 * 7
+    assert len(triples_of(good)) == 7 ** 2 * 7
 
 
 def test_inversion_duality_flips_signs():
@@ -165,4 +165,4 @@ def test_inversion_duality_flips_signs():
     fam = {tuple(sorted(k.items())): signs.build(k) for k in signs.choices()}
     for key, T in fam.items():
         neg = tuple(sorted((o, -s) for o, s in key))
-        assert murho_dual(T, d.G).triples == fam[neg].triples
+        assert triples_of(murho_dual(T, d.G)) == triples_of(fam[neg])

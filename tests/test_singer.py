@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from duality import NonAbelianGroup, murho_dual
+from label_oracle import presentation_of, triples_of
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
 from trigon.ffield import factor_prime_power, poly_is_primitive
@@ -122,7 +123,7 @@ def test_family_valid_and_distinct(q):
     fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 2 ** r_of_q(q)
     assert next(signs.choices()) == {o[0]: 1 for o in orbit_split(d)[0]}
-    seen = {T.triples for T in fam}
+    seen = {triples_of(T) for T in fam}
     assert len(seen) == len(fam)
     F = d.F()
     for T in fam:
@@ -137,8 +138,8 @@ def test_murho_flips_every_sign(q):
     for key, T in fam.items():
         neg = tuple(sorted((omin, -sign) for omin, sign in key))
         dual = murho_dual(T, d.G)
-        assert dual.triples == fam[neg].triples
-        assert murho_dual(dual, d.G).triples == T.triples
+        assert triples_of(dual) == triples_of(fam[neg])
+        assert triples_of(murho_dual(dual, d.G)) == triples_of(T)
 
 
 def test_murho_needs_abelian_group():
@@ -149,9 +150,7 @@ def test_murho_needs_abelian_group():
     s3 = FiniteGroup(
         n=6, translation=lambda s: [idx[g * elems[s]] for g in elems]
     )
-    from trigon.tripres import TrianglePresentation
-
-    T = TrianglePresentation(tuple(range(6)), frozenset())
+    T = presentation_of(tuple(range(6)), ())
     with pytest.raises(NonAbelianGroup):
         murho_dual(T, s3)
     with pytest.raises(ValueError):
@@ -202,9 +201,9 @@ def test_quad_family_is_the_whole_enumeration():
     signs = dq.signs()
     fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 8
-    built = {T.triples for T in fam}
+    built = {triples_of(T) for T in fam}
     assert len(built) == 8
-    found = {T.triples for T in enumerate_all(dq.F())}
+    found = {triples_of(T) for T in enumerate_all(dq.F())}
     assert found == built
 
 
@@ -222,4 +221,4 @@ def test_quad_family_q3_distinct():
     signs = quad_datum(3).signs()
     fam = [signs.build(k) for k in signs.choices()]
     assert len(fam) == 2 ** 7
-    assert len({T.triples for T in fam}) == 2 ** 7
+    assert len({triples_of(T) for T in fam}) == 2 ** 7

@@ -1,13 +1,24 @@
 """Triangle presentation axioms, enumeration, stabilizers, constructions."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from label_oracle import act, exact_covers, fset_of, pairs_of, project_F
+from label_oracle import (
+    act,
+    exact_covers,
+    fset_of,
+    image_triples,
+    orbit_stabilizer,
+    pairs_of,
+    presentation_of,
+    project_F,
+    triples_of,
+)
 from trigon import tripres
 from trigon.fgroup import (
     FiniteGroup,
@@ -33,7 +44,7 @@ from trigon.tripres import (
     classify,
     enumerate_all,
     format_table,
-    image_triples,
+    rep_entries,
     stabilizer_of_T,
     verify,
 )
@@ -76,9 +87,10 @@ def build_from_lambda(G, S, lam):
         for s in S:
             xs = G.mul(x, s)
             triples.add((x, xs, G.mul(xs, lam[s])))
-    T = TrianglePresentation(tuple(range(G.n)), frozenset(triples))
+    T = presentation_of(tuple(range(G.n)), triples)
     for g in generating_set(G):
-        if image_triples(T.triples, [G.mul(g, a) for a in range(G.n)]) != T.triples:
+        moved = image_triples(triples_of(T), [G.mul(g, a) for a in range(G.n)])
+        if moved != triples_of(T):
             raise CheckFailed(f"left translation by {g} moves T")
     return T
 
@@ -90,21 +102,27 @@ def exquad():
     return g, s, lam
 
 
+def reps(T):
+    """The canonical reps of T: its sorted triples filtered by rep_entries."""
+    return [r for r in rep_entries(lambda *t: t, sorted(triples_of(T))) if r]
+
+
 def test_rotation_closure_and_reps():
     t = TrianglePresentation.from_labels((1, 2, 3), [(1, 2, 3)])
-    assert t.triples == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-    assert t.canonical_reps() == [(0, 1, 2)]
+    assert triples_of(t) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    assert t.out == ([1], [2], [0]) and t.third == ([2], [0], [1])
+    assert reps(t) == [(0, 1, 2)]
     with pytest.raises(ValueError, match="unknown labels"):
         TrianglePresentation.from_labels((1, 2), [(1, 2, 3)])
     shuffled = TrianglePresentation.from_labels((9, 3, 5), [(5, 9, 3)])
-    assert shuffled.triples == {(2, 0, 1), (0, 1, 2), (1, 2, 0)}
-    assert shuffled.canonical_reps() == [(0, 1, 2)]
+    assert triples_of(shuffled) == {(2, 0, 1), (0, 1, 2), (1, 2, 0)}
+    assert reps(shuffled) == [(0, 1, 2)]
 
 
 def test_rotation_open_set_fails_axiom_three():
     f = FSet.from_labels((1, 2, 3), [(1, 2), (2, 3), (3, 1)])
-    t = TrianglePresentation((1, 2, 3), frozenset({(0, 1, 2)}))
-    assert t.triples == {(0, 1, 2)}
+    t = presentation_of((1, 2, 3), {(0, 1, 2)})
+    assert triples_of(t) == {(0, 1, 2)}
     assert verify(f, t) == [
         Violation(3, (1, 2, 3)), Violation(2, (2, 3)), Violation(2, (3, 1)),
     ]
@@ -126,18 +144,18 @@ def test_verify_projection_axiom():
 
 def test_project_f():
     assert project_F(SQUARE_T) == SQUARE_F
-    empty = TrianglePresentation((1, 2), frozenset())
+    empty = presentation_of((1, 2), ())
     assert project_F(empty) == FSet((1, 2), ([], []))
 
 
 def test_act_rho_fixes_square_t():
-    assert act(SQUARE_T, Perm((0, 1)), use_rho=True).triples == SQUARE_T.triples
+    assert triples_of(act(SQUARE_T, Perm((0, 1)), use_rho=True)) == triples_of(SQUARE_T)
 
 
 def test_enumerate_square():
     out = enumerate_all(SQUARE_F)
     assert len(out) == 2
-    assert any(t.triples == SQUARE_T.triples for t in out)
+    assert any(triples_of(t) == triples_of(SQUARE_T) for t in out)
     for t in out:
         assert verify(SQUARE_F, t) == []
 
@@ -146,7 +164,7 @@ def test_enumerate_alt():
     out = enumerate_all(ALT_F)
     assert len(out) == 2
     t1, t2 = out
-    assert act(t1, Perm((0, 1, 3, 2))).triples == t2.triples
+    assert triples_of(act(t1, Perm((0, 1, 3, 2)))) == triples_of(t2)
 
 
 def test_enumerate_no_presentation():
@@ -185,7 +203,7 @@ def test_stabilizer_alt():
     st = stabilizer_of_T(ALT_F, t1)
     assert st.plus.order() == 12
     assert st.witness is not None
-    assert act(t1, st.witness, use_rho=True).triples == t1.triples
+    assert triples_of(act(t1, st.witness, use_rho=True)) == triples_of(t1)
     assert st.order == 24
 
 
@@ -210,16 +228,16 @@ def test_isomorphic_alt_pair():
     """The two presentations on ALT_F fill the one orbit classify walks."""
     t1, t2 = enumerate_all(ALT_F)
     cls = classify(ALT_F)
-    assert [(c.representative.triples, c.orbit_size) for c in cls] == [
-        (t1.triples, 2)
+    assert [(triples_of(c.representative), c.orbit_size) for c in cls] == [
+        (triples_of(t1), 2)
     ]
-    assert t2.triples != t1.triples
+    assert triples_of(t2) != triples_of(t1)
 
 
 def test_build_from_lambda_z3():
     g = make_cyclic(3)
     t = build_from_lambda(g, [1, 2], {1: 1, 2: 2})
-    assert t.triples == {
+    assert triples_of(t) == {
         (0, 1, 2), (1, 2, 0), (2, 0, 1),
         (0, 2, 1), (2, 1, 0), (1, 0, 2),
     }
@@ -229,7 +247,7 @@ def test_build_from_lambda_z3():
 def test_build_from_lambda_empty():
     g = make_cyclic(3)
     t = build_from_lambda(g, [], {})
-    assert t.triples == frozenset()
+    assert triples_of(t) == frozenset()
     assert project_F(t).out == ([], [], [])
 
 
@@ -238,7 +256,7 @@ def test_build_from_lambda_klein_matches_alt():
     t = build_from_lambda(g, [1, 2, 3], {1: 2, 2: 3, 3: 1})
     f = project_F(t)
     assert f.out == ALT_F.out
-    assert t.triples in {T.triples for T in enumerate_all(ALT_F)}
+    assert triples_of(t) in {triples_of(T) for T in enumerate_all(ALT_F)}
 
 
 def test_build_from_lambda_rejects_bad_map():
@@ -276,10 +294,10 @@ def test_build_t_kappa_all_plus_collapses():
     t1 = build_from_lambda(g, s, lam)
     family = SignFamily(g, s, lam, h)
     assert family.keys == ((0, 9), (1, 9), (2, 9))
-    assert family.build(exquad_kappa()).triples == t1.triples
+    assert triples_of(family.build(exquad_kappa())) == triples_of(t1)
     whole = SignFamily(g, s, lam, subgroup(g, [1]))
     assert whole.keys == (9,)
-    assert whole.build({9: 1}).triples == t1.triples
+    assert triples_of(whole.build({9: 1})) == triples_of(t1)
 
 
 def test_build_t_kappa_twist():
@@ -287,9 +305,9 @@ def test_build_t_kappa_twist():
     h = subgroup(g, [3])
     t1 = build_from_lambda(g, s, lam)
     t2 = SignFamily(g, s, lam, h).build(exquad_kappa(2))
-    assert len(t1.triples ^ t2.triples) == 42
+    assert len(triples_of(t1) ^ triples_of(t2)) == 42
     coset2 = {x for x in range(21) if x % 3 == 2}
-    for a, b, c in t1.triples - t2.triples:
+    for a, b, c in triples_of(t1) - triples_of(t2):
         assert {a, b, c} <= coset2
     f = project_F(t1)
     assert verify(f, t2) == []
@@ -298,11 +316,8 @@ def test_build_t_kappa_twist():
     assert st1.order == 126 and st1.witness is None
     assert st2.order == 42 and st2.witness is None
     full = aut_full(f)
-    orbits = [
-        set(tripres._orbit_stabilizer(c.representative.triples, full)[0])
-        for c in classify(f)
-    ]
-    assert [(t1.triples in o, t2.triples in o) for o in orbits] == [
+    orbits = [set(walk(f, c.representative, full)[0]) for c in classify(f)]
+    assert [(triples_of(t1) in o, triples_of(t2) in o) for o in orbits] == [
         (True, False), (False, True)
     ]
 
@@ -322,8 +337,8 @@ def test_t_kappa_subgroup_invariance():
     t2 = SignFamily(g, s, lam, h).build(exquad_kappa(2))
     shift3 = Perm(tuple((a + 3) % 21 for a in range(21)))
     shift1 = Perm(tuple((a + 1) % 21 for a in range(21)))
-    assert act(t2, shift3).triples == t2.triples
-    assert act(t2, shift1).triples != t2.triples
+    assert triples_of(act(t2, shift3)) == triples_of(t2)
+    assert triples_of(act(t2, shift1)) != triples_of(t2)
 
 
 def test_t_kappa_validation():
@@ -385,7 +400,8 @@ def test_build_check_matches_violations(data):
             other = data.draw(pos)
             triples |= {(i, j, other), (j, other, i), (other, i, j)}
     fout = fset_of(range(n), {(i, j) for i, j, _ in triples}).out
-    assert closed_and_unique(triples) == (not tripres._violations(fout, triples))
+    T = presentation_of(range(n), triples)
+    assert closed_and_unique(triples) == (not tripres._violations(fout, T))
 
 
 def closed_and_unique(triples):
@@ -422,7 +438,7 @@ def test_build_t_kappa_matches_the_tuple_loop(name):
     make, q = TWISTED_DATA[name]
     family = make(q).signs()
     for kappa in family.choices():
-        assert family.build(kappa).triples == oracle_build_T_kappa(family, kappa)
+        assert triples_of(family.build(kappa)) == oracle_build_T_kappa(family, kappa)
 
 
 @pytest.mark.parametrize("broken", ["one inverse step", "a step outside S"])
@@ -451,12 +467,21 @@ def test_a_twist_that_breaks_closure_names_its_violations(monkeypatch, broken):
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), max_size=12))
 def test_canonical_reps_match_the_least_rotation(triples):
-    """On random sets over four points, so with repeated entries and ties,
-    closed under rotation or not."""
-    T = TrianglePresentation(tuple(range(4)), frozenset(triples))
-    assert T.canonical_reps() == sorted(
-        {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in triples}
-    )
+    """On random sets over four points, so with repeated entries and ties:
+    rep_entries keeps exactly the triples that are the least of their
+    rotations, closed under rotation or not, and on a rotation closure the
+    kept triples are the sorted least rotations."""
+    def least(t):
+        i, j, k = t
+        return min(t, (j, k, i), (k, i, j))
+
+    ordered = sorted(triples)
+    assert rep_entries(lambda *t: t, ordered) == [
+        t if t == least(t) else "" for t in ordered
+    ]
+    closed = {least(t)[r:] + least(t)[:r] for t in triples for r in range(3)}
+    T = presentation_of(tuple(range(4)), closed)
+    assert reps(T) == sorted({least(t) for t in triples})
 
 
 def test_generating_set():
@@ -482,7 +507,7 @@ def brute_presentations(f):
         chosen = [orbits[b] for b in range(len(orbits)) if (mask >> b) & 1]
         t = TrianglePresentation.from_labels(labels, chosen)
         if verify(f, t) == []:
-            found.append(t.triples)
+            found.append(triples_of(t))
     return sorted(found, key=sorted)
 
 
@@ -501,7 +526,7 @@ def test_enumerate_matches_brute_force(data):
         )
     )
     f = FSet.from_labels(range(1, n + 1), pairs)
-    out = sorted((t.triples for t in enumerate_all(f)), key=sorted)
+    out = sorted((triples_of(t) for t in enumerate_all(f)), key=sorted)
     assert out == brute_presentations(f)
 
 
@@ -510,21 +535,21 @@ def test_enumerate_matches_brute_force(data):
 def test_enumeration_closed_under_aut(data):
     f = singer_f_q2()
     out = enumerate_all(f)
-    keys = {t.triples for t in out}
+    keys = {triples_of(t) for t in out}
     af = aut_full(f)
     t = out[data.draw(st.integers(min_value=0, max_value=len(out) - 1))]
     for g in af.plus.generators:
-        assert act(t, g).triples in keys
+        assert triples_of(act(t, g)) in keys
     if af.witness is not None:
-        assert act(t, af.witness, use_rho=True).triples in keys
+        assert triples_of(act(t, af.witness, use_rho=True)) in keys
 
 
 def oracle_stabilizer(f, t):
     """Aut+(T) and the rho witness by relabeling T through act for every
     element of Aut+(F) and of its sorted rho coset."""
     a = aut_plus(f)
-    tref = t.triples
-    keep = [s for s in a.elements() if act(t, s).triples == tref]
+    tref = triples_of(t)
+    keep = [s for s in a.elements() if triples_of(act(t, s)) == tref]
     plus = bsgs_build(f.n, [s for s in keep if not s.is_identity()])
     full = aut_full(f)
     witness = None
@@ -532,7 +557,7 @@ def oracle_stabilizer(f, t):
         cands = sorted((g * full.witness for g in a.elements()),
                        key=lambda p: p.images)
         for s in cands:
-            if act(t, s, use_rho=True).triples == tref:
+            if triples_of(act(t, s, use_rho=True)) == tref:
                 witness = s
                 break
     return plus, witness
@@ -543,7 +568,7 @@ def oracle_classify(f):
     (representative triples, orbit size, Aut+(T) elements, whether a rho
     witness exists)."""
     allt = exact_covers(f)
-    index = {t.triples: i for i, t in enumerate(allt)}
+    index = {triples_of(t): i for i, t in enumerate(allt)}
     full = aut_full(f)
     movers = [(g, False) for g in full.plus.generators]
     if full.witness is not None:
@@ -557,14 +582,14 @@ def oracle_classify(f):
         queue = [start]
         for i in queue:
             for g, use_rho in movers:
-                j = index[act(allt[i], g, use_rho).triples]
+                j = index[triples_of(act(allt[i], g, use_rho))]
                 if j not in orbit:
                     orbit.add(j)
                     queue.append(j)
         seen |= orbit
         rep = allt[min(orbit)]
         plus, witness = oracle_stabilizer(f, rep)
-        out.append((rep.triples, len(orbit), _elements(plus),
+        out.append((triples_of(rep), len(orbit), _elements(plus),
                     witness is not None))
     return out
 
@@ -586,8 +611,8 @@ DIFFERENTIAL_F = {
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
 def test_enumerate_matches_set_based_dfs(name):
     f = DIFFERENTIAL_F[name]()
-    want = [t.triples for t in exact_covers(f)]
-    assert [t.triples for t in enumerate_all(f)] == want
+    want = [triples_of(t) for t in exact_covers(f)]
+    assert [triples_of(t) for t in enumerate_all(f)] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -602,8 +627,8 @@ def test_enumerate_matches_set_based_dfs_on_random_pair_sets(data):
     extra = data.draw(st.sets(st.tuples(point, point), max_size=n))
     pairs = {p for i, j, k in triples for p in ((i, j), (j, k), (k, i))}
     f = FSet.from_labels(range(n), pairs | extra)
-    want = [t.triples for t in exact_covers(f)]
-    assert [t.triples for t in enumerate_all(f)] == want
+    want = [triples_of(t) for t in exact_covers(f)]
+    assert [triples_of(t) for t in enumerate_all(f)] == want
 
 
 # pair sets where the branching order matters most, with their presentation
@@ -634,7 +659,7 @@ def test_classify_singer_q8():
 def _fixes(t, witness):
     """Whether the rho witness carries t onto itself; which witness of the
     coset comes back is not part of the contract."""
-    return act(t, witness, use_rho=True).triples == t.triples
+    return triples_of(act(t, witness, use_rho=True)) == triples_of(t)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
@@ -645,7 +670,7 @@ def test_classify_matches_act_relabelings(name):
         st = stabilizer_of_T(f, c.representative)
         assert c.aut_order == st.order
         assert st.witness is None or _fixes(c.representative, st.witness)
-        got.append((c.representative.triples, c.orbit_size,
+        got.append((triples_of(c.representative), c.orbit_size,
                     _elements(st.plus), st.witness is not None))
     assert got == oracle_classify(f)
 
@@ -686,20 +711,35 @@ def _closure(n, movers):
     return group
 
 
+def walk(F, T, full):
+    """The orbit of T, one third per pair of F, under the thirds-key walk,
+    as triple sets in walk order, and its stabilizer."""
+    orbit, stab = tripres._orbit_stabilizer(T, full)
+    return [triples_of(on_rows(F, x)) for x in orbit], stab
+
+
+def on_rows(F, thirds):
+    """The presentation on F with these thirds, one per pair in out-list
+    order."""
+    ends = itertools.accumulate(map(len, F.out))
+    rows = tuple(list(thirds[e - len(js):e]) for js, e in zip(F.out, ends))
+    return TrianglePresentation(F.labels, F.out, rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_orbit_stabilizer_matches_brute_force(data):
     """The orbit and the stabilizer from Schreier generators against the
-    whole group, listed by closure, on arbitrary triple sets."""
+    whole group, listed by closure, on arbitrary thirds of every pair."""
     n = data.draw(st.integers(min_value=2, max_value=4))
     movers = data.draw(st.lists(
         st.tuples(st.permutations(range(n)), st.integers(0, 1)),
         min_size=1, max_size=3,
     ))
-    point = st.integers(0, n - 1)
-    ptrip = frozenset(data.draw(
-        st.lists(st.tuples(point, point, point), min_size=1, max_size=4)
-    ))
+    F = fset_of(range(n), itertools.product(range(n), repeat=2))
+    thirds = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    T = on_rows(F, thirds)
+    ptrip = triples_of(T)
     group = _closure(n, movers)
     plus = []
     for g, b in sorted(group):
@@ -708,9 +748,9 @@ def test_orbit_stabilizer_matches_brute_force(data):
     swaps = sorted(g for g, b in group if b)
     full = AutFull(plus=bsgs_build(n, plus),
                    witness=Perm(swaps[-1]) if swaps else None)
-    orbit, stab = tripres._orbit_stabilizer(ptrip, full)
-    images = {tripres.image_triples(ptrip, g, b) for g, b in group}
-    fixing = {(g, b) for g, b in group if tripres.image_triples(ptrip, g, b) == ptrip}
+    orbit, stab = walk(F, T, full)
+    images = {image_triples(ptrip, g, b) for g, b in group}
+    fixing = {(g, b) for g, b in group if image_triples(ptrip, g, b) == ptrip}
     assert sorted(orbit, key=sorted) == sorted(images, key=sorted)
     assert _elements(stab.plus) == sorted(g for g, b in fixing if not b)
     assert (stab.witness is None) == all(not b for _, b in fixing)
@@ -719,14 +759,52 @@ def test_orbit_stabilizer_matches_brute_force(data):
 
 def test_orbit_stabilizer_takes_products_of_coordinate_swaps():
     """Every Schreier generator of this orbit swaps the coordinates, so the
-    order-2 Aut+(T) comes only from products of two of them."""
+    order-2 Aut+(T) comes only from products of two of them.  On the
+    diagonal pair set, T marks point 4 by the triple (4, 4, 4) and sends
+    every other point but 3 to 3, which the group fixes."""
     full = AutFull(plus=bsgs_build(6, [Perm((2, 5, 4, 3, 0, 1))]),
                    witness=Perm((0, 5, 4, 3, 2, 1)))
-    ptrip = frozenset({(3, 3, 3), (4, 4, 4)})
-    orbit, stab = tripres._orbit_stabilizer(ptrip, full)
+    F = fset_of(range(6), [(x, x) for x in range(6)])
+    T = on_rows(F, [3, 3, 3, 3, 4, 3])
+    orbit, stab = walk(F, T, full)
     assert len(orbit) * stab.order == full.order == 12
     assert _elements(stab.plus) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
-    assert tripres.image_triples(ptrip, stab.witness.images, True) == ptrip
+    assert image_triples(triples_of(T), stab.witness.images, True) == triples_of(T)
+
+
+def relabelled(F, seed):
+    """F over the same labels, its positions moved by a random permutation."""
+    perm = random.Random(seed).sample(range(F.n), F.n)
+    return fset_of(F.labels, {(perm[i], perm[j]) for i, j in pairs_of(F)})
+
+
+WALK_F = {
+    "complete digraph on 4": lambda: complete_digraph(4),
+    "singer q=2": lambda: singer_datum(2).F(),
+    "singer q=3": lambda: singer_datum(3).F(),
+    "quad q=2": lambda: quad_datum(2).F(),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(WALK_F))
+def test_walk_matches_the_triple_set_walk(name, seed):
+    """The thirds-key walk against the triple-set walk it replaced, from
+    every presentation on the census pair sets and on random relabellings
+    of them: the same orbit in the same order, the same stabilizer order
+    and the same witness, bit-1 moves included."""
+    F = WALK_F[name]()
+    if seed is not None:
+        F = relabelled(F, seed)
+    full = aut_full(F)
+    presentations = enumerate_all(F)
+    assert presentations
+    for T in presentations:
+        orbit, stab = walk(F, T, full)
+        want, want_stab = orbit_stabilizer(triples_of(T), full)
+        assert orbit == want
+        assert stab.order == want_stab.order
+        assert stab.witness == want_stab.witness
 
 
 def test_classify_lists_no_group_elements(monkeypatch):
@@ -745,7 +823,7 @@ def test_broken_counting_identity_raises(monkeypatch):
     real = tripres._orbit_stabilizer
     monkeypatch.setattr(
         tripres, "_orbit_stabilizer",
-        lambda ptrip, full: (real(ptrip, full)[0], trivial),
+        lambda T, full: (real(T, full)[0], trivial),
     )
     assert not issubclass(CheckFailed, ValueError)
     with pytest.raises(CheckFailed, match="orbit size 2 times stabilizer order 1"):
@@ -754,10 +832,10 @@ def test_broken_counting_identity_raises(monkeypatch):
 
 def test_translation_check_raises(monkeypatch):
     g = make_cyclic(3)
-    real = TrianglePresentation
+    real = presentation_of
     monkeypatch.setitem(globals(), "generating_set", lambda G: [1])
     monkeypatch.setitem(
-        globals(), "TrianglePresentation",
+        globals(), "presentation_of",
         lambda labels, triples: real(labels, {(0, 0, 1)}),
     )
     with pytest.raises(CheckFailed, match="left translation"):
