@@ -75,17 +75,18 @@ def kappa_spec_of(kappa):
 
 
 # the most triples --all-kappa builds, over all its presentations together,
-# and the most one singer or quad presentation has.  A family is written a
-# choice at a time: opp --q 25 --all-kappa --format json writes exactly this
-# many, 247 MB, in 1.0 s and 25 MB.  One presentation is held whole while
-# its text is made, so for it this bounds memory, at 110-220 bytes a triple:
-# singer --q 157 --kappa +1 (3,919,506 triples; q = 163 is refused) peaks
-# at 440 MB as a table, 488 MB as gap and 870 MB as json, and singer --q 67
-# (309,876) at 48, 54 and 91 MB (peak RSS, 2-core Xeon, Python 3.11).
+# and the most one singer or quad presentation has; exotic refuses the q
+# singer refuses.  A family is written a choice at a time: opp --q 25
+# --all-kappa --format json writes exactly this many, 247 MB, in 1.0 s and
+# 25 MB.  One presentation is held whole while its text is made, so for it
+# this bounds memory, at 110-220 bytes a triple: singer --q 157 --kappa +1
+# (3,919,506 triples; q = 163 is refused) peaks at 440 MB as a table,
+# 488 MB as gap and 870 MB as json, and singer --q 67 (309,876) at 48, 54
+# and 91 MB (peak RSS, 2-core Xeon, Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
-# the most sign choices exotic --all-kappa certifies.  The certificates are
-# sorted before they are written, so they are all held at once: at q = 43
+# the most sign choices exotic --all-kappa certifies.  The certificates go
+# into one JSON text, so they are all held at once: at q = 43
 # (16,384 choices) the run takes 3 s and 80 MB and writes 6 MB; q = 47
 # (65,536) took 10 s and 294 MB, and q = 53 would make 262,144 (2-core Xeon,
 # Python 3.11).  Every q <= 43 fits.
@@ -264,7 +265,7 @@ def _cmd_exotic(args):
     import json
 
     from .exoticity import build_probe, exotic_certificate, exotic_lower_bounds
-    from .singer import singer_datum
+    from .singer import r_of_q, singer_datum
 
     if not (args.kappa or args.all_kappa or args.bounds):
         raise KappaSpecError("pass --kappa, --all-kappa, or --bounds")
@@ -278,15 +279,18 @@ def _cmd_exotic(args):
             "vacuous": b.vacuous,
         }
     if args.kappa or args.all_kappa:
+        # both refusals come before the field search, which at q = 256
+        # alone takes 47 s
+        count = 2 ** r_of_q(args.q)
+        if args.all_kappa and count > _CERTIFICATE_LIMIT:
+            raise TooLarge(
+                f"--all-kappa would certify {count} sign choices; the "
+                f"limit is {_CERTIFICATE_LIMIT}"
+            )
+        _check_presentation_size(args.q, args.q)
         d = singer_datum(args.q, args.modulus)
         family = d.signs()
         if args.all_kappa:
-            count = 2 ** len(family.keys)
-            if count > _CERTIFICATE_LIMIT:
-                raise TooLarge(
-                    f"--all-kappa would certify {count} sign choices; the "
-                    f"limit is {_CERTIFICATE_LIMIT}"
-                )
             kappas = family.choices()
         else:
             kappas = [parse_kappa_spec(args.kappa, family)]
@@ -296,14 +300,14 @@ def _cmd_exotic(args):
             {
                 "q": c.q,
                 "kappa": kappa_spec_of(dict(c.kappa)),
-                "sigma_cycles": c.sigma.cycle_string(one_based=False),
+                "sigma_cycles": c.sigma.cycle_string(),
                 "member": c.member,
                 "verdict": c.verdict,
                 "q0_order": probe.q0.order(),
             }
             for c in certs
         ]
-        out["certificates"] = sorted(blobs, key=lambda b: b["kappa"])
+        out["certificates"] = blobs
     return 0, json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
@@ -20,20 +20,15 @@ MAX_UNLABELED_N = 1 << 16
 
 @dataclass(frozen=True)
 class Document:
-    """A pair set and a presentation over one explicit label list, plus
-    free-form metadata."""
+    """A pair set and a presentation over one explicit label list; the
+    document's free-form meta object is checked and not kept."""
 
     F: FSet
     T: TrianglePresentation
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.F.labels != self.T.labels:
             raise ValueError("F and T must share one label list")
-
-    @property
-    def labels(self):
-        return self.T.labels
 
 
 def document_text(T: TrianglePresentation, meta: dict, level: int) -> str:
@@ -153,8 +148,7 @@ def parse_document(text: str, strict: bool = True) -> Document:
             if not _is_int(x) or x not in known:
                 raise ParseError(f"T[{i}]: index {x} outside the label set")
         triples.append(tuple(entry))
-    meta = blob.get("meta", {})
-    if not isinstance(meta, dict):
+    if not isinstance(blob.get("meta", {}), dict):
         raise ParseError("document.meta: expected an object")
     T = TrianglePresentation.from_labels(labels, triples)
     listed = set(triples)
@@ -168,7 +162,7 @@ def parse_document(text: str, strict: bool = True) -> Document:
             )
         warnings.warn("triple list was not rotation-closed; closing it")
     F = FSet.from_labels(labels, pairs)
-    return Document(F=F, T=T, meta=meta)
+    return Document(F=F, T=T)
 
 
 def load_document(path, strict: bool = True) -> Document:

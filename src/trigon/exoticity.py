@@ -14,7 +14,7 @@ from fractions import Fraction
 from .ffield import factor_prime_power
 from .fgroup import Datum, SignFamily
 from .autosearch import automorphism_generators
-from .linkgraph import LinkGraph, from_F
+from .linkgraph import from_F
 from .permgrp import (
     NotInvariant,
     Perm,
@@ -36,21 +36,13 @@ class OrderMismatch(ProbeCheckFailed):
 
 @dataclass(frozen=True, eq=False)
 class ExoticProbe:
-    """Link-graph data around the base vertex: the point-side vertex 0, its
-    neighborhood Lambda = line-side copies of S, the group Q0 induced on
-    Lambda by link automorphisms fixing the base vertex, and the datum's sign
-    family."""
+    """The group Q0 induced on the neighborhood Lambda of the base vertex,
+    the point-side vertex 0, whose neighbors are the line-side copies of S,
+    by the link automorphisms fixing it; and the datum's sign family."""
 
     datum: Datum
-    link: LinkGraph
-    v1: int
-    lambda_set: tuple
     q0: PermGroup
     family: SignFamily
-
-    @property
-    def q(self):
-        return self.datum.q
 
 
 def expected_q0_order(q):
@@ -96,8 +88,7 @@ def build_probe(d: Datum) -> ExoticProbe:
     got = q0.order()
     if got != want:
         raise OrderMismatch(f"|Q0| = {got}, expected {want} for q = {d.q}")
-    return ExoticProbe(datum=d, link=link, v1=v1, lambda_set=lam_set, q0=q0,
-                       family=family)
+    return ExoticProbe(datum=d, q0=q0, family=family)
 
 
 def sigma_kappa(probe: ExoticProbe, kappa) -> Perm:

@@ -38,10 +38,6 @@ class ZeroElement(ValueError):
     pass
 
 
-class DivisionByZero(ZeroDivisionError):
-    pass
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -343,20 +339,11 @@ class FieldElement:
         return FieldElement(f, raw + (0,) * (f.e - len(raw)))
 
     def __pow__(self, n: int):
-        f = self.field
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"negative exponent {n}")
+        f = self.field
         raw = _polypowmod(self.coeffs, n, f.modulus, f.p)
         return FieldElement(f, raw + (0,) * (f.e - len(raw)))
-
-    def inverse(self) -> FieldElement:
-        if self.is_zero():
-            raise DivisionByZero("zero has no inverse")
-        return self ** (self.field.order - 2)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
 
     def __eq__(self, other):
         return (

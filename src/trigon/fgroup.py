@@ -241,22 +241,22 @@ class SignFamily:
         for signs in product((1, -1), repeat=len(self.keys)):
             yield dict(zip(self.keys, signs))
 
-    def twist(self, kappa, rep=0) -> tuple:
-        """The step of each s of S on the coset of rep, in the order of S:
-        lam(s), or lam^2(s) = lam^-1(s) where kappa puts -1 on the orbit of
-        s on that coset; rep is unused when H has one coset.  Checks kappa
-        first."""
+    def twist(self, kappa) -> tuple:
+        """The step of each s of S on H, in the order of S: lam(s), or
+        lam^2(s) = lam^-1(s) where kappa puts -1 on the orbit of s on H.
+        Checks kappa first."""
         self.check(kappa)
         lam = self.lam
         flip = {
             s for s, omin in self.orbit_min.items()
-            if kappa[(rep, omin) if self.H.index > 1 else omin] == -1
+            if kappa[(0, omin) if self.H.index > 1 else omin] == -1
         }
         return tuple(lam[lam[s]] if s in flip else lam[s] for s in self.S)
 
     def build(self, kappa) -> TrianglePresentation:
         """The twisted presentation {(x, xs, xs*step)} of one sign choice,
-        where step is the twist of s on the coset of x."""
+        where step is lam(s), or lam^2(s) where kappa puts -1 on the orbit
+        of s on the coset of x."""
         return self._presentation(self._signs(kappa))
 
     @cached_property

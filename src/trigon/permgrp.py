@@ -59,18 +59,6 @@ class Perm:
             inv[j] = i
         return Perm._trusted(tuple(inv))
 
-    def __pow__(self, n: int) -> Perm:
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = Perm.identity(self.degree)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -91,14 +79,12 @@ class Perm:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_string(self, one_based: bool = True) -> str:
-        off = 1 if one_based else 0
+    def cycle_string(self) -> str:
+        """The cycles of 0-based points, "()" for the identity."""
         cycs = self.cycles()
         if not cycs:
             return "()"
-        return "".join(
-            "(" + " ".join(str(c + off) for c in cyc) + ")" for cyc in cycs
-        )
+        return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in cycs)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

@@ -16,7 +16,8 @@ The triple-set half holds a presentation as a set of position triples, the
 form TrianglePresentation had before its rows: triples_of and
 presentation_of convert between the two, and image_triples and
 orbit_stabilizer are the triple-set oracles of the action of Aut(F) and of
-the orbit walk.
+the orbit walk.  coset_steps is the sign rule of a twisted family on every
+coset of H, the oracles' own copy of SignFamily.twist.
 """
 
 import json
@@ -158,6 +159,20 @@ def orbit_stabilizer(ptrip, full):
         plus += [witness * e * w_inv for e in plus]
         plus += [witness * s for s in swaps] + [s * w_inv for s in swaps]
     return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
+
+
+def coset_steps(family, kappa):
+    """The step of each s of S on each coset of H, in coset id order: lam(s),
+    or lam^2(s) = lam^-1(s) where kappa puts -1 on the key of the orbit of s
+    on that coset, the orbit minimum alone when H has one coset."""
+    lam, H = family.lam, family.H
+
+    def step(rep, s):
+        omin = family.orbit_min.get(s)
+        key = omin if H.index == 1 else (rep, omin)
+        return lam[lam[s]] if omin is not None and kappa[key] == -1 else lam[s]
+
+    return [tuple(step(rep, s) for s in family.S) for rep in H.reps]
 
 
 def relabel(T, labels):

@@ -433,6 +433,7 @@ def test_family_over_the_limit_exits_two(capsys, monkeypatch, q, presentations,
         (["singer", "--q", "169", "--kappa", "+1"], 28731, 170),
         (["singer", "--q", "169", "--all-kappa"], 28731, 170),
         (["quad", "--q", "13", "--format", "json"], 28731, 170),
+        (["exotic", "--q", "169", "--kappa", "+1"], 28731, 170),
     ],
 )
 def test_presentation_over_the_limit_exits_two(capsys, monkeypatch, argv, m,
@@ -440,7 +441,8 @@ def test_presentation_over_the_limit_exits_two(capsys, monkeypatch, argv, m,
     """singer --q 163 is the first singer q and quad --q 13 the first quad q
     whose one presentation, |G| x |S| triples, is over the family limit; the
     guard reads q alone, so it refuses before the datum and its field
-    search, in every mode."""
+    search, in every mode.  exotic builds the singer datum, so it refuses
+    the same q."""
 
     def no_datum(q, modulus):
         raise AssertionError("the datum was built before the size guard")
@@ -456,10 +458,11 @@ def test_presentation_over_the_limit_exits_two(capsys, monkeypatch, argv, m,
     )
 
 
-@pytest.mark.parametrize("argv", [["singer", "--q", "157"], ["quad", "--q", "11"]])
+@pytest.mark.parametrize("argv", [["singer", "--q", "157"], ["quad", "--q", "11"],
+                                  ["exotic", "--q", "157", "--kappa", "+1"]])
 def test_presentation_limit_admits_the_q_below(capsys, monkeypatch, argv):
     """singer --q 157 and quad --q 11 are the largest q under the limit: the
-    guard lets them through to the datum."""
+    guard lets them, and exotic --q 157, through to the datum."""
 
     def reached(q, modulus):
         raise KappaSpecError(f"datum reached at q = {q}")
@@ -471,14 +474,19 @@ def test_presentation_limit_admits_the_q_below(capsys, monkeypatch, argv):
     assert err == f"trigon {argv[0]}: datum reached at q = {argv[2]}\n"
 
 
-@pytest.mark.parametrize("q, choices", [(47, 2**16), (53, 2**18)])
+@pytest.mark.parametrize("q, choices", [(47, 2**16), (53, 2**18), (256, 2**85)])
 def test_exotic_all_kappa_over_the_limit_exits_two(capsys, monkeypatch, q,
                                                    choices):
-    """The guard refuses before the probe is built."""
+    """The guard reads q alone, so it refuses before the datum and its
+    field search (47 s for GF(2^24) at q = 256), and before the probe."""
+
+    def no_datum(q, modulus):
+        raise AssertionError("the datum was built before the size guard")
 
     def no_probe(d):
         raise AssertionError("the probe was built before the size guard")
 
+    monkeypatch.setattr(singer, "singer_datum", no_datum)
     monkeypatch.setattr(exoticity, "build_probe", no_probe)
     code, out, err = invoke(capsys, ["exotic", "--q", str(q), "--all-kappa"])
     assert (code, out) == (2, "")

@@ -28,29 +28,30 @@ from trigon.tripres import TrianglePresentation
 
 SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
+SQUARE_META = {"note": "square link"}
 
 
-def dump(doc):
+def dump(doc, meta):
     """The program's text of a document whose F is the pairs of its T."""
     if doc.F != project_F(doc.T):
         raise ValueError("document_text writes the pairs of T as F")
-    return document_text(doc.T, doc.meta, 0) + "\n"
+    return document_text(doc.T, meta, 0) + "\n"
 
 
 def square_doc():
-    return Document(F=SQUARE_F, T=SQUARE_T, meta={"note": "square link"})
+    return Document(F=SQUARE_F, T=SQUARE_T)
 
 
 @pytest.mark.parametrize("which", [1, 3, 4])
 def test_dump_parse_round_trip(which):
     T = table(which)
-    doc = Document(F=project_F(T), T=T, meta={"table": which})
-    assert parse_document(dump(doc)) == doc
+    doc = Document(F=project_F(T), T=T)
+    assert parse_document(dump(doc, {"table": which})) == doc
 
 
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "square.json"
-    path.write_text(dump(square_doc()))
+    path.write_text(dump(square_doc(), SQUARE_META))
     assert load_document(path) == square_doc()
 
 
@@ -60,12 +61,12 @@ def test_document_requires_shared_labels():
 
 
 def test_schema_fields_written():
-    blob = json.loads(dump(square_doc()))
+    blob = json.loads(dump(square_doc(), SQUARE_META))
     assert set(blob) == {"n", "labels", "F", "T", "meta"}
     assert blob["n"] == 2 and blob["labels"] == [1, 2]
     # only canonical representatives are serialized
     assert blob["T"] == [[1, 1, 2], [2, 2, 2]]
-    assert blob["meta"] == {"note": "square link"}
+    assert blob["meta"] == SQUARE_META
 
 
 def test_parse_accepts_full_closure_strictly():
@@ -75,7 +76,7 @@ def test_parse_accepts_full_closure_strictly():
         "T": [[1, 1, 2], [1, 2, 1], [2, 1, 1], [2, 2, 2]],
     }
     doc = parse_document(json.dumps(blob))
-    assert doc.T == SQUARE_T and doc.meta == {}
+    assert doc.T == SQUARE_T
 
 
 def test_parse_partial_closure_is_flag_controlled():
@@ -95,7 +96,7 @@ def test_parse_partial_closure_is_flag_controlled():
 def test_labels_default_to_one_based_range():
     blob = {"n": 2, "F": [[1, 2]], "T": []}
     doc = parse_document(json.dumps(blob))
-    assert doc.labels == (1, 2)
+    assert doc.F.labels == doc.T.labels == (1, 2)
     with pytest.raises(ParseError) as err:
         parse_document(json.dumps({"n": 2, "F": [[0, 1]], "T": []}))
     assert "F[0]" in str(err.value)
@@ -162,12 +163,13 @@ def test_round_trip_over_shuffled_labels(data):
         r for i, j, k in seeds for r in ((i, j, k), (j, k, i), (k, i, j))
     )
     T = presentation_of(labels, triples)
-    doc = Document(F=fset_of(labels, pairs), T=T, meta={"seed": len(seeds)})
-    back = parse_document(dump_document(doc.F, T, doc.meta))
+    meta = {"seed": len(seeds)}
+    doc = Document(F=fset_of(labels, pairs), T=T)
+    back = parse_document(dump_document(doc.F, T, meta))
     assert pairs_of(back.F) == pairs and triples_of(back.T) == triples
     assert back == doc
-    own = Document(F=project_F(T), T=T, meta=doc.meta)
-    assert parse_document(dump(own)) == own
+    own = Document(F=project_F(T), T=T)
+    assert parse_document(dump(own, meta)) == own
 
 
 JSON_VALUES = st.recursive(

@@ -18,7 +18,7 @@ from trigon.exoticity import (
     sigma_kappa,
 )
 from trigon.fgroup import lambda_orbits
-from trigon.linkgraph import graph_automorphisms
+from trigon.linkgraph import from_F, graph_automorphisms
 from trigon.permgrp import Perm
 from trigon.singer import r_of_q, singer_datum
 from trigon.tripres import KappaSpecError, LambdaConditionFailed
@@ -54,7 +54,7 @@ def test_expected_order_formula():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 53])
 def test_q0_census(q, probe_for):
     probe = probe_for(q)
-    assert len(probe.lambda_set) == q + 1
+    assert probe.q0.degree == q + 1
     assert probe.q0.order() == expected_q0_order(q)
     if q <= 4:
         # PGL2(2), PGL2(3), PGammaL2(4) exhaust the symmetric group
@@ -67,8 +67,9 @@ def test_q0_census(q, probe_for):
 def test_q0_matches_full_group_stabilizer(q, probe_for):
     # slow oracle: the whole link group, then the stabilizer, then Lambda
     probe = probe_for(q)
-    full = graph_automorphisms(probe.link)
-    oracle = full.stabilizer(probe.v1).restrict(probe.lambda_set)
+    link = from_F(probe.datum.F())
+    full = graph_automorphisms(link)
+    oracle = full.stabilizer(0).restrict([link.n + s for s in probe.datum.S])
     assert oracle.order() == probe.q0.order()
     assert all(probe.q0.contains(g) for g in oracle.generators)
     assert all(oracle.contains(g) for g in probe.q0.generators)
@@ -101,9 +102,11 @@ def test_q0_transitive_on_neighborhood(q, probe_for):
 
 
 def test_neighborhood_identification(probe_for):
-    probe = probe_for(5)
-    assert probe.v1 == 0
-    assert probe.lambda_set == tuple(probe.link.n + s for s in probe.datum.S)
+    # Lambda, the neighbors of the base vertex 0, are the line-side copies of
+    # S, in the order of S, which is the order of Q0's points
+    d = probe_for(5).datum
+    link = from_F(d.F())
+    assert list(link.adj[0]) == [link.n + s for s in d.S]
 
 
 def test_sigma_fano():

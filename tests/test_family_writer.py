@@ -10,7 +10,7 @@ from operator import itemgetter
 
 import pytest
 
-from label_oracle import fset_of, pairs_of, presentation_of, triples_of
+from label_oracle import coset_steps, fset_of, pairs_of, presentation_of, triples_of
 from trigon.cli import kappa_spec_of, run
 from trigon.fgroup import SignFamily, make_cyclic, subgroup
 from trigon.oppmodel import opp_datum
@@ -18,12 +18,12 @@ from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import TwistCheckFailed, _violations
 
 
-def walk_triples(family, kappa):
+def walk_triples(family, kappa, rule=coset_steps):
     """The twisted triples of one choice, unchecked: the cosets of H are
     walked in turn, and the pairs (x, xs) of a coset take their thirds from
-    the twist on that coset."""
+    the steps rule gives on that coset."""
     G, S = family.G, family.S
-    steps = [family.twist(kappa, rep) for rep in family.H.reps]
+    steps = rule(family, kappa)
     cosets = [[] for _ in steps]
     for x, c in enumerate(family.H.coset_index):
         cosets[c].append(x)
@@ -111,24 +111,23 @@ def misfiled_exquad():
 def one_forward_step(monkeypatch):
     """A twist that steps one s of a twisted orbit by lam(s) under either
     sign: the all-plus choice closes, and a choice that puts -1 on the
-    orbit's key leaves rotations of that one key open."""
+    orbit's key leaves rotations of that one key open.  The family's twist
+    and the oracle's rule are bent alike."""
     family = singer_datum(3).signs()
     S, lam = family.S, family.lam
     a = next(a for a, s in enumerate(S) if s in family.orbit_min)
     real = SignFamily.twist
 
-    def twist(self, kappa, rep=0):
-        steps = list(real(self, kappa, rep))
-        steps[a] = lam[S[a]]
-        return tuple(steps)
+    def forward(steps):
+        return steps[:a] + (lam[S[a]],) + steps[a + 1:]
 
-    monkeypatch.setattr(SignFamily, "twist", twist)
-    return family
+    monkeypatch.setattr(SignFamily, "twist", lambda self, kappa: forward(real(self, kappa)))
+    return family, lambda family, kappa: list(map(forward, coset_steps(family, kappa)))
 
 
 BROKEN = {
-    "misfiled coset, quad q=2": lambda monkeypatch: misfiled_quad(),
-    "misfiled coset, exquad": lambda monkeypatch: misfiled_exquad(),
+    "misfiled coset, quad q=2": lambda monkeypatch: (misfiled_quad(), coset_steps),
+    "misfiled coset, exquad": lambda monkeypatch: (misfiled_exquad(), coset_steps),
     "one forward step, singer q=3": one_forward_step,
 }
 
@@ -139,13 +138,13 @@ def test_broken_data_fail_exactly_where_violations_say(monkeypatch, name, order)
     """Each choice of a broken datum passes or fails exactly as _violations
     of its walked triples says, with _violations' text, whichever choices
     one family object was asked for before."""
-    family = BROKEN[name](monkeypatch)
+    family, rule = BROKEN[name](monkeypatch)
     kappas = list(family.choices())
     if order == "reversed":
         kappas.reverse()
     failed = 0
     for kappa in kappas:
-        triples = walk_triples(family, kappa)
+        triples = walk_triples(family, kappa, rule)
         fout = fset_of(range(family.G.n), {(i, j) for i, j, _ in triples}).out
         found = _violations(fout, presentation_of(range(family.G.n), triples))
         if not found:

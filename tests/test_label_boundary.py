@@ -143,7 +143,7 @@ def test_violation_data_matches_label_level_code(name, kind):
 def test_documents_parse_back_to_positions(name, kind):
     F, T = case(name, kind)
     doc = parse_document(oracle.dump_document(F, T, {}))
-    assert doc.F == F and doc.labels == T.labels
+    assert doc.F == F and doc.T.labels == T.labels
     closed = closure(T)
     assert doc.T == closed
     own = parse_document(document_text(closed, {}, 0))

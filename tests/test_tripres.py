@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from label_oracle import (
     act,
+    coset_steps,
     exact_covers,
     fset_of,
     image_triples,
@@ -413,11 +414,12 @@ def closed_and_unique(triples):
     return all(third.get((j, k)) == i for i, j, k in triples)
 
 
-def oracle_build_T_kappa(family, kappa):
-    """The twisted triples from a tuple loop, two products per triple;
-    None when they fail closed_and_unique."""
+def oracle_build_T_kappa(family, kappa, rule=coset_steps):
+    """The twisted triples from a tuple loop, two products per triple, with
+    the steps rule gives on each coset; None when they fail
+    closed_and_unique."""
     G, H = family.G, family.H
-    steps = [tuple(zip(family.S, family.twist(kappa, rep))) for rep in H.reps]
+    steps = [tuple(zip(family.S, row)) for row in rule(family, kappa)]
     triples = set()
     for x in range(G.n):
         for s, step in steps[H.coset_index[x]]:
@@ -452,14 +454,17 @@ def test_a_twist_that_breaks_closure_names_its_violations(monkeypatch, broken):
     a = next(a for a, s in enumerate(S) if lam[s] != s)
     outside = next(x for x in range(family.G.n) if x not in S)
 
-    def twist(self, kappa, rep=0):
-        steps = list(real(self, kappa, rep))
+    def bend(steps):
+        steps = list(steps)
         steps[a] = lam[lam[S[a]]] if broken == "one inverse step" else outside
         return tuple(steps)
 
-    monkeypatch.setattr(SignFamily, "twist", twist)
+    monkeypatch.setattr(SignFamily, "twist", lambda self, kappa: bend(real(self, kappa)))
     kappa = next(family.choices())
-    assert oracle_build_T_kappa(family, kappa) is None
+    def bent(family, kappa):
+        return list(map(bend, coset_steps(family, kappa)))
+
+    assert oracle_build_T_kappa(family, kappa, bent) is None
     with pytest.raises(TwistCheckFailed, match=r"\[Violation\(axiom=3, data="):
         family.build(kappa)
 
