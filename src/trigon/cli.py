@@ -92,6 +92,11 @@ _FAMILY_TRIPLE_LIMIT = 4_000_000
 # Python 3.11).  Every q <= 43 fits.
 _CERTIFICATE_LIMIT = 16_384
 
+# the largest r(q) exotic --bounds evaluates.  2^r(q) then has 4,300
+# decimal digits, the most Python (3.11 on) converts to text by default, and
+# no number the bounds write is larger; the last q admitted is 42,853
+_BOUNDS_R_LIMIT = 14_284
+
 # the most link-graph vertices graph --metrics or --spectrum measures.  The
 # spectrum takes a dense (2n)^2 float matrix and the metrics one BFS per
 # vertex: singer --q 43 (3,786 vertices) took 4.7 s and 390 MB under
@@ -272,6 +277,12 @@ def _cmd_exotic(args):
     out = {}
     if args.bounds:
         _, e = factor_prime_power(args.q)
+        r = r_of_q(args.q)
+        if r > _BOUNDS_R_LIMIT:
+            raise TooLarge(
+                f"--bounds at q = {args.q} would write 2^{r}; the limit is "
+                f"2^{_BOUNDS_R_LIMIT}, 4,300 digits"
+            )
         b = exotic_lower_bounds(args.q, e)
         out["bounds"] = {
             "exotic_kappa_lower": b.exotic_kappa_lower,

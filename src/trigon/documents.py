@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
 
 from .linkgraph import FSet
+from .record import Record
 from .tripres import ParseError, TrianglePresentation, rep_entries
 
 
@@ -18,17 +18,17 @@ from .tripres import ParseError, TrianglePresentation, rep_entries
 MAX_UNLABELED_N = 1 << 16
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record, eq=True):
     """A pair set and a presentation over one explicit label list; the
     document's free-form meta object is checked and not kept."""
 
     F: FSet
     T: TrianglePresentation
 
-    def __post_init__(self):
-        if self.F.labels != self.T.labels:
+    def __init__(self, F, T):
+        if F.labels != T.labels:
             raise ValueError("F and T must share one label list")
+        super().__init__(F, T)
 
 
 def document_text(T: TrianglePresentation, meta: dict, level: int) -> str:

@@ -8,8 +8,7 @@ Lambda (q+1 points) goes through Schreier-Sims."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .ffield import factor_prime_power
 from .fgroup import Datum, SignFamily
@@ -22,8 +21,12 @@ from .permgrp import (
     bsgs_build,
     restricted_generators,
 )
+from .record import Record
 from .singer import r_of_q
 from .tripres import CheckFailed
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ProbeCheckFailed(CheckFailed):
@@ -34,8 +37,7 @@ class OrderMismatch(ProbeCheckFailed):
     """Raised when the computed |Q0| disagrees with e(q-1)q(q+1)."""
 
 
-@dataclass(frozen=True, eq=False)
-class ExoticProbe:
+class ExoticProbe(Record, eq=False):
     """The group Q0 induced on the neighborhood Lambda of the base vertex,
     the point-side vertex 0, whose neighbors are the line-side copies of S,
     by the link automorphisms fixing it; and the datum's sign family."""
@@ -99,8 +101,7 @@ def sigma_kappa(probe: ExoticProbe, kappa) -> Perm:
     return Perm(tuple(pos[step] for step in family.twist(kappa)))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record, eq=True):
     """Outcome of the sigma-in-Q0 membership test; the implication only ever
     certifies exoticness, never arithmeticity."""
 
@@ -126,8 +127,7 @@ def exotic_certificate(probe: ExoticProbe, kappa) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record, eq=True):
     """Exact lower bounds on exotic sign choices and quasi-isometry classes."""
 
     q: int
@@ -140,6 +140,8 @@ class Bounds:
 def exotic_lower_bounds(q, e) -> Bounds:
     """Evaluate 2^R(q) - e(q-1)q(q+1) and its quasi-isometry companion
     exactly; a non-positive count makes both bounds vacuous."""
+    from fractions import Fraction
+
     p, e_found = factor_prime_power(q)
     if e_found != e:
         raise ValueError(f"q = {q} is {p}^{e_found}, not p^{e}")

@@ -9,9 +9,10 @@ reproducible results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from .record import Record
 
 
 class NotPrime(ValueError):
@@ -236,8 +237,7 @@ def conway_polynomial(p: int, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record, eq=True):
     """A concrete model of GF(p^e) as GF(p)[x] modulo a monic polynomial."""
 
     p: int

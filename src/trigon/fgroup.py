@@ -4,26 +4,28 @@ constructions build, and the sign family of its folding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable
 
 from .ffield import factor_prime_power, make_field
 from .linkgraph import FSet
+from .record import Record
 from .tripres import (BadCongruence, KappaSpecError, LambdaConditionFailed,
                       TrianglePresentation, TwistCheckFailed, verify)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(Record, eq=False):
     """A finite group on indices 0..n-1, given by its right translations:
     translation(s) is the list x -> x*s indexed by x, and 0 is the
     identity.  Products, inverses and cosets are all read from these lists."""
 
     n: int
-    translation: Callable[[int], list[int]] = field(repr=False)
-    _rights: dict = field(default_factory=dict, init=False, repr=False)
+    translation: Callable[[int], list[int]]
+
+    def __init__(self, n, translation):
+        super().__init__(n, translation)
+        vars(self).update(_rights={})
 
     def right(self, s: int) -> list[int]:
         """Right translation x -> x*s, built on the first request for s and
@@ -45,8 +47,7 @@ class FiniteGroup:
         return f"FiniteGroup(n={self.n})"
 
 
-@dataclass(frozen=True, eq=False)
-class SubgroupDatum:
+class SubgroupDatum(Record, eq=False):
     """A subgroup H of a parent group together with its left-coset partition."""
 
     parent: FiniteGroup
@@ -183,23 +184,25 @@ def _pair_set(G: FiniteGroup, S) -> FSet:
     return FSet(tuple(range(G.n)), tuple(map(sorted, zip(*map(G.right, S)))))
 
 
-class SignFamily:
+class SignFamily(Record, eq=False):
     """The sign twists of one folded datum: one sign per length-3 folding
     orbit inside H, for each coset of H.  A key is the orbit minimum when H
     has one coset, else the pair (coset representative, orbit minimum).
 
-    The constructor checks the folding identities once; twist holds the
-    only copy of the rule a sign applies.  Its fields are set once, like a
-    frozen dataclass's, but it is a plain class: the dataclass machinery
-    would cost every start of a construction command about 0.7 ms
-    (2-core Xeon, Python 3.11).
+    The constructor checks the folding identities once and derives keys and
+    orbit_min; twist holds the only copy of the rule a sign applies.
 
     A slot is a pair (x, x*S[a]) of F, held per a and x.  Its key is the key
     of the orbit of S[a] on the coset of x, none for an untwisted slot; its
     third under a sign is read from the constant choice of that sign, made
     and checked once, when a requested choice first gives a key that sign."""
 
-    def __init__(self, G: FiniteGroup, S, lam: dict, H: SubgroupDatum):
+    G: FiniteGroup
+    S: tuple
+    lam: dict
+    H: SubgroupDatum
+
+    def __init__(self, G, S, lam, H):
         for s in _check_lambda(G, S, lam):
             t = lam[s]
             if G.mul(G.mul(s, lam[t]), t) != 0:
@@ -211,16 +214,14 @@ class SignFamily:
         keys = [o[0] for o in twisted]
         if H.index > 1:
             keys = sorted((rep, omin) for rep in H.reps for omin in keys)
+        super().__init__(G, S, lam, H)
         # the caches map (a, sign) to the thirds of the slots (x, x*S[a])
         # under sign, and to what _open finds for them
         vars(self).update(
-            G=G, S=S, lam=lam, H=H, keys=tuple(keys),
+            keys=tuple(keys),
             orbit_min={s: o[0] for o in twisted for s in o},
             _columns={}, _opens={},
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def check(self, kappa) -> None:
         """Raise KappaSpecError unless kappa maps exactly the keys to signs."""
@@ -376,8 +377,7 @@ class SignFamily:
         return TrianglePresentation(tuple(range(G.n)), tuple(out), tuple(third))
 
 
-@dataclass(frozen=True, eq=False)
-class Datum:
+class Datum(Record, eq=False):
     """One construction: the group G, the subset S whose pairs {(x, xs)}
     make the link, the folding lam of S, None when there is none, and the
     subgroup H on whose cosets the signs sit."""

@@ -4,9 +4,9 @@ the group presented by a triangle presentation."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 
+from .record import Record
 from .tripres import TrianglePresentation, rep_entries
 
 
@@ -94,8 +94,7 @@ def _snf_diagonal(mat, m, n):
     return diag
 
 
-@dataclass(frozen=True)
-class Abelianization:
+class Abelianization(Record, eq=True):
     """Torsion invariant factors in divisibility order, plus the free rank."""
 
     factors: tuple
@@ -116,8 +115,7 @@ def abelianization(T: TrianglePresentation) -> Abelianization:
     return Abelianization(factors=factors, free_rank=T.n - len(diag))
 
 
-@dataclass(frozen=True)
-class Exceeded:
+class Exceeded(Record, eq=True):
     """Coset enumeration hit the table cap without closing."""
 
     max_cosets: int

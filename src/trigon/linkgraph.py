@@ -7,8 +7,9 @@ a graph does not compile them at start-up."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .permgrp import Perm, PermGroup
@@ -18,8 +19,7 @@ class Disconnected(ValueError):
     """Raised when a spectral quantity is asked of a disconnected graph."""
 
 
-@dataclass(frozen=True)
-class FSet:
+class FSet(Record, eq=True):
     """A set of ordered pairs over a fixed labeled index set, held as one
     sorted out-list per 0-based position: out[i] lists, with no repeats, the
     j with (i, j) in F.  Labels appear only in documents and in verify's
@@ -64,8 +64,7 @@ def apply_rho(F: FSet) -> FSet:
     return FSet(F.labels, tuple(inn))
 
 
-@dataclass(frozen=True, eq=False)
-class LinkGraph:
+class LinkGraph(Record, eq=False):
     """Bipartite graph on {0..2n-1}: point i joined to line j+n iff (i,j) in
     F, held as one sorted neighbor list per vertex."""
 
@@ -147,8 +146,7 @@ def _bfs_scan(adj, root, best=math.inf):
         k += 1
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(Record, eq=True):
     connected: bool
     girth: object
     diameter: object
@@ -337,8 +335,7 @@ def aut_plus(F: FSet) -> PermGroup:
     return bsgs_build(F.n, automorphism_generators(F.out))
 
 
-@dataclass(frozen=True, eq=False)
-class AutFull:
+class AutFull(Record, eq=False):
     """A group inside Sym(n) x Z/2, such as Aut(F) or the stabilizer of a
     presentation: the diagonal part plus an optional coordinate-swapping
     coset, given by one witness in it."""

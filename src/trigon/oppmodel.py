@@ -4,7 +4,6 @@ property checklist, and the twisted parabola presentations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .ffield import factor_prime_power, make_field
@@ -17,6 +16,7 @@ from .linkgraph import (
     metrics,
     point_transitive_gap,
 )
+from .record import Record
 from .tripres import CheckFailed, TooLarge
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
@@ -26,8 +26,7 @@ from .tripres import CheckFailed, TooLarge
 _EDGE_LIMIT = 81 ** 3
 
 
-@dataclass(frozen=True, eq=False)
-class A2Model:
+class A2Model(Record, eq=False):
     """Subspace model of the plane: points are lead-1 vectors, lines are
     lead-1 dual vectors, which are the same tuples, so points lists both;
     incidence is a vanishing dot product."""
@@ -128,8 +127,7 @@ def opp_datum(q):
     return datum
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record, eq=True):
     """Checklist of the opposition graph facts, one row per claim."""
 
     q: int

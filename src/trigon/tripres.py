@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from .linkgraph import AutFull, FSet, apply_rho, aut_full
+from .record import Record
 
 # the largest |Aut+(F)| classify and stabilizer_of_T accept.  A walk holds
 # its orbit, at most 2 |Aut+(F)| keys of one third per pair of F, at once:
@@ -54,8 +54,7 @@ class TwistCheckFailed(CheckFailed):
     """A twisted presentation built from a valid folding fails its axioms."""
 
 
-@dataclass(frozen=True)
-class TrianglePresentation:
+class TrianglePresentation(Record, eq=True):
     """A set of triples over a fixed labeled index set, held as 0-based
     positions in one row per first position: out[i] is the sorted list of
     the heads j of the triples (i, j, k), and third[i][r] is the k of
@@ -103,8 +102,7 @@ class TrianglePresentation:
         return f"TrianglePresentation(n={self.n}, orbits={orbits})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record, eq=True):
     """One broken presentation axiom: 1 projection, 2 uniqueness, 3 rotation."""
 
     axiom: int
@@ -293,8 +291,7 @@ def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
     return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
 
 
-@dataclass(frozen=True, eq=False)
-class TClass:
+class TClass(Record, eq=False):
     """One isomorphism class of presentations on a fixed F."""
 
     representative: TrianglePresentation

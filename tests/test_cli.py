@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -531,7 +530,7 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
         def from_F(F):
             link = real_from_F(F)
             adj0 = sorted(set(link.adj[0]) - {lam[0]} | {other_line})
-            return replace(link, adj=(adj0,) + link.adj[1:])
+            return linkgraph.LinkGraph((adj0,) + link.adj[1:])
 
         monkeypatch.setattr(exoticity, "from_F", from_F)
     else:
@@ -551,7 +550,8 @@ def broken_quad(q, modulus=None):
     # 20 lies in the coset of 2; file it under the coset of 0
     d = quad_datum(q, modulus)
     index = d.H.coset_index[:20] + (0,)
-    return replace(d, H=replace(d.H, coset_index=index))
+    H = fgroup.SubgroupDatum(d.H.parent, d.H.members, index)
+    return Datum(d.q, d.G, d.S, H, d.lam)
 
 
 def test_broken_twist_axioms_exit_one(capsys, monkeypatch):
@@ -579,7 +579,7 @@ def test_broken_twist_part_way_keeps_the_family_written_so_far(capsys,
 def test_broken_folding_map_exits_one(capsys, monkeypatch):
     def broken_singer(q, modulus=None):
         d = singer_datum(q, modulus)
-        return replace(d, lam={s: s for s in d.S})
+        return Datum(d.q, d.G, d.S, d.H, {s: s for s in d.S})
 
     monkeypatch.setattr(singer, "singer_datum", broken_singer)
     code, out, err = invoke(capsys, ["singer", "--q", "3"])
@@ -764,37 +764,45 @@ MODULES = {
 }
 # the modules a family writer loads, pinned: a writer pulls in no other
 JSON_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.documents", "trigon.ffield",
-               "trigon.fgroup", "trigon.linkgraph", "trigon.singer",
-               "trigon.tripres"}
+               "trigon.fgroup", "trigon.linkgraph", "trigon.record",
+               "trigon.singer", "trigon.tripres"}
 GAP_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.ffield", "trigon.fgroup",
               "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
-              "trigon.tripres"}
+              "trigon.record", "trigon.tripres"}
+# a standard module no command loads: dataclasses brings inspect, ast, dis
+# and tokenize.  fractions, with decimal, is for the exact spectral gap and
+# exotic --bounds only
+NEVER = {"dataclasses"}
 
 
 @pytest.mark.parametrize(
     "argv, absent",
-    [(None, SYMMETRY | CONSTRUCTIONS | {"trigon.documents", "trigon.fgroup",
-                                        "trigon.grouptools"}),
+    [(None, SYMMETRY | CONSTRUCTIONS | NEVER
+      | {"fractions", "trigon.documents", "trigon.fgroup", "trigon.grouptools"}),
      (["opp", "--check", "--q", "9"],
-      SYMMETRY | {"trigon.exoticity", "trigon.grouptools", "trigon.singer"}),
+      SYMMETRY | NEVER
+      | {"trigon.exoticity", "trigon.grouptools", "trigon.singer"}),
      (["singer", "--q", "7", "--all-kappa"],
-      SYMMETRY | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
-                  "trigon.documents"}),
+      SYMMETRY | NEVER
+      | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
+         "trigon.documents"}),
      (["classify", "--from-json", "{doc}"],
-      CONSTRUCTIONS | {"trigon.grouptools", "trigon.fgroup"}),
+      CONSTRUCTIONS | NEVER | {"trigon.grouptools", "trigon.fgroup"}),
      (["exotic", "--q", "7", "--kappa", "+1"],
-      {"trigon.documents", "trigon.grouptools", "trigon.oppmodel"}),
+      NEVER | {"fractions", "trigon.documents", "trigon.grouptools",
+               "trigon.oppmodel"}),
      (["quad", "--q", "2", "--all-kappa", "--format", "json"],
-      MODULES - JSON_FAMILY),
+      NEVER | MODULES - JSON_FAMILY),
      (["opp", "--q", "7", "--all-kappa", "--format", "gap"],
-      MODULES - GAP_FAMILY)],
+      NEVER | MODULES - GAP_FAMILY)],
     ids=["import", "opp-check", "singer-all-kappa", "classify", "exotic",
          "quad-all-kappa-json", "opp-all-kappa-gap"],
 )
 def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
     """The cli handlers and linkgraph import the modules they run, so a
     command does not compile the symmetry search or a construction it never
-    calls; this is what a fresh process holds after the command."""
+    calls, nor a standard module it does not need; this is what a fresh
+    process holds after the command."""
     run_code = "0"
     if argv is not None:
         argv = [a.format(doc=square_path) for a in argv] + ["-o", os.devnull]
@@ -802,7 +810,7 @@ def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, trigon.cli; code = {run_code}; "
-         "print(code, *sorted(m for m in sys.modules if m.startswith('trigon.')))"],
+         "print(code, *sorted(sys.modules))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -810,6 +818,28 @@ def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
     assert code == "0"
     assert "trigon.cli" in loaded
     assert sorted(absent & set(loaded)) == []
+
+
+@pytest.mark.parametrize("q, code", [(42853, 0), (42859, 2)])
+def test_bounds_limit_in_a_fresh_process(q, code):
+    """--bounds writes 2^r(q) - e(q-1)q(q+1) in full; r(42853) = 14284 is the
+    last r whose 2^r Python converts to text by default, and r(42859) =
+    14286 is refused with one line, not a conversion traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigon.cli", "exotic", "--q", str(q), "--bounds"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    if code == 0:
+        bounds = json.loads(proc.stdout)["bounds"]
+        assert bounds["exotic_kappa_lower"] == 2 ** 14284 - 42852 * 42853 * 42854
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "trigon exotic: --bounds at q = 42859 would write 2^14286; the "
+            "limit is 2^14284, 4,300 digits\n"
+        )
 
 
 def test_opp_group_limit_in_a_fresh_process():

@@ -1,6 +1,5 @@
 """Neighborhood group Q0, twist permutations, certificates, and bounds."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -17,7 +16,7 @@ from trigon.exoticity import (
     expected_q0_order,
     sigma_kappa,
 )
-from trigon.fgroup import lambda_orbits
+from trigon.fgroup import Datum, lambda_orbits
 from trigon.linkgraph import from_F, graph_automorphisms
 from trigon.permgrp import Perm
 from trigon.singer import r_of_q, singer_datum
@@ -163,7 +162,7 @@ def mixed_folding_datum():
     lam = dict(d.lam)
     for x, y, z in ((a1, b1, a2), (b2, a3, b3)):
         lam.update({x: y, y: z, z: x})
-    return replace(d, lam=lam)
+    return Datum(d.q, d.G, d.S, d.H, lam)
 
 
 def test_mixed_folding_is_rejected(capsys, monkeypatch):
@@ -220,8 +219,9 @@ def test_kappa_negation_pairing(q, probe_for):
 
 def test_order_mismatch_on_tampered_datum():
     # the Fano datum filed under q = 3: a valid folding, |Q0| = 6, not 24
+    d = singer_datum(2)
     with pytest.raises(OrderMismatch, match="6, expected 24"):
-        build_probe(replace(singer_datum(2), q=3))
+        build_probe(Datum(3, d.G, d.S, d.H, d.lam))
 
 
 def test_bounds_exact_small():

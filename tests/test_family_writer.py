@@ -4,7 +4,6 @@ sorted and rendered on its own.  That builder and plain renderers of its
 sorted triples are kept here as the oracle."""
 
 import json
-from dataclasses import replace
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -12,7 +11,7 @@ import pytest
 
 from label_oracle import coset_steps, fset_of, pairs_of, presentation_of, triples_of
 from trigon.cli import kappa_spec_of, run
-from trigon.fgroup import SignFamily, make_cyclic, subgroup
+from trigon.fgroup import SignFamily, SubgroupDatum, make_cyclic, subgroup
 from trigon.oppmodel import opp_datum
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import TwistCheckFailed, _violations
@@ -96,7 +95,7 @@ def test_all_kappa_matches_the_per_choice_oracle(capsys, name):
 def misfiled_quad():
     # 20 lies in the coset of 2; file it under the coset of 0
     d = quad_datum(2)
-    H = replace(d.H, coset_index=d.H.coset_index[:20] + (0,))
+    H = SubgroupDatum(d.G, d.H.members, d.H.coset_index[:20] + (0,))
     return SignFamily(d.G, d.S, d.lam, H)
 
 
@@ -104,7 +103,7 @@ def misfiled_exquad():
     g = make_cyclic(21)
     s = [7, 9, 14, 15, 18]
     h = subgroup(g, [3])
-    wrong = replace(h, coset_index=h.coset_index[:20] + (0,))
+    wrong = SubgroupDatum(g, h.members, h.coset_index[:20] + (0,))
     return SignFamily(g, s, {x: (4 * x) % 21 for x in s}, wrong)
 
 

@@ -5,6 +5,9 @@
 - no unused import in the program, its scripts or its tests;
 - no import of another trigon module's private name in the program or its
   scripts;
+- no import of dataclasses in the package: its records derive from
+  record.Record, and dataclasses would add its imports and its generated
+  methods to every command's start;
 - no public module-level name in the package that nothing in the program or
   its scripts reads, in its own module or in a file that imports from that
   module, and no public method, property or record field of a package class
@@ -97,6 +100,19 @@ def test_no_private_import_from_another_module(path):
         if alias.name.startswith("_")
     )
     assert private == [], f"{path.name}: private imports (line, name) {private}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=_label)
+def test_no_dataclasses_import(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert lines == [], f"{path.name}: dataclasses imported on lines {lines}"
 
 
 def _public_definitions(path):

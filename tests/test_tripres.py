@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,7 @@ from trigon import tripres
 from trigon.fgroup import (
     FiniteGroup,
     SignFamily,
+    SubgroupDatum,
     _check_lambda,
     lambda_orbits,
     make_cyclic,
@@ -377,7 +377,7 @@ def test_twist_check_reports_open_rotation():
     that start at 20, so the twisted triples through 20 lose a rotation."""
     g, s, lam = exquad()
     h = subgroup(g, [3])
-    wrong = replace(h, coset_index=h.coset_index[:20] + (0,))
+    wrong = SubgroupDatum(g, h.members, h.coset_index[:20] + (0,))
     with pytest.raises(TwistCheckFailed, match="axiom=3"):
         SignFamily(g, s, lam, wrong).build(exquad_kappa(2))
 
