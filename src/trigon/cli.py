@@ -291,13 +291,15 @@ def _cmd_exotic(args):
         }
     if args.kappa or args.all_kappa:
         # both refusals come before the field search, which at q = 256
-        # alone takes 47 s
-        count = 2 ** r_of_q(args.q)
-        if args.all_kappa and count > _CERTIFICATE_LIMIT:
-            raise TooLarge(
-                f"--all-kappa would certify {count} sign choices; the "
-                f"limit is {_CERTIFICATE_LIMIT}"
-            )
+        # alone takes 47 s; 2^r exceeds the limit iff r reaches its bit
+        # length, so 2^r is never computed
+        if args.all_kappa:
+            r = r_of_q(args.q)
+            if r >= _CERTIFICATE_LIMIT.bit_length():
+                raise TooLarge(
+                    f"--all-kappa would certify 2^{r} sign choices; the "
+                    f"limit is {_CERTIFICATE_LIMIT}"
+                )
         _check_presentation_size(args.q, args.q)
         d = singer_datum(args.q, args.modulus)
         family = d.signs()

@@ -1,8 +1,8 @@
 """The bipartite link graph of a pair set F and its symmetry machinery.
 
-The symmetry search (autosearch, permgrp) and fractions are imported inside
-the functions that use them, so that a command which only builds or measures
-a graph does not compile them at start-up."""
+The symmetry search (autosearch, permgrp) is imported inside the functions
+that use it, so that a command which only builds or measures a graph does
+not compile it at start-up."""
 
 from __future__ import annotations
 
@@ -208,13 +208,14 @@ def spectrum(g: LinkGraph) -> list[float]:
 
 
 def _minimal_polynomial(step, v):
-    """The monic p of least degree with p(M) v = 0, as Fractions, constant
+    """The monic p of least degree with p(M) v = 0, as integers, constant
     term first, where step(u) = M u for an integer matrix M, and the vector
     M^deg(p) v: the first linear dependency of the Krylov sequence v, Mv,
     M^2 v, ..., found by fraction-free integer elimination.  Each row is
-    kept with its combination of the sequence."""
-    from fractions import Fraction
-
+    kept with its combination of the sequence.  p divides the minimal
+    polynomial of M, which is monic with integer coefficients, so by
+    Gauss's lemma p has integer coefficients too: the combination's last
+    entry divides every other."""
     rows = []
     while True:
         row, comb = v, [0] * len(rows) + [1]
@@ -226,7 +227,15 @@ def _minimal_polynomial(step, v):
                 comb = [p * a - f * b for a, b in zip(comb, c)]
         pivot = next((i for i, x in enumerate(row) if x), None)
         if pivot is None:
-            return [Fraction(a, comb[-1]) for a in comb], v
+            lead = comb[-1]
+            if any(a % lead for a in comb):
+                from .tripres import CheckFailed
+
+                raise CheckFailed(
+                    f"the Krylov dependency {comb} is not a multiple of a "
+                    "monic integer polynomial"
+                )
+            return [a // lead for a in comb], v
         rows.append((pivot, row, comb))
         v = step(v)
 

@@ -54,10 +54,7 @@ class Perm:
         return Perm._trusted(tuple([oth[i] for i in self.images]))
 
     def inverse(self) -> Perm:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(_inverse_images(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -97,14 +94,21 @@ class Perm:
 
 
 class PermGroup:
-    """A permutation group presented by a base and strong generating set."""
+    """A permutation group presented by a base and strong generating set.
 
-    def __init__(self, degree, generators, strong_generators, base, transversals):
+    Level i of the chain is base[i] and its orbit under the stabilizer of
+    base[:i]: transversals[i] maps each orbit point b to the images of the
+    transversal element u with u(base[i]) = b, and inverses[i] maps b to
+    the images of u^-1."""
+
+    def __init__(self, degree, generators, strong_generators, base,
+                 transversals, inverses):
         self.degree = degree
         self.generators = tuple(generators)
         self.strong_generators = tuple(strong_generators)
         self.base = tuple(base)
         self._transversals = transversals
+        self._inverses = inverses
 
     def order(self) -> int:
         n = 1
@@ -114,7 +118,8 @@ class PermGroup:
 
     def strip(self, g: Perm):
         """Sift g through the chain, returning (residue, stop level)."""
-        return _sift(g, self.base, self._transversals)
+        residue, level = _sift(g.images, self.base, self._inverses)
+        return Perm._trusted(residue), level
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -150,6 +155,7 @@ class PermGroup:
                 yield Perm.identity(self.degree)
                 return
             for u in self._transversals[level].values():
+                u = Perm._trusted(u)
                 for h in walk(level + 1):
                     yield h * u
 
@@ -159,12 +165,13 @@ class PermGroup:
         """The stabilizer of a point: levels 1 and up of a chain based there.
 
         The strong generators that fix base[0] generate the first stabilizer,
-        and the later transversals were built from exactly those generators.
+        and the later levels hold orbits of the group they generate.
         """
         chain = bsgs_build(self.degree, self.generators, base_hint=(point,))
         sub = [g for g in chain.strong_generators if g.images[point] == point]
         return PermGroup(
-            self.degree, sub, sub, chain.base[1:], chain._transversals[1:]
+            self.degree, sub, sub, chain.base[1:], chain._transversals[1:],
+            chain._inverses[1:],
         )
 
     def restrict(self, points) -> PermGroup:
@@ -177,14 +184,23 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def _sift(g, base, transversals, start=0):
-    """Sift g through a chain from level start: (residue, stop level)."""
-    for i in range(start, len(base)):
-        b = g.images[base[i]]
-        t = transversals[i]
-        if b not in t:
-            return g, i
-        g = g * t[b].inverse()
+def _inverse_images(images) -> tuple:
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _sift(g, base, inverses):
+    """Sift the images g through a chain given by its base and inverse
+    transversals: (residue images, stop level)."""
+    for i, (point, inv) in enumerate(zip(base, inverses)):
+        b = g[point]
+        if b != point:
+            u = inv.get(b)
+            if u is None:
+                return g, i
+            g = tuple([u[x] for x in g])
     return g, len(base)
 
 
@@ -202,79 +218,124 @@ def restricted_generators(generators, points) -> list[Perm]:
 
 
 def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
-    """Deterministic Schreier-Sims construction of a stabilizer chain."""
-    input_gens = []
+    """Deterministic Schreier-Sims construction of a stabilizer chain
+    (Seress, Permutation Group Algorithms, 4.2), built incrementally.
+
+    The input generators are kept once each, in input order, and sifted
+    into the chain; each residue that is not the identity becomes a strong
+    generator.  A strong generator h that fixes base[:j] joins levels
+    lo..j.  Each of those orbits grows from its old points by h and from
+    its new points by all of the level's generators, so a transversal
+    element, once made, never changes.
+
+    Then the levels are checked from the last to the first.  Each pair
+    (orbit point b, generator s) of a level is checked once, by sifting the
+    Schreier generator u_b s u_{s(b)}^-1 from the next level; a pair whose
+    s made the point s(b) gives the identity and is skipped.  A residue h
+    that is not the identity, stopped at level j, joins levels i+1..j, and
+    the check resumes at level j.  A pair once checked stays checked: its
+    sift meets the same transversal elements as before.  Levels 0..i do
+    not take h, since h lies in the group of level i's generators and so
+    of theirs: their orbits stay closed, and by Schreier's lemma their
+    pairs without h still generate each stabilizer.
+
+    After the points of base_hint, a new level's base point is the
+    smallest point that its first strong generator moves."""
+    ident = tuple(range(degree))
+    gens = {}
     for g in generators:
         if g.degree != degree:
             raise InvalidPermutation(f"degree {g.degree}, expected {degree}")
-        if not g.is_identity() and g not in input_gens:
-            input_gens.append(g)
+        if g.images != ident:
+            gens.setdefault(g.images, g)
 
-    ident = Perm.identity(degree)
     base: list[int] = []
+    transversals: list[dict] = []
+    inverses: list[dict] = []
     strong: list[Perm] = []
-    transversals: list[dict[int, Perm]] = []
+    # per level: its generators as (images, inverse images), its orbit in
+    # the order found, the pair (b, generator index) that found each point
+    # but the base point, and per generator how many points it is checked at
+    level_gens: list[list] = []
+    orbits: list[list] = []
+    found_by: list[dict] = []
+    checked: list[list] = []
 
-    for pt in base_hint:
-        if pt not in base:
-            base.append(pt)
-            transversals.append({pt: ident})
+    def add_level(point):
+        base.append(point)
+        transversals.append({point: ident})
+        inverses.append({point: ident})
+        level_gens.append([])
+        orbits.append([point])
+        found_by.append({})
+        checked.append([])
 
-    def level_gens(i):
-        prefix = base[:i]
-        return [
-            s for s in strong if all(s.images[b] == b for b in prefix)
-        ]
+    for point in base_hint:
+        if point not in base:
+            add_level(point)
 
-    def rebuild_transversal(i):
-        gens_i = level_gens(i)
-        t = {base[i]: ident}
-        queue = [base[i]]
-        for b in queue:
-            for s in gens_i:
-                c = s.images[b]
-                if c not in t:
-                    t[c] = t[b] * s
-                    queue.append(c)
-        transversals[i] = t
-
-    def insert(h, j):
-        # h fixes base[:j]; it becomes a strong generator on levels 0..j
+    def insert(h, lo, j):
         if j == len(base):
-            base.append(min(p for p in range(degree) if h.images[p] != p))
-            transversals.append({base[-1]: ident})
-        strong.append(h)
-        for k in range(j + 1):
-            rebuild_transversal(k)
+            add_level(next(p for p, c in enumerate(h) if p != c))
+        strong.append(Perm._trusted(h))
+        h_inv = _inverse_images(h)
+        for k in range(lo, j + 1):
+            gk = level_gens[k]
+            gk.append((h, h_inv))
+            checked[k].append(0)
+            t, inv, orbit, by = transversals[k], inverses[k], orbits[k], found_by[k]
+            new, old = len(gk) - 1, len(orbit)
+            pos = 0
+            while pos < len(orbit):
+                b = orbit[pos]
+                ub, ib = t[b], inv[b]
+                for r in range(new if pos < old else 0, len(gk)):
+                    s, s_inv = gk[r]
+                    c = s[b]
+                    if c not in t:
+                        t[c] = tuple([s[x] for x in ub])
+                        inv[c] = tuple([ib[x] for x in s_inv])
+                        by[c] = (b, r)
+                        orbit.append(c)
+                pos += 1
 
-    for g in input_gens:
-        h, j = _sift(g, base, transversals)
-        if not h.is_identity():
-            insert(h, j)
+    def check(i):
+        """(residue, stop level) of the first unchecked pair of level i
+        whose Schreier generator does not sift to the identity, or None."""
+        t, inv, orbit, by, done = (
+            transversals[i], inverses[i], orbits[i], found_by[i], checked[i]
+        )
+        below_base, below_inv = base[i + 1:], inverses[i + 1:]
+        for r, (s, _) in enumerate(level_gens[i]):
+            while done[r] < len(orbit):
+                b = orbit[done[r]]
+                done[r] += 1
+                c = s[b]
+                if by.get(c) == (b, r):
+                    continue
+                ic = inv[c]
+                h, j = _sift(tuple([ic[s[x]] for x in t[b]]), below_base, below_inv)
+                if h != ident:
+                    return h, i + 1 + j
+        return None
 
-    # verify Schreier generators bottom-up, inserting residues as found
+    for g in gens:
+        h, j = _sift(g, base, inverses)
+        if h != ident:
+            insert(h, 0, j)
+
     i = len(base) - 1
     while i >= 0:
-        modified = False
-        gens_i = level_gens(i)
-        for b in list(transversals[i].keys()):
-            u = transversals[i][b]
-            for s in gens_i:
-                sg = u * s * transversals[i][s.images[b]].inverse()
-                if sg.is_identity():
-                    continue
-                h, j = _sift(sg, base, transversals, i + 1)
-                if not h.is_identity():
-                    insert(h, j)
-                    i = j
-                    modified = True
-                    break
-            if modified:
-                break
-        if not modified:
+        found = check(i)
+        if found is None:
             i -= 1
+        else:
+            insert(found[0], i + 1, found[1])
+            i = found[1]
 
-    return PermGroup(degree, input_gens, strong, base, transversals)
+    return PermGroup(
+        degree, gens.values(), strong, base, transversals, inverses
+    )
 
 
 def closure_elements(degree: int, generators) -> list[Perm]:

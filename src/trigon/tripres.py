@@ -157,14 +157,19 @@ def enumerate_all(F: FSet):
 def _exact_covers(F: FSet) -> list[tuple]:
     """The third rows of the compatible presentations, in sorted order.
 
-    Knuth's Algorithm X column rule: each node branches on the free pair
-    with the fewest live thirds, the first in sorted order on a tie, so the
-    search tree depends on F alone.  out[v] is the bitmask of the heads w
-    of the free pairs (v, w), at first F.out[v], and inn[v] that of the
-    tails u of the free pairs (u, v), at first the transpose's list; the
-    live thirds of a free pair (i, j) are out[j] & inn[i], the k with
-    (j, k) and (k, i) both free.  Choosing (i, j, k) clears the bits of its
-    three pairs, one pair when i = j = k, and backtracking sets them again.
+    Knuth's Algorithm X, after a column rule that looks first where a
+    choice cut: out[v] is the bitmask of the heads w of the free pairs
+    (v, w), at first F.out[v], and inn[v] that of the tails u of the free
+    pairs (u, v), at first the transpose's list; the live thirds of a free
+    pair (i, j) are out[j] & inn[i], the k with (j, k) and (k, i) both free.
+    Choosing (i, j, k) clears the bits of its three pairs, one pair when
+    i = j = k, and backtracking sets them again.  Clearing (u, w) cuts a
+    live third only of the free pairs (a, u) and (w, a) for a in
+    inn[u] & out[w].  So after a choice the node branches on the first of
+    those, per cleared pair in (i, j), (j, k), (k, i) order and per a
+    ascending, with at most one live third; only if there is none does
+    _most_constrained scan every free pair.  Either way the search tree
+    depends on F alone.
 
     A cover gives each pair one third, so its key is one row per point:
     the third that its branch last wrote for each pair, in out-list order.
@@ -172,33 +177,30 @@ def _exact_covers(F: FSet) -> list[tuple]:
     different thirds.  The stack is a list, not recursion: a branch is
     |F|/3 choices deep.
     """
-    n = F.n
     out = [sum(1 << j for j in js) for js in F.out]
     inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
     third = {}
 
-    def most_constrained():
-        """(i, j, live thirds) of the pair to branch on; None if none is free."""
-        best = None
-        fewest = n + 1
-        for i in range(n):
-            heads = out[i]
-            tails = inn[i]
-            while heads:
-                low = heads & -heads
-                heads ^= low
-                j = low.bit_length() - 1
-                live = out[j] & tails
-                count = live.bit_count()
-                if count < fewest:
-                    if count <= 1:
-                        return i, j, live
-                    best, fewest = (i, j, live), count
-        return best
+    def forced(cleared):
+        """(a, b, live thirds) of the first pair that clearing cut to at
+        most one live third; None if there is none."""
+        for u, w in cleared:
+            cut = inn[u] & out[w]
+            while cut:
+                low = cut & -cut
+                cut ^= low
+                a = low.bit_length() - 1
+                live = out[u] & inn[a]
+                if live & (live - 1) == 0:
+                    return a, u, live
+                live = out[a] & inn[w]
+                if live & (live - 1) == 0:
+                    return w, a, live
+        return None
 
     keys = []
     chosen: list = []  # per level (i, j, k, live thirds not yet tried)
-    node = most_constrained()
+    node = _most_constrained(out, inn)
     while True:
         if node is None:
             keys.append(tuple(
@@ -208,12 +210,13 @@ def _exact_covers(F: FSet) -> list[tuple]:
             i, j, live = node
             low = live & -live
             k = low.bit_length() - 1
-            for u, w, x in ((i, j, k), (j, k, i), (k, i, j)):
+            cleared = ((i, j), (j, k), (k, i))
+            for (u, w), x in zip(cleared, (k, i, j)):
                 out[u] &= ~(1 << w)
                 inn[w] &= ~(1 << u)
                 third[u, w] = x
             chosen.append((i, j, k, live ^ low))
-            node = most_constrained()
+            node = forced(cleared) or _most_constrained(out, inn)
             continue
         if not chosen:
             return sorted(keys)
@@ -222,6 +225,26 @@ def _exact_covers(F: FSet) -> list[tuple]:
             out[u] |= 1 << w
             inn[w] |= 1 << u
         node = (i, j, live)
+
+
+def _most_constrained(out, inn):
+    """(i, j, live thirds) of the free pair with the fewest live thirds, the
+    first in sorted order on a tie, from the bitmasks of _exact_covers;
+    None if no pair is free."""
+    best = None
+    fewest = len(out) + 1
+    for i, (heads, tails) in enumerate(zip(out, inn)):
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            j = low.bit_length() - 1
+            live = out[j] & tails
+            count = live.bit_count()
+            if count < fewest:
+                if count <= 1:
+                    return i, j, live
+                best, fewest = (i, j, live), count
+    return best
 
 
 def stabilizer_of_T(F: FSet, T: TrianglePresentation):

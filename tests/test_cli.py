@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -490,9 +491,36 @@ def test_exotic_all_kappa_over_the_limit_exits_two(capsys, monkeypatch, q,
     code, out, err = invoke(capsys, ["exotic", "--q", str(q), "--all-kappa"])
     assert (code, out) == (2, "")
     assert err == (
-        f"trigon exotic: --all-kappa would certify {choices} sign choices; "
-        f"the limit is {cli._CERTIFICATE_LIMIT}\n"
+        f"trigon exotic: --all-kappa would certify 2^{choices.bit_length() - 1} "
+        f"sign choices; the limit is {cli._CERTIFICATE_LIMIT}\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--q", "50021", "--all-kappa"],
+     "--all-kappa would certify 2^16674 sign choices; the limit is 16384"),
+    (["--q", "1000000007", "--all-kappa"],
+     "--all-kappa would certify 2^333333336 sign choices; the limit is 16384"),
+    (["--q", "1000000007", "--kappa", "+1"],
+     "q = 1000000007 would build presentations of 1000000015000000057 x "
+     "1000000008 = 1000000023000000177000000456 triples; the limit is 4000000"),
+], ids=["all-kappa-50021", "all-kappa-1000000007", "kappa-1000000007"])
+def test_exotic_refuses_a_large_q_at_once_in_a_fresh_process(argv, message):
+    """The --all-kappa guard compares r(q) with the bit length of the
+    limit, so neither it nor --kappa computes 2^r(q), which has more digits
+    than Python converts to text at q = 50021 and takes seconds and 150 MB
+    at q = 1000000007.  Each refusal is one line and takes a start's CPU
+    time."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigon.cli", "exotic", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"trigon exotic: {message}\n"
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 1.0
 
 
 def test_exotic_all_kappa_limit_admits_every_q_up_to_43():
@@ -770,8 +798,7 @@ GAP_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.ffield", "trigon.fgroup",
               "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
               "trigon.record", "trigon.tripres"}
 # a standard module no command loads: dataclasses brings inspect, ast, dis
-# and tokenize.  fractions, with decimal, is for the exact spectral gap and
-# exotic --bounds only
+# and tokenize.  fractions, with decimal, is for exotic --bounds only
 NEVER = {"dataclasses"}
 
 
@@ -781,7 +808,8 @@ NEVER = {"dataclasses"}
       | {"fractions", "trigon.documents", "trigon.fgroup", "trigon.grouptools"}),
      (["opp", "--check", "--q", "9"],
       SYMMETRY | NEVER
-      | {"trigon.exoticity", "trigon.grouptools", "trigon.singer"}),
+      | {"fractions", "trigon.exoticity", "trigon.grouptools",
+         "trigon.singer"}),
      (["singer", "--q", "7", "--all-kappa"],
       SYMMETRY | NEVER
       | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",

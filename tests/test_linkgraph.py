@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from label_oracle import fset_of, pairs_of
 from trigon.autosearch import _neighbor_lists, find_isomorphism
+from trigon.tripres import CheckFailed
 from trigon.linkgraph import (
     Disconnected,
     FSet,
     LinkGraph,
     _largest_root,
+    _minimal_polynomial,
     apply_rho,
     aut_full,
     aut_plus,
@@ -415,6 +417,18 @@ def test_largest_root_is_exact_at_an_integer():
     # x^2 - 2 has no integer root, so Newton's float stands
     assert _largest_root([Fraction(-2), 0, Fraction(1)], 4) == pytest.approx(
         math.sqrt(2), abs=1e-15)
+
+
+def test_minimal_polynomial_is_monic_in_integers():
+    # M = [[2, 1], [1, 2]] has eigenvalues 1 and 3: (x - 1)(x - 3) kills e_0
+    poly, last = _minimal_polynomial(lambda u: [2 * u[0] + u[1], u[0] + 2 * u[1]],
+                                     [1, 0])
+    assert poly == [3, -4, 1] and {type(c) for c in poly} == {int}
+    assert last == [5, 4]
+    # a step that is not linear can give a dependency 2 x - 3 with no monic
+    # integer multiple; that raises, as python -O would strip an assert
+    with pytest.raises(CheckFailed, match="not a multiple"):
+        _minimal_polynomial(lambda u: [3 * u[0] // 2], [2])
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """Stabilizer chains, orbits and permutation plumbing."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trigon.linkgraph import aut_full
+from trigon.oppmodel import opp_datum
 from trigon.permgrp import (
     InvalidPermutation,
     NotInvariant,
@@ -11,6 +13,8 @@ from trigon.permgrp import (
     bsgs_build,
     closure_elements,
 )
+from trigon.singer import quad_datum, singer_datum
+from trigon.tripres import classify, stabilizer_of_T
 
 
 def test_perm_basics():
@@ -183,3 +187,107 @@ def test_cycle_string_parse_inverse(images):
     cycles = [c.split() for c in text[1:-1].split(")(")] if text != "()" else []
     points = [[int(x) for x in c] for c in cycles]
     assert from_cycles(7, points) == p
+
+
+def check_chain_against_closure(g, brute, others):
+    """The chain g against the brute-force element list of its group: the
+    order, membership of every element and of each permutation in others,
+    and each level against the pointwise stabilizer of the base before it:
+    its orbit is the transversal's points, each transversal element lies in
+    that stabilizer and carries the base point to its point, and its stored
+    inverse is its inverse.  Only the identity fixes the whole base."""
+    elements = set(brute)
+    assert g.order() == len(elements)
+    assert all(g.contains(h) for h in brute)
+    for h in others:
+        assert g.contains(h) == (h in elements)
+    stab = elements
+    for point, t, inv in zip(g.base, g._transversals, g._inverses):
+        assert set(t) == {h(point) for h in stab}
+        for b, u in t.items():
+            u = Perm(u)
+            assert u in stab and u(point) == b
+            assert Perm(inv[b]) == u.inverse()
+        stab = {h for h in stab if h(point) == point}
+    assert stab == {Perm.identity(g.degree)}
+
+
+@st.composite
+def sparse_permutations(draw, n):
+    """A permutation of range(n) that often moves only a few points, so
+    that the generated groups are not only symmetric or alternating."""
+    support = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    images = list(range(n))
+    for a, b in zip(support, draw(st.permutations(support))):
+        images[a] = b
+    return Perm(images)
+
+
+@st.composite
+def generating_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    gens = draw(st.lists(sparse_permutations(n), max_size=4))
+    # repeats and identities, which the chain keeps out of its generators
+    gens += draw(st.lists(st.sampled_from(gens or [Perm.identity(n)]), max_size=2))
+    hint = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    others = draw(st.lists(sparse_permutations(n), max_size=5))
+    return n, gens, tuple(hint), others
+
+
+def cycles_of(n, *cycle_lists):
+    return [from_cycles(n, cycles) for cycles in cycle_lists]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generating_sets())
+# a chain that never checks a new strong generator at the orbit points it
+# already had reads S_5 from a 4-cycle and a 3-cycle as A_5, and halves
+# these groups of order 48, one with a fixed hint point and one with two
+@example((5, cycles_of(5, [(0, 4, 1, 3)], [(0, 2, 1)]), (), []))
+@example((7, cycles_of(7, [(0, 6), (1, 2)], [(1, 2, 4, 3)]), (5,), []))
+@example((6, cycles_of(6, [(0, 2, 3, 1)], [(0, 2, 1), (4, 5)]), (5, 1), []))
+def test_chain_matches_closure_on_random_generating_sets(drawn):
+    """The incremental Schreier-Sims against the brute-force closure, on up
+    to 6 generators of degree at most 7 with repeats, identities and a base
+    hint."""
+    n, gens, hint, others = drawn
+    g = bsgs_build(n, gens, base_hint=hint)
+    check_chain_against_closure(g, closure_elements(n, gens), others)
+    # the generators once each, in input order, without the identity
+    once = list(dict.fromkeys(h for h in gens if not h.is_identity()))
+    assert list(g.generators) == once
+    # the hint first, once per point, then points moved at their level
+    lead = tuple(dict.fromkeys(hint))
+    assert g.base[:len(lead)] == lead
+    assert all(len(t) > 1 for t in g._transversals[len(lead):])
+    again = bsgs_build(n, list(reversed(gens)) + gens, base_hint=hint)
+    assert again.order() == g.order()
+    twin = bsgs_build(n, gens, base_hint=hint)
+    assert (twin.base, twin.strong_generators) == (g.base, g.strong_generators)
+    assert twin._transversals == g._transversals
+
+
+# the pair sets of the benchmark's census documents
+CENSUS_F = {
+    "singer q=5": lambda: singer_datum(5).F(),
+    "singer q=7": lambda: singer_datum(7).F(),
+    "opp q=7": lambda: opp_datum(7).F(),
+    "quad q=2": lambda: quad_datum(2).F(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_F))
+def test_census_chains_match_closure(name):
+    """Aut+(F) and the stabilizer in it of each class's representative,
+    each against the closure of its generators; every element of Aut+(F)
+    is sifted through each stabilizer's chain."""
+    f = CENSUS_F[name]()
+    plus = aut_full(f).plus
+    brute = closure_elements(f.n, plus.generators)
+    check_chain_against_closure(plus, brute, [])
+    for c in classify(f):
+        full = stabilizer_of_T(f, c.representative)
+        assert full.order == c.aut_order
+        st = full.plus
+        check_chain_against_closure(
+            st, closure_elements(f.n, st.generators), brute)

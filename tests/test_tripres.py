@@ -29,7 +29,7 @@ from trigon.fgroup import (
     make_cyclic,
     subgroup,
 )
-from trigon.linkgraph import AutFull, FSet, aut_full, aut_plus
+from trigon.linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, PermGroup, bsgs_build
 from trigon.singer import quad_datum, singer_datum
@@ -654,6 +654,89 @@ def test_enumerate_counts_on_large_pair_sets(name):
     out = enumerate_all(f)
     assert len(out) == count
     assert all(verify(f, t) == [] for t in out)
+
+
+def scan_every_node(F):
+    """The third rows of the compatible presentations, sorted, and the
+    number of search nodes, by the column rule that _exact_covers replaced:
+    every node scans all free pairs for the one with the fewest live
+    thirds, the first in sorted order on a tie, stopping at one with at
+    most one.  The bitmasks and the stack are _exact_covers' own."""
+    out = [sum(1 << j for j in js) for js in F.out]
+    inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
+    third = {}
+    nodes = 0
+
+    def most_constrained():
+        nonlocal nodes
+        nodes += 1
+        best, fewest = None, F.n + 1
+        for i in range(F.n):
+            heads = out[i]
+            while heads:
+                low = heads & -heads
+                heads ^= low
+                j = low.bit_length() - 1
+                live = out[j] & inn[i]
+                if live.bit_count() < fewest:
+                    if live.bit_count() <= 1:
+                        return i, j, live
+                    best, fewest = (i, j, live), live.bit_count()
+        return best
+
+    keys, chosen = [], []
+    node = most_constrained()
+    while True:
+        if node is None:
+            keys.append(tuple(
+                [third[i, j] for j in js] for i, js in enumerate(F.out)
+            ))
+        elif node[2]:
+            i, j, live = node
+            low = live & -live
+            k = low.bit_length() - 1
+            for u, w, x in ((i, j, k), (j, k, i), (k, i, j)):
+                out[u] &= ~(1 << w)
+                inn[w] &= ~(1 << u)
+                third[u, w] = x
+            chosen.append((i, j, k, live ^ low))
+            node = most_constrained()
+            continue
+        if not chosen:
+            return sorted(keys), nodes
+        i, j, k, live = chosen.pop()
+        for u, w in ((i, j), (j, k), (k, i)):
+            out[u] |= 1 << w
+            inn[w] |= 1 << u
+        node = (i, j, live)
+
+
+# the pair sets of the benchmark's census documents, and singer q=8
+COVER_F = {
+    "singer q=5": lambda: singer_datum(5).F(),
+    "singer q=7": lambda: singer_datum(7).F(),
+    "opp q=7": lambda: opp_datum(7).F(),
+    "quad q=2": lambda: quad_datum(2).F(),
+    "singer q=8": lambda: singer_datum(8).F(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_F))
+def test_exact_covers_match_the_scan_at_every_node(monkeypatch, name):
+    """Forced pairs first gives the same sorted covers as a full scan at
+    every node, with no more full scans than that search has nodes."""
+    f = COVER_F[name]()
+    want, nodes = scan_every_node(f)
+    scans = []
+    full_scan = tripres._most_constrained
+
+    def counted(out, inn):
+        scans.append(None)
+        return full_scan(out, inn)
+
+    monkeypatch.setattr(tripres, "_most_constrained", counted)
+    assert tripres._exact_covers(f) == want
+    assert 0 < len(scans) <= nodes
 
 
 def test_classify_singer_q8():
