@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 
@@ -77,12 +78,13 @@ def kappa_spec_of(kappa):
 # the most triples --all-kappa builds, over all its presentations together,
 # and the most one singer or quad presentation has; exotic refuses the q
 # singer refuses.  A family is written a choice at a time: opp --q 25
-# --all-kappa --format json writes exactly this many, 247 MB, in 1.0 s and
-# 25 MB.  One presentation is held whole while its text is made, so for it
-# this bounds memory, at 110-220 bytes a triple: singer --q 157 --kappa +1
-# (3,919,506 triples; q = 163 is refused) peaks at 440 MB as a table,
-# 488 MB as gap and 870 MB as json, and singer --q 67 (309,876) at 48, 54
-# and 91 MB (peak RSS, 2-core Xeon, Python 3.11).
+# --all-kappa --format json writes exactly this many, 247 MB, in 0.6-0.75 s
+# of CPU and 24 MB (peak RSS of a fresh process).  One presentation is held
+# whole while its text is made, so for it this bounds memory, at 110-220
+# bytes a triple: singer --q 157 --kappa +1 (3,919,506 triples; q = 163 is
+# refused) peaks at 440 MB as a table, 488 MB as gap and 870 MB as json, and
+# singer --q 67 (309,876) at 48, 54 and 91 MB (peak RSS, 2-core Xeon,
+# Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
 # the most sign choices exotic --all-kappa certifies.  The certificates go
@@ -132,10 +134,12 @@ def _present_one(T, meta, fmt):
 
 def _present_family(model, q, family, fmt):
     """The text of each sign choice's presentation, made once its choice
-    passes its check.  The entry of each slot of the family is rendered once
-    per sign, so a choice is one pick per slot and one join.  choices()
-    yields the choices in sorted spec order, which is the order they are
-    written in."""
+    passes its check, as two parts: its head, then its presentation.  The
+    entry of each slot of the family is rendered once per sign, on first
+    need, and one list holds the entry each slot takes; a choice re-picks
+    the slots of the keys whose sign differs from the choice before it,
+    then joins that list.  choices() yields the choices in sorted spec
+    order, which is the order they are written in."""
     labels = tuple(range(family.G.n))
     if fmt == "table":
         entries, assemble = table_writer(labels)
@@ -148,20 +152,31 @@ def _present_family(model, q, family, fmt):
 
         pairs = [(x, y) for x, y, _ in family.slots]
         entries, assemble = json_writer(labels, pairs, 1)
-    rendered = {}
-    for index, kappa in enumerate(family.choices()):
-        signs = family.slot_signs(kappa)
-        for sign in set(signs) - rendered.keys():
+    rendered, key_slots, picks = {}, family.key_slots, None
+
+    def entries_of(sign):
+        if sign not in rendered:
             rendered[sign] = entries(family.slot_triples(sign))
-        # slot r's entry under its sign: rendered[signs[r]][r]
-        picks = map(list.__getitem__, map(rendered.get, signs), range(len(signs)))
+        return rendered[sign]
+
+    for index, kappa in enumerate(family.choices()):
+        signs = family.key_signs(kappa)
+        if picks is None:
+            # the all-plus entries, which the keys a choice puts at -1 replace
+            picks, prev = entries_of(1)[:], [1] * len(signs)
+        for slots, sign, old in zip(key_slots, signs, prev):
+            if sign != old:
+                new = entries_of(sign)
+                for r in slots:
+                    picks[r] = new[r]
+        prev = signs
         spec = kappa_spec_of(kappa)
-        text = assemble(picks, {"model": model, "q": q, "kappa": spec})
         if fmt == "json":
-            yield (",\n  " if index else "[\n  ") + text
+            yield ",\n  " if index else "[\n  "
         else:
             head = ("# " if fmt == "gap" else "") + f"kappa {spec}\n"
-            yield ("\n" if index else "") + head + text
+            yield ("\n" if index else "") + head
+        yield assemble(picks, {"model": model, "q": q, "kappa": spec})
     if fmt == "json":
         yield "\n]\n"
 
@@ -211,7 +226,7 @@ def _fmt_value(v):
 def _cmd_opp(args):
     from .oppmodel import opp_datum, opp_properties
 
-    if args.check or (args.kappa is None and not args.all_kappa):
+    if args.kappa is None and not args.all_kappa:
         report = opp_properties(args.q)
         lines = [f"opposition model q = {report.q}"]
         for name, want, got, ok in report.rows:
@@ -418,6 +433,7 @@ def _build_parser():
         group = p.add_mutually_exclusive_group()
         group.add_argument("--kappa", help="sign spec, e.g. '+1' or '9:+1;15:-1'")
         group.add_argument("--all-kappa", action="store_true")
+        return group
 
     p = sub.add_parser("singer", help="difference-set presentations on Z/m")
     p.add_argument("--q", type=int, required=True)
@@ -433,9 +449,9 @@ def _build_parser():
 
     p = sub.add_parser("opp", help="opposition-model checklist and presentations")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="run the property checklist (the default mode)")
-    kappa_opts(p)
+    # a checklist builds no presentation, so it takes no sign choice
+    kappa_opts(p).add_argument("--check", action="store_true",
+                               help="run the property checklist (the default mode)")
     common(p)
 
     p = sub.add_parser("enumerate", help="count presentations and classes")
@@ -481,8 +497,10 @@ def _build_parser():
 
 def _dispatch(args):
     """Run the handler and write its output: one text, or an iterator of
-    texts (--all-kappa), each written as soon as it is made.  A warning the
-    handler raises becomes one 'trigon <cmd>: warning:' line on stderr."""
+    texts (--all-kappa), each written as soon as it is made; 141, as a shell
+    reports a process that SIGPIPE ends, where stdout is a pipe whose reader
+    closed it.  A warning the handler raises becomes one 'trigon <cmd>:
+    warning:' line on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             code, text = _HANDLERS[args.subcommand](args)
@@ -496,7 +514,15 @@ def _dispatch(args):
                 with fh:
                     fh.writelines(parts)
             else:
-                sys.stdout.writelines(parts)
+                try:
+                    sys.stdout.writelines(parts)
+                    sys.stdout.flush()
+                except BrokenPipeError:
+                    # the reader is gone: make no more texts, and send what
+                    # is still buffered to devnull, so that the interpreter's
+                    # flush at exit cannot raise again
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                    return 141
             return code
         finally:
             for w in caught:
@@ -505,7 +531,8 @@ def _dispatch(args):
 
 
 def run(argv):
-    """Dispatch one invocation; 0 ok, 1 failed check, 2 usage."""
+    """Dispatch one invocation; 0 ok, 1 failed check, 2 usage, 141 stdout
+    closed by its reader."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as ex:

@@ -84,7 +84,7 @@ def _array(entries, close) -> str:
     """A JSON array of the entries, each a newline, its indent and its
     value, "" for none, joined once and closed after close."""
     body = ",".join(filter(None, entries))
-    return "[" + body + close + "]" if body else "[]"
+    return "".join(("[", body, close, "]")) if body else "[]"
 
 
 def _is_int(x):

@@ -195,7 +195,8 @@ class SignFamily(Record, eq=False):
     A slot is a pair (x, x*S[a]) of F, held per a and x.  Its key is the key
     of the orbit of S[a] on the coset of x, none for an untwisted slot; its
     third under a sign is read from the constant choice of that sign, made
-    and checked once, when a requested choice first gives a key that sign."""
+    and checked once, when a requested choice first gives a key that sign.  A
+    writer of many choices re-picks only the key_slots of the keys it flips."""
 
     G: FiniteGroup
     S: tuple
@@ -217,11 +218,8 @@ class SignFamily(Record, eq=False):
         super().__init__(G, S, lam, H)
         # the caches map (a, sign) to the thirds of the slots (x, x*S[a])
         # under sign, and to what _open finds for them
-        vars(self).update(
-            keys=tuple(keys),
-            orbit_min={s: o[0] for o in twisted for s in o},
-            _columns={}, _opens={},
-        )
+        vars(self).update(keys=tuple(keys), _columns={}, _opens={},
+                          orbit_min={s: o[0] for o in twisted for s in o})
 
     def check(self, kappa) -> None:
         """Raise KappaSpecError unless kappa maps exactly the keys to signs."""
@@ -258,7 +256,7 @@ class SignFamily(Record, eq=False):
         """The twisted presentation {(x, xs, xs*step)} of one sign choice,
         where step is lam(s), or lam^2(s) where kappa puts -1 on the orbit
         of s on the coset of x."""
-        return self._presentation(self._signs(kappa))
+        return self._presentation(self.key_signs(kappa))
 
     @cached_property
     def slots(self) -> list:
@@ -267,15 +265,12 @@ class SignFamily(Record, eq=False):
         return sorted((x, y, a) for a, r in enumerate(rights) for x, y in enumerate(r))
 
     @cached_property
-    def _slot_order_keys(self) -> list:
-        """The key index of each slot, in slot order."""
-        kid = self._slot_keys
-        return [kid[a][x] for x, _, a in self.slots]
-
-    def slot_signs(self, kappa) -> list:
-        """The sign of each slot's key under kappa, +1 for an untwisted
-        slot, in slot order; checks kappa and its choice as build does."""
-        return list(map(self._signs(kappa).__getitem__, self._slot_order_keys))
+    def key_slots(self) -> list:
+        """Per key index, then for the untwisted slots, their places in slots."""
+        kid, out = self._slot_keys, [[] for _ in range(len(self.keys) + 1)]
+        for r, (x, _, a) in enumerate(self.slots):
+            out[kid[a][x]].append(r)
+        return out
 
     def slot_triples(self, sign) -> list:
         """The triple of each slot under sign, in slot order."""
@@ -297,6 +292,11 @@ class SignFamily(Record, eq=False):
             ]
             out.append(list(map(ids.__getitem__, self.H.coset_index)))
         return out
+
+    @cached_property
+    def _column_keys(self) -> list:
+        """Per a, the distinct key indices of the slots (x, x*S[a])."""
+        return [set(kid) for kid in self._slot_keys]
 
     @cached_property
     def _steps(self) -> dict:
@@ -335,20 +335,20 @@ class SignFamily(Record, eq=False):
                     bad.add(kid[a][x])
         return bad, cross
 
-    def _signs(self, kappa) -> list:
+    def key_signs(self, kappa) -> list:
         """The sign of each key index under kappa, then +1 for the untwisted
         slots, once kappa and the rotation closure of its choice pass: each
-        slot is checked once per sign, and a slot whose rotation lies under
-        another key once per choice."""
+        slot is checked once per sign, a choice once per key of each a, and
+        a slot whose rotation lies under another key once per choice."""
         self.check(kappa)
         signs = [kappa[k] for k in self.keys] + [1]
         kid = self._slot_keys
-        for a, kid_a in enumerate(kid):
-            for sign in set(map(signs.__getitem__, kid_a)):
+        for a, ids in enumerate(self._column_keys):
+            for sign in {signs[k] for k in ids}:
                 if (a, sign) not in self._opens:
                     self._opens[a, sign] = self._open(a, sign)
                 bad, cross = self._opens[a, sign]
-                if any(signs[k] == sign for k in bad) or any(
+                if bad and any(signs[k] == sign for k in bad) or cross and any(
                     signs[k] == sign and self._thirds(b, signs[kid[b][y]])[y] != x
                     for k, b, y, x in cross
                 ):

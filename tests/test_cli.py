@@ -178,6 +178,33 @@ def test_opp_family_without_a_folding_exits_two(capsys, mode):
     assert err == "trigon opp: q = 5 is not 1 mod 3, so there is no folding\n"
 
 
+@pytest.mark.parametrize("mode, other", [
+    (["--all-kappa"], "--all-kappa"), (["--kappa", "+1"], "--kappa"),
+], ids=["all-kappa", "kappa"])
+def test_opp_check_takes_no_sign_choice(capsys, mode, other):
+    """The checklist builds no presentation, so a sign choice beside
+    --check is a usage error, not an option it ignores."""
+    code, out, err = invoke(capsys, ["opp", "--q", "13", "--check", *mode])
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"trigon opp: error: argument {other}: not allowed with argument --check\n"
+    )
+
+
+def test_a_closed_pipe_ends_the_family_with_141():
+    """A reader that closes stdout early stops the family with exit 141,
+    as SIGPIPE would, and no traceback on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trigon.cli", "singer", "--q", "13", "--all-kappa"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head.startswith(b"kappa 1:+1;")
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_exotic_certificates_and_bounds(capsys):
     code, out, _ = invoke(capsys, ["exotic", "--q", "2", "--all-kappa",
                                    "--bounds"])

@@ -4,13 +4,14 @@ sorted and rendered on its own.  That builder and plain renderers of its
 sorted triples are kept here as the oracle."""
 
 import json
+import random
 from itertools import chain, groupby
 from operator import itemgetter
 
 import pytest
 
 from label_oracle import coset_steps, fset_of, pairs_of, presentation_of, triples_of
-from trigon.cli import kappa_spec_of, run
+from trigon.cli import _present_family, kappa_spec_of, run
 from trigon.fgroup import SignFamily, SubgroupDatum, make_cyclic, subgroup
 from trigon.oppmodel import opp_datum
 from trigon.singer import quad_datum, singer_datum
@@ -34,40 +35,49 @@ def walk_triples(family, kappa, rule=coset_steps):
     return frozenset(triples)
 
 
-def oracle_family_text(model, q, family, fmt):
-    """The --all-kappa text of a family whose choices all pass their check:
-    one walk, sort and render per choice, in choices() order.  The labels are the
-    positions 0..n-1, so a triple is written as it is held."""
+def oracle_choice_text(model, q, family, kappa, fmt, rule=coset_steps):
+    """The presentation text --all-kappa writes for one choice, after its
+    head: one walk, sort and render.  The labels are the positions 0..n-1,
+    so a triple is written as it is held."""
     n = family.G.n
-    texts, blobs = [], []
-    for kappa in family.choices():
-        triples = sorted(walk_triples(family, kappa))
-        reps = sorted({min(t, t[1:] + t[:1], t[2:] + t[:2]) for t in triples})
-        spec = kappa_spec_of(kappa)
-        if fmt == "json":
-            blobs.append({
-                "F": [[i, j] for i, j, _ in triples],
-                "T": [list(t) for t in reps],
-                "labels": list(range(n)),
-                "meta": {"model": model, "q": q, "kappa": spec},
-                "n": n,
-            })
-        elif fmt == "gap":
-            words = ", ".join(
-                f"F.{i + 1}*F.{j + 1}*F.{k + 1}" for i, j, k in reps
-            )
-            texts.append(
-                f"# kappa {spec}\nF := FreeGroup({n});\nG := F / [ {words} ];\n"
-            )
-        else:
-            rows = groupby(triples, key=itemgetter(0))
-            table = "\n".join(
-                " ".join(f"({i},{j},{k})" for i, j, k in row) for _, row in rows
-            )
-            texts.append(f"kappa {spec}\n{table}\n")
+    triples = sorted(walk_triples(family, kappa, rule))
+    reps = sorted({min(t, t[1:] + t[:1], t[2:] + t[:2]) for t in triples})
     if fmt == "json":
-        return json.dumps(blobs, sort_keys=True, indent=2) + "\n"
-    return "\n".join(texts)
+        blob = {
+            "F": [[i, j] for i, j, _ in triples],
+            "T": [list(t) for t in reps],
+            "labels": list(range(n)),
+            "meta": {"model": model, "q": q, "kappa": kappa_spec_of(kappa)},
+            "n": n,
+        }
+        # the document as an entry of a top-level array, "[\n  " ... "\n]"
+        return json.dumps([blob], sort_keys=True, indent=2)[4:-2]
+    if fmt == "gap":
+        words = ", ".join(f"F.{i + 1}*F.{j + 1}*F.{k + 1}" for i, j, k in reps)
+        return f"F := FreeGroup({n});\nG := F / [ {words} ];\n"
+    rows = groupby(triples, key=itemgetter(0))
+    table = "\n".join(" ".join(f"({i},{j},{k})" for i, j, k in row) for _, row in rows)
+    return table + "\n"
+
+
+def oracle_head(fmt, index, kappa):
+    """What --all-kappa writes before the text of its index-th choice."""
+    if fmt == "json":
+        return ",\n  " if index else "[\n  "
+    head = f"{'# ' if fmt == 'gap' else ''}kappa {kappa_spec_of(kappa)}\n"
+    return ("\n" if index else "") + head
+
+
+def oracle_family_text(model, q, family, fmt, kappas=None, rule=coset_steps):
+    """The --all-kappa text of the kappas, by default every choice in
+    choices() order, all of which pass their check."""
+    kappas = list(family.choices()) if kappas is None else kappas
+    text = "".join(
+        oracle_head(fmt, index, kappa)
+        + oracle_choice_text(model, q, family, kappa, fmt, rule)
+        for index, kappa in enumerate(kappas)
+    )
+    return text + "\n]\n" if fmt == "json" else text
 
 
 TWISTED_DATA = {
@@ -124,6 +134,13 @@ def one_forward_step(monkeypatch):
     return family, lambda family, kappa: list(map(forward, coset_steps(family, kappa)))
 
 
+def walk_violations(family, kappa, rule):
+    """_violations of the walked triples of one choice."""
+    triples = walk_triples(family, kappa, rule)
+    fout = fset_of(range(family.G.n), {(i, j) for i, j, _ in triples}).out
+    return _violations(fout, presentation_of(range(family.G.n), triples))
+
+
 BROKEN = {
     "misfiled coset, quad q=2": lambda monkeypatch: (misfiled_quad(), coset_steps),
     "misfiled coset, exquad": lambda monkeypatch: (misfiled_exquad(), coset_steps),
@@ -144,15 +161,16 @@ def test_broken_data_fail_exactly_where_violations_say(monkeypatch, name, order)
     failed = 0
     for kappa in kappas:
         triples = walk_triples(family, kappa, rule)
-        fout = fset_of(range(family.G.n), {(i, j) for i, j, _ in triples}).out
-        found = _violations(fout, presentation_of(range(family.G.n), triples))
+        found = walk_violations(family, kappa, rule)
         if not found:
             assert triples_of(family.build(kappa)) == triples
-            assert len(family.slot_signs(kappa)) == len(triples)
+            signs = family.key_signs(kappa)
+            assert len(signs) == len(family.key_slots)
+            assert sum(map(len, family.key_slots)) == len(triples)
             continue
         failed += 1
         want = f"twisted presentation broke its axioms: {found[:3]}"
-        for check in (family.build, family.slot_signs):
+        for check in (family.build, family.key_signs):
             with pytest.raises(TwistCheckFailed) as err:
                 check(kappa)
             assert str(err.value) == want
@@ -165,11 +183,54 @@ def test_slots_are_the_sorted_pairs_of_F():
     pairs = [(x, y) for x, y, _ in family.slots]
     assert pairs == sorted(pairs_of(d.F()))
     assert all(family.G.right(family.S[a])[x] == y for x, y, a in family.slots)
+    places = sorted(chain.from_iterable(family.key_slots))
+    assert places == list(range(len(family.slots)))
     kappa = dict(zip(family.keys, chain([-1], [1] * len(family.keys))))
-    signs = family.slot_signs(kappa)
+    signs = family.key_signs(kappa)
     built = triples_of(family.build(kappa))
     picked = {
-        t for sign in (1, -1)
-        for t, s in zip(family.slot_triples(sign), signs) if s == sign
+        family.slot_triples(sign)[r] for sign in (1, -1)
+        for s, slots in zip(signs, family.key_slots) if s == sign for r in slots
     }
     assert picked == built
+
+
+@pytest.mark.parametrize("name", ["opp q=7", "quad q=3", "singer q=7"])
+@pytest.mark.parametrize("fmt", ["table", "json", "gap"])
+def test_each_choice_matches_the_oracle_in_a_shuffled_order(monkeypatch, name, fmt):
+    """The writer re-picks only the slots of the keys whose sign differs
+    from the choice before; in a shuffled order keys flip to -1 and back to
+    +1 out of binary order, and each choice's head and text are still its
+    own."""
+    model, make, q = TWISTED_DATA[name]
+    family = make(q).signs()
+    kappas = list(family.choices())
+    random.Random(q).shuffle(kappas)
+    monkeypatch.setattr(SignFamily, "choices", lambda self: iter(kappas))
+    parts = list(_present_family(model, q, family, fmt))
+    if fmt == "json":
+        assert parts.pop() == "\n]\n"
+    assert len(parts) == 2 * len(kappas)
+    for index, kappa in enumerate(kappas):
+        assert parts[2 * index] == oracle_head(fmt, index, kappa)
+        assert parts[2 * index + 1] == oracle_choice_text(model, q, family, kappa, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "gap"])
+def test_a_failed_choice_leaves_the_choices_before_it_on_stdout(
+        capsys, monkeypatch, fmt):
+    """A twist check that fails part way ends the family with exit 1 and
+    its message on stderr, after exactly the texts of the choices that
+    passed before it."""
+    family, rule = one_forward_step(monkeypatch)
+    kappas = list(family.choices())
+    first = next(
+        i for i, kappa in enumerate(kappas) if walk_violations(family, kappa, rule)
+    )
+    assert 0 < first < len(kappas)
+    code = run(["singer", "--q", "3", "--all-kappa", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("trigon singer: twisted presentation broke")
+    want = oracle_family_text("singer", 3, family, fmt, kappas[:first], rule)
+    assert captured.out == (want[:-len("\n]\n")] if fmt == "json" else want)
