@@ -12,25 +12,18 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
 
-from .catalog import TABLE_TEXTS
-from .ffield import (
-    DegreeMismatch,
-    NotPrime,
-    NotPrimitive,
-    ReduciblePolynomial,
-    factor_prime_power,
-)
-from .tripres import (
+from .errors import (
     BadCongruence,
     CheckFailed,
+    DegreeMismatch,
     KappaSpecError,
+    NotPrime,
+    NotPrimitive,
     ParseError,
+    ReduciblePolynomial,
     TooLarge,
-    classify,
-    format_table,
-    table_writer,
-    verify,
 )
 
 
@@ -78,8 +71,8 @@ def kappa_spec_of(kappa):
 # the most triples --all-kappa builds, over all its presentations together,
 # and the most one singer or quad presentation has; exotic refuses the q
 # singer refuses.  A family is written a choice at a time: opp --q 25
-# --all-kappa --format json writes exactly this many, 247 MB, in 0.6-0.75 s
-# of CPU and 24 MB (peak RSS of a fresh process).  One presentation is held
+# --all-kappa --format json writes exactly this many, 247 MB, in 0.35-0.39 s
+# of CPU and 23 MB (peak RSS of a fresh process).  One presentation is held
 # whole while its text is made, so for it this bounds memory, at 110-220
 # bytes a triple: singer --q 157 --kappa +1 (3,919,506 triples; q = 163 is
 # refused) peaks at 440 MB as a table, 488 MB as gap and 870 MB as json, and
@@ -111,6 +104,8 @@ def _check_presentation_size(q, order):
     """Refuse q, after checking that it is a prime power and before the
     field search, if one presentation on the plane of the given order has
     more than _FAMILY_TRIPLE_LIMIT triples, |G| x |S| = m x (order + 1)."""
+    from .ffield import factor_prime_power
+
     factor_prime_power(q)
     m, s = order * order + order + 1, order + 1
     if m * s > _FAMILY_TRIPLE_LIMIT:
@@ -122,6 +117,8 @@ def _check_presentation_size(q, order):
 
 def _present_one(T, meta, fmt):
     if fmt == "table":
+        from .tripres import format_table
+
         return format_table(T)
     if fmt == "gap":
         from .grouptools import export_presentation
@@ -134,14 +131,17 @@ def _present_one(T, meta, fmt):
 
 def _present_family(model, q, family, fmt):
     """The text of each sign choice's presentation, made once its choice
-    passes its check, as two parts: its head, then its presentation.  The
-    entry of each slot of the family is rendered once per sign, on first
-    need, and one list holds the entry each slot takes; a choice re-picks
-    the slots of the keys whose sign differs from the choice before it,
-    then joins that list.  choices() yields the choices in sorted spec
-    order, which is the order they are written in."""
+    passes its check, as one list of parts: its head, then its presentation,
+    a JSON document as its parts, so that its T array is written as joined
+    once.  The entry of each slot of the family is rendered once per sign, on
+    first need, and one list holds the entry each slot takes; a choice
+    re-picks the slots of the keys whose sign differs from the choice
+    before it, then joins that list.  choices() yields the choices in sorted
+    spec order, which is the order they are written in."""
     labels = tuple(range(family.G.n))
     if fmt == "table":
+        from .tripres import table_writer
+
         entries, assemble = table_writer(labels)
     elif fmt == "gap":
         from .grouptools import gap_writer
@@ -171,14 +171,14 @@ def _present_family(model, q, family, fmt):
                     picks[r] = new[r]
         prev = signs
         spec = kappa_spec_of(kappa)
+        meta = {"model": model, "q": q, "kappa": spec}
         if fmt == "json":
-            yield ",\n  " if index else "[\n  "
+            yield [",\n  " if index else "[\n  ", *assemble(picks, meta)]
         else:
             head = ("# " if fmt == "gap" else "") + f"kappa {spec}\n"
-            yield ("\n" if index else "") + head
-        yield assemble(picks, {"model": model, "q": q, "kappa": spec})
+            yield [("\n" if index else "") + head, assemble(picks, meta)]
     if fmt == "json":
-        yield "\n]\n"
+        yield ["\n]\n"]
 
 
 def _family_output(model, q, family, args):
@@ -191,13 +191,15 @@ def _family_output(model, q, family, args):
                 f"triples, {count * size} triples in all; the limit is "
                 f"{_FAMILY_TRIPLE_LIMIT}"
             )
-        return _present_family(model, q, family, args.format)
+        return chain.from_iterable(_present_family(model, q, family, args.format))
     kappa = parse_kappa_spec(args.kappa or "+1", family)
     meta = {"model": model, "q": q, "kappa": kappa_spec_of(kappa)}
     return _present_one(family.build(kappa), meta, args.format)
 
 
 def _cmd_tables(args):
+    from .catalog import TABLE_TEXTS
+
     return 0, TABLE_TEXTS[args.which]
 
 
@@ -247,6 +249,8 @@ def _document(args):
 
 
 def _cmd_enumerate(args):
+    from .tripres import classify
+
     doc = _document(args)
     classes = classify(doc.F)
     found = sum(c.orbit_size for c in classes)
@@ -254,6 +258,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
+    from .tripres import classify
+
     doc = _document(args)
     classes = classify(doc.F)
     lines = []
@@ -269,6 +275,8 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
+    from .tripres import verify
+
     doc = _document(args)
     violations = verify(doc.F, doc.T)
     if not violations:
@@ -285,6 +293,7 @@ def _cmd_exotic(args):
     import json
 
     from .exoticity import build_probe, exotic_certificate, exotic_lower_bounds
+    from .ffield import factor_prime_power
     from .singer import r_of_q, singer_datum
 
     if not (args.kappa or args.all_kappa or args.bounds):
@@ -342,6 +351,8 @@ def _cmd_exotic(args):
 def _cmd_export(args):
     doc = _document(args)
     if args.format == "table":
+        from .tripres import format_table
+
         return 0, format_table(doc.T)
     from .grouptools import export_presentation
 
@@ -414,7 +425,9 @@ _HANDLERS = {
 }
 
 
-def _modulus_arg(text):
+def modulus(text):
+    """The --modulus coefficients, low degree first; argparse names the
+    type by this function in its usage error."""
     return tuple(int(x) for x in text.split(","))
 
 
@@ -437,13 +450,13 @@ def _build_parser():
 
     p = sub.add_parser("singer", help="difference-set presentations on Z/m")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=_modulus_arg)
+    p.add_argument("--modulus", type=modulus)
     kappa_opts(p)
     common(p)
 
     p = sub.add_parser("quad", help="coset-twisted presentations on Z/(q^4+q^2+1)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=_modulus_arg)
+    p.add_argument("--modulus", type=modulus)
     kappa_opts(p)
     common(p)
 
@@ -471,13 +484,14 @@ def _build_parser():
 
     p = sub.add_parser("exotic", help="membership certificates and bounds")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=_modulus_arg)
+    p.add_argument("--modulus", type=modulus)
     p.add_argument("--bounds", action="store_true")
     kappa_opts(p)
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("tables", help="reproduce a committed table byte-exactly")
-    p.add_argument("--which", type=int, choices=sorted(TABLE_TEXTS), required=True)
+    # the keys of catalog.TABLE_TEXTS, which only the tables handler loads
+    p.add_argument("--which", type=int, choices=(1, 2, 3, 4, 5), required=True)
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("export", help="presentation text for a document")

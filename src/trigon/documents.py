@@ -8,9 +8,10 @@ from functools import partial
 from itertools import groupby
 from operator import itemgetter
 
+from .errors import ParseError
 from .linkgraph import FSet
 from .record import Record
-from .tripres import ParseError, TrianglePresentation, rep_entries
+from .tripres import TrianglePresentation, rep_entries
 
 
 # without a label list, n alone names the index set 1..n; the largest n it
@@ -38,7 +39,7 @@ def document_text(T: TrianglePresentation, meta: dict, level: int) -> str:
     with two thirds is written once."""
     pairs = ((i, j) for i, js in enumerate(T.out) for j in dict.fromkeys(js))
     entries, assemble = json_writer(T.labels, pairs, level)
-    return assemble(entries(T.walk()), meta)
+    return "".join(assemble(entries(T.walk()), meta))
 
 
 def json_writer(labels, pairs, level):
@@ -48,43 +49,44 @@ def json_writer(labels, pairs, level):
     labels explicit, the pairs, the entries and meta, all in labels.
     Each label is rendered once, and the F and labels arrays once per
     writer, F a row of pairs at a time; meta goes through json.dumps and is
-    indented to its depth."""
+    indented to its depth.  assemble returns the document's text as a list
+    of parts, in order, so a stream writes the entries' one join as it is."""
     lab = [json.dumps(a) for a in labels]
     # a newline and the indent of the document's keys, of the entries of its
     # arrays, and of the labels inside an entry of F or T
     key, entry, cell = ("\n" + "  " * (level + d) for d in (1, 2, 3))
-    f_array = _array((
+    f_array = "".join(_array((
         ",".join([f"{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in row])
         for _, row in groupby(pairs, itemgetter(0))
-    ), key)
-    labels_array = _array([entry + a for a in lab], key)
+    ), key))
+    labels_array = "".join(_array([entry + a for a in lab], key))
 
     def triple(i, j, k):
         return f"{entry}[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
 
     def assemble(entries, meta):
         fields = (
-            ("F", f_array),
+            ("F", [f_array]),
             ("T", _array(entries, key)),
-            ("labels", labels_array),
-            ("meta", json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)),
-            ("n", len(lab)),
+            ("labels", [labels_array]),
+            ("meta", [json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)]),
+            ("n", [str(len(lab))]),
         )
-        # one join, so no array is copied into an intermediate text
         parts = ["{"]
         for name, value in fields:
-            parts += (key, f'"{name}": ', str(value), ",")
+            parts += (key, f'"{name}": ', *value, ",")
         parts[-1] = key[:-2] + "}"
-        return "".join(parts)
+        return parts
 
     return partial(rep_entries, triple), assemble
 
 
-def _array(entries, close) -> str:
-    """A JSON array of the entries, each a newline, its indent and its
-    value, "" for none, joined once and closed after close."""
+def _array(entries, close) -> list:
+    """The parts of a JSON array of the entries, each a newline, its indent
+    and its value, "" for none: the entries joined once, between the
+    brackets, the closing one after close."""
     body = ",".join(filter(None, entries))
-    return "".join(("[", body, close, "]")) if body else "[]"
+    return ["[", body, close, "]"] if body else ["[]"]
 
 
 def _is_int(x):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .errors import CheckFailed
 from .ffield import factor_prime_power
 from .fgroup import Datum, SignFamily
 from .autosearch import automorphism_generators
@@ -23,7 +24,6 @@ from .permgrp import (
 )
 from .record import Record
 from .singer import r_of_q
-from .tripres import CheckFailed
 
 if TYPE_CHECKING:
     from fractions import Fraction

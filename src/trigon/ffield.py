@@ -2,9 +2,11 @@
 
 Elements are dense coefficient vectors over GF(p), low degree first, reduced
 modulo a monic polynomial.  The default modulus is the Conway polynomial of
-the requested degree, computed on the fly.  That choice is compatible across
-subfields, so trace computations against a fixed canonical generator give
-reproducible results.
+the requested degree.  That choice is compatible across subfields, so trace
+computations against a fixed canonical generator give reproducible results.
+A table at the end of this module holds the Conway polynomial of every
+GF(p^n) with n >= 2 and p^n <= 2^18; any other is searched for in the
+standard ordering of the candidates, its subfields' polynomials first.
 """
 
 from __future__ import annotations
@@ -12,31 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .errors import (DegreeMismatch, MixedFields, NotPrime, ReduciblePolynomial,
+                     ZeroElement)
 from .record import Record
-
-
-class NotPrime(ValueError):
-    pass
-
-
-class ReduciblePolynomial(ValueError):
-    pass
-
-
-class NotPrimitive(ValueError):
-    pass
-
-
-class DegreeMismatch(ValueError):
-    pass
-
-
-class MixedFields(ValueError):
-    pass
-
-
-class ZeroElement(ValueError):
-    pass
 
 
 def is_prime(n: int) -> bool:
@@ -208,9 +188,16 @@ def _conway_candidates(p, n):
 
 @lru_cache(maxsize=None)
 def conway_polynomial(p: int, n: int) -> tuple[int, ...]:
-    """Conway polynomial of GF(p^n), coefficients low degree first."""
+    """Conway polynomial of GF(p^n), coefficients low degree first: the row
+    of _CONWAY_TABLE where it has one, else the first candidate in the
+    standard ordering that is primitive and compatible with the Conway
+    polynomials of the maximal subfields."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    at = _CONWAY_TABLE.find(f"\n{p} {n} ")
+    if at >= 0:
+        row = _CONWAY_TABLE[at:_CONWAY_TABLE.index("\n", at + 1)]
+        return tuple(map(int, row.split()[2:]))
     divisors = sorted({n // r for r in prime_factors(n)}) if n > 1 else []
     subs = [(d, conway_polynomial(p, d)) for d in divisors]
     big = p**n - 1
@@ -367,17 +354,17 @@ def make_field(p: int, e: int, modulus=None) -> FieldSpec:
     if e < 1:
         raise ValueError("degree must be positive")
     if modulus is None:
-        mod = conway_polynomial(p, e)
-    else:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != e + 1:
-            raise DegreeMismatch(f"modulus degree {len(mod) - 1}, expected {e}")
-        if mod[-1] != 1:
-            raise ReduciblePolynomial("modulus must be monic")
-        if e >= 2 and not poly_is_irreducible(mod, p):
-            raise ReduciblePolynomial(f"{list(mod)} is reducible over GF({p})")
-    primitive = poly_is_primitive(mod, p)
-    return FieldSpec(p=p, e=e, modulus=mod, primitive=primitive)
+        # a Conway polynomial is primitive by definition, and conway_polynomial
+        # only returns primitive candidates, so it is not tested again
+        return FieldSpec(p=p, e=e, modulus=conway_polynomial(p, e), primitive=True)
+    mod = tuple(int(c) % p for c in modulus)
+    if len(mod) != e + 1:
+        raise DegreeMismatch(f"modulus degree {len(mod) - 1}, expected {e}")
+    if mod[-1] != 1:
+        raise ReduciblePolynomial("modulus must be monic")
+    if e >= 2 and not poly_is_irreducible(mod, p):
+        raise ReduciblePolynomial(f"{list(mod)} is reducible over GF({p})")
+    return FieldSpec(p=p, e=e, modulus=mod, primitive=poly_is_primitive(mod, p))
 
 
 def multiplicative_order(x: FieldElement) -> int:
@@ -408,3 +395,164 @@ def trace_to_subfield(x: FieldElement, q: int) -> FieldElement:
     if t**q != t:
         raise ArithmeticError("trace landed outside the subfield")
     return t
+
+
+# The Conway polynomial of every GF(p^n) with n >= 2 and p^n <= 2^18, one
+# line "p n c_0 ... c_n" each, coefficients low degree first: 150 rows, which
+# the search above re-derives in 1.9 s (GF(2^18) alone in 1.2-1.6 s, GF(3^6)
+# in 10 ms).  conway_polynomial finds a row with str.find; one string
+# compiles in ~0.14 ms, where a dict of tuples took ~1.6 ms for half as many
+# rows.  tests/test_ffield.py checks every row against the search and prints
+# the row the table should hold on a mismatch.
+_CONWAY_TABLE = """
+2 2 1 1 1
+2 3 1 1 0 1
+2 4 1 1 0 0 1
+2 5 1 0 1 0 0 1
+2 6 1 1 0 1 1 0 1
+2 7 1 1 0 0 0 0 0 1
+2 8 1 0 1 1 1 0 0 0 1
+2 9 1 0 0 0 1 0 0 0 0 1
+2 10 1 1 1 1 0 1 1 0 0 0 1
+2 11 1 0 1 0 0 0 0 0 0 0 0 1
+2 12 1 1 0 1 0 1 1 1 0 0 0 0 1
+2 13 1 1 0 1 1 0 0 0 0 0 0 0 0 1
+2 14 1 0 0 1 0 1 0 1 0 0 0 0 0 0 1
+2 15 1 0 1 0 1 1 0 0 0 0 0 0 0 0 0 1
+2 16 1 0 1 1 0 1 0 0 0 0 0 0 0 0 0 0 1
+2 17 1 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 1
+2 18 1 1 0 0 0 0 0 0 0 0 1 0 1 0 0 0 0 0 1
+3 2 2 2 1
+3 3 1 2 0 1
+3 4 2 0 0 2 1
+3 5 1 2 0 0 0 1
+3 6 2 2 1 0 2 0 1
+3 7 1 0 2 0 0 0 0 1
+3 8 2 2 2 0 1 2 0 0 1
+3 9 1 1 2 2 0 0 0 0 0 1
+3 10 2 1 0 0 2 2 2 0 0 0 1
+3 11 1 0 2 0 0 0 0 0 0 0 0 1
+5 2 2 4 1
+5 3 3 3 0 1
+5 4 2 4 4 0 1
+5 5 3 4 0 0 0 1
+5 6 2 0 1 4 1 0 1
+5 7 3 3 0 0 0 0 0 1
+7 2 3 6 1
+7 3 4 0 6 1
+7 4 3 4 5 0 1
+7 5 4 1 0 0 0 1
+7 6 3 6 4 5 1 0 1
+11 2 2 7 1
+11 3 9 2 0 1
+11 4 2 10 8 0 1
+11 5 9 0 10 0 0 1
+13 2 2 12 1
+13 3 11 2 0 1
+13 4 2 12 3 0 1
+17 2 3 16 1
+17 3 14 1 0 1
+17 4 3 10 7 0 1
+19 2 2 18 1
+19 3 17 4 0 1
+19 4 2 11 2 0 1
+23 2 5 21 1
+23 3 18 2 0 1
+29 2 2 24 1
+29 3 27 2 0 1
+31 2 3 29 1
+31 3 28 1 0 1
+37 2 2 33 1
+37 3 35 6 0 1
+41 2 6 38 1
+41 3 35 1 0 1
+43 2 3 42 1
+43 3 40 1 0 1
+47 2 5 45 1
+47 3 42 3 0 1
+53 2 2 49 1
+53 3 51 3 0 1
+59 2 2 58 1
+59 3 57 5 0 1
+61 2 2 60 1
+61 3 59 7 0 1
+67 2 2 63 1
+71 2 7 69 1
+73 2 5 70 1
+79 2 3 78 1
+83 2 2 82 1
+89 2 3 82 1
+97 2 5 96 1
+101 2 2 97 1
+103 2 5 102 1
+107 2 2 103 1
+109 2 6 108 1
+113 2 3 101 1
+127 2 3 126 1
+131 2 2 127 1
+137 2 3 131 1
+139 2 2 138 1
+149 2 2 145 1
+151 2 6 149 1
+157 2 5 152 1
+163 2 2 159 1
+167 2 5 166 1
+173 2 2 169 1
+179 2 2 172 1
+181 2 2 177 1
+191 2 19 190 1
+193 2 5 192 1
+197 2 2 192 1
+199 2 3 193 1
+211 2 2 207 1
+223 2 3 221 1
+227 2 2 220 1
+229 2 6 228 1
+233 2 3 232 1
+239 2 7 237 1
+241 2 7 238 1
+251 2 6 242 1
+257 2 3 251 1
+263 2 5 261 1
+269 2 2 268 1
+271 2 6 269 1
+277 2 5 274 1
+281 2 3 280 1
+283 2 3 282 1
+293 2 2 292 1
+307 2 5 306 1
+311 2 17 310 1
+313 2 10 310 1
+317 2 2 313 1
+331 2 3 326 1
+337 2 10 332 1
+347 2 2 343 1
+349 2 2 348 1
+353 2 3 348 1
+359 2 7 358 1
+367 2 6 366 1
+373 2 2 369 1
+379 2 2 374 1
+383 2 5 382 1
+389 2 2 379 1
+397 2 5 392 1
+401 2 3 396 1
+409 2 21 404 1
+419 2 2 418 1
+421 2 2 417 1
+431 2 7 430 1
+433 2 5 432 1
+439 2 15 436 1
+443 2 2 437 1
+449 2 3 444 1
+457 2 13 454 1
+461 2 2 460 1
+463 2 3 461 1
+467 2 2 463 1
+479 2 13 474 1
+487 2 3 485 1
+491 2 2 487 1
+499 2 7 493 1
+503 2 5 498 1
+509 2 2 508 1
+"""

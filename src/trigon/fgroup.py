@@ -6,13 +6,16 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
+from .errors import (BadCongruence, KappaSpecError, LambdaConditionFailed,
+                     TwistCheckFailed)
 from .ffield import factor_prime_power, make_field
 from .linkgraph import FSet
 from .record import Record
-from .tripres import (BadCongruence, KappaSpecError, LambdaConditionFailed,
-                      TrianglePresentation, TwistCheckFailed, verify)
+
+if TYPE_CHECKING:
+    from .tripres import TrianglePresentation
 
 
 class FiniteGroup(Record, eq=False):
@@ -352,6 +355,8 @@ class SignFamily(Record, eq=False):
                     signs[k] == sign and self._thirds(b, signs[kid[b][y]])[y] != x
                     for k, b, y, x in cross
                 ):
+                    from .tripres import verify
+
                     found = verify(_pair_set(self.G, self.S), self._presentation(signs))
                     raise TwistCheckFailed(
                         f"twisted presentation broke its axioms: {found[:3]}"
@@ -361,6 +366,8 @@ class SignFamily(Record, eq=False):
     def _presentation(self, signs) -> TrianglePresentation:
         """The presentation of the choice whose key indices have these
         signs: per x, its heads x*s sorted, each with its third."""
+        from .tripres import TrianglePresentation
+
         G = self.G
         columns = []
         for a, kid in enumerate(self._slot_keys):

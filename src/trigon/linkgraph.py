@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from .errors import CheckFailed
 from .record import Record
 
 if TYPE_CHECKING:
@@ -229,8 +230,6 @@ def _minimal_polynomial(step, v):
         if pivot is None:
             lead = comb[-1]
             if any(a % lead for a in comb):
-                from .tripres import CheckFailed
-
                 raise CheckFailed(
                     f"the Krylov dependency {comb} is not a multiple of a "
                     "monic integer polynomial"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from .errors import CheckFailed, TooLarge
 from .ffield import factor_prime_power, make_field
 from .fgroup import Datum, make_opp_group, subgroup
 from .linkgraph import (
@@ -17,7 +18,6 @@ from .linkgraph import (
     point_transitive_gap,
 )
 from .record import Record
-from .tripres import CheckFailed, TooLarge
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
 # The pair set and the neighbor lists grow as q^3, the bitmasks of the

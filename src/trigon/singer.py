@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .ffield import NotPrimitive, factor_prime_power, make_field, trace_to_subfield
+from .errors import CheckFailed, NotPrimitive
+from .ffield import factor_prime_power, make_field, trace_to_subfield
 from .fgroup import Datum, lambda_orbits, make_cyclic, subgroup
-from .tripres import CheckFailed
 
 
 def r_of_q(q):

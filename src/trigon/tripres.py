@@ -8,6 +8,7 @@ from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
+from .errors import CheckFailed, IncompatiblePresentation, TooLarge
 from .linkgraph import AutFull, FSet, apply_rho, aut_full
 from .record import Record
 
@@ -16,42 +17,6 @@ from .record import Record
 # a key and its permutation take 4.2 KB on singer --q 7 (456 pairs), so such
 # an orbit there would take 8.4 GB (classify on it peaks at 16 MB)
 _AUT_LIMIT = 10**6
-
-
-class CheckFailed(Exception):
-    """An identity that a construction or census rests on does not hold.
-
-    Not a ValueError: the input was valid, the result is wrong."""
-
-
-class IncompatiblePresentation(ValueError):
-    """Raised when an operation needs verify(F, T) to pass and it does not."""
-
-
-class LambdaConditionFailed(CheckFailed):
-    """Raised when the folding map breaks its defining identities."""
-
-
-class TooLarge(ValueError):
-    """Raised when an input is over a size limit: |Aut+(F)| for a search, a
-    presentation or --all-kappa family, a certificate count, or a link graph
-    to build or measure."""
-
-
-class BadCongruence(ValueError):
-    """Raised when a construction needs q congruent to 1 mod 3."""
-
-
-class KappaSpecError(ValueError):
-    """A sign choice whose keys do not match the datum's orbit keys."""
-
-
-class ParseError(ValueError):
-    """Malformed presentation document; the message names the offending key."""
-
-
-class TwistCheckFailed(CheckFailed):
-    """A twisted presentation built from a valid folding fails its axioms."""
 
 
 class TrianglePresentation(Record, eq=True):

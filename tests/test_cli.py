@@ -1,5 +1,6 @@
 """Exit codes, byte determinism, golden tables, and subcommand output."""
 
+import argparse
 import json
 import os
 import resource
@@ -12,15 +13,15 @@ import pytest
 from label_oracle import fset_of, pairs_of, triples_of
 from trigon import cli, exoticity, fgroup, linkgraph, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
-from trigon.cli import KappaSpecError, kappa_spec_of, parse_kappa_spec, run
+from trigon.cli import kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
-from trigon.ffield import DegreeMismatch, NotPrime, ReduciblePolynomial
+from trigon.errors import (BadCongruence, DegreeMismatch, KappaSpecError, NotPrime,
+                           ReduciblePolynomial, TooLarge, TwistCheckFailed)
 from trigon.fgroup import Datum
 from trigon.linkgraph import AutFull
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import BadCongruence, TooLarge, TwistCheckFailed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -376,6 +377,17 @@ def test_usage_errors_exit_two(capsys, square_path, tmp_path, argv):
     argv = [a.format(doc=square_path, binary=binary, dir=tmp_path) for a in argv]
     code, _, _ = invoke(capsys, argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["singer", "quad", "exotic"])
+def test_bad_modulus_names_the_option_type(capsys, command):
+    """argparse names a --modulus it cannot read by the type function, so
+    the message says modulus, not a private helper's name."""
+    code, out, err = invoke(capsys, [command, "--q", "2", "--modulus", "1,1,a"])
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: argument --modulus: invalid modulus value: '1,1,a'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -817,11 +829,14 @@ MODULES = {
     for path in Path(cli.__file__).parent.glob("*.py")
     if path.stem != "__init__"
 }
+# the modules import trigon.cli loads, pinned: its top imports only the
+# standard library and the errors that run maps to exit codes
+IMPORT = {"trigon.cli", "trigon.errors"}
 # the modules a family writer loads, pinned: a writer pulls in no other
-JSON_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.documents", "trigon.ffield",
+JSON_FAMILY = {"trigon.cli", "trigon.documents", "trigon.errors", "trigon.ffield",
                "trigon.fgroup", "trigon.linkgraph", "trigon.record",
                "trigon.singer", "trigon.tripres"}
-GAP_FAMILY = {"trigon.catalog", "trigon.cli", "trigon.ffield", "trigon.fgroup",
+GAP_FAMILY = {"trigon.cli", "trigon.errors", "trigon.ffield", "trigon.fgroup",
               "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
               "trigon.record", "trigon.tripres"}
 # a standard module no command loads: dataclasses brings inspect, ast, dis
@@ -831,21 +846,21 @@ NEVER = {"dataclasses"}
 
 @pytest.mark.parametrize(
     "argv, absent",
-    [(None, SYMMETRY | CONSTRUCTIONS | NEVER
-      | {"fractions", "trigon.documents", "trigon.fgroup", "trigon.grouptools"}),
+    [(None, NEVER | {"fractions"} | MODULES - IMPORT),
      (["opp", "--check", "--q", "9"],
       SYMMETRY | NEVER
-      | {"fractions", "trigon.exoticity", "trigon.grouptools",
-         "trigon.singer"}),
+      | {"fractions", "trigon.catalog", "trigon.exoticity", "trigon.grouptools",
+         "trigon.singer", "trigon.tripres"}),
      (["singer", "--q", "7", "--all-kappa"],
       SYMMETRY | NEVER
       | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
          "trigon.documents"}),
      (["classify", "--from-json", "{doc}"],
-      CONSTRUCTIONS | NEVER | {"trigon.grouptools", "trigon.fgroup"}),
+      CONSTRUCTIONS | NEVER
+      | {"trigon.ffield", "trigon.fgroup", "trigon.grouptools"}),
      (["exotic", "--q", "7", "--kappa", "+1"],
-      NEVER | {"fractions", "trigon.documents", "trigon.grouptools",
-               "trigon.oppmodel"}),
+      NEVER | {"fractions", "trigon.catalog", "trigon.documents",
+               "trigon.grouptools", "trigon.oppmodel", "trigon.tripres"}),
      (["quad", "--q", "2", "--all-kappa", "--format", "json"],
       NEVER | MODULES - JSON_FAMILY),
      (["opp", "--q", "7", "--all-kappa", "--format", "gap"],
@@ -873,6 +888,15 @@ def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
     assert code == "0"
     assert "trigon.cli" in loaded
     assert sorted(absent & set(loaded)) == []
+
+
+def test_which_choices_are_the_catalog_tables():
+    """tables --which lists its choices as a literal, so that the parser
+    does not load catalog; they must be the catalog's keys."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    which = next(a for a in sub.choices["tables"]._actions if a.dest == "which")
+    assert list(which.choices) == sorted(TABLE_TEXTS)
 
 
 @pytest.mark.parametrize("q, code", [(42853, 0), (42859, 2)])

@@ -18,11 +18,11 @@ from label_oracle import (
 from trigon.catalog import table
 from trigon.documents import (
     Document,
-    ParseError,
     document_text,
     load_document,
     parse_document,
 )
+from trigon.errors import ParseError
 from trigon.linkgraph import FSet
 from trigon.tripres import TrianglePresentation
 

@@ -7,6 +7,7 @@ import pytest
 
 from label_oracle import triples_of
 from trigon import cli, singer
+from trigon.errors import KappaSpecError, LambdaConditionFailed
 from trigon.exoticity import (
     Bounds,
     OrderMismatch,
@@ -20,7 +21,6 @@ from trigon.fgroup import Datum, lambda_orbits
 from trigon.linkgraph import from_F, graph_automorphisms
 from trigon.permgrp import Perm
 from trigon.singer import r_of_q, singer_datum
-from trigon.tripres import KappaSpecError, LambdaConditionFailed
 
 
 def length_three_orbits(d):

@@ -12,10 +12,11 @@ import pytest
 
 from label_oracle import coset_steps, fset_of, pairs_of, presentation_of, triples_of
 from trigon.cli import _present_family, kappa_spec_of, run
+from trigon.errors import TwistCheckFailed
 from trigon.fgroup import SignFamily, SubgroupDatum, make_cyclic, subgroup
 from trigon.oppmodel import opp_datum
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import TwistCheckFailed, _violations
+from trigon.tripres import _violations
 
 
 def walk_triples(family, kappa, rule=coset_steps):
@@ -207,13 +208,13 @@ def test_each_choice_matches_the_oracle_in_a_shuffled_order(monkeypatch, name, f
     kappas = list(family.choices())
     random.Random(q).shuffle(kappas)
     monkeypatch.setattr(SignFamily, "choices", lambda self: iter(kappas))
-    parts = list(_present_family(model, q, family, fmt))
+    texts = list(_present_family(model, q, family, fmt))
     if fmt == "json":
-        assert parts.pop() == "\n]\n"
-    assert len(parts) == 2 * len(kappas)
-    for index, kappa in enumerate(kappas):
-        assert parts[2 * index] == oracle_head(fmt, index, kappa)
-        assert parts[2 * index + 1] == oracle_choice_text(model, q, family, kappa, fmt)
+        assert texts.pop() == ["\n]\n"]
+    assert len(texts) == len(kappas)
+    for index, ((head, *body), kappa) in enumerate(zip(texts, kappas)):
+        assert head == oracle_head(fmt, index, kappa)
+        assert "".join(body) == oracle_choice_text(model, q, family, kappa, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "gap"])

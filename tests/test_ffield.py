@@ -1,20 +1,24 @@
 """Field arithmetic, canonical moduli and relative traces."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigon import ffield
-from trigon.ffield import (
+from trigon.errors import (
     DegreeMismatch,
     MixedFields,
     NotPrime,
     ReduciblePolynomial,
     ZeroElement,
+)
+from trigon.ffield import (
     conway_polynomial,
     factor_prime_power,
+    is_prime,
     make_field,
     multiplicative_order,
     poly_is_irreducible,
@@ -115,7 +119,55 @@ CONWAY_REACHED = sorted({
 def test_conway_cut_matches_the_uncut_search(monkeypatch, p, n):
     cut = conway_polynomial(p, n)
     monkeypatch.setattr(ffield, "_conway_candidates", uncut_candidates)
+    monkeypatch.setattr(ffield, "_CONWAY_TABLE", "\n")
     assert conway_polynomial.__wrapped__(p, n) == cut
+
+
+# the table holds every GF(p^n) with n >= 2 and p^n <= 2^18
+CONWAY_BOUND = 2**18
+CONWAY_ROWS = [
+    (int(p), int(n), tuple(map(int, coeffs)))
+    for p, n, *coeffs in map(str.split, ffield._CONWAY_TABLE.split("\n")[1:-1])
+]
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """conway_polynomial with the table bypassed, so that every polynomial,
+    each subfield's too, comes from the search; the cache is emptied
+    before and after, so no searched value outlives the test."""
+    monkeypatch.setattr(ffield, "_CONWAY_TABLE", "\n")
+    conway_polynomial.cache_clear()
+    yield conway_polynomial
+    conway_polynomial.cache_clear()
+
+
+def test_conway_table_is_the_search_up_to_its_bound(searched):
+    """Each row is what the search finds, and the rows are the fields of the
+    bound in (p, n) order.  On a mismatch the message lists the rows the
+    table should hold: with the table's literal emptied, it lists them all,
+    which is how the table is made."""
+    want = [
+        (p, n, searched(p, n))
+        for p in range(2, math.isqrt(CONWAY_BOUND) + 1) if is_prime(p)
+        for n in range(2, CONWAY_BOUND.bit_length())
+        if p**n <= CONWAY_BOUND
+    ]
+    assert len(want) == 150
+    wrong = [row for row in want if row not in CONWAY_ROWS]
+    fields = {(p, n) for p, n, _ in want}
+    extra = [(p, n) for p, n, _ in CONWAY_ROWS if (p, n) not in fields]
+    assert CONWAY_ROWS == want, (
+        "the table should hold these rows:\n"
+        + "\n".join(" ".join(map(str, (p, n, *f))) for p, n, f in wrong)
+        + f"\nand no rows for (p, n) = {extra}"
+    )
+
+
+def test_conway_table_rows_are_primitive():
+    for p, n, f in CONWAY_ROWS:
+        assert len(f) == n + 1 and f[-1] == 1, (p, n)
+        assert poly_is_primitive(f, p), (p, n)
 
 
 def test_conway_polys_are_primitive():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from label_oracle import fset_of, pairs_of
 from trigon.autosearch import _neighbor_lists, find_isomorphism
-from trigon.tripres import CheckFailed
+from trigon.errors import CheckFailed
 from trigon.linkgraph import (
     Disconnected,
     FSet,

@@ -7,6 +7,7 @@ import pytest
 from duality import murho_dual
 from label_oracle import fset_of, pairs_of, triples_of
 from trigon import oppmodel
+from trigon.errors import BadCongruence, KappaSpecError
 from trigon.linkgraph import f_wreath_equivalent, metrics
 from trigon.oppmodel import (
     a2_graph,
@@ -17,7 +18,7 @@ from trigon.oppmodel import (
 )
 from trigon.singer import singer_datum
 from trigon.fgroup import lambda_orbits
-from trigon.tripres import BadCongruence, KappaSpecError, verify
+from trigon.tripres import verify
 
 
 def test_a2_graph_small_planes():

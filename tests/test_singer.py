@@ -9,12 +9,13 @@ from duality import NonAbelianGroup, murho_dual
 from label_oracle import presentation_of, triples_of
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
+from trigon.errors import KappaSpecError
 from trigon.ffield import factor_prime_power, poly_is_primitive
 from trigon.fgroup import FiniteGroup, lambda_orbits
 from trigon.linkgraph import from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
 from trigon.singer import quad_datum, r_of_q, singer_datum
-from trigon.tripres import KappaSpecError, enumerate_all, format_table, verify
+from trigon.tripres import enumerate_all, format_table, verify
 
 
 def orbit_split(d):

@@ -20,6 +20,14 @@ from label_oracle import (
     triples_of,
 )
 from trigon import tripres
+from trigon.errors import (
+    CheckFailed,
+    IncompatiblePresentation,
+    KappaSpecError,
+    LambdaConditionFailed,
+    TooLarge,
+    TwistCheckFailed,
+)
 from trigon.fgroup import (
     FiniteGroup,
     SignFamily,
@@ -34,13 +42,7 @@ from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, PermGroup, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import (
-    CheckFailed,
-    IncompatiblePresentation,
-    KappaSpecError,
-    LambdaConditionFailed,
-    TooLarge,
     TrianglePresentation,
-    TwistCheckFailed,
     Violation,
     classify,
     enumerate_all,
