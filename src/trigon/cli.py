@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import (
     BadCongruence,
@@ -73,11 +73,11 @@ def kappa_spec_of(kappa):
 # singer refuses.  A family is written a choice at a time: opp --q 25
 # --all-kappa --format json writes exactly this many, 247 MB, in 0.35-0.39 s
 # of CPU and 23 MB (peak RSS of a fresh process).  One presentation is held
-# whole while its text is made, so for it this bounds memory, at 110-220
-# bytes a triple: singer --q 157 --kappa +1 (3,919,506 triples; q = 163 is
-# refused) peaks at 440 MB as a table, 488 MB as gap and 870 MB as json, and
-# singer --q 67 (309,876) at 48, 54 and 91 MB (peak RSS, 2-core Xeon,
-# Python 3.11).
+# whole, and its text as the texts of its rows, so for it this bounds
+# memory, at 85-150 bytes a triple: singer --q 157 --kappa +1 (3,919,506
+# triples; q = 163 is refused) peaks at 370 MB as a table, 330 MB as gap and
+# 577 MB as json, and singer --q 67 (309,876) at 43, 40 and 59 MB (peak RSS,
+# 2-core Xeon, Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
 # the most sign choices exotic --all-kappa certifies.  The certificates go
@@ -115,18 +115,42 @@ def _check_presentation_size(q, order):
         )
 
 
-def _present_one(T, meta, fmt):
+def _writer(fmt, labels, pairs, level):
+    """The entry renderer, separator and assembler of the format's writer
+    over the labels; only json reads pairs, the sorted position pairs of F,
+    and level, the nesting depth of its documents."""
     if fmt == "table":
-        from .tripres import format_table
+        from .tripres import table_writer
 
-        return format_table(T)
+        return table_writer(labels)
     if fmt == "gap":
-        from .grouptools import export_presentation
+        from .grouptools import gap_writer
 
-        return export_presentation(T, "gap")
-    from .documents import document_text
+        return gap_writer(len(labels))
+    if fmt == "json":
+        from .documents import json_writer
 
-    return document_text(T, meta, 0) + "\n"
+        return json_writer(labels, pairs, level)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def present(T, meta, fmt):
+    """The text of one presentation, as a list of parts.  Its walk goes to
+    the format's writer a row at a time: each row's entries are joined by
+    the writer's separator, and the rows that are not empty, the separator
+    between each two, are the parts of the join the assembler takes, so no
+    list of every entry and no one text of them all is held.  A JSON
+    document takes the pairs of T's rows as its F, a pair with two thirds
+    once, and ends with a newline."""
+    pairs = ((i, j) for i, js in enumerate(T.out) for j in dict.fromkeys(js))
+    entries, sep, assemble = _writer(fmt, T.labels, pairs, 0)
+    body = []
+    for i, (js, ks) in enumerate(zip(T.out, T.third)):
+        row = sep.join(filter(None, entries(list(zip(repeat(i), js, ks)))))
+        if row:
+            body += (sep, row)
+    parts = assemble(body[1:], meta)
+    return parts + ["\n"] if fmt == "json" else parts
 
 
 def _present_family(model, q, family, fmt):
@@ -136,22 +160,11 @@ def _present_family(model, q, family, fmt):
     once.  The entry of each slot of the family is rendered once per sign, on
     first need, and one list holds the entry each slot takes; a choice
     re-picks the slots of the keys whose sign differs from the choice
-    before it, then joins that list.  choices() yields the choices in sorted
-    spec order, which is the order they are written in."""
-    labels = tuple(range(family.G.n))
-    if fmt == "table":
-        from .tripres import table_writer
-
-        entries, assemble = table_writer(labels)
-    elif fmt == "gap":
-        from .grouptools import gap_writer
-
-        entries, assemble = gap_writer(len(labels))
-    else:
-        from .documents import json_writer
-
-        pairs = [(x, y) for x, y, _ in family.slots]
-        entries, assemble = json_writer(labels, pairs, 1)
+    before it, then joins that list by the writer's separator.  choices()
+    yields the choices in sorted spec order, which is the order they are
+    written in."""
+    pairs = ((x, y) for x, y, _ in family.slots)
+    entries, sep, assemble = _writer(fmt, range(family.G.n), pairs, 1)
     rendered, key_slots, picks = {}, family.key_slots, None
 
     def entries_of(sign):
@@ -173,10 +186,11 @@ def _present_family(model, q, family, fmt):
         spec = kappa_spec_of(kappa)
         meta = {"model": model, "q": q, "kappa": spec}
         if fmt == "json":
-            yield [",\n  " if index else "[\n  ", *assemble(picks, meta)]
+            head = ",\n  " if index else "[\n  "
         else:
-            head = ("# " if fmt == "gap" else "") + f"kappa {spec}\n"
-            yield [("\n" if index else "") + head, assemble(picks, meta)]
+            head = ("\n" if index else "") + ("# " if fmt == "gap" else "")
+            head += f"kappa {spec}\n"
+        yield [head, *assemble([sep.join(filter(None, picks))], meta)]
     if fmt == "json":
         yield ["\n]\n"]
 
@@ -192,9 +206,9 @@ def _family_output(model, q, family, args):
                 f"{_FAMILY_TRIPLE_LIMIT}"
             )
         return chain.from_iterable(_present_family(model, q, family, args.format))
-    kappa = parse_kappa_spec(args.kappa or "+1", family)
+    kappa = parse_kappa_spec("+1" if args.kappa is None else args.kappa, family)
     meta = {"model": model, "q": q, "kappa": kappa_spec_of(kappa)}
-    return _present_one(family.build(kappa), meta, args.format)
+    return present(family.build(kappa), meta, args.format)
 
 
 def _cmd_tables(args):
@@ -296,7 +310,7 @@ def _cmd_exotic(args):
     from .ffield import factor_prime_power
     from .singer import r_of_q, singer_datum
 
-    if not (args.kappa or args.all_kappa or args.bounds):
+    if args.kappa is None and not (args.all_kappa or args.bounds):
         raise KappaSpecError("pass --kappa, --all-kappa, or --bounds")
     out = {}
     if args.bounds:
@@ -313,7 +327,7 @@ def _cmd_exotic(args):
             "qi_class_lower": str(b.qi_class_lower),
             "vacuous": b.vacuous,
         }
-    if args.kappa or args.all_kappa:
+    if args.kappa is not None or args.all_kappa:
         # both refusals come before the field search, which at q = 256
         # alone takes 47 s; 2^r exceeds the limit iff r reaches its bit
         # length, so 2^r is never computed
@@ -350,13 +364,11 @@ def _cmd_exotic(args):
 
 def _cmd_export(args):
     doc = _document(args)
-    if args.format == "table":
-        from .tripres import format_table
+    if args.format == "json":
+        from .grouptools import export_presentation
 
-        return 0, format_table(doc.T)
-    from .grouptools import export_presentation
-
-    return 0, export_presentation(doc.T, args.format)
+        return 0, export_presentation(doc.T)
+    return 0, present(doc.T, None, args.format)
 
 
 def _json_extent(v):

@@ -32,42 +32,36 @@ class Document(Record, eq=True):
         super().__init__(F, T)
 
 
-def document_text(T: TrianglePresentation, meta: dict, level: int) -> str:
-    """The document of T, whose F is the pairs of its rows, with meta, as
-    json.dumps(blob, sort_keys=True, indent=2) writes it at nesting depth
-    level (1 inside a top-level array), with no trailing newline.  A pair
-    with two thirds is written once."""
-    pairs = ((i, j) for i, js in enumerate(T.out) for j in dict.fromkeys(js))
-    entries, assemble = json_writer(T.labels, pairs, level)
-    return "".join(assemble(entries(T.walk()), meta))
-
-
 def json_writer(labels, pairs, level):
-    """The document's entry renderer and assembler over labels and the
-    sorted position pairs of its F, at nesting depth level: the entry of a
-    canonical triple is its entry of the T array, and the document holds
-    labels explicit, the pairs, the entries and meta, all in labels.
-    Each label is rendered once, and the F and labels arrays once per
-    writer, F a row of pairs at a time; meta goes through json.dumps and is
-    indented to its depth.  assemble returns the document's text as a list
-    of parts, in order, so a stream writes the entries' one join as it is."""
+    """The document's entry renderer, separator and assembler over labels
+    and the sorted position pairs of its F, at nesting depth level (1
+    inside a top-level array): the entry of a canonical triple is its entry
+    of the T array, "" for any other triple, and entries join by commas.
+    The document holds labels explicit, the pairs, the joined entries and
+    meta, all in labels, as json.dumps(blob, sort_keys=True, indent=2)
+    writes it at that depth, with no trailing newline.  Each label is
+    rendered once, and the F and labels arrays once per writer, F a row of
+    pairs at a time; meta goes through json.dumps and is indented to its
+    depth.  assemble takes the parts of the join and returns the document's
+    text as a list of parts, in order, so a stream writes them as they
+    are."""
     lab = [json.dumps(a) for a in labels]
     # a newline and the indent of the document's keys, of the entries of its
     # arrays, and of the labels inside an entry of F or T
     key, entry, cell = ("\n" + "  " * (level + d) for d in (1, 2, 3))
-    f_array = "".join(_array((
+    f_array = "".join(_array([",".join(
         ",".join([f"{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in row])
         for _, row in groupby(pairs, itemgetter(0))
-    ), key))
-    labels_array = "".join(_array([entry + a for a in lab], key))
+    )], key))
+    labels_array = "".join(_array([",".join(entry + a for a in lab)], key))
 
     def triple(i, j, k):
         return f"{entry}[{cell}{lab[i]},{cell}{lab[j]},{cell}{lab[k]}{entry}]"
 
-    def assemble(entries, meta):
+    def assemble(body, meta):
         fields = (
             ("F", [f_array]),
-            ("T", _array(entries, key)),
+            ("T", _array(body, key)),
             ("labels", [labels_array]),
             ("meta", [json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)]),
             ("n", [str(len(lab))]),
@@ -78,15 +72,14 @@ def json_writer(labels, pairs, level):
         parts[-1] = key[:-2] + "}"
         return parts
 
-    return partial(rep_entries, triple), assemble
+    return partial(rep_entries, triple), ",", assemble
 
 
-def _array(entries, close) -> list:
-    """The parts of a JSON array of the entries, each a newline, its indent
-    and its value, "" for none: the entries joined once, between the
-    brackets, the closing one after close."""
-    body = ",".join(filter(None, entries))
-    return ["[", body, close, "]"] if body else ["[]"]
+def _array(body, close) -> list:
+    """The parts of a JSON array whose joined entries, each a newline, its
+    indent and its value, are the parts of body: those between the
+    brackets, the closing one after close, or "[]" when they are empty."""
+    return ["[", *body, close, "]"] if any(body) else ["[]"]
 
 
 def _is_int(x):

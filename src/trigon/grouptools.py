@@ -15,31 +15,27 @@ def _relators(T: TrianglePresentation) -> list[tuple[int, int, int]]:
     return list(filter(None, rep_entries(lambda *t: tuple(x + 1 for x in t), T.walk())))
 
 
-def export_presentation(T: TrianglePresentation, format: str = "gap") -> str:
-    """Deterministic presentation text; same relator order in every format."""
-    if format == "gap":
-        entries, assemble = gap_writer(T.n)
-        return assemble(entries(T.walk()), None)
-    if format == "json":
-        blob = {"n": T.n, "relators": [list(r) for r in _relators(T)]}
-        return json.dumps(blob, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+def export_presentation(T: TrianglePresentation) -> str:
+    """The JSON relator text of T: n and one relator per rotation orbit, in
+    walk order."""
+    blob = {"n": T.n, "relators": [list(r) for r in _relators(T)]}
+    return json.dumps(blob, sort_keys=True) + "\n"
 
 
 def gap_writer(n):
-    """GAP's entry renderer and assembler: the entry of a canonical triple
-    is its relator word, and the text is the free group on n generators
-    over the relators of the entries, "" for none, joined once."""
+    """GAP's entry renderer, separator and assembler: the entry of a
+    canonical triple is its relator word, "" for any other triple, and
+    entries join by ", ".  The text is the free group on n generators over
+    the relators of the join, whose parts it takes, as a list of parts."""
     gen = [f"F.{i}" for i in range(1, n + 1)]
 
     def relator(i, j, k):
         return f"{gen[i]}*{gen[j]}*{gen[k]}"
 
-    def assemble(entries, meta):
-        relators = ", ".join(filter(None, entries))
-        return f"F := FreeGroup({n});\nG := F / [ {relators} ];\n"
+    def assemble(body, meta):
+        return [f"F := FreeGroup({n});\nG := F / [ ", *body, " ];\n"]
 
-    return partial(rep_entries, relator), assemble
+    return partial(rep_entries, relator), ", ", assemble
 
 
 def _snf_diagonal(mat, m, n):

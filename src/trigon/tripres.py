@@ -320,10 +320,11 @@ def classify(F: FSet) -> list[TClass]:
 
 
 def table_writer(labels):
-    """The table's entry renderer and assembler: the entry of each of a
-    sorted run of triples is its cell in labels, then a space, or a newline
-    where the next triple starts another row; the table is the join of the
-    entries, one empty line when there are none."""
+    """The table's entry renderer, separator and assembler: the entry of
+    each of a sorted run of triples is its cell in labels, then a space, or
+    a newline where the next triple starts another row, and entries join
+    with nothing between.  The table is the parts of the join, one empty
+    line when they are all empty."""
     lab = [str(a) for a in labels]
 
     def entries(triples):
@@ -332,7 +333,7 @@ def table_writer(labels):
             cells[end - 1] = cells[end - 1][:-1] + "\n"
         return cells
 
-    return entries, lambda cells, meta: "".join(cells) or "\n"
+    return entries, "", lambda body, meta: body if any(body) else ["\n"]
 
 
 def rep_entries(render, triples) -> list:
@@ -346,12 +347,3 @@ def rep_entries(render, triples) -> list:
         else "" for i, j, k in triples
     ]
 
-
-def format_table(T: TrianglePresentation) -> str:
-    """One row per first coordinate, in walk order, written in labels, each
-    label rendered once."""
-    entries, assemble = table_writer(T.labels)
-    return assemble((
-        "".join(entries(list(zip(repeat(i), js, ks))))
-        for i, (js, ks) in enumerate(zip(T.out, T.third)) if js
-    ), None)

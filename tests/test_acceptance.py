@@ -7,6 +7,7 @@ from duality import is_abelian, murho_dual
 from label_oracle import act, fset_of, project_F, triples_of
 
 from trigon.catalog import TABLE_TEXTS, table
+from trigon.cli import present
 from trigon.exoticity import (
     exotic_certificate,
     exotic_lower_bounds,
@@ -36,7 +37,6 @@ from trigon.tripres import (
     TrianglePresentation,
     classify,
     enumerate_all,
-    format_table,
     stabilizer_of_T,
     verify,
 )
@@ -68,7 +68,7 @@ def test_01_order2_difference_set_and_reference_table():
     assert d.S == (1, 2, 4)
     t = all_plus(d)
     assert len(triples_of(t)) == 21
-    assert format_table(t) == TABLE_TEXTS[3]
+    assert "".join(present(t, None, "table")) == TABLE_TEXTS[3]
 
 
 def test_02_order4_coset_census_and_twisted_tables():

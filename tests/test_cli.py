@@ -192,6 +192,18 @@ def test_opp_check_takes_no_sign_choice(capsys, mode, other):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["singer", "--q", "7"], ["quad", "--q", "2"], ["opp", "--q", "7"],
+    ["exotic", "--q", "7"], ["exotic", "--q", "7", "--bounds"],
+], ids=["singer", "quad", "opp", "exotic", "exotic-bounds"])
+def test_an_empty_kappa_is_a_usage_error(capsys, argv):
+    """--kappa "" names no choice: it is parsed like any other spec and
+    refused, not read as the all-plus choice or as no --kappa at all."""
+    code, out, err = invoke(capsys, [*argv, "--kappa", ""])
+    assert (code, out) == (2, "")
+    assert err == f"trigon {argv[0]}: item '' is not 'key:sign'\n"
+
+
 def test_a_closed_pipe_ends_the_family_with_141():
     """A reader that closes stdout early stops the family with exit 141,
     as SIGPIPE would, and no traceback on stderr."""
@@ -855,6 +867,16 @@ NEVER = {"dataclasses"}
       SYMMETRY | NEVER
       | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
          "trigon.documents"}),
+     (["singer", "--q", "7", "--kappa", "+1"],
+      SYMMETRY | NEVER
+      | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
+         "trigon.documents"}),
+     (["singer", "--q", "7", "--kappa", "-1", "--format", "json"],
+      SYMMETRY | NEVER
+      | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel"}),
+     (["export", "--from-json", "{doc}", "--format", "gap"],
+      CONSTRUCTIONS | SYMMETRY | NEVER
+      | {"trigon.catalog", "trigon.ffield", "trigon.fgroup"}),
      (["classify", "--from-json", "{doc}"],
       CONSTRUCTIONS | NEVER
       | {"trigon.ffield", "trigon.fgroup", "trigon.grouptools"}),
@@ -865,7 +887,8 @@ NEVER = {"dataclasses"}
       NEVER | MODULES - JSON_FAMILY),
      (["opp", "--q", "7", "--all-kappa", "--format", "gap"],
       NEVER | MODULES - GAP_FAMILY)],
-    ids=["import", "opp-check", "singer-all-kappa", "classify", "exotic",
+    ids=["import", "opp-check", "singer-all-kappa", "singer-kappa-table",
+         "singer-kappa-json", "export-gap", "classify", "exotic",
          "quad-all-kappa-json", "opp-all-kappa-gap"],
 )
 def test_each_command_imports_only_what_it_runs(square_path, argv, absent):

@@ -16,9 +16,9 @@ from label_oracle import (
 )
 
 from trigon.catalog import table
+from trigon.cli import present
 from trigon.documents import (
     Document,
-    document_text,
     load_document,
     parse_document,
 )
@@ -34,8 +34,8 @@ SQUARE_META = {"note": "square link"}
 def dump(doc, meta):
     """The program's text of a document whose F is the pairs of its T."""
     if doc.F != project_F(doc.T):
-        raise ValueError("document_text writes the pairs of T as F")
-    return document_text(doc.T, meta, 0) + "\n"
+        raise ValueError("present writes the pairs of T as F")
+    return "".join(present(doc.T, meta, "json"))
 
 
 def square_doc():

@@ -7,6 +7,7 @@ import pytest
 from label_oracle import act, presentation_of, relators
 
 from trigon.catalog import table
+from trigon.cli import present
 from trigon.grouptools import (
     Abelianization,
     Exceeded,
@@ -54,20 +55,19 @@ def determinant(rows):
 
 
 def test_doc_one_relator_per_orbit():
-    doc = json.loads(export_presentation(SQUARE_T, "json"))
+    doc = json.loads(export_presentation(SQUARE_T))
     assert doc == {"n": 2, "relators": [[1, 1, 2], [2, 2, 2]]}
     assert len(doc["relators"]) == len(relators(SQUARE_T))
-    fano = json.loads(export_presentation(table(3), "json"))
+    fano = json.loads(export_presentation(table(3)))
     assert fano["n"] == 7 and len(fano["relators"]) == 7
     assert fano["relators"][0] == [1, 2, 4]
 
 
 def test_export_byte_exact():
-    assert export_presentation(SQUARE_T) == GAP_SQUARE
-    assert export_presentation(SQUARE_T, "gap") == GAP_SQUARE
-    assert export_presentation(SQUARE_T, "json") == JSON_SQUARE
+    assert "".join(present(SQUARE_T, None, "gap")) == GAP_SQUARE
+    assert export_presentation(SQUARE_T) == JSON_SQUARE
     with pytest.raises(ValueError):
-        export_presentation(SQUARE_T, "magma-like")
+        present(SQUARE_T, None, "magma-like")
 
 
 def test_square_abelianization():

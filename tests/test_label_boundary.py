@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 import label_oracle as oracle
 
 from trigon.catalog import table
-from trigon.cli import kappa_spec_of, run
-from trigon.documents import document_text, parse_document
+from trigon.cli import kappa_spec_of, present, run
+from trigon.documents import parse_document
 from trigon.grouptools import export_presentation
 from trigon.linkgraph import apply_rho, from_F
 from trigon.oppmodel import _building_fset, opp_datum
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import TrianglePresentation, enumerate_all, format_table, verify
+from trigon.tripres import TrianglePresentation, enumerate_all, verify
 
 
 def first_choice(datum):
@@ -104,14 +104,28 @@ def closure(T):
     return TrianglePresentation.from_labels(T.labels, oracle.label_triples(T))
 
 
+# presentations whose rows the presenter must join right, each with the
+# label triples its document lists: none, an empty row between two others,
+# and a pair with two thirds, listed neither closed nor as the canonical
+# representatives, so that only --lenient reads it
+ROW_CASES = {
+    "empty": ((), []),
+    "empty row": ((5, 9, 2), [(5, 5, 5), (2, 2, 2)]),
+    "two thirds": ((1, 2), [(1, 1, 2), (1, 2, 1), (1, 1, 1), (2, 2, 2)]),
+}
+
+
 @pytest.mark.parametrize(
-    "name, kind", [*cases(), pytest.param("empty", "one-based", id="empty")]
+    "name, kind",
+    [*cases(), *(pytest.param(name, "one-based", id=name) for name in ROW_CASES)],
 )
-def test_writers_match_label_level_code(name, kind):
+def test_writers_match_label_level_code(tmp_path, capsys, name, kind):
     """The writers on rotation-closed presentations, the only ones a
-    document or a construction gives them, against the label-level code."""
-    if name == "empty":
-        T = oracle.presentation_of((), ())
+    document or a construction gives them, against the label-level code,
+    and export on the presentation's document."""
+    if name in ROW_CASES:
+        labels, listed = ROW_CASES[name]
+        T = TrianglePresentation.from_labels(labels, listed)
     else:
         T = case(name, kind)[1]
         if name in PAIR_SETS:
@@ -123,10 +137,24 @@ def test_writers_match_label_level_code(name, kind):
     # lookup fails
     assert T.n == 0 or list(T.labels) != list(range(T.n))
     for meta in [{"case": name}, *METAS]:
-        assert document_text(T, meta, 0) + "\n" == oracle.dump_document(F, T, meta)
-    assert format_table(T) == oracle.format_table(T)
-    for fmt in ("gap", "json"):
-        assert export_presentation(T, fmt) == oracle.export_presentation(T, fmt)
+        assert "".join(present(T, meta, "json")) == oracle.dump_document(F, T, meta)
+    assert "".join(present(T, None, "table")) == oracle.format_table(T)
+    assert "".join(present(T, None, "gap")) == oracle.export_presentation(T, "gap")
+    assert export_presentation(T) == oracle.export_presentation(T, "json")
+    blob = json.loads(oracle.dump_document(F, T, {"case": name}))
+    if name in ROW_CASES:
+        blob["T"] = [list(t) for t in ROW_CASES[name][1]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(blob))
+    lenient = ["--lenient"] if name == "two thirds" else []
+    if lenient:
+        assert run(["export", "--from-json", str(path)]) == 2
+        capsys.readouterr()
+    for fmt in ("table", "gap", "json"):
+        assert run(["export", "--from-json", str(path), "--format", fmt, *lenient]) == 0
+        want = oracle.format_table(T) if fmt == "table" else (
+            oracle.export_presentation(T, fmt))
+        assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name, kind", cases())
@@ -146,7 +174,7 @@ def test_documents_parse_back_to_positions(name, kind):
     assert doc.F == F and doc.T.labels == T.labels
     closed = closure(T)
     assert doc.T == closed
-    own = parse_document(document_text(closed, {}, 0))
+    own = parse_document("".join(present(closed, {}, "json")))
     assert own.F == oracle.project_F(closed) and own.T == closed
 
 

@@ -9,13 +9,14 @@ from duality import NonAbelianGroup, murho_dual
 from label_oracle import presentation_of, triples_of
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
+from trigon.cli import present
 from trigon.errors import KappaSpecError
 from trigon.ffield import factor_prime_power, poly_is_primitive
 from trigon.fgroup import FiniteGroup, lambda_orbits
 from trigon.linkgraph import from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
 from trigon.singer import quad_datum, r_of_q, singer_datum
-from trigon.tripres import enumerate_all, format_table, verify
+from trigon.tripres import enumerate_all, verify
 
 
 def orbit_split(d):
@@ -103,7 +104,7 @@ def test_nonprimitive_modulus_rejected():
 def test_fano_table_byte_exact():
     d = singer_datum(2)
     T = d.signs().build({1: 1})
-    assert format_table(T) == TABLE_TEXTS[3]
+    assert "".join(present(T, None, "table")) == TABLE_TEXTS[3]
 
 
 def test_kappa_must_cover_all_orbits():
@@ -193,8 +194,9 @@ def test_quad_tables_byte_exact():
     signs = quad_datum(2).signs()
     assert signs.keys == ((0, 9), (1, 9), (2, 9))
     plus = {k: 1 for k in signs.keys}
-    assert format_table(signs.build(plus)) == TABLE_TEXTS[1]
-    assert format_table(signs.build({**plus, (2, 9): -1})) == TABLE_TEXTS[2]
+    assert "".join(present(signs.build(plus), None, "table")) == TABLE_TEXTS[1]
+    twisted = signs.build({**plus, (2, 9): -1})
+    assert "".join(present(twisted, None, "table")) == TABLE_TEXTS[2]
 
 
 def test_quad_family_is_the_whole_enumeration():

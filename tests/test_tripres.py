@@ -20,6 +20,7 @@ from label_oracle import (
     triples_of,
 )
 from trigon import tripres
+from trigon.cli import present
 from trigon.errors import (
     CheckFailed,
     IncompatiblePresentation,
@@ -46,7 +47,6 @@ from trigon.tripres import (
     Violation,
     classify,
     enumerate_all,
-    format_table,
     rep_entries,
     stabilizer_of_T,
     verify,
@@ -497,7 +497,9 @@ def test_generating_set():
 
 
 def test_format_table_square():
-    assert format_table(SQUARE_T) == "(1,1,2) (1,2,1)\n(2,1,1) (2,2,2)\n"
+    assert "".join(present(SQUARE_T, None, "table")) == (
+        "(1,1,2) (1,2,1)\n(2,1,1) (2,2,2)\n"
+    )
 
 
 def brute_presentations(f):
