@@ -107,6 +107,8 @@ def parse_document(text: str, strict: bool = True) -> Document:
         raise ParseError(
             f"line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("document: nested too deeply to read") from None
     if not isinstance(blob, dict):
         raise ParseError("top level: expected an object")
     n = _expect(blob, "n", int, "document")

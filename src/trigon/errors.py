@@ -56,11 +56,3 @@ class NotPrimitive(ValueError):
 
 class DegreeMismatch(ValueError):
     pass
-
-
-class MixedFields(ValueError):
-    pass
-
-
-class ZeroElement(ValueError):
-    pass

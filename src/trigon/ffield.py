@@ -1,9 +1,11 @@
 """Exact arithmetic in small finite fields GF(p^e).
 
-Elements are dense coefficient vectors over GF(p), low degree first, reduced
-modulo a monic polynomial.  The default modulus is the Conway polynomial of
-the requested degree.  That choice is compatible across subfields, so trace
-computations against a fixed canonical generator give reproducible results.
+An element is a tuple of its coefficients over GF(p), low degree first,
+reduced modulo a monic polynomial, or, in field_tables, the index whose
+base-p digits those coefficients are.  The default modulus is the Conway
+polynomial of the requested degree.  That choice is compatible across
+subfields, so trace computations against a fixed canonical generator give
+reproducible results.
 A table at the end of this module holds the Conway polynomial of every
 GF(p^n) with n >= 2 and p^n <= 2^18; any other is searched for in the
 standard ordering of the candidates, its subfields' polynomials first.
@@ -14,8 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import (DegreeMismatch, MixedFields, NotPrime, ReduciblePolynomial,
-                     ZeroElement)
+from .errors import DegreeMismatch, NotPrime, ReduciblePolynomial
 from .record import Record
 
 
@@ -232,123 +233,10 @@ class FieldSpec(Record, eq=True):
     modulus: tuple[int, ...]
     primitive: bool
 
-    @property
-    def order(self) -> int:
-        return self.p**self.e
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.e)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
-
-    def generator(self) -> FieldElement:
-        """The residue class of x."""
-        if self.e == 1:
-            return FieldElement(self, ((-self.modulus[0]) % self.p,))
-        return FieldElement(self, (0, 1) + (0,) * (self.e - 2))
-
-    def element(self, coeffs) -> FieldElement:
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.e:
-            raise DegreeMismatch(
-                f"expected {self.e} coefficients, got {len(coeffs)}"
-            )
-        return FieldElement(self, coeffs)
-
-    def from_index(self, k: int) -> FieldElement:
-        """Element number k in base-p digit order, 0 <= k < order."""
-        if not 0 <= k < self.order:
-            raise ValueError(f"index {k} out of range")
-        digits = []
-        for _ in range(self.e):
-            digits.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(digits))
-
-    def elements(self):
-        return [self.from_index(k) for k in range(self.order)]
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
-
-
-class FieldElement:
-    """An element of a FieldSpec, a dense coefficient vector."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _check(self, other) -> FieldElement:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine field element with {other!r}")
-        if other.field != self.field:
-            raise MixedFields(f"{self.field} vs {other.field}")
-        return other
-
-    @property
-    def index(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        f = self.field
-        raw = _polymulmod(self.coeffs, other.coeffs, f.modulus, f.p)
-        return FieldElement(f, raw + (0,) * (f.e - len(raw)))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative exponent {n}")
-        f = self.field
-        raw = _polypowmod(self.coeffs, n, f.modulus, f.p)
-        return FieldElement(f, raw + (0,) * (f.e - len(raw)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"{self.field}:{list(self.coeffs)}"
-
 
 def make_field(p: int, e: int, modulus=None) -> FieldSpec:
     """Build GF(p^e).  With modulus None the Conway polynomial is used, so
-    generator() is a fixed primitive element even for prime fields."""
+    the residue of x is a fixed primitive element even for prime fields."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1:
@@ -367,32 +255,76 @@ def make_field(p: int, e: int, modulus=None) -> FieldSpec:
     return FieldSpec(p=p, e=e, modulus=mod, primitive=poly_is_primitive(mod, p))
 
 
-def multiplicative_order(x: FieldElement) -> int:
-    """Order of x in the multiplicative group; kept as the tests' oracle for
-    poly_is_primitive."""
-    if x.is_zero():
-        raise ZeroElement("zero has no multiplicative order")
-    n = x.field.order - 1
-    order = n
-    for r in prime_factors(n):
-        while order % r == 0 and (x ** (order // r)) == x.field.one():
-            order //= r
-    return order
+def times_x(coeffs, modulus, p) -> tuple:
+    """The e coefficients of coeffs times x modulo the monic degree-e
+    modulus: a shift up one degree, then one subtraction of the modulus
+    times the coefficient shifted out."""
+    top = coeffs[-1]
+    shifted = (0, *coeffs[:-1])
+    if not top:
+        return shifted
+    return tuple((c - top * m) % p for c, m in zip(shifted, modulus))
 
 
-def trace_to_subfield(x: FieldElement, q: int) -> FieldElement:
-    """Relative trace x + x^q + x^(q^2) down to the order-q subfield.
+@lru_cache(maxsize=None)
+def field_tables(q: int) -> tuple[tuple, tuple, int]:
+    """(add, mul, g): the addition and multiplication tables of GF(q) on its
+    Conway polynomial, add[a][b] and mul[a][b] the index of the sum and of
+    the product, and g the index of the residue of x, a primitive element.
+    Element k has the base-p digits of k as its coefficients, low degree
+    first, so 0 and 1 are zero and one.  The tables are tuples, as every
+    caller shares them."""
+    p, e = factor_prime_power(q)
+    mod = conway_polynomial(p, e)
+    # k = low + n*top with low < n = p^(e-1): a sum adds the low parts in
+    # GF(p^(e-1)) and the top digits mod p
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    for n in (p ** k for k in range(1, e)):
+        add = [
+            [x + n * ((top + b) % p) for b in range(p) for x in add[low]]
+            for top in range(p) for low in range(n)
+        ]
+    # x^k for k < q - 1 by repeated times_x, numbered as their digits
+    weights = [p ** i for i in range(e)]
+    exp, x = [], (1,) + (0,) * (e - 1)
+    for _ in range(q - 1):
+        exp.append(sum(map(int.__mul__, x, weights)))
+        x = times_x(x, mod, p)
+    if len(set(exp)) != q - 1:
+        raise ArithmeticError(f"x is not primitive modulo {list(mod)}")
+    log = [0] * q
+    for k, a in enumerate(exp):
+        log[a] = k
+    exp += exp
+    logs = log[1:]
+    mul = [[0] * q] + [[0, *[exp[i + j] for j in logs]] for i in logs]
+    return tuple(map(tuple, add)), tuple(map(tuple, mul)), exp[1]
 
-    The trace is the cubic one, so the ambient field must have order q^3.  The
-    result is returned inside the ambient field after asserting it is fixed by
-    the subfield Frobenius."""
-    spec = x.field
-    if q < 2 or spec.order != q**3:
+
+def trace_to_subfield(gf: FieldSpec, coeffs, q: int) -> tuple:
+    """Coefficients of the relative trace x + x^q + x^(q^2) of the element
+    with these coefficients down to the order-q subfield.
+
+    The trace is the cubic one, so the field must have order q^3.  The
+    result is returned inside the field after checking it is fixed by the
+    subfield Frobenius."""
+    if q < 2 or gf.p**gf.e != q**3:
         raise DegreeMismatch(
-            f"field order {spec.order} is not the cube of {q}"
+            f"field order {gf.p**gf.e} is not the cube of {q}"
         )
-    t = x + x**q + x ** (q * q)
-    if t**q != t:
+    if len(coeffs) != gf.e:
+        raise DegreeMismatch(f"expected {gf.e} coefficients, got {len(coeffs)}")
+    mod, p, e = gf.modulus, gf.p, gf.e
+
+    def power(c, n):
+        raw = _polypowmod(c, n, mod, p)
+        return raw + (0,) * (e - len(raw))
+
+    x = tuple(coeffs)
+    t = tuple(
+        (a + b + c) % p for a, b, c in zip(x, power(x, q), power(x, q * q))
+    )
+    if power(t, q) != t:
         raise ArithmeticError("trace landed outside the subfield")
     return t
 

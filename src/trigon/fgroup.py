@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import (BadCongruence, KappaSpecError, LambdaConditionFailed,
                      TwistCheckFailed)
-from .ffield import factor_prime_power, make_field
+from .ffield import field_tables
 from .linkgraph import FSet
 from .record import Record
 
@@ -96,18 +96,15 @@ def make_opp_group(q: int) -> FiniteGroup:
     """The order-q^2 group of matrices [[1,y,z],[0,1,y],[0,0,1]] over GF(q).
 
     In coordinates (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2).  Elements are
-    indexed y.index*q + z.index, and the product reads the q x q addition
-    and multiplication tables of the field, so the group takes O(q^2)
-    memory.
+    indexed y*q + z over the field's element indices, and the product reads
+    the q x q addition and multiplication tables of the field, so the group
+    takes O(q^2) memory.
 
     A right translation x -> x*s is built a block of q at a time: for fixed
     y1 the z1 entry of (y1,z1)*(y2,z2) is z1 + (z2 + y1*y2), so the block is
     one row of the addition table shifted by the block's y index.
     """
-    p, e = factor_prime_power(q)
-    elems = make_field(p, e).elements()
-    add = [[(x + y).index for y in elems] for x in elems]
-    mul = [[(x * y).index for y in elems] for x in elems]
+    add, mul, _ = field_tables(q)
 
     def translation(s):
         y2, z2 = divmod(s, q)

@@ -7,7 +7,7 @@ import math
 from itertools import product
 
 from .errors import CheckFailed, TooLarge
-from .ffield import factor_prime_power, make_field
+from .ffield import factor_prime_power, field_tables
 from .fgroup import Datum, make_opp_group, subgroup
 from .linkgraph import (
     FSet,
@@ -27,38 +27,26 @@ _EDGE_LIMIT = 81 ** 3
 
 
 class A2Model(Record, eq=False):
-    """Subspace model of the plane: points are lead-1 vectors, lines are
-    lead-1 dual vectors, which are the same tuples, so points lists both;
-    incidence is a vanishing dot product."""
+    """Subspace model of the plane: points are lead-1 vectors of field
+    element indices, lines are lead-1 dual vectors, which are the same
+    tuples, so points lists both; incidence is a vanishing dot product."""
 
     q: int
     graph: LinkGraph
     points: tuple
 
 
-def _lead_one_vectors(gf):
-    # one representative per projective point, in element enumeration order
-    zero, one = gf.zero(), gf.one()
-    out = []
-    for vec in product(gf.elements(), repeat=3):
-        lead = next((c for c in vec if c != zero), None)
-        if lead == one:
-            out.append(vec)
-    return tuple(out)
-
-
 def a2_graph(q):
     """Incidence graph of the proper subspaces of GF(q)^3."""
-    p, e = factor_prime_power(q)
-    gf = make_field(p, e)
-    zero = gf.zero()
-    pts = _lead_one_vectors(gf)
+    add, mul, _ = field_tables(q)
+    # one lead-1 representative per projective point, in index order
+    pts = tuple(v for v in product(range(q), repeat=3) if next(filter(None, v), 0) == 1)
     n = len(pts)
     if n != q * q + q + 1:
         raise CheckFailed(f"{n} points, not q^2+q+1 = {q * q + q + 1}")
     out = tuple(
         [j for j, ln in enumerate(pts)
-         if pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2] == zero]
+         if add[add[mul[pt[0]][ln[0]]][mul[pt[1]][ln[1]]]][mul[pt[2]][ln[2]]] == 0]
         for pt in pts
     )
     graph = from_F(FSet(tuple(range(n)), out))
@@ -69,11 +57,9 @@ def _building_fset(q):
     # induced incidences on points off the base line and lines off the base
     # point, for the incident base pair ((1,0,0), (0,0,1))
     model = a2_graph(q)
-    gf = make_field(*factor_prime_power(q))
-    zero, one = gf.zero(), gf.one()
     n, adj = len(model.points), model.graph.adj
-    v1 = model.points.index((one, zero, zero))
-    v2 = model.points.index((zero, zero, one))
+    v1 = model.points.index((1, 0, 0))
+    v2 = model.points.index((0, 0, 1))
     keep_p = [i for i in range(n) if n + v2 not in adj[i]]
     keep_l = [j for j in range(n) if n + j not in adj[v1]]
     if len(keep_p) != q * q or len(keep_l) != q * q:
@@ -92,8 +78,8 @@ def opp_graph_building(q):
     return from_F(_building_fset(q))
 
 
-def _parabola_index(y, q):
-    return y.index * q + (y * y).index
+def _parabola_index(y, q, mul):
+    return y * q + mul[y][y]
 
 
 def opp_datum(q):
@@ -101,16 +87,15 @@ def opp_datum(q):
     generates it, so H = G; for q = 1 mod 3 the folding is multiplication
     of y by a cube root of unity.  The pair graph is the opposition
     subgraph."""
-    p, e = factor_prime_power(q)
+    factor_prime_power(q)
     if q ** 3 > _EDGE_LIMIT:
         raise TooLarge(
             f"q = {q} would build a link graph of q^3 = {q ** 3} edges; "
             f"the limit is {_EDGE_LIMIT}"
         )
-    gf = make_field(p, e)
+    _, mul, g = field_tables(q)
     G = make_opp_group(q)
-    elems = gf.elements()
-    S = tuple(sorted(_parabola_index(y, q) for y in elems))
+    S = tuple(sorted(_parabola_index(y, q, mul) for y in range(q)))
     if len(S) != q:
         raise CheckFailed(f"parabola has {len(S)} points, not q = {q}")
     H = subgroup(G, S)
@@ -118,8 +103,11 @@ def opp_datum(q):
         raise CheckFailed("parabola must generate the group")
     lam = None
     if q % 3 == 1:
-        alpha = gf.generator() ** ((q - 1) // 3)
-        lam = {_parabola_index(y, q): _parabola_index(alpha * y, q) for y in elems}
+        alpha = 1
+        for _ in range((q - 1) // 3):
+            alpha = mul[alpha][g]
+        lam = {_parabola_index(y, q, mul): _parabola_index(mul[alpha][y], q, mul)
+               for y in range(q)}
     datum = Datum(q=q, G=G, S=S, H=H, lam=lam)
     if q <= 5:
         if not f_wreath_equivalent(datum.F(), _building_fset(q)):
@@ -173,28 +161,27 @@ def incidence_model_checks(q):
     g2 lies in g1 times the parabola, read from the parabola's right
     translations.  Backs the coset-model-matches-subspace-model claim
     (test_08)."""
-    p, e = factor_prime_power(q)
-    gf = make_field(p, e)
-    elems = gf.elements()
-    zero = gf.zero()
+    add, mul, _ = field_tables(q)
+    neg = [row.index(0) for row in add]
     G = make_opp_group(q)
-    rights = [G.right(_parabola_index(y, q)) for y in elems]
+    rights = [G.right(_parabola_index(y, q, mul)) for y in range(q)]
 
-    def mul(u, v):
-        return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + u[0] * v[1])
+    def times(u, v):
+        return (add[u[0]][v[0]], add[u[1]][v[1]], add[add[u[2]][v[2]]][mul[u[0]][v[1]]])
 
-    u1 = [(x, zero, zero) for x in elems]
-    u2 = [(zero, y, zero) for y in elems]
-    reps = [(elems[a // q], elems[a // q], elems[a % q]) for a in range(q * q)]
-    left = [frozenset(mul(g, u) for u in u1) for g in reps]
-    right = [frozenset(mul(g, u) for u in u2) for g in reps]
+    u1 = [(x, 0, 0) for x in range(q)]
+    u2 = [(0, y, 0) for y in range(q)]
+    reps = [(a // q, a // q, a % q) for a in range(q * q)]
+    left = [frozenset(times(g, u) for u in u1) for g in reps]
+    right = [frozenset(times(g, u) for u in u2) for g in reps]
     for a in range(q * q):
         y1, z1 = reps[a][1], reps[a][2]
         joined = {r[a] for r in rights}
         for b in range(q * q):
             y2, z2 = reps[b][1], reps[b][2]
             meets = not left[a].isdisjoint(right[b])
-            formula = (-z1 + z2 - y2 * (-y1 + y2)) == zero
+            # -z1 + z2 - y2*(-y1 + y2) = 0
+            formula = z2 == add[z1][mul[y2][add[y2][neg[y1]]]]
             member = b in joined
             if not (meets == formula == member):
                 return False

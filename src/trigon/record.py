@@ -53,10 +53,9 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # FieldElement checks that both operands share one FieldSpec on every
-    # operation: the identity test answers that case at half the cost of a
-    # dataclass's __eq__, and comparing the instance dicts costs no more
-    # than its two tuples of the fields
+    # the identity test answers a record compared with itself at once, and
+    # comparing the instance dicts costs no more than two tuples of the
+    # fields
     def __eq__(self, other):
         if self is other:
             return True

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import CheckFailed, NotPrimitive
-from .ffield import factor_prime_power, make_field, trace_to_subfield
+from .ffield import factor_prime_power, make_field, times_x, trace_to_subfield
 from .fgroup import Datum, lambda_orbits, make_cyclic, subgroup
 
 
@@ -21,27 +21,22 @@ def r_of_q(q):
 
 
 def _trace_zero_exponents(gf, q, m):
-    # The trace to GF(q) is GF(p)-linear, so a table of basis traces turns
-    # the scan over alpha^l into coefficient dot products.
-    deg = gf.e
-    p = gf.p
-    basis = []
-    for i in range(deg):
-        coeffs = tuple(1 if j == i else 0 for j in range(deg))
-        basis.append(trace_to_subfield(gf.element(coeffs), q).coeffs)
+    # The trace to GF(q) is GF(p)-linear, so coordinate j of Tr(alpha^l) is
+    # the dot product of alpha^l's coefficients with column j of the basis
+    # traces; most l fail on their first nonzero column.  alpha^(l+1) is
+    # alpha^l times x.
+    deg, p = gf.e, gf.p
+    basis = [
+        trace_to_subfield(gf, tuple(int(j == i) for j in range(deg)), q)
+        for i in range(deg)
+    ]
+    columns = [col for col in zip(*basis) if any(col)]
     out = []
-    x = gf.one()
-    alpha = gf.generator()
+    x = (1,) + (0,) * (deg - 1)
     for l in range(m):
-        acc = [0] * deg
-        for c, tvec in zip(x.coeffs, basis):
-            if c:
-                for j, t in enumerate(tvec):
-                    if t:
-                        acc[j] = (acc[j] + c * t) % p
-        if not any(acc):
+        if not any(sum(map(int.__mul__, x, col)) % p for col in columns):
             out.append(l)
-        x = x * alpha
+        x = times_x(x, gf.modulus, p)
     return tuple(out)
 
 

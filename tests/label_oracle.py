@@ -18,10 +18,15 @@ presentation_of convert between the two, and image_triples and
 orbit_stabilizer are the triple-set oracles of the action of Aut(F) and of
 the orbit walk.  coset_steps is the sign rule of a twisted family on every
 coset of H, the oracles' own copy of SignFamily.twist.
+
+The tables half reads the published tables of trigon.catalog back into
+presentations: table(which) is reference table 1..5.
 """
 
 import json
+import re
 
+from trigon.catalog import TABLE_TEXTS
 from trigon.linkgraph import AutFull, FSet, LinkGraph
 from trigon.permgrp import Perm, bsgs_build
 from trigon.tripres import TrianglePresentation, Violation
@@ -280,3 +285,24 @@ def verify(F, T):
         if sum(1 for t in ltrip if t[:2] == p) != 1:
             out.append(Violation(2, p))
     return out
+
+
+# First label of the index set each published table lives on.
+TABLE_STARTS = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1}
+
+_TRIPLE_RE = re.compile(r"\((-?\d+),(-?\d+),(-?\d+)\)")
+
+
+def parse_table(text, start=0):
+    """Parse emitted table text back into a TrianglePresentation."""
+    triples = [tuple(map(int, t)) for t in _TRIPLE_RE.findall(text)]
+    if not triples:
+        raise ValueError("no triples found in table text")
+    hi = max(max(t) for t in triples)
+    labels = tuple(range(start, hi + 1))
+    return TrianglePresentation.from_labels(labels, triples)
+
+
+def table(which):
+    """Return reference table 1..5 as a TrianglePresentation."""
+    return parse_table(TABLE_TEXTS[which], TABLE_STARTS[which])

@@ -424,6 +424,18 @@ def test_unopenable_paths_exit_two_with_one_line(capsys, tmp_path, argv, reason)
 
 
 @pytest.mark.parametrize(
+    "command", ["verify", "classify", "enumerate", "export", "graph"])
+def test_deeply_nested_document_exits_two(capsys, tmp_path, command):
+    """json.loads gives up on 2,000 nested arrays with a RecursionError; a
+    document it cannot read is a ParseError, reported in one line."""
+    path = tmp_path / "nested.json"
+    path.write_text('{"n":1,"F":' + "[" * 2000 + "]" * 2000 + ',"T":[]}')
+    code, out, err = invoke(capsys, [command, "--from-json", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"trigon {command}: document: nested too deeply to read\n"
+
+
+@pytest.mark.parametrize(
     "error",
     [NotPrime, ReduciblePolynomial, DegreeMismatch, TooLarge, BadCongruence],
 )
@@ -706,10 +718,11 @@ def test_opp_over_the_group_limit_exits_two(capsys, monkeypatch, mode):
     refused; the guard comes before the field, so before --all-kappa's
     family check."""
 
-    def no_field(p, e):
+    def no_field(q):
         raise AssertionError("the field was built before the size guard")
 
-    monkeypatch.setattr(oppmodel, "make_field", no_field)
+    monkeypatch.setattr(oppmodel, "field_tables", no_field)
+    monkeypatch.setattr(fgroup, "field_tables", no_field)
     assert 81 ** 3 <= oppmodel._EDGE_LIMIT < 83 ** 3
     code, out, err = invoke(capsys, ["opp", "--q", "83", *mode])
     assert (code, out) == (2, "")
@@ -886,10 +899,12 @@ NEVER = {"dataclasses"}
      (["quad", "--q", "2", "--all-kappa", "--format", "json"],
       NEVER | MODULES - JSON_FAMILY),
      (["opp", "--q", "7", "--all-kappa", "--format", "gap"],
-      NEVER | MODULES - GAP_FAMILY)],
+      NEVER | MODULES - GAP_FAMILY),
+     (["tables", "--which", "3"],
+      NEVER | MODULES - IMPORT - {"trigon.catalog"})],
     ids=["import", "opp-check", "singer-all-kappa", "singer-kappa-table",
          "singer-kappa-json", "export-gap", "classify", "exotic",
-         "quad-all-kappa-json", "opp-all-kappa-gap"],
+         "quad-all-kappa-json", "opp-all-kappa-gap", "tables"],
 )
 def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
     """The cli handlers and linkgraph import the modules they run, so a

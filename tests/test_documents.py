@@ -12,10 +12,10 @@ from label_oracle import (
     pairs_of,
     presentation_of,
     project_F,
+    table,
     triples_of,
 )
 
-from trigon.catalog import table
 from trigon.cli import present
 from trigon.documents import (
     Document,

@@ -118,21 +118,30 @@ def misfiled_exquad():
     return SignFamily(g, s, {x: (4 * x) % 21 for x in s}, wrong)
 
 
-def one_forward_step(monkeypatch):
-    """A twist that steps one s of a twisted orbit by lam(s) under either
-    sign: the all-plus choice closes, and a choice that puts -1 on the
-    orbit's key leaves rotations of that one key open.  The family's twist
-    and the oracle's rule are bent alike."""
-    family = singer_datum(3).signs()
-    S, lam = family.S, family.lam
-    a = next(a for a, s in enumerate(S) if s in family.orbit_min)
+def bend_one_step(monkeypatch):
+    """Bend every family's twist to step the first s of S in a twisted
+    orbit by lam(s) under either sign: the all-plus choice closes, and a
+    choice that puts -1 on that orbit's key leaves rotations of that one
+    key open.  Returns the bend, (family, steps) -> bent steps."""
     real = SignFamily.twist
 
-    def forward(steps):
-        return steps[:a] + (lam[S[a]],) + steps[a + 1:]
+    def forward(family, steps):
+        S = family.S
+        a = next(a for a, s in enumerate(S) if s in family.orbit_min)
+        return steps[:a] + (family.lam[S[a]],) + steps[a + 1:]
 
-    monkeypatch.setattr(SignFamily, "twist", lambda self, kappa: forward(real(self, kappa)))
-    return family, lambda family, kappa: list(map(forward, coset_steps(family, kappa)))
+    monkeypatch.setattr(SignFamily, "twist",
+                        lambda self, kappa: forward(self, real(self, kappa)))
+    return forward
+
+
+def one_forward_step(monkeypatch):
+    """bend_one_step on the Singer family at q = 3; the family's twist and
+    the oracle's rule are bent alike."""
+    forward = bend_one_step(monkeypatch)
+    return singer_datum(3).signs(), lambda family, kappa: [
+        forward(family, steps) for steps in coset_steps(family, kappa)
+    ]
 
 
 def walk_violations(family, kappa, rule):

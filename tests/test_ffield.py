@@ -1,4 +1,4 @@
-"""Field arithmetic, canonical moduli and relative traces."""
+"""Field arithmetic, canonical moduli, index tables and relative traces."""
 
 import itertools
 import math
@@ -7,40 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracle import OracleField, multiplicative_order, naive_mul
 from trigon import ffield
-from trigon.errors import (
-    DegreeMismatch,
-    MixedFields,
-    NotPrime,
-    ReduciblePolynomial,
-    ZeroElement,
-)
+from trigon.errors import DegreeMismatch, NotPrime, ReduciblePolynomial
 from trigon.ffield import (
+    _polypowmod,
     conway_polynomial,
     factor_prime_power,
+    field_tables,
     is_prime,
     make_field,
-    multiplicative_order,
     poly_is_irreducible,
     poly_is_primitive,
     trace_to_subfield,
 )
-
-
-def naive_mul(a, b, coeffs, p):
-    """Schoolbook multiply-and-reduce, independent of the library internals."""
-    e = len(coeffs) - 1
-    out = [0] * (2 * e - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    for k in range(2 * e - 2, e - 1, -1):
-        lead = out[k]
-        if lead:
-            out[k] = 0
-            for i in range(e):
-                out[k - e + i] = (out[k - e + i] - lead * coeffs[i]) % p
-    return out[:e]
 
 
 def naive_order_of_x(coeffs, p):
@@ -184,11 +164,11 @@ def test_make_field_defaults():
     f2 = make_field(2, 1)
     assert f2.modulus == (1, 1)
     assert f2.primitive
-    assert f2.generator().coeffs == (1,)
+    assert field_tables(2)[2] == 1
     f13 = make_field(13, 1)
     assert f13.modulus == (11, 1)
-    assert f13.generator().coeffs == (2,)
-    assert multiplicative_order(f13.generator()) == 12
+    assert field_tables(13)[2] == 2
+    assert multiplicative_order((2,), f13.modulus, 13) == 12
 
 
 def test_make_field_validation():
@@ -210,39 +190,51 @@ def test_factor_prime_power():
 
 
 def test_gf8_arithmetic_table():
-    f = make_field(2, 3)
-    a = f.generator()
-    # x^3 = x + 1 with this modulus
-    assert (a**3).coeffs == (1, 1, 0)
-    assert multiplicative_order(a) == 7
-    powers = [a**k for k in range(7)]
-    assert len(set(powers)) == 7
+    # element k has the binary digits of k as coefficients, so x is 2 and
+    # x^3 = x + 1 is 3 with this modulus
+    add, mul, g = field_tables(8)
+    assert g == 2
+    assert mul[mul[g][g]][g] == 3 == add[2][1]
+    assert multiplicative_order((0, 1, 0), (1, 1, 0, 1), 2) == 7
+    powers, x = [], 1
+    for _ in range(7):
+        powers.append(x)
+        x = mul[x][g]
+    assert sorted(powers) == list(range(1, 8))
 
 
-def test_element_indexing_roundtrip():
-    f = make_field(3, 2)
-    for k in range(9):
-        assert f.from_index(k).index == k
-    assert len(f.elements()) == 9
+PRIME_POWERS = [q for q in range(2, 82) if len(ffield.prime_factors(q)) == 1]
 
 
-def test_division_and_errors():
-    f = make_field(5, 1)
-    two = f.from_index(2)
-    three = f.from_index(3)
-    assert (two * three).coeffs == (1,)
-    with pytest.raises(ZeroElement):
-        multiplicative_order(f.zero())
-    g = make_field(7, 1)
-    with pytest.raises(MixedFields):
-        _ = two + g.one()
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_field_tables_match_the_oracle(q):
+    """Every sum and product of field_tables(q) is the schoolbook one on the
+    Conway polynomial, the tables obey the field axioms, and g is the
+    residue of x, of order q - 1."""
+    add, mul, g = field_tables(q)
+    F = OracleField(q)
+    els = F.elements
+    assert add == tuple(tuple(F.index(F.add(x, y)) for y in els) for x in els)
+    assert mul == tuple(tuple(F.index(F.mul(x, y)) for y in els) for x in els)
+    x = (0, 1) if F.e > 1 else (-F.modulus[0] % F.p,)
+    assert els[g] == x + (0,) * (F.e - len(x))
+    assert multiplicative_order(els[g], F.modulus, F.p) == q - 1
+    for a in range(q):
+        assert add[a][0] == a == mul[a][1] and mul[a][0] == 0
+        assert sorted(add[a]) == list(range(q))
+        if a:
+            assert sorted(mul[a]) == list(range(q))
+        for b in range(q):
+            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+    # associativity and distributivity on a sample of triples
+    for a, b, c in itertools.islice(itertools.product(range(q), repeat=3), 0, None, 7):
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
-def test_negative_exponent_raises():
-    # _polypowmod's loop halves n, so a negative n would never end it
-    x = make_field(2, 3).generator()
-    with pytest.raises(ValueError, match="negative exponent"):
-        x ** -1
+def test_field_tables_are_built_once():
+    assert field_tables(9) is field_tables(9)
 
 
 def test_trace_kernel_sizes():
@@ -251,7 +243,8 @@ def test_trace_kernel_sizes():
         p, e = factor_prime_power(q)
         big = make_field(p, 3 * e)
         zeros = sum(
-            1 for x in big.elements() if trace_to_subfield(x, q).is_zero()
+            1 for x in OracleField(q**3).elements
+            if not any(trace_to_subfield(big, x, q))
         )
         assert zeros == q * q
 
@@ -259,15 +252,33 @@ def test_trace_kernel_sizes():
 def test_trace_frobenius_invariance():
     q = 4
     big = make_field(2, 6)
+    F = OracleField(64)
+    x = (0, 1, 0, 0, 0, 0)
     for k in range(0, 63, 5):
-        x = big.generator() ** k
-        assert trace_to_subfield(x**q, q) == trace_to_subfield(x, q) ** q
+        xk = F.pow(x, k)
+        tr = trace_to_subfield(big, xk, q)
+        assert trace_to_subfield(big, F.pow(xk, q), q) == tr == F.pow(tr, q)
 
 
 def test_trace_degree_guard():
     f = make_field(2, 4)
     with pytest.raises(DegreeMismatch):
-        trace_to_subfield(f.one(), 2)
+        trace_to_subfield(f, (1, 0, 0, 0), 2)
+    with pytest.raises(DegreeMismatch, match="expected 6 coefficients, got 2"):
+        trace_to_subfield(make_field(2, 6), (1, 0), 4)
+
+
+def test_trace_frobenius_check_raises(monkeypatch):
+    """A trace that lands outside the subfield is an ArithmeticError: with
+    x^(q^2) dropped, x + x^q is not fixed by the Frobenius."""
+    real = _polypowmod
+
+    def no_square(a, n, mod, p):
+        return () if n == 16 else real(a, n, mod, p)
+
+    monkeypatch.setattr(ffield, "_polypowmod", no_square)
+    with pytest.raises(ArithmeticError, match="outside the subfield"):
+        trace_to_subfield(make_field(2, 6), (0, 1, 0, 0, 0, 0), 4)
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
@@ -275,13 +286,13 @@ def test_poly_is_primitive_matches_multiplicative_order(p, e):
     """A monic irreducible f is primitive exactly when x has order p^e - 1
     in GF(p)[x]/f; reducible f are never primitive."""
     found = set()
+    x = (0, 1) + (0,) * (e - 2)
     for tail in itertools.product(range(p), repeat=e):
         f = tail + (1,)
         if not poly_is_irreducible(f, p):
             assert not poly_is_primitive(f, p)
             continue
-        x = make_field(p, e, modulus=f).from_index(p)
-        primitive = multiplicative_order(x) == p**e - 1
+        primitive = multiplicative_order(x, f, p) == p**e - 1
         assert poly_is_primitive(f, p) == primitive
         if primitive:
             found.add(f)
@@ -302,27 +313,36 @@ def test_irreducibility_matches_root_counting_deg2():
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
 def test_field_axioms_gf27(i, j, k):
     """Associativity and distributivity on sampled triples."""
-    f = make_field(3, 3)
-    x, y, z = f.from_index(i), f.from_index(j), f.from_index(k)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert (x + y) + z == x + (y + z)
+    add, mul, _ = field_tables(27)
+    assert mul[mul[i][j]][k] == mul[i][mul[j][k]]
+    assert mul[i][add[j][k]] == add[mul[i][j]][mul[i][k]]
+    assert add[add[i][j]][k] == add[i][add[j][k]]
+
+
+def table_power(mul, x, n):
+    acc = 1
+    for _ in range(n):
+        acc = mul[acc][x]
+    return acc
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 63), st.integers(1, 63))
 def test_inverse_and_order_gf64(i, j):
-    f = make_field(2, 6)
-    x, y = f.from_index(i), f.from_index(j)
+    _, mul, _ = field_tables(64)
     # x^62 is the inverse of a nonzero x of GF(64)
-    assert x * x**62 == f.one()
-    assert (x * y) ** 62 == y**62 * x**62
-    assert multiplicative_order(x) in {1, 3, 7, 9, 21, 63}
+    inv_i, inv_j = table_power(mul, i, 62), table_power(mul, j, 62)
+    assert mul[i][inv_i] == 1
+    assert table_power(mul, mul[i][j], 62) == mul[inv_j][inv_i]
+    x = OracleField(64).elements[i]
+    assert multiplicative_order(x, make_field(2, 6).modulus, 2) in {1, 3, 7, 9, 21, 63}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 63), st.integers(0, 63))
 def test_trace_additivity_gf64(i, j):
-    f = make_field(2, 6)
-    x, y = f.from_index(i), f.from_index(j)
-    assert trace_to_subfield(x + y, 4) == trace_to_subfield(x, 4) + trace_to_subfield(y, 4)
+    f, F = make_field(2, 6), OracleField(64)
+    x, y = F.elements[i], F.elements[j]
+    assert trace_to_subfield(f, F.add(x, y), 4) == F.add(
+        trace_to_subfield(f, x, 4), trace_to_subfield(f, y, 4)
+    )

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality import NonAbelianGroup, is_abelian, mu_permutation
+from field_oracle import OracleField
 from trigon.fgroup import FiniteGroup, make_cyclic, make_opp_group, subgroup
-from trigon.ffield import factor_prime_power, make_field
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, closure_elements
 from trigon.singer import quad_datum, singer_datum
@@ -115,25 +115,27 @@ def test_opp_group_matches_field_formula(q):
     # (y1,z1)(y2,z2) = (y1+y2, z1+z2+y1*y2) and (y,z)^-1 = (-y, y*y-z), in
     # field elements rather than index tables
     g = make_opp_group(q)
-    elems = make_field(*factor_prime_power(q)).elements()
+    F = OracleField(q)
+    elems = F.elements
+    add, mul = F.add, F.mul
     coords = [(elems[a // q], elems[a % q]) for a in range(q * q)]
 
     def index(y, z):
-        return y.index * q + z.index
+        return F.index(y) * q + F.index(z)
 
     for a, (y1, z1) in enumerate(coords):
-        assert g.inv(a) == index(-y1, y1 * y1 - z1)
+        assert g.inv(a) == index(F.neg(y1), add(mul(y1, y1), F.neg(z1)))
         for b, (y2, z2) in enumerate(coords):
-            assert g.mul(a, b) == index(y1 + y2, z1 + z2 + y1 * y2)
+            assert g.mul(a, b) == index(add(y1, y2), add(add(z1, z2), mul(y1, y2)))
 
 
 def table_opp_group(q):
     """The whole q^2 x q^2 multiplication table of the opposition group and
     its inverses, from the field's addition and multiplication tables; the
     oracle for the group's table-free products."""
-    elems = make_field(*factor_prime_power(q)).elements()
-    add = [[(x + y).index for y in elems] for x in elems]
-    mul = [[(x * y).index for y in elems] for x in elems]
+    F = OracleField(q)
+    add = [[F.index(F.add(x, y)) for y in F.elements] for x in F.elements]
+    mul = [[F.index(F.mul(x, y)) for y in F.elements] for x in F.elements]
     table = []
     for a in range(q * q):
         y1, z1 = divmod(a, q)
@@ -215,8 +217,8 @@ def test_opp_group_cosets_match_the_table_oracle(q):
     def product(a, b):
         return table[a][b]
 
-    elems = make_field(*factor_prime_power(q)).elements()
-    parabola = [y.index * q + (y * y).index for y in elems]
+    F = OracleField(q)
+    parabola = [F.index(y) * q + F.index(F.mul(y, y)) for y in F.elements]
     h = subgroup(g, parabola)
     assert h.order == g.n
     assert coset_data(h) == brute_cosets(g.n, product, parabola)

@@ -4,9 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from label_oracle import act, presentation_of, relators
+from label_oracle import act, presentation_of, relators, table
 
-from trigon.catalog import table
 from trigon.cli import present
 from trigon.grouptools import (
     Abelianization,

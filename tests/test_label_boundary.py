@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import label_oracle as oracle
 
-from trigon.catalog import table
 from trigon.cli import kappa_spec_of, present, run
 from trigon.documents import parse_document
 from trigon.grouptools import export_presentation
@@ -44,8 +43,8 @@ PRESENTATIONS = {
     "square": lambda: TrianglePresentation.from_labels(
         (1, 2), [(1, 1, 2), (2, 2, 2)]
     ),
-    "table 4": lambda: table(4),
-    "table 5": lambda: table(5),
+    "table 4": lambda: oracle.table(4),
+    "table 5": lambda: oracle.table(5),
     "singer q=3 kappa -1": lambda: singer_datum(3).signs().build({1: -1}),
     "quad q=2 mixed": lambda: quad_datum(2).signs().build(
         {(0, 9): 1, (1, 9): 1, (2, 9): -1}

@@ -30,9 +30,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # public names only the tests call, each with the paper claim or the oracle
 # role that keeps it
 TEST_ONLY = {
-    "catalog.table": "the published tables as presentations",
     "fgroup.FiniteGroup.inv": "the inversion map of the duality claim (test_06)",
-    "ffield.multiplicative_order": "the oracle for poly_is_primitive",
     "grouptools.Exceeded.max_cosets":
         "the capped result of todd_coxeter, kept for test_04",
     "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
@@ -43,7 +41,8 @@ TEST_ONLY = {
     "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
     "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",
     **dict.fromkeys(
-        [f"permgrp.PermGroup.{name}" for name in ("orbits", "restrict", "stabilizer")],
+        [f"permgrp.PermGroup.{name}"
+         for name in ("elements", "orbits", "restrict", "stabilizer")],
         "perfbench/tracer.py wraps them by name (ROADMAP item 7)",
     ),
     "tripres.TClass.representative":

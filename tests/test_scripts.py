@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from test_family_writer import bend_one_step
 from trigon import tripres
+from trigon.cli import kappa_spec_of
 from trigon.linkgraph import AutFull
+from trigon.oppmodel import opp_datum
 from trigon.permgrp import bsgs_build
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,12 +52,15 @@ def test_opp_report_counts_distinct_presentations():
     assert counts == [("2", "2"), ("4", "4")]
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_family_census_reports_a_broken_counting_identity(capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "family_census", ROOT / "scripts" / "family_census.py"
-    )
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
+    census = load_script("family_census")
     real = tripres._orbit_stabilizer
 
     def trivial_stabilizer(T, full):
@@ -68,3 +74,24 @@ def test_family_census_reports_a_broken_counting_identity(capsys, monkeypatch):
     assert out == ""
     assert "complete digraph on 4: error: |Aut(F)| = 48 is not orbit" in err
     assert len(err.splitlines()) == 3
+
+
+def test_opp_report_reports_a_failed_twist(capsys, monkeypatch):
+    """A family member that fails the twist check ends the family with one
+    stderr line naming q and the kappa, after the choices before it, and
+    the exit status is 1.  At q = 7 the bent key is the first of two, so
+    the third choice is the first to fail."""
+    kappas = list(opp_datum(7).signs().choices())
+    bend_one_step(monkeypatch)
+    report = load_script("opp_report")
+    monkeypatch.setattr(sys, "argv", ["opp_report.py", "--q", "--family-q", "7"])
+    with pytest.raises(SystemExit) as exit_:
+        report.main()
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "twist family at q=7:"
+    assert re.findall(r"kappa (\S+)", out) == list(map(kappa_spec_of, kappas[:2]))
+    assert "presentations" not in out
+    assert len(err.splitlines()) == 1
+    spec = kappa_spec_of(kappas[2])
+    assert err.startswith(f"q=7: twist check failed at kappa {spec}: ")

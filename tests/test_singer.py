@@ -11,7 +11,13 @@ from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import present
 from trigon.errors import KappaSpecError
-from trigon.ffield import factor_prime_power, poly_is_primitive
+from trigon.ffield import (
+    _polypowmod,
+    factor_prime_power,
+    make_field,
+    poly_is_primitive,
+    trace_to_subfield,
+)
 from trigon.fgroup import FiniteGroup, lambda_orbits
 from trigon.linkgraph import from_F, is_generalized_mgon
 from trigon.permgrp import Perm, closure_elements
@@ -93,6 +99,23 @@ def test_perfect_difference_set(q):
     diffs = Counter((x - y) % m for x in d.S for y in d.S if x != y)
     assert set(diffs) == set(range(1, m))
     assert set(diffs.values()) == {1}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_trace_scan_matches_the_trace_of_each_power(q):
+    """The scan's S, with alpha^(l+1) from alpha^l by one shift and
+    reduction, is the set of l whose alpha^l, from its own square-and-
+    multiply power, has trace 0."""
+    p, e = factor_prime_power(q)
+    gf = make_field(p, 3 * e)
+    m = q * q + q + 1
+
+    def alpha_to(l):
+        raw = _polypowmod((0, 1), l, gf.modulus, p)
+        return raw + (0,) * (3 * e - len(raw))
+
+    want = tuple(l for l in range(m) if not any(trace_to_subfield(gf, alpha_to(l), q)))
+    assert singer_datum(q).S == want
 
 
 def test_nonprimitive_modulus_rejected():
