@@ -7,6 +7,8 @@ Each search node holds an ordered partition of the vertices and refines it
 with a splitter queue (McKay & Piperno, "Practical graph isomorphism, II",
 arXiv:1301.1493): a splitter cell splits every cell it touches by neighbor
 counts, and only the fragments that can split something further are queued.
+On a symmetric digraph a one-vertex splitter, the common case below the
+root, splits each cell it touches in two without counting.
 A child starts from its parent's equitable partition with one vertex
 individualized, so its refinement works outward from that vertex, and it
 stops as soon as its trace departs from the reference path's."""
@@ -22,11 +24,19 @@ from .permgrp import Perm
 def _neighbor_lists(adj):
     """(out-lists,) for a symmetric digraph, else (out-lists, in-lists).  The
     out-lists are sorted lists, the form the in-lists are built in, so the
-    two compare equal exactly when the digraph is symmetric."""
+    two compare equal exactly when the digraph is symmetric.  An out-list
+    that is not strictly increasing, a repeated arc among them, is refused:
+    refine counts each neighbor of a one-vertex splitter once."""
     outs = list(adj)
     ins = [[] for _ in outs]
     for v, ws in enumerate(outs):
+        prev = -1
         for w in ws:
+            if w <= prev:
+                raise ValueError(
+                    f"the out-list of vertex {v} is not strictly increasing"
+                )
+            prev = w
             ins[w].append(v)
     return (outs,) if ins == outs else (outs, ins)
 
@@ -144,6 +154,45 @@ def refine(nbrs, part, queue, ref=None):
     while queue and part.cells < n:
         sp = queue.pop()
         pending.discard(sp)
+        if not directed and end[sp] == sp + 1:
+            # one vertex: each neighbor counts 1, so a touched cell splits
+            # into its untouched part, which keeps the start, and its
+            # touched part, moved to the tail in in-list order
+            touched = defaultdict(list)
+            for w in ins[verts[sp]]:
+                c = cell[w]
+                if end[c] > c + 1:
+                    touched[c].append(w)
+            for c in sorted(touched):
+                ws = touched[c]
+                e = end[c]
+                f = e - len(ws)
+                if f == c:
+                    continue
+                t = f
+                for w in ws:
+                    u, pw = verts[t], pos[w]
+                    verts[pw], pos[u] = u, pw
+                    verts[t], pos[w] = w, t
+                    cell[w] = f
+                    t += 1
+                end[c] = f
+                end[f] = e
+                part.cells += 1
+                step = (sp, c, ((0, f - c), (1, e - f)))
+                if ref is not None and (
+                    len(trace) >= len(ref) or ref[len(trace)] != step
+                ):
+                    return None
+                trace.append(step)
+                # Hopcroft: the touched fragment if c is still queued, else
+                # the smaller one, the touched one on a tie
+                new = f if c in pending or e - f <= f - c else c
+                queue.append(new)
+                pending.add(new)
+                if part.cells == n:
+                    break
+            continue
         members = verts[sp:end[sp]]
         # a vertex's out-neighbors in the splitter are the splitter's in-lists
         cnt = Counter(chain.from_iterable(map(ins.__getitem__, members)))

@@ -82,9 +82,10 @@ _FAMILY_TRIPLE_LIMIT = 4_000_000
 
 # the most sign choices exotic --all-kappa certifies.  The certificates go
 # into one JSON text, so they are all held at once: at q = 43
-# (16,384 choices) the run takes 3 s and 80 MB and writes 6 MB; q = 47
-# (65,536) took 10 s and 294 MB, and q = 53 would make 262,144 (2-core Xeon,
-# Python 3.11).  Every q <= 43 fits.
+# (16,384 choices) the run takes 1.5-1.8 s of CPU and 83 MB and writes
+# 6 MB; q = 47 (65,536), with the limit raised, took 6.1-6.7 s and 297 MB,
+# and q = 53 would make 262,144 (2-core Xeon, Python 3.11).  Every q <= 43
+# fits.
 _CERTIFICATE_LIMIT = 16_384
 
 # the largest r(q) exotic --bounds evaluates.  2^r(q) then has 4,300

@@ -314,26 +314,6 @@ def point_transitive_gap(g: LinkGraph) -> float:
     return 1 - math.sqrt(_largest_root(quotient, top) / top)
 
 
-def spectral_gap(g: LinkGraph) -> float:
-    """Smallest nonzero eigenvalue of the normalized Laplacian.  A connected
-    graph with an edge has one: the eigenvalues sum to its vertex count."""
-    if _bfs_scan(_masks(g.adj), 0, 0)[1] != (1 << (2 * g.n)) - 1:
-        raise Disconnected("spectral gap needs a connected graph")
-    return next(x for x in spectrum(g) if x > 1e-9)
-
-
-def is_generalized_mgon(g: LinkGraph, m: int) -> bool:
-    """Connected, biregular, girth 2m, diameter m; backs the claim that
-    each link is a generalized 3-gon (a projective plane)."""
-    met = metrics(g)
-    return (
-        met.connected
-        and met.biregular is not None
-        and met.girth == 2 * m
-        and met.diameter == m
-    )
-
-
 def aut_plus(F: FSet) -> PermGroup:
     """Stabilizer of F in Sym(n) under the diagonal action, as a group of
     position permutations."""
@@ -361,16 +341,6 @@ def aut_full(F: FSet) -> AutFull:
 
     witness = find_isomorphism(apply_rho(F).out, F.out)
     return AutFull(plus=aut_plus(F), witness=witness)
-
-
-def graph_automorphisms(g: LinkGraph) -> PermGroup:
-    """Full automorphism group of the bipartite graph on 2n vertices; maps
-    exchanging the sides are allowed.  Kept as the whole-group oracle for the
-    probe's Q0 in the tests."""
-    from .autosearch import automorphism_generators
-    from .permgrp import bsgs_build
-
-    return bsgs_build(2 * g.n, automorphism_generators(g.adj))
 
 
 def f_wreath_equivalent(F1: FSet, F2: FSet) -> bool:

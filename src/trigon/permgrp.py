@@ -336,18 +336,3 @@ def bsgs_build(degree: int, generators, base_hint=()) -> PermGroup:
     return PermGroup(
         degree, gens.values(), strong, base, transversals, inverses
     )
-
-
-def closure_elements(degree: int, generators) -> list[Perm]:
-    """Brute-force closure of at most 10^6 elements, for cross-checks."""
-    seen = {Perm.identity(degree)}
-    queue = list(seen)
-    for g in queue:
-        for s in generators:
-            h = g * s
-            if h not in seen:
-                if len(seen) >= 10**6:
-                    raise ValueError("closure exceeded 10^6 elements")
-                seen.add(h)
-                queue.append(h)
-    return sorted(seen, key=lambda p: p.images)

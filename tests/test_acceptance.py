@@ -5,6 +5,7 @@ import random
 
 from duality import is_abelian, murho_dual
 from field_oracle import OracleField
+from graph_oracle import closure_elements
 from label_oracle import act, fset_of, project_F, table, triples_of
 
 from trigon.catalog import TABLE_TEXTS
@@ -32,7 +33,7 @@ from trigon.oppmodel import (
     opp_graph_building,
     opp_properties,
 )
-from trigon.permgrp import Perm, bsgs_build, closure_elements
+from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, r_of_q, singer_datum
 from trigon.tripres import (
     TrianglePresentation,

@@ -2,9 +2,13 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refine_oracle
+from graph_oracle import closure_elements
+from trigon import autosearch
 from trigon.autosearch import (
     _neighbor_lists,
     _Partition,
@@ -12,7 +16,9 @@ from trigon.autosearch import (
     find_isomorphism,
     refine,
 )
-from trigon.permgrp import Perm, bsgs_build, closure_elements
+from trigon.linkgraph import from_F
+from trigon.permgrp import Perm, bsgs_build
+from trigon.singer import singer_datum
 
 
 def brute_automorphisms(n, arcs, colors=None):
@@ -339,3 +345,62 @@ def test_early_abort_matches_the_full_trace(data):
 
 def test_asymmetric_digraph_keeps_in_lists():
     assert _neighbor_lists(out_lists(2, [(0, 1)])) == ([[1], []], [[], [0]])
+
+
+def test_repeated_arc_is_refused():
+    with pytest.raises(ValueError, match="vertex 1"):
+        _neighbor_lists([[1], [0, 0]])
+    with pytest.raises(ValueError, match="vertex 0"):
+        _neighbor_lists([[2, 1], [0], [0]])
+
+
+def refine_against_oracle(nbrs, part, queue, ref=None):
+    """refine on a copy of part, checked against the oracle's run on another
+    copy: the same trace (or None) and the same partition arrays, also where
+    both abort.  Returns the trace and refine's partition."""
+    got, want = part.copy(), part.copy()
+    trace = refine(nbrs, got, queue, ref)
+    assert trace == refine_oracle.refine(nbrs, want, queue, ref)
+    for name in ("verts", "pos", "cell", "end", "cells"):
+        assert getattr(got, name) == getattr(want, name), name
+    return trace, got
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_refine_matches_the_counting_oracle(data):
+    """Random individualizations down one path of a random colored digraph;
+    at each step a second vertex of the same cell is refined against the
+    first one's trace, so that runs with a reference both abort and end."""
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    arcs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if data.draw(st.booleans()):
+        arcs += [(j, i) for i, j in arcs]
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    nbrs = _neighbor_lists(out_lists(n, arcs))
+    part = _Partition.from_colors(colors)
+    _, part = refine_against_oracle(nbrs, part, part.starts())
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        starts = [s for s in part.starts() if part.end[s] > s + 1]
+        if not starts:
+            break
+        s = data.draw(st.sampled_from(starts))
+        cell = part.verts[s:part.end[s]]
+        first, second = part.copy(), part.copy()
+        sp = first.individualize(data.draw(st.sampled_from(cell)))
+        second.individualize(data.draw(st.sampled_from(cell)))
+        ref, first = refine_against_oracle(nbrs, first, [sp])
+        refine_against_oracle(nbrs, second, [sp], ref)
+        part = first
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_probe_search_matches_the_counting_oracle(q, monkeypatch):
+    """The base-vertex stabilizer of the probe's link graph, searched with
+    refine and with the oracle in its place, has the same generators."""
+    adj = from_F(singer_datum(q).F()).adj
+    colors = [1] + [0] * (len(adj) - 1)
+    gens = automorphism_generators(adj, colors)
+    monkeypatch.setattr(autosearch, "refine", refine_oracle.refine)
+    assert automorphism_generators(adj, colors) == gens

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from duality import NonAbelianGroup, is_abelian, mu_permutation
 from field_oracle import OracleField
+from graph_oracle import closure_elements
 from trigon.fgroup import FiniteGroup, make_cyclic, make_opp_group, subgroup
 from trigon.oppmodel import opp_datum
-from trigon.permgrp import Perm, closure_elements
+from trigon.permgrp import Perm
 from trigon.singer import quad_datum, singer_datum
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import graph_automorphisms, is_generalized_mgon, spectral_gap
 from label_oracle import fset_of, pairs_of
 from trigon.autosearch import _neighbor_lists, find_isomorphism
 from trigon.errors import CheckFailed
@@ -23,11 +24,8 @@ from trigon.linkgraph import (
     export_edge_list,
     f_wreath_equivalent,
     from_F,
-    graph_automorphisms,
-    is_generalized_mgon,
     metrics,
     point_transitive_gap,
-    spectral_gap,
     spectrum,
 )
 from trigon.oppmodel import a2_graph, opp_datum

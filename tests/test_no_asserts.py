@@ -34,12 +34,8 @@ TEST_ONLY = {
     "grouptools.Exceeded.max_cosets":
         "the capped result of todd_coxeter, kept for test_04",
     "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
-    "linkgraph.graph_automorphisms": "the whole-group oracle for the probe's Q0",
-    "linkgraph.is_generalized_mgon": "the claim that links are generalized 3-gons",
-    "linkgraph.spectral_gap": "the numpy oracle for the exact point-transitive gap",
     "oppmodel.incidence_model_checks": "the coset = subspace model claim (test_08)",
     "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
-    "permgrp.closure_elements": "the brute-force oracle for stabilizer chains",
     **dict.fromkeys(
         [f"permgrp.PermGroup.{name}"
          for name in ("elements", "orbits", "restrict", "stabilizer")],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import closure_elements
 from trigon.linkgraph import aut_full
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import (
@@ -11,7 +12,6 @@ from trigon.permgrp import (
     NotInvariant,
     Perm,
     bsgs_build,
-    closure_elements,
 )
 from trigon.singer import quad_datum, singer_datum
 from trigon.tripres import classify, stabilizer_of_T

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from duality import NonAbelianGroup, murho_dual
+from graph_oracle import closure_elements, is_generalized_mgon
 from label_oracle import presentation_of, triples_of
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
@@ -19,8 +20,8 @@ from trigon.ffield import (
     trace_to_subfield,
 )
 from trigon.fgroup import FiniteGroup, lambda_orbits
-from trigon.linkgraph import from_F, is_generalized_mgon
-from trigon.permgrp import Perm, closure_elements
+from trigon.linkgraph import from_F
+from trigon.permgrp import Perm
 from trigon.singer import quad_datum, r_of_q, singer_datum
 from trigon.tripres import enumerate_all, verify
 
