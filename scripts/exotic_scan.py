@@ -24,8 +24,11 @@ from trigon.exoticity import (
 from trigon.ffield import factor_prime_power
 from trigon.singer import singer_datum
 
+# the most sign choices, 2^R, whose verdicts are printed one per line
+MAX_FAMILY = 16
 
-def scan_one(q, max_family=16):
+
+def scan_one(q):
     t0 = time.time()
     d = singer_datum(q)
     probe = build_probe(d)
@@ -38,7 +41,7 @@ def scan_one(q, max_family=16):
         f"({time.time() - t0:.2f}s)"
     )
     count = 2 ** len(probe.family.keys)
-    if count > max_family:
+    if count > MAX_FAMILY:
         print(f"        {count} sign choices, skipping the verdict table")
         return
     for kappa in probe.family.choices():

@@ -9,9 +9,12 @@ arXiv:1301.1493): a splitter cell splits every cell it touches by neighbor
 counts, and only the fragments that can split something further are queued.
 On a symmetric digraph a one-vertex splitter, the common case below the
 root, splits each cell it touches in two without counting.
-A child starts from its parent's equitable partition with one vertex
-individualized, so its refinement works outward from that vertex, and it
-stops as soon as its trace departs from the reference path's."""
+Both searches refer to one leftmost path, which individualizes the least
+vertex of each target cell, and share one descent to the first leaf that
+matches it; a child stops as soon as its trace departs from the path's.
+The automorphism search takes the path's nodes deepest first and descends
+from each sibling its orbits do not prune, the isomorphism search from the
+other digraph's root."""
 
 from __future__ import annotations
 
@@ -279,90 +282,92 @@ def _extend_orbit(orbit, seeds, gens):
                 queue.append(w)
 
 
+def _leftmost_path(nbrs, part):
+    """The first path from the equitable partition part to a leaf: the
+    partition at each node above the leaf, the trace of each step, which
+    individualizes the least vertex of the node's target cell, and the
+    leaf's vertex order."""
+    parts, traces = [], []
+    s = part.target()
+    while s is not None:
+        parts.append(part)
+        part = part.copy()
+        sp = part.individualize(min(part.verts[s:part.end[s]]))
+        traces.append(refine(nbrs, part, [sp]))
+        s = part.target()
+    return parts, traces, part.verts
+
+
+def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs):
+    """The images of the first leaf below part, its target-cell vertices
+    tried in increasing order, whose refinement follows traces from depth
+    on and whose map from ref_verts carries the out-lists ref_outs onto
+    nbrs[0]; None if there is none."""
+    s = part.target()
+    if s is None:
+        images = [0] * len(ref_verts)
+        for a, b in zip(ref_verts, part.verts):
+            images[a] = b
+        return images if _maps_arcs(ref_outs, nbrs[0], images) else None
+    for w in sorted(part.verts[s:part.end[s]]):
+        child = part.copy()
+        sp = child.individualize(w)
+        if refine(nbrs, child, [sp], traces[depth]) is not None:
+            images = _first_leaf(nbrs, child, depth + 1, traces, ref_verts,
+                                 ref_outs)
+            if images is not None:
+                return images
+    return None
+
+
 def automorphism_generators(adj, colors=None):
     """Generators of the color-preserving automorphism group of a digraph.
 
-    Individualization-refinement with the first leaf as reference; a child
-    whose refinement trace departs from the reference path's at the same
-    depth is pruned as soon as it does, as are target-cell vertices on the
-    reference path lying in the orbit of an already-expanded vertex under
-    the automorphisms found so far.
-    """
+    At each node of the leftmost path, deepest first, each other target-cell
+    vertex outside the orbits of the expanded ones under the generators so
+    far gives at most one generator, from the first leaf below it that maps
+    the path's leaf onto it."""
     n = len(adj)
     if colors is None:
         colors = [0] * n
     nbrs = _neighbor_lists(adj)
-    gens: list[Perm] = []
-    ref_traces: list = []
-    ref_leaf: list = [None]
-
-    def leaf(part):
-        if ref_leaf[0] is None:
-            ref_leaf[0] = part.verts
-            return False
-        images = [0] * n
-        for a, b in zip(ref_leaf[0], part.verts):
-            images[a] = b
-        if _maps_arcs(nbrs[0], nbrs[0], images):
-            p = Perm(tuple(images))
-            if not p.is_identity():
-                gens.append(p)
-                return True
-        return False
-
-    def dfs(part, depth, on_ref):
-        s = part.target()
-        if s is None:
-            return leaf(part)
-        cell = sorted(part.verts[s:part.end[s]])
-        found = False
-        # the closure of the expanded vertices under the generators, rebuilt
-        # only when a new generator is found.  On the reference path every
-        # generator so far comes from a leaf below this node, so it fixes
-        # the vertices individualized on the way here and maps the target
-        # cell onto itself.
-        done, orbit, seen = [], set(), -1
-        for idx, v in enumerate(cell):
-            if on_ref and idx > 0:
-                if len(gens) != seen:
-                    seen = len(gens)
-                    orbit = set()
-                    _extend_orbit(orbit, done, gens)
-                if v in orbit:
-                    continue
-            child = part.copy()
-            sp = child.individualize(v)
-            if on_ref and idx == 0:
-                ref_traces.append(refine(nbrs, child, [sp]))
-                got = dfs(child, depth + 1, True)
-            elif refine(nbrs, child, [sp], ref_traces[depth]) is None:
-                got = False
-            else:
-                got = dfs(child, depth + 1, False)
-            done.append(v)
-            if on_ref and idx > 0 and len(gens) == seen:
-                _extend_orbit(orbit, [v], gens)
-            if got:
-                found = True
-                if not on_ref:
-                    # the rest of this subtree repeats reference-side work
-                    return True
-        return found
-
     root = _Partition.from_colors(colors)
     refine(nbrs, root, root.starts())
-    dfs(root, 0, True)
+    parts, traces, ref_verts = _leftmost_path(nbrs, root)
+    gens: list[Perm] = []
+    for depth in range(len(parts) - 1, -1, -1):
+        part = parts[depth]
+        s = part.target()
+        cell = sorted(part.verts[s:part.end[s]])
+        # the closure of the expanded vertices under the generators, rebuilt
+        # only when a new generator is found.  Every generator so far comes
+        # from a leaf below this node, so it fixes the vertices individualized
+        # on the way here and maps the target cell onto itself.
+        done, orbit, seen = [cell[0]], set(), -1
+        for v in cell[1:]:
+            if len(gens) != seen:
+                seen = len(gens)
+                orbit = set()
+                _extend_orbit(orbit, done, gens)
+            if v in orbit:
+                continue
+            child = part.copy()
+            sp = child.individualize(v)
+            if refine(nbrs, child, [sp], traces[depth]) is not None:
+                images = _first_leaf(nbrs, child, depth + 1, traces,
+                                     ref_verts, nbrs[0])
+                if images is not None:
+                    gens.append(Perm(images))
+            done.append(v)
+            if len(gens) == seen:
+                _extend_orbit(orbit, [v], gens)
     return sorted(set(gens), key=lambda p: p.images)
 
 
 def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
-    """A color-preserving digraph isomorphism as a Perm, or None.
-
-    Vertices of the first digraph are individualized in a fixed order and
-    matched against every vertex of the corresponding cell on the other
-    side, whose refinement is checked step by step against the first side's
-    trace; the returned witness is deterministic.
-    """
+    """A color-preserving digraph isomorphism as a Perm, or None: the map
+    from the first digraph's leftmost leaf to the second's first leaf that
+    follows the path's traces and carries the out-lists, so deterministic."""
     n = len(adj1)
     if colors1 is None:
         colors1 = [0] * n
@@ -375,32 +380,11 @@ def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     if (len(adj2) != n or len(nbrs1) != len(nbrs2)
             or sorted(colors1) != sorted(colors2)):
         return None
-
-    def dfs(p1, p2):
-        s = p1.target()
-        if s is None:
-            images = [0] * n
-            for v, w in zip(p1.verts, p2.verts):
-                images[v] = w
-            if _maps_arcs(nbrs1[0], nbrs2[0], images):
-                return tuple(images)
-            return None
-        c1 = p1.copy()
-        sp = c1.individualize(min(p1.verts[s:p1.end[s]]))
-        t1 = refine(nbrs1, c1, [sp])
-        for w in sorted(p2.verts[s:p2.end[s]]):
-            c2 = p2.copy()
-            c2.individualize(w)
-            if refine(nbrs2, c2, [sp], t1) is not None:
-                r = dfs(c1, c2)
-                if r is not None:
-                    return r
-        return None
-
     p1 = _Partition.from_colors(colors1)
     p2 = _Partition.from_colors(colors2)
     t1 = refine(nbrs1, p1, p1.starts())
     if refine(nbrs2, p2, p2.starts(), t1) is None:
         return None
-    r = dfs(p1, p2)
-    return None if r is None else Perm(r)
+    _, traces, verts1 = _leftmost_path(nbrs1, p1)
+    images = _first_leaf(nbrs2, p2, 0, traces, verts1, nbrs1[0])
+    return None if images is None else Perm(images)

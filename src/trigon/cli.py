@@ -14,17 +14,7 @@ import sys
 import warnings
 from itertools import chain, repeat
 
-from .errors import (
-    BadCongruence,
-    CheckFailed,
-    DegreeMismatch,
-    KappaSpecError,
-    NotPrime,
-    NotPrimitive,
-    ParseError,
-    ReduciblePolynomial,
-    TooLarge,
-)
+from .errors import CheckFailed, KappaSpecError, TooLarge, UsageError
 
 
 def parse_kappa_spec(text, family):
@@ -566,8 +556,7 @@ def run(argv):
         return int(ex.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, KappaSpecError, TooLarge, BadCongruence, NotPrime,
-            ReduciblePolynomial, DegreeMismatch, NotPrimitive) as err:
+    except UsageError as err:
         print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
         return 2
     except CheckFailed as err:

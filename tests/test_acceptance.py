@@ -3,10 +3,12 @@
 import math
 import random
 
+from coset_enumeration import todd_coxeter
 from duality import is_abelian, murho_dual
 from field_oracle import OracleField
 from graph_oracle import closure_elements
 from label_oracle import act, fset_of, project_F, table, triples_of
+from opp_model_checks import incidence_model_checks, opp_graph_building
 
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import present
@@ -18,7 +20,7 @@ from trigon.exoticity import (
 )
 from trigon.ffield import factor_prime_power, make_field, trace_to_subfield
 from trigon.fgroup import lambda_orbits
-from trigon.grouptools import abelianization, todd_coxeter
+from trigon.grouptools import abelianization
 from trigon.linkgraph import (
     FSet,
     aut_full,
@@ -27,12 +29,7 @@ from trigon.linkgraph import (
     metrics,
     spectrum,
 )
-from trigon.oppmodel import (
-    incidence_model_checks,
-    opp_datum,
-    opp_graph_building,
-    opp_properties,
-)
+from trigon.oppmodel import opp_datum, opp_properties
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, r_of_q, singer_datum
 from trigon.tripres import (

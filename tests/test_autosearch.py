@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refine_oracle
+import search_oracle
 from graph_oracle import closure_elements
 from trigon import autosearch
 from trigon.autosearch import (
@@ -16,9 +17,10 @@ from trigon.autosearch import (
     find_isomorphism,
     refine,
 )
-from trigon.linkgraph import from_F
+from trigon.linkgraph import aut_full, from_F
+from trigon.oppmodel import opp_datum
 from trigon.permgrp import Perm, bsgs_build
-from trigon.singer import singer_datum
+from trigon.singer import quad_datum, singer_datum
 
 
 def brute_automorphisms(n, arcs, colors=None):
@@ -404,3 +406,98 @@ def test_probe_search_matches_the_counting_oracle(q, monkeypatch):
     gens = automorphism_generators(adj, colors)
     monkeypatch.setattr(autosearch, "refine", refine_oracle.refine)
     assert automorphism_generators(adj, colors) == gens
+
+
+def images_of(perms):
+    return [p.images for p in perms]
+
+
+def witness_images(w):
+    return None if w is None else w.images
+
+
+def circulant(n, jumps):
+    """The arcs i -> i + j mod n for each jump j, a digraph that Z/n acts on
+    transitively, so that the search goes deep and prunes by orbits."""
+    return [(i, (i + j) % n) for i in range(n) for j in jumps]
+
+
+def searched_digraphs(data):
+    """A random colored digraph, or a circulant one with its colors constant
+    on the cosets of a subgroup; symmetric or directed."""
+    symmetric = data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        n, arcs, colors = colored_digraphs(data, symmetric, max_n=10)
+    else:
+        n = data.draw(st.integers(min_value=1, max_value=16))
+        jumps = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        arcs = circulant(n, jumps)
+        if symmetric:
+            arcs += [(j, i) for i, j in arcs]
+        m = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        colors = [i % m for i in range(n)]
+    return n, arcs, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_search_matches_the_two_backtrack_oracle(data):
+    """The leftmost path and first-match descent give the generators of the
+    two-backtrack search they replaced, and the same witness, or None for
+    both, on a relabelled pair and on one perturbed by an arc or a color."""
+    n, arcs, colors = searched_digraphs(data)
+    adj = out_lists(n, arcs)
+    assert images_of(automorphism_generators(adj, colors)) == images_of(
+        search_oracle.automorphism_generators(adj, colors))
+    _, arcs2, colors2 = relabelled(data, n, arcs, colors)
+    if arcs2 and data.draw(st.booleans()):
+        arcs2 = arcs2[1:]
+    if data.draw(st.booleans()):
+        colors2[data.draw(st.integers(0, n - 1))] += 1
+    adj2 = out_lists(n, arcs2)
+    assert witness_images(find_isomorphism(adj, adj2, colors, colors2)) == (
+        witness_images(search_oracle.find_isomorphism(adj, adj2, colors, colors2)))
+
+
+def counting_refine(calls):
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_probe_search_matches_the_two_backtrack_oracle(q, monkeypatch):
+    """The same generators from as many refinements: the orbit pruning
+    skips the vertices it did."""
+    adj = from_F(singer_datum(q).F()).adj
+    colors = [1] + [0] * (len(adj) - 1)
+    got, want = [], []
+    monkeypatch.setattr(autosearch, "refine", counting_refine(got))
+    monkeypatch.setattr(search_oracle, "refine", counting_refine(want))
+    assert images_of(automorphism_generators(adj, colors)) == images_of(
+        search_oracle.automorphism_generators(adj, colors))
+    assert len(got) == len(want)
+
+
+# the pair sets of the benchmark's census documents
+CENSUS_F = {
+    "singer q=5": lambda: singer_datum(5).F(),
+    "singer q=7": lambda: singer_datum(7).F(),
+    "opp q=7": lambda: opp_datum(7).F(),
+    "quad q=2": lambda: quad_datum(2).F(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_F))
+def test_aut_full_matches_the_two_backtrack_oracle(name, monkeypatch):
+    """aut_full's Aut+(F) generators and its rho-swapping witness."""
+    f = CENSUS_F[name]()
+    got = aut_full(f)
+    for search in ("automorphism_generators", "find_isomorphism"):
+        monkeypatch.setattr(autosearch, search, getattr(search_oracle, search))
+    want = aut_full(f)
+    assert images_of(got.plus.generators) == images_of(want.plus.generators)
+    assert got.witness is not None
+    assert got.witness.images == want.witness.images

@@ -1,8 +1,10 @@
 """Exit codes, byte determinism, golden tables, and subcommand output."""
 
 import argparse
+import importlib
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -11,13 +13,15 @@ from pathlib import Path
 import pytest
 
 from label_oracle import fset_of, pairs_of, triples_of
+import trigon
 from trigon import cli, exoticity, fgroup, linkgraph, oppmodel, singer, tripres
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
-from trigon.errors import (BadCongruence, DegreeMismatch, KappaSpecError, NotPrime,
-                           ReduciblePolynomial, TooLarge, TwistCheckFailed)
+from trigon.errors import (BadCongruence, CheckFailed, DegreeMismatch, KappaSpecError,
+                           NotPrime, NotPrimitive, ParseError, ReduciblePolynomial,
+                           TooLarge, TwistCheckFailed, UsageError)
 from trigon.fgroup import Datum
 from trigon.linkgraph import AutFull
 from trigon.permgrp import Perm, bsgs_build
@@ -435,10 +439,11 @@ def test_deeply_nested_document_exits_two(capsys, tmp_path, command):
     assert err == f"trigon {command}: document: nested too deeply to read\n"
 
 
-@pytest.mark.parametrize(
-    "error",
-    [NotPrime, ReduciblePolynomial, DegreeMismatch, TooLarge, BadCongruence],
-)
+USAGE_ERRORS = [ParseError, KappaSpecError, TooLarge, BadCongruence, NotPrime,
+                ReduciblePolynomial, DegreeMismatch, NotPrimitive]
+
+
+@pytest.mark.parametrize("error", USAGE_ERRORS)
 def test_named_user_errors_exit_two(capsys, monkeypatch, square_path, error):
     def handler(args):
         raise error("too big")
@@ -446,6 +451,22 @@ def test_named_user_errors_exit_two(capsys, monkeypatch, square_path, error):
     monkeypatch.setitem(cli._HANDLERS, "classify", handler)
     code, out, err = invoke(capsys, ["classify", "--from-json", square_path])
     assert (code, out, err) == (2, "", "trigon classify: too big\n")
+
+
+def test_usage_errors_are_one_class():
+    """Exit 2 is UsageError: these eight errors of the package, and only
+    these, derive from it, and no failed check does."""
+    classes = {
+        obj
+        for info in pkgutil.iter_modules(trigon.__path__)
+        for obj in vars(importlib.import_module(f"trigon.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    assert {c for c in classes if issubclass(c, UsageError)} == {
+        UsageError, *USAGE_ERRORS}
+    checks = {c for c in classes if issubclass(c, CheckFailed)}
+    assert TwistCheckFailed in checks
+    assert not any(issubclass(c, UsageError) for c in checks)
 
 
 @pytest.mark.parametrize("command", ["classify", "enumerate"])

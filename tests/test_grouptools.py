@@ -4,16 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from coset_enumeration import Exceeded, todd_coxeter
 from label_oracle import act, presentation_of, relators, table
 
 from trigon.cli import present
-from trigon.grouptools import (
-    Abelianization,
-    Exceeded,
-    abelianization,
-    export_presentation,
-    todd_coxeter,
-)
+from trigon.grouptools import Abelianization, abelianization, export_presentation
 from trigon.permgrp import Perm
 from trigon.singer import singer_datum
 from trigon.tripres import TrianglePresentation

@@ -13,9 +13,9 @@
   module, and no public method, property or record field of a package class
   whose name no attribute read in the program or its scripts names outside
   its own body, unless TEST_ONLY names the claim or oracle it serves;
-- no parameter default in the package that no call in the program or its
-  scripts overrides, outside the functions TEST_ONLY keeps: a value only a
-  test sets is a constant."""
+- no parameter default in the program or its scripts that no call in them
+  overrides, outside the functions TEST_ONLY keeps: a value only a test sets
+  is a constant."""
 
 import ast
 from pathlib import Path
@@ -31,11 +31,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # role that keeps it
 TEST_ONLY = {
     "fgroup.FiniteGroup.inv": "the inversion map of the duality claim (test_06)",
-    "grouptools.Exceeded.max_cosets":
-        "the capped result of todd_coxeter, kept for test_04",
-    "grouptools.todd_coxeter": "the octahedron link group claim (test_04)",
-    "oppmodel.incidence_model_checks": "the coset = subspace model claim (test_08)",
-    "oppmodel.opp_graph_building": "the coset = subspace model claim (test_08)",
     **dict.fromkeys(
         [f"permgrp.PermGroup.{name}"
          for name in ("elements", "orbits", "restrict", "stabilizer")],
@@ -259,7 +254,7 @@ def _calls():
 def test_every_parameter_default_is_overridden_somewhere():
     calls = _calls()
     unset = []
-    for path in PACKAGE:
+    for path in SOURCES:
         for qual, fn, param, pos, method in _defaulted_parameters(path):
             if f"{path.stem}.{qual}" in TEST_ONLY:
                 continue

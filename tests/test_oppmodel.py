@@ -6,16 +6,11 @@ import pytest
 
 from duality import murho_dual
 from label_oracle import fset_of, pairs_of, triples_of
+from opp_model_checks import incidence_model_checks, opp_graph_building
 from trigon import oppmodel
 from trigon.errors import BadCongruence, KappaSpecError
 from trigon.linkgraph import f_wreath_equivalent, metrics
-from trigon.oppmodel import (
-    a2_graph,
-    incidence_model_checks,
-    opp_datum,
-    opp_graph_building,
-    opp_properties,
-)
+from trigon.oppmodel import a2_graph, opp_datum, opp_properties
 from trigon.singer import singer_datum
 from trigon.fgroup import lambda_orbits
 from trigon.tripres import verify

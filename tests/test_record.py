@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from coset_enumeration import Exceeded
 from trigon.documents import Document
 from trigon.exoticity import Bounds, Certificate, ExoticProbe
 from trigon.ffield import FieldSpec
 from trigon.fgroup import Datum, FiniteGroup, SignFamily, SubgroupDatum, make_cyclic
-from trigon.grouptools import Abelianization, Exceeded
+from trigon.grouptools import Abelianization
 from trigon.linkgraph import AutFull, FSet, GraphMetrics, LinkGraph
 from trigon.oppmodel import A2Model, PropertyReport
 from trigon.permgrp import Perm, bsgs_build
