@@ -260,13 +260,14 @@ def refine(nbrs, part, queue, ref=None):
     return trace
 
 
-def _maps_arcs(outs1, outs2, images):
-    """Whether images carries every out-list of the first digraph onto the
-    out-list of the image vertex; out-lists are sorted, so a bijection that
-    passes is an isomorphism."""
+def _maps_arcs(outs1, targets, images):
+    """Whether images carries every arc of the first digraph to an arc of the
+    second, whose out-neighbor sets are targets.  A bijection between
+    digraphs with as many arcs, neither with a repeated one, that passes is
+    an isomorphism."""
     get = images.__getitem__
     return all(
-        sorted(map(get, ws)) == outs2[images[v]] for v, ws in enumerate(outs1)
+        targets[images[v]].issuperset(map(get, ws)) for v, ws in enumerate(outs1)
     )
 
 
@@ -298,23 +299,24 @@ def _leftmost_path(nbrs, part):
     return parts, traces, part.verts
 
 
-def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs):
+def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs, targets):
     """The images of the first leaf below part, its target-cell vertices
     tried in increasing order, whose refinement follows traces from depth
-    on and whose map from ref_verts carries the out-lists ref_outs onto
-    nbrs[0]; None if there is none."""
+    on and whose map from ref_verts carries the arcs of the out-lists
+    ref_outs into targets, the out-neighbor sets of nbrs[0]; None if there
+    is none."""
     s = part.target()
     if s is None:
         images = [0] * len(ref_verts)
         for a, b in zip(ref_verts, part.verts):
             images[a] = b
-        return images if _maps_arcs(ref_outs, nbrs[0], images) else None
+        return images if _maps_arcs(ref_outs, targets, images) else None
     for w in sorted(part.verts[s:part.end[s]]):
         child = part.copy()
         sp = child.individualize(w)
         if refine(nbrs, child, [sp], traces[depth]) is not None:
             images = _first_leaf(nbrs, child, depth + 1, traces, ref_verts,
-                                 ref_outs)
+                                 ref_outs, targets)
             if images is not None:
                 return images
     return None
@@ -334,6 +336,7 @@ def automorphism_generators(adj, colors=None):
     root = _Partition.from_colors(colors)
     refine(nbrs, root, root.starts())
     parts, traces, ref_verts = _leftmost_path(nbrs, root)
+    targets = [set(ws) for ws in nbrs[0]]
     gens: list[Perm] = []
     for depth in range(len(parts) - 1, -1, -1):
         part = parts[depth]
@@ -355,7 +358,7 @@ def automorphism_generators(adj, colors=None):
             sp = child.individualize(v)
             if refine(nbrs, child, [sp], traces[depth]) is not None:
                 images = _first_leaf(nbrs, child, depth + 1, traces,
-                                     ref_verts, nbrs[0])
+                                     ref_verts, nbrs[0], targets)
                 if images is not None:
                     gens.append(Perm(images))
             done.append(v)
@@ -374,10 +377,11 @@ def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     if colors2 is None:
         colors2 = [0] * n
     nbrs1, nbrs2 = _neighbor_lists(adj1), _neighbor_lists(adj2)
-    # an isomorphism keeps the vertex count, keeps a digraph symmetric and
-    # keeps every color's class; the partitions then start cell for cell
-    # with the same color values
+    # an isomorphism keeps the vertex count and the arc count, keeps a
+    # digraph symmetric and keeps every color's class; the partitions then
+    # start cell for cell with the same color values
     if (len(adj2) != n or len(nbrs1) != len(nbrs2)
+            or sum(map(len, nbrs1[0])) != sum(map(len, nbrs2[0]))
             or sorted(colors1) != sorted(colors2)):
         return None
     p1 = _Partition.from_colors(colors1)
@@ -386,5 +390,6 @@ def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     if refine(nbrs2, p2, p2.starts(), t1) is None:
         return None
     _, traces, verts1 = _leftmost_path(nbrs1, p1)
-    images = _first_leaf(nbrs2, p2, 0, traces, verts1, nbrs1[0])
+    targets = [set(ws) for ws in nbrs2[0]]
+    images = _first_leaf(nbrs2, p2, 0, traces, verts1, nbrs1[0], targets)
     return None if images is None else Perm(images)

@@ -3,11 +3,19 @@
 The module top imports only what builds the parser and the errors run maps
 to exit codes; each handler imports the modules it runs.  Where bytecode is
 not cached, every start compiles each module it imports, so a subcommand
-should not pay for a symmetry search or a construction it never calls."""
+should not pay for a symmetry search or a construction it never calls.
+
+An exit costs too: the interpreter's final collections walk every object
+still alive, about a tenth of a short command.  main, the console script's
+entry, freezes the collector once the output is written, so a process skips
+them; stdio is still flushed and atexit handlers still run.  run does not
+freeze, since tests and the benchmark's tracer call it in a process that
+goes on."""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -64,9 +72,9 @@ def kappa_spec_of(kappa):
 # --all-kappa --format json writes exactly this many, 247 MB, in 0.35-0.39 s
 # of CPU and 23 MB (peak RSS of a fresh process).  One presentation is held
 # whole, and its text as the texts of its rows, so for it this bounds
-# memory, at 85-150 bytes a triple: singer --q 157 --kappa +1 (3,919,506
+# memory, at 85-130 bytes a triple: singer --q 157 --kappa +1 (3,919,506
 # triples; q = 163 is refused) peaks at 370 MB as a table, 330 MB as gap and
-# 577 MB as json, and singer --q 67 (309,876) at 43, 40 and 59 MB (peak RSS,
+# 505 MB as json, and singer --q 67 (309,876) at 43, 40 and 54 MB (peak RSS,
 # 2-core Xeon, Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
@@ -565,7 +573,10 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the output is written: skip the exit's collections over every live object
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -40,19 +40,22 @@ def json_writer(labels, pairs, level):
     The document holds labels explicit, the pairs, the joined entries and
     meta, all in labels, as json.dumps(blob, sort_keys=True, indent=2)
     writes it at that depth, with no trailing newline.  Each label is
-    rendered once, and the F and labels arrays once per writer, F a row of
-    pairs at a time; meta goes through json.dumps and is indented to its
-    depth.  assemble takes the parts of the join and returns the document's
-    text as a list of parts, in order, so a stream writes them as they
-    are."""
+    rendered once, and the F and labels arrays once per writer: F as the
+    text of each row of pairs, which every document takes as its parts, so
+    no one text of F is held beside its rows, and labels as one text; meta
+    goes through json.dumps and is indented to its depth.  assemble takes
+    the parts of the join and returns the document's text as a list of
+    parts, in order, so a stream writes them as they are."""
     lab = [json.dumps(a) for a in labels]
     # a newline and the indent of the document's keys, of the entries of its
     # arrays, and of the labels inside an entry of F or T
     key, entry, cell = ("\n" + "  " * (level + d) for d in (1, 2, 3))
-    f_array = "".join(_array([",".join(
-        ",".join([f"{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in row])
-        for _, row in groupby(pairs, itemgetter(0))
-    )], key))
+    f_rows = []
+    for _, row in groupby(pairs, itemgetter(0)):
+        f_rows += (",", ",".join(
+            [f"{entry}[{cell}{lab[i]},{cell}{lab[j]}{entry}]" for i, j in row]
+        ))
+    f_array = _array(f_rows[1:], key)
     labels_array = "".join(_array([",".join(entry + a for a in lab)], key))
 
     def triple(i, j, k):
@@ -60,7 +63,7 @@ def json_writer(labels, pairs, level):
 
     def assemble(body, meta):
         fields = (
-            ("F", [f_array]),
+            ("F", f_array),
             ("T", _array(body, key)),
             ("labels", [labels_array]),
             ("meta", [json.dumps(meta, sort_keys=True, indent=2).replace("\n", key)]),

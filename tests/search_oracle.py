@@ -2,16 +2,27 @@
 reference path: automorphism_generators recurses with an on-reference flag,
 and find_isomorphism re-refines the first side at every node it enters on
 the second.  Kept verbatim as the differential oracle for the leftmost path
-and first-match descent that replaced them."""
+and first-match descent that replaced them, with the leaf check they made
+then, which sorts the image of every out-list, in place of the set lookups
+of the package's _maps_arcs."""
 
 from trigon.autosearch import (
     _extend_orbit,
-    _maps_arcs,
     _neighbor_lists,
     _Partition,
     refine,
 )
 from trigon.permgrp import Perm
+
+
+def _maps_arcs(outs1, outs2, images):
+    """Whether images carries every out-list of the first digraph onto the
+    out-list of the image vertex; out-lists are sorted, so a bijection that
+    passes is an isomorphism."""
+    get = images.__getitem__
+    return all(
+        sorted(map(get, ws)) == outs2[images[v]] for v, ws in enumerate(outs1)
+    )
 
 
 def automorphism_generators(adj, colors=None):

@@ -158,6 +158,18 @@ def test_find_isomorphism_respects_colors():
     assert find_isomorphism(adj, adj, [0, 1], [1, 0]) is None
 
 
+def test_an_extra_arc_is_not_isomorphic_under_discrete_colors():
+    """Distinct colors leave refinement nothing to compare, so the leaf check
+    alone decides; the identity carries every arc of the smaller digraph
+    into the larger one, and only the arc count tells them apart."""
+    arcs = [(0, 1), (1, 2), (2, 0)]
+    small, large = out_lists(3, arcs), out_lists(3, arcs + [(0, 2)])
+    colors = [0, 1, 2]
+    assert find_isomorphism(small, large, colors, colors) is None
+    assert find_isomorphism(large, small, colors, colors) is None
+    assert find_isomorphism(small, small, colors, colors).images == (0, 1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_automorphisms_match_brute_force(data):

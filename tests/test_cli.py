@@ -1,6 +1,7 @@
 """Exit codes, byte determinism, golden tables, and subcommand output."""
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -837,6 +838,42 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == TABLE_TEXTS[4]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [(["tables", "--which", "4"], 0, TABLE_TEXTS[4], ""),
+     (["verify", "--from-json", "{bad}"], 1,
+      "axiom 2 (uniqueness) violated at (2, 2)\n", ""),
+     (["singer", "--q", "6"], 2, "", "trigon singer: 6 is not a prime power\n")],
+    ids=["ok", "failed-check", "usage"],
+)
+def test_main_exits_with_the_collector_frozen(tmp_path, argv, code, out, err):
+    """main freezes the collector after run has written the output and
+    before the exit, so an atexit hook sees a frozen generation; the exit
+    still runs the hooks, flushes stdout and keeps run's exit code."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SQUARE_BLOB, "T": [[1, 1, 2]]}))
+    argv = [a.format(bad=bad) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, gc, sys, trigon.cli; "
+         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+         "file=sys.stderr)); "
+         f"sys.argv = ['trigon', *{argv!r}]; trigon.cli.main()"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out, err + "frozen True\n")
+
+
+def test_run_leaves_the_collector_unfrozen(capsys):
+    """Tests and the benchmark's tracer call run in a process that goes on,
+    which would keep every object a freeze there left behind."""
+    before = gc.get_freeze_count()
+    code, out, _ = invoke(capsys, ["tables", "--which", "4"])
+    assert (code, out) == (0, TABLE_TEXTS[4])
+    assert gc.get_freeze_count() == before
 
 
 def test_start_up_leaves_numpy_out():

@@ -69,6 +69,18 @@ def test_schema_fields_written():
     assert blob["meta"] == SQUARE_META
 
 
+def test_a_document_holds_F_and_T_a_row_at_a_time():
+    """Each part of a document's text holds at most one row of F or of T,
+    so no one text of either array is held beside its rows: table 3's plane
+    of order 2 has 3 pairs and 1 canonical triple a point, 21 and 7 in
+    all, and an array bracket is a part of its own."""
+    T = table(3)
+    parts = present(T, {}, "json")
+    blob = json.loads("".join(parts))
+    assert (len(blob["F"]), len(blob["T"])) == (21, 7)
+    assert max(part.count("[") for part in parts) == 3
+
+
 def test_parse_accepts_full_closure_strictly():
     blob = {
         "n": 2, "labels": [1, 2],

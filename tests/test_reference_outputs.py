@@ -1,5 +1,6 @@
 """Every benchmark invocation, run in-process, against the exit code and
-stdout SHA-256 that perfbench/reference.json pins.
+stdout SHA-256 that perfbench/reference.json pins, and one invocation per
+workload as the benchmark runs it, through main's exit.
 
 The document invocations run first and write the census inputs into a
 temporary directory, which stands in for {docs} in the census commands.
@@ -10,6 +11,8 @@ import ast
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from trigon.cli import run
@@ -48,3 +51,38 @@ def test_reference_invocations_match(capsys, tmp_path):
         key: {"exit": ref["exit"], "sha256": ref["sha256"]}
         for key, ref in want.items()
     }
+
+
+# one invocation of each workload, exotic-scan, family-build, census and
+# opp-check, with the census document it reads written first
+FRESH = [
+    "quad --q 2 --format json",
+    "exotic --q 7 --all-kappa",
+    "quad --q 3 --all-kappa",
+    "enumerate --from-json {docs}/quad-q2.json",
+    "opp --check --q 9",
+]
+
+
+def test_one_invocation_per_workload_in_a_fresh_process(tmp_path):
+    """run() alone never reaches main's exit; each of these is a fresh
+    python -m trigon.cli, as the benchmark starts it, whose exit code, stdout
+    SHA-256 and byte count must be the pinned ones."""
+    want = json.loads((PERFBENCH / "reference.json").read_text())["invocations"]
+    outputs = {key: name for name, key in _documents().items()}
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for key in FRESH:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trigon.cli",
+             *shlex.split(key.format(docs=docs))],
+            capture_output=True, timeout=120,
+        )
+        if key in outputs:
+            (docs / outputs[key]).write_bytes(proc.stdout)
+        assert {
+            "exit": proc.returncode,
+            "sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "bytes": len(proc.stdout),
+        } == want[key], key
+        assert proc.stderr == b"", key
