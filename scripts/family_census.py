@@ -10,10 +10,11 @@ import argparse
 import sys
 import time
 
+from trigon.census import classify
 from trigon.errors import CheckFailed
-from trigon.linkgraph import FSet, aut_full
+from trigon.linkgraph import aut_full
+from trigon.pairset import FSet
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import classify
 
 ALT_F = FSet.from_labels(
     range(1, 5), [(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]

@@ -262,7 +262,7 @@ def _document(args):
 
 
 def _cmd_enumerate(args):
-    from .tripres import classify
+    from .census import classify
 
     doc = _document(args)
     classes = classify(doc.F)
@@ -271,7 +271,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
-    from .tripres import classify
+    from .census import classify
 
     doc = _document(args)
     classes = classify(doc.F)
@@ -377,7 +377,8 @@ def _json_extent(v):
 def _cmd_graph(args):
     import json
 
-    from .linkgraph import export_edge_list, from_F, metrics, spectrum
+    from .linkgraph import export_edge_list, metrics, spectrum
+    from .pairset import from_F
 
     doc = _document(args)
     if (args.show_metrics or args.spectrum) and 2 * doc.F.n > _GRAPH_VERTEX_LIMIT:

@@ -9,7 +9,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import ParseError
-from .linkgraph import FSet
+from .pairset import FSet
 from .record import Record
 from .tripres import TrianglePresentation, rep_entries
 

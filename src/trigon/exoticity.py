@@ -14,7 +14,7 @@ from .errors import CheckFailed
 from .ffield import factor_prime_power
 from .fgroup import Datum, SignFamily
 from .autosearch import automorphism_generators
-from .linkgraph import from_F
+from .pairset import from_F
 from .permgrp import (
     NotInvariant,
     Perm,

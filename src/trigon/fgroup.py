@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Callable
 from .errors import (BadCongruence, KappaSpecError, LambdaConditionFailed,
                      TwistCheckFailed)
 from .ffield import field_tables
-from .linkgraph import FSet
+from .pairset import FSet
 from .record import Record
 
 if TYPE_CHECKING:

@@ -9,14 +9,7 @@ from itertools import product
 from .errors import CheckFailed, TooLarge
 from .ffield import factor_prime_power, field_tables
 from .fgroup import Datum, make_opp_group, subgroup
-from .linkgraph import (
-    FSet,
-    LinkGraph,
-    f_wreath_equivalent,
-    from_F,
-    metrics,
-    point_transitive_gap,
-)
+from .pairset import FSet, LinkGraph, from_F
 from .record import Record
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
@@ -104,6 +97,8 @@ def opp_datum(q):
                for y in range(q)}
     datum = Datum(q=q, G=G, S=S, H=H, lam=lam)
     if q <= 5:
+        from .linkgraph import f_wreath_equivalent
+
         if not f_wreath_equivalent(datum.F(), _building_fset(q)):
             raise CheckFailed("coset model disagrees with the subspace model")
     return datum
@@ -124,6 +119,8 @@ class PropertyReport(Record, eq=True):
 
 def opp_properties(q):
     """Compute the opposition-graph checklist on the coset model."""
+    from .linkgraph import metrics, point_transitive_gap
+
     d = opp_datum(q)
     g = from_F(d.F())
     # point g is joined to line g*s for s in S, so left multiplication by G

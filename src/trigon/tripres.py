@@ -1,22 +1,14 @@
-"""Triangle presentations: axioms, actions, enumeration, classification, and
-the table writer."""
+"""Triangle presentations: the record, its axioms, and the table writer."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 
-from .errors import CheckFailed, IncompatiblePresentation, TooLarge
-from .linkgraph import AutFull, FSet, apply_rho, aut_full
+from .pairset import FSet
 from .record import Record
-
-# the largest |Aut+(F)| classify and stabilizer_of_T accept.  A walk holds
-# its orbit, at most 2 |Aut+(F)| keys of one third per pair of F, at once:
-# a key and its permutation take 4.2 KB on singer --q 7 (456 pairs), so such
-# an orbit there would take 8.4 GB (classify on it peaks at 16 MB)
-_AUT_LIMIT = 10**6
 
 
 class TrianglePresentation(Record, eq=True):
@@ -108,215 +100,6 @@ def _violations(fout, T) -> list[Violation]:
 def _run(js, j) -> tuple:
     """The bounds of the run of entries equal to j in the sorted list js."""
     return bisect_left(js, j), bisect_right(js, j)
-
-
-def enumerate_all(F: FSet):
-    """Every triangle presentation compatible with F, in a canonical order.
-
-    Exact cover: the chosen triple for a pair (i,j) covers (i,j), (j,k) and
-    (k,i) at once, so each pair is consumed exactly once.
-    """
-    return [TrianglePresentation(F.labels, F.out, key) for key in _exact_covers(F)]
-
-
-def _exact_covers(F: FSet) -> list[tuple]:
-    """The third rows of the compatible presentations, in sorted order.
-
-    Knuth's Algorithm X, after a column rule that looks first where a
-    choice cut: out[v] is the bitmask of the heads w of the free pairs
-    (v, w), at first F.out[v], and inn[v] that of the tails u of the free
-    pairs (u, v), at first the transpose's list; the live thirds of a free
-    pair (i, j) are out[j] & inn[i], the k with (j, k) and (k, i) both free.
-    Choosing (i, j, k) clears the bits of its three pairs, one pair when
-    i = j = k, and backtracking sets them again.  Clearing (u, w) cuts a
-    live third only of the free pairs (a, u) and (w, a) for a in
-    inn[u] & out[w].  So after a choice the node branches on the first of
-    those, per cleared pair in (i, j), (j, k), (k, i) order and per a
-    ascending, with at most one live third; only if there is none does
-    _most_constrained scan every free pair.  Either way the search tree
-    depends on F alone.
-
-    A cover gives each pair one third, so its key is one row per point:
-    the third that its branch last wrote for each pair, in out-list order.
-    Each cover is reached once, as the branches of a node give its pair
-    different thirds.  The stack is a list, not recursion: a branch is
-    |F|/3 choices deep.
-    """
-    out = [sum(1 << j for j in js) for js in F.out]
-    inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
-    third = {}
-
-    def forced(cleared):
-        """(a, b, live thirds) of the first pair that clearing cut to at
-        most one live third; None if there is none."""
-        for u, w in cleared:
-            cut = inn[u] & out[w]
-            while cut:
-                low = cut & -cut
-                cut ^= low
-                a = low.bit_length() - 1
-                live = out[u] & inn[a]
-                if live & (live - 1) == 0:
-                    return a, u, live
-                live = out[a] & inn[w]
-                if live & (live - 1) == 0:
-                    return w, a, live
-        return None
-
-    keys = []
-    chosen: list = []  # per level (i, j, k, live thirds not yet tried)
-    node = _most_constrained(out, inn)
-    while True:
-        if node is None:
-            keys.append(tuple(
-                [third[i, j] for j in js] for i, js in enumerate(F.out)
-            ))
-        elif node[2]:
-            i, j, live = node
-            low = live & -live
-            k = low.bit_length() - 1
-            cleared = ((i, j), (j, k), (k, i))
-            for (u, w), x in zip(cleared, (k, i, j)):
-                out[u] &= ~(1 << w)
-                inn[w] &= ~(1 << u)
-                third[u, w] = x
-            chosen.append((i, j, k, live ^ low))
-            node = forced(cleared) or _most_constrained(out, inn)
-            continue
-        if not chosen:
-            return sorted(keys)
-        i, j, k, live = chosen.pop()
-        for u, w in ((i, j), (j, k), (k, i)):
-            out[u] |= 1 << w
-            inn[w] |= 1 << u
-        node = (i, j, live)
-
-
-def _most_constrained(out, inn):
-    """(i, j, live thirds) of the free pair with the fewest live thirds, the
-    first in sorted order on a tie, from the bitmasks of _exact_covers;
-    None if no pair is free."""
-    best = None
-    fewest = len(out) + 1
-    for i, (heads, tails) in enumerate(zip(out, inn)):
-        while heads:
-            low = heads & -heads
-            heads ^= low
-            j = low.bit_length() - 1
-            live = out[j] & tails
-            count = live.bit_count()
-            if count < fewest:
-                if count <= 1:
-                    return i, j, live
-                best, fewest = (i, j, live), count
-    return best
-
-
-def stabilizer_of_T(F: FSet, T: TrianglePresentation):
-    """Aut+(T) plus a triple-preserving sigma rho, from the Schreier
-    generators of the orbit of T under Aut(F).  Backs the counting identity
-    on the complete digraph (test_03)."""
-    if verify(F, T):
-        raise IncompatiblePresentation("T fails its axioms against F")
-    return _orbit_stabilizer(T, _bounded_aut_full(F))[1]
-
-
-def _bounded_aut_full(F: FSet) -> AutFull:
-    """Aut(F), after checking |Aut+(F)| against _AUT_LIMIT."""
-    full = aut_full(F)
-    order = full.plus.order()
-    if order > _AUT_LIMIT:
-        raise TooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
-    return full
-
-
-def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
-    """The orbit under Aut(F) of T, one third per pair of F, in walk order,
-    and its stabilizer, from the Schreier generators of that walk.  An
-    orbit member is the tuple of its thirds in out-list order.
-
-    (g, 1) is g after the coordinate swap, so (g, a) * (h, b) = (g*h, a ^ b).
-    The walk moves by the generators of Aut+(F) with bit 0 and full.witness
-    with bit 1.  (g, b) carries the pair (i, j) with third k to (g(i), g(j)),
-    or to (g(j), g(i)) when b = 1, with third g(k): entry t of a moved key
-    is g of entry source[t], for a source built once per generator.  The
-    walk keeps a (u_x, b_x) carrying T to each key x; a move x -> y by
-    (g, b) gives the Schreier generator (u_x * g * u_y^-1, b_x ^ b ^ b_y)
-    (Seress, Permutation Group Algorithms, 4.2).  The first bit-1 one, t, is
-    the witness; Aut+(T) is generated by the bit-0 ones e, t*e*t^-1, and
-    t*s and s*t^-1 for each bit-1 s (Reidemeister-Schreier)."""
-    from .permgrp import Perm, bsgs_build
-
-    pairs = [(i, j) for i, js in enumerate(T.out) for j in js]
-    slot = {p: s for s, p in enumerate(pairs)}
-    moves = [(g, 0) for g in full.plus.generators]
-    if full.witness is not None:
-        moves.append((full.witness, 1))
-    for r, (g, b) in enumerate(moves):
-        v = g.inverse().images
-        moves[r] += ([slot[(v[j], v[i]) if b else (v[i], v[j])] for i, j in pairs],)
-    degree = full.plus.degree
-    orbit = [tuple(chain.from_iterable(T.third))]
-    walk = {orbit[0]: (Perm.identity(degree), 0)}
-    schreier = {}
-    for x in orbit:
-        ux, bx = walk[x]
-        for g, b, source in moves:
-            y = tuple(map(g.images.__getitem__, map(x.__getitem__, source)))
-            if y not in walk:
-                walk[y] = (ux * g, bx ^ b)
-                orbit.append(y)
-                continue
-            uy, by = walk[y]
-            schreier[ux * g * uy.inverse(), bx ^ b ^ by] = None
-    plus = [s for s, bit in schreier if not bit]
-    swaps = [s for s, bit in schreier if bit]
-    witness = swaps[0] if swaps else None
-    if witness is not None:
-        w_inv = witness.inverse()
-        plus += [witness * e * w_inv for e in plus]
-        plus += [witness * s for s in swaps] + [s * w_inv for s in swaps]
-    return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
-
-
-class TClass(Record, eq=False):
-    """One isomorphism class of presentations on a fixed F."""
-
-    representative: TrianglePresentation
-    orbit_size: int
-    aut_order: int
-
-
-def classify(F: FSet) -> list[TClass]:
-    """Orbits of Aut(F) on all compatible presentations, each represented by
-    its first presentation in enumeration order.
-
-    |Aut+(F)| is checked against _AUT_LIMIT before the enumeration starts.
-    orbit * stabilizer = |Aut(F)| per class and the sum of the orbits are
-    checked on every run; a failure raises CheckFailed.
-    """
-    full = _bounded_aut_full(F)
-    allt = enumerate_all(F)
-    keys = [tuple(chain.from_iterable(t.third)) for t in allt]
-    left = set(keys)
-    classes = []
-    for t, key in zip(allt, keys):
-        if key not in left:
-            continue
-        orbit, st = _orbit_stabilizer(t, full)
-        left.difference_update(orbit)
-        if full.order != len(orbit) * st.order:
-            raise CheckFailed(
-                f"|Aut(F)| = {full.order} is not orbit size {len(orbit)} "
-                f"times stabilizer order {st.order}"
-            )
-        classes.append(TClass(t, len(orbit), st.order))
-    total = sum(c.orbit_size for c in classes)
-    if total != len(allt):
-        raise CheckFailed(
-            f"orbit sizes sum to {total}, not to {len(allt)} presentations"
-        )
-    return classes
 
 
 def table_writer(labels):

@@ -3,7 +3,8 @@ group of a link graph, its numpy spectral gap, the generalized-polygon
 check, and the brute-force closure of a permutation group."""
 
 from trigon.autosearch import automorphism_generators
-from trigon.linkgraph import Disconnected, LinkGraph, metrics, spectrum
+from trigon.linkgraph import Disconnected, metrics, spectrum
+from trigon.pairset import LinkGraph
 from trigon.permgrp import Perm, PermGroup, bsgs_build
 
 

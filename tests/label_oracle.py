@@ -27,7 +27,8 @@ import json
 import re
 
 from trigon.catalog import TABLE_TEXTS
-from trigon.linkgraph import AutFull, FSet, LinkGraph
+from trigon.linkgraph import AutFull
+from trigon.pairset import FSet, LinkGraph
 from trigon.permgrp import Perm, bsgs_build
 from trigon.tripres import TrianglePresentation, Violation
 

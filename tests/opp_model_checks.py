@@ -5,8 +5,8 @@ them."""
 
 from trigon.ffield import field_tables
 from trigon.fgroup import make_opp_group
-from trigon.linkgraph import from_F
 from trigon.oppmodel import _building_fset, _parabola_index
+from trigon.pairset import from_F
 
 
 def opp_graph_building(q):

@@ -11,6 +11,7 @@ from label_oracle import act, fset_of, project_F, table, triples_of
 from opp_model_checks import incidence_model_checks, opp_graph_building
 
 from trigon.catalog import TABLE_TEXTS
+from trigon.census import classify, enumerate_all, stabilizer_of_T
 from trigon.cli import present
 from trigon.exoticity import (
     exotic_certificate,
@@ -21,24 +22,12 @@ from trigon.exoticity import (
 from trigon.ffield import factor_prime_power, make_field, trace_to_subfield
 from trigon.fgroup import lambda_orbits
 from trigon.grouptools import abelianization
-from trigon.linkgraph import (
-    FSet,
-    aut_full,
-    aut_plus,
-    from_F,
-    metrics,
-    spectrum,
-)
+from trigon.linkgraph import aut_full, aut_plus, metrics, spectrum
 from trigon.oppmodel import opp_datum, opp_properties
+from trigon.pairset import FSet, from_F
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, r_of_q, singer_datum
-from trigon.tripres import (
-    TrianglePresentation,
-    classify,
-    enumerate_all,
-    stabilizer_of_T,
-    verify,
-)
+from trigon.tripres import TrianglePresentation, verify
 
 GAP_TOL = 1e-6
 EIG_TOL = 1e-8

@@ -17,8 +17,9 @@ from trigon.autosearch import (
     find_isomorphism,
     refine,
 )
-from trigon.linkgraph import aut_full, from_F
+from trigon.linkgraph import aut_full
 from trigon.oppmodel import opp_datum
+from trigon.pairset import from_F
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 

@@ -15,7 +15,7 @@ import pytest
 
 from label_oracle import fset_of, pairs_of, triples_of
 import trigon
-from trigon import cli, exoticity, fgroup, linkgraph, oppmodel, singer, tripres
+from trigon import census, cli, exoticity, fgroup, oppmodel, pairset, singer
 from trigon.catalog import TABLE_TEXTS
 from trigon.cli import kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
@@ -478,7 +478,7 @@ def test_pair_set_over_the_limit_exits_two(capsys, monkeypatch, tmp_path, comman
     def no_search(F):
         raise AssertionError("the enumeration started before the size guard")
 
-    monkeypatch.setattr(tripres, "_exact_covers", no_search)
+    monkeypatch.setattr(census, "_exact_covers", no_search)
     n = 10
     pairs = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     path = tmp_path / "complete10.json"
@@ -643,7 +643,7 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
         def from_F(F):
             link = real_from_F(F)
             adj0 = sorted(set(link.adj[0]) - {lam[0]} | {other_line})
-            return linkgraph.LinkGraph((adj0,) + link.adj[1:])
+            return pairset.LinkGraph((adj0,) + link.adj[1:])
 
         monkeypatch.setattr(exoticity, "from_F", from_F)
     else:
@@ -773,7 +773,7 @@ def test_graph_measures_at_most_the_vertex_limit(capsys, monkeypatch, tmp_path,
     def from_F(F):
         raise Built
 
-    monkeypatch.setattr(linkgraph, "from_F", from_F)
+    monkeypatch.setattr(pairset, "from_F", from_F)
     assert cli._GRAPH_VERTEX_LIMIT == 4096
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"n": n, "F": [], "T": [], "meta": {}}))
@@ -820,9 +820,9 @@ def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, comma
     doc_path = tmp_path / "exquad.json"
     assert run(["quad", "--q", "2", "--format", "json", "-o", str(doc_path)]) == 0
     trivial = AutFull(plus=bsgs_build(21, []), witness=None)
-    real = tripres._orbit_stabilizer
+    real = census._orbit_stabilizer
     monkeypatch.setattr(
-        tripres, "_orbit_stabilizer",
+        census, "_orbit_stabilizer",
         lambda T, full: (real(T, full)[0], trivial),
     )
     code, out, err = invoke(capsys, [command, "--from-json", str(doc_path)])
@@ -917,10 +917,10 @@ MODULES = {
 IMPORT = {"trigon.cli", "trigon.errors"}
 # the modules a family writer loads, pinned: a writer pulls in no other
 JSON_FAMILY = {"trigon.cli", "trigon.documents", "trigon.errors", "trigon.ffield",
-               "trigon.fgroup", "trigon.linkgraph", "trigon.record",
+               "trigon.fgroup", "trigon.pairset", "trigon.record",
                "trigon.singer", "trigon.tripres"}
 GAP_FAMILY = {"trigon.cli", "trigon.errors", "trigon.ffield", "trigon.fgroup",
-              "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
+              "trigon.grouptools", "trigon.oppmodel", "trigon.pairset",
               "trigon.record", "trigon.tripres"}
 # a standard module no command loads: dataclasses brings inspect, ast, dis
 # and tokenize.  fractions, with decimal, is for exotic --bounds only
@@ -932,19 +932,20 @@ NEVER = {"dataclasses"}
     [(None, NEVER | {"fractions"} | MODULES - IMPORT),
      (["opp", "--check", "--q", "9"],
       SYMMETRY | NEVER
-      | {"fractions", "trigon.catalog", "trigon.exoticity", "trigon.grouptools",
-         "trigon.singer", "trigon.tripres"}),
+      | {"fractions", "trigon.catalog", "trigon.census", "trigon.exoticity",
+         "trigon.grouptools", "trigon.singer", "trigon.tripres"}),
      (["singer", "--q", "7", "--all-kappa"],
       SYMMETRY | NEVER
-      | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
-         "trigon.documents"}),
+      | {"trigon.census", "trigon.exoticity", "trigon.grouptools",
+         "trigon.linkgraph", "trigon.oppmodel", "trigon.documents"}),
      (["singer", "--q", "7", "--kappa", "+1"],
       SYMMETRY | NEVER
-      | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel",
-         "trigon.documents"}),
+      | {"trigon.census", "trigon.exoticity", "trigon.grouptools",
+         "trigon.linkgraph", "trigon.oppmodel", "trigon.documents"}),
      (["singer", "--q", "7", "--kappa", "-1", "--format", "json"],
       SYMMETRY | NEVER
-      | {"trigon.exoticity", "trigon.grouptools", "trigon.oppmodel"}),
+      | {"trigon.census", "trigon.exoticity", "trigon.grouptools",
+         "trigon.linkgraph", "trigon.oppmodel"}),
      (["export", "--from-json", "{doc}", "--format", "gap"],
       CONSTRUCTIONS | SYMMETRY | NEVER
       | {"trigon.catalog", "trigon.ffield", "trigon.fgroup"}),
@@ -952,8 +953,9 @@ NEVER = {"dataclasses"}
       CONSTRUCTIONS | NEVER
       | {"trigon.ffield", "trigon.fgroup", "trigon.grouptools"}),
      (["exotic", "--q", "7", "--kappa", "+1"],
-      NEVER | {"fractions", "trigon.catalog", "trigon.documents",
-               "trigon.grouptools", "trigon.oppmodel", "trigon.tripres"}),
+      NEVER | {"fractions", "trigon.catalog", "trigon.census", "trigon.documents",
+               "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
+               "trigon.tripres"}),
      (["quad", "--q", "2", "--all-kappa", "--format", "json"],
       NEVER | MODULES - JSON_FAMILY),
      (["opp", "--q", "7", "--all-kappa", "--format", "gap"],

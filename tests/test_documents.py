@@ -23,7 +23,7 @@ from trigon.documents import (
     parse_document,
 )
 from trigon.errors import ParseError
-from trigon.linkgraph import FSet
+from trigon.pairset import FSet
 from trigon.tripres import TrianglePresentation
 
 SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])

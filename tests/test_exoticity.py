@@ -19,7 +19,7 @@ from trigon.exoticity import (
     sigma_kappa,
 )
 from trigon.fgroup import Datum, lambda_orbits
-from trigon.linkgraph import from_F
+from trigon.pairset import from_F
 from trigon.permgrp import Perm
 from trigon.singer import r_of_q, singer_datum
 

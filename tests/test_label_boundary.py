@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 import label_oracle as oracle
 
+from trigon.census import enumerate_all
 from trigon.cli import kappa_spec_of, present, run
 from trigon.documents import parse_document
 from trigon.grouptools import export_presentation
-from trigon.linkgraph import apply_rho, from_F
 from trigon.oppmodel import _building_fset, opp_datum
+from trigon.pairset import apply_rho, from_F
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import TrianglePresentation, enumerate_all, verify
+from trigon.tripres import TrianglePresentation, verify
 
 
 def first_choice(datum):

@@ -14,21 +14,18 @@ from trigon.autosearch import _neighbor_lists, find_isomorphism
 from trigon.errors import CheckFailed
 from trigon.linkgraph import (
     Disconnected,
-    FSet,
-    LinkGraph,
     _largest_root,
     _minimal_polynomial,
-    apply_rho,
     aut_full,
     aut_plus,
     export_edge_list,
     f_wreath_equivalent,
-    from_F,
     metrics,
     point_transitive_gap,
     spectrum,
 )
 from trigon.oppmodel import a2_graph, opp_datum
+from trigon.pairset import FSet, LinkGraph, apply_rho, from_F
 from trigon.permgrp import Perm
 from trigon.singer import singer_datum
 

@@ -36,9 +36,9 @@ TEST_ONLY = {
          for name in ("elements", "orbits", "restrict", "stabilizer")],
         "perfbench/tracer.py wraps them by name (ROADMAP item 7)",
     ),
-    "tripres.TClass.representative":
+    "census.TClass.representative":
         "the class representatives of the complete-digraph census (test_03)",
-    "tripres.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
+    "census.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
 }
 
 

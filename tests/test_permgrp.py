@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import closure_elements
+from trigon.census import classify, stabilizer_of_T
 from trigon.linkgraph import aut_full
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import (
@@ -14,7 +15,6 @@ from trigon.permgrp import (
     bsgs_build,
 )
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import classify, stabilizer_of_T
 
 
 def test_perm_basics():

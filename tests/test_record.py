@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from coset_enumeration import Exceeded
+from trigon.census import TClass
 from trigon.documents import Document
 from trigon.exoticity import Bounds, Certificate, ExoticProbe
 from trigon.ffield import FieldSpec
 from trigon.fgroup import Datum, FiniteGroup, SignFamily, SubgroupDatum, make_cyclic
 from trigon.grouptools import Abelianization
-from trigon.linkgraph import AutFull, FSet, GraphMetrics, LinkGraph
+from trigon.linkgraph import AutFull, GraphMetrics
 from trigon.oppmodel import A2Model, PropertyReport
+from trigon.pairset import FSet, LinkGraph
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import singer_datum
-from trigon.tripres import TClass, TrianglePresentation, Violation
+from trigon.tripres import TrianglePresentation, Violation
 
 FANO = singer_datum(2)
 # rows as tuples, so that the records hash; the builders' lists do not, as

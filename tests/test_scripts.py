@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from test_family_writer import bend_one_step
-from trigon import tripres
+from trigon import census
 from trigon.cli import kappa_spec_of
 from trigon.linkgraph import AutFull
 from trigon.oppmodel import opp_datum
@@ -60,16 +60,16 @@ def load_script(name):
 
 
 def test_family_census_reports_a_broken_counting_identity(capsys, monkeypatch):
-    census = load_script("family_census")
-    real = tripres._orbit_stabilizer
+    script = load_script("family_census")
+    real = census._orbit_stabilizer
 
     def trivial_stabilizer(T, full):
         trivial = AutFull(plus=bsgs_build(full.plus.degree, []), witness=None)
         return real(T, full)[0], trivial
 
-    monkeypatch.setattr(tripres, "_orbit_stabilizer", trivial_stabilizer)
+    monkeypatch.setattr(census, "_orbit_stabilizer", trivial_stabilizer)
     monkeypatch.setattr(sys, "argv", ["family_census.py", "--q", "2"])
-    assert census.main() == 1
+    assert script.main() == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert "complete digraph on 4: error: |Aut(F)| = 48 is not orbit" in err

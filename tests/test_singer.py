@@ -10,6 +10,7 @@ from graph_oracle import closure_elements, is_generalized_mgon
 from label_oracle import presentation_of, triples_of
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
+from trigon.census import enumerate_all
 from trigon.cli import present
 from trigon.errors import KappaSpecError
 from trigon.ffield import (
@@ -20,10 +21,10 @@ from trigon.ffield import (
     trace_to_subfield,
 )
 from trigon.fgroup import FiniteGroup, lambda_orbits
-from trigon.linkgraph import from_F
+from trigon.pairset import from_F
 from trigon.permgrp import Perm
 from trigon.singer import quad_datum, r_of_q, singer_datum
-from trigon.tripres import enumerate_all, verify
+from trigon.tripres import verify
 
 
 def orbit_split(d):

@@ -19,7 +19,8 @@ from label_oracle import (
     project_F,
     triples_of,
 )
-from trigon import tripres
+from trigon import census, tripres
+from trigon.census import classify, enumerate_all, stabilizer_of_T
 from trigon.cli import present
 from trigon.errors import (
     CheckFailed,
@@ -38,19 +39,12 @@ from trigon.fgroup import (
     make_cyclic,
     subgroup,
 )
-from trigon.linkgraph import AutFull, FSet, apply_rho, aut_full, aut_plus
+from trigon.linkgraph import AutFull, aut_full, aut_plus
 from trigon.oppmodel import opp_datum
+from trigon.pairset import FSet, apply_rho
 from trigon.permgrp import Perm, PermGroup, bsgs_build
 from trigon.singer import quad_datum, singer_datum
-from trigon.tripres import (
-    TrianglePresentation,
-    Violation,
-    classify,
-    enumerate_all,
-    rep_entries,
-    stabilizer_of_T,
-    verify,
-)
+from trigon.tripres import TrianglePresentation, Violation, rep_entries, verify
 
 SQUARE_F = FSet.from_labels((1, 2), [(1, 1), (1, 2), (2, 1), (2, 2)])
 SQUARE_T = TrianglePresentation.from_labels((1, 2), [(1, 1, 2), (2, 2, 2)])
@@ -196,7 +190,7 @@ def test_size_guard_runs_before_the_enumeration(monkeypatch):
     def no_search(F):
         raise AssertionError("the enumeration started before the size guard")
 
-    monkeypatch.setattr(tripres, "_exact_covers", no_search)
+    monkeypatch.setattr(census, "_exact_covers", no_search)
     with pytest.raises(TooLarge, match="3628800 exceeds 1000000"):
         classify(complete_digraph(10))
 
@@ -732,14 +726,14 @@ def test_exact_covers_match_the_scan_at_every_node(monkeypatch, name):
     f = COVER_F[name]()
     want, nodes = scan_every_node(f)
     scans = []
-    full_scan = tripres._most_constrained
+    full_scan = census._most_constrained
 
     def counted(out, inn):
         scans.append(None)
         return full_scan(out, inn)
 
-    monkeypatch.setattr(tripres, "_most_constrained", counted)
-    assert tripres._exact_covers(f) == want
+    monkeypatch.setattr(census, "_most_constrained", counted)
+    assert census._exact_covers(f) == want
     assert 0 < len(scans) <= nodes
 
 
@@ -806,7 +800,7 @@ def _closure(n, movers):
 def walk(F, T, full):
     """The orbit of T, one third per pair of F, under the thirds-key walk,
     as triple sets in walk order, and its stabilizer."""
-    orbit, stab = tripres._orbit_stabilizer(T, full)
+    orbit, stab = census._orbit_stabilizer(T, full)
     return [triples_of(on_rows(F, x)) for x in orbit], stab
 
 
@@ -912,9 +906,9 @@ def test_classify_lists_no_group_elements(monkeypatch):
 
 def test_broken_counting_identity_raises(monkeypatch):
     trivial = AutFull(plus=bsgs_build(ALT_F.n, []), witness=None)
-    real = tripres._orbit_stabilizer
+    real = census._orbit_stabilizer
     monkeypatch.setattr(
-        tripres, "_orbit_stabilizer",
+        census, "_orbit_stabilizer",
         lambda T, full: (real(T, full)[0], trivial),
     )
     assert not issubclass(CheckFailed, ValueError)
