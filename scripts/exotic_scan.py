@@ -21,7 +21,6 @@ from trigon.exoticity import (
     exotic_lower_bounds,
     expected_q0_order,
 )
-from trigon.ffield import factor_prime_power
 from trigon.singer import singer_datum
 
 # the most sign choices, 2^R, whose verdicts are printed one per line
@@ -63,8 +62,7 @@ def main():
             print(f"q={q:3d}  error: {err}", file=sys.stderr)
             status = 1
         if args.bounds:
-            p, e = factor_prime_power(q)
-            b = exotic_lower_bounds(q, e)
+            b = exotic_lower_bounds(q)
             tag = "vacuous" if b.vacuous else "positive"
             print(f"        bound 2^R - e(q-1)q(q+1) = {b.exotic_kappa_lower} ({tag})")
     return status

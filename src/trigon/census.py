@@ -5,17 +5,28 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import CheckFailed, IncompatiblePresentation, TooLarge
+from .errors import CheckFailed, TooLarge
 from .linkgraph import AutFull, aut_full
 from .pairset import FSet, apply_rho
 from .record import Record
-from .tripres import TrianglePresentation, verify
+from .tripres import TrianglePresentation
 
-# the largest |Aut+(F)| classify and stabilizer_of_T accept.  A walk holds
-# its orbit, at most 2 |Aut+(F)| keys of one third per pair of F, at once:
-# a key and its permutation take 4.2 KB on singer --q 7 (456 pairs), so such
-# an orbit there would take 8.4 GB (classify on it peaks at 16 MB)
+# the largest |Aut+(F)| classify accepts.  A walk holds its orbit, at most
+# 2 |Aut+(F)| keys of one third per pair of F, at once: a key and its
+# permutation take 4.2 KB on singer --q 7 (456 pairs), so such an orbit
+# there would take 8.4 GB, had _COVER_LIMIT not refused its listing
+# (classify on it peaks at 16 MB)
 _AUT_LIMIT = 10**6
+
+# the most thirds, covers x |F|, that the exact cover lists.  Every orbit
+# classify walks lies in that list, so this bounds the walk's keys too.  A
+# listed third takes 12-15 bytes: the opp --q 16 and singer --q 16 documents
+# (4,096 and 4,641 pairs) are refused after 0.8-1.1 and 0.6-1.0 s of CPU, at
+# 40 and 46 MB.  classify holds about 30 bytes a third, with its flat keys
+# and an orbit: singer --q 9 (512 covers of 910 pairs) peaks at 30 MB, so an
+# F at the limit would take about 75 MB (peak RSS of a fresh process, 2-core
+# Xeon, Python 3.11)
+_COVER_LIMIT = 2_000_000
 
 
 def enumerate_all(F: FSet):
@@ -53,6 +64,8 @@ def _exact_covers(F: FSet) -> list[tuple]:
     out = [sum(1 << j for j in js) for js in F.out]
     inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
     third = {}
+    size = sum(map(len, F.out))
+    most = _COVER_LIMIT // max(size, 1)
 
     def forced(cleared):
         """(a, b, live thirds) of the first pair that clearing cut to at
@@ -76,6 +89,11 @@ def _exact_covers(F: FSet) -> list[tuple]:
     node = _most_constrained(out, inn)
     while True:
         if node is None:
+            if len(keys) >= most:
+                raise TooLarge(
+                    f"F has more than {most} compatible presentations of "
+                    f"{size} thirds; the limit is {_COVER_LIMIT} thirds in all"
+                )
             keys.append(tuple(
                 [third[i, j] for j in js] for i, js in enumerate(F.out)
             ))
@@ -118,24 +136,6 @@ def _most_constrained(out, inn):
                     return i, j, live
                 best, fewest = (i, j, live), count
     return best
-
-
-def stabilizer_of_T(F: FSet, T: TrianglePresentation):
-    """Aut+(T) plus a triple-preserving sigma rho, from the Schreier
-    generators of the orbit of T under Aut(F).  Backs the counting identity
-    on the complete digraph (test_03)."""
-    if verify(F, T):
-        raise IncompatiblePresentation("T fails its axioms against F")
-    return _orbit_stabilizer(T, _bounded_aut_full(F))[1]
-
-
-def _bounded_aut_full(F: FSet) -> AutFull:
-    """Aut(F), after checking |Aut+(F)| against _AUT_LIMIT."""
-    full = aut_full(F)
-    order = full.plus.order()
-    if order > _AUT_LIMIT:
-        raise TooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
-    return full
 
 
 def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
@@ -203,7 +203,10 @@ def classify(F: FSet) -> list[TClass]:
     orbit * stabilizer = |Aut(F)| per class and the sum of the orbits are
     checked on every run; a failure raises CheckFailed.
     """
-    full = _bounded_aut_full(F)
+    full = aut_full(F)
+    order = full.plus.order()
+    if order > _AUT_LIMIT:
+        raise TooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
     allt = enumerate_all(F)
     keys = [tuple(chain.from_iterable(t.third)) for t in allt]
     left = set(keys)

@@ -102,7 +102,8 @@ _GRAPH_VERTEX_LIMIT = 4_096
 def _check_presentation_size(q, order):
     """Refuse q, after checking that it is a prime power and before the
     field search, if one presentation on the plane of the given order has
-    more than _FAMILY_TRIPLE_LIMIT triples, |G| x |S| = m x (order + 1)."""
+    more than _FAMILY_TRIPLE_LIMIT triples, |G| x |S| = m x (order + 1);
+    else return that size."""
     from .ffield import factor_prime_power
 
     factor_prime_power(q)
@@ -111,6 +112,21 @@ def _check_presentation_size(q, order):
         raise TooLarge(
             f"q = {q} would build presentations of {m} x {s} = {m * s} "
             f"triples; the limit is {_FAMILY_TRIPLE_LIMIT}"
+        )
+    return m * s
+
+
+def _check_family_size(keys, size):
+    """Refuse an --all-kappa family of 2^keys presentations of size triples
+    each if it has more than _FAMILY_TRIPLE_LIMIT triples in all.  singer
+    and quad know their keys from q, so they refuse before the field
+    search."""
+    count = 2 ** keys
+    if count * size > _FAMILY_TRIPLE_LIMIT:
+        raise TooLarge(
+            f"--all-kappa would build {count} presentations of {size} "
+            f"triples, {count * size} triples in all; the limit is "
+            f"{_FAMILY_TRIPLE_LIMIT}"
         )
 
 
@@ -196,14 +212,7 @@ def _present_family(model, q, family, fmt):
 
 def _family_output(model, q, family, args):
     if args.all_kappa:
-        count = 2 ** len(family.keys)
-        size = family.G.n * len(family.S)
-        if count * size > _FAMILY_TRIPLE_LIMIT:
-            raise TooLarge(
-                f"--all-kappa would build {count} presentations of {size} "
-                f"triples, {count * size} triples in all; the limit is "
-                f"{_FAMILY_TRIPLE_LIMIT}"
-            )
+        _check_family_size(len(family.keys), family.G.n * len(family.S))
         return chain.from_iterable(_present_family(model, q, family, args.format))
     kappa = parse_kappa_spec("+1" if args.kappa is None else args.kappa, family)
     meta = {"model": model, "q": q, "kappa": kappa_spec_of(kappa)}
@@ -217,17 +226,22 @@ def _cmd_tables(args):
 
 
 def _cmd_singer(args):
-    from .singer import singer_datum
+    from .singer import r_of_q, singer_datum
 
-    _check_presentation_size(args.q, args.q)
+    size = _check_presentation_size(args.q, args.q)
+    if args.all_kappa:
+        _check_family_size(r_of_q(args.q), size)
     d = singer_datum(args.q, args.modulus)
     return 0, _family_output("singer", d.q, d.signs(), args)
 
 
 def _cmd_quad(args):
-    from .singer import quad_datum
+    from .singer import quad_datum, r_of_q
 
-    _check_presentation_size(args.q, args.q ** 2)
+    size = _check_presentation_size(args.q, args.q ** 2)
+    if args.all_kappa:
+        # the r(q) folding orbits on each of the q^2 - q + 1 cosets of H
+        _check_family_size(r_of_q(args.q) * (args.q ** 2 - args.q + 1), size)
     d = quad_datum(args.q, args.modulus)
     return 0, _family_output("quad", d.q, d.signs(), args)
 
@@ -306,21 +320,19 @@ def _cmd_exotic(args):
     import json
 
     from .exoticity import build_probe, exotic_certificate, exotic_lower_bounds
-    from .ffield import factor_prime_power
     from .singer import r_of_q, singer_datum
 
     if args.kappa is None and not (args.all_kappa or args.bounds):
         raise KappaSpecError("pass --kappa, --all-kappa, or --bounds")
     out = {}
     if args.bounds:
-        _, e = factor_prime_power(args.q)
         r = r_of_q(args.q)
         if r > _BOUNDS_R_LIMIT:
             raise TooLarge(
                 f"--bounds at q = {args.q} would write 2^{r}; the limit is "
                 f"2^{_BOUNDS_R_LIMIT}, 4,300 digits"
             )
-        b = exotic_lower_bounds(args.q, e)
+        b = exotic_lower_bounds(args.q)
         out["bounds"] = {
             "exotic_kappa_lower": b.exotic_kappa_lower,
             "qi_class_lower": str(b.qi_class_lower),

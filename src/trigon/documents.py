@@ -100,6 +100,20 @@ def _expect(blob, key, kind, where):
     return value
 
 
+def _tuples(blob, key, size, noun, known):
+    """The entries of the document's key array, each a list of size labels
+    in known, as tuples."""
+    out = []
+    for i, entry in enumerate(_expect(blob, key, list, "document")):
+        if not isinstance(entry, list) or len(entry) != size:
+            raise ParseError(f"{key}[{i}]: expected a {noun}")
+        for x in entry:
+            if not _is_int(x) or x not in known:
+                raise ParseError(f"{key}[{i}]: index {x} outside the label set")
+        out.append(tuple(entry))
+    return out
+
+
 def parse_document(text: str, strict: bool = True) -> Document:
     """Read the document schema back; strict mode insists the triple list is
     either a full rotation closure or exactly the canonical representatives,
@@ -132,22 +146,8 @@ def parse_document(text: str, strict: bool = True) -> Document:
     else:
         labels = list(range(1, n + 1))
     known = set(labels)
-    pairs = []
-    for i, entry in enumerate(_expect(blob, "F", list, "document")):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError(f"F[{i}]: expected a pair")
-        for x in entry:
-            if not _is_int(x) or x not in known:
-                raise ParseError(f"F[{i}]: index {x} outside the label set")
-        pairs.append(tuple(entry))
-    triples = []
-    for i, entry in enumerate(_expect(blob, "T", list, "document")):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"T[{i}]: expected a triple")
-        for x in entry:
-            if not _is_int(x) or x not in known:
-                raise ParseError(f"T[{i}]: index {x} outside the label set")
-        triples.append(tuple(entry))
+    pairs = _tuples(blob, "F", 2, "pair", known)
+    triples = _tuples(blob, "T", 3, "triple", known)
     if not isinstance(blob.get("meta", {}), dict):
         raise ParseError("document.meta: expected an object")
     T = TrianglePresentation.from_labels(labels, triples)

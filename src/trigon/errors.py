@@ -17,10 +17,6 @@ class UsageError(ValueError):
     is never one, so a plain ValueError is not caught as one."""
 
 
-class IncompatiblePresentation(ValueError):
-    """Raised when an operation needs verify(F, T) to pass and it does not."""
-
-
 class LambdaConditionFailed(CheckFailed):
     """Raised when the folding map breaks its defining identities."""
 

@@ -130,24 +130,18 @@ def exotic_certificate(probe: ExoticProbe, kappa) -> Certificate:
 class Bounds(Record, eq=True):
     """Exact lower bounds on exotic sign choices and quasi-isometry classes."""
 
-    q: int
-    e: int
     exotic_kappa_lower: int
     qi_class_lower: Fraction
     vacuous: bool
 
 
-def exotic_lower_bounds(q, e) -> Bounds:
-    """Evaluate 2^R(q) - e(q-1)q(q+1) and its quasi-isometry companion
-    exactly; a non-positive count makes both bounds vacuous."""
+def exotic_lower_bounds(q) -> Bounds:
+    """Evaluate 2^R(q) - e(q-1)q(q+1), for q = p^e, and its quasi-isometry
+    companion, that count over 2e(q-1)^2 q^3 (q+1), exactly; a non-positive
+    count makes both bounds vacuous."""
     from fractions import Fraction
 
-    p, e_found = factor_prime_power(q)
-    if e_found != e:
-        raise ValueError(f"q = {q} is {p}^{e_found}, not p^{e}")
-    count = 2 ** r_of_q(q) - e * (q - 1) * q * (q + 1)
-    qi = Fraction(count, 2 * e * (q - 1) ** 2 * q ** 3 * (q + 1))
-    return Bounds(
-        q=q, e=e, exotic_kappa_lower=count, qi_class_lower=qi,
-        vacuous=count <= 0,
-    )
+    order = expected_q0_order(q)
+    count = 2 ** r_of_q(q) - order
+    qi = Fraction(count, 2 * (q - 1) * q * q * order)
+    return Bounds(exotic_kappa_lower=count, qi_class_lower=qi, vacuous=count <= 0)

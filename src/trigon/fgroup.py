@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 class FiniteGroup(Record, eq=False):
     """A finite group on indices 0..n-1, given by its right translations:
     translation(s) is the list x -> x*s indexed by x, and 0 is the
-    identity.  Products, inverses and cosets are all read from these lists."""
+    identity.  Products and cosets are read from these lists."""
 
     n: int
     translation: Callable[[int], list[int]]
@@ -41,10 +41,6 @@ class FiniteGroup(Record, eq=False):
     def mul(self, a: int, b: int) -> int:
         """a*b, read from the right translation by b."""
         return self.right(b)[a]
-
-    def inv(self, a: int) -> int:
-        """The x with x*a = 0."""
-        return self.right(a).index(0)
 
     def __repr__(self):
         return f"FiniteGroup(n={self.n})"

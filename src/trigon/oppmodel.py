@@ -24,7 +24,6 @@ class A2Model(Record, eq=False):
     element indices, lines are lead-1 dual vectors, which are the same
     tuples, so points lists both; incidence is a vanishing dot product."""
 
-    q: int
     graph: LinkGraph
     points: tuple
 
@@ -43,7 +42,7 @@ def a2_graph(q):
         for pt in pts
     )
     graph = from_F(FSet(tuple(range(n)), out))
-    return A2Model(q=q, graph=graph, points=pts)
+    return A2Model(graph=graph, points=pts)
 
 
 def _building_fset(q):

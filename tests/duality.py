@@ -1,5 +1,5 @@
-"""The duality claim's maps, which only the tests read: inversion in an
-abelian group, and the mu-rho dual of a presentation, an involution that
+"""The duality claim's maps, which only the tests read: inversion in a
+group, and the mu-rho dual of a presentation, an involution that
 flips every kappa sign (test_06)."""
 
 from label_oracle import image_triples, presentation_of, triples_of
@@ -17,6 +17,11 @@ def is_abelian(G):
     )
 
 
+def inverse(G, a):
+    """The x with x*a = 0 in G."""
+    return G.right(a).index(0)
+
+
 def mu_permutation(G):
     """The inversion map x -> x^{-1} as a permutation of element indices.
 
@@ -24,7 +29,7 @@ def mu_permutation(G):
     so nonabelian groups are rejected."""
     if not is_abelian(G):
         raise NonAbelianGroup("inversion is only an automorphism when abelian")
-    return Perm(tuple(G.inv(a) for a in range(G.n)))
+    return Perm(tuple(inverse(G, a) for a in range(G.n)))
 
 
 def murho_dual(T, G):

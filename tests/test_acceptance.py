@@ -10,8 +10,9 @@ from graph_oracle import closure_elements
 from label_oracle import act, fset_of, project_F, table, triples_of
 from opp_model_checks import incidence_model_checks, opp_graph_building
 
+from trigon import census
 from trigon.catalog import TABLE_TEXTS
-from trigon.census import classify, enumerate_all, stabilizer_of_T
+from trigon.census import classify, enumerate_all
 from trigon.cli import present
 from trigon.exoticity import (
     exotic_certificate,
@@ -91,7 +92,7 @@ def test_03_complete_digraph_pair_and_counting_identity():
     assert triples_of(t1) != triples_of(t2)
     assert aut_plus(ALT_F).order() == 24
     assert aut_full(ALT_F).order == 48
-    st = stabilizer_of_T(ALT_F, t1)
+    st = census._orbit_stabilizer(t1, aut_full(ALT_F))[1]
     assert st.plus.order() == 12
     assert st.order == 24
     cls = classify(ALT_F)
@@ -193,11 +194,11 @@ def test_10_exoticity_pipeline(probe_for):
 
 
 def test_11_lower_bound_evaluations():
-    b2 = exotic_lower_bounds(2, 1)
+    b2 = exotic_lower_bounds(2)
     assert (b2.exotic_kappa_lower, b2.vacuous) == (-4, True)
-    b3 = exotic_lower_bounds(3, 1)
+    b3 = exotic_lower_bounds(3)
     assert (b3.exotic_kappa_lower, b3.vacuous) == (-22, True)
-    b64 = exotic_lower_bounds(64, 6)
+    b64 = exotic_lower_bounds(64)
     assert (b64.exotic_kappa_lower, b64.vacuous) == (524672, False)
     assert b64.exotic_kappa_lower == 2 ** 21 - 6 * 63 * 64 * 65
 

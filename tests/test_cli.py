@@ -488,27 +488,100 @@ def test_pair_set_over_the_limit_exits_two(capsys, monkeypatch, tmp_path, comman
     assert err == f"trigon {command}: |Aut+(F)| = 3628800 exceeds 1000000\n"
 
 
+@pytest.mark.parametrize("command, model, covers, pairs", [
+    ("classify", "opp", 488, 4096), ("enumerate", "singer", 430, 4641),
+])
+def test_covers_over_the_limit_exit_two_in_a_fresh_process(
+        tmp_path, command, model, covers, pairs):
+    """The q = 16 documents of opp and singer pass the |Aut+(F)| guard, but
+    their compatible presentations are too many to list (2^80 for opp):
+    classify grew past 1.3 GB in 30 s.  The listing stops with one line
+    once it would pass the cover limit, after about a second of CPU."""
+    path = tmp_path / f"{model}16.json"
+    argv = [model, "--q", "16", "--kappa", "+1", "--format", "json"]
+    assert run([*argv, "-o", str(path)]) == 0
+    assert covers * pairs <= census._COVER_LIMIT < (covers + 1) * pairs
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigon.cli", command, "--from-json", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"trigon {command}: F has more than {covers} compatible presentations "
+        f"of {pairs} thirds; the limit is {census._COVER_LIMIT} thirds in all\n"
+    )
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 3.0
+
+
 @pytest.mark.parametrize(
-    "q, presentations, size", [(4, 2**13, 4641), (5, 2**42, 16926)]
+    "model, q, presentations, size",
+    [("quad", 4, 2**13, 4641), ("quad", 5, 2**42, 16926),
+     ("singer", 25, 2**8, 16926)],
 )
-def test_family_over_the_limit_exits_two(capsys, monkeypatch, q, presentations,
-                                         size):
-    """quad --q 4 --all-kappa asks for 8,192 presentations and quad --q 5
-    for 2^42; the guard refuses both before the first build."""
+def test_family_over_the_limit_exits_two(capsys, monkeypatch, model, q,
+                                         presentations, size):
+    """quad --q 4 --all-kappa asks for 8,192 presentations, quad --q 5 for
+    2^42 and singer --q 25, the first singer q refused, for 256; the guard
+    reads q alone, so it refuses before the datum and its field search."""
 
-    def no_build(self, kappa):
-        raise AssertionError("a presentation was built before the size guard")
+    def no_datum(q, modulus):
+        raise AssertionError("the datum was built before the size guard")
 
-    monkeypatch.setattr(fgroup.SignFamily, "build", no_build)
-    code, out, err = invoke(capsys, ["quad", "--q", str(q), "--all-kappa"])
+    monkeypatch.setattr(singer, "singer_datum", no_datum)
+    monkeypatch.setattr(singer, "quad_datum", no_datum)
+    code, out, err = invoke(capsys, [model, "--q", str(q), "--all-kappa"])
     assert (code, out) == (2, "")
     total = presentations * size
     assert total > cli._FAMILY_TRIPLE_LIMIT
     assert err == (
-        f"trigon quad: --all-kappa would build {presentations} presentations "
+        f"trigon {model}: --all-kappa would build {presentations} presentations "
         f"of {size} triples, {total} triples in all; the limit is "
         f"{cli._FAMILY_TRIPLE_LIMIT}\n"
     )
+
+
+@pytest.mark.parametrize("model, q", [
+    *(("singer", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)),
+    *(("quad", q) for q in (2, 3, 4)),
+])
+def test_family_guard_from_q_counts_the_built_family(monkeypatch, model, q):
+    """The keys and the presentation size that singer and quad --all-kappa
+    check from q alone are those of the family the datum then builds."""
+    seen = []
+
+    def stop(keys, size):
+        seen.append((keys, size))
+        raise TooLarge("stop")
+
+    monkeypatch.setattr(cli, "_check_family_size", stop)
+    assert run([model, "--q", str(q), "--all-kappa"]) == 2
+    family = (singer_datum if model == "singer" else quad_datum)(q).signs()
+    assert seen == [(len(family.keys), family.G.n * len(family.S))]
+
+
+def test_family_refuses_from_q_in_a_fresh_process():
+    """quad --q 11 --all-kappa spent 3 s of CPU, most of it in the Conway
+    search for GF(11^6), before the family guard read the built datum; now
+    the refusal costs a start."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigon.cli", "quad", "--q", "11", "--all-kappa"],
+        capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    # r(11) = 4 keys on each of the 111 cosets; 14,763 x 122 triples each
+    count, size = 2 ** (4 * 111), 14763 * 122
+    assert proc.stderr == (
+        f"trigon quad: --all-kappa would build {count} presentations of "
+        f"{size} triples, {count * size} triples in all; the limit is "
+        f"{cli._FAMILY_TRIPLE_LIMIT}\n"
+    )
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 1.0
 
 
 @pytest.mark.parametrize(

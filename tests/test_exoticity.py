@@ -8,7 +8,7 @@ import pytest
 from graph_oracle import graph_automorphisms
 from label_oracle import triples_of
 from trigon import cli, singer
-from trigon.errors import KappaSpecError, LambdaConditionFailed
+from trigon.errors import KappaSpecError, LambdaConditionFailed, NotPrime
 from trigon.exoticity import (
     Bounds,
     OrderMismatch,
@@ -227,26 +227,23 @@ def test_order_mismatch_on_tampered_datum():
 
 
 def test_bounds_exact_small():
-    b2 = exotic_lower_bounds(2, 1)
+    b2 = exotic_lower_bounds(2)
     assert b2 == Bounds(
-        q=2, e=1, exotic_kappa_lower=-4,
-        qi_class_lower=Fraction(-1, 12), vacuous=True,
+        exotic_kappa_lower=-4, qi_class_lower=Fraction(-1, 12), vacuous=True,
     )
-    b3 = exotic_lower_bounds(3, 1)
+    b3 = exotic_lower_bounds(3)
     assert b3.exotic_kappa_lower == -22
     assert b3.qi_class_lower == Fraction(-11, 432)
     assert b3.vacuous
 
 
 def test_bounds_q64():
-    b = exotic_lower_bounds(64, 6)
+    b = exotic_lower_bounds(64)
     assert b.exotic_kappa_lower == 2 ** 21 - 6 * 63 * 64 * 65 == 524672
     assert b.qi_class_lower == Fraction(524672, 2 * 6 * 63 ** 2 * 64 ** 3 * 65)
     assert not b.vacuous
 
 
 def test_bounds_validate_the_exponent():
-    with pytest.raises(ValueError):
-        exotic_lower_bounds(8, 2)
-    with pytest.raises(Exception):
-        exotic_lower_bounds(6, 1)
+    with pytest.raises(NotPrime):
+        exotic_lower_bounds(6)

@@ -30,7 +30,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # public names only the tests call, each with the paper claim or the oracle
 # role that keeps it
 TEST_ONLY = {
-    "fgroup.FiniteGroup.inv": "the inversion map of the duality claim (test_06)",
     **dict.fromkeys(
         [f"permgrp.PermGroup.{name}"
          for name in ("elements", "orbits", "restrict", "stabilizer")],
@@ -38,7 +37,6 @@ TEST_ONLY = {
     ),
     "census.TClass.representative":
         "the class representatives of the complete-digraph census (test_03)",
-    "census.stabilizer_of_T": "the complete-digraph counting identity (test_03)",
 }
 
 

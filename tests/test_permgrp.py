@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import closure_elements
-from trigon.census import classify, stabilizer_of_T
+from trigon import census
+from trigon.census import classify
 from trigon.linkgraph import aut_full
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import (
@@ -282,11 +283,12 @@ def test_census_chains_match_closure(name):
     each against the closure of its generators; every element of Aut+(F)
     is sifted through each stabilizer's chain."""
     f = CENSUS_F[name]()
-    plus = aut_full(f).plus
+    aut = aut_full(f)
+    plus = aut.plus
     brute = closure_elements(f.n, plus.generators)
     check_chain_against_closure(plus, brute, [])
     for c in classify(f):
-        full = stabilizer_of_T(f, c.representative)
+        full = census._orbit_stabilizer(c.representative, aut)[1]
         assert full.order == c.aut_order
         st = full.plus
         check_chain_against_closure(

@@ -32,8 +32,8 @@ VALUE = [
      {"T": TrianglePresentation((1, 2), ((1,), (1,)), ((1,), (1,)))}),
     (Certificate, {"q": 2, "kappa": ((1, 1),), "sigma": Perm((1, 2, 0)), "member": True},
      {"member": False}),
-    (Bounds, {"q": 2, "e": 1, "exotic_kappa_lower": -40,
-              "qi_class_lower": Fraction(-5, 12), "vacuous": True},
+    (Bounds, {"exotic_kappa_lower": -40, "qi_class_lower": Fraction(-5, 12),
+              "vacuous": True},
      {"qi_class_lower": Fraction(-5, 13)}),
     (FieldSpec, {"p": 2, "e": 2, "modulus": (1, 1, 1), "primitive": True},
      {"modulus": (1, 1, 0)}),
@@ -60,7 +60,7 @@ IDENTITY = [
     (SignFamily, {"G": FANO.G, "S": FANO.S, "lam": FANO.lam, "H": FANO.H}),
     (LinkGraph, {"adj": LINK.adj}),
     (AutFull, {"plus": bsgs_build(2, []), "witness": None}),
-    (A2Model, {"q": 2, "graph": LINK, "points": ((0, 0, 1), (0, 1, 0))}),
+    (A2Model, {"graph": LINK, "points": ((0, 0, 1), (0, 1, 0))}),
     (TClass, {"representative": SQUARE_T, "orbit_size": 1, "aut_order": 2}),
 ]
 

@@ -20,11 +20,10 @@ from label_oracle import (
     triples_of,
 )
 from trigon import census, tripres
-from trigon.census import classify, enumerate_all, stabilizer_of_T
+from trigon.census import classify, enumerate_all
 from trigon.cli import present
 from trigon.errors import (
     CheckFailed,
-    IncompatiblePresentation,
     KappaSpecError,
     LambdaConditionFailed,
     TooLarge,
@@ -197,17 +196,11 @@ def test_size_guard_runs_before_the_enumeration(monkeypatch):
 
 def test_stabilizer_alt():
     t1 = enumerate_all(ALT_F)[0]
-    st = stabilizer_of_T(ALT_F, t1)
+    st = census._orbit_stabilizer(t1, aut_full(ALT_F))[1]
     assert st.plus.order() == 12
     assert st.witness is not None
     assert triples_of(act(t1, st.witness, use_rho=True)) == triples_of(t1)
     assert st.order == 24
-
-
-def test_stabilizer_rejects_incompatible():
-    broken = TrianglePresentation.from_labels((1, 2), [(1, 1, 2)])
-    with pytest.raises(IncompatiblePresentation):
-        stabilizer_of_T(SQUARE_F, broken)
 
 
 def test_classify_alt():
@@ -308,11 +301,11 @@ def test_build_t_kappa_twist():
         assert {a, b, c} <= coset2
     f = project_F(t1)
     assert verify(f, t2) == []
-    st1 = stabilizer_of_T(f, t1)
-    st2 = stabilizer_of_T(f, t2)
+    full = aut_full(f)
+    st1 = census._orbit_stabilizer(t1, full)[1]
+    st2 = census._orbit_stabilizer(t2, full)[1]
     assert st1.order == 126 and st1.witness is None
     assert st2.order == 42 and st2.witness is None
-    full = aut_full(f)
     orbits = [set(walk(f, c.representative, full)[0]) for c in classify(f)]
     assert [(triples_of(t1) in o, triples_of(t2) in o) for o in orbits] == [
         (True, False), (False, True)
@@ -748,12 +741,25 @@ def _fixes(t, witness):
     return triples_of(act(t, witness, use_rho=True)) == triples_of(t)
 
 
+def test_cover_limit_admits_exactly_its_thirds(monkeypatch):
+    """singer --q 8 has 8 covers of 657 pairs: a limit of 8 x 657 thirds
+    lists them all, one third less refuses the eighth."""
+    f = singer_datum(8).F()
+    monkeypatch.setattr(census, "_COVER_LIMIT", 8 * 657)
+    assert len(census._exact_covers(f)) == 8
+    monkeypatch.setattr(census, "_COVER_LIMIT", 8 * 657 - 1)
+    with pytest.raises(TooLarge, match="more than 7 compatible presentations "
+                                       "of 657 thirds"):
+        census._exact_covers(f)
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
 def test_classify_matches_act_relabelings(name):
     f = DIFFERENTIAL_F[name]()
+    full = aut_full(f)
     got = []
     for c in classify(f):
-        st = stabilizer_of_T(f, c.representative)
+        st = census._orbit_stabilizer(c.representative, full)[1]
         assert c.aut_order == st.order
         assert st.witness is None or _fixes(c.representative, st.witness)
         got.append((triples_of(c.representative), c.orbit_size,
@@ -775,8 +781,9 @@ def test_census_stabilizers_match_act_relabelings(name):
     f = CENSUS_F[name]()
     classes = classify(f)
     assert sum(c.orbit_size for c in classes) == len(enumerate_all(f))
+    full = aut_full(f)
     for c in classes:
-        st = stabilizer_of_T(f, c.representative)
+        st = census._orbit_stabilizer(c.representative, full)[1]
         plus, witness = oracle_stabilizer(f, c.representative)
         assert _elements(st.plus) == _elements(plus)
         assert (st.witness is None) == (witness is None)
@@ -900,8 +907,10 @@ def test_classify_lists_no_group_elements(monkeypatch):
     monkeypatch.setattr(PermGroup, "elements", no_elements)
     for f in (ALT_F, quad_datum(2).F()):
         classes = classify(f)
+        full = aut_full(f)
         for c in classes:
-            assert stabilizer_of_T(f, c.representative).order == c.aut_order
+            st = census._orbit_stabilizer(c.representative, full)[1]
+            assert st.order == c.aut_order
 
 
 def test_broken_counting_identity_raises(monkeypatch):
