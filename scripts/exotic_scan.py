@@ -5,7 +5,9 @@ graph, by an automorphism search with that vertex colored apart, so the
 printed |Q0| column is a measurement, not the closed formula; the formula
 value sits next to it for comparison.  Verdicts enumerate all 2^R sign
 choices when R is small enough to print.  A q whose probe fails a check, its
-|Q0| included, is reported on stderr and makes the exit status 1.
+|Q0| included, is reported on stderr and makes the exit status 1; a q the
+constructions refuse, such as one that is not a prime power, ends the scan
+with exit status 2.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import sys
 import time
 
 from trigon.cli import kappa_spec_of
+from trigon.errors import UsageError
 from trigon.exoticity import (
     ProbeCheckFailed,
     build_probe,
@@ -55,16 +58,20 @@ def main():
                     help="also print the counting lower bounds")
     args = ap.parse_args()
     status = 0
-    for q in args.q:
-        try:
-            scan_one(q)
-        except ProbeCheckFailed as err:
-            print(f"q={q:3d}  error: {err}", file=sys.stderr)
-            status = 1
-        if args.bounds:
-            b = exotic_lower_bounds(q)
-            tag = "vacuous" if b.vacuous else "positive"
-            print(f"        bound 2^R - e(q-1)q(q+1) = {b.exotic_kappa_lower} ({tag})")
+    try:
+        for q in args.q:
+            try:
+                scan_one(q)
+            except ProbeCheckFailed as err:
+                print(f"q={q:3d}  error: {err}", file=sys.stderr)
+                status = 1
+            if args.bounds:
+                b = exotic_lower_bounds(q)
+                tag = "vacuous" if b.vacuous else "positive"
+                print(f"        bound 2^R - e(q-1)q(q+1) = {b.exotic_kappa_lower} ({tag})")
+    except UsageError as err:
+        print(f"{ap.prog}: {err}", file=sys.stderr)
+        return 2
     return status
 
 

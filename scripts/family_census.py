@@ -3,7 +3,9 @@
 Enumerates every compatible presentation once and groups them into
 isomorphism classes; classify checks orbit * stabilizer = |Aut(F)| on each
 class and that the orbits cover every presentation.  A failed check is
-reported on stderr and makes the exit status 1.
+reported on stderr and makes the exit status 1; a q the constructions
+refuse, such as one that is not a prime power, ends the census with exit
+status 2.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import sys
 import time
 
 from trigon.census import classify
-from trigon.errors import CheckFailed
+from trigon.errors import CheckFailed, UsageError
 from trigon.pairset import FSet
 from trigon.singer import quad_datum, singer_datum
 
@@ -32,22 +34,26 @@ def main():
     ap.add_argument("--q", type=int, nargs="*", default=[2, 3])
     args = ap.parse_args()
     status = 0
-    for name, f in instances(args.q):
-        t0 = time.time()
-        try:
-            classes = classify(f)
-        except CheckFailed as err:
-            print(f"{name}: error: {err}", file=sys.stderr)
-            status = 1
-            continue
-        found = sum(c.orbit_size for c in classes)
-        # classify checked orbit x stabilizer = |Aut(F)| on every class
-        aut = classes[0].orbit_size * classes[0].aut_order
-        print(f"{name}: {found} presentations, {len(classes)} classes, "
-              f"|Aut(F)| = {aut}  ({time.time() - t0:.2f}s)")
-        for i, c in enumerate(classes, start=1):
-            print(f"    class {i}: orbit {c.orbit_size} x stabilizer "
-                  f"{c.aut_order} = {c.orbit_size * c.aut_order}")
+    try:
+        for name, f in instances(args.q):
+            t0 = time.time()
+            try:
+                classes = classify(f)
+            except CheckFailed as err:
+                print(f"{name}: error: {err}", file=sys.stderr)
+                status = 1
+                continue
+            found = sum(c.orbit_size for c in classes)
+            # classify checked orbit x stabilizer = |Aut(F)| on every class
+            aut = classes[0].orbit_size * classes[0].aut_order
+            print(f"{name}: {found} presentations, {len(classes)} classes, "
+                  f"|Aut(F)| = {aut}  ({time.time() - t0:.2f}s)")
+            for i, c in enumerate(classes, start=1):
+                print(f"    class {i}: orbit {c.orbit_size} x stabilizer "
+                      f"{c.aut_order} = {c.orbit_size * c.aut_order}")
+    except UsageError as err:
+        print(f"{ap.prog}: {err}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -3,7 +3,8 @@
 Prints the seven structural facts per q, then for q = 1 mod 3 builds all
 2^((q-1)/3) twisted presentations, verifies them, and reports their
 abelianizations as a cheap distinguishing invariant.  A failed checklist
-row or twist check makes the exit status 1.
+row or twist check makes the exit status 1; a q the constructions refuse,
+such as one that is not a prime power, ends the report with exit status 2.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 import time
 
 from trigon.cli import kappa_spec_of
-from trigon.errors import TwistCheckFailed
+from trigon.errors import TwistCheckFailed, UsageError
 from trigon.grouptools import abelianization
 from trigon.oppmodel import opp_datum, opp_properties
 
@@ -52,11 +53,15 @@ def main():
     ap.add_argument("--family-q", type=int, nargs="*", default=[4, 7, 13])
     args = ap.parse_args()
     all_ok = True
-    for q in args.q:
-        all_ok &= checklist(q)
-    for q in args.family_q:
-        print(f"twist family at q={q}:")
-        all_ok &= family(q)
+    try:
+        for q in args.q:
+            all_ok &= checklist(q)
+        for q in args.family_q:
+            print(f"twist family at q={q}:")
+            all_ok &= family(q)
+    except UsageError as err:
+        print(f"{ap.prog}: {err}", file=sys.stderr)
+        raise SystemExit(2)
     raise SystemExit(0 if all_ok else 1)
 
 

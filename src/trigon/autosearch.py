@@ -26,11 +26,13 @@ from .permgrp import Perm
 
 def _neighbor_lists(adj):
     """(out-lists,) for a symmetric digraph, else (out-lists, in-lists).  The
-    out-lists are sorted lists, the form the in-lists are built in, so the
-    two compare equal exactly when the digraph is symmetric.  An out-list
-    that is not strictly increasing, a repeated arc among them, is refused:
-    refine counts each neighbor of a one-vertex splitter once."""
-    outs = list(adj)
+    out-lists are adj's rows, a row that is not a list copied into one: the
+    in-lists are built as sorted lists, so the two compare equal exactly
+    when the digraph is symmetric, and _maps_arcs compares a sorted image
+    list with them.  An out-list that is not strictly increasing, a
+    repeated arc among them, is refused: refine counts each neighbor of a
+    one-vertex splitter once."""
+    outs = [ws if type(ws) is list else list(ws) for ws in adj]
     ins = [[] for _ in outs]
     for v, ws in enumerate(outs):
         prev = -1
@@ -260,14 +262,13 @@ def refine(nbrs, part, queue, ref=None):
     return trace
 
 
-def _maps_arcs(outs1, targets, images):
-    """Whether images carries every arc of the first digraph to an arc of the
-    second, whose out-neighbor sets are targets.  A bijection between
-    digraphs with as many arcs, neither with a repeated one, that passes is
-    an isomorphism."""
+def _maps_arcs(outs1, outs2, images):
+    """Whether images carries every out-list of the first digraph onto the
+    out-list of the image vertex in the second; out-lists are strictly
+    increasing, so a bijection that passes is an isomorphism."""
     get = images.__getitem__
     return all(
-        targets[images[v]].issuperset(map(get, ws)) for v, ws in enumerate(outs1)
+        sorted(map(get, ws)) == outs2[images[v]] for v, ws in enumerate(outs1)
     )
 
 
@@ -299,24 +300,23 @@ def _leftmost_path(nbrs, part):
     return parts, traces, part.verts
 
 
-def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs, targets):
+def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs):
     """The images of the first leaf below part, its target-cell vertices
     tried in increasing order, whose refinement follows traces from depth
-    on and whose map from ref_verts carries the arcs of the out-lists
-    ref_outs into targets, the out-neighbor sets of nbrs[0]; None if there
-    is none."""
+    on and whose map from ref_verts carries the out-lists ref_outs onto
+    nbrs[0]; None if there is none."""
     s = part.target()
     if s is None:
         images = [0] * len(ref_verts)
         for a, b in zip(ref_verts, part.verts):
             images[a] = b
-        return images if _maps_arcs(ref_outs, targets, images) else None
+        return images if _maps_arcs(ref_outs, nbrs[0], images) else None
     for w in sorted(part.verts[s:part.end[s]]):
         child = part.copy()
         sp = child.individualize(w)
         if refine(nbrs, child, [sp], traces[depth]) is not None:
             images = _first_leaf(nbrs, child, depth + 1, traces, ref_verts,
-                                 ref_outs, targets)
+                                 ref_outs)
             if images is not None:
                 return images
     return None
@@ -336,7 +336,6 @@ def automorphism_generators(adj, colors=None):
     root = _Partition.from_colors(colors)
     refine(nbrs, root, root.starts())
     parts, traces, ref_verts = _leftmost_path(nbrs, root)
-    targets = [set(ws) for ws in nbrs[0]]
     gens: list[Perm] = []
     for depth in range(len(parts) - 1, -1, -1):
         part = parts[depth]
@@ -358,7 +357,7 @@ def automorphism_generators(adj, colors=None):
             sp = child.individualize(v)
             if refine(nbrs, child, [sp], traces[depth]) is not None:
                 images = _first_leaf(nbrs, child, depth + 1, traces,
-                                     ref_verts, nbrs[0], targets)
+                                     ref_verts, nbrs[0])
                 if images is not None:
                     gens.append(Perm(images))
             done.append(v)
@@ -390,6 +389,5 @@ def find_isomorphism(adj1, adj2, colors1=None, colors2=None):
     if refine(nbrs2, p2, p2.starts(), t1) is None:
         return None
     _, traces, verts1 = _leftmost_path(nbrs1, p1)
-    targets = [set(ws) for ws in nbrs2[0]]
-    images = _first_leaf(nbrs2, p2, 0, traces, verts1, nbrs1[0], targets)
+    images = _first_leaf(nbrs2, p2, 0, traces, verts1, nbrs1[0])
     return None if images is None else Perm(images)

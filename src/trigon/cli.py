@@ -73,8 +73,8 @@ def kappa_spec_of(kappa):
 # of CPU and 23 MB (peak RSS of a fresh process).  One presentation is held
 # whole, and its text as the texts of its rows, so for it this bounds
 # memory, at 85-130 bytes a triple: singer --q 157 --kappa +1 (3,919,506
-# triples; q = 163 is refused) peaks at 370 MB as a table, 330 MB as gap and
-# 505 MB as json, and singer --q 67 (309,876) at 43, 40 and 54 MB (peak RSS,
+# triples; q = 163 is refused) peaks at 251 MB as a table, 211 MB as gap and
+# 387 MB as json, and singer --q 67 (309,876) at 34, 31 and 45 MB (peak RSS,
 # 2-core Xeon, Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
@@ -533,9 +533,31 @@ def _build_parser():
     return ap
 
 
+# the least characters _write_parts hands a stream at once, but for the last
+# write: under PYTHONUNBUFFERED each write to stdout is one write(2)
+_CHUNK = 65_536
+
+
+def _write_parts(fh, parts):
+    """Write the texts of parts, taken as they are made, joined into writes
+    of at least _CHUNK characters; the texts made before an error that
+    stops parts are still written."""
+    buf, size = [], 0
+    try:
+        for part in parts:
+            buf.append(part)
+            size += len(part)
+            if size >= _CHUNK:
+                text, buf, size = "".join(buf), [], 0
+                fh.write(text)
+    finally:
+        if buf:
+            fh.write("".join(buf))
+
+
 def _dispatch(args):
     """Run the handler and write its output: one text, or an iterator of
-    texts (--all-kappa), each written as soon as it is made; 141, as a shell
+    texts (--all-kappa), written in chunks as they are made; 141, as a shell
     reports a process that SIGPIPE ends, where stdout is a pipe whose reader
     closed it.  A warning the handler raises becomes one 'trigon <cmd>:
     warning:' line on stderr."""
@@ -550,10 +572,10 @@ def _dispatch(args):
                     print(f"trigon {args.subcommand}: {err}", file=sys.stderr)
                     return 2
                 with fh:
-                    fh.writelines(parts)
+                    _write_parts(fh, parts)
             else:
                 try:
-                    sys.stdout.writelines(parts)
+                    _write_parts(sys.stdout, parts)
                     sys.stdout.flush()
                 except BrokenPipeError:
                     # the reader is gone: make no more texts, and send what

@@ -80,10 +80,13 @@ def make_cyclic(m: int) -> FiniteGroup:
     """The additive cyclic group Z/m on {0..m-1}."""
     if m < 1:
         raise ValueError("order must be positive")
+    # every translation is a rotation of one list, so the cached rows share
+    # its int objects instead of each making its own above 256
+    elems = list(range(m))
 
     def translation(s):
         s %= m
-        return [*range(s, m), *range(s)]
+        return elems[s:] + elems[:s]
 
     return FiniteGroup(n=m, translation=translation)
 
@@ -98,16 +101,20 @@ def make_opp_group(q: int) -> FiniteGroup:
 
     A right translation x -> x*s is built a block of q at a time: for fixed
     y1 the z1 entry of (y1,z1)*(y2,z2) is z1 + (z2 + y1*y2), so the block is
-    one row of the addition table shifted by the block's y index.
+    one row of the addition table shifted by the block's y index.  It picks
+    its entries from one list of the elements, so the cached translations
+    share their int objects.
     """
     add, mul, _ = field_tables(q)
+    elems = list(range(q * q))
 
     def translation(s):
         y2, z2 = divmod(s, q)
         out = []
         for y1 in range(q):
             base = add[y1][y2] * q
-            out += [base + v for v in add[add[z2][mul[y1][y2]]]]
+            block = elems[base:base + q]
+            out += map(block.__getitem__, add[add[z2][mul[y1][y2]]])
         return out
 
     return FiniteGroup(n=q * q, translation=translation)

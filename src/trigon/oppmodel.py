@@ -14,8 +14,9 @@ from .record import Record
 
 # the most link-graph edges, q^3, that opp_datum accepts, so every q <= 81.
 # The pair set and the neighbor lists grow as q^3, the bitmasks of the
-# metrics BFS as q^4 bits: opp --check took 0.7 s and 66 MB at q = 64 and
-# 1.7 s and 120 MB at q = 81 (2-core Xeon, Python 3.11).
+# metrics BFS as q^4 bits: opp --check took 0.4-0.5 s and 39 MB at q = 64
+# and 0.6-1.0 s and 64 MB at q = 81 (peak RSS of a fresh process, 2-core
+# Xeon, Python 3.11).
 _EDGE_LIMIT = 81 ** 3
 
 

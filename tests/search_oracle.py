@@ -2,9 +2,8 @@
 reference path: automorphism_generators recurses with an on-reference flag,
 and find_isomorphism re-refines the first side at every node it enters on
 the second.  Kept verbatim as the differential oracle for the leftmost path
-and first-match descent that replaced them, with the leaf check they made
-then, which sorts the image of every out-list, in place of the set lookups
-of the package's _maps_arcs."""
+and first-match descent that replaced them, with its own copy of the leaf
+check, which sorts the image of every out-list."""
 
 from trigon.autosearch import (
     _extend_orbit,

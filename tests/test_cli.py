@@ -2,7 +2,9 @@
 
 import argparse
 import gc
+import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -221,6 +223,41 @@ def test_a_closed_pipe_ends_the_family_with_141():
     _, err = proc.communicate(timeout=60)
     assert head.startswith(b"kappa 1:+1;")
     assert (proc.returncode, err) == (141, b"")
+
+
+class CountingWriter(io.RawIOBase):
+    """A raw stream that keeps what it is given and counts its write calls,
+    as a file descriptor counts write(2) calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.calls += 1
+        self.data += b
+        return len(b)
+
+
+def test_a_family_is_written_in_chunks(monkeypatch):
+    """Under PYTHONUNBUFFERED stdout is a write-through text layer over the
+    descriptor, so each text handed to it is one write(2).  The family's
+    thousands of texts reach it as writes of 64 KiB or more, but for the
+    last, with the bytes the benchmark's reference pins."""
+    key = "singer --q 13 --all-kappa --format json"
+    reference = json.loads((Path(__file__).resolve().parent.parent
+                            / "perfbench" / "reference.json").read_text())
+    want = reference["invocations"][key]
+    raw = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        raw, encoding="utf-8", write_through=True))
+    assert run(key.split()) == want["exit"] == 0
+    assert len(raw.data) == want["bytes"]
+    assert hashlib.sha256(raw.data).hexdigest() == want["sha256"]
+    assert raw.calls <= -(-len(raw.data) // 65_536) + 1
 
 
 def test_exotic_certificates_and_bounds(capsys):

@@ -165,6 +165,18 @@ def test_right_translation_is_built_once():
     assert g.right(0) == list(range(7))
 
 
+@pytest.mark.parametrize("group", [lambda: make_cyclic(1000),
+                                   lambda: make_opp_group(17)],
+                         ids=["cyclic", "opp"])
+def test_translations_share_their_element_ints(group):
+    """Two cached translations hold the same int object for each element,
+    above 256 too, where building each by arithmetic makes its own."""
+    g = group()
+    a, b = g.right(3), g.right(g.n - 1)
+    assert sorted(a) == sorted(b) == list(range(g.n))
+    assert set(map(id, a)) == set(map(id, b))
+
+
 @pytest.mark.parametrize(
     "q,expected",
     [(2, (4,)), (3, (3, 3)), (4, (4, 4)), (5, (5, 5)), (8, (4, 4, 4))],

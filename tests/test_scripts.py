@@ -1,5 +1,5 @@
-"""The scripts under scripts/ run to completion at small sizes, and report a
-failed check with exit status 1."""
+"""The scripts under scripts/ run to completion at small sizes, report a
+failed check with exit status 1 and a usage error with exit status 2."""
 
 import importlib.util
 import os
@@ -32,6 +32,16 @@ def test_script_exits_zero(argv):
     proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and proc.stderr == ""
+
+
+@pytest.mark.parametrize("script", ["exotic_scan.py", "family_census.py",
+                                    "opp_report.py"])
+def test_a_q_that_is_not_a_prime_power_is_a_usage_error(script):
+    """As the command line does: one stderr line naming the script, and exit
+    status 2, not a traceback with the status of a failed check."""
+    proc = run_script([script, "--q", "6"])
+    assert proc.returncode == 2
+    assert proc.stderr == f"{script}: 6 is not a prime power\n"
 
 
 def run_script(argv):
