@@ -1,15 +1,18 @@
-"""The census of a pair set F: every compatible triangle presentation, by
-exact cover, and its classes under Aut(F), by one orbit walk each."""
+"""The census of a pair set F: its symmetries Aut(F) in Sym(n) x Z/2, every
+compatible triangle presentation, by exact cover, and their classes under
+Aut(F), by one orbit walk each.  A presentation is the tuple of its thirds,
+one per pair of F in out-list order, from the listing to its class."""
 
 from __future__ import annotations
 
-from itertools import chain
+from typing import TYPE_CHECKING
 
 from .errors import CheckFailed, TooLarge
-from .linkgraph import AutFull, aut_full
 from .pairset import FSet, apply_rho
 from .record import Record
-from .tripres import TrianglePresentation
+
+if TYPE_CHECKING:
+    from .permgrp import Perm, PermGroup
 
 # the largest |Aut+(F)| classify accepts.  A walk holds its orbit, at most
 # 2 |Aut+(F)| keys of one third per pair of F, at once: a key and its
@@ -20,26 +23,18 @@ _AUT_LIMIT = 10**6
 
 # the most thirds, covers x |F|, that the exact cover lists.  Every orbit
 # classify walks lies in that list, so this bounds the walk's keys too.  A
-# listed third takes 12-15 bytes: the opp --q 16 and singer --q 16 documents
-# (4,096 and 4,641 pairs) are refused after 0.8-1.1 and 0.6-1.0 s of CPU, at
-# 40 and 46 MB.  classify holds about 30 bytes a third, with its flat keys
-# and an orbit: singer --q 9 (512 covers of 910 pairs) peaks at 30 MB, so an
-# F at the limit would take about 75 MB (peak RSS of a fresh process, 2-core
-# Xeon, Python 3.11)
+# listed third takes 8.3 bytes, a slot of its cover's tuple: the opp and
+# singer --q 16 documents (4,096 and 4,641 pairs) are refused after 0.5 and
+# 0.35 s of CPU, at 32 MB.  classify adds an orbit's keys, 11.8 traced bytes
+# a third in all on singer --q 9 (512 covers of 910 pairs, peak 20.5 MB), so
+# an F at the limit whose one orbit is the whole listing would take about
+# 50 MB (peak RSS of a fresh process, 2-core Xeon, Python 3.11)
 _COVER_LIMIT = 2_000_000
 
 
-def enumerate_all(F: FSet):
-    """Every triangle presentation compatible with F, in a canonical order.
-
-    Exact cover: the chosen triple for a pair (i,j) covers (i,j), (j,k) and
-    (k,i) at once, so each pair is consumed exactly once.
-    """
-    return [TrianglePresentation(F.labels, F.out, key) for key in _exact_covers(F)]
-
-
 def _exact_covers(F: FSet) -> list[tuple]:
-    """The third rows of the compatible presentations, in sorted order.
+    """The compatible presentations, each the tuple of its thirds, one per
+    pair of F in out-list order, in sorted order.
 
     Knuth's Algorithm X, after a column rule that looks first where a
     choice cut: out[v] is the bitmask of the heads w of the free pairs
@@ -55,16 +50,16 @@ def _exact_covers(F: FSet) -> list[tuple]:
     _most_constrained scan every free pair.  Either way the search tree
     depends on F alone.
 
-    A cover gives each pair one third, so its key is one row per point:
-    the third that its branch last wrote for each pair, in out-list order.
-    Each cover is reached once, as the branches of a node give its pair
-    different thirds.  The stack is a list, not recursion: a branch is
-    |F|/3 choices deep.
+    A cover gives each pair one third, so its key is the third that its
+    branch last wrote for each pair.  Each cover is reached once, as the
+    branches of a node give its pair different thirds.  The stack is a
+    list, not recursion: a branch is |F|/3 choices deep.
     """
     out = [sum(1 << j for j in js) for js in F.out]
     inn = [sum(1 << i for i in is_) for is_ in apply_rho(F).out]
+    pairs = [(i, j) for i, js in enumerate(F.out) for j in js]
     third = {}
-    size = sum(map(len, F.out))
+    size = len(pairs)
     most = _COVER_LIMIT // max(size, 1)
 
     def forced(cleared):
@@ -94,9 +89,7 @@ def _exact_covers(F: FSet) -> list[tuple]:
                     f"F has more than {most} compatible presentations of "
                     f"{size} thirds; the limit is {_COVER_LIMIT} thirds in all"
                 )
-            keys.append(tuple(
-                [third[i, j] for j in js] for i, js in enumerate(F.out)
-            ))
+            keys.append(tuple(map(third.__getitem__, pairs)))
         elif node[2]:
             i, j, live = node
             low = live & -live
@@ -138,10 +131,40 @@ def _most_constrained(out, inn):
     return best
 
 
-def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
-    """The orbit under Aut(F) of T, one third per pair of F, in walk order,
-    and its stabilizer, from the Schreier generators of that walk.  An
-    orbit member is the tuple of its thirds in out-list order.
+def aut_plus(F: FSet) -> PermGroup:
+    """Stabilizer of F in Sym(n) under the diagonal action, as a group of
+    position permutations."""
+    from .autosearch import automorphism_generators
+    from .permgrp import bsgs_build
+
+    return bsgs_build(F.n, automorphism_generators(F.out))
+
+
+class AutFull(Record, eq=False):
+    """A group inside Sym(n) x Z/2, such as Aut(F) or the stabilizer of a
+    presentation: the diagonal part plus an optional coordinate-swapping
+    coset, given by one witness in it."""
+
+    plus: PermGroup
+    witness: Perm | None
+
+    @property
+    def order(self) -> int:
+        return self.plus.order() * (2 if self.witness is not None else 1)
+
+
+def aut_full(F: FSet) -> AutFull:
+    from .autosearch import find_isomorphism
+
+    witness = find_isomorphism(apply_rho(F).out, F.out)
+    return AutFull(plus=aut_plus(F), witness=witness)
+
+
+def _orbit_stabilizer(F: FSet, thirds: tuple, full: AutFull):
+    """The orbit under Aut(F) of the presentation T on F with these thirds,
+    one per pair of F in out-list order, in walk order, and its stabilizer,
+    from the Schreier generators of that walk.  An orbit member is the
+    tuple of its thirds in the same order.
 
     (g, 1) is g after the coordinate swap, so (g, a) * (h, b) = (g*h, a ^ b).
     The walk moves by the generators of Aut+(F) with bit 0 and full.witness
@@ -155,7 +178,7 @@ def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
     t*s and s*t^-1 for each bit-1 s (Reidemeister-Schreier)."""
     from .permgrp import Perm, bsgs_build
 
-    pairs = [(i, j) for i, js in enumerate(T.out) for j in js]
+    pairs = [(i, j) for i, js in enumerate(F.out) for j in js]
     slot = {p: s for s, p in enumerate(pairs)}
     moves = [(g, 0) for g in full.plus.generators]
     if full.witness is not None:
@@ -164,7 +187,7 @@ def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
         v = g.inverse().images
         moves[r] += ([slot[(v[j], v[i]) if b else (v[i], v[j])] for i, j in pairs],)
     degree = full.plus.degree
-    orbit = [tuple(chain.from_iterable(T.third))]
+    orbit = [thirds]
     walk = {orbit[0]: (Perm.identity(degree), 0)}
     schreier = {}
     for x in orbit:
@@ -188,16 +211,17 @@ def _orbit_stabilizer(T: TrianglePresentation, full: AutFull):
 
 
 class TClass(Record, eq=False):
-    """One isomorphism class of presentations on a fixed F."""
+    """One isomorphism class of presentations on a fixed F, with the thirds
+    of its first presentation, one per pair of F in out-list order."""
 
-    representative: TrianglePresentation
+    thirds: tuple
     orbit_size: int
     aut_order: int
 
 
 def classify(F: FSet) -> list[TClass]:
     """Orbits of Aut(F) on all compatible presentations, each represented by
-    its first presentation in enumeration order.
+    its first presentation in _exact_covers' order.
 
     |Aut+(F)| is checked against _AUT_LIMIT before the enumeration starts.
     orbit * stabilizer = |Aut(F)| per class and the sum of the orbits are
@@ -207,24 +231,23 @@ def classify(F: FSet) -> list[TClass]:
     order = full.plus.order()
     if order > _AUT_LIMIT:
         raise TooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
-    allt = enumerate_all(F)
-    keys = [tuple(chain.from_iterable(t.third)) for t in allt]
-    left = set(keys)
+    covers = _exact_covers(F)
+    left = set(covers)
     classes = []
-    for t, key in zip(allt, keys):
-        if key not in left:
+    for thirds in covers:
+        if thirds not in left:
             continue
-        orbit, st = _orbit_stabilizer(t, full)
+        orbit, st = _orbit_stabilizer(F, thirds, full)
         left.difference_update(orbit)
         if full.order != len(orbit) * st.order:
             raise CheckFailed(
                 f"|Aut(F)| = {full.order} is not orbit size {len(orbit)} "
                 f"times stabilizer order {st.order}"
             )
-        classes.append(TClass(t, len(orbit), st.order))
+        classes.append(TClass(thirds, len(orbit), st.order))
     total = sum(c.orbit_size for c in classes)
-    if total != len(allt):
+    if total != len(covers):
         raise CheckFailed(
-            f"orbit sizes sum to {total}, not to {len(allt)} presentations"
+            f"orbit sizes sum to {total}, not to {len(covers)} presentations"
         )
     return classes

@@ -1,20 +1,16 @@
-"""Measurements of a pair set's link graph, and the symmetries of F.
+"""Measurements of a pair set's link graph, and wreath equivalence.
 
-The symmetry search (autosearch, permgrp) is imported inside the functions
-that use it, so that a command which only measures a graph does not
-compile it at start-up; F and its graph are built in pairset."""
+The symmetry search is imported inside the one function that uses it, so
+that a command which only measures a graph does not compile it at start-up;
+F and its graph are built in pairset, and the symmetries of F in census."""
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import CheckFailed
-from .pairset import FSet, LinkGraph, apply_rho, from_F
+from .pairset import FSet, LinkGraph, from_F
 from .record import Record
-
-if TYPE_CHECKING:
-    from .permgrp import Perm, PermGroup
 
 
 class Disconnected(ValueError):
@@ -232,35 +228,6 @@ def point_transitive_gap(g: LinkGraph) -> float:
         # M = top I: a single edge, whose spectrum is 0 and 2
         return 2.0
     return 1 - math.sqrt(_largest_root(quotient, top) / top)
-
-
-def aut_plus(F: FSet) -> PermGroup:
-    """Stabilizer of F in Sym(n) under the diagonal action, as a group of
-    position permutations."""
-    from .autosearch import automorphism_generators
-    from .permgrp import bsgs_build
-
-    return bsgs_build(F.n, automorphism_generators(F.out))
-
-
-class AutFull(Record, eq=False):
-    """A group inside Sym(n) x Z/2, such as Aut(F) or the stabilizer of a
-    presentation: the diagonal part plus an optional coordinate-swapping
-    coset, given by one witness in it."""
-
-    plus: PermGroup
-    witness: Perm | None
-
-    @property
-    def order(self) -> int:
-        return self.plus.order() * (2 if self.witness is not None else 1)
-
-
-def aut_full(F: FSet) -> AutFull:
-    from .autosearch import find_isomorphism
-
-    witness = find_isomorphism(apply_rho(F).out, F.out)
-    return AutFull(plus=aut_plus(F), witness=witness)
 
 
 def f_wreath_equivalent(F1: FSet, F2: FSet) -> bool:

@@ -16,18 +16,23 @@ The triple-set half holds a presentation as a set of position triples, the
 form TrianglePresentation had before its rows: triples_of and
 presentation_of convert between the two, and image_triples and
 orbit_stabilizer are the triple-set oracles of the action of Aut(F) and of
-the orbit walk.  coset_steps is the sign rule of a twisted family on every
-coset of H, the oracles' own copy of SignFamily.twist.
+the orbit walk.  The census holds a presentation as the tuple of its
+thirds, one per pair of F in out-list order: thirds_of and on_rows convert
+between that and TrianglePresentation, and presentations lists the census's
+covers as presentations.  coset_steps is the sign rule of a twisted family
+on every coset of H, the oracles' own copy of SignFamily.twist.
 
 The tables half reads the published tables of trigon.catalog back into
 presentations: table(which) is reference table 1..5.
 """
 
+import itertools
 import json
 import re
 
+from trigon import census
 from trigon.catalog import TABLE_TEXTS
-from trigon.linkgraph import AutFull
+from trigon.census import AutFull
 from trigon.pairset import FSet, LinkGraph
 from trigon.permgrp import Perm, bsgs_build
 from trigon.tripres import TrianglePresentation, Violation
@@ -49,6 +54,25 @@ def presentation_of(labels, triples):
         tuple([j for j, _ in row] for row in rows),
         tuple([k for _, k in row] for row in rows),
     )
+
+
+def thirds_of(T):
+    """The thirds of T, one per pair in out-list order: the census's key."""
+    return tuple(itertools.chain.from_iterable(T.third))
+
+
+def on_rows(F, thirds):
+    """The presentation on F with these thirds, one per pair in out-list
+    order."""
+    ends = itertools.accumulate(map(len, F.out))
+    rows = tuple(list(thirds[e - len(js):e]) for js, e in zip(F.out, ends))
+    return TrianglePresentation(F.labels, F.out, rows)
+
+
+def presentations(F):
+    """Every presentation compatible with F, in the census's order: each
+    cover census._exact_covers lists, on F's rows."""
+    return [on_rows(F, thirds) for thirds in census._exact_covers(F)]
 
 
 def label_triples(T):
@@ -93,8 +117,8 @@ def transpose(F):
 
 
 def exact_covers(F):
-    """Every presentation compatible with F, in enumerate_all's order, by
-    the set-based exact-cover DFS that enumerate_all replaced: it rebuilds
+    """Every presentation compatible with F, in the census's order, by the
+    set-based exact-cover DFS that census._exact_covers replaced: it rebuilds
     the list of free pairs at every node and tests conflicts pair by pair."""
     fpairs = pairs_of(F)
     pairlist = sorted(fpairs)

@@ -7,12 +7,13 @@ from coset_enumeration import todd_coxeter
 from duality import is_abelian, murho_dual
 from field_oracle import OracleField
 from graph_oracle import closure_elements
-from label_oracle import act, fset_of, project_F, table, triples_of
+from label_oracle import (act, fset_of, on_rows, presentations, project_F, table,
+                          thirds_of, triples_of)
 from opp_model_checks import incidence_model_checks, opp_graph_building
 
 from trigon import census
 from trigon.catalog import TABLE_TEXTS
-from trigon.census import classify, enumerate_all
+from trigon.census import aut_full, aut_plus, classify
 from trigon.cli import present
 from trigon.exoticity import (
     exotic_certificate,
@@ -23,7 +24,7 @@ from trigon.exoticity import (
 from trigon.ffield import factor_prime_power, make_field, trace_to_subfield
 from trigon.fgroup import lambda_orbits
 from trigon.grouptools import abelianization
-from trigon.linkgraph import aut_full, aut_plus, metrics, spectrum
+from trigon.linkgraph import metrics, spectrum
 from trigon.oppmodel import opp_datum, opp_properties
 from trigon.pairset import FSet, from_F
 from trigon.permgrp import Perm, bsgs_build
@@ -69,7 +70,7 @@ def test_02_order4_coset_census_and_twisted_tables():
     assert sorted(dq.H.members) == [0, 3, 6, 9, 12, 15, 18]
 
     f = dq.F()
-    found = enumerate_all(f)
+    found = presentations(f)
     assert len(found) == 8
     assert len(classify(f)) == 2
 
@@ -86,18 +87,18 @@ def test_02_order4_coset_census_and_twisted_tables():
 
 
 def test_03_complete_digraph_pair_and_counting_identity():
-    found = enumerate_all(ALT_F)
+    found = presentations(ALT_F)
     assert len(found) == 2
     t1, t2 = found
     assert triples_of(t1) != triples_of(t2)
     assert aut_plus(ALT_F).order() == 24
     assert aut_full(ALT_F).order == 48
-    st = census._orbit_stabilizer(t1, aut_full(ALT_F))[1]
+    st = census._orbit_stabilizer(ALT_F, thirds_of(t1), aut_full(ALT_F))[1]
     assert st.plus.order() == 12
     assert st.order == 24
     cls = classify(ALT_F)
     # one class holds both presentations: orbit 48 / 24 = 2
-    assert [(triples_of(c.representative), c.orbit_size) for c in cls] == [
+    assert [(triples_of(on_rows(ALT_F, c.thirds)), c.orbit_size) for c in cls] == [
         (triples_of(t1), 48 // 24)
     ]
 
@@ -240,7 +241,7 @@ def test_13_structural_property_suite():
         )
     productive = 0
     for f in fsets:
-        found = enumerate_all(f)
+        found = presentations(f)
         productive += bool(found)
         pool = {triples_of(t) for t in found}
         for t in found:

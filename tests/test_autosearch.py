@@ -18,7 +18,7 @@ from trigon.autosearch import (
     find_isomorphism,
     refine,
 )
-from trigon.linkgraph import aut_full
+from trigon.census import aut_full
 from trigon.oppmodel import opp_datum
 from trigon.pairset import from_F
 from trigon.permgrp import Perm, bsgs_build
@@ -538,12 +538,22 @@ CENSUS_F = {
 
 @pytest.mark.parametrize("name", sorted(CENSUS_F))
 def test_aut_full_matches_the_two_backtrack_oracle(name, monkeypatch):
-    """aut_full's Aut+(F) generators and its rho-swapping witness."""
+    """aut_full's Aut+(F) generators and its rho-swapping witness.  Both
+    searches are looked up in autosearch when aut_full runs, so the oracle's
+    must be the ones called the second time."""
     f = CENSUS_F[name]()
     got = aut_full(f)
+    calls = []
     for search in ("automorphism_generators", "find_isomorphism"):
-        monkeypatch.setattr(autosearch, search, getattr(search_oracle, search))
+        oracle = getattr(search_oracle, search)
+
+        def counted(*args, oracle=oracle, search=search):
+            calls.append(search)
+            return oracle(*args)
+
+        monkeypatch.setattr(autosearch, search, counted)
     want = aut_full(f)
+    assert sorted(calls) == ["automorphism_generators", "find_isomorphism"]
     assert images_of(got.plus.generators) == images_of(want.plus.generators)
     assert got.witness is not None
     assert got.witness.images == want.witness.images

@@ -19,6 +19,7 @@ from label_oracle import fset_of, pairs_of, triples_of
 import trigon
 from trigon import census, cli, exoticity, fgroup, oppmodel, pairset, singer
 from trigon.catalog import TABLE_TEXTS
+from trigon.census import AutFull
 from trigon.cli import kappa_spec_of, parse_kappa_spec, run
 from trigon.documents import parse_document
 from trigon.exoticity import ProbeCheckFailed
@@ -26,7 +27,6 @@ from trigon.errors import (BadCongruence, CheckFailed, DegreeMismatch, KappaSpec
                            NotPrime, NotPrimitive, ParseError, ReduciblePolynomial,
                            TooLarge, TwistCheckFailed, UsageError)
 from trigon.fgroup import Datum
-from trigon.linkgraph import AutFull
 from trigon.permgrp import Perm, bsgs_build
 from trigon.singer import quad_datum, singer_datum
 
@@ -933,7 +933,7 @@ def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, comma
     real = census._orbit_stabilizer
     monkeypatch.setattr(
         census, "_orbit_stabilizer",
-        lambda T, full: (real(T, full)[0], trivial),
+        lambda F, thirds, full: (real(F, thirds, full)[0], trivial),
     )
     code, out, err = invoke(capsys, [command, "--from-json", str(doc_path)])
     assert code == 1
@@ -1061,7 +1061,8 @@ NEVER = {"dataclasses"}
       | {"trigon.catalog", "trigon.ffield", "trigon.fgroup"}),
      (["classify", "--from-json", "{doc}"],
       CONSTRUCTIONS | NEVER
-      | {"trigon.ffield", "trigon.fgroup", "trigon.grouptools"}),
+      | {"trigon.ffield", "trigon.fgroup", "trigon.grouptools",
+         "trigon.linkgraph"}),
      (["exotic", "--q", "7", "--kappa", "+1"],
       NEVER | {"fractions", "trigon.catalog", "trigon.census", "trigon.documents",
                "trigon.grouptools", "trigon.linkgraph", "trigon.oppmodel",
@@ -1077,10 +1078,10 @@ NEVER = {"dataclasses"}
          "quad-all-kappa-json", "opp-all-kappa-gap", "tables"],
 )
 def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
-    """The cli handlers and linkgraph import the modules they run, so a
-    command does not compile the symmetry search or a construction it never
-    calls, nor a standard module it does not need; this is what a fresh
-    process holds after the command."""
+    """The cli handlers, census, linkgraph and oppmodel import the modules
+    they run, so a command does not compile the symmetry search, the graph
+    measurements or a construction it never calls, nor a standard module it
+    does not need; this is what a fresh process holds after the command."""
     run_code = "0"
     if argv is not None:
         argv = [a.format(doc=square_path) for a in argv] + ["-o", os.devnull]

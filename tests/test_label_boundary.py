@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import label_oracle as oracle
 
-from trigon.census import enumerate_all
 from trigon.cli import kappa_spec_of, present, run
 from trigon.documents import parse_document
 from trigon.grouptools import export_presentation
@@ -284,7 +283,7 @@ def test_family_json_matches_document_round_trip(capsys, model, q, datum):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_out_lists_match_the_pair_set_oracle(data):
-    """from_F, apply_rho, enumerate_all and verify against the pair-set
+    """from_F, apply_rho, the census's covers and verify against the pair-set
     oracle on up to 6 points.  F is the pairs of random triples plus random
     pairs, so that it often admits presentations; T is those triples'
     rotations with some dropped, plus stray triples."""
@@ -299,7 +298,7 @@ def test_out_lists_match_the_pair_set_oracle(data):
     assert all(js == sorted(set(js)) for js in F.out)
     assert from_F(F).adj == oracle.from_F(F).adj
     assert apply_rho(F) == oracle.transpose(F)
-    assert [oracle.triples_of(t) for t in enumerate_all(F)] == [
+    assert [oracle.triples_of(t) for t in oracle.presentations(F)] == [
         oracle.triples_of(t) for t in oracle.exact_covers(F)
     ]
     dropped = data.draw(st.sets(st.sampled_from(sorted(closed)), max_size=2)

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from graph_oracle import graph_automorphisms, is_generalized_mgon, spectral_gap
 from label_oracle import fset_of, pairs_of
 from trigon.autosearch import _neighbor_lists, find_isomorphism
+from trigon.census import aut_full, aut_plus
 from trigon.errors import CheckFailed
 from trigon.linkgraph import (
     Disconnected,
     _largest_root,
     _minimal_polynomial,
-    aut_full,
-    aut_plus,
     export_edge_list,
     f_wreath_equivalent,
     metrics,

@@ -35,7 +35,7 @@ TEST_ONLY = {
          for name in ("elements", "orbits", "restrict", "stabilizer")],
         "perfbench/tracer.py wraps them by name (ROADMAP item 7)",
     ),
-    "census.TClass.representative":
+    "census.TClass.thirds":
         "the class representatives of the complete-digraph census (test_03)",
 }
 

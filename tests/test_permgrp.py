@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from graph_oracle import closure_elements
 from trigon import census
-from trigon.census import classify
-from trigon.linkgraph import aut_full
+from trigon.census import aut_full, classify
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import (
     InvalidPermutation,
@@ -288,7 +287,7 @@ def test_census_chains_match_closure(name):
     brute = closure_elements(f.n, plus.generators)
     check_chain_against_closure(plus, brute, [])
     for c in classify(f):
-        full = census._orbit_stabilizer(c.representative, aut)[1]
+        full = census._orbit_stabilizer(f, c.thirds, aut)[1]
         assert full.order == c.aut_order
         st = full.plus
         check_chain_against_closure(

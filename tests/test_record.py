@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from coset_enumeration import Exceeded
-from trigon.census import TClass
+from trigon.census import AutFull, TClass
 from trigon.documents import Document
 from trigon.exoticity import Bounds, Certificate, ExoticProbe
 from trigon.ffield import FieldSpec
 from trigon.fgroup import Datum, FiniteGroup, SignFamily, SubgroupDatum, make_cyclic
 from trigon.grouptools import Abelianization
-from trigon.linkgraph import AutFull, GraphMetrics
+from trigon.linkgraph import GraphMetrics
 from trigon.oppmodel import A2Model, PropertyReport
 from trigon.pairset import FSet, LinkGraph
 from trigon.permgrp import Perm, bsgs_build
@@ -61,7 +61,7 @@ IDENTITY = [
     (LinkGraph, {"adj": LINK.adj}),
     (AutFull, {"plus": bsgs_build(2, []), "witness": None}),
     (A2Model, {"graph": LINK, "points": ((0, 0, 1), (0, 1, 0))}),
-    (TClass, {"representative": SQUARE_T, "orbit_size": 1, "aut_order": 2}),
+    (TClass, {"thirds": (1, 0), "orbit_size": 1, "aut_order": 2}),
 ]
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from test_family_writer import bend_one_step
 from trigon import census
+from trigon.census import AutFull
 from trigon.cli import kappa_spec_of
-from trigon.linkgraph import AutFull
 from trigon.oppmodel import opp_datum
 from trigon.permgrp import bsgs_build
 
@@ -73,9 +73,9 @@ def test_family_census_reports_a_broken_counting_identity(capsys, monkeypatch):
     script = load_script("family_census")
     real = census._orbit_stabilizer
 
-    def trivial_stabilizer(T, full):
+    def trivial_stabilizer(F, thirds, full):
         trivial = AutFull(plus=bsgs_build(full.plus.degree, []), witness=None)
-        return real(T, full)[0], trivial
+        return real(F, thirds, full)[0], trivial
 
     monkeypatch.setattr(census, "_orbit_stabilizer", trivial_stabilizer)
     monkeypatch.setattr(sys, "argv", ["family_census.py", "--q", "2"])

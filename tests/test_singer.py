@@ -7,10 +7,9 @@ import pytest
 
 from duality import NonAbelianGroup, murho_dual
 from graph_oracle import closure_elements, is_generalized_mgon
-from label_oracle import presentation_of, triples_of
+from label_oracle import presentation_of, presentations, triples_of
 from trigon.autosearch import find_isomorphism
 from trigon.catalog import TABLE_TEXTS
-from trigon.census import enumerate_all
 from trigon.cli import present
 from trigon.errors import KappaSpecError
 from trigon.ffield import (
@@ -231,7 +230,7 @@ def test_quad_family_is_the_whole_enumeration():
     assert len(fam) == 8
     built = {triples_of(T) for T in fam}
     assert len(built) == 8
-    found = {triples_of(T) for T in enumerate_all(dq.F())}
+    found = {triples_of(T) for T in presentations(dq.F())}
     assert found == built
 
 

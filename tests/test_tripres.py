@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,17 @@ from label_oracle import (
     exact_covers,
     fset_of,
     image_triples,
+    on_rows,
     orbit_stabilizer,
     pairs_of,
     presentation_of,
+    presentations,
     project_F,
+    thirds_of,
     triples_of,
 )
 from trigon import census, tripres
-from trigon.census import classify, enumerate_all
+from trigon.census import AutFull, aut_full, aut_plus, classify
 from trigon.cli import present
 from trigon.errors import (
     CheckFailed,
@@ -38,7 +42,6 @@ from trigon.fgroup import (
     make_cyclic,
     subgroup,
 )
-from trigon.linkgraph import AutFull, aut_full, aut_plus
 from trigon.oppmodel import opp_datum
 from trigon.pairset import FSet, apply_rho
 from trigon.permgrp import Perm, PermGroup, bsgs_build
@@ -149,7 +152,7 @@ def test_act_rho_fixes_square_t():
 
 
 def test_enumerate_square():
-    out = enumerate_all(SQUARE_F)
+    out = presentations(SQUARE_F)
     assert len(out) == 2
     assert any(triples_of(t) == triples_of(SQUARE_T) for t in out)
     for t in out:
@@ -157,7 +160,7 @@ def test_enumerate_square():
 
 
 def test_enumerate_alt():
-    out = enumerate_all(ALT_F)
+    out = presentations(ALT_F)
     assert len(out) == 2
     t1, t2 = out
     assert triples_of(act(t1, Perm((0, 1, 3, 2)))) == triples_of(t2)
@@ -165,12 +168,12 @@ def test_enumerate_alt():
 
 def test_enumerate_no_presentation():
     f = FSet.from_labels((1, 2), [(1, 1), (2, 1), (2, 2)])
-    assert enumerate_all(f) == []
+    assert presentations(f) == []
     assert classify(f) == []
 
 
 def test_enumerate_singer_q2():
-    out = enumerate_all(singer_f_q2())
+    out = presentations(singer_f_q2())
     assert len(out) == 2
     cls = classify(singer_f_q2())
     assert [(c.orbit_size, c.aut_order) for c in cls] == [(2, 21)]
@@ -195,8 +198,8 @@ def test_size_guard_runs_before_the_enumeration(monkeypatch):
 
 
 def test_stabilizer_alt():
-    t1 = enumerate_all(ALT_F)[0]
-    st = census._orbit_stabilizer(t1, aut_full(ALT_F))[1]
+    t1 = presentations(ALT_F)[0]
+    st = census._orbit_stabilizer(ALT_F, thirds_of(t1), aut_full(ALT_F))[1]
     assert st.plus.order() == 12
     assert st.witness is not None
     assert triples_of(act(t1, st.witness, use_rho=True)) == triples_of(t1)
@@ -216,9 +219,9 @@ def test_classify_square():
 
 def test_isomorphic_alt_pair():
     """The two presentations on ALT_F fill the one orbit classify walks."""
-    t1, t2 = enumerate_all(ALT_F)
+    t1, t2 = presentations(ALT_F)
     cls = classify(ALT_F)
-    assert [(triples_of(c.representative), c.orbit_size) for c in cls] == [
+    assert [(triples_of(on_rows(ALT_F, c.thirds)), c.orbit_size) for c in cls] == [
         (triples_of(t1), 2)
     ]
     assert triples_of(t2) != triples_of(t1)
@@ -246,7 +249,7 @@ def test_build_from_lambda_klein_matches_alt():
     t = build_from_lambda(g, [1, 2, 3], {1: 2, 2: 3, 3: 1})
     f = project_F(t)
     assert f.out == ALT_F.out
-    assert triples_of(t) in {triples_of(T) for T in enumerate_all(ALT_F)}
+    assert triples_of(t) in {triples_of(T) for T in presentations(ALT_F)}
 
 
 def test_build_from_lambda_rejects_bad_map():
@@ -302,11 +305,11 @@ def test_build_t_kappa_twist():
     f = project_F(t1)
     assert verify(f, t2) == []
     full = aut_full(f)
-    st1 = census._orbit_stabilizer(t1, full)[1]
-    st2 = census._orbit_stabilizer(t2, full)[1]
+    st1 = census._orbit_stabilizer(f, thirds_of(t1), full)[1]
+    st2 = census._orbit_stabilizer(f, thirds_of(t2), full)[1]
     assert st1.order == 126 and st1.witness is None
     assert st2.order == 42 and st2.witness is None
-    orbits = [set(walk(f, c.representative, full)[0]) for c in classify(f)]
+    orbits = [set(walk(f, c.thirds, full)[0]) for c in classify(f)]
     assert [(triples_of(t1) in o, triples_of(t2) in o) for o in orbits] == [
         (True, False), (False, True)
     ]
@@ -315,7 +318,7 @@ def test_build_t_kappa_twist():
 def test_exquad_classification():
     g, s, lam = exquad()
     f = project_F(build_from_lambda(g, s, lam))
-    out = enumerate_all(f)
+    out = presentations(f)
     assert len(out) == 8
     cls = classify(f)
     assert [(c.orbit_size, c.aut_order) for c in cls] == [(2, 126), (6, 42)]
@@ -522,7 +525,7 @@ def test_enumerate_matches_brute_force(data):
         )
     )
     f = FSet.from_labels(range(1, n + 1), pairs)
-    out = sorted((triples_of(t) for t in enumerate_all(f)), key=sorted)
+    out = sorted((triples_of(t) for t in presentations(f)), key=sorted)
     assert out == brute_presentations(f)
 
 
@@ -530,7 +533,7 @@ def test_enumerate_matches_brute_force(data):
 @given(data=st.data())
 def test_enumeration_closed_under_aut(data):
     f = singer_f_q2()
-    out = enumerate_all(f)
+    out = presentations(f)
     keys = {triples_of(t) for t in out}
     af = aut_full(f)
     t = out[data.draw(st.integers(min_value=0, max_value=len(out) - 1))]
@@ -608,7 +611,7 @@ DIFFERENTIAL_F = {
 def test_enumerate_matches_set_based_dfs(name):
     f = DIFFERENTIAL_F[name]()
     want = [triples_of(t) for t in exact_covers(f)]
-    assert [triples_of(t) for t in enumerate_all(f)] == want
+    assert [triples_of(t) for t in presentations(f)] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -624,7 +627,7 @@ def test_enumerate_matches_set_based_dfs_on_random_pair_sets(data):
     pairs = {p for i, j, k in triples for p in ((i, j), (j, k), (k, i))}
     f = FSet.from_labels(range(n), pairs | extra)
     want = [triples_of(t) for t in exact_covers(f)]
-    assert [triples_of(t) for t in enumerate_all(f)] == want
+    assert [triples_of(t) for t in presentations(f)] == want
 
 
 # pair sets where the branching order matters most, with their presentation
@@ -642,14 +645,14 @@ LARGE_F = {
 def test_enumerate_counts_on_large_pair_sets(name):
     make, count = LARGE_F[name]
     f = make()
-    out = enumerate_all(f)
+    out = presentations(f)
     assert len(out) == count
     assert all(verify(f, t) == [] for t in out)
 
 
 def scan_every_node(F):
-    """The third rows of the compatible presentations, sorted, and the
-    number of search nodes, by the column rule that _exact_covers replaced:
+    """The thirds of the compatible presentations, one per pair in out-list
+    order, sorted, and the number of search nodes, by the column rule that _exact_covers replaced:
     every node scans all free pairs for the one with the fewest live
     thirds, the first in sorted order on a tie, stopping at one with at
     most one.  The bitmasks and the stack are _exact_covers' own."""
@@ -680,7 +683,7 @@ def scan_every_node(F):
     while True:
         if node is None:
             keys.append(tuple(
-                [third[i, j] for j in js] for i, js in enumerate(F.out)
+                third[i, j] for i, js in enumerate(F.out) for j in js
             ))
         elif node[2]:
             i, j, live = node
@@ -753,16 +756,34 @@ def test_cover_limit_admits_exactly_its_thirds(monkeypatch):
         census._exact_covers(f)
 
 
+def test_classify_holds_each_cover_in_one_form():
+    """classify on the singer --q 9 pair set, 512 covers of 910 pairs, peaks
+    at no more than 16 traced bytes per listed third: a cover is one tuple of
+    thirds from the listing to its class, with no presentation and no row
+    lists made beside it (31.5 bytes a third when it made both)."""
+    f = singer_datum(9).F()
+    tracemalloc.start()
+    try:
+        classes = classify(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    thirds = sum(c.orbit_size for c in classes) * sum(map(len, f.out))
+    assert thirds == 512 * 910
+    assert peak <= 16 * thirds
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_F))
 def test_classify_matches_act_relabelings(name):
     f = DIFFERENTIAL_F[name]()
     full = aut_full(f)
     got = []
     for c in classify(f):
-        st = census._orbit_stabilizer(c.representative, full)[1]
+        st = census._orbit_stabilizer(f, c.thirds, full)[1]
+        rep = on_rows(f, c.thirds)
         assert c.aut_order == st.order
-        assert st.witness is None or _fixes(c.representative, st.witness)
-        got.append((triples_of(c.representative), c.orbit_size,
+        assert st.witness is None or _fixes(rep, st.witness)
+        got.append((triples_of(rep), c.orbit_size,
                     _elements(st.plus), st.witness is not None))
     assert got == oracle_classify(f)
 
@@ -777,17 +798,18 @@ CENSUS_F = {
 @pytest.mark.parametrize("name", sorted(CENSUS_F))
 def test_census_stabilizers_match_act_relabelings(name):
     """The benchmark's census pair sets, where exact_covers is too slow:
-    each class of enumerate_all against oracle_stabilizer."""
+    each class of the census against oracle_stabilizer."""
     f = CENSUS_F[name]()
     classes = classify(f)
-    assert sum(c.orbit_size for c in classes) == len(enumerate_all(f))
+    assert sum(c.orbit_size for c in classes) == len(presentations(f))
     full = aut_full(f)
     for c in classes:
-        st = census._orbit_stabilizer(c.representative, full)[1]
-        plus, witness = oracle_stabilizer(f, c.representative)
+        st = census._orbit_stabilizer(f, c.thirds, full)[1]
+        rep = on_rows(f, c.thirds)
+        plus, witness = oracle_stabilizer(f, rep)
         assert _elements(st.plus) == _elements(plus)
         assert (st.witness is None) == (witness is None)
-        assert st.witness is None or _fixes(c.representative, st.witness)
+        assert st.witness is None or _fixes(rep, st.witness)
         assert c.aut_order == st.order
 
 
@@ -804,19 +826,12 @@ def _closure(n, movers):
     return group
 
 
-def walk(F, T, full):
-    """The orbit of T, one third per pair of F, under the thirds-key walk,
-    as triple sets in walk order, and its stabilizer."""
-    orbit, stab = census._orbit_stabilizer(T, full)
+def walk(F, thirds, full):
+    """The orbit of the presentation with these thirds, one per pair of F,
+    under the thirds-key walk, as triple sets in walk order, and its
+    stabilizer."""
+    orbit, stab = census._orbit_stabilizer(F, thirds, full)
     return [triples_of(on_rows(F, x)) for x in orbit], stab
-
-
-def on_rows(F, thirds):
-    """The presentation on F with these thirds, one per pair in out-list
-    order."""
-    ends = itertools.accumulate(map(len, F.out))
-    rows = tuple(list(thirds[e - len(js):e]) for js, e in zip(F.out, ends))
-    return TrianglePresentation(F.labels, F.out, rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -841,7 +856,7 @@ def test_orbit_stabilizer_matches_brute_force(data):
     swaps = sorted(g for g, b in group if b)
     full = AutFull(plus=bsgs_build(n, plus),
                    witness=Perm(swaps[-1]) if swaps else None)
-    orbit, stab = walk(F, T, full)
+    orbit, stab = walk(F, tuple(thirds), full)
     images = {image_triples(ptrip, g, b) for g, b in group}
     fixing = {(g, b) for g, b in group if image_triples(ptrip, g, b) == ptrip}
     assert sorted(orbit, key=sorted) == sorted(images, key=sorted)
@@ -859,7 +874,7 @@ def test_orbit_stabilizer_takes_products_of_coordinate_swaps():
                    witness=Perm((0, 5, 4, 3, 2, 1)))
     F = fset_of(range(6), [(x, x) for x in range(6)])
     T = on_rows(F, [3, 3, 3, 3, 4, 3])
-    orbit, stab = walk(F, T, full)
+    orbit, stab = walk(F, thirds_of(T), full)
     assert len(orbit) * stab.order == full.order == 12
     assert _elements(stab.plus) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
     assert image_triples(triples_of(T), stab.witness.images, True) == triples_of(T)
@@ -890,10 +905,10 @@ def test_walk_matches_the_triple_set_walk(name, seed):
     if seed is not None:
         F = relabelled(F, seed)
     full = aut_full(F)
-    presentations = enumerate_all(F)
-    assert presentations
-    for T in presentations:
-        orbit, stab = walk(F, T, full)
+    found = presentations(F)
+    assert found
+    for T in found:
+        orbit, stab = walk(F, thirds_of(T), full)
         want, want_stab = orbit_stabilizer(triples_of(T), full)
         assert orbit == want
         assert stab.order == want_stab.order
@@ -909,7 +924,7 @@ def test_classify_lists_no_group_elements(monkeypatch):
         classes = classify(f)
         full = aut_full(f)
         for c in classes:
-            st = census._orbit_stabilizer(c.representative, full)[1]
+            st = census._orbit_stabilizer(f, c.thirds, full)[1]
             assert st.order == c.aut_order
 
 
@@ -918,7 +933,7 @@ def test_broken_counting_identity_raises(monkeypatch):
     real = census._orbit_stabilizer
     monkeypatch.setattr(
         census, "_orbit_stabilizer",
-        lambda T, full: (real(T, full)[0], trivial),
+        lambda F, thirds, full: (real(F, thirds, full)[0], trivial),
     )
     assert not issubclass(CheckFailed, ValueError)
     with pytest.raises(CheckFailed, match="orbit size 2 times stabilizer order 1"):
