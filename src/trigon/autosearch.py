@@ -14,14 +14,28 @@ vertex of each target cell, and share one descent to the first leaf that
 matches it; a child stops as soon as its trace departs from the path's.
 The automorphism search takes the path's nodes deepest first and descends
 from each sibling its orbits do not prune, the isomorphism search from the
-other digraph's root."""
+other digraph's root.  The automorphism search also gives the group's order,
+as nauty does: the product over the path's nodes of the orbit of each node's
+path vertex under the generators found at that node and below, so no
+stabilizer chain is built for it."""
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import chain
 
+from .errors import TooLarge
 from .permgrp import Perm
+from .record import Record
+
+# the most partition entries, levels x vertices, that a leftmost path holds;
+# a longer path is refused (TooLarge) while it is built.  The q = 157 probe,
+# the largest exotic admits, holds 3 x 49,614 = 148,842 entries in 24 MB, its
+# traces included; every probe from q = 7 to 121 holds at most 118,104 (15 MB
+# at q = 121), and the empty digraph on 447 points, 446 levels at the limit,
+# takes 6.6 MB (tracemalloc, Python 3.11).  A path has fewer levels than
+# vertices, so it is under sqrt(200,000) < 448 levels deep
+_PATH_LIMIT = 200_000
 
 
 def _neighbor_lists(adj):
@@ -288,10 +302,17 @@ def _leftmost_path(nbrs, part):
     """The first path from the equitable partition part to a leaf: the
     partition at each node above the leaf, the trace of each step, which
     individualizes the least vertex of the node's target cell, and the
-    leaf's vertex order."""
+    leaf's vertex order.  Raises TooLarge once the path would hold more
+    than _PATH_LIMIT partition entries."""
     parts, traces = [], []
+    n = len(part.verts)
     s = part.target()
     while s is not None:
+        if (len(parts) + 1) * n > _PATH_LIMIT:
+            raise TooLarge(
+                f"the search path on {n} vertices is more than {len(parts)} "
+                f"levels deep; the limit is {_PATH_LIMIT} levels x vertices"
+            )
         parts.append(part)
         part = part.copy()
         sp = part.individualize(min(part.verts[s:part.end[s]]))
@@ -304,7 +325,8 @@ def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs):
     """The images of the first leaf below part, its target-cell vertices
     tried in increasing order, whose refinement follows traces from depth
     on and whose map from ref_verts carries the out-lists ref_outs onto
-    nbrs[0]; None if there is none."""
+    nbrs[0]; None if there is none.  One call per level: _PATH_LIMIT keeps
+    a path under 448 levels, inside the interpreter's recursion limit."""
     s = part.target()
     if s is None:
         images = [0] * len(ref_verts)
@@ -322,13 +344,29 @@ def _first_leaf(nbrs, part, depth, traces, ref_verts, ref_outs):
     return None
 
 
-def automorphism_generators(adj, colors=None):
-    """Generators of the color-preserving automorphism group of a digraph.
+class Automorphisms(Record, eq=True):
+    """The color-preserving automorphism group of a digraph: its generators,
+    sorted by images, and its order."""
+
+    generators: tuple
+    order: int
+
+    def __len__(self):
+        # the number of generators, which perfbench's tracer records
+        return len(self.generators)
+
+
+def automorphism_generators(adj, colors=None, limit=None) -> Automorphisms:
+    """The color-preserving automorphism group of a digraph.
 
     At each node of the leftmost path, deepest first, each other target-cell
     vertex outside the orbits of the expanded ones under the generators so
     far gives at most one generator, from the first leaf below it that maps
-    the path's leaf onto it."""
+    the path's leaf onto it.  Then the orbit of the node's path vertex under
+    the generators found at the node and below is the index in the node's
+    stabilizer of the next node's, so the product of these orbit lengths is
+    the order of a subgroup at each node and the group's order at the root.
+    Given a limit, raises TooLarge as soon as the product passes it."""
     n = len(adj)
     if colors is None:
         colors = [0] * n
@@ -337,6 +375,7 @@ def automorphism_generators(adj, colors=None):
     refine(nbrs, root, root.starts())
     parts, traces, ref_verts = _leftmost_path(nbrs, root)
     gens: list[Perm] = []
+    order = 1
     for depth in range(len(parts) - 1, -1, -1):
         part = parts[depth]
         s = part.target()
@@ -363,7 +402,13 @@ def automorphism_generators(adj, colors=None):
             done.append(v)
             if len(gens) == seen:
                 _extend_orbit(orbit, [v], gens)
-    return sorted(set(gens), key=lambda p: p.images)
+        path_orbit = set()
+        _extend_orbit(path_orbit, [cell[0]], gens)
+        order *= len(path_orbit)
+        if limit is not None and order > limit:
+            raise TooLarge(f"the digraph has at least {order} automorphisms, "
+                           f"more than the limit {limit}")
+    return Automorphisms(tuple(sorted(set(gens), key=lambda p: p.images)), order)
 
 
 def find_isomorphism(adj1, adj2, colors1=None, colors2=None):

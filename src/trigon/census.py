@@ -12,13 +12,14 @@ from .pairset import FSet, apply_rho
 from .record import Record
 
 if TYPE_CHECKING:
-    from .permgrp import Perm, PermGroup
+    from .permgrp import Perm
 
-# the largest |Aut+(F)| classify accepts.  A walk holds its orbit, at most
-# 2 |Aut+(F)| keys of one third per pair of F, at once: a key and its
-# permutation take 4.2 KB on singer --q 7 (456 pairs), so such an orbit
-# there would take 8.4 GB, had _COVER_LIMIT not refused its listing
-# (classify on it peaks at 16 MB)
+# the largest |Aut+(F)| classify accepts.  aut_full's symmetry search
+# refuses an F as soon as the order it has found passes this, so the limit
+# bounds that search, the witness search after it, which walks the same deep
+# path on the reversed F, and each stabilizer chain, whose group lies in
+# Aut+(F).  The orbit walk is bounded by _COVER_LIMIT instead: every orbit
+# lies in the listing
 _AUT_LIMIT = 10**6
 
 # the most thirds, covers x |F|, that the exact cover lists.  Every orbit
@@ -131,33 +132,26 @@ def _most_constrained(out, inn):
     return best
 
 
-def aut_plus(F: FSet) -> PermGroup:
-    """Stabilizer of F in Sym(n) under the diagonal action, as a group of
-    position permutations."""
-    from .autosearch import automorphism_generators
-    from .permgrp import bsgs_build
-
-    return bsgs_build(F.n, automorphism_generators(F.out))
-
-
 class AutFull(Record, eq=False):
     """A group inside Sym(n) x Z/2, such as Aut(F) or the stabilizer of a
-    presentation: the diagonal part plus an optional coordinate-swapping
-    coset, given by one witness in it."""
+    presentation: generators of its diagonal part, its order, and one
+    witness in its coordinate-swapping coset, None when it has none."""
 
-    plus: PermGroup
+    generators: tuple
+    order: int
     witness: Perm | None
-
-    @property
-    def order(self) -> int:
-        return self.plus.order() * (2 if self.witness is not None else 1)
 
 
 def aut_full(F: FSet) -> AutFull:
-    from .autosearch import find_isomorphism
+    """Aut(F): Aut+(F), the stabilizer of F in Sym(n) under the diagonal
+    action, from the symmetry search, which raises TooLarge once |Aut+(F)|
+    passes _AUT_LIMIT; then a witness that maps F onto its reverse."""
+    from .autosearch import automorphism_generators, find_isomorphism
 
+    plus = automorphism_generators(F.out, limit=_AUT_LIMIT)
     witness = find_isomorphism(apply_rho(F).out, F.out)
-    return AutFull(plus=aut_plus(F), witness=witness)
+    return AutFull(plus.generators, plus.order * (1 if witness is None else 2),
+                   witness)
 
 
 def _orbit_stabilizer(F: FSet, thirds: tuple, full: AutFull):
@@ -180,15 +174,14 @@ def _orbit_stabilizer(F: FSet, thirds: tuple, full: AutFull):
 
     pairs = [(i, j) for i, js in enumerate(F.out) for j in js]
     slot = {p: s for s, p in enumerate(pairs)}
-    moves = [(g, 0) for g in full.plus.generators]
+    moves = [(g, 0) for g in full.generators]
     if full.witness is not None:
         moves.append((full.witness, 1))
     for r, (g, b) in enumerate(moves):
         v = g.inverse().images
         moves[r] += ([slot[(v[j], v[i]) if b else (v[i], v[j])] for i, j in pairs],)
-    degree = full.plus.degree
     orbit = [thirds]
-    walk = {orbit[0]: (Perm.identity(degree), 0)}
+    walk = {orbit[0]: (Perm.identity(F.n), 0)}
     schreier = {}
     for x in orbit:
         ux, bx = walk[x]
@@ -207,7 +200,8 @@ def _orbit_stabilizer(F: FSet, thirds: tuple, full: AutFull):
         w_inv = witness.inverse()
         plus += [witness * e * w_inv for e in plus]
         plus += [witness * s for s in swaps] + [s * w_inv for s in swaps]
-    return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
+    order = bsgs_build(F.n, plus).order() * (1 if witness is None else 2)
+    return orbit, AutFull(tuple(plus), order, witness)
 
 
 class TClass(Record, eq=False):
@@ -223,14 +217,11 @@ def classify(F: FSet) -> list[TClass]:
     """Orbits of Aut(F) on all compatible presentations, each represented by
     its first presentation in _exact_covers' order.
 
-    |Aut+(F)| is checked against _AUT_LIMIT before the enumeration starts.
-    orbit * stabilizer = |Aut(F)| per class and the sum of the orbits are
-    checked on every run; a failure raises CheckFailed.
+    aut_full refuses an F with |Aut+(F)| over _AUT_LIMIT before the
+    enumeration starts.  orbit * stabilizer = |Aut(F)| per class and the sum
+    of the orbits are checked on every run; a failure raises CheckFailed.
     """
     full = aut_full(F)
-    order = full.plus.order()
-    if order > _AUT_LIMIT:
-        raise TooLarge(f"|Aut+(F)| = {order} exceeds {_AUT_LIMIT}")
     covers = _exact_covers(F)
     left = set(covers)
     classes = []

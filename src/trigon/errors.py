@@ -22,9 +22,10 @@ class LambdaConditionFailed(CheckFailed):
 
 
 class TooLarge(UsageError):
-    """Raised when an input is over a size limit: |Aut+(F)| for a search, a
-    presentation or --all-kappa family, a certificate count, or a link graph
-    to build or measure."""
+    """Raised when an input is over a size limit: a symmetry search whose
+    group order or leftmost path passes its limit, the presentations that F
+    admits, a presentation or --all-kappa family, a certificate count, or a
+    link graph to build or measure."""
 
 
 class BadCongruence(UsageError):

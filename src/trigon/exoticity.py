@@ -34,7 +34,9 @@ class ProbeCheckFailed(CheckFailed):
 
 
 class OrderMismatch(ProbeCheckFailed):
-    """Raised when the computed |Q0| disagrees with e(q-1)q(q+1)."""
+    """Raised when the base vertex's stabilizer, read off the search, has
+    not the order e q^3 (q-1)^2 (q+1), or the computed |Q0| disagrees with
+    e(q-1)q(q+1)."""
 
 
 class ExoticProbe(Record, eq=False):
@@ -57,8 +59,9 @@ def build_probe(d: Datum) -> ExoticProbe:
     """Compute Q0 from the link graph itself, then check its order.
 
     The base vertex gets a color of its own, so the search returns generators
-    of its stabilizer; no chain on all 2n vertices is built.  The folding is
-    checked first, so a broken one fails before the search is paid for."""
+    of its stabilizer and that stabilizer's order, checked before Q0's chain
+    is built; no chain on all 2n vertices is built.  The folding is checked
+    first, so a broken one fails before the search is paid for."""
     family = d.signs()
     link = from_F(d.F())
     n = link.n
@@ -72,19 +75,26 @@ def build_probe(d: Datum) -> ExoticProbe:
         )
     colors = [0] * (2 * n)
     colors[v1] = 1
-    stab_gens = automorphism_generators(link.adj, colors)
+    stab = automorphism_generators(link.adj, colors)
     # fixing a one-sided vertex rules out the side swap
-    for g in stab_gens:
+    for g in stab.generators:
         if any(g(v) >= n for v in range(n)):
             raise ProbeCheckFailed(
                 "an automorphism fixing the base vertex swaps the sides"
             )
     try:
-        lam_gens = restricted_generators(stab_gens, lam_set)
+        lam_gens = restricted_generators(stab.generators, lam_set)
     except NotInvariant as err:
         raise ProbeCheckFailed(
             "the stabilizer of the base vertex does not preserve its neighbors"
         ) from err
+    # the stabilizer of a point of PG(2, q) in its collineation group, whose
+    # order e q^3 (q-1)^2 (q+1) is |Q0| times q^2 (q-1)
+    want = expected_q0_order(d.q) * d.q ** 2 * (d.q - 1)
+    if stab.order != want:
+        raise OrderMismatch(
+            f"|Aut_v| = {stab.order}, expected {want} for q = {d.q}"
+        )
     q0 = bsgs_build(len(lam_set), lam_gens)
     want = expected_q0_order(d.q)
     got = q0.order()

@@ -1,6 +1,7 @@
 """Graph and group oracles that only the tests read: the whole automorphism
-group of a link graph, its numpy spectral gap, the generalized-polygon
-check, and the brute-force closure of a permutation group."""
+group of a link graph, Aut+(F) as a stabilizer chain, the numpy spectral
+gap, the generalized-polygon check, and the brute-force closure of a
+permutation group."""
 
 from trigon.autosearch import automorphism_generators
 from trigon.linkgraph import Disconnected, metrics, spectrum
@@ -12,7 +13,14 @@ def graph_automorphisms(g: LinkGraph) -> PermGroup:
     """Full automorphism group of the bipartite graph on 2n vertices; maps
     exchanging the sides are allowed.  The whole-group oracle for the
     probe's Q0."""
-    return bsgs_build(2 * g.n, automorphism_generators(g.adj))
+    return bsgs_build(2 * g.n, automorphism_generators(g.adj).generators)
+
+
+def aut_plus(F) -> PermGroup:
+    """Aut+(F), the stabilizer of F in Sym(n) under the diagonal action, as
+    a Schreier-Sims chain over the search's generators: the independent
+    side of the order that the search reads off its path."""
+    return bsgs_build(F.n, automorphism_generators(F.out).generators)
 
 
 def spectral_gap(g: LinkGraph) -> float:

@@ -160,15 +160,15 @@ def image_triples(ptrip, im, use_rho=False):
     return frozenset((im[i], im[j], im[k]) for i, j, k in ptrip)
 
 
-def orbit_stabilizer(ptrip, full):
-    """The orbit of the position triples ptrip under Aut(F), in walk order,
-    and their stabilizer, by the triple-set walk that the thirds-key walk
-    replaced: each move rebuilds the moved set through image_triples."""
-    movers = [(g, 0) for g in full.plus.generators]
+def orbit_stabilizer(ptrip, full, n):
+    """The orbit of the position triples ptrip on n points under Aut(F), in
+    walk order, and their stabilizer, by the triple-set walk that the
+    thirds-key walk replaced: each move rebuilds the moved set through
+    image_triples."""
+    movers = [(g, 0) for g in full.generators]
     if full.witness is not None:
         movers.append((full.witness, 1))
-    degree = full.plus.degree
-    walk = {ptrip: (Perm.identity(degree), 0)}
+    walk = {ptrip: (Perm.identity(n), 0)}
     orbit = [ptrip]
     schreier = {}
     for x in orbit:
@@ -188,7 +188,8 @@ def orbit_stabilizer(ptrip, full):
         w_inv = witness.inverse()
         plus += [witness * e * w_inv for e in plus]
         plus += [witness * s for s in swaps] + [s * w_inv for s in swaps]
-    return orbit, AutFull(plus=bsgs_build(degree, plus), witness=witness)
+    order = bsgs_build(n, plus).order() * (1 if witness is None else 2)
+    return orbit, AutFull(tuple(plus), order, witness)
 
 
 def coset_steps(family, kappa):

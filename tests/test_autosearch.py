@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import refine_oracle
 import search_oracle
 from graph_oracle import closure_elements
-from trigon import autosearch
+from trigon import autosearch, permgrp
 from trigon.autosearch import (
+    Automorphisms,
     _neighbor_lists,
     _Partition,
     automorphism_generators,
@@ -92,14 +93,14 @@ def test_refine_stops_when_discrete():
 
 def test_path_automorphisms():
     adj = edge_adjacency(3, [(0, 1), (1, 2)])
-    gens = automorphism_generators(adj)
+    gens = automorphism_generators(adj).generators
     assert group_elements(3, gens) == [(0, 1, 2), (2, 1, 0)]
 
 
 def test_square_automorphisms():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     adj = edge_adjacency(4, edges)
-    gens = automorphism_generators(adj)
+    gens = automorphism_generators(adj).generators
     assert bsgs_build(4, gens).order() == 8
     assert group_elements(4, gens) == brute_automorphisms(
         4, edges + [(j, i) for i, j in edges]
@@ -108,36 +109,36 @@ def test_square_automorphisms():
 
 def test_directed_cycle_automorphisms():
     arcs = [(i, (i + 1) % 5) for i in range(5)]
-    gens = automorphism_generators(out_lists(5, arcs))
+    gens = automorphism_generators(out_lists(5, arcs)).generators
     assert bsgs_build(5, gens).order() == 5
     assert group_elements(5, gens) == brute_automorphisms(5, arcs)
 
 
 def test_petersen_automorphism_order():
     adj = edge_adjacency(10, PETERSEN)
-    gens = automorphism_generators(adj)
+    gens = automorphism_generators(adj).generators
     assert bsgs_build(10, gens).order() == 120
 
 
 def test_colors_restrict_automorphisms():
     arcs = [(i, (i + 1) % 6) for i in range(6)]
     adj = out_lists(6, arcs)
-    free = automorphism_generators(adj)
+    free = automorphism_generators(adj).generators
     assert bsgs_build(6, free).order() == 6
     pinned = automorphism_generators(adj, colors=[1, 0, 0, 0, 0, 0])
-    assert pinned == []
+    assert pinned == Automorphisms((), 1)
 
 
 def test_determinism():
     adj = edge_adjacency(10, PETERSEN)
     a = automorphism_generators(adj)
     b = automorphism_generators(adj)
-    assert [p.images for p in a] == [p.images for p in b]
+    assert images_of(a.generators) == images_of(b.generators)
 
 
 def test_loops_matter():
     arcs = [(0, 0), (0, 1), (1, 0)]
-    assert automorphism_generators(out_lists(2, arcs)) == []
+    assert automorphism_generators(out_lists(2, arcs)) == Automorphisms((), 1)
 
 
 def test_find_isomorphism_cycles():
@@ -161,7 +162,8 @@ def test_tuple_rows_are_searched_as_lists():
     b = [((i + 2) % 6, (i + 3) % 6) for i in range(6)]
     la, lb = out_lists(6, a), out_lists(6, b)
     ta, tb = tuple(map(tuple, la)), tuple(map(tuple, lb))
-    assert automorphism_generators(ta) == automorphism_generators(la) != []
+    assert automorphism_generators(ta) == automorphism_generators(la)
+    assert automorphism_generators(la).generators
     assert find_isomorphism(ta, tb) == find_isomorphism(la, lb) is not None
 
 
@@ -198,8 +200,10 @@ def test_automorphisms_match_brute_force(data):
             unique=True,
         )
     )
-    gens = automorphism_generators(out_lists(n, arcs))
-    assert group_elements(n, gens) == brute_automorphisms(n, arcs)
+    found = automorphism_generators(out_lists(n, arcs))
+    brute = brute_automorphisms(n, arcs)
+    assert group_elements(n, found.generators) == brute
+    assert found.order == len(brute) == bsgs_build(n, found.generators).order()
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,12 +473,15 @@ def searched_digraphs(data):
 @given(data=st.data())
 def test_search_matches_the_two_backtrack_oracle(data):
     """The leftmost path and first-match descent give the generators of the
-    two-backtrack search they replaced, and the same witness, or None for
-    both, on a relabelled pair and on one perturbed by an arc or a color."""
+    two-backtrack search they replaced, with the order of their chain, and
+    the same witness, or None for both, on a relabelled pair and on one
+    perturbed by an arc or a color."""
     n, arcs, colors = searched_digraphs(data)
     adj = out_lists(n, arcs)
-    assert images_of(automorphism_generators(adj, colors)) == images_of(
+    found = automorphism_generators(adj, colors)
+    assert images_of(found.generators) == images_of(
         search_oracle.automorphism_generators(adj, colors))
+    assert found.order == bsgs_build(n, found.generators).order()
     _, arcs2, colors2 = relabelled(data, n, arcs, colors)
     if arcs2 and data.draw(st.booleans()):
         arcs2 = arcs2[1:]
@@ -496,15 +503,18 @@ def counting_refine(calls):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_probe_search_matches_the_two_backtrack_oracle(q, monkeypatch):
     """The same generators from as many refinements: the orbit pruning
-    skips the vertices it did."""
+    skips the vertices it did.  The order read off the path is that of the
+    generators' chain."""
     adj = from_F(singer_datum(q).F()).adj
     colors = [1] + [0] * (len(adj) - 1)
     got, want = [], []
     monkeypatch.setattr(autosearch, "refine", counting_refine(got))
     monkeypatch.setattr(search_oracle, "refine", counting_refine(want))
-    assert images_of(automorphism_generators(adj, colors)) == images_of(
+    found = automorphism_generators(adj, colors)
+    assert images_of(found.generators) == images_of(
         search_oracle.automorphism_generators(adj, colors))
     assert len(got) == len(want)
+    assert found.order == bsgs_build(len(adj), found.generators).order()
 
 
 def test_probe_search_holds_no_second_copy_of_the_graph():
@@ -540,20 +550,43 @@ CENSUS_F = {
 def test_aut_full_matches_the_two_backtrack_oracle(name, monkeypatch):
     """aut_full's Aut+(F) generators and its rho-swapping witness.  Both
     searches are looked up in autosearch when aut_full runs, so the oracle's
-    must be the ones called the second time."""
+    must be the ones called the second time; the oracle's generators get
+    the order of their chain."""
     f = CENSUS_F[name]()
     got = aut_full(f)
+
+    def oracle_search(adj, limit):
+        calls.append("automorphism_generators")
+        gens = search_oracle.automorphism_generators(adj)
+        return Automorphisms(gens, bsgs_build(len(adj), gens).order())
+
+    def oracle_isomorphism(*args):
+        calls.append("find_isomorphism")
+        return search_oracle.find_isomorphism(*args)
+
     calls = []
-    for search in ("automorphism_generators", "find_isomorphism"):
-        oracle = getattr(search_oracle, search)
-
-        def counted(*args, oracle=oracle, search=search):
-            calls.append(search)
-            return oracle(*args)
-
-        monkeypatch.setattr(autosearch, search, counted)
+    monkeypatch.setattr(autosearch, "automorphism_generators", oracle_search)
+    monkeypatch.setattr(autosearch, "find_isomorphism", oracle_isomorphism)
     want = aut_full(f)
     assert sorted(calls) == ["automorphism_generators", "find_isomorphism"]
-    assert images_of(got.plus.generators) == images_of(want.plus.generators)
+    assert images_of(got.generators) == images_of(want.generators)
+    assert got.order == want.order
     assert got.witness is not None
     assert got.witness.images == want.witness.images
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_F))
+def test_aut_full_builds_no_stabilizer_chain(name, monkeypatch):
+    """|Aut(F)| comes from the search's path, not from Schreier-Sims: with
+    bsgs_build raising, aut_full still gives the order of the chain that
+    its generators build."""
+    f = CENSUS_F[name]()
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("aut_full built a stabilizer chain")
+
+    monkeypatch.setattr(permgrp, "bsgs_build", no_chain)
+    full = aut_full(f)
+    monkeypatch.undo()
+    assert full.witness is not None
+    assert full.order == 2 * bsgs_build(f.n, full.generators).order()

@@ -17,7 +17,8 @@ import pytest
 
 from label_oracle import fset_of, pairs_of, triples_of
 import trigon
-from trigon import census, cli, exoticity, fgroup, oppmodel, pairset, singer
+from trigon import autosearch, census, cli, exoticity, fgroup, oppmodel, pairset, singer
+from trigon.autosearch import Automorphisms
 from trigon.catalog import TABLE_TEXTS
 from trigon.census import AutFull
 from trigon.cli import kappa_spec_of, parse_kappa_spec, run
@@ -27,7 +28,7 @@ from trigon.errors import (BadCongruence, CheckFailed, DegreeMismatch, KappaSpec
                            NotPrime, NotPrimitive, ParseError, ReduciblePolynomial,
                            TooLarge, TwistCheckFailed, UsageError)
 from trigon.fgroup import Datum
-from trigon.permgrp import Perm, bsgs_build
+from trigon.permgrp import Perm
 from trigon.singer import quad_datum, singer_datum
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -510,19 +511,52 @@ def test_usage_errors_are_one_class():
 @pytest.mark.parametrize("command", ["classify", "enumerate"])
 def test_pair_set_over_the_limit_exits_two(capsys, monkeypatch, tmp_path, command):
     """The complete digraph on 10 points has |Aut+(F)| = 10!; the guard
-    stops it before the enumeration, even with no presentation given."""
+    stops it before the witness search and the enumeration, even with no
+    presentation given."""
 
-    def no_search(F):
-        raise AssertionError("the enumeration started before the size guard")
+    def no_search(*args):
+        raise AssertionError("a search started after the size guard")
 
     monkeypatch.setattr(census, "_exact_covers", no_search)
+    monkeypatch.setattr(autosearch, "find_isomorphism", no_search)
     n = 10
     pairs = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     path = tmp_path / "complete10.json"
     path.write_text(json.dumps({"n": n, "F": pairs, "T": []}))
     code, out, err = invoke(capsys, [command, "--from-json", str(path)])
     assert (code, out) == (2, "")
-    assert err == f"trigon {command}: |Aut+(F)| = 3628800 exceeds 1000000\n"
+    assert err == (f"trigon {command}: the digraph has at least 3628800 "
+                   "automorphisms, more than the limit 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+@pytest.mark.parametrize("n, message", [
+    (200, "the digraph has at least 3628800 automorphisms, more than the "
+          "limit 1000000"),
+    (2000, "the search path on 2000 vertices is more than 100 levels deep; "
+           "the limit is 200000 levels x vertices"),
+    (65536, "the search path on 65536 vertices is more than 3 levels deep; "
+            "the limit is 200000 levels x vertices"),
+])
+def test_empty_pair_sets_exit_two_in_a_fresh_process(tmp_path, command, n,
+                                                     message):
+    """An empty F on n points has |Aut+(F)| = n! and a leftmost path n - 1
+    levels deep.  The search refuses once the order it has found passes
+    the limit, after ten levels, or once the path would pass its entry
+    limit, whichever comes first; the whole group's chain took 58 s at
+    n = 200, and n = 2,000 overflowed the recursion of the descent."""
+    path = tmp_path / f"empty{n}.json"
+    path.write_text(json.dumps({"n": n, "F": [], "T": []}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigon.cli", command, "--from-json", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"trigon {command}: {message}\n"
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 1.0
 
 
 @pytest.mark.parametrize("command, model, covers, pairs", [
@@ -760,7 +794,8 @@ def test_broken_probe_invariant_exits_one(capsys, monkeypatch, broken, message):
         cycle = (1, other_line) if broken == "side swap" else (lam[0], other_line)
         monkeypatch.setattr(
             exoticity, "automorphism_generators",
-            lambda adj, colors: [transposition(len(adj), *cycle)],
+            lambda adj, colors: Automorphisms(
+                (transposition(len(adj), *cycle),), 2),
         )
     assert not issubclass(ProbeCheckFailed, ValueError)
     code, out, err = invoke(capsys, ["exotic", "--q", "2", "--kappa", "+1"])
@@ -929,7 +964,7 @@ def test_broken_difference_set_exits_one(capsys, monkeypatch):
 def test_broken_counting_identity_exits_one(capsys, monkeypatch, tmp_path, command):
     doc_path = tmp_path / "exquad.json"
     assert run(["quad", "--q", "2", "--format", "json", "-o", str(doc_path)]) == 0
-    trivial = AutFull(plus=bsgs_build(21, []), witness=None)
+    trivial = AutFull(generators=(), order=1, witness=None)
     real = census._orbit_stabilizer
     monkeypatch.setattr(
         census, "_orbit_stabilizer",

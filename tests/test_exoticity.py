@@ -7,7 +7,8 @@ import pytest
 
 from graph_oracle import graph_automorphisms
 from label_oracle import triples_of
-from trigon import cli, singer
+from trigon import cli, exoticity, singer
+from trigon.autosearch import Automorphisms
 from trigon.errors import KappaSpecError, LambdaConditionFailed, NotPrime
 from trigon.exoticity import (
     Bounds,
@@ -220,10 +221,39 @@ def test_kappa_negation_pairing(q, probe_for):
 
 
 def test_order_mismatch_on_tampered_datum():
-    # the Fano datum filed under q = 3: a valid folding, |Q0| = 6, not 24
+    # the Fano datum filed under q = 3: a valid folding, |Aut_v| = 24, not
+    # 432, and |Q0| = 6, not 24; the search's order fails first
     d = singer_datum(2)
-    with pytest.raises(OrderMismatch, match="6, expected 24"):
+    with pytest.raises(OrderMismatch, match=r"\|Aut_v\| = 24, expected 432"):
         build_probe(Datum(3, d.G, d.S, d.H, d.lam))
+
+
+def test_stabilizer_order_mismatch_raises_before_the_q0_chain(monkeypatch):
+    """The search's |Aut_v| is checked against e q^3 (q-1)^2 (q+1) before
+    Q0's chain is built: one order too many fails with no chain."""
+    real = exoticity.automorphism_generators
+
+    def one_too_many(adj, colors):
+        found = real(adj, colors)
+        return Automorphisms(found.generators, found.order + 1)
+
+    def no_chain(*args):
+        raise AssertionError("Q0's chain was built")
+
+    monkeypatch.setattr(exoticity, "automorphism_generators", one_too_many)
+    monkeypatch.setattr(exoticity, "bsgs_build", no_chain)
+    with pytest.raises(OrderMismatch, match=r"\|Aut_v\| = 98785, expected 98784"):
+        build_probe(singer_datum(7))
+
+
+def test_q0_order_mismatch_raises(monkeypatch):
+    """|Q0| is still checked on its own: with one generator of Aut_v left
+    out of its action on Lambda, Q0 comes out too small."""
+    real = exoticity.restricted_generators
+    monkeypatch.setattr(exoticity, "restricted_generators",
+                        lambda gens, points: real(gens, points)[:1])
+    with pytest.raises(OrderMismatch, match="expected 336 for q = 7"):
+        build_probe(singer_datum(7))
 
 
 def test_bounds_exact_small():

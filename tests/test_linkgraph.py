@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import graph_automorphisms, is_generalized_mgon, spectral_gap
+from graph_oracle import aut_plus, graph_automorphisms, is_generalized_mgon, spectral_gap
 from label_oracle import fset_of, pairs_of
 from trigon.autosearch import _neighbor_lists, find_isomorphism
-from trigon.census import aut_full, aut_plus
+from trigon.census import aut_full
 from trigon.errors import CheckFailed
 from trigon.linkgraph import (
     Disconnected,

@@ -283,12 +283,12 @@ def test_census_chains_match_closure(name):
     is sifted through each stabilizer's chain."""
     f = CENSUS_F[name]()
     aut = aut_full(f)
-    plus = aut.plus
+    plus = bsgs_build(f.n, aut.generators)
     brute = closure_elements(f.n, plus.generators)
     check_chain_against_closure(plus, brute, [])
     for c in classify(f):
         full = census._orbit_stabilizer(f, c.thirds, aut)[1]
         assert full.order == c.aut_order
-        st = full.plus
+        st = bsgs_build(f.n, full.generators)
         check_chain_against_closure(
             st, closure_elements(f.n, st.generators), brute)

@@ -59,7 +59,7 @@ IDENTITY = [
     (Datum, {"q": 2, "G": FANO.G, "S": FANO.S, "H": FANO.H, "lam": FANO.lam}),
     (SignFamily, {"G": FANO.G, "S": FANO.S, "lam": FANO.lam, "H": FANO.H}),
     (LinkGraph, {"adj": LINK.adj}),
-    (AutFull, {"plus": bsgs_build(2, []), "witness": None}),
+    (AutFull, {"generators": (), "order": 1, "witness": None}),
     (A2Model, {"graph": LINK, "points": ((0, 0, 1), (0, 1, 0))}),
     (TClass, {"thirds": (1, 0), "orbit_size": 1, "aut_order": 2}),
 ]

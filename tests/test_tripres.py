@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import aut_plus
 from label_oracle import (
     act,
     coset_steps,
@@ -23,8 +24,8 @@ from label_oracle import (
     thirds_of,
     triples_of,
 )
-from trigon import census, tripres
-from trigon.census import AutFull, aut_full, aut_plus, classify
+from trigon import autosearch, census, tripres
+from trigon.census import AutFull, aut_full, classify
 from trigon.cli import present
 from trigon.errors import (
     CheckFailed,
@@ -186,21 +187,23 @@ def complete_digraph(n):
 
 
 def test_size_guard_runs_before_the_enumeration(monkeypatch):
-    """|Aut+(F)| = 10! is over the limit, so classify stops before the exact
-    cover, which on this F runs for minutes."""
+    """|Aut+(F)| = 10! is over the limit, so classify stops before the
+    witness search and the exact cover, which on this F runs for minutes."""
 
-    def no_search(F):
-        raise AssertionError("the enumeration started before the size guard")
+    def no_search(*args):
+        raise AssertionError("a search started after the size guard")
 
     monkeypatch.setattr(census, "_exact_covers", no_search)
-    with pytest.raises(TooLarge, match="3628800 exceeds 1000000"):
+    monkeypatch.setattr(autosearch, "find_isomorphism", no_search)
+    with pytest.raises(TooLarge, match="at least 3628800 automorphisms, more "
+                       "than the limit 1000000"):
         classify(complete_digraph(10))
 
 
 def test_stabilizer_alt():
     t1 = presentations(ALT_F)[0]
     st = census._orbit_stabilizer(ALT_F, thirds_of(t1), aut_full(ALT_F))[1]
-    assert st.plus.order() == 12
+    assert bsgs_build(ALT_F.n, st.generators).order() == 12
     assert st.witness is not None
     assert triples_of(act(t1, st.witness, use_rho=True)) == triples_of(t1)
     assert st.order == 24
@@ -537,7 +540,7 @@ def test_enumeration_closed_under_aut(data):
     keys = {triples_of(t) for t in out}
     af = aut_full(f)
     t = out[data.draw(st.integers(min_value=0, max_value=len(out) - 1))]
-    for g in af.plus.generators:
+    for g in af.generators:
         assert triples_of(act(t, g)) in keys
     if af.witness is not None:
         assert triples_of(act(t, af.witness, use_rho=True)) in keys
@@ -569,7 +572,7 @@ def oracle_classify(f):
     allt = exact_covers(f)
     index = {triples_of(t): i for i, t in enumerate(allt)}
     full = aut_full(f)
-    movers = [(g, False) for g in full.plus.generators]
+    movers = [(g, False) for g in full.generators]
     if full.witness is not None:
         movers.append((full.witness, True))
     seen = set()
@@ -588,13 +591,14 @@ def oracle_classify(f):
         seen |= orbit
         rep = allt[min(orbit)]
         plus, witness = oracle_stabilizer(f, rep)
-        out.append((triples_of(rep), len(orbit), _elements(plus),
+        out.append((triples_of(rep), len(orbit), _elements(f.n, plus),
                     witness is not None))
     return out
 
 
-def _elements(group):
-    return sorted(p.images for p in group.elements())
+def _elements(n, group):
+    """The elements of a group's diagonal part on n points, sorted."""
+    return sorted(p.images for p in bsgs_build(n, group.generators).elements())
 
 
 DIFFERENTIAL_F = {
@@ -784,7 +788,7 @@ def test_classify_matches_act_relabelings(name):
         assert c.aut_order == st.order
         assert st.witness is None or _fixes(rep, st.witness)
         got.append((triples_of(rep), c.orbit_size,
-                    _elements(st.plus), st.witness is not None))
+                    _elements(f.n, st), st.witness is not None))
     assert got == oracle_classify(f)
 
 
@@ -807,7 +811,7 @@ def test_census_stabilizers_match_act_relabelings(name):
         st = census._orbit_stabilizer(f, c.thirds, full)[1]
         rep = on_rows(f, c.thirds)
         plus, witness = oracle_stabilizer(f, rep)
-        assert _elements(st.plus) == _elements(plus)
+        assert _elements(f.n, st) == _elements(f.n, plus)
         assert (st.witness is None) == (witness is None)
         assert st.witness is None or _fixes(rep, st.witness)
         assert c.aut_order == st.order
@@ -854,13 +858,13 @@ def test_orbit_stabilizer_matches_brute_force(data):
         if not b and not bsgs_build(n, plus).contains(Perm(g)):
             plus.append(Perm(g))
     swaps = sorted(g for g, b in group if b)
-    full = AutFull(plus=bsgs_build(n, plus),
-                   witness=Perm(swaps[-1]) if swaps else None)
+    full = AutFull(tuple(plus), len(group),
+                   Perm(swaps[-1]) if swaps else None)
     orbit, stab = walk(F, tuple(thirds), full)
     images = {image_triples(ptrip, g, b) for g, b in group}
     fixing = {(g, b) for g, b in group if image_triples(ptrip, g, b) == ptrip}
     assert sorted(orbit, key=sorted) == sorted(images, key=sorted)
-    assert _elements(stab.plus) == sorted(g for g, b in fixing if not b)
+    assert _elements(n, stab) == sorted(g for g, b in fixing if not b)
     assert (stab.witness is None) == all(not b for _, b in fixing)
     assert stab.witness is None or (stab.witness.images, 1) in fixing
 
@@ -870,13 +874,12 @@ def test_orbit_stabilizer_takes_products_of_coordinate_swaps():
     order-2 Aut+(T) comes only from products of two of them.  On the
     diagonal pair set, T marks point 4 by the triple (4, 4, 4) and sends
     every other point but 3 to 3, which the group fixes."""
-    full = AutFull(plus=bsgs_build(6, [Perm((2, 5, 4, 3, 0, 1))]),
-                   witness=Perm((0, 5, 4, 3, 2, 1)))
+    full = AutFull((Perm((2, 5, 4, 3, 0, 1)),), 12, Perm((0, 5, 4, 3, 2, 1)))
     F = fset_of(range(6), [(x, x) for x in range(6)])
     T = on_rows(F, [3, 3, 3, 3, 4, 3])
     orbit, stab = walk(F, thirds_of(T), full)
     assert len(orbit) * stab.order == full.order == 12
-    assert _elements(stab.plus) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
+    assert _elements(6, stab) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
     assert image_triples(triples_of(T), stab.witness.images, True) == triples_of(T)
 
 
@@ -909,7 +912,7 @@ def test_walk_matches_the_triple_set_walk(name, seed):
     assert found
     for T in found:
         orbit, stab = walk(F, thirds_of(T), full)
-        want, want_stab = orbit_stabilizer(triples_of(T), full)
+        want, want_stab = orbit_stabilizer(triples_of(T), full, F.n)
         assert orbit == want
         assert stab.order == want_stab.order
         assert stab.witness == want_stab.witness
@@ -929,7 +932,7 @@ def test_classify_lists_no_group_elements(monkeypatch):
 
 
 def test_broken_counting_identity_raises(monkeypatch):
-    trivial = AutFull(plus=bsgs_build(ALT_F.n, []), witness=None)
+    trivial = AutFull(generators=(), order=1, witness=None)
     real = census._orbit_stabilizer
     monkeypatch.setattr(
         census, "_orbit_stabilizer",
