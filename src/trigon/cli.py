@@ -1,9 +1,13 @@
 """Command-line drivers: constructions, verification, certificates, tables.
 
-The module top imports only what builds the parser and the errors run maps
-to exit codes; each handler imports the modules it runs.  Where bytecode is
-not cached, every start compiles each module it imports, so a subcommand
-should not pay for a symmetry search or a construction it never calls.
+The module top imports no parser library: run reads argv against
+_COMMANDS, one table of the commands and their options, in about 0.05 ms,
+where the standard library's parser took 2 ms to import and 4-5 ms to build
+and run (cached bytecode, 2-core Xeon, Python 3.11).  Beside the standard
+library the top imports only the errors run maps to exit codes; each
+handler imports the modules it runs.  Where bytecode is not cached, every
+start compiles each module it imports, so a subcommand should not pay for a
+symmetry search or a construction it never calls.
 
 An exit costs too: the interpreter's final collections walk every object
 still alive, about a tenth of a short command.  main, the console script's
@@ -14,13 +18,13 @@ goes on."""
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
 import warnings
 from itertools import chain, repeat
+from types import SimpleNamespace
 
 from .errors import CheckFailed, KappaSpecError, TooLarge, UsageError
 
@@ -78,12 +82,13 @@ def kappa_spec_of(kappa):
 # 2-core Xeon, Python 3.11).
 _FAMILY_TRIPLE_LIMIT = 4_000_000
 
-# the most sign choices exotic --all-kappa certifies.  The certificates go
-# into one JSON text, so they are all held at once: at q = 43
-# (16,384 choices) the run takes 1.5-1.8 s of CPU and 83 MB and writes
-# 6 MB; q = 47 (65,536), with the limit raised, took 6.1-6.7 s and 297 MB,
-# and q = 53 would make 262,144 (2-core Xeon, Python 3.11).  Every q <= 43
-# fits.
+# the most sign choices exotic --all-kappa certifies.  Each certificate is
+# written as it is made, so the limit bounds time, not memory: at q = 43
+# (16,384 choices) the run takes 1.7-2.0 s of CPU and 20.5 MB and writes
+# 6 MB, where holding every certificate for one JSON text took 80.5 MB;
+# q = 47 (65,536), with the limit raised, took 5.5 s and 22.1 MB, and
+# q = 53 would make 262,144 (peak RSS of fresh processes, 2-core Xeon,
+# Python 3.11).  Every q <= 43 fits.
 _CERTIFICATE_LIMIT = 16_384
 
 # the largest r(q) exotic --bounds evaluates.  2^r(q) then has 4,300
@@ -319,7 +324,7 @@ def _cmd_verify(args):
 def _cmd_exotic(args):
     import json
 
-    from .exoticity import build_probe, exotic_certificate, exotic_lower_bounds
+    from .exoticity import build_probe, exotic_lower_bounds
     from .singer import r_of_q, singer_datum
 
     if args.kappa is None and not (args.all_kappa or args.bounds):
@@ -338,39 +343,54 @@ def _cmd_exotic(args):
             "qi_class_lower": str(b.qi_class_lower),
             "vacuous": b.vacuous,
         }
-    if args.kappa is not None or args.all_kappa:
-        # both refusals come before the field search, which at q = 256
-        # alone takes 47 s; 2^r exceeds the limit iff r reaches its bit
-        # length, so 2^r is never computed
-        if args.all_kappa:
-            r = r_of_q(args.q)
-            if r >= _CERTIFICATE_LIMIT.bit_length():
-                raise TooLarge(
-                    f"--all-kappa would certify 2^{r} sign choices; the "
-                    f"limit is {_CERTIFICATE_LIMIT}"
-                )
-        _check_presentation_size(args.q, args.q)
-        d = singer_datum(args.q, args.modulus)
-        family = d.signs()
-        if args.all_kappa:
-            kappas = family.choices()
-        else:
-            kappas = [parse_kappa_spec(args.kappa, family)]
-        probe = build_probe(d)
-        certs = [exotic_certificate(probe, k) for k in kappas]
-        blobs = [
-            {
-                "q": c.q,
-                "kappa": kappa_spec_of(dict(c.kappa)),
-                "sigma_cycles": c.sigma.cycle_string(),
-                "member": c.member,
-                "verdict": c.verdict,
-                "q0_order": probe.q0.order(),
-            }
-            for c in certs
-        ]
-        out["certificates"] = blobs
-    return 0, json.dumps(out, sort_keys=True, indent=2) + "\n"
+    if args.kappa is None and not args.all_kappa:
+        return 0, json.dumps(out, sort_keys=True, indent=2) + "\n"
+    # both refusals come before the field search, which at q = 256 alone
+    # takes 47 s; 2^r exceeds the limit iff r reaches its bit length, so 2^r
+    # is never computed
+    if args.all_kappa:
+        r = r_of_q(args.q)
+        if r >= _CERTIFICATE_LIMIT.bit_length():
+            raise TooLarge(
+                f"--all-kappa would certify 2^{r} sign choices; the "
+                f"limit is {_CERTIFICATE_LIMIT}"
+            )
+    _check_presentation_size(args.q, args.q)
+    d = singer_datum(args.q, args.modulus)
+    family = d.signs()
+    if args.all_kappa:
+        kappas = family.choices()
+    else:
+        kappas = [parse_kappa_spec(args.kappa, family)]
+    probe = build_probe(d)
+    return 0, _certificate_texts(out, probe, kappas)
+
+
+def _certificate_texts(out, probe, kappas):
+    """The text of json.dumps(out with its "certificates" list, sort_keys=True,
+    indent=2) and a newline, a certificate at a time as each is made, so
+    that no list of them is held.  The list's key sorts after "bounds",
+    out's only other key, and a certificate's lines sit two levels deep."""
+    import json
+
+    from .exoticity import exotic_certificate
+
+    head = json.dumps(out, sort_keys=True, indent=2)[:-2] + "," if out else "{"
+    yield head + '\n  "certificates": [\n    '
+    q0_order = probe.q0.order()
+    for index, kappa in enumerate(kappas):
+        c = exotic_certificate(probe, kappa)
+        blob = {
+            "q": c.q,
+            "kappa": kappa_spec_of(dict(c.kappa)),
+            "sigma_cycles": c.sigma.cycle_string(),
+            "member": c.member,
+            "verdict": c.verdict,
+            "q0_order": q0_order,
+        }
+        text = json.dumps(blob, sort_keys=True, indent=2).replace("\n", "\n    ")
+        yield ",\n    " + text if index else text
+    yield "\n  ]\n}\n"
 
 
 def _cmd_export(args):
@@ -450,87 +470,248 @@ _HANDLERS = {
 
 
 def modulus(text):
-    """The --modulus coefficients, low degree first; argparse names the
-    type by this function in its usage error."""
+    """The --modulus coefficients, low degree first; a usage error names the
+    type by this function's name."""
     return tuple(int(x) for x in text.split(","))
 
 
-def _build_parser():
-    ap = argparse.ArgumentParser(
-        prog="trigon",
-        description="Triangle presentations, their links, and exoticness probes.",
-    )
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+def _value(name, type=str, choices=None, default=None, required=False,
+           group=None):
+    dest = name.split("/")[-1][2:].replace("-", "_")
+    return name, dest, type, choices, default, required, group
 
-    def common(p, formats=("table", "json", "gap")):
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("-o", "--out", help="write output to this path")
 
-    def kappa_opts(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--kappa", help="sign spec, e.g. '+1' or '9:+1;15:-1'")
-        group.add_argument("--all-kappa", action="store_true")
-        return group
+def _flag(name, dest=None, group=None):
+    return name, dest or name[2:].replace("-", "_"), None, None, False, False, group
 
-    p = sub.add_parser("singer", help="difference-set presentations on Z/m")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=modulus)
-    kappa_opts(p)
-    common(p)
 
-    p = sub.add_parser("quad", help="coset-twisted presentations on Z/(q^4+q^2+1)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=modulus)
-    kappa_opts(p)
-    common(p)
+_Q = _value("--q", type=int, required=True)
+_MODULUS = _value("--modulus", type=modulus)
+_KAPPA = _value("--kappa", group="kappa")
+_ALL_KAPPA = _flag("--all-kappa", group="kappa")
+_FROM_JSON = _value("--from-json", required=True)
+_LENIENT = _flag("--lenient")
+_OUT = _value("-o/--out")
+_FORMAT = _value("--format", choices=("table", "json", "gap"), default="table")
+_HELP = ("-h/--help", "help", None, None, None, False, None)
 
-    p = sub.add_parser("opp", help="opposition-model checklist and presentations")
-    p.add_argument("--q", type=int, required=True)
+# The commands in the order usage lists them, each with its help line and
+# options.  An option is (name, dest, type, choices, default, required,
+# group): name is its option strings joined by '/', a short one first;
+# type reads its value, None for a flag, which stores True; choices, if not
+# None, holds every value it takes; and the options of one named group
+# exclude each other.
+_COMMANDS = {
+    "singer": ("difference-set presentations on Z/m",
+               (_Q, _MODULUS, _KAPPA, _ALL_KAPPA, _FORMAT, _OUT)),
+    "quad": ("coset-twisted presentations on Z/(q^4+q^2+1)",
+             (_Q, _MODULUS, _KAPPA, _ALL_KAPPA, _FORMAT, _OUT)),
     # a checklist builds no presentation, so it takes no sign choice
-    kappa_opts(p).add_argument("--check", action="store_true",
-                               help="run the property checklist (the default mode)")
-    common(p)
+    "opp": ("opposition-model checklist and presentations",
+            (_Q, _KAPPA, _ALL_KAPPA, _flag("--check", group="kappa"), _FORMAT,
+             _OUT)),
+    "enumerate": ("count presentations and classes", (_FROM_JSON, _LENIENT, _OUT)),
+    "classify": ("isomorphism classes on a pair set", (_FROM_JSON, _LENIENT, _OUT)),
+    "verify": ("check the three presentation axioms", (_FROM_JSON, _LENIENT, _OUT)),
+    "exotic": ("membership certificates and bounds",
+               (_Q, _MODULUS, _flag("--bounds"), _KAPPA, _ALL_KAPPA, _OUT)),
+    # --which takes the keys of catalog.TABLE_TEXTS, which only the tables
+    # handler loads
+    "tables": ("reproduce a committed table byte-exactly",
+               (_value("--which", type=int, choices=(1, 2, 3, 4, 5),
+                       required=True), _OUT)),
+    "export": ("presentation text for a document",
+               (_FROM_JSON, _LENIENT,
+                _value("--format", choices=("gap", "json", "table"),
+                       default="gap"), _OUT)),
+    "graph": ("edge list, metrics, and spectrum",
+              (_FROM_JSON, _flag("--metrics", "show_metrics"), _flag("--spectrum"),
+               _LENIENT, _value("--format", choices=("table", "json"),
+                                default="table"), _OUT)),
+}
 
-    p = sub.add_parser("enumerate", help="count presentations and classes")
-    p.add_argument("--from-json", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("classify", help="isomorphism classes on a pair set")
-    p.add_argument("--from-json", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("-o", "--out")
+class _ParseExit(Exception):
+    """The end of a run that argv alone decides, args (code, text): 0 with
+    the help text for stdout, or 2 with a usage error's text for stderr."""
 
-    p = sub.add_parser("verify", help="check the three presentation axioms")
-    p.add_argument("--from-json", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("exotic", help="membership certificates and bounds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", type=modulus)
-    p.add_argument("--bounds", action="store_true")
-    kappa_opts(p)
-    p.add_argument("-o", "--out")
+def _usage(command):
+    """The usage line: every option string, the required options bare and
+    the options of one group between one pair of brackets."""
+    if command is None:
+        return "usage: trigon [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words, last = ["usage: trigon", command, "[-h]"], None
+    for word, dest, kind, choices, _, required, group in _COMMANDS[command][1]:
+        if choices:
+            word += " {" + ",".join(map(str, choices)) + "}"
+        elif kind is not None:
+            word += " " + dest.upper()
+        if group is not None and group == last:
+            words[-1] = f"{words[-1][:-1]} | {word}]"
+        else:
+            words.append(word if required else f"[{word}]")
+        last = group
+    return " ".join(words)
 
-    p = sub.add_parser("tables", help="reproduce a committed table byte-exactly")
-    # the keys of catalog.TABLE_TEXTS, which only the tables handler loads
-    p.add_argument("--which", type=int, choices=(1, 2, 3, 4, 5), required=True)
-    p.add_argument("-o", "--out")
 
-    p = sub.add_parser("export", help="presentation text for a document")
-    p.add_argument("--from-json", required=True)
-    p.add_argument("--lenient", action="store_true")
-    common(p, formats=("gap", "json", "table"))
+def _help(command):
+    """-h: the usage line, then the command's help line, or every command's."""
+    if command is None:
+        lines = ["Triangle presentations, their links, and exoticness probes.",
+                 "", "commands:",
+                 *(f"  {name:<9}  {line}" for name, (line, _) in _COMMANDS.items())]
+    else:
+        lines = [_COMMANDS[command][0]]
+    return _ParseExit(0, _usage(command) + "\n\n" + "\n".join(lines) + "\n")
 
-    p = sub.add_parser("graph", help="edge list, metrics, and spectrum")
-    p.add_argument("--from-json", required=True)
-    p.add_argument("--metrics", dest="show_metrics", action="store_true")
-    p.add_argument("--spectrum", action="store_true")
-    p.add_argument("--lenient", action="store_true")
-    common(p, formats=("table", "json"))
 
-    return ap
+def _error(command, message):
+    prog = "trigon" if command is None else f"trigon {command}"
+    return _ParseExit(2, f"{_usage(command)}\n{prog}: error: {message}\n")
+
+
+def _is_negative_number(token):
+    """Whether token is a negative number: '^-\\d+$|^-\\d*\\.\\d+$', where
+    $ also matches before a last newline."""
+    number = token[1:].removesuffix("\n")
+    return number.replace(".", "", 1).isdecimal() and not number.endswith(".")
+
+
+def _classify(command, token, strings):
+    """How a token reads against the option strings: None for a
+    value, else (option, its string, the value the token holds or None),
+    where option is None for an unknown one.  A long option may be given by
+    a prefix of its name that no other name has; a short one may take its
+    value in the same token, -oPATH; a negative number or a token with a
+    space in it is a value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    head, eq, tail = token.partition("=")
+    if head in strings:
+        return strings[head], head, tail if eq else None
+    if token[1] != "-":
+        # every short option string is one letter
+        if token[:2] in strings:
+            return strings[token[:2]], token[:2], token[2:]
+    else:
+        found = [s for s in strings if s.startswith(head)]
+        if len(found) > 1:
+            raise _error(command, f"ambiguous option: {token} could match "
+                                  f"{', '.join(found)}")
+        if found:
+            return strings[found[0]], found[0], tail if eq else None
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, token, None
+
+
+def _expand(command, strings, found, following):
+    """The (option, value text) pairs that one option token stands for, and
+    whether it takes the token after it, following (None if that is not a
+    value).  A short flag with a tail goes on to the option the tail's
+    first character names, as -ho PATH does."""
+    option, string, text = found
+    pairs = []
+    while True:
+        # a flag's type is None
+        if text is None:
+            if option[2] is None:
+                return pairs + [(option, None)], False
+            if following is None:
+                raise _error(command, f"argument {option[0]}: expected one "
+                                      "argument")
+            return pairs + [(option, following)], True
+        if option[2] is not None:
+            return pairs + [(option, text)], False
+        if string[1] != "-" and text:
+            pairs.append((option, None))
+            string = "-" + text[0]
+            if string in strings:
+                option, text = strings[string], text[1:] or None
+                continue
+        raise _error(command, f"argument {option[0]}: ignored explicit "
+                              f"argument {text!r}")
+
+
+def _take(command, options, option, text, values):
+    """Store one option's value in values, the dests given so far, after
+    the checks the parser makes: its type, its choices, its group."""
+    name, dest, kind, choices, _, _, group = option
+    if option is _HELP:
+        raise _help(command)
+    if kind is None:
+        value = True
+    else:
+        try:
+            value = kind(text)
+        except (TypeError, ValueError):
+            raise _error(command, f"argument {name}: invalid {kind.__name__} "
+                                  f"value: {text!r}") from None
+        if choices is not None and value not in choices:
+            raise _error(command, f"argument {name}: invalid choice: "
+                                  f"{value!r} (choose from "
+                                  f"{', '.join(map(repr, choices))})")
+    if group is not None:
+        for other in options:
+            if other[6] == group and other is not option and other[1] in values:
+                raise _error(command, f"argument {name}: not allowed with "
+                                      f"argument {other[0]}")
+    values[dest] = value
+
+
+def _read_options(command, tokens, strings, options, stop):
+    """The values of the options in tokens, the tokens no option takes and
+    the index reading ended at: the first value or '--' if stop, as the
+    first token no option takes names the command, else the end, as no
+    command has a positional argument.  Every token before the first '--'
+    is classified before any is taken, so an ambiguous one is refused
+    first; '--' and the tokens after it are values.  An option given twice
+    keeps its last value."""
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    found = [_classify(command, token, strings) for token in tokens[:end]]
+    values, extras, i = {}, [], 0
+    while i < len(tokens):
+        item = found[i] if i < end else None
+        if item is None and stop:
+            break
+        i += 1
+        if item is None or item[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        following = tokens[i] if i < end and found[i] is None else None
+        pairs, took = _expand(command, strings, item, following)
+        i += took
+        for option, text in pairs:
+            _take(command, options, option, text, values)
+    return values, extras, i
+
+
+def _parse(argv):
+    """The namespace of an invocation, read from argv against _COMMANDS;
+    raises _ParseExit for -h and for a usage error."""
+    top = {"-h": _HELP, "--help": _HELP}
+    _, extras, i = _read_options(None, argv, top, (), True)
+    if argv[i:] in ([], ["--"]):
+        raise _error(None, "the following arguments are required: subcommand")
+    command = argv[i]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _error(None, f"argument subcommand: invalid choice: {command!r} "
+                           f"(choose from {choices})")
+    options = _COMMANDS[command][1]
+    strings = dict(top)
+    for option in options:
+        strings.update(dict.fromkeys(option[0].split("/"), option))
+    values, more, _ = _read_options(command, argv[i + 1:], strings, options, False)
+    missing = [o[0] for o in options if o[5] and o[1] not in values]
+    if missing:
+        raise _error(command, "the following arguments are required: "
+                              + ", ".join(missing))
+    if extras + more:
+        raise _error(None, "unrecognized arguments: " + " ".join(extras + more))
+    return SimpleNamespace(subcommand=command,
+                           **{o[1]: values.get(o[1], o[4]) for o in options})
 
 
 # the least characters _write_parts hands a stream at once, but for the last
@@ -565,7 +746,7 @@ def _dispatch(args):
         try:
             code, text = _HANDLERS[args.subcommand](args)
             parts = [text] if isinstance(text, str) else text
-            if args.out:
+            if args.out is not None:
                 try:
                     fh = open(args.out, "w")
                 except OSError as err:
@@ -594,9 +775,11 @@ def run(argv):
     """Dispatch one invocation; 0 ok, 1 failed check, 2 usage, 141 stdout
     closed by its reader."""
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as ex:
-        return int(ex.code or 0)
+        args = _parse(argv)
+    except _ParseExit as stop:
+        code, text = stop.args
+        print(text, end="", file=sys.stderr if code else sys.stdout)
+        return code
     try:
         return _dispatch(args)
     except UsageError as err:

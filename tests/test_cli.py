@@ -1,6 +1,5 @@
 """Exit codes, byte determinism, golden tables, and subcommand output."""
 
-import argparse
 import gc
 import hashlib
 import importlib
@@ -212,6 +211,14 @@ def test_an_empty_kappa_is_a_usage_error(capsys, argv):
     assert err == f"trigon {argv[0]}: item '' is not 'key:sign'\n"
 
 
+
+def test_a_kappa_of_two_dashes_is_a_usage_error(capsys):
+    """--kappa=-- passes the text '--' to the sign-spec parser, which
+    refuses it in one line; argparse passed an empty list, which ended in
+    a traceback."""
+    code, out, err = invoke(capsys, ["singer", "--q", "7", "--kappa=--"])
+    assert (code, out, err) == (2, "", "trigon singer: item '--' is not 'key:sign'\n")
+
 def test_a_closed_pipe_ends_the_family_with_141():
     """A reader that closes stdout early stops the family with exit 141,
     as SIGPIPE would, and no traceback on stderr."""
@@ -290,6 +297,43 @@ def test_exotic_q5_verdicts(capsys):
         "1:-1;17:-1": "Inconclusive",
     }
 
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+@pytest.mark.parametrize("mode", [["--all-kappa"], ["--all-kappa", "--bounds"],
+                                  ["--kappa", "+1"]],
+                         ids=["all-kappa", "all-kappa-bounds", "kappa"])
+def test_exotic_writes_one_json_dumps_text(capsys, q, mode):
+    """The certificates are written as they are made, and their text is
+    still that of one json.dumps of the whole document."""
+    code, out, err = invoke(capsys, ["exotic", "--q", str(q), *mode])
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert out == json.dumps(blob, sort_keys=True, indent=2) + "\n"
+    assert ("bounds" in blob) == ("--bounds" in mode)
+    assert len(blob["certificates"]) == (
+        2 ** singer.r_of_q(q) if "--all-kappa" in mode else 1)
+
+
+def test_exotic_failure_part_way_keeps_the_certificates_made(capsys,
+                                                             monkeypatch):
+    """--all-kappa writes each certificate as it is made: the two made
+    before a failed check are on stdout, and the run exits 1."""
+    full = invoke(capsys, ["exotic", "--q", "5", "--all-kappa"])[1]
+    made = []
+    certificate = exoticity.exotic_certificate
+
+    def third_fails(probe, kappa):
+        if len(made) == 2:
+            raise ProbeCheckFailed("third certificate")
+        made.append(kappa)
+        return certificate(probe, kappa)
+
+    monkeypatch.setattr(exoticity, "exotic_certificate", third_fails)
+    code, out, err = invoke(capsys, ["exotic", "--q", "5", "--all-kappa"])
+    assert (code, err) == (1, "trigon exotic: third certificate\n")
+    assert full.startswith(out) and out.count('"kappa"') == 2
+    assert full[len(out):].startswith(",\n    {")
 
 def test_graph_outputs(capsys, square_path):
     code, out, _ = invoke(capsys, ["graph", "--from-json", square_path])
@@ -452,11 +496,13 @@ def test_bad_modulus_names_the_option_type(capsys, command):
         (["verify", "--from-json", "{dir}"], "Is a directory"),
         (["verify", "--from-json", "{file}/doc.json"], "Not a directory"),
         (["verify", "--from-json", "{dir}/missing.json"], "No such file"),
+        (["tables", "--which", "1", "-o", ""], "No such file"),
     ],
 )
 def test_unopenable_paths_exit_two_with_one_line(capsys, tmp_path, argv, reason):
     """An -o or --from-json path that cannot be opened is a usage error
-    reported in one line, not a traceback."""
+    reported in one line, not a traceback; an empty -o path is one, not
+    stdout."""
     file = tmp_path / "file.json"
     file.write_text("{}")
     argv = [a.format(dir=tmp_path, file=file) for a in argv]
@@ -1067,9 +1113,10 @@ JSON_FAMILY = {"trigon.cli", "trigon.documents", "trigon.errors", "trigon.ffield
 GAP_FAMILY = {"trigon.cli", "trigon.errors", "trigon.ffield", "trigon.fgroup",
               "trigon.grouptools", "trigon.oppmodel", "trigon.pairset",
               "trigon.record", "trigon.tripres"}
-# a standard module no command loads: dataclasses brings inspect, ast, dis
-# and tokenize.  fractions, with decimal, is for exotic --bounds only
-NEVER = {"dataclasses"}
+# standard modules no command loads: dataclasses brings inspect, ast, dis
+# and tokenize, and argparse brings gettext and, once a parser is built,
+# locale.  fractions, with decimal, is for exotic --bounds only
+NEVER = {"argparse", "dataclasses", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -1137,10 +1184,8 @@ def test_each_command_imports_only_what_it_runs(square_path, argv, absent):
 def test_which_choices_are_the_catalog_tables():
     """tables --which lists its choices as a literal, so that the parser
     does not load catalog; they must be the catalog's keys."""
-    sub = next(a for a in cli._build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    which = next(a for a in sub.choices["tables"]._actions if a.dest == "which")
-    assert list(which.choices) == sorted(TABLE_TEXTS)
+    which = next(o for o in cli._COMMANDS["tables"][1] if o[1] == "which")
+    assert list(which[3]) == sorted(TABLE_TEXTS)
 
 
 @pytest.mark.parametrize("q, code", [(42853, 0), (42859, 2)])
